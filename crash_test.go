@@ -135,6 +135,57 @@ var crashScenarios = []crashScenario{
 	{name: "stream-consumer-read", point: faults.PointStreamRead, match: "watcher", skip: 2},
 	{name: "cursor-commit", point: faults.PointCursorCommit, match: "watcher", skip: 1},
 	{name: "cursor-install", point: faults.PointCursorInstall, match: "watcher", skip: 1},
+	// The windows group commit widens. The reporter journal is written
+	// record by record and fsynced by barriers: (1) before a document's
+	// reports leave the Reporter, (3) after its Deliver loop; every
+	// report-firing call of the child pays exactly that pair, so an even
+	// skip lands on a barrier (1) and an odd one on a barrier (3). Killing
+	// at wal.file.sync dies with the whole batch written and none of it
+	// synced — the first document's notif + fired, a later one's with a
+	// torn frame behind them, or a done record after the sink accepted.
+	// Killing at wal.append.done on an even skip dies between barrier (1)
+	// and the stream publish: the fired record is durable, the stream has
+	// not seen the report, recovery must publish and deliver it.
+	{name: "reporter-sync-first-batch", point: faults.PointWALFileSync, match: "reporter"},
+	{name: "reporter-sync-later-batch", point: faults.PointWALFileSync, match: "reporter", skip: 4, tornTail: "reporter"},
+	{name: "reporter-commit-before-publish", point: faults.PointWALAppendDone, match: "reporter", skip: 4},
+	{name: "reporter-done-unsynced", point: faults.PointWALFileSync, match: "reporter", skip: 3},
+}
+
+// TestDurableLogsFireFileFaultPoints asserts the seam the new scenarios
+// stand on: every log xymon.New opens under DurableDir reports its
+// segment files' wal.file.append / wal.file.sync points to the injector,
+// under the log's own key. Each (point, log) pair gets a latency rule
+// with its own duration, so the injector's Sleep tells them apart.
+func TestDurableLogsFireFileFaultPoints(t *testing.T) {
+	in := faults.New(1)
+	fired := make(map[time.Duration]int)
+	in.Sleep = func(d time.Duration) { fired[d]++ }
+	want := make(map[time.Duration]string)
+	for _, point := range []faults.Point{faults.PointWALFileAppend, faults.PointWALFileSync} {
+		for _, log := range []string{"subs", "reporter", "trigger", "stream"} {
+			d := time.Duration(len(want) + 1)
+			want[d] = string(point) + " on " + log
+			in.Enable(faults.Rule{Point: point, Mode: faults.ModeLatency, Latency: d, Match: log})
+		}
+	}
+	clk := &testClock{t: crashT0}
+	sys, err := New(Options{Clock: clk.now, DurableDir: t.TempDir(), Faults: in})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer sys.Close()
+	for _, src := range []string{crashWatchSub, crashPulseSub} {
+		if _, err := sys.Subscribe(src); err != nil {
+			t.Fatalf("Subscribe: %v", err)
+		}
+	}
+	sys.Tick() // the weekly query runs, marks its evaluation, reports
+	for d, what := range want {
+		if fired[d] == 0 {
+			t.Errorf("%s never fired", what)
+		}
+	}
 }
 
 // TestCrashChild is the harness's child body; standalone it only skips.

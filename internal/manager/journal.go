@@ -70,31 +70,16 @@ type FileJournal struct {
 	f *wal.File
 }
 
-// FileJournalOption configures NewFileJournal.
-type FileJournalOption func(*wal.FileOptions)
-
-// WithSyncEvery batches the journal's fsync across appends (group
-// commit): every nth Append syncs, carrying the n-1 before it. The
-// default (and any n < 2) syncs every append, as the journal always has.
-func WithSyncEvery(n int) FileJournalOption {
-	return func(o *wal.FileOptions) { o.SyncEvery = n }
-}
-
 // NewFileJournal opens (creating if needed) a journal at path.
-func NewFileJournal(path string, opts ...FileJournalOption) (*FileJournal, error) {
-	o := wal.FileOptions{Framing: wal.Lines{}}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	f, err := wal.OpenFile(path, o)
+func NewFileJournal(path string) (*FileJournal, error) {
+	f, err := wal.OpenFile(path, wal.FileOptions{Framing: wal.Lines{}})
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
 	return &FileJournal{f: f}, nil
 }
 
-// Append writes one JSON line; fsync follows the WithSyncEvery policy
-// (default: every append).
+// Append writes one JSON line and fsyncs it.
 func (j *FileJournal) Append(r Record) error {
 	enc, err := json.Marshal(r)
 	if err != nil {
@@ -132,10 +117,7 @@ func (j *FileJournal) Records() ([]Record, error) {
 	return out, nil
 }
 
-// Sync flushes any fsync a WithSyncEvery policy is still holding back.
-func (j *FileJournal) Sync() error { return j.f.Sync() }
-
-// Close syncs pending appends and releases the journal's file handle.
+// Close releases the journal's file handle.
 func (j *FileJournal) Close() error { return j.f.Close() }
 
 // WALJournal stores the subscription base in a segmented, checkpointed

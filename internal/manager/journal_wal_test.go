@@ -191,11 +191,12 @@ report when immediate`)
 	}
 }
 
-// TestFileJournalSyncEveryAndClose covers the satellite fix: one handle
-// for the journal's lifetime, group-commit batching, and Close.
-func TestFileJournalSyncEveryAndClose(t *testing.T) {
+// TestFileJournalAppendAndClose covers the one-handle journal: every
+// Append is write + fsync on a handle held for the journal's lifetime,
+// records are readable while it is open, and Close releases it.
+func TestFileJournalAppendAndClose(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := NewFileJournal(path, WithSyncEvery(16))
+	j, err := NewFileJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,9 +205,8 @@ func TestFileJournalSyncEveryAndClose(t *testing.T) {
 			t.Fatalf("Append: %v", err)
 		}
 	}
-	// All five reached the OS even though no fsync boundary was hit.
 	if got, err := j.Records(); err != nil || len(got) != 5 {
-		t.Fatalf("Records mid-batch = %d, %v", len(got), err)
+		t.Fatalf("Records while open = %d, %v", len(got), err)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)

@@ -25,6 +25,12 @@ import (
 //	lost   — delivery failed with retrying disabled; intentionally dropped
 //	redrive — an operator moved a dead letter back onto the retry queue
 //
+// The hot records (notif, fired, done) are group-committed: each is
+// written to the log where it happens — under the lock that orders it —
+// and made durable by a commit barrier per document, not an fsync per
+// record (see deliver). The cold ones (dead, lost, redrive) commit on
+// their own.
+//
 // Recovery replays checkpoint + tail: buffered notifications come back
 // flagged pending (the next Tick reports them — re-evaluating the exact
 // when clause could only delay them further), and every report that
@@ -64,28 +70,52 @@ func WithWAL(l *wal.Log) Option {
 	return func(r *Reporter) { r.wal = l }
 }
 
-// journal appends one record; journaling failures degrade (the system
-// keeps running on its in-memory state) but are counted.
-func (r *Reporter) journal(rec walRecord) {
+// journalWrite writes one record to the journal in log order without
+// making it durable; the caller's next commit covers it. Journaling
+// failures degrade (the system keeps running on its in-memory state) but
+// are counted.
+func (r *Reporter) journalWrite(rec walRecord) {
 	if r.wal == nil {
 		return
 	}
 	enc, err := json.Marshal(rec)
 	if err == nil {
-		err = r.wal.Append(enc)
+		err = r.wal.Write(enc)
 	}
 	if err != nil {
 		r.walErrors.Add(1)
 	}
 }
 
-// JournalErrors counts journal appends that failed (state kept in memory
-// only — durability degraded, operation continued).
+// journal durably appends one record — the cold ones, which commit on
+// their own.
+func (r *Reporter) journal(rec walRecord) {
+	r.journalWrite(rec)
+	r.commit()
+}
+
+// commit is the journal's barrier: one fsync covering every record
+// written so far, whoever wrote it; a no-op when nothing is unsynced. A
+// failed barrier degrades like a failed append — counted, operation
+// continues.
+func (r *Reporter) commit() {
+	if r.wal == nil {
+		return
+	}
+	if err := r.wal.Sync(); err != nil {
+		r.walErrors.Add(1)
+	}
+}
+
+// JournalErrors counts journal writes and commit barriers that failed
+// (state kept in memory only — durability degraded, operation continued).
 func (r *Reporter) JournalErrors() uint64 { return r.walErrors.Load() }
 
-// noteFired journals a built report and tracks it as outstanding until a
-// delivery outcome lands. Called with the stripe lock held; rt.mu nests
-// inside it (stripe → rt.mu → wal everywhere).
+// noteFired writes a built report to the journal and tracks it as
+// outstanding until a delivery outcome lands. Called with the stripe
+// lock held; rt.mu nests inside it (stripe → rt.mu → wal everywhere), so
+// the record follows every notification the report consumed in the log.
+// The caller commits before the report leaves the Reporter.
 func (r *Reporter) noteFired(rep *Report, origin string, now time.Time) {
 	if r.wal == nil {
 		return
@@ -93,26 +123,27 @@ func (r *Reporter) noteFired(rep *Report, origin string, now time.Time) {
 	rep.walID = r.nextID.Add(1)
 	rec := walRecord{
 		T: "fired", ID: rep.walID, Sub: rep.Subscription, Origin: origin,
-		XML: rep.Doc.XML(), Time: now, Count: rep.Notifications,
+		XML: rep.xml, Time: now, Count: rep.Notifications,
 	}
 	rt := &r.retry
 	rt.mu.Lock()
-	r.journal(rec)
+	r.journalWrite(rec)
 	rt.outstanding[rep.walID] = rec
 	rt.mu.Unlock()
 }
 
-// noteDelivered resolves an outstanding report. Journaling and removal
+// noteDelivered resolves an outstanding report. Writing and removal
 // happen under rt.mu so a concurrent Checkpoint sees either both or
 // neither — either the done record survives in the tail, or the report
-// is already gone from the snapshot.
+// is already gone from the snapshot. The caller commits once its
+// Deliver loop is over; until then a crash redelivers (at-least-once).
 func (r *Reporter) noteDelivered(rep *Report) {
 	if r.wal == nil || rep.walID == 0 {
 		return
 	}
 	rt := &r.retry
 	rt.mu.Lock()
-	r.journal(walRecord{T: "done", ID: rep.walID})
+	r.journalWrite(walRecord{T: "done", ID: rep.walID})
 	delete(rt.outstanding, rep.walID)
 	rt.mu.Unlock()
 }
@@ -125,10 +156,7 @@ func (r *Reporter) resolveLocked(rep *Report, t, reason string, attempts int, no
 	}
 	rec := walRecord{
 		T: t, ID: rep.walID, Sub: rep.Subscription, Count: rep.Notifications,
-		Reason: reason, Attempts: attempts, Time: now,
-	}
-	if rep.Doc != nil {
-		rec.XML = rep.Doc.XML()
+		Reason: reason, Attempts: attempts, Time: now, XML: rep.docXML(),
 	}
 	r.journal(rec)
 	delete(r.retry.outstanding, rep.walID)
@@ -254,7 +282,7 @@ func (r *Reporter) Recover() error {
 	for _, rec := range dead {
 		rt.dead = append(rt.dead, DeadLetter{
 			Report: &Report{
-				Subscription: rec.Sub, Doc: parseReportDoc(rec.XML),
+				Subscription: rec.Sub, Doc: parseReportDoc(rec.XML), xml: rec.XML,
 				Time: rec.Time, Notifications: rec.Count, walID: rec.ID,
 			},
 			Attempts: rec.Attempts, Reason: rec.Reason, Time: rec.Time,
@@ -274,7 +302,7 @@ func (r *Reporter) Recover() error {
 		rt.outstanding[id] = rec
 		rt.queue = append(rt.queue, &retryEntry{
 			rep: &Report{
-				Subscription: rec.Sub, Doc: parseReportDoc(rec.XML),
+				Subscription: rec.Sub, Doc: parseReportDoc(rec.XML), xml: rec.XML,
 				Time: rec.Time, Notifications: rec.Count, walID: rec.ID,
 			},
 			attempts: rec.Attempts,
@@ -331,10 +359,7 @@ func (r *Reporter) Checkpoint() error {
 		rec := walRecord{
 			T: "dead", ID: d.Report.walID, Sub: d.Report.Subscription,
 			Time: d.Report.Time, Count: d.Report.Notifications,
-			Attempts: d.Attempts, Reason: d.Reason,
-		}
-		if d.Report.Doc != nil {
-			rec.XML = d.Report.Doc.XML()
+			Attempts: d.Attempts, Reason: d.Reason, XML: d.Report.docXML(),
 		}
 		snap.Dead = append(snap.Dead, rec)
 	}

@@ -37,6 +37,10 @@ type Report struct {
 	Time          time.Time
 	Notifications int
 
+	// xml is Doc serialised, rendered once when the report is built (or
+	// carried over from the journal on recovery) and shared by the fired
+	// record and the stream record; empty when neither is configured.
+	xml string
 	// walID identifies the report in the durability journal; 0 when the
 	// Reporter runs without a WAL.
 	walID uint64
@@ -45,6 +49,15 @@ type Report struct {
 	// most once more — duplicates across a crash are the at-least-once
 	// contract, duplicates per retry attempt would just be noise.
 	streamed bool
+}
+
+// docXML returns the report document serialised, reusing the rendering
+// made at build time when there is one.
+func (rep *Report) docXML() string {
+	if rep.xml != "" || rep.Doc == nil {
+		return rep.xml
+	}
+	return rep.Doc.XML()
 }
 
 // Delivery receives finished reports. The paper emails them; the default
@@ -294,10 +307,10 @@ func (r *Reporter) noteLocked(sub string, st *subState, n Notification, now time
 		if n.Element != nil {
 			rec.XML = n.Element.XML()
 		}
-		// Journalled under the stripe lock so the log records
-		// notifications in the order the buffer gained them.
+		// Written under the stripe lock so the log records notifications
+		// in the order the buffer gained them; deliver commits them.
 		//xyvet:ignore lockcheck
-		r.journal(rec)
+		r.journalWrite(rec)
 	}
 	st.buffer = append(st.buffer, n)
 	st.labelCount[n.Label]++
@@ -426,6 +439,9 @@ func (r *Reporter) buildLocked(sub string, st *subState, now time.Time) []*Repor
 		}
 	}
 	rep := &Report{Subscription: sub, Doc: doc, Time: now, Notifications: len(st.buffer)}
+	if r.wal != nil || r.stream != nil {
+		rep.xml = doc.XML()
+	}
 	count := len(st.buffer)
 	st.buffer = nil
 	st.labelCount = make(map[string]int)
@@ -440,7 +456,7 @@ func (r *Reporter) buildLocked(sub string, st *subState, now time.Time) []*Repor
 	}
 	out := []*Report{rep}
 	for _, rcpt := range st.followers {
-		out = append(out, &Report{Subscription: rcpt, Doc: rep.Doc, Time: now, Notifications: count})
+		out = append(out, &Report{Subscription: rcpt, Doc: rep.Doc, xml: rep.xml, Time: now, Notifications: count})
 	}
 	for _, rp := range out {
 		r.noteFired(rp, sub, now)
@@ -468,11 +484,10 @@ func (r *Reporter) publish(reps []*Report) {
 		if rep.streamed {
 			continue
 		}
-		rec := stream.Record{Subscription: rep.Subscription, Time: rep.Time, Notifications: rep.Notifications}
-		if rep.Doc != nil {
-			rec.XML = rep.Doc.XML()
-		}
-		recs = append(recs, rec)
+		recs = append(recs, stream.Record{
+			Subscription: rep.Subscription, Time: rep.Time,
+			Notifications: rep.Notifications, XML: rep.docXML(),
+		})
 	}
 	if len(recs) == 0 {
 		return
@@ -494,9 +509,23 @@ func (r *Reporter) StreamStats() (published, errors uint64) {
 	return r.streamPublished.Load(), r.streamErrors.Load()
 }
 
-// deliver hands finished reports to the sink — with no lock held — and
-// folds the outcome into the counters. Failures enter the retry queue.
+// deliver ends a Notify, NotifyBatch or Tick: with no lock held it makes
+// the call's journal records durable, then hands the reports it fired to
+// the stream and the sink and folds the outcome into the counters.
+// Failures enter the retry queue.
+//
+// The journal is group-committed — records are written where they
+// happen, three ordered barriers make them durable where it matters:
+//
+//  1. the commit below covers every notif and fired record of the call,
+//     so nothing leaves the Reporter — and the caller is not told its
+//     notifications were taken — before a crash could still forget them;
+//  2. publish is one durable stream append;
+//  3. the commit after the loop covers every done record: until it
+//     lands, a crash redelivers what the sink already accepted (the
+//     at-least-once window), and nothing else.
 func (r *Reporter) deliver(reps []*Report) {
+	r.commit()
 	if len(reps) == 0 {
 		return
 	}
@@ -511,6 +540,7 @@ func (r *Reporter) deliver(reps []*Report) {
 			r.noteDelivered(rep)
 		}
 	}
+	r.commit()
 }
 
 // Buffered returns the number of notifications waiting for a subscription.

@@ -138,7 +138,8 @@ func (r *Reporter) noteFailure(rep *Report, attempts int, err error, now time.Ti
 
 // drainRetries re-attempts every queued report whose backoff has elapsed.
 // Deliver runs with no lock held; failures re-enter the queue (or the
-// dead-letter queue) through noteFailure.
+// dead-letter queue) through noteFailure. One commit after the loop
+// covers every done record it wrote.
 func (r *Reporter) drainRetries(now time.Time) {
 	rt := &r.retry
 	rt.mu.Lock()
@@ -153,6 +154,9 @@ func (r *Reporter) drainRetries(now time.Time) {
 	}
 	rt.queue = keep
 	rt.mu.Unlock()
+	if len(due) == 0 {
+		return
+	}
 	// Reports recovered from the WAL may have crashed between firing and
 	// their stream publish; catch them up before redelivery so stream
 	// consumers never miss what the push path is about to ack.
@@ -179,6 +183,7 @@ func (r *Reporter) drainRetries(now time.Time) {
 			r.noteDelivered(e.rep)
 		}
 	}
+	r.commit()
 }
 
 // RetryPending returns the number of reports waiting for redelivery.
@@ -230,10 +235,7 @@ func (r *Reporter) Redrive(ids ...uint64) int {
 			r.journal(walRecord{T: "redrive", ID: d.Report.walID, Time: now})
 			rec := walRecord{
 				T: "fired", ID: d.Report.walID, Sub: d.Report.Subscription,
-				Time: d.Report.Time, Count: d.Report.Notifications,
-			}
-			if d.Report.Doc != nil {
-				rec.XML = d.Report.Doc.XML()
+				Time: d.Report.Time, Count: d.Report.Notifications, XML: d.Report.docXML(),
 			}
 			rt.outstanding[d.Report.walID] = rec
 		}

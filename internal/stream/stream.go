@@ -86,8 +86,6 @@ type Options struct {
 	// 0 means the wal default (1 MiB). Retention granularity is the
 	// segment, so smaller segments reclaim space sooner.
 	SegmentBytes int64
-	// SyncEvery batches fsync across appends; see wal.FileOptions.
-	SyncEvery int
 	// MaxBehind is the retention floor: Retain never preserves more
 	// than this many records behind the head, even for a live lagging
 	// cursor — the consumer is truncated (ErrTruncated + re-sync)
@@ -120,6 +118,7 @@ type Log struct {
 	w       *wal.Log
 	next    uint64
 	segBase map[int]uint64 // first offset landing in each live segment
+	rotated uint64         // wal rotations segBase has accounted for
 	stats   Stats
 }
 
@@ -131,7 +130,7 @@ func Open(dir string, o Options) (*Log, error) {
 	if err := l.hook(OpRead, l.key); err != nil {
 		return nil, err
 	}
-	w, err := wal.Open(dir, wal.Options{SegmentBytes: o.SegmentBytes, SyncEvery: o.SyncEvery, Hook: o.Hook})
+	w, err := wal.Open(dir, wal.Options{SegmentBytes: o.SegmentBytes, Hook: o.Hook})
 	if err != nil {
 		return nil, err
 	}
@@ -216,12 +215,20 @@ func (l *Log) recoverIndex() error {
 		l.next = snapNext
 	}
 	// Segments with no batch yet (rotation residue) start at next.
+	l.indexNewSegments(l.next)
+	return nil
+}
+
+// indexNewSegments records base as the first offset of every live
+// segment the index has not seen yet, and notes the wal's rotation
+// count so Publish can tell when to call it again.
+func (l *Log) indexNewSegments(base uint64) {
 	for _, idx := range l.w.Segments() {
 		if _, ok := l.segBase[idx]; !ok {
-			l.segBase[idx] = l.next
+			l.segBase[idx] = base
 		}
 	}
-	return nil
+	l.rotated = l.w.Stats().Rotations
 }
 
 // Next returns the offset the next published record will be assigned.
@@ -257,11 +264,9 @@ func (l *Log) Publish(recs []Record) (uint64, error) {
 		return 0, err
 	}
 	l.next = base + uint64(len(recs))
-	// If the append rotated, the new segment's first batch is this one.
-	for _, idx := range l.w.Segments() {
-		if _, ok := l.segBase[idx]; !ok {
-			l.segBase[idx] = base
-		}
+	if l.w.Stats().Rotations != l.rotated {
+		// The append rotated: the new segment's first batch is this one.
+		l.indexNewSegments(base)
 	}
 	l.stats.Batches++
 	l.stats.Records += uint64(len(recs))
@@ -347,11 +352,7 @@ func (l *Log) Retain() (uint64, error) {
 		}
 	}
 	// The checkpoint rotated: the fresh active segment starts at next.
-	for _, idx := range l.w.Segments() {
-		if _, ok := l.segBase[idx]; !ok {
-			l.segBase[idx] = l.next
-		}
-	}
+	l.indexNewSegments(l.next)
 	first := l.firstRetainedLocked()
 	l.stats.TruncatedRecords += first - before
 	return first, nil

@@ -9,9 +9,9 @@ import (
 
 // The File's own durability points, reported to its Hook. They sit one
 // level below the Log's wal.append/wal.append.done pair: OpFileAppend
-// fires before the OS write, OpFileSync after the write but before the
-// fsync, so a crash harness can kill in the window where data is in the
-// page cache but not yet durable.
+// fires before every OS write, OpFileSync before every fsync — after the
+// frames it will cover were written — so a crash harness can kill in the
+// window where data is in the page cache but not yet durable.
 const (
 	OpFileAppend = "wal.file.append"
 	OpFileSync   = "wal.file.sync"
@@ -21,12 +21,6 @@ const (
 type FileOptions struct {
 	// Framing delimits records; nil means Binary{}.
 	Framing Framing
-	// SyncEvery batches fsync across appends (group commit): every Nth
-	// append syncs, carrying the N-1 before it. Values below 2 sync
-	// every append — the durable default. Writes always reach the OS
-	// immediately; only the fsync is batched, so a process crash loses
-	// nothing and a machine crash loses at most the last N-1 records.
-	SyncEvery int
 	// Hook, when non-nil, is consulted at OpFileAppend and OpFileSync
 	// with the file path as key; an error fails the operation before the
 	// write (or fsync) happens. This is the File's fault seam — the Log
@@ -38,25 +32,25 @@ type FileOptions struct {
 // and held for the File's lifetime (the subscription journal used to
 // reopen and fsync per record — see NewFileJournal's history). Safe for
 // concurrent use.
+//
+// Writing and making durable are separate steps: Write frames a record
+// onto the file in call order, Sync is the commit barrier — one fsync
+// covering every frame written before it. Append is the pair.
 type File struct {
-	mu       sync.Mutex
-	path     string
-	f        *os.File
-	fr       Framing
-	hook     Hook
-	every    int
-	unsynced int
-	buf      []byte
-	size     int64
+	mu    sync.Mutex
+	path  string
+	f     *os.File
+	fr    Framing
+	hook  Hook
+	dirty bool // frames written since the last fsync
+	buf   []byte
+	size  int64
 }
 
 // OpenFile opens (creating if needed) the log file at path.
 func OpenFile(path string, o FileOptions) (*File, error) {
 	if o.Framing == nil {
 		o.Framing = Binary{}
-	}
-	if o.SyncEvery < 2 {
-		o.SyncEvery = 1
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -67,7 +61,7 @@ func OpenFile(path string, o FileOptions) (*File, error) {
 		f.Close()
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	return &File{path: path, f: f, fr: o.Framing, hook: o.Hook, every: o.SyncEvery, size: st.Size()}, nil
+	return &File{path: path, f: f, fr: o.Framing, hook: o.Hook, size: st.Size()}, nil
 }
 
 func (w *File) consult(op string) error {
@@ -77,15 +71,28 @@ func (w *File) consult(op string) error {
 	return w.hook(op, w.path)
 }
 
-// Append frames payload onto the file. The write reaches the OS before
-// Append returns; fsync follows the SyncEvery policy.
+// Append frames payload onto the file and fsyncs it: Write + Sync under
+// one lock acquisition.
 func (w *File) Append(payload []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.appendLocked(payload)
+	if err := w.writeLocked(payload); err != nil {
+		return err
+	}
+	_, err := w.syncLocked()
+	return err
 }
 
-func (w *File) appendLocked(payload []byte) error {
+// Write frames payload onto the file without fsync. The bytes reach the
+// OS before Write returns — a process crash loses nothing — but only the
+// next Sync (or Append, or Close) makes them survive a power loss.
+func (w *File) Write(payload []byte) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.writeLocked(payload)
+}
+
+func (w *File) writeLocked(payload []byte) error {
 	if err := w.consult(OpFileAppend); err != nil {
 		return err
 	}
@@ -101,29 +108,37 @@ func (w *File) appendLocked(payload []byte) error {
 		return fmt.Errorf("wal: %w", err)
 	}
 	w.size += int64(len(buf))
-	w.unsynced++
-	if w.unsynced >= w.every {
-		return w.syncLocked()
-	}
+	w.dirty = true
 	return nil
 }
 
-func (w *File) syncLocked() error {
-	if w.unsynced == 0 {
-		return nil
+// syncLocked fsyncs the file if frames were written since the last
+// fsync, and reports whether it did.
+func (w *File) syncLocked() (synced bool, err error) {
+	if !w.dirty {
+		return false, nil
 	}
 	if err := w.consult(OpFileSync); err != nil {
-		return err
+		return false, err
 	}
 	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return false, fmt.Errorf("wal: %w", err)
 	}
-	w.unsynced = 0
-	return nil
+	w.dirty = false
+	return true, nil
 }
 
-// Sync flushes any fsync the SyncEvery policy is still holding back.
+// Sync is the commit barrier: one fsync covering every frame written so
+// far, and a no-op when nothing was written since the last one — so
+// committers queued on the lock behind a Sync that already covered
+// their frames return without a second fsync.
 func (w *File) Sync() error {
+	_, err := w.sync()
+	return err
+}
+
+// sync is Sync that also reports whether there was anything to fsync.
+func (w *File) sync() (bool, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.syncLocked()
@@ -137,14 +152,14 @@ func (w *File) Size() int64 {
 	return w.size
 }
 
-// Close syncs pending appends and releases the handle.
+// Close syncs unsynced frames and releases the handle.
 func (w *File) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
 		return nil
 	}
-	err := w.syncLocked()
+	_, err := w.syncLocked()
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}

@@ -11,8 +11,8 @@
 //     length prefix and a CRC32C; Lines frames are newline-terminated
 //     (the subscription journal's historical JSON-lines format).
 //   - File: one append-only file of frames, held open for its lifetime,
-//     with group-commit fsync (SyncEvery) and torn-tail truncation on
-//     replay.
+//     with a write / commit-barrier split (Write, Sync; Append is the
+//     pair) and torn-tail truncation on replay.
 //   - Log: a directory of rotated segment files plus a checkpoint
 //     installed via temp file → fsync → rename → parent-dir fsync, with
 //     compaction of the segments a checkpoint covers.

@@ -15,12 +15,14 @@ import (
 // The named durability points of the log, reported to the Hook. The
 // crash harness arms faults.ModeCrash rules at these names; a hook
 // error at OpAppend fails the append cleanly before anything is
-// written.
+// written. The segment files report their own finer pair
+// (OpFileAppend, OpFileSync) to the same Hook under the same key.
 const (
-	// OpAppend fires on entry to Append, before any byte is written.
+	// OpAppend fires on entry to Append and Write, once per record,
+	// before any byte is written.
 	OpAppend = "wal.append"
-	// OpAppendDone fires after the frame reached the OS (and fsync,
-	// per the SyncEvery policy), before the append is acknowledged.
+	// OpAppendDone fires after a commit barrier's fsync (Append's own,
+	// or a Sync that had frames to cover), before it is acknowledged.
 	OpAppendDone = "wal.append.done"
 	// OpCheckpointTemp fires after the checkpoint temp file is written
 	// and fsynced, before the rename installs it.
@@ -44,8 +46,6 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it reaches this many
 	// bytes; 0 means 1 MiB.
 	SegmentBytes int64
-	// SyncEvery batches fsync across appends; see FileOptions.
-	SyncEvery int
 	// MaxFrame caps record size; 0 means DefaultMaxFrame. Ignored when
 	// Framing is set.
 	MaxFrame int
@@ -74,6 +74,13 @@ type Stats struct {
 // atomically (temp file → fsync → rename → parent-dir fsync) whose
 // installation compacts away every segment it covers. Safe for
 // concurrent use. Recovery contract: Open, then Recover, then Append.
+//
+// "The frame reached the log" and "the log is durable" are separate
+// steps: Write frames a record in log order, Sync is the commit barrier
+// — one fsync covering every frame written so far. Append is the pair,
+// for callers with one record to commit. A batch of Writes followed by
+// one Sync is a group commit: a power loss before the barrier can lose
+// or tear any suffix of the batch, never a frame before it.
 type Log struct {
 	mu  sync.Mutex
 	dir string
@@ -231,12 +238,23 @@ func (l *Log) loadSegments() error {
 	} else if !os.IsNotExist(err) {
 		return fmt.Errorf("wal: %w", err)
 	}
-	seg, err := OpenFile(active, FileOptions{Framing: l.fr, SyncEvery: l.o.SyncEvery})
+	seg, err := l.openSegment(active)
 	if err != nil {
 		return err
 	}
 	l.seg = seg
 	return nil
+}
+
+// openSegment opens a segment file that reports its durability points
+// to the log's Hook under the log's key — the "in the page cache, not
+// yet durable" kill points live at the file level.
+func (l *Log) openSegment(path string) (*File, error) {
+	o := FileOptions{Framing: l.fr}
+	if hook := l.o.Hook; hook != nil {
+		o.Hook = func(op, _ string) error { return hook(op, l.key) }
+	}
+	return OpenFile(path, o)
 }
 
 func (l *Log) hook(op string) error {
@@ -246,13 +264,34 @@ func (l *Log) hook(op string) error {
 	return l.o.Hook(op, l.key)
 }
 
-// Append durably adds one record to the log.
+// Append durably adds one record to the log: Write plus the commit
+// barrier, under one lock acquisition.
 func (l *Log) Append(payload []byte) error {
 	if err := l.hook(OpAppend); err != nil {
 		return err
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if err := l.writeLocked(payload); err != nil {
+		return err
+	}
+	return l.syncLocked()
+}
+
+// Write adds one record to the log in call order without making it
+// durable: the frame reaches the OS before Write returns, the next Sync
+// (or Append, rotation, Checkpoint or Close) fsyncs it. A caller that
+// owes durability to someone calls Sync before telling them.
+func (l *Log) Write(payload []byte) error {
+	if err := l.hook(OpAppend); err != nil {
+		return err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.writeLocked(payload)
+}
+
+func (l *Log) writeLocked(payload []byte) error {
 	if l.closed {
 		return errors.New("wal: log is closed")
 	}
@@ -261,20 +300,31 @@ func (l *Log) Append(payload []byte) error {
 			return err
 		}
 	}
-	if err := l.seg.Append(payload); err != nil {
+	if err := l.seg.Write(payload); err != nil {
 		return err
 	}
 	l.stats.Appends++
+	return nil
+}
+
+// syncLocked is the barrier: sealed segments were fsynced when they
+// rotated out, so the active one is all that can hold unsynced frames.
+func (l *Log) syncLocked() error {
+	synced, err := l.seg.sync()
+	if err != nil || !synced {
+		return err
+	}
 	return l.hook(OpAppendDone)
 }
 
-// rotateLocked seals the active segment and opens the next one.
+// rotateLocked seals the active segment — fsyncing whatever a batch in
+// progress wrote to it — and opens the next one.
 func (l *Log) rotateLocked() error {
 	if err := l.seg.Close(); err != nil {
 		return err
 	}
 	next := l.segs[len(l.segs)-1] + 1
-	seg, err := OpenFile(filepath.Join(l.dir, segName(next)), FileOptions{Framing: l.fr, SyncEvery: l.o.SyncEvery})
+	seg, err := l.openSegment(filepath.Join(l.dir, segName(next)))
 	if err != nil {
 		return err
 	}
@@ -284,14 +334,17 @@ func (l *Log) rotateLocked() error {
 	return nil
 }
 
-// Sync flushes any fsync the SyncEvery policy is holding back.
+// Sync is the commit barrier: one fsync covering every frame written so
+// far. It is a no-op when nothing is unsynced, so committers queued on
+// the lock behind a barrier that already covered their frames share its
+// fsync instead of paying their own.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return nil
 	}
-	return l.seg.Sync()
+	return l.syncLocked()
 }
 
 // Recover hands the latest checkpoint snapshot (if any) to snap, then

@@ -297,28 +297,52 @@ func TestLogCrashResidue(t *testing.T) {
 	})
 }
 
-func TestFileSyncEveryGroupCommit(t *testing.T) {
+// TestFileWriteSyncGroupCommit pins the File's write / barrier split:
+// Write reaches the OS at once and never fsyncs, Sync covers every frame
+// written so far with one fsync and is a no-op with nothing unsynced.
+func TestFileWriteSyncGroupCommit(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "grouped.wal")
-	f, err := OpenFile(path, FileOptions{SyncEvery: 8})
+	fsyncs := 0
+	f, err := OpenFile(path, FileOptions{Hook: func(op, _ string) error {
+		if op == OpFileSync {
+			fsyncs++
+		}
+		return nil
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := f.Append([]byte(fmt.Sprintf("g-%d", i))); err != nil {
+		if err := f.Write([]byte(fmt.Sprintf("g-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Writes reach the OS immediately even when the fsync is batched:
+	// Writes reach the OS immediately even though no barrier ran yet:
 	// every record is visible to a replay right now.
 	var n int
 	if err := f.Replay(func([]byte) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if n != 10 {
-		t.Fatalf("replay saw %d of 10 unsynced-batch records", n)
+	if n != 10 || fsyncs != 0 {
+		t.Fatalf("before the barrier: replay saw %d of 10 records, %d fsyncs (want 0)", n, fsyncs)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if fsyncs != 1 {
+		t.Fatalf("10 writes + Sync + Sync = %d fsyncs, want 1", fsyncs)
+	}
+	if err := f.Append([]byte("solo")); err != nil {
+		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if fsyncs != 2 {
+		t.Fatalf("Append + Close with nothing unsynced = %d fsyncs in total, want 2", fsyncs)
 	}
 }
 
