@@ -80,11 +80,16 @@ type siteBreaker struct {
 
 // Crawler drives the fetch loop over a virtual clock.
 type Crawler struct {
-	mu       sync.Mutex
-	store    *warehouse.Store
-	sink     Sink
-	clock    func() time.Time
-	pages    map[string]*pageState
+	mu    sync.Mutex
+	store *warehouse.Store
+	sink  Sink
+	clock func() time.Time
+	pages map[string]*pageState
+	// hints remembers every refresh hint ever applied (smallest period per
+	// URL), so a page that enters the schedule later — AddSite, discover —
+	// starts with its hint. Hints are never retracted, as a pinned page
+	// never was.
+	hints    map[string]time.Duration
 	sites    []*webgen.Site
 	breakers map[string]*siteBreaker // by site base URL
 	stats    Stats
@@ -137,6 +142,7 @@ func New(store *warehouse.Store, sink Sink, clock func() time.Time) *Crawler {
 		sink:             sink,
 		clock:            clock,
 		pages:            make(map[string]*pageState),
+		hints:            make(map[string]time.Duration),
 		breakers:         make(map[string]*siteBreaker),
 		DefaultPeriod:    7 * 24 * time.Hour,
 		ChangeEvery:      24 * time.Hour,
@@ -157,17 +163,27 @@ func (c *Crawler) AddSite(site *webgen.Site) {
 	defer c.mu.Unlock()
 	c.sites = append(c.sites, site)
 	for _, url := range site.XMLURLs() {
-		c.pages[url] = &pageState{
+		c.addPageLocked(&pageState{
 			url: url, site: site, period: c.DefaultPeriod,
 			nextDue: now, changeEvery: c.ChangeEvery, birth: now,
-		}
+		})
 	}
 	for _, url := range site.HTMLURLs() {
-		c.pages[url] = &pageState{
+		c.addPageLocked(&pageState{
 			url: url, site: site, html: true, period: c.DefaultPeriod,
 			nextDue: now, changeEvery: c.ChangeEvery, birth: now,
-		}
+		})
 	}
+}
+
+// addPageLocked enters p into the schedule with the refresh hint its URL
+// was given before it was known, if any.
+func (c *Crawler) addPageLocked(p *pageState) {
+	if d, ok := c.hints[p.url]; ok && d < p.period {
+		p.period = d
+		p.pinned = true
+	}
+	c.pages[p.url] = p
 }
 
 // SetSink replaces the document sink — e.g. to route fetched documents
@@ -180,13 +196,20 @@ func (c *Crawler) SetSink(sink Sink) {
 
 // ApplyRefreshHints tightens the refresh period of hinted pages — the
 // paper's "subscriptions influence the refreshing of pages by adding
-// importance to the pages they explicitly mention".
+// importance to the pages they explicitly mention". The hints are
+// remembered, so applying each subscription's own hints as it arrives
+// equals re-applying the whole base's: a hinted page not known yet gets its
+// period when it enters the schedule.
 func (c *Crawler) ApplyRefreshHints(hints map[string]sublang.Frequency) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for url, freq := range hints {
-		if p, ok := c.pages[url]; ok && freq.Duration() < p.period {
-			p.period = freq.Duration()
+		d := freq.Duration()
+		if cur, ok := c.hints[url]; !ok || d < cur {
+			c.hints[url] = d
+		}
+		if p, ok := c.pages[url]; ok && d < p.period {
+			p.period = d
 			p.pinned = true
 		}
 	}
@@ -455,11 +478,11 @@ func (c *Crawler) discover(content []byte, now time.Time) {
 			if !site.Owns(url) {
 				continue
 			}
-			c.pages[url] = &pageState{
+			c.addPageLocked(&pageState{
 				url: url, site: site, html: site.IsHTML(url),
 				period: c.DefaultPeriod, nextDue: now,
 				changeEvery: c.ChangeEvery, birth: now,
-			}
+			})
 			c.stats.Discovered++
 			break
 		}

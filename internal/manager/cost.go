@@ -142,7 +142,7 @@ func (m *Manager) Resume(name string) error {
 		if err := m.matcher.Add(rq.id, rq.events); err != nil {
 			return err
 		}
-		m.complexOf[rq.id] = rq
+		m.queries.set(rq.id, rq)
 	}
 	rs.suspended = false
 	rs.notifWindow = 0
@@ -177,7 +177,7 @@ func (m *Manager) noteNotificationsLocked(rs *registeredSub, produced int) {
 	}
 	for _, rq := range rs.queries {
 		_ = m.matcher.Remove(rq.id)
-		delete(m.complexOf, rq.id)
+		m.queries.set(rq.id, nil)
 	}
 	rs.suspended = true
 	m.suspensions++

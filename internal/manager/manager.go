@@ -33,13 +33,89 @@ var ErrDuplicateSubscription = errors.New("manager: subscription name already re
 // ErrUnknownSubscription is returned for operations on unknown names.
 var ErrUnknownSubscription = errors.New("manager: unknown subscription")
 
-// registeredQuery is one compiled monitoring query: its complex event id
-// and the atomic event codes it is a conjunction of.
+// registeredQuery is one compiled monitoring query: its complex event id,
+// the atomic event codes it is a conjunction of, and — bound once, at
+// registration — what every notification of it needs: the label, the dedup
+// hash already folded over (subscription, label), the compiled select
+// clause and the Reporter's handle. Immutable once published in the query
+// table.
 type registeredQuery struct {
 	sub    string
-	mq     *sublang.MonitoringQuery
+	label  string
+	seed   uint64
+	plan   selectPlan
+	rep    *reporter.Sub
+	mq     *sublang.MonitoringQuery // from and where clauses, for varElements
 	id     core.ComplexID
 	events core.EventSet
+}
+
+// queryTable resolves the ComplexIDs a match returns to their queries: a
+// directory of fixed pages indexed by id. ProcessAlert reads it with no
+// lock; writers hold m.mu. Ids are handed out once and never reused, so a
+// slot goes nil → query → nil (and back to the same query on Resume): a
+// stale id reads nil, never another subscription's query. A page whose
+// slots are all nil again is dropped: the table costs 8 KB per page with a
+// live query on it and 8 bytes of directory per 1024 ids ever issued.
+type queryTable struct {
+	dir atomic.Pointer[[]atomic.Pointer[queryPage]]
+}
+
+const queryPageBits = 10
+
+type queryPage struct {
+	slots [1 << queryPageBits]atomic.Pointer[registeredQuery]
+	live  int // non-nil slots; guarded by m.mu
+}
+
+func (t *queryTable) pages() []atomic.Pointer[queryPage] {
+	if d := t.dir.Load(); d != nil {
+		return *d
+	}
+	return nil
+}
+
+func (t *queryTable) get(id core.ComplexID) *registeredQuery {
+	if d := t.pages(); int(id>>queryPageBits) < len(d) {
+		if p := d[id>>queryPageBits].Load(); p != nil {
+			return p.slots[id&(1<<queryPageBits-1)].Load()
+		}
+	}
+	return nil
+}
+
+// set publishes rq under id, or clears the slot when rq is nil (a no-op for
+// an id that is not published). The caller holds m.mu.
+func (t *queryTable) set(id core.ComplexID, rq *registeredQuery) {
+	pi, d := int(id>>queryPageBits), t.pages()
+	if pi >= len(d) {
+		if rq == nil {
+			return
+		}
+		grown := make([]atomic.Pointer[queryPage], max(16, 2*(pi+1)))
+		for i := range d {
+			grown[i].Store(d[i].Load())
+		}
+		d = grown
+		t.dir.Store(&grown)
+	}
+	p := d[pi].Load()
+	if p == nil {
+		if rq == nil {
+			return
+		}
+		p = new(queryPage)
+		d[pi].Store(p)
+	}
+	switch old := p.slots[id&(1<<queryPageBits-1)].Swap(rq); {
+	case old == nil && rq != nil:
+		p.live++
+	case old != nil && rq == nil:
+		p.live--
+	}
+	if p.live == 0 {
+		d[pi].Store(nil)
+	}
 }
 
 type registeredSub struct {
@@ -79,7 +155,7 @@ type Manager struct {
 	condOf    map[core.Event]sublang.Condition
 	nextEvent core.Event
 
-	complexOf   map[core.ComplexID]*registeredQuery
+	queries     queryTable
 	nextComplex core.ComplexID
 
 	subs map[string]*registeredSub
@@ -104,11 +180,10 @@ type Manager struct {
 // allocate — they are handed to the Reporter).
 type processScratch struct {
 	matched []core.ComplexID
-	queries []*registeredQuery
+	elems   []*xmldom.Node
 	batch   []reporter.Notification
-	trig    []triggerRef
+	trig    []produced
 	seen    map[uint64]struct{}
-	perSub  map[string]int
 	// newSet/updSet index the document's Classification for the `new X` /
 	// `updated X` payload filters. Built at most once per alert
 	// (ensureChangeSets) and shared by every matched query, where each
@@ -133,14 +208,17 @@ func (sc *processScratch) ensureChangeSets(cl *xydiff.Classification) {
 	}
 }
 
-// triggerRef records a (subscription, label) pair whose continuous
-// queries must be poked once the notification batch is delivered.
-type triggerRef struct{ sub, label string }
+// produced records that a query raised n notifications in this alert: its
+// continuous queries are poked once the batch is delivered, and its
+// subscription's rate window advances.
+type produced struct {
+	rq *registeredQuery
+	n  int
+}
 
 var processPool = sync.Pool{New: func() any {
 	return &processScratch{
 		seen:   make(map[uint64]struct{}, 16),
-		perSub: make(map[string]int, 8),
 		newSet: make(map[*xmldom.Node]bool, 16),
 		updSet: make(map[*xmldom.Node]bool, 16),
 	}
@@ -150,19 +228,15 @@ var processPool = sync.Pool{New: func() any {
 // pool; maps are cleared, slices keep their capacity.
 func (sc *processScratch) release() {
 	clear(sc.seen)
-	clear(sc.perSub)
 	clear(sc.newSet)
 	clear(sc.updSet)
 	sc.setsReady = false
 	sc.matched = sc.matched[:0] // plain values, no scrub needed
-	for i := range sc.queries {
-		sc.queries[i] = nil
-	}
-	sc.queries = sc.queries[:0]
-	for i := range sc.batch {
-		sc.batch[i] = reporter.Notification{}
-	}
+	clear(sc.elems[:cap(sc.elems)])
+	sc.elems = sc.elems[:0]
+	clear(sc.batch)
 	sc.batch = sc.batch[:0]
+	clear(sc.trig)
 	sc.trig = sc.trig[:0]
 	processPool.Put(sc)
 }
@@ -205,7 +279,6 @@ func New(cfg Config) *Manager {
 		condRef:     make(map[core.Event]int),
 		condOf:      make(map[core.Event]sublang.Condition),
 		nextEvent:   1,
-		complexOf:   make(map[core.ComplexID]*registeredQuery),
 		subs:        make(map[string]*registeredSub),
 		maxCost:     cfg.MaxCost,
 		inhibitRate: cfg.InhibitRate,
@@ -258,11 +331,20 @@ func (m *Manager) register(src string, sub *sublang.Subscription, journal bool) 
 			m.rollbackLocked(rs)
 			return fmt.Errorf("manager: registering complex event: %w", err)
 		}
-		rq := &registeredQuery{sub: sub.Name, mq: mq, id: id, events: set}
-		m.complexOf[id] = rq
-		rs.queries = append(rs.queries, rq)
+		label := mq.Label()
+		rs.queries = append(rs.queries, &registeredQuery{
+			sub: sub.Name, label: label, plan: compileSelect(mq.Select),
+			seed: xmldom.HashFold(xmldom.HashFold(xmldom.HashSeed(), sub.Name), label),
+			mq:   mq, id: id, events: set,
+		})
 	}
-	m.reporter.Register(sub.Name, sub.Report)
+	// The queries go live only once they carry the Reporter's handle; a
+	// document matched before that resolves their ids to nil.
+	rep := m.reporter.Register(sub.Name, sub.Report)
+	for _, rq := range rs.queries {
+		rq.rep = rep
+		m.queries.set(rq.id, rq)
+	}
 	for _, cq := range sub.Continuous {
 		m.trigger.Register(sub.Name, cq)
 	}
@@ -291,7 +373,7 @@ func (m *Manager) register(src string, sub *sublang.Subscription, journal bool) 
 func (m *Manager) rollbackLocked(rs *registeredSub) {
 	for _, rq := range rs.queries {
 		_ = m.matcher.Remove(rq.id)
-		delete(m.complexOf, rq.id)
+		m.queries.set(rq.id, nil)
 		for _, e := range rq.events {
 			m.releaseEventLocked(e)
 		}
@@ -368,137 +450,101 @@ func (m *Manager) ProcessDoc(d *alerter.Doc) int {
 // ProcessAlert matches an alert against the subscription base and
 // dispatches the notifications of every matched monitoring query. The
 // notifications of one alert are handed to the Reporter as a single batch,
-// amortising its lock acquisitions across the whole document.
+// amortising its lock acquisitions across the whole document. Nothing here
+// takes m.mu unless a posteriori inhibition is on: ids resolve through the
+// lock-free query table, and everything else a notification needs hangs
+// off the resolved query.
 func (m *Manager) ProcessAlert(a *alerter.Alert) int {
 	sc := processPool.Get().(*processScratch)
 	sc.matched = m.matcher.MatchAppend(sc.matched[:0], a.Events)
 	m.alertsSent.Add(1)
-	m.mu.Lock()
-	for _, id := range sc.matched {
-		if rq := m.complexOf[id]; rq != nil {
-			sc.queries = append(sc.queries, rq)
-		}
-	}
-	m.mu.Unlock()
-
 	now := m.clock()
-	for _, rq := range sc.queries {
-		label := rq.mq.Label()
-		elems := m.buildNotifications(rq, a.Doc, sc)
-		triggered := false
-		for _, el := range elems {
+	for _, id := range sc.matched {
+		rq := m.queries.get(id)
+		if rq == nil {
+			continue // unsubscribed or suspended since the match
+		}
+		sc.elems = m.appendNotifications(sc.elems[:0], rq, a.Doc, sc)
+		n := 0
+		for _, el := range sc.elems {
 			// Disjunctive where clauses compile to several complex events
 			// sharing one select (see sublang); when a document matches
 			// more than one disjunct, the subscriber still gets each
 			// notification payload once. The key is a structural hash of
 			// (subscription, label, payload) — serialising the payload to
 			// XML per notification was the dominant dedup cost.
-			key := el.Hash64(xmldom.HashFold(xmldom.HashFold(xmldom.HashSeed(), rq.sub), label))
+			key := el.Hash64(rq.seed)
 			if _, dup := sc.seen[key]; dup {
 				continue
 			}
 			sc.seen[key] = struct{}{}
+			// el is fresh (built or cloned for this notification): the
+			// Reporter takes ownership of it.
 			sc.batch = append(sc.batch, reporter.Notification{
-				Subscription: rq.sub,
-				Label:        label,
-				Element:      el,
-				Time:         now,
+				Sub: rq.rep, Label: rq.label, Element: el, Time: now,
 			})
-			sc.perSub[rq.sub]++
-			triggered = true
+			n++
 		}
-		// Continuous queries may be triggered by this notification; fire
-		// them after the batch below, once the Reporter has the payloads.
-		if triggered {
-			sc.trig = append(sc.trig, triggerRef{sub: rq.sub, label: label})
+		if n > 0 {
+			sc.trig = append(sc.trig, produced{rq, n})
 		}
 	}
-	produced := len(sc.batch)
+	total := len(sc.batch)
 	m.reporter.NotifyBatch(sc.batch)
-	for _, tr := range sc.trig {
-		m.trigger.OnNotification(tr.sub, tr.label)
+	// Continuous queries may be triggered by these notifications; they fire
+	// now that the Reporter has the payloads.
+	for _, p := range sc.trig {
+		m.trigger.OnNotification(p.rq.sub, p.rq.label)
 	}
-	m.notifications.Add(uint64(produced))
-	if m.inhibitRate > 0 && len(sc.perSub) > 0 {
+	m.notifications.Add(uint64(total))
+	if m.inhibitRate > 0 && len(sc.trig) > 0 {
 		m.mu.Lock()
 		// Only subscriptions that produced notifications advance their
 		// window: silent subscriptions can never exceed the rate budget,
-		// and touching the whole base per alert would not scale.
-		for sub, n := range sc.perSub {
-			if rs := m.subs[sub]; rs != nil {
-				m.noteNotificationsLocked(rs, n)
+		// and touching the whole base per alert would not scale. A
+		// subscription advances once per matched query; its window holds
+		// the same sum either way.
+		for _, p := range sc.trig {
+			if rs := m.subs[p.rq.sub]; rs != nil {
+				m.noteNotificationsLocked(rs, p.n)
 			}
 		}
 		m.mu.Unlock()
 	}
 	sc.release()
-	return produced
+	return total
 }
 
-// buildNotifications materialises the select clause of a matched
-// monitoring query against the triggering document.
-func (m *Manager) buildNotifications(rq *registeredQuery, d *alerter.Doc, sc *processScratch) []*xmldom.Node {
-	sel := rq.mq.Select
-	switch {
-	case sel != nil && sel.Literal != nil:
-		e := m.literalElement(sel.Literal, d)
-		// The full select clause: expand content variables to the matched
-		// elements and inline fixed text.
-		for _, c := range sel.Literal.Children {
-			switch {
-			case !c.IsVar:
-				e.AppendChild(xmldom.Text(c.Text))
-			case builtinValue(c.Var, d) != "":
-				e.AppendChild(xmldom.Text(builtinValue(c.Var, d)))
-			default:
-				for _, n := range m.varElements(rq, c.Var, d, sc) {
-					e.AppendChild(n)
-				}
+// appendNotifications materialises the select clause of a matched
+// monitoring query against the triggering document, walking the plan
+// compiled at registration, and appends the payloads to dst.
+func (m *Manager) appendNotifications(dst []*xmldom.Node, rq *registeredQuery, d *alerter.Doc, sc *processScratch) []*xmldom.Node {
+	p := &rq.plan
+	if p.tag == "" {
+		return append(dst, m.varElements(rq, p.v, d, sc)...)
+	}
+	e := xmldom.Element(p.tag)
+	if len(p.attrs) > 0 {
+		e.Attrs = make([]xmldom.Attr, len(p.attrs))
+		for i, a := range p.attrs {
+			if a.slot != noBuiltin {
+				a.value = a.slot.value(d)
+			}
+			e.Attrs[i] = xmldom.Attr{Name: a.name, Value: a.value}
+		}
+	}
+	for _, k := range p.kids {
+		if k.v == "" {
+			e.AppendChild(xmldom.Text(k.text))
+		} else if v := k.slot.value(d); v != "" {
+			e.AppendChild(xmldom.Text(v))
+		} else {
+			for _, n := range m.varElements(rq, k.v, d, sc) {
+				e.AppendChild(n)
 			}
 		}
-		return []*xmldom.Node{e}
-	case sel != nil && sel.Var != "":
-		return m.varElements(rq, sel.Var, d, sc)
-	default:
-		e := xmldom.Element("notification")
-		e.WithAttr("url", d.Meta.URL)
-		e.WithAttr("status", d.Status.String())
-		return []*xmldom.Node{e}
 	}
-}
-
-// builtinValue resolves the built-in notification variables usable in
-// select literals; empty when name is not a built-in.
-func builtinValue(name string, d *alerter.Doc) string {
-	switch name {
-	case "URL":
-		return d.Meta.URL
-	case "DATE":
-		return d.Meta.LastAccessed.Format(time.RFC3339)
-	case "DOCID":
-		return fmt.Sprintf("%d", d.Meta.DocID)
-	case "DTD":
-		return d.Meta.DTD
-	case "DOMAIN":
-		return d.Meta.Domain
-	case "STATUS":
-		return d.Status.String()
-	}
-	return ""
-}
-
-// literalElement instantiates `<UpdatedPage url=URL/>`-style literals with
-// the document's metadata.
-func (m *Manager) literalElement(lit *sublang.LiteralElem, d *alerter.Doc) *xmldom.Node {
-	e := xmldom.Element(lit.Tag)
-	for _, a := range lit.Attrs {
-		if !a.IsVar {
-			e.WithAttr(a.Name, a.Value)
-			continue
-		}
-		e.WithAttr(a.Name, builtinValue(a.Value, d))
-	}
-	return e
+	return append(dst, e)
 }
 
 // varElements resolves `select X` payloads: the elements bound to X in the
@@ -666,7 +712,7 @@ func (m *Manager) Stats() Stats {
 	return Stats{
 		Subscriptions: len(m.subs),
 		AtomicEvents:  len(m.condRef),
-		ComplexEvents: len(m.complexOf),
+		ComplexEvents: m.matcher.Len(),
 		DocsProcessed: m.docsProcessed.Load(),
 		AlertsSent:    m.alertsSent.Load(),
 		WeakSuppress:  m.weakSuppress.Load(),

@@ -261,11 +261,12 @@ func (r *Reporter) Recover() error {
 			st.buffer = st.buffer[:0]
 			clear(st.labelCount)
 			for _, rec := range recs {
-				st.buffer = append(st.buffer, Notification{
-					Subscription: sub, Label: rec.Label,
-					Element: parseReportDoc(rec.XML), Time: rec.Time,
+				st.buffer = append(st.buffer, buffered{
+					label: rec.Label, elem: parseReportDoc(rec.XML), time: rec.Time,
 				})
-				st.labelCount[rec.Label]++
+				if st.labelCount != nil {
+					st.labelCount[rec.Label]++
+				}
 			}
 			// The when clause held (or may have held) before the crash;
 			// pending makes the next Tick report rather than re-derive.
@@ -340,9 +341,9 @@ func (r *Reporter) Checkpoint() error {
 			}
 			recs := make([]walRecord, 0, len(st.buffer))
 			for _, n := range st.buffer {
-				rec := walRecord{T: "notif", Sub: sub, Label: n.Label, Time: n.Time}
-				if n.Element != nil {
-					rec.XML = n.Element.XML()
+				rec := walRecord{T: "notif", Sub: sub, Label: n.label, Time: n.time}
+				if n.elem != nil {
+					rec.XML = n.elem.XML()
 				}
 				recs = append(recs, rec)
 			}

@@ -11,6 +11,7 @@ package reporter
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,12 +20,20 @@ import (
 	"xymon/internal/sublang"
 	"xymon/internal/wal"
 	"xymon/internal/xmldom"
+	"xymon/internal/xyquery"
 )
 
 // Notification is one entry of a subscription's notification stream: the
 // payload element produced by a monitoring query or a continuous query.
+//
+// The Reporter takes ownership of Element: it is moved, not copied, into the
+// report document, so the caller hands over a tree nothing else refers to.
+// An element that is already linked under a parent when its report is built
+// is copied instead; one root handed over twice and built into two reports
+// at the same time is a data race the Reporter cannot see.
 type Notification struct {
-	Subscription string
+	Sub          *Sub   // handle from Register; saves the hash and lookup of the name
+	Subscription string // consulted only when Sub is nil
 	Label        string // monitoring query label or continuous query name
 	Element      *xmldom.Node
 	Time         time.Time
@@ -72,17 +81,42 @@ type DeliveryFunc func(rep *Report) error
 // Deliver calls f.
 func (f DeliveryFunc) Deliver(rep *Report) error { return f(rep) }
 
-// subState is the per-subscription reporting state.
-type subState struct {
-	spec       *sublang.ReportSpec
-	buffer     []Notification
+// Sub is the per-subscription reporting state, and the handle Register
+// returns for it. Everything but name and stripe is guarded by the stripe's
+// lock. The report specification is flattened into it at Register, so the
+// per-notification path reads one struct.
+type Sub struct {
+	name   string
+	stripe uint8
+	// live turns false on Unregister or when the name is registered again:
+	// a dead handle is refused like an unknown name.
+	live bool
+
+	// The when clause, a disjunction, folded by term kind.
+	immediate bool
+	countOver int                  // smallest notifications.count bound; MaxInt = none
+	period    sublang.Frequency    // smallest periodic term; 0 = none
+	tagTerms  []sublang.ReportTerm // the per-label count terms
+
+	atMostCount int
+	atMostFreq  sublang.Frequency
+	archive     sublang.Frequency
+	query       *xyquery.Query
+
+	buffer []buffered
+	// labelCount is nil unless there are tagTerms, its only reader.
 	labelCount map[string]int
-	dropped    int // notifications discarded by atmost N
 	lastReport time.Time
 	hasReport  bool // a report was generated at least once
 	pending    bool // condition fired while rate-limited
 	followers  []string
-	start      time.Time
+}
+
+// buffered is a notification waiting in its subscription's buffer.
+type buffered struct {
+	label string
+	elem  *xmldom.Node
+	time  time.Time
 }
 
 // stripeCount is the number of lock stripes the subscription state is
@@ -96,7 +130,7 @@ const stripeCount = 16
 // workers (the paper's 2.4M notifications/day figure is a lower bound).
 type stripe struct {
 	mu   sync.Mutex
-	subs map[string]*subState
+	subs map[string]*Sub
 }
 
 // Reporter buffers notifications and produces reports. Safe for
@@ -105,6 +139,10 @@ type Reporter struct {
 	stripes  [stripeCount]stripe
 	delivery Delivery
 	clock    func() time.Time
+
+	// links counts the follower links held by registered subscriptions;
+	// while it is 0, Unregister has no other stripe to visit.
+	links atomic.Int64
 
 	// The archive is small and cold (report generation only), so it keeps
 	// a single dedicated lock instead of joining the striping.
@@ -162,7 +200,7 @@ func New(sink Delivery, opts ...Option) *Reporter {
 		},
 	}
 	for i := range r.stripes {
-		r.stripes[i].subs = make(map[string]*subState)
+		r.stripes[i].subs = make(map[string]*Sub)
 	}
 	for _, o := range opts {
 		o(r)
@@ -182,44 +220,84 @@ func (r *Reporter) stripeFor(sub string) *stripe {
 	return &r.stripes[stripeIndex(sub)]
 }
 
-// Register creates reporting state for a subscription. A nil spec installs
-// an immediate-report default.
-func (r *Reporter) Register(sub string, spec *sublang.ReportSpec) {
+// stripeOf returns the stripe a notification lands on: the handle's when it
+// carries one, else the hash of the name.
+func stripeOf(n *Notification) int {
+	if n.Sub != nil {
+		return int(n.Sub.stripe)
+	}
+	return stripeIndex(n.Subscription)
+}
+
+// Register creates reporting state for a subscription and returns its
+// handle. A nil spec installs an immediate-report default. Registering a
+// name again replaces its state; the old handle goes dead.
+func (r *Reporter) Register(sub string, spec *sublang.ReportSpec) *Sub {
 	if spec == nil {
 		spec = &sublang.ReportSpec{When: []sublang.ReportTerm{{Kind: sublang.TermImmediate}}}
 	}
-	now := r.clock()
-	s := r.stripeFor(sub)
+	st := &Sub{
+		name: sub, stripe: uint8(stripeIndex(sub)), live: true, countOver: math.MaxInt,
+		atMostCount: spec.AtMostCount, atMostFreq: spec.AtMostFreq,
+		archive: spec.Archive, query: spec.Query, lastReport: r.clock(),
+	}
+	for _, term := range spec.When {
+		switch term.Kind {
+		case sublang.TermImmediate:
+			st.immediate = true
+		case sublang.TermCount:
+			st.countOver = min(st.countOver, term.Count)
+		case sublang.TermTagCount:
+			st.tagTerms = append(st.tagTerms, term)
+		case sublang.TermPeriodic:
+			if st.period == 0 || term.Freq < st.period {
+				st.period = term.Freq
+			}
+		}
+	}
+	if st.tagTerms != nil {
+		st.labelCount = make(map[string]int)
+	}
+	s := &r.stripes[st.stripe]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.subs[sub] = &subState{
-		spec:       spec,
-		labelCount: make(map[string]int),
-		start:      now,
-		lastReport: now,
+	if old := s.subs[sub]; old != nil {
+		old.live = false
+		r.links.Add(-int64(len(old.followers)))
 	}
+	s.subs[sub] = st
+	return st
 }
 
 // Unregister drops a subscription's reporting state and detaches it from
-// any subscription it follows. Follower links may live on any stripe, so
-// the scan takes each stripe lock in turn (never two at once).
+// the subscriptions it follows. While nothing follows anything — the common
+// case — it touches its own stripe alone; otherwise every stripe is scanned
+// for links to drop, one lock at a time.
 func (r *Reporter) Unregister(sub string) {
 	s := r.stripeFor(sub)
 	s.mu.Lock()
-	delete(s.subs, sub)
+	if st := s.subs[sub]; st != nil {
+		st.live = false
+		r.links.Add(-int64(len(st.followers)))
+		delete(s.subs, sub)
+	}
 	s.mu.Unlock()
+	if r.links.Load() == 0 {
+		return
+	}
 	for i := range r.stripes {
-		st := &r.stripes[i]
-		st.mu.Lock()
-		for _, state := range st.subs {
-			for j, f := range state.followers {
+		s := &r.stripes[i]
+		s.mu.Lock()
+		for _, st := range s.subs {
+			for j, f := range st.followers {
 				if f == sub {
-					state.followers = append(state.followers[:j], state.followers[j+1:]...)
+					st.followers = append(st.followers[:j], st.followers[j+1:]...)
+					r.links.Add(-1)
 					break
 				}
 			}
 		}
-		st.mu.Unlock()
+		s.mu.Unlock()
 	}
 }
 
@@ -235,21 +313,20 @@ func (r *Reporter) Follow(follower, target string) error {
 		return fmt.Errorf("reporter: unknown subscription %q", target)
 	}
 	st.followers = append(st.followers, follower)
+	r.links.Add(1)
 	return nil
 }
 
 // Notify appends a notification to its subscription's buffer and fires a
 // report when the subscription's when condition holds. Delivery happens
 // after the stripe's lock is released, so a Delivery implementation may
-// call back into the Reporter without deadlocking.
+// call back into the Reporter without deadlocking. n.Element belongs to the
+// Reporter from here on (see Notification).
 func (r *Reporter) Notify(n Notification) {
 	now := r.clock()
-	s := r.stripeFor(n.Subscription)
+	s := &r.stripes[stripeOf(&n)]
 	s.mu.Lock()
-	var reps []*Report
-	if st, ok := s.subs[n.Subscription]; ok {
-		reps = r.noteLocked(n.Subscription, st, n, now)
-	}
+	reps := r.noteLocked(nil, s, &n, now)
 	s.mu.Unlock()
 	r.deliver(reps)
 }
@@ -260,7 +337,8 @@ func (r *Reporter) Notify(n Notification) {
 // the manager's per-alert batches rely on — with immediate-report
 // subscriptions, per-notification locking costs one acquire per payload,
 // batch locking one per stripe. Delivery of every fired report happens
-// after all stripe locks are released.
+// after all stripe locks are released. Every Element of the batch belongs
+// to the Reporter from here on (see Notification).
 func (r *Reporter) NotifyBatch(ns []Notification) {
 	if len(ns) == 0 {
 		return
@@ -272,9 +350,12 @@ func (r *Reporter) NotifyBatch(ns []Notification) {
 	now := r.clock()
 	var want [stripeCount]bool
 	for i := range ns {
-		want[stripeIndex(ns[i].Subscription)] = true
+		want[stripeOf(&ns[i])] = true
 	}
-	var reps []*Report
+	// Room for a typical document's reports without a heap allocation;
+	// deliver does not retain the slice.
+	var room [16]*Report
+	reps := room[:0]
 	for si := range r.stripes {
 		if !want[si] {
 			continue
@@ -282,11 +363,8 @@ func (r *Reporter) NotifyBatch(ns []Notification) {
 		s := &r.stripes[si]
 		s.mu.Lock()
 		for i := range ns {
-			if stripeIndex(ns[i].Subscription) != si {
-				continue
-			}
-			if st, ok := s.subs[ns[i].Subscription]; ok {
-				reps = append(reps, r.noteLocked(ns[i].Subscription, st, ns[i], now)...)
+			if stripeOf(&ns[i]) == si {
+				reps = r.noteLocked(reps, s, &ns[i], now)
 			}
 		}
 		s.mu.Unlock()
@@ -294,16 +372,24 @@ func (r *Reporter) NotifyBatch(ns []Notification) {
 	r.deliver(reps)
 }
 
-// noteLocked registers one notification on a subscription's state — the
-// caller holds the stripe lock — and returns any reports it fired.
-func (r *Reporter) noteLocked(sub string, st *subState, n Notification, now time.Time) []*Report {
-	if st.spec.AtMostCount > 0 && len(st.buffer) >= st.spec.AtMostCount {
+// noteLocked registers one notification on its subscription's state — the
+// caller holds the lock of s, the notification's stripe — and appends any
+// reports it fired to reps. A dead handle or an unknown name registers
+// nothing.
+func (r *Reporter) noteLocked(reps []*Report, s *stripe, n *Notification, now time.Time) []*Report {
+	st := n.Sub
+	if st == nil {
+		st = s.subs[n.Subscription]
+	}
+	if st == nil || !st.live {
+		return reps
+	}
+	if st.atMostCount > 0 && len(st.buffer) >= st.atMostCount {
 		// atmost N: stop registering new notifications until the next report.
-		st.dropped++
-		return nil
+		return reps
 	}
 	if r.wal != nil {
-		rec := walRecord{T: "notif", Sub: sub, Label: n.Label, Time: n.Time}
+		rec := walRecord{T: "notif", Sub: st.name, Label: n.Label, Time: n.Time}
 		if n.Element != nil {
 			rec.XML = n.Element.XML()
 		}
@@ -312,12 +398,14 @@ func (r *Reporter) noteLocked(sub string, st *subState, n Notification, now time
 		//xyvet:ignore lockcheck
 		r.journalWrite(rec)
 	}
-	st.buffer = append(st.buffer, n)
-	st.labelCount[n.Label]++
-	if r.conditionHolds(st, now, true) {
-		return r.buildLocked(sub, st, now)
+	st.buffer = append(st.buffer, buffered{label: n.Label, elem: n.Element, time: n.Time})
+	if st.labelCount != nil {
+		st.labelCount[n.Label]++
 	}
-	return nil
+	if r.conditionHolds(st, now, true) {
+		return r.buildLocked(reps, st, now)
+	}
+	return reps
 }
 
 // Tick evaluates time-based conditions (periodic terms, rate-limited
@@ -329,7 +417,7 @@ func (r *Reporter) Tick() {
 	for i := range r.stripes {
 		s := &r.stripes[i]
 		s.mu.Lock()
-		for sub, st := range s.subs {
+		for _, st := range s.subs {
 			if len(st.buffer) == 0 && !st.pending {
 				// Periodic reports with empty buffers are not sent; the paper's
 				// report queries run over gathered notifications.
@@ -343,7 +431,7 @@ func (r *Reporter) Tick() {
 				fire = true
 			}
 			if fire {
-				reps = append(reps, r.buildLocked(sub, st, now)...)
+				reps = r.buildLocked(reps, st, now)
 			}
 		}
 		s.mu.Unlock()
@@ -364,30 +452,11 @@ func (r *Reporter) Tick() {
 
 // conditionHolds evaluates the disjunction of report terms. onArrival is
 // true when called from Notify, enabling the immediate term.
-func (r *Reporter) conditionHolds(st *subState, now time.Time, onArrival bool) bool {
-	hold := false
-	for _, term := range st.spec.When {
-		switch term.Kind {
-		case sublang.TermImmediate:
-			if onArrival && len(st.buffer) > 0 {
-				hold = true
-			}
-		case sublang.TermCount:
-			if len(st.buffer) > term.Count {
-				hold = true
-			}
-		case sublang.TermTagCount:
-			if st.labelCount[term.Tag] > term.Count {
-				hold = true
-			}
-		case sublang.TermPeriodic:
-			if len(st.buffer) > 0 && r.periodicDue(st, now) {
-				hold = true
-			}
-		}
-		if hold {
-			break
-		}
+func (r *Reporter) conditionHolds(st *Sub, now time.Time, onArrival bool) bool {
+	n := len(st.buffer)
+	hold := n > st.countOver || n > 0 && (onArrival && st.immediate || r.periodicDue(st, now))
+	for i := 0; !hold && i < len(st.tagTerms); i++ {
+		hold = st.labelCount[st.tagTerms[i].Tag] > st.tagTerms[i].Count
 	}
 	if !hold {
 		return false
@@ -399,69 +468,69 @@ func (r *Reporter) conditionHolds(st *subState, now time.Time, onArrival bool) b
 	return true
 }
 
-func (r *Reporter) periodicDue(st *subState, now time.Time) bool {
-	var freq sublang.Frequency
-	for _, term := range st.spec.When {
-		if term.Kind == sublang.TermPeriodic && (freq == 0 || term.Freq < freq) {
-			freq = term.Freq
-		}
-	}
-	if freq == 0 {
-		return false
-	}
-	return now.Sub(st.lastReport) >= freq.Duration()
+func (r *Reporter) periodicDue(st *Sub, now time.Time) bool {
+	return st.period != 0 && now.Sub(st.lastReport) >= st.period.Duration()
 }
 
 // rateLimited applies the atmost-frequency clause.
-func (r *Reporter) rateLimited(st *subState, now time.Time) bool {
-	if st.spec.AtMostFreq == 0 || !st.hasReport {
+func (r *Reporter) rateLimited(st *Sub, now time.Time) bool {
+	if st.atMostFreq == 0 || !st.hasReport {
 		return false
 	}
-	return now.Sub(st.lastReport) < st.spec.AtMostFreq.Duration()
+	return now.Sub(st.lastReport) < st.atMostFreq.Duration()
 }
 
 // buildLocked renders and post-processes the report and resets the buffer
 // ("the generation of a report empties the global buffer of notification
-// answers"), returning one copy per recipient (the subscriber plus its
-// virtual followers). The caller delivers them once its stripe lock is
-// released: holding a stripe lock across the Delivery callback would
-// deadlock any sink that calls back into the Reporter.
-func (r *Reporter) buildLocked(sub string, st *subState, now time.Time) []*Report {
+// answers"), appending to reps one copy per recipient (the subscriber plus
+// its virtual followers). The buffered elements are moved into the report
+// document (the Reporter owns them) and the buffer keeps its capacity. The
+// caller delivers the reports once its stripe lock is released: holding a
+// stripe lock across the Delivery callback would deadlock any sink that
+// calls back into the Reporter.
+func (r *Reporter) buildLocked(reps []*Report, st *Sub, now time.Time) []*Report {
+	count := len(st.buffer)
 	doc := xmldom.Element("Report")
+	doc.Children = make([]*xmldom.Node, 0, count)
 	for _, n := range st.buffer {
-		if n.Element != nil {
-			doc.AppendChild(n.Element.Clone())
+		if n.elem == nil {
+			continue
 		}
+		if n.elem.Parent != nil {
+			// Handed over while linked into another tree (an earlier
+			// report, a document): copied, so that tree stays whole.
+			n.elem = n.elem.Clone()
+		}
+		doc.AppendChild(n.elem)
 	}
-	if st.spec.Query != nil {
-		if res, err := st.spec.Query.EvalElement("Report", []*xmldom.Node{doc}); err == nil {
+	if st.query != nil {
+		if res, err := st.query.EvalElement("Report", []*xmldom.Node{doc}); err == nil {
 			doc = res
 		}
 	}
-	rep := &Report{Subscription: sub, Doc: doc, Time: now, Notifications: len(st.buffer)}
+	rep := &Report{Subscription: st.name, Doc: doc, Time: now, Notifications: count}
 	if r.wal != nil || r.stream != nil {
 		rep.xml = doc.XML()
 	}
-	count := len(st.buffer)
-	st.buffer = nil
-	st.labelCount = make(map[string]int)
-	st.dropped = 0
+	clear(st.buffer) // the elements now belong to the report
+	st.buffer = st.buffer[:0]
+	clear(st.labelCount)
 	st.lastReport = now
 	st.hasReport = true
 	st.pending = false
-	if st.spec.Archive > 0 {
+	if st.archive > 0 {
 		r.archMu.Lock()
-		r.archive = append(r.archive, archivedReport{rep: rep, expiry: now.Add(st.spec.Archive.Duration())})
+		r.archive = append(r.archive, archivedReport{rep: rep, expiry: now.Add(st.archive.Duration())})
 		r.archMu.Unlock()
 	}
-	out := []*Report{rep}
+	r.noteFired(rep, st.name, now)
+	reps = append(reps, rep)
 	for _, rcpt := range st.followers {
-		out = append(out, &Report{Subscription: rcpt, Doc: rep.Doc, xml: rep.xml, Time: now, Notifications: count})
+		rp := &Report{Subscription: rcpt, Doc: rep.Doc, xml: rep.xml, Time: now, Notifications: count}
+		r.noteFired(rp, st.name, now)
+		reps = append(reps, rp)
 	}
-	for _, rp := range out {
-		r.noteFired(rp, sub, now)
-	}
-	return out
+	return reps
 }
 
 // WithStream publishes every notification batch to st at delivery

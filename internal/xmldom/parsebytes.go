@@ -12,27 +12,41 @@ import (
 // one (or more) per node. Chunks are appended to only while len < cap —
 // they are never reallocated, so pointers into them stay valid. The
 // arena's memory is owned by the resulting Document's nodes and is
-// therefore not pooled.
+// therefore not pooled — which is why chunks are sized from the input
+// (see newArena) and not fixed: a stored version keeps its chunks' whole
+// capacity alive.
 type arena struct {
 	nodes     []Node
 	ptrs      []*Node
 	attrs     []Attr
-	nodeChunk int
+	nodeChunk int // nodes per chunk, and child pointers per chunk
+	attrChunk int
 }
 
+// Chunk sizing. A node costs at least two and a half bytes of input
+// (`x<b/>` is two) and in catalog-like pages about fourteen; one chunk of
+// len/12 nodes holds such a page, and no input needs more than five of
+// them. Every node but the root is one child pointer, so pointer chunks are
+// the same size. Attributes are rarer (about ninety bytes each in catalog
+// pages, six at the very least). The caps are the fixed chunk sizes large
+// documents always used.
 const (
-	arenaMinChunk = 64
-	arenaMaxChunk = 1024
+	arenaBytesPerNode = 12
+	arenaBytesPerAttr = 48
+	arenaMaxNodeChunk = 1024
+	arenaMaxAttrChunk = 256
 )
+
+func newArena(inputLen int) arena {
+	return arena{
+		nodeChunk: min(max(inputLen/arenaBytesPerNode, 8), arenaMaxNodeChunk),
+		attrChunk: min(max(inputLen/arenaBytesPerAttr, 4), arenaMaxAttrChunk),
+	}
+}
 
 // node returns a fresh zero Node from the current chunk.
 func (a *arena) node() *Node {
 	if len(a.nodes) == cap(a.nodes) {
-		if a.nodeChunk == 0 {
-			a.nodeChunk = arenaMinChunk
-		} else if a.nodeChunk < arenaMaxChunk {
-			a.nodeChunk *= 2
-		}
 		a.nodes = make([]Node, 0, a.nodeChunk)
 	}
 	a.nodes = append(a.nodes, Node{})
@@ -48,11 +62,7 @@ func (a *arena) children(src []*Node) []*Node {
 		return nil
 	}
 	if cap(a.ptrs)-len(a.ptrs) < n {
-		c := arenaMaxChunk
-		if n > c {
-			c = n
-		}
-		a.ptrs = make([]*Node, 0, c)
+		a.ptrs = make([]*Node, 0, max(a.nodeChunk, n))
 	}
 	lo := len(a.ptrs)
 	a.ptrs = append(a.ptrs, src...)
@@ -63,11 +73,7 @@ func (a *arena) children(src []*Node) []*Node {
 // attribute chunk.
 func (a *arena) attrSlice(n int) []Attr {
 	if cap(a.attrs)-len(a.attrs) < n {
-		c := 256
-		if n > c {
-			c = n
-		}
-		a.attrs = make([]Attr, 0, c)
+		a.attrs = make([]Attr, 0, max(a.attrChunk, n))
 	}
 	lo := len(a.attrs)
 	a.attrs = a.attrs[:lo+n]
@@ -136,10 +142,11 @@ func (sc *parseScratch) attrValue(a attrSpan) string {
 // ParseBytes parses a serialized document with the byte tokenizer,
 // producing the same tree — and the same accept/reject decisions — as
 // Parse (FuzzParseBytes holds the two together), without encoding/xml.
-// Nodes, child-pointer slices and attributes come from a chunked arena,
-// tag and attribute names are interned, and text is decoded straight off
-// the input spans, so the documents that survive the streaming
-// pre-filter allocate in large slabs instead of per-node.
+// Nodes, child-pointer slices and attributes come from a chunked arena
+// sized from the input length, tag and attribute names are interned, and
+// text is decoded straight off the input spans, so the documents that
+// survive the streaming pre-filter allocate in large slabs instead of
+// per-node.
 func ParseBytes(data []byte) (*Document, error) {
 	sc := parseScratchPool.Get().(*parseScratch)
 	frames := sc.frames[:0]
@@ -156,7 +163,7 @@ func ParseBytes(data []byte) (*Document, error) {
 		parseScratchPool.Put(sc)
 	}()
 	sc.tok.Reset(data)
-	var ar arena
+	ar := newArena(len(data))
 	var root *Node
 	for {
 		k, err := sc.tok.Next()

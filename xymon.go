@@ -234,6 +234,8 @@ func New(opts Options) (*System, error) {
 		trigOpts = append(trigOpts, trigger.WithWAL(walTrig))
 	}
 	s.Trigger = trigger.New(s.Store.AllRoots, func(r trigger.Result) {
+		// r.Element is built for this result alone (a fresh element, the
+		// query's clones, or a rendered delta), so the Reporter can own it.
 		s.Reporter.Notify(reporter.Notification{
 			Subscription: r.Subscription, Label: r.Query, Element: r.Element, Time: r.Time,
 		})
@@ -358,7 +360,18 @@ func (s *System) Subscribe(src string) (*Subscription, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.Crawler.ApplyRefreshHints(s.Manager.RefreshHints())
+	if len(sub.Refresh) > 0 {
+		// Only this subscription's hints: the crawler remembers the ones it
+		// was given before and applies them to pages it learns of later, so
+		// the base need not be rescanned under the manager's lock.
+		hints := make(map[string]sublang.Frequency, len(sub.Refresh))
+		for _, r := range sub.Refresh {
+			if cur, ok := hints[r.URL]; !ok || r.Freq < cur {
+				hints[r.URL] = r.Freq
+			}
+		}
+		s.Crawler.ApplyRefreshHints(hints)
+	}
 	return sub, nil
 }
 

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"xymon/internal/xmldom"
 )
 
 type testClock struct{ t time.Time }
@@ -332,5 +334,176 @@ report when immediate`); err != nil {
 	sys3, _, _ := newSystem(t, Options{})
 	if err := sys3.SaveWarehouse(""); err == nil {
 		t.Error("SaveWarehouse without DataDir should fail")
+	}
+}
+
+// TestSubscribeRefreshHints: Subscribe hands the crawler only the new
+// subscription's refresh statements, and the crawler remembers them. The
+// crawler must end up exactly where a full re-application of the base's
+// hints after every Subscribe leaves it.
+func TestSubscribeRefreshHints(t *testing.T) {
+	site := SiteSpec{BaseURL: "http://hint.example/", Pages: 4, Products: 5, Seed: 3}
+	sys, _, _ := newSystem(t, Options{})
+	ref, _, _ := newSystem(t, Options{})
+	sys.AddSite(NewSite(site))
+	ref.AddSite(NewSite(site))
+	urls := NewSite(site).XMLURLs()
+	base := sys.Crawler.Period(urls[0])
+
+	plain := func(name string) string {
+		return "subscription " + name + "\nmonitoring\nselect <P url=URL/>\n" +
+			"where URL extends \"http://hint.example/\" and modified self\nreport when immediate\n"
+	}
+	steps := []string{
+		plain("A"),
+		plain("B") + "refresh \"" + urls[0] + "\" daily\n",
+		plain("C"),
+		plain("D") + "refresh \"" + urls[1] + "\" hourly\nrefresh \"" + urls[0] + "\" weekly\n",
+		plain("E"),
+	}
+	for i, src := range steps {
+		if _, err := sys.Subscribe(src); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		if _, err := ref.Manager.Subscribe(src); err != nil {
+			t.Fatalf("step %d (reference): %v", i, err)
+		}
+		ref.Crawler.ApplyRefreshHints(ref.Manager.RefreshHints())
+		for _, u := range urls {
+			if got, want := sys.Crawler.Period(u), ref.Crawler.Period(u); got != want {
+				t.Errorf("step %d: period of %s = %v, full re-application gives %v", i, u, got, want)
+			}
+		}
+	}
+	if d, h := sys.Crawler.Period(urls[0]), sys.Crawler.Period(urls[1]); d != 24*time.Hour || h != time.Hour || d >= base {
+		t.Errorf("hinted periods = %v and %v (unhinted %v), want a day and an hour", d, h, base)
+	}
+	if p := sys.Crawler.Period(urls[2]); p != base {
+		t.Errorf("unhinted page moved from %v to %v", base, p)
+	}
+}
+
+// TestSubscribeRefreshHintsLateDiscovery: a hint for a page the crawler
+// does not know yet — a hidden page, found later through an HTML link —
+// takes effect when the page is discovered, and a later plain Subscribe
+// leaves the crawler where a full re-application would.
+func TestSubscribeRefreshHintsLateDiscovery(t *testing.T) {
+	spec := SiteSpec{BaseURL: "http://late.example", Pages: 1, HTMLShare: 1, HiddenPages: 1, Seed: 33}
+	hidden := NewSite(spec).HiddenURLs()[0]
+	sys, c, _ := newSystem(t, Options{})
+	ref, rc, _ := newSystem(t, Options{})
+	plain := func(name string) string {
+		return "subscription " + name + "\nmonitoring\nselect <P url=URL/>\n" +
+			"where URL extends \"http://late.example/\" and modified self\nreport when immediate\n"
+	}
+	subscribe := func(src string) {
+		t.Helper()
+		if _, err := sys.Subscribe(src); err != nil {
+			t.Fatalf("Subscribe: %v", err)
+		}
+		if _, err := ref.Manager.Subscribe(src); err != nil {
+			t.Fatalf("Subscribe (reference): %v", err)
+		}
+		ref.Crawler.ApplyRefreshHints(ref.Manager.RefreshHints())
+	}
+	sys.AddSite(NewSite(spec))
+	ref.AddSite(NewSite(spec))
+	subscribe(plain("A") + "refresh \"" + hidden + "\" hourly\n")
+	if p := sys.Crawler.Period(hidden); p != 0 {
+		t.Fatalf("hidden page known before discovery (period %v)", p)
+	}
+	for i := 0; i < 10 && sys.Stats().Crawler.Discovered == 0; i++ {
+		c.advance(8 * 24 * time.Hour)
+		rc.advance(8 * 24 * time.Hour)
+		sys.Crawl()
+		ref.Crawl()
+	}
+	if sys.Stats().Crawler.Discovered == 0 || ref.Stats().Crawler.Discovered == 0 {
+		t.Fatal("no discovery happened")
+	}
+	if p := sys.Crawler.Period(hidden); p != time.Hour {
+		t.Errorf("period of the discovered page = %v, want its hint of an hour", p)
+	}
+	subscribe(plain("B"))
+	if got, want := sys.Crawler.Period(hidden), ref.Crawler.Period(hidden); got != want || got != time.Hour {
+		t.Errorf("after a plain Subscribe: period = %v, full re-application gives %v, want an hour", got, want)
+	}
+}
+
+// TestContinuousResultIsOwnedPayload: the Reporter keeps the element a
+// continuous query hands it without copying, so the Trigger Engine must
+// hand over a tree of its own — not warehouse nodes, not the result it
+// keeps for the next delta. Re-evaluations must leave delivered reports and
+// the warehouse as they were.
+func TestContinuousResultIsOwnedPayload(t *testing.T) {
+	sys, c, reports := newSystem(t, Options{})
+	push := func(titles ...string) {
+		t.Helper()
+		doc := "<culture><museum><address>Amsterdam</address>"
+		for _, title := range titles {
+			doc += "<painting><title>" + title + "</title></painting>"
+		}
+		if _, err := sys.PushXML("http://museums.example/ams.xml", "", "culture", doc+"</museum></culture>"); err != nil {
+			t.Fatalf("PushXML: %v", err)
+		}
+	}
+	push("Night Watch")
+	for _, mode := range []string{"", "delta "} {
+		name := "Plain"
+		if mode != "" {
+			name = "Delta"
+		}
+		if _, err := sys.Subscribe("subscription " + name + "\ncontinuous " + mode + "Paintings\n" +
+			"select p/title from culture/museum m, m/painting p\nwhen daily\nreport when immediate"); err != nil {
+			t.Fatalf("Subscribe: %v", err)
+		}
+	}
+	intact := func(when string) {
+		t.Helper()
+		for _, root := range sys.Store.AllRoots() {
+			if root.Parent != nil {
+				t.Fatalf("%s: a warehouse document was re-parented under <%s>", when, root.Parent.Tag)
+			}
+			root.PreOrder(func(n *xmldom.Node) bool {
+				for _, ch := range n.Children {
+					if ch.Parent != n {
+						t.Fatalf("%s: warehouse node <%s> moved out of its document", when, ch.Tag)
+					}
+				}
+				return true
+			})
+		}
+	}
+	sys.Tick()
+	if len(*reports) != 2 {
+		t.Fatalf("first evaluation: %d reports, want 2", len(*reports))
+	}
+	intact("after the first evaluation")
+	var before []string
+	for _, rep := range *reports {
+		before = append(before, rep.Doc.XML())
+		for _, ch := range rep.Doc.Children {
+			if ch.Parent != rep.Doc {
+				t.Errorf("%s: payload not moved under its report", rep.Subscription)
+			}
+		}
+	}
+	push("Night Watch", "Milkmaid")
+	c.advance(25 * time.Hour)
+	sys.Tick()
+	if len(*reports) != 4 {
+		t.Fatalf("second evaluation: %d reports, want 4", len(*reports))
+	}
+	intact("after the second evaluation")
+	for i, xml := range before {
+		if got := (*reports)[i].Doc.XML(); got != xml {
+			t.Errorf("report %d changed under a later evaluation:\n before %s\n after  %s", i, xml, got)
+		}
+	}
+	for _, rep := range (*reports)[2:] {
+		out := rep.Doc.XML()
+		if !strings.Contains(out, "Milkmaid") || (rep.Subscription == "Delta") == strings.Contains(out, "Night Watch") {
+			t.Errorf("%s second report = %s", rep.Subscription, out)
+		}
 	}
 }
