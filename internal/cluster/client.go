@@ -132,8 +132,10 @@ type ClientStats struct {
 	// BlockFailures counts block give-ups (retry budget exhausted or
 	// dial failure), each starting a down-cooldown window.
 	BlockFailures uint64
-	// Failovers counts partitions re-routed to a replica after their
-	// preferred block failed mid-match (ring client only).
+	// Failovers counts partitions re-routed to another replica after the
+	// block asked for them failed mid-match (ring client only) — one per
+	// partition moved, not one per failed block; a partition left without
+	// a replica is not counted here but reported through Degraded.
 	Failovers uint64
 	// MapRefreshes counts partition-map refetches after a stale-map
 	// rejection (ring client only).
@@ -192,6 +194,7 @@ type blockConn struct {
 	conn net.Conn
 	r    *bufio.Reader
 	w    *bufio.Writer
+	buf  []byte // match-reply payload, reused across exchanges
 	// downFails counts consecutive give-ups; downUntil is the end of the
 	// current cooldown window.
 	downFails int
@@ -228,14 +231,9 @@ func (c *Client) Close() error {
 	defer c.mu.Unlock()
 	var first error
 	for _, bc := range c.conns {
-		bc.mu.Lock()
-		if bc.conn != nil {
-			if err := bc.conn.Close(); err != nil && first == nil {
-				first = err
-			}
-			bc.conn = nil
+		if err := bc.close(); err != nil && first == nil {
+			first = err
 		}
-		bc.mu.Unlock()
 	}
 	c.conns = nil
 	return first
@@ -263,15 +261,7 @@ func (c *Client) MatchResult(s core.EventSet) (Result, error) {
 	}
 	results := make([][]core.ComplexID, len(conns))
 	errs := make([]error, len(conns))
-	var wg sync.WaitGroup
-	for i, bc := range conns {
-		wg.Add(1)
-		go func(i int, bc *blockConn) {
-			defer wg.Done()
-			results[i], errs[i] = bc.match(s, &c.cfg, &c.st)
-		}(i, bc)
-	}
-	wg.Wait()
+	fanOut(len(conns), func(i int) { results[i], errs[i] = conns[i].match(s, &c.cfg, &c.st) })
 	var res Result
 	var firstErr error
 	for i := range conns {
@@ -365,6 +355,16 @@ func (bc *blockConn) attachLocked(conn net.Conn) {
 	bc.conn = conn
 	bc.r = bufio.NewReader(conn)
 	bc.w = bufio.NewWriter(conn)
+}
+
+// close closes the block's connection, if any, and reports what Close said.
+func (bc *blockConn) close() (err error) {
+	bc.mu.Lock()
+	defer bc.mu.Unlock()
+	if bc.conn != nil {
+		err, bc.conn = bc.conn.Close(), nil
+	}
+	return err
 }
 
 // teardownLocked drops a broken connection.
@@ -469,22 +469,12 @@ func (bc *blockConn) exchangeLocked(ioTimeout time.Duration, send func(w *bufio.
 }
 
 // match runs one v1 match request against one block.
-func (bc *blockConn) match(s core.EventSet, cfg *clientConfig, st *netStats) ([]core.ComplexID, error) {
-	events := eventsToU32(s)
-	var ids []uint32
-	err := bc.call(cfg, st,
-		func(w *bufio.Writer) error { return writeFrame(w, 'M', events) },
-		func(r *bufio.Reader) error {
-			var err error
-			ids, err = readSetRaw(r, 'R')
+func (bc *blockConn) match(s core.EventSet, cfg *clientConfig, st *netStats) (ids []core.ComplexID, err error) {
+	err = bc.call(cfg, st,
+		func(w *bufio.Writer) error { return writeFrame(w, 'M', s) },
+		func(r *bufio.Reader) (err error) {
+			ids, err = readSetRaw[core.ComplexID](r, 'R')
 			return err
 		})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]core.ComplexID, len(ids))
-	for i, id := range ids {
-		out[i] = core.ComplexID(id)
-	}
-	return out, nil
+	return ids, err
 }

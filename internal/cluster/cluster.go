@@ -11,6 +11,16 @@
 //     participates in coordinator-driven rebalancing (see ring.go and
 //     coord.go). v1 clients are rejected loudly.
 //
+// The ring client (ringclient.go) routes a match by cover: every replica
+// of a partition may serve reads, so a document goes to the fewest blocks
+// whose hosted partitions cover its own — one block, asked on the
+// caller's goroutine, whenever one hosts them all, which at R = N is
+// always: the paper's "Processing speed" distribution, replicas sharing
+// the document flow. With R < N the same plan is the "Memory"
+// distribution, a document fanning out to the few blocks that hold its
+// partitions between them. A failed block's partitions are re-covered by
+// the replicas that remain before a result is ever marked degraded.
+//
 // Xyleme uses Corba between cluster nodes; the wire protocol here is a
 // minimal length-prefixed binary exchange over the standard library's
 // net package.
@@ -30,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"sync"
 	"time"
@@ -267,6 +278,7 @@ func (s *Server) handle(conn net.Conn) {
 	key := remoteKey(conn)
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
+	var sc matchScratch
 	for {
 		// The idle deadline covers the wait for the next request and the
 		// request/response exchange itself: a stalled or vanished client
@@ -279,11 +291,11 @@ func (s *Server) handle(conn net.Conn) {
 		if err := s.cfg.faults.Check(faults.PointServeRead, key); err != nil {
 			return
 		}
-		var kind [1]byte
-		if _, err := io.ReadFull(r, kind[:]); err != nil {
+		kind, err := r.ReadByte()
+		if err != nil {
 			return
 		}
-		keep, err := s.dispatch(kind[0], r, w, key)
+		keep, err := s.dispatch(kind, r, w, key, &sc)
 		if err != nil {
 			// An injected write fault models a broken pipe: drop the
 			// connection so the client's transport retry kicks in. A
@@ -316,7 +328,7 @@ func (s *Server) writeChecked(w *bufio.Writer, key string, write func() error) e
 // answers it. It returns keep=false to close the connection after the
 // response flushes, and a non-nil error to answer with an error frame
 // and close.
-func (s *Server) dispatch(kind byte, r *bufio.Reader, w *bufio.Writer, key string) (keep bool, err error) {
+func (s *Server) dispatch(kind byte, r *bufio.Reader, w *bufio.Writer, key string, sc *matchScratch) (keep bool, err error) {
 	// v1 match: the static block's only request.
 	if kind == 'M' {
 		if s.dyn != nil {
@@ -324,26 +336,25 @@ func (s *Server) dispatch(kind byte, r *bufio.Reader, w *bufio.Writer, key strin
 			// with unread request bytes, then reject loudly: a v1 client
 			// fanning out to every block would silently lose this block's
 			// partitions if we answered its match with partial data.
-			if _, err := readSetRawBody(r); err != nil {
+			if _, err := readSetBody[uint32](r); err != nil {
 				return false, err
 			}
 			return false, fmt.Errorf("%w: this block speaks the v2 partition-map protocol; upgrade the client (v1 'M' rejected)", ErrProtocol)
 		}
-		set, err := readSetBody(r)
+		events, err := readSetBody[core.Event](r)
 		if err != nil {
 			return false, err
 		}
-		matched := s.matcher.Match(set)
-		ids := make([]uint32, len(matched))
-		for i, id := range matched {
-			ids[i] = uint32(id)
-		}
+		ids := s.matcher.Match(core.Canonical(events))
 		return true, s.writeChecked(w, key, func() error { return writeFrame(w, 'R', ids) })
 	}
 	if s.dyn == nil {
 		return false, fmt.Errorf("%w: expected frame %q, got %q", ErrProtocol, 'M', kind)
 	}
-	payload, err := readBlobBody(r)
+	if kind == kindMatchV2 {
+		return s.handleMatch(r, w, key, sc)
+	}
+	payload, err := readBlobBody(r, nil)
 	if err != nil {
 		return false, err
 	}
@@ -351,8 +362,6 @@ func (s *Server) dispatch(kind byte, r *bufio.Reader, w *bufio.Writer, key strin
 		return s.writeChecked(w, key, func() error { return writeBlob(w, k, body) })
 	}
 	switch kind {
-	case kindMatchV2:
-		return s.handleMatch(payload, resp)
 	case kindAdd:
 		return s.handleAdd(payload, resp)
 	case kindRemove:
@@ -370,45 +379,57 @@ func (s *Server) dispatch(kind byte, r *bufio.Reader, w *bufio.Writer, key strin
 	}
 }
 
+// matchScratch is one connection's reusable match state: the request
+// payload, the decoded event set and the matched ids. Each grows to the
+// largest match the connection has carried and is never shared.
+type matchScratch struct {
+	payload []byte
+	events  []core.Event
+	ids     []core.ComplexID
+}
+
 // handleMatch answers a v2 match: verify this block read-serves every
 // requested partition under the installed map, match the live matcher,
-// and filter the ids down to the requested partitions.
-func (s *Server) handleMatch(payload []byte, resp func(byte, []byte) error) (bool, error) {
-	_, parts, events, err := decodeMatchV2(payload)
-	if err != nil {
+// and filter the ids down to the requested partitions — all on the
+// connection's scratch, the response written straight into w.
+func (s *Server) handleMatch(r *bufio.Reader, w *bufio.Writer, key string, sc *matchScratch) (bool, error) {
+	var err error
+	if sc.payload, err = readBlobBody(r, sc.payload); err != nil {
+		return false, err
+	}
+	var want uint64
+	if _, want, sc.events, err = decodeMatchV2(sc.payload, sc.events[:0]); err != nil {
 		return false, err
 	}
 	s.smu.RLock()
 	m := s.pmap
 	stale := false
 	if m.Version != 0 {
-		for _, p := range parts {
-			if !m.Hosts(int(p), s.cfg.advertise) {
-				stale = true
-				break
-			}
+		for ps := want; ps != 0 && !stale; ps &= ps - 1 {
+			stale = !m.Hosts(bits.TrailingZeros64(ps), s.cfg.advertise)
 		}
 	}
 	s.smu.RUnlock()
 	if stale {
-		return true, resp(kindStale, encodeU64(m.Version))
+		return true, s.writeChecked(w, key, func() error { return writeBlob(w, kindStale, encodeU64(m.Version)) })
 	}
 
-	set := core.Canonical(u32ToEvents(events))
-	matched := s.dyn.Match(set)
-	var wanted [NumPartitions]bool
-	for _, p := range parts {
-		wanted[int(p)%NumPartitions] = true
+	// The ring client sends canonical sets; anything else is sorted and
+	// deduplicated as before.
+	set := core.EventSet(sc.events)
+	if !set.IsCanonical() {
+		set = core.Canonical(sc.events)
 	}
-	ids := make([]uint32, 0, len(matched))
+	sc.ids = s.dyn.MatchAppend(sc.ids[:0], set)
+	ids := sc.ids[:0]
 	s.smu.RLock()
-	for _, id := range matched {
-		if p, ok := s.part[id]; ok && wanted[p] {
-			ids = append(ids, uint32(id))
+	for _, id := range sc.ids {
+		if p, ok := s.part[id]; ok && want&(1<<p) != 0 {
+			ids = append(ids, id)
 		}
 	}
 	s.smu.RUnlock()
-	return true, resp(kindResults, appendU32s(nil, ids))
+	return true, s.writeChecked(w, key, func() error { return writeResults(w, ids) })
 }
 
 // checkWriteVersion bounces writes carrying an older map version than
@@ -437,7 +458,7 @@ func (s *Server) handleAdd(payload []byte, resp func(byte, []byte) error) (bool,
 	if stale, cur := s.checkWriteVersion(ver); stale {
 		return true, resp(kindStale, encodeU64(cur))
 	}
-	set := core.Canonical(u32ToEvents(events))
+	set := core.Canonical(events)
 	if len(set) == 0 {
 		return false, core.ErrEmptyComplexEvent
 	}
@@ -542,14 +563,10 @@ func (s *Server) handleMapReq(resp func(byte, []byte) error) (bool, error) {
 	return true, resp(kindMapResp, m.Encode())
 }
 
-func writeFrame(w io.Writer, kind byte, values []uint32) error {
-	if _, err := w.Write([]byte{kind}); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(values))); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, values)
+func writeFrame[T ~uint32](w io.Writer, kind byte, values []T) error {
+	hdr := binary.LittleEndian.AppendUint32([]byte{kind}, uint32(len(values)))
+	_, err := w.Write(appendU32s(hdr, values))
+	return err
 }
 
 func writeError(w io.Writer, err error) {
@@ -559,16 +576,7 @@ func writeError(w io.Writer, err error) {
 	w.Write(msg)
 }
 
-// readSetBody reads a v1 count-framed body whose kind byte was consumed.
-func readSetBody(r io.Reader) (core.EventSet, error) {
-	raw, err := readSetRawBody(r)
-	if err != nil {
-		return nil, err
-	}
-	return core.Canonical(u32ToEvents(raw)), nil
-}
-
-func readSetRaw(r io.Reader, kind byte) ([]uint32, error) {
+func readSetRaw[T ~uint32](r io.Reader, kind byte) ([]T, error) {
 	var k [1]byte
 	if _, err := io.ReadFull(r, k[:]); err != nil {
 		return nil, err
@@ -590,10 +598,11 @@ func readSetRaw(r io.Reader, kind byte) ([]uint32, error) {
 	if k[0] != kind {
 		return nil, fmt.Errorf("%w: expected frame %q, got %q", ErrProtocol, kind, k[0])
 	}
-	return readSetRawBody(r)
+	return readSetBody[T](r)
 }
 
-func readSetRawBody(r io.Reader) ([]uint32, error) {
+// readSetBody reads a v1 count-framed body whose kind byte was consumed.
+func readSetBody[T ~uint32](r io.Reader) ([]T, error) {
 	var n uint32
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 		return nil, fmt.Errorf("%w: truncated length", ErrProtocol)
@@ -601,9 +610,9 @@ func readSetRawBody(r io.Reader) ([]uint32, error) {
 	if n > maxSetLen {
 		return nil, fmt.Errorf("%w: frame of %d values", ErrProtocol, n)
 	}
-	values := make([]uint32, n)
-	if err := binary.Read(r, binary.LittleEndian, values); err != nil {
+	raw := make([]byte, 4*n)
+	if _, err := io.ReadFull(r, raw); err != nil {
 		return nil, fmt.Errorf("%w: truncated frame", ErrProtocol)
 	}
-	return values, nil
+	return u32s[T](nil, raw)
 }

@@ -349,7 +349,7 @@ func (c *Coord) runTransfer(p *pendingTransfer) error {
 			p.dumped[mv.Part] = subs
 		}
 		for _, sub := range subs {
-			payload := encodeSubOp(p.trans.Version, uint32(sub.ID), eventsToU32(sub.Events))
+			payload := encodeSubOp(p.trans.Version, uint32(sub.ID), sub.Events)
 			kind, _, err := c.rpc(mv.To, kindAdd, payload)
 			if err != nil {
 				return fmt.Errorf("cluster: copy partition %d to %s: %w", mv.Part, mv.To, err)
@@ -529,7 +529,7 @@ func (c *Coord) rpcOnce(addr string, kind byte, payload []byte) (byte, []byte, e
 	if err := w.Flush(); err != nil {
 		return 0, nil, err
 	}
-	return readBlob(bufio.NewReader(conn))
+	return readBlob(bufio.NewReader(conn), nil)
 }
 
 // ServeCoord starts the coordinator's control listener on addr. Blocks
@@ -622,7 +622,7 @@ func (c *Coord) handle(conn net.Conn) {
 		if err := c.faultCheck(faults.PointServeRead, conn.RemoteAddr().String()); err != nil {
 			return
 		}
-		kind, body, err := readBlob(r)
+		kind, body, err := readBlob(r, nil)
 		if err != nil {
 			var remote *RemoteError
 			if !errors.As(err, &remote) {

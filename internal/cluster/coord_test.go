@@ -96,6 +96,17 @@ func checkAgainstReference(t *testing.T, rc *RingClient, ref *core.Matcher, want
 		{5, 105, 205}, {0, 100, 200}, {96, 130, 212}, {1, 2, 3, 101, 102, 201},
 		{50, 115, 207, 9999}, {77, 120, 209},
 	}
+	// Wider documents as well: sixteen events span more partitions than
+	// one block of three hosts, so their plans take two blocks and, over a
+	// dozen of them, ask every block — which is what lets a test that
+	// kills one block count on the kill being noticed.
+	for i := 0; i < 12; i++ {
+		var doc []core.Event
+		for j := 0; j < 8; j++ {
+			doc = append(doc, core.Event((i*13+j*7)%97), core.Event((i*5+j*3)%31+100))
+		}
+		docs = append(docs, doc)
+	}
 	for _, doc := range docs {
 		set := core.Canonical(doc)
 		want := ref.Match(set)

@@ -52,8 +52,9 @@ type Map struct {
 	Replicas int `json:"replicas"`
 	// Blocks lists the member block addresses, sorted.
 	Blocks []string `json:"blocks"`
-	// Assign lists, per partition, the preference-ordered replica
-	// addresses that fully host it — reads route to the first live entry.
+	// Assign lists, per partition, the replica addresses that fully host
+	// it, in rendezvous order. Any of them may serve a read: the ring
+	// client picks the fewest blocks that cover a document's partitions.
 	Assign [][]string `json:"assign"`
 	// Joining lists, per partition (by index key), destination blocks
 	// mid-handoff: they receive every write (the double-write that keeps

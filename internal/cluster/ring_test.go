@@ -133,27 +133,18 @@ func TestMapWireRoundtrip(t *testing.T) {
 	}
 }
 
-// TestNeededPartitions checks the client-side routing set is exactly the
+// TestNeededPartitions checks the client-side routing mask is exactly the
 // distinct partitions of the document's events.
 func TestNeededPartitions(t *testing.T) {
 	set := core.Canonical([]core.Event{1, 2, 3, 100, 1000})
-	parts := neededPartitions(set)
-	want := map[uint32]bool{}
+	var want uint64
 	for _, e := range set {
-		want[uint32(PartitionOfEvent(e))] = true
+		want |= 1 << PartitionOfEvent(e)
 	}
-	if len(parts) != len(want) {
-		t.Fatalf("neededPartitions = %v, want the %d distinct partitions", parts, len(want))
+	if got := neededPartitions(set); got != want || got == 0 {
+		t.Fatalf("neededPartitions = %#x, want %#x", got, want)
 	}
-	for i, p := range parts {
-		if !want[p] {
-			t.Fatalf("unexpected partition %d", p)
-		}
-		if i > 0 && parts[i-1] >= p {
-			t.Fatal("partitions not sorted/deduped")
-		}
-	}
-	if got := neededPartitions(nil); len(got) != 0 {
-		t.Fatalf("empty set needs partitions %v", got)
+	if got := neededPartitions(nil); got != 0 {
+		t.Fatalf("empty set needs partitions %#x", got)
 	}
 }

@@ -4,8 +4,9 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"xymon/internal/core"
 )
@@ -13,16 +14,20 @@ import (
 // ErrNoMap reports a ring client without an installed partition map.
 var ErrNoMap = errors.New("cluster: no partition map")
 
+var errRingClosed = errors.New("cluster: ring client is closed")
+
 // maxMapRefreshes bounds how many stale-map → refetch rounds one request
 // rides before giving up: a coordinator installing maps faster than a
 // client can refetch them is a bug, not a condition to chase forever.
 const maxMapRefreshes = 3
 
 // RingClient is the v2 partition-map client. It routes every request by
-// the current map: matches fan out to the first live replica of each
-// needed partition and fail over to the next replica before ever
-// reporting degradation; Add/Remove are written to every replica plus
-// any joining destination (the client half of the double-write
+// the current map: a match goes to the fewest blocks whose hosted
+// partitions cover the document's — one block, on the caller's goroutine,
+// whenever some block hosts them all, which is always so at R = N — with
+// replicas taking turns, and fails over to the remaining replicas before
+// ever reporting degradation; Add/Remove are written to every replica
+// plus any joining destination (the client half of the double-write
 // invariant). Stale-map rejections from blocks trigger a refetch from
 // the coordinator, so clients converge on new maps without a push
 // channel.
@@ -30,11 +35,63 @@ type RingClient struct {
 	cfg   clientConfig
 	coord string // coordinator address ("" = static map, no refresh)
 
+	// rt is the adopted map with its routing tables; nil while there is
+	// none (or after Close). Readers load it; writers hold mu.
+	rt   atomic.Pointer[routes]
+	turn atomic.Uint32 // rotates which replica a match prefers
+
 	mu    sync.Mutex
-	m     Map
-	conns map[string]*blockConn
+	conns map[string]*blockConn // nil once closed
 
 	st netStats
+}
+
+// routes is the routing snapshot of one adopted map, built once per
+// adoption so that the match path reads it through one atomic pointer
+// and never takes the client's mutex.
+type routes struct {
+	m     Map
+	conns []*blockConn // the blocks that read-serve some partition
+	masks []uint64     // masks[i] has bit p set when conns[i] hosts partition p
+}
+
+// leg is one block's share of a match: the partitions asked of it and
+// what came back.
+type leg struct {
+	block int    // index into routes.conns
+	parts uint64 // partitions asked of the block
+	ids   []core.ComplexID
+	stale bool
+	err   error
+}
+
+// cover is the planner. It appends to legs the fewest blocks whose masks
+// cover need, greedily (the block hosting most of what is still uncovered
+// goes first, ties to the first such block at or after start), skipping
+// the blocks a leg already in legs failed on, and returns the partitions
+// left without a block. A block that hosts all of need is always the whole plan.
+func (rt *routes) cover(legs []leg, need uint64, start uint32) ([]leg, uint64) {
+	for need != 0 {
+		best, bestN := -1, 0
+		for k := range rt.masks {
+			i := int((start + uint32(k)) % uint32(len(rt.masks)))
+			n := bits.OnesCount64(rt.masks[i] & need)
+			for j := range legs {
+				if legs[j].block == i && legs[j].err != nil {
+					n = 0
+				}
+			}
+			if n > bestN {
+				best, bestN = i, n
+			}
+		}
+		if best < 0 {
+			break
+		}
+		legs = append(legs, leg{block: best, parts: rt.masks[best] & need})
+		need &^= rt.masks[best]
+	}
+	return legs, need
 }
 
 // DialRing fetches the current partition map from the coordinator and
@@ -56,11 +113,12 @@ func DialRing(coordAddr string, opts ...ClientOption) (*RingClient, error) {
 // coordinator: stale-map rejections surface as errors instead of
 // triggering a refetch. Deployment glue and tests use this.
 func NewRingClientWithMap(m Map, opts ...ClientOption) *RingClient {
-	return &RingClient{
+	c := &RingClient{
 		cfg:   newClientConfig(opts),
 		conns: make(map[string]*blockConn),
-		m:     m.Clone(),
 	}
+	c.adopt(m.Clone())
+	return c
 }
 
 // Close closes every block connection.
@@ -69,24 +127,21 @@ func (c *RingClient) Close() error {
 	defer c.mu.Unlock()
 	var first error
 	for _, bc := range c.conns {
-		bc.mu.Lock()
-		if bc.conn != nil {
-			if err := bc.conn.Close(); err != nil && first == nil {
-				first = err
-			}
-			bc.conn = nil
+		if err := bc.close(); err != nil && first == nil {
+			first = err
 		}
-		bc.mu.Unlock()
 	}
 	c.conns = nil
+	c.rt.Store(nil)
 	return first
 }
 
 // Map snapshots the client's current partition map.
 func (c *RingClient) Map() Map {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m.Clone()
+	if rt := c.rt.Load(); rt != nil {
+		return rt.m.Clone()
+	}
+	return Map{}
 }
 
 // Stats snapshots the robustness counters.
@@ -114,18 +169,49 @@ func (c *RingClient) RefreshMap() error {
 }
 
 func (c *RingClient) mapVersion() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m.Version
+	if rt := c.rt.Load(); rt != nil {
+		return rt.m.Version
+	}
+	return 0
 }
 
-// adopt installs m if it is at least as new as the current map.
+// adopt installs m, with its routing tables, if it is a routable map at
+// least as new as the current one.
 func (c *RingClient) adopt(m Map) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if m.Version >= c.m.Version {
-		c.m = m
+	cur := c.rt.Load()
+	if c.conns == nil || m.Version == 0 || len(m.Assign) != NumPartitions || (cur != nil && m.Version < cur.m.Version) {
+		return
 	}
+	rt := &routes{m: m}
+	index := make(map[string]int)
+	for p, owners := range m.Assign {
+		for _, addr := range owners {
+			i, ok := index[addr]
+			if !ok {
+				i = len(rt.conns)
+				index[addr] = i
+				rt.conns = append(rt.conns, c.connLocked(addr))
+				rt.masks = append(rt.masks, 0)
+			}
+			rt.masks[i] |= 1 << p
+		}
+	}
+	c.rt.Store(rt)
+}
+
+// routed returns the current routing snapshot, or why there is none.
+func (c *RingClient) routed() (*routes, error) {
+	if rt := c.rt.Load(); rt != nil {
+		return rt, nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.conns == nil {
+		return nil, errRingClosed
+	}
+	return nil, ErrNoMap
 }
 
 // conn returns (creating on first use) the shared connection state for
@@ -134,14 +220,18 @@ func (c *RingClient) conn(addr string) (*blockConn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.conns == nil {
-		return nil, errors.New("cluster: ring client is closed")
+		return nil, errRingClosed
 	}
+	return c.connLocked(addr), nil
+}
+
+func (c *RingClient) connLocked(addr string) *blockConn {
 	bc, ok := c.conns[addr]
 	if !ok {
 		bc = &blockConn{addr: addr}
 		c.conns[addr] = bc
 	}
-	return bc, nil
+	return bc
 }
 
 // request runs one v2 request/response round trip against addr through
@@ -158,28 +248,22 @@ func (c *RingClient) request(addr string, kind byte, payload []byte) (byte, []by
 		func(w *bufio.Writer) error { return writeBlob(w, kind, payload) },
 		func(r *bufio.Reader) error {
 			var err error
-			rkind, rbody, err = readBlob(r)
+			rkind, rbody, err = readBlob(r, nil)
 			return err
 		})
 	return rkind, rbody, err
 }
 
-// neededPartitions returns the sorted distinct partitions a match for s
-// must consult: the partitions of the document's own events. Any
-// subscription triggered by s has its minimal event in s, so its
-// partition is among these.
-func neededPartitions(s core.EventSet) []uint32 {
-	var seen [NumPartitions]bool
-	var parts []uint32
+// neededPartitions returns the mask of partitions a match for s must
+// consult: the partitions of the document's own events. Any subscription
+// triggered by s has its minimal event in s, so its partition is among
+// these.
+func neededPartitions(s core.EventSet) uint64 {
+	var need uint64
 	for _, e := range s {
-		p := PartitionOfEvent(e)
-		if !seen[p] {
-			seen[p] = true
-			parts = append(parts, uint32(p))
-		}
+		need |= 1 << PartitionOfEvent(e)
 	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i] < parts[j] })
-	return parts
+	return need
 }
 
 // Match is MatchResult without the degradation report.
@@ -188,27 +272,25 @@ func (c *RingClient) Match(s core.EventSet) ([]core.ComplexID, error) {
 	return res.IDs, err
 }
 
-// MatchResult matches the canonical event set against the cluster. Each
-// needed partition is asked of its first live replica; a replica failure
-// re-routes that replica's partitions to the next choice (counted in
+// MatchResult matches the canonical event set against the cluster: one
+// round trip to one block when some block hosts every needed partition,
+// else to the fewest blocks that cover them between them. A block failure
+// re-routes its partitions to the replicas that remain (counted in
 // Stats().Failovers) — Degraded is set only when a partition runs out of
 // replicas entirely. A stale-map rejection refetches the map from the
 // coordinator and re-plans, bounded by maxMapRefreshes.
 func (c *RingClient) MatchResult(s core.EventSet) (Result, error) {
-	parts := neededPartitions(s)
-	if len(parts) == 0 {
+	need := neededPartitions(s)
+	if need == 0 {
 		return Result{}, nil
 	}
-	events := eventsToU32(s)
 	var lastErr error
 	for refresh := 0; ; refresh++ {
-		c.mu.Lock()
-		m := c.m
-		c.mu.Unlock()
-		if m.Version == 0 || len(m.Assign) != NumPartitions {
-			return Result{}, ErrNoMap
+		rt, err := c.routed()
+		if err != nil {
+			return Result{}, err
 		}
-		res, stale, err := c.matchOnce(m, parts, events)
+		res, stale, err := c.matchOnce(rt, need, s)
 		if err != nil {
 			return Result{}, err
 		}
@@ -219,7 +301,7 @@ func (c *RingClient) MatchResult(s core.EventSet) (Result, error) {
 			return res, nil
 		}
 		if refresh >= maxMapRefreshes || c.coord == "" {
-			return Result{}, fmt.Errorf("%w: blocks reject map version %d as stale", ErrProtocol, m.Version)
+			return Result{}, fmt.Errorf("%w: blocks reject map version %d as stale", ErrProtocol, rt.m.Version)
 		}
 		if err := c.RefreshMap(); err != nil {
 			lastErr = err
@@ -234,102 +316,57 @@ func (c *RingClient) MatchResult(s core.EventSet) (Result, error) {
 	}
 }
 
-// matchOnce runs one fan-out round under a fixed map: plan partitions
-// onto their first non-failed replica, query the planned blocks
-// concurrently, re-plan failed blocks' partitions onto the next replica,
-// and repeat until every partition is answered or out of candidates.
-// Partition sets sent to distinct blocks are disjoint, so the merged ids
-// carry no duplicates. stale=true means some block holds a newer map.
-func (c *RingClient) matchOnce(m Map, parts []uint32, events []uint32) (Result, bool, error) {
-	pending := make(map[uint32]bool, len(parts))
-	for _, p := range parts {
-		pending[p] = true
-	}
-	failed := make(map[string]bool)
+// matchOnce runs one match under a fixed routing snapshot: cover the
+// needed partitions, ask the planned blocks, re-cover what the failed
+// ones were asked for with the blocks that remain, and repeat until every
+// partition is answered or out of replicas. Partition sets sent to
+// distinct blocks are disjoint, so the merged ids carry no duplicates.
+// stale=true means some block holds a newer map.
+func (c *RingClient) matchOnce(rt *routes, need uint64, s core.EventSet) (Result, bool, error) {
+	start := c.turn.Add(1)
+	var buf [4]leg // a plan is one leg nearly always; keeps it off the heap
+	legs, orphans := rt.cover(buf[:0], need, start)
 	var res Result
 	var firstErr error
 	answered := false
-	for round := 0; len(pending) > 0; round++ {
-		// Plan: each pending partition goes to its first replica not yet
-		// failed this match.
-		plan := make(map[string][]uint32)
-		for p := range pending {
-			for _, addr := range m.Assign[p] {
-				if !failed[addr] {
-					plan[addr] = append(plan[addr], p)
-					break
-				}
-			}
-		}
-		if len(plan) == 0 {
-			break // every remaining partition is out of replicas
-		}
-		type reply struct {
-			addr  string
-			parts []uint32
-			ids   []uint32
-			stale bool
-			err   error
-		}
-		replies := make([]reply, 0, len(plan))
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		for addr, ps := range plan {
-			wg.Add(1)
-			go func(addr string, ps []uint32) {
-				defer wg.Done()
-				sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-				rep := reply{addr: addr, parts: ps}
-				kind, body, err := c.request(addr, kindMatchV2, encodeMatchV2(m.Version, ps, events))
-				switch {
-				case err != nil:
-					rep.err = err
-				case kind == kindStale:
-					rep.stale = true
-				case kind == kindResults:
-					rep.ids, rep.err = u32s(body)
-				default:
-					rep.err = fmt.Errorf("%w: block answered %q to a match", ErrProtocol, kind)
-				}
-				mu.Lock()
-				replies = append(replies, rep)
-				mu.Unlock()
-			}(addr, ps)
-		}
-		wg.Wait()
-		for _, rep := range replies {
+	for done := 0; done < len(legs); {
+		round := legs[done:]
+		done = len(legs)
+		c.ask(rt, round, s)
+		var lost uint64
+		for i := range round {
+			l := &round[i]
 			switch {
-			case rep.stale:
+			case l.stale:
 				return Result{}, true, nil
-			case rep.err != nil:
+			case l.err != nil:
 				var remote *RemoteError
-				if errors.As(rep.err, &remote) {
+				if errors.As(l.err, &remote) {
 					// The block understood and rejected the request;
 					// another replica will reject it identically.
-					return Result{}, false, rep.err
+					return Result{}, false, l.err
 				}
 				if firstErr == nil {
-					firstErr = rep.err
+					firstErr = l.err
 				}
-				failed[rep.addr] = true
-				if !containsAddr(res.Down, rep.addr) {
-					res.Down = append(res.Down, rep.addr)
+				lost |= l.parts
+				if addr := rt.conns[l.block].addr; !containsAddr(res.Down, addr) {
+					res.Down = append(res.Down, addr)
 				}
-				if round == 0 {
-					// These partitions get a second chance below; count
-					// the re-route, not the final outcome.
-					c.st.failovers.Add(1)
-				}
+			case res.IDs == nil:
+				answered, res.IDs = true, l.ids
 			default:
-				answered = true
-				res.IDs = append(res.IDs, idsOf(rep.ids)...)
-				for _, p := range rep.parts {
-					delete(pending, p)
-				}
+				answered, res.IDs = true, append(res.IDs, l.ids...)
 			}
 		}
+		if lost != 0 {
+			var left uint64
+			legs, left = rt.cover(legs, lost, start)
+			c.st.failovers.Add(uint64(bits.OnesCount64(lost &^ left)))
+			orphans |= left
+		}
 	}
-	if len(pending) > 0 {
+	if orphans != 0 {
 		if !answered {
 			// Nothing answered at all: an error, not a degraded result —
 			// there is nothing to degrade to.
@@ -343,12 +380,45 @@ func (c *RingClient) matchOnce(m Map, parts []uint32, events []uint32) (Result, 
 	return res, false, nil
 }
 
-func idsOf(raw []uint32) []core.ComplexID {
-	out := make([]core.ComplexID, len(raw))
-	for i, id := range raw {
-		out[i] = core.ComplexID(id)
+// ask puts one round of legs to their blocks and waits for the answers:
+// a single leg on the caller's goroutine, k legs on k − 1 more.
+func (c *RingClient) ask(rt *routes, round []leg, s core.EventSet) {
+	if len(round) == 1 {
+		c.askBlock(rt, &round[0], s)
+		return
 	}
-	return out
+	// The goroutines work on a copy: pointers into round would move the
+	// single-leg caller's stack array to the heap on every match.
+	legs := append([]leg(nil), round...)
+	fanOut(len(legs), func(i int) { c.askBlock(rt, &legs[i], s) })
+	copy(round, legs)
+}
+
+// fanOut runs f(0) on the caller's goroutine and f(1) … f(n-1) each on
+// its own, and returns when all have; n is at least 1.
+func fanOut(n int, f func(i int)) {
+	var wg sync.WaitGroup
+	for i := 1; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(i)
+		}()
+	}
+	f(0)
+	wg.Wait()
+}
+
+// askBlock runs one leg: the request is encoded straight into the block
+// connection's writer and the ids decoded straight into the leg.
+func (c *RingClient) askBlock(rt *routes, l *leg, s core.EventSet) {
+	bc := rt.conns[l.block]
+	l.err = bc.call(&c.cfg, &c.st,
+		func(w *bufio.Writer) error { return writeMatchV2(w, rt.m.Version, l.parts, s) },
+		func(r *bufio.Reader) (err error) {
+			l.ids, l.stale, err = readMatchReply(r, &bc.buf, l.ids[:0])
+			return err
+		})
 }
 
 // Add registers (or replaces) subscription id on every block that must
@@ -361,10 +431,8 @@ func (c *RingClient) Add(id core.ComplexID, events []core.Event) error {
 	if len(set) == 0 {
 		return core.ErrEmptyComplexEvent
 	}
-	p := PartitionOf(set)
-	raw := eventsToU32(set)
-	return c.writeAll(p, func(ver uint64) (byte, []byte) {
-		return kindAdd, encodeSubOp(ver, uint32(id), raw)
+	return c.writeAll(PartitionOf(set), func(ver uint64) (byte, []byte) {
+		return kindAdd, encodeSubOp(ver, uint32(id), set)
 	})
 }
 
@@ -387,12 +455,11 @@ func (c *RingClient) Remove(id core.ComplexID, events []core.Event) error {
 // because '+' replaces and '-' is a no-op on absence.
 func (c *RingClient) writeAll(p int, frame func(ver uint64) (byte, []byte)) error {
 	for refresh := 0; ; refresh++ {
-		c.mu.Lock()
-		m := c.m
-		c.mu.Unlock()
-		if m.Version == 0 || len(m.Assign) != NumPartitions {
-			return ErrNoMap
+		rt, err := c.routed()
+		if err != nil {
+			return err
 		}
+		m := rt.m
 		targets := m.WriteTargets(p)
 		if len(targets) == 0 {
 			return fmt.Errorf("%w: partition %d has no write targets", ErrNoMap, p)
@@ -453,17 +520,13 @@ func (c *RingClient) Health() []BlockHealth {
 func (c *RingClient) blockConns() []*blockConn {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.conns == nil {
+	rt := c.rt.Load()
+	if rt == nil { // no map, or closed
 		return nil
 	}
-	out := make([]*blockConn, 0, len(c.m.Blocks))
-	for _, addr := range c.m.Blocks {
-		bc, ok := c.conns[addr]
-		if !ok {
-			bc = &blockConn{addr: addr}
-			c.conns[addr] = bc
-		}
-		out = append(out, bc)
+	out := make([]*blockConn, 0, len(rt.m.Blocks))
+	for _, addr := range rt.m.Blocks {
+		out = append(out, c.connLocked(addr))
 	}
 	return out
 }

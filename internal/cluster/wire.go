@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
+	"slices"
 
 	"xymon/internal/core"
 )
@@ -59,141 +62,177 @@ type Sub struct {
 	Events core.EventSet  `json:"events"`
 }
 
-// writeBlob frames one v2 message.
-func writeBlob(w io.Writer, kind byte, payload []byte) error {
-	if len(payload) > maxBlob {
-		return fmt.Errorf("%w: %d-byte frame exceeds the %d-byte cap", ErrProtocol, len(payload), maxBlob)
+// beginBlob starts a frame of n payload bytes in w's own free buffer
+// space: what the caller appends and hands to w.Write is copied nowhere
+// and allocates nothing while the frame fits the buffer.
+func beginBlob(w *bufio.Writer, kind byte, n int) ([]byte, error) {
+	if n > maxBlob {
+		return nil, fmt.Errorf("%w: %d-byte frame exceeds the %d-byte cap", ErrProtocol, n, maxBlob)
 	}
-	var hdr [5]byte
-	hdr[0] = kind
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	return binary.LittleEndian.AppendUint32(append(w.AvailableBuffer(), kind), uint32(n)), nil
+}
+
+// writeBlob frames one v2 message.
+func writeBlob(w *bufio.Writer, kind byte, payload []byte) error {
+	hdr, err := beginBlob(w, kind, len(payload))
+	if err != nil {
 		return err
 	}
-	_, err := w.Write(payload)
+	if _, err := w.Write(hdr); err != nil {
+		return err
+	}
+	_, err = w.Write(payload)
 	return err
 }
 
 // readBlobBody reads the length and payload of a blob frame whose kind
-// byte has already been consumed.
-func readBlobBody(r io.Reader) ([]byte, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+// byte has already been consumed, into buf's storage when it is large
+// enough (the match path passes a per-connection buffer, the rest nil).
+func readBlobBody(r *bufio.Reader, buf []byte) ([]byte, error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
 		return nil, fmt.Errorf("%w: truncated length", ErrProtocol)
 	}
+	n := int(binary.LittleEndian.Uint32(hdr))
 	if n > maxBlob {
 		return nil, fmt.Errorf("%w: %d-byte frame exceeds the %d-byte cap", ErrProtocol, n, maxBlob)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	_, _ = r.Discard(4) // cannot fail: Peek buffered the four bytes
+	if _, err := io.ReadFull(r, buf[:n]); err != nil {
 		return nil, fmt.Errorf("%w: truncated frame", ErrProtocol)
 	}
-	return payload, nil
+	return buf[:n], nil
 }
 
-// readBlob reads one whole blob frame. An error frame is decoded into a
-// *RemoteError so callers surface the peer's words, not a frame dump.
-func readBlob(r io.Reader) (byte, []byte, error) {
-	var k [1]byte
-	if _, err := io.ReadFull(r, k[:]); err != nil {
-		return 0, nil, err
-	}
-	payload, err := readBlobBody(r)
+// readBlob reads one whole blob frame, the payload into buf as
+// readBlobBody does. An error frame is decoded into a *RemoteError so
+// callers surface the peer's words, not a frame dump.
+func readBlob(r *bufio.Reader, buf []byte) (byte, []byte, error) {
+	kind, err := r.ReadByte()
 	if err != nil {
 		return 0, nil, err
 	}
-	if k[0] == kindError {
+	payload, err := readBlobBody(r, buf)
+	if err != nil {
+		return 0, nil, err
+	}
+	if kind == kindError {
 		return 0, nil, &RemoteError{Msg: string(payload)}
 	}
-	return k[0], payload, nil
+	return kind, payload, nil
 }
 
 // appendU32s appends values little-endian.
-func appendU32s(dst []byte, values []uint32) []byte {
+func appendU32s[T ~uint32](dst []byte, values []T) []byte {
 	for _, v := range values {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		dst = append(dst, b[:]...)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
 	}
 	return dst
 }
 
-// u32s reinterprets a payload tail as a u32 list.
-func u32s(b []byte) ([]uint32, error) {
+// u32s appends the little-endian values of a payload tail to dst.
+func u32s[T ~uint32](dst []T, b []byte) ([]T, error) {
 	if len(b)%4 != 0 {
-		return nil, fmt.Errorf("%w: %d-byte value list", ErrProtocol, len(b))
+		return dst, fmt.Errorf("%w: %d-byte value list", ErrProtocol, len(b))
 	}
-	out := make([]uint32, len(b)/4)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[i*4:])
+	dst = slices.Grow(dst, len(b)/4)
+	for ; len(b) > 0; b = b[4:] {
+		dst = append(dst, T(binary.LittleEndian.Uint32(b)))
 	}
-	return out, nil
+	return dst, nil
 }
 
-func eventsToU32(s core.EventSet) []uint32 {
-	out := make([]uint32, len(s))
-	for i, e := range s {
-		out[i] = uint32(e)
+// writeMatchV2 frames an 'm' request straight into w: map version, the
+// partitions of the parts mask in ascending order, the event set as given
+// (callers pass a canonical one).
+func writeMatchV2(w *bufio.Writer, ver uint64, parts uint64, s core.EventSet) error {
+	np := bits.OnesCount64(parts)
+	b, err := beginBlob(w, kindMatchV2, 12+4*(np+len(s)))
+	if err != nil {
+		return err
 	}
-	return out
-}
-
-func u32ToEvents(vals []uint32) []core.Event {
-	out := make([]core.Event, len(vals))
-	for i, v := range vals {
-		out[i] = core.Event(v)
+	b = binary.LittleEndian.AppendUint64(b, ver)
+	b = binary.LittleEndian.AppendUint32(b, uint32(np))
+	for ; parts != 0; parts &= parts - 1 {
+		b = binary.LittleEndian.AppendUint32(b, uint32(bits.TrailingZeros64(parts)))
 	}
-	return out
+	_, err = w.Write(appendU32s(b, s))
+	return err
 }
 
-// encodeMatchV2 builds the 'm' payload: map version, partition filter,
-// event set.
-func encodeMatchV2(ver uint64, parts []uint32, events []uint32) []byte {
-	out := make([]byte, 0, 12+4*(len(parts)+len(events)))
-	out = binary.LittleEndian.AppendUint64(out, ver)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(parts)))
-	out = appendU32s(out, parts)
-	out = appendU32s(out, events)
-	return out
-}
-
-func decodeMatchV2(b []byte) (ver uint64, parts, events []uint32, err error) {
+// decodeMatchV2 splits an 'm' payload into the map version, the mask of
+// wanted partitions and the events, which it appends to events.
+func decodeMatchV2(b []byte, events []core.Event) (ver uint64, parts uint64, _ []core.Event, err error) {
 	if len(b) < 12 {
-		return 0, nil, nil, fmt.Errorf("%w: short match frame", ErrProtocol)
+		return 0, 0, events, fmt.Errorf("%w: short match frame", ErrProtocol)
 	}
 	ver = binary.LittleEndian.Uint64(b)
 	np := binary.LittleEndian.Uint32(b[8:])
-	rest := b[12:]
-	if uint64(np) > uint64(len(rest))/4 || np > NumPartitions {
-		return 0, nil, nil, fmt.Errorf("%w: match frame with %d partitions", ErrProtocol, np)
+	b = b[12:]
+	if uint64(np) > uint64(len(b))/4 || np > NumPartitions {
+		return 0, 0, events, fmt.Errorf("%w: match frame with %d partitions", ErrProtocol, np)
 	}
-	if parts, err = u32s(rest[:4*np]); err != nil {
-		return 0, nil, nil, err
+	for ; np > 0; np, b = np-1, b[4:] {
+		p := binary.LittleEndian.Uint32(b)
+		if p >= NumPartitions {
+			return 0, 0, events, fmt.Errorf("%w: match frame names partition %d of %d", ErrProtocol, p, NumPartitions)
+		}
+		parts |= 1 << p
 	}
-	if events, err = u32s(rest[4*np:]); err != nil {
-		return 0, nil, nil, err
+	if len(b)/4 > maxSetLen {
+		return 0, 0, events, fmt.Errorf("%w: match frame of %d events", ErrProtocol, len(b)/4)
 	}
-	if len(events) > maxSetLen {
-		return 0, nil, nil, fmt.Errorf("%w: match frame of %d events", ErrProtocol, len(events))
+	events, err = u32s(events, b)
+	return ver, parts, events, err
+}
+
+// writeResults frames an 'r' response straight into w.
+func writeResults(w *bufio.Writer, ids []core.ComplexID) error {
+	b, err := beginBlob(w, kindResults, 4*len(ids))
+	if err != nil {
+		return err
 	}
-	return ver, parts, events, nil
+	_, err = w.Write(appendU32s(b, ids))
+	return err
+}
+
+// readMatchReply reads the answer to an 'm' request through *buf, the
+// connection's reusable payload buffer, appending the ids of an 'r' frame
+// to ids; stale reports an 'S' frame.
+func readMatchReply(r *bufio.Reader, buf *[]byte, ids []core.ComplexID) (_ []core.ComplexID, stale bool, err error) {
+	kind, b, err := readBlob(r, *buf)
+	if err != nil {
+		return ids, false, err
+	}
+	*buf = b
+	switch kind {
+	case kindStale:
+		return ids, true, nil
+	case kindResults:
+		ids, err = u32s(ids, b)
+		return ids, false, err
+	}
+	return ids, false, fmt.Errorf("%w: block answered %q to a match", ErrProtocol, kind)
 }
 
 // encodeSubOp builds the '+' (with events) or '-' (without) payload.
-func encodeSubOp(ver uint64, id uint32, events []uint32) []byte {
+func encodeSubOp(ver uint64, id uint32, events []core.Event) []byte {
 	out := make([]byte, 0, 12+4*len(events))
 	out = binary.LittleEndian.AppendUint64(out, ver)
 	out = binary.LittleEndian.AppendUint32(out, id)
 	return appendU32s(out, events)
 }
 
-func decodeSubOp(b []byte) (ver uint64, id uint32, events []uint32, err error) {
+func decodeSubOp(b []byte) (ver uint64, id uint32, events []core.Event, err error) {
 	if len(b) < 12 {
 		return 0, 0, nil, fmt.Errorf("%w: short subscription frame", ErrProtocol)
 	}
 	ver = binary.LittleEndian.Uint64(b)
 	id = binary.LittleEndian.Uint32(b[8:])
-	if events, err = u32s(b[12:]); err != nil {
+	if events, err = u32s(events, b[12:]); err != nil {
 		return 0, 0, nil, err
 	}
 	if len(events) > maxSetLen {
@@ -217,20 +256,13 @@ func encodeU64(v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(nil, v)
 }
 
-func decodeU64(b []byte) (uint64, error) {
-	if len(b) != 8 {
-		return 0, fmt.Errorf("%w: expected a u64 payload, got %d bytes", ErrProtocol, len(b))
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
 // encodeSubs builds the 'D' payload: repeated (id, n, events[n]).
 func encodeSubs(subs []Sub) []byte {
 	var out []byte
 	for _, s := range subs {
 		out = binary.LittleEndian.AppendUint32(out, uint32(s.ID))
 		out = binary.LittleEndian.AppendUint32(out, uint32(len(s.Events)))
-		out = appendU32s(out, eventsToU32(s.Events))
+		out = appendU32s(out, s.Events)
 	}
 	return out
 }
@@ -247,11 +279,11 @@ func decodeSubs(b []byte) ([]Sub, error) {
 		if uint64(n) > uint64(len(b))/4 || n > maxSetLen {
 			return nil, fmt.Errorf("%w: subscription record of %d events", ErrProtocol, n)
 		}
-		vals, err := u32s(b[:4*n])
+		events, err := u32s(core.EventSet(nil), b[:4*n])
 		if err != nil {
 			return nil, err
 		}
-		subs = append(subs, Sub{ID: core.ComplexID(id), Events: core.EventSet(u32ToEvents(vals))})
+		subs = append(subs, Sub{ID: core.ComplexID(id), Events: events})
 		b = b[4*n:]
 	}
 	return subs, nil
