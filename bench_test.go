@@ -470,6 +470,56 @@ func BenchmarkCompactMatcher(b *testing.B) {
 	})
 }
 
+// BenchmarkMatcherFanoutShape loads the shape the event order decides the
+// cost of — many sites, each watched by subscriptions that pair its `URL
+// extends` prefix with a word shared by the subscriptions of every other
+// site, half of them with `modified self` — through Manager.Subscribe, so
+// the codes are the ones the manager allocates, and replays the alerts of
+// one updated page per site through the matcher. probes/doc is the figure
+// to watch: it is a property of the order, not of the machine.
+func BenchmarkMatcherFanoutShape(b *testing.B) {
+	sys, err := New(Options{Delivery: DeliveryFunc(func(*Report) error { return nil })})
+	if err != nil {
+		b.Fatalf("New: %v", err)
+	}
+	sites, vocab := shortScale([]int{200}, []int{20})[0], webgen.Vocabulary()
+	kinds := []string{"product contains %q", "self contains %q", "name contains %q", "updated product contains %q"}
+	cond := func(i int) string { return fmt.Sprintf(kinds[i%len(kinds)], vocab[i*7%len(vocab)]) }
+	var docs []core.EventSet
+	for s := 0; s < sites; s++ {
+		for k := 0; k < 40; k++ {
+			src := fmt.Sprintf("subscription F%d_%d\nmonitoring\nselect <A url=URL/>\nwhere %s and URL extends \"http://f%d.example/\"\n"+
+				"monitoring\nselect <B url=URL/>\nwhere %s and modified self and URL extends \"http://f%d.example/c/\"\nreport when daily",
+				s, k, cond(s+3*k), s, cond(s+5*k+1), s)
+			if _, err := sys.Manager.Subscribe(src); err != nil {
+				b.Fatalf("Subscribe: %v", err)
+			}
+		}
+		site := webgen.NewSite(webgen.SiteSpec{BaseURL: fmt.Sprintf("http://f%d.example/c/", s), Pages: 1, Products: 8, Seed: int64(s)})
+		url := site.XMLURLs()[0]
+		for v := 1; v <= 2; v++ {
+			res, err := sys.Store.CommitXMLBytes(url, site.Spec().DTD, "shopping", site.FetchXMLBytes(url, v))
+			if err != nil {
+				b.Fatalf("CommitXMLBytes: %v", err)
+			}
+			a := sys.Pipeline.Detect(&alerter.Doc{Meta: res.Meta, Status: res.Status, Doc: res.Doc, Delta: res.Delta})
+			if v == 2 && a != nil {
+				docs = append(docs, a.Events)
+			}
+		}
+	}
+	before := sys.Matcher.Stats()
+	var dst []core.ComplexID
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = sys.Matcher.MatchAppend(dst[:0], docs[i%len(docs)])
+	}
+	b.StopTimer()
+	st := sys.Matcher.Stats()
+	b.ReportMetric(float64(st.CellProbes-before.CellProbes)/float64(st.MatchCalls-before.MatchCalls), "probes/doc")
+}
+
 // BenchmarkChurn measures dynamic changes to the subscription base — the
 // paper's future-work item on subscription churn: registrations and
 // removals per second against a loaded structure.

@@ -87,6 +87,11 @@ func TestSubscribeAndPushFlow(t *testing.T) {
 	if st.Manager.DocsProcessed != 2 || st.Manager.Subscriptions != 1 {
 		t.Errorf("stats = %+v", st.Manager)
 	}
+	// Both pushes raised a strong alert; the ratio that shows a bad event
+	// order on a live system is served with the counters it derives from.
+	if m := st.Matcher; m.MatchCalls != 2 || m.CellProbes == 0 || m.ProbesPerMatch != float64(m.CellProbes)/2 {
+		t.Errorf("matcher stats = %+v", m)
+	}
 
 	// Unsubscribe.
 	rec = httptest.NewRecorder()

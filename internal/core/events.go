@@ -19,6 +19,10 @@ import (
 
 // Event is the code of an atomic event. Codes are assigned by the
 // subscription manager; the processor only relies on their total order.
+// Any order gives the same matches, but a table is probed with every event
+// of the document that sorts after the prefix leading to it: give low codes
+// to events few documents raise (a URL, a site) and high ones to those
+// raised by the dozen (words). See docs/ALGORITHM.md, "Event order".
 type Event uint32
 
 // ComplexID identifies a registered complex event (a conjunction of atomic

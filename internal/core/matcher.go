@@ -18,6 +18,9 @@ type Stats struct {
 	MatchCalls  uint64
 	CellProbes  uint64
 	MatchedSets uint64
+	// ProbesPerMatch is CellProbes / MatchCalls; the event order decides it
+	// (see Event).
+	ProbesPerMatch float64
 }
 
 var (
@@ -423,6 +426,7 @@ func (m *Matcher) Stats() Stats {
 		st.CellProbes += sh.cellProbes.Load()
 		st.MatchedSets += sh.matchedSets.Load()
 	}
+	st.ProbesPerMatch = float64(st.CellProbes) / float64(max(st.MatchCalls, 1))
 	return st
 }
 

@@ -23,7 +23,6 @@ import (
 	"xymon/internal/trigger"
 	"xymon/internal/warehouse"
 	"xymon/internal/xmldom"
-	"xymon/internal/xydiff"
 	"xymon/internal/xyquery"
 )
 
@@ -153,7 +152,10 @@ type Manager struct {
 	condCodes map[string]core.Event // canonical condition -> code
 	condRef   map[core.Event]int
 	condOf    map[core.Event]sublang.Condition
-	nextEvent core.Event
+	// nextSeq[c] is the next unused sequence number of class c, seqLimit the
+	// first that does not fit below the class bits (internEventLocked).
+	nextSeq  [sublang.NumClasses]core.Event
+	seqLimit core.Event
 
 	queries     queryTable
 	nextComplex core.ComplexID
@@ -184,28 +186,6 @@ type processScratch struct {
 	batch   []reporter.Notification
 	trig    []produced
 	seen    map[uint64]struct{}
-	// newSet/updSet index the document's Classification for the `new X` /
-	// `updated X` payload filters. Built at most once per alert
-	// (ensureChangeSets) and shared by every matched query, where each
-	// query used to classify the document and build its own maps.
-	newSet    map[*xmldom.Node]bool
-	updSet    map[*xmldom.Node]bool
-	setsReady bool
-}
-
-// ensureChangeSets fills newSet/updSet from the document classification,
-// once per alert; later queries reuse the same maps.
-func (sc *processScratch) ensureChangeSets(cl *xydiff.Classification) {
-	if sc.setsReady {
-		return
-	}
-	sc.setsReady = true
-	for _, n := range cl.NewElems {
-		sc.newSet[n] = true
-	}
-	for _, n := range cl.UpdatedElems {
-		sc.updSet[n] = true
-	}
 }
 
 // produced records that a query raised n notifications in this alert: its
@@ -217,20 +197,13 @@ type produced struct {
 }
 
 var processPool = sync.Pool{New: func() any {
-	return &processScratch{
-		seen:   make(map[uint64]struct{}, 16),
-		newSet: make(map[*xmldom.Node]bool, 16),
-		updSet: make(map[*xmldom.Node]bool, 16),
-	}
+	return &processScratch{seen: make(map[uint64]struct{}, 16)}
 }}
 
 // release scrubs pointer-carrying state and returns the scratch to the
 // pool; maps are cleared, slices keep their capacity.
 func (sc *processScratch) release() {
 	clear(sc.seen)
-	clear(sc.newSet)
-	clear(sc.updSet)
-	sc.setsReady = false
 	sc.matched = sc.matched[:0] // plain values, no scrub needed
 	clear(sc.elems[:cap(sc.elems)])
 	sc.elems = sc.elems[:0]
@@ -278,7 +251,7 @@ func New(cfg Config) *Manager {
 		condCodes:   make(map[string]core.Event),
 		condRef:     make(map[core.Event]int),
 		condOf:      make(map[core.Event]sublang.Condition),
-		nextEvent:   1,
+		seqLimit:    1 << classShift,
 		subs:        make(map[string]*registeredSub),
 		maxCost:     cfg.MaxCost,
 		inhibitRate: cfg.InhibitRate,
@@ -322,7 +295,15 @@ func (m *Manager) register(src string, sub *sublang.Subscription, journal bool) 
 	for _, mq := range sub.Monitoring {
 		events := make([]core.Event, 0, len(mq.Where))
 		for _, cond := range mq.Where {
-			events = append(events, m.internEventLocked(cond))
+			code, err := m.internEventLocked(cond)
+			if err != nil {
+				for _, e := range events {
+					m.releaseEventLocked(e)
+				}
+				m.rollbackLocked(rs)
+				return err
+			}
+			events = append(events, code)
 		}
 		id := m.nextComplex
 		m.nextComplex++
@@ -397,24 +378,40 @@ func (m *Manager) Unsubscribe(name string) error {
 	return m.journal.Append(Record{Op: "unsubscribe", Name: name})
 }
 
+// ErrCodeSpaceExhausted rejects a subscription that needs a new atomic event
+// in a selectivity class whose codes have all been handed out.
+var ErrCodeSpaceExhausted = errors.New("manager: atomic event code space exhausted")
+
+// classShift places the selectivity class above a 29-bit sequence number.
+const classShift = 29
+
 // internEventLocked returns the atomic event code of a condition,
 // allocating one and warning the alerters on first use. Conditions are
 // deduplicated by their canonical string form, so a thousand subscriptions
 // watching Amazon's URL share one atomic event (the load concentration the
-// paper's parameter k models).
-func (m *Manager) internEventLocked(cond sublang.Condition) core.Event {
+// paper's parameter k models). A code is class<<29 | seq: the matcher orders
+// a complex event by code, so the rarely raised conditions of a where clause
+// lead its prefix chain and the words a page raises by the dozen come last
+// (see sublang.Class). A sequence number is used once — a released code may
+// still ride an in-flight alert — so a class that runs out fails the
+// subscription.
+func (m *Manager) internEventLocked(cond sublang.Condition) (core.Event, error) {
 	key := cond.String()
 	if code, ok := m.condCodes[key]; ok {
 		m.condRef[code]++
-		return code
+		return code, nil
 	}
-	code := m.nextEvent
-	m.nextEvent++
+	class := cond.Class()
+	if m.nextSeq[class] >= m.seqLimit {
+		return 0, fmt.Errorf("%w: no code left for %q", ErrCodeSpaceExhausted, key)
+	}
+	code := core.Event(class)<<classShift | m.nextSeq[class]
+	m.nextSeq[class]++
 	m.condCodes[key] = code
 	m.condRef[code] = 1
 	m.condOf[code] = cond
 	m.pipeline.Register(code, cond)
-	return code
+	return code, nil
 }
 
 func (m *Manager) releaseEventLocked(code core.Event) {
@@ -464,7 +461,7 @@ func (m *Manager) ProcessAlert(a *alerter.Alert) int {
 		if rq == nil {
 			continue // unsubscribed or suspended since the match
 		}
-		sc.elems = m.appendNotifications(sc.elems[:0], rq, a.Doc, sc)
+		sc.elems = m.appendNotifications(sc.elems[:0], rq, a.Doc)
 		n := 0
 		for _, el := range sc.elems {
 			// Disjunctive where clauses compile to several complex events
@@ -518,10 +515,10 @@ func (m *Manager) ProcessAlert(a *alerter.Alert) int {
 // appendNotifications materialises the select clause of a matched
 // monitoring query against the triggering document, walking the plan
 // compiled at registration, and appends the payloads to dst.
-func (m *Manager) appendNotifications(dst []*xmldom.Node, rq *registeredQuery, d *alerter.Doc, sc *processScratch) []*xmldom.Node {
+func (m *Manager) appendNotifications(dst []*xmldom.Node, rq *registeredQuery, d *alerter.Doc) []*xmldom.Node {
 	p := &rq.plan
 	if p.tag == "" {
-		return append(dst, m.varElements(rq, p.v, d, sc)...)
+		return append(dst, m.varElements(rq, p.v, d)...)
 	}
 	e := xmldom.Element(p.tag)
 	if len(p.attrs) > 0 {
@@ -539,7 +536,7 @@ func (m *Manager) appendNotifications(dst []*xmldom.Node, rq *registeredQuery, d
 		} else if v := k.slot.value(d); v != "" {
 			e.AppendChild(xmldom.Text(v))
 		} else {
-			for _, n := range m.varElements(rq, k.v, d, sc) {
+			for _, n := range m.varElements(rq, k.v, d) {
 				e.AppendChild(n)
 			}
 		}
@@ -550,7 +547,7 @@ func (m *Manager) appendNotifications(dst []*xmldom.Node, rq *registeredQuery, d
 // varElements resolves `select X` payloads: the elements bound to X in the
 // current document, filtered by the change pattern the where clause put on
 // X (so `new X` returns only the new elements).
-func (m *Manager) varElements(rq *registeredQuery, v string, d *alerter.Doc, sc *processScratch) []*xmldom.Node {
+func (m *Manager) varElements(rq *registeredQuery, v string, d *alerter.Doc) []*xmldom.Node {
 	if d.Doc == nil || d.Doc.Root == nil {
 		return nil
 	}
@@ -607,21 +604,12 @@ func (m *Manager) varElements(rq *registeredQuery, v string, d *alerter.Doc, sc 
 		return cloneAll(nodes)
 	case d.Status == warehouse.StatusUpdated && d.Delta != nil:
 		// The classification is computed once per document (on the Doc,
-		// shared with the XML alerter) and its node sets once per alert (on
-		// the scratch, shared by every matched query).
+		// shared with the XML alerter and every matched query).
 		cl := d.Classification()
 		if cl == nil {
 			return nil
 		}
-		var wantSet map[*xmldom.Node]bool
-		switch change {
-		case sublang.OpNew:
-			sc.ensureChangeSets(cl)
-			wantSet = sc.newSet
-		case sublang.OpUpdated:
-			sc.ensureChangeSets(cl)
-			wantSet = sc.updSet
-		case sublang.OpDeleted:
+		if change == sublang.OpDeleted {
 			// Deleted elements are in the old version; match by tag among
 			// the deleted subtrees.
 			var out []*xmldom.Node
@@ -638,7 +626,7 @@ func (m *Manager) varElements(rq *registeredQuery, v string, d *alerter.Doc, sc 
 		}
 		var out []*xmldom.Node
 		for _, n := range nodes {
-			if wantSet[n] {
+			if change == sublang.OpNew && cl.IsNew(n) || change == sublang.OpUpdated && cl.IsUpdated(n) {
 				out = append(out, n.Clone())
 			}
 		}

@@ -16,7 +16,7 @@ import (
 // oracleNotifications is the select-clause interpreter the compiled plan
 // replaced: it walks the sublang parse tree per notification. Kept as the
 // reference the plan is held to, byte for byte.
-func (m *Manager) oracleNotifications(rq *registeredQuery, d *alerter.Doc, sc *processScratch) []*xmldom.Node {
+func (m *Manager) oracleNotifications(rq *registeredQuery, d *alerter.Doc) []*xmldom.Node {
 	sel := rq.mq.Select
 	switch {
 	case sel != nil && sel.Literal != nil:
@@ -35,14 +35,14 @@ func (m *Manager) oracleNotifications(rq *registeredQuery, d *alerter.Doc, sc *p
 			case oracleBuiltin(c.Var, d) != "":
 				e.AppendChild(xmldom.Text(oracleBuiltin(c.Var, d)))
 			default:
-				for _, n := range m.varElements(rq, c.Var, d, sc) {
+				for _, n := range m.varElements(rq, c.Var, d) {
 					e.AppendChild(n)
 				}
 			}
 		}
 		return []*xmldom.Node{e}
 	case sel != nil && sel.Var != "":
-		return m.varElements(rq, sel.Var, d, sc)
+		return m.varElements(rq, sel.Var, d)
 	default:
 		e := xmldom.Element("notification")
 		e.WithAttr("url", d.Meta.URL)
@@ -147,8 +147,6 @@ func TestPlanMatchesASTWalk(t *testing.T) {
 	}
 
 	site := webgen.NewSite(webgen.SiteSpec{BaseURL: "http://d.example/c/", Pages: 3, Products: 6, Seed: 42})
-	sc := processPool.Get().(*processScratch)
-	defer sc.release()
 	compared, nonEmpty := 0, 0
 	for p, u := range site.XMLURLs() {
 		// The first page has no DTD and no domain: a built-in without a
@@ -165,8 +163,8 @@ func TestPlanMatchesASTWalk(t *testing.T) {
 			d := &alerter.Doc{Meta: res.Meta, Status: res.Status, Doc: res.Doc, Delta: res.Delta}
 			for _, rs := range r.mgr.subs {
 				for _, rq := range rs.queries {
-					got := r.mgr.appendNotifications(nil, rq, d, sc)
-					want := r.mgr.oracleNotifications(rq, d, sc)
+					got := r.mgr.appendNotifications(nil, rq, d)
+					want := r.mgr.oracleNotifications(rq, d)
 					if len(got) != len(want) {
 						t.Fatalf("%s on %s v%d: %d payloads, oracle %d", rq.sub, u, v, len(got), len(want))
 					}

@@ -169,6 +169,47 @@ func (c Condition) Weak() bool {
 	return c.Kind == CondSelfChange
 }
 
+// Class ranks an atomic condition by how rarely a fetched document
+// satisfies it. The manager allocates atomic-event codes in class order and
+// the matcher (Section 4) stores every complex event along the numeric
+// order of its codes, so the class decides which events key the root table
+// and which are only looked up below a prefix that already held. This is
+// the one place the policy lives; lower sorts first:
+//
+//	ClassIdentity  URL =, DOCID =                               one page
+//	ClassLocation  URL extends, filename, DTD, DTDID, domain    a site or a document class
+//	ClassDocument  <change> self, LastAccessed, LastUpdate      nearly every alert carries the same few
+//	ClassContent   self contains, element conditions            dozens per page, shared across sites
+//
+// ClassDocument is the least selective, yet sits before ClassContent: it is
+// a handful of events, so below a location prefix it costs a handful of
+// cells. After content, every (prefix, word) cell of a `URL extends … and X
+// contains … and modified self` query grows a one-entry child table:
+// 33 433 tables against 1 351 on the 40 000-subscription fan-out base, at
+// 203 probes a document against 183.
+type Class uint8
+
+const (
+	ClassIdentity Class = iota
+	ClassLocation
+	ClassDocument
+	ClassContent
+	NumClasses
+)
+
+// Class returns the condition's selectivity class.
+func (c Condition) Class() Class {
+	switch c.Kind {
+	case CondURLEquals, CondDOCID:
+		return ClassIdentity
+	case CondURLExtends, CondFilename, CondDTD, CondDTDID, CondDomain:
+		return ClassLocation
+	case CondSelfChange, CondLastAccessed, CondLastUpdate:
+		return ClassDocument
+	}
+	return ClassContent
+}
+
 func (c Condition) String() string {
 	switch c.Kind {
 	case CondURLExtends:

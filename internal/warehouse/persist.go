@@ -154,6 +154,9 @@ func (s *Store) Load(dir string) error {
 			}
 			e.Doc = doc
 			e.Base = doc.Clone()
+			// Tier 2 works from the first refetch; older snapshots signed the XML.
+			e.structHash, e.structOK = doc.Hashes().Of(doc.Root), true
+			e.Meta.Signature = structSignature(e.structHash)
 		}
 		s.pages[entry.URL] = e
 		s.indexDomainLocked(meta.Domain, entry.URL)

@@ -6,17 +6,19 @@ import (
 	"sync"
 	"testing"
 
+	"xymon/internal/webgen"
 	"xymon/internal/xmldom"
 )
 
-// canonSig is the canonical-form signature commitXML records in Metadata.
+// canonSig is the version identity commitXML records in Metadata: the
+// structural root hash of the parsed tree.
 func canonSig(t *testing.T, data []byte) [sha256.Size]byte {
 	t.Helper()
 	d, err := xmldom.ParseBytes(data)
 	if err != nil {
 		t.Fatalf("ParseBytes: %v", err)
 	}
-	return Signature([]byte(d.XML()))
+	return structSignature(d.Hashes().Of(d.Root))
 }
 
 // TestCommitXMLBytesTiering walks one page through the full cascade and
@@ -222,5 +224,82 @@ func TestConcurrentStructHashNoStalePairing(t *testing.T) {
 	wg.Wait()
 	if got := s.Stats(); got.SkippedStructHash == 0 {
 		t.Log("note: no tier-2 hits occurred in this run (all refetches raced with writes)")
+	}
+}
+
+// The structural root hash decides "unchanged" where the SHA-256 of the
+// serialised tree used to: over webgen pages, their content versions and
+// both kinds of perturbed refetch, two parses have the same root hash
+// exactly when they serialise to the same XML.
+func TestStructHashIdentityMatchesXML(t *testing.T) {
+	type version struct {
+		hash uint64
+		xml  string
+	}
+	var all []version
+	for _, kind := range []webgen.PerturbKind{webgen.PerturbWhitespace, webgen.PerturbAttrOrder} {
+		site := webgen.NewSite(webgen.SiteSpec{
+			BaseURL: "http://h.example/c/", Pages: 3, Products: 5, Seed: 23,
+			PerturbEvery: 3, PerturbKind: kind,
+		})
+		for _, u := range site.XMLURLs() {
+			for v := 1; v <= 9; v++ {
+				d, err := xmldom.ParseBytes(site.FetchXMLBytes(u, v))
+				if err != nil {
+					t.Fatal(err)
+				}
+				all = append(all, version{d.Hashes().Of(d.Root), d.XML()})
+			}
+		}
+	}
+	same, differ := 0, 0
+	for i, a := range all {
+		for _, b := range all[i+1:] {
+			if (a.hash == b.hash) != (a.xml == b.xml) {
+				t.Fatalf("hash equal %v, XML equal %v:\n%s\n%s", a.hash == b.hash, a.xml == b.xml, a.xml, b.xml)
+			}
+			if a.xml == b.xml {
+				same++
+			} else {
+				differ++
+			}
+		}
+	}
+	if same == 0 || differ == 0 {
+		t.Fatalf("corpus has %d equal and %d different pairs; both are needed", same, differ)
+	}
+}
+
+// After a restore the structural hash is primed from the loaded document:
+// the first refetch of unchanged content resolves at tier 2 (the raw
+// signature is not persisted), with no parse, and carries the tree's
+// identity in its metadata.
+func TestUnchangedAfterLoadResolvesAtTier2(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := newTestStore()
+	url := "http://shop.example/cat.xml"
+	v1 := []byte(`<catalog><product id="p0"><name>radio</name></product></catalog>`)
+	v1ws := []byte("<catalog>\n  <product id='p0'><name>radio</name></product>\n</catalog>")
+	if _, err := s.CommitXMLBytes(url, "", "shopping", v1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	s2, _ := newTestStore()
+	if err := s2.Load(dir); err != nil {
+		t.Fatal(err)
+	}
+	for i, data := range [][]byte{v1ws, v1} {
+		r, err := s2.CommitXMLBytes(url, "", "shopping", data)
+		if err != nil || r.Status != StatusUnchanged {
+			t.Fatalf("refetch %d after Load: %+v, %v", i, r, err)
+		}
+		if r.Meta.Signature != canonSig(t, v1) {
+			t.Errorf("refetch %d: signature %x is not the tree's identity", i, r.Meta.Signature[:8])
+		}
+	}
+	if got := s2.Stats(); got != (Stats{SkippedStructHash: 2}) {
+		t.Fatalf("after Load: stats %+v, want two tier-2 hits and no parse", got)
 	}
 }

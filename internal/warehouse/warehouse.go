@@ -9,6 +9,7 @@ package warehouse
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -79,7 +80,9 @@ type Metadata struct {
 	LastAccessed time.Time
 	LastUpdate   time.Time
 	Version      int
-	Signature    [sha256.Size]byte
+	// Signature identifies the content: the SHA-256 of an HTML page's bytes,
+	// the structural root hash of an XML tree (structSignature).
+	Signature [sha256.Size]byte
 }
 
 // Entry is a warehoused page: metadata plus, for XML, the current DOM and
@@ -226,6 +229,13 @@ func Signature(content []byte) [sha256.Size]byte {
 	return sha256.Sum256(content)
 }
 
+// structSignature is the Metadata.Signature of an XML version: its
+// structural root hash, zero-extended.
+func structSignature(root uint64) (sig [sha256.Size]byte) {
+	binary.BigEndian.PutUint64(sig[:], root)
+	return sig
+}
+
 // CommitXML stores a fetched XML document. It detects the change status
 // against the previous version, computes the delta for updates (labelling
 // doc's nodes with persistent XIDs), bumps the version and updates all
@@ -351,7 +361,10 @@ func (s *Store) commitXML(url, dtd, domain string, doc *xmldom.Document, rawSig 
 	if doc == nil || doc.Root == nil {
 		return nil, errors.New("warehouse: empty document")
 	}
-	sig := Signature([]byte(doc.XML()))
+	// The structural root hash identifies the version (tier 2 already
+	// decides on it, Diff needs the vector anyway): the tree is never
+	// serialised to compare it. doc is still the caller's alone — no lock.
+	root := doc.Hashes().Of(doc.Root)
 	now := s.clock()
 
 	s.mu.Lock()
@@ -376,7 +389,7 @@ func (s *Store) commitXML(url, dtd, domain string, doc *xmldom.Document, rawSig 
 			LastAccessed: now,
 			LastUpdate:   now,
 			Version:      1,
-			Signature:    sig,
+			Signature:    structSignature(root),
 		}
 		s.nextDoc++
 		e = &Entry{Meta: meta, Doc: doc, Base: doc.Clone()}
@@ -385,14 +398,14 @@ func (s *Store) commitXML(url, dtd, domain string, doc *xmldom.Document, rawSig 
 		}
 		s.pages[url] = e
 		s.indexDomainLocked(domain, url)
-		// Prime the structural hash vector under the commit lock: the next
-		// version's Diff then hashes only its own tree — and its root hash
-		// becomes the tier-2 reference for the next refetch.
-		e.structHash, e.structOK = doc.Hashes().Of(doc.Root), true
+		// The hash vector stays cached on doc: the next version's Diff then
+		// hashes only its own tree — and the root hash is the tier-2
+		// reference for the next refetch.
+		e.structHash, e.structOK = root, true
 		return &CommitResult{Status: StatusNew, Meta: meta, Doc: doc}, nil
 	}
 	e.Meta.LastAccessed = now
-	if e.Meta.Signature == sig {
+	if e.structOK && e.structHash == root {
 		return &CommitResult{Status: StatusUnchanged, Meta: e.Meta, Old: e.Doc, Doc: e.Doc}, nil
 	}
 	old := e.Doc
@@ -408,20 +421,19 @@ func (s *Store) commitXML(url, dtd, domain string, doc *xmldom.Document, rawSig 
 		e.Doc = doc
 		e.Base = doc.Clone()
 		e.Deltas = nil
-		e.structHash, e.structOK = doc.Hashes().Of(doc.Root), true
+		e.structHash, e.structOK = root, true
 		old.InvalidateHashes()
-		e.Meta.Signature = sig
+		e.Meta.Signature = structSignature(root)
 		e.Meta.LastUpdate = now
 		e.Meta.Version++
 		return &CommitResult{Status: StatusUpdated, Meta: e.Meta, Old: old, Doc: doc}, nil
 	}
 	e.Doc = doc
 	e.Deltas = append(e.Deltas, delta)
-	// doc's vector was computed (and cached) by Diff; the superseded
-	// version's vector is recycled — no later Diff can involve it.
-	e.structHash, e.structOK = doc.Hashes().Of(doc.Root), true
+	// The superseded version's vector is recycled: no later Diff involves it.
+	e.structHash, e.structOK = root, true
 	old.InvalidateHashes()
-	e.Meta.Signature = sig
+	e.Meta.Signature = structSignature(root)
 	e.Meta.LastUpdate = now
 	e.Meta.Version++
 	if dtd != "" && dtd != e.Meta.DTD {

@@ -50,6 +50,10 @@ type Node struct {
 	ord int32
 }
 
+// Ord returns the node's preorder index in its tree, assigned by the last
+// Document.Hashes over it (Diff hashes both versions).
+func (n *Node) Ord() int { return int(n.ord) }
+
 // Document is a parsed XML document: a single root element plus the XID
 // counter used to label nodes of future versions.
 type Document struct {

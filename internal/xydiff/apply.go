@@ -114,39 +114,66 @@ type Classification struct {
 	UpdatedElems []*xmldom.Node
 	// DeletedSubtrees are the removed subtrees, with their old XIDs.
 	DeletedSubtrees []*xmldom.Node
+	// flags holds flagNew/flagUpdated per node of the new version, by Node.Ord.
+	flags []uint8
+}
+
+const flagNew, flagUpdated uint8 = 1, 2
+
+// IsNew reports whether n, a node of the classified version, is in NewElems.
+func (cl *Classification) IsNew(n *xmldom.Node) bool { return cl.flag(n)&flagNew != 0 }
+
+// IsUpdated reports whether n, a node of the classified version, is in
+// UpdatedElems (an element inside an inserted subtree is new, not updated).
+func (cl *Classification) IsUpdated(n *xmldom.Node) bool { return cl.flag(n) == flagUpdated }
+
+func (cl *Classification) flag(n *xmldom.Node) uint8 {
+	if i := n.Ord(); i < len(cl.flags) {
+		return cl.flags[i]
+	}
+	return 0
 }
 
 // Classify projects a delta onto the new version of the document. The new
-// version must be the one labelled by Diff (XIDs shared with the delta).
+// version must be the one labelled by Diff: it shares its XIDs with the
+// delta, and Diff left its nodes their preorder indexes (Node.Ord).
 func Classify(newDoc *xmldom.Document, delta *Delta) *Classification {
 	cl := &Classification{}
 	if delta.Empty() {
 		return cl
 	}
-	index := make(map[xmldom.XID]*xmldom.Node)
+	// The few nodes the operations name are resolved in the walk that sizes flags.
+	at := make(map[xmldom.XID]*xmldom.Node, 2*len(delta.Ops))
+	for _, op := range delta.Ops {
+		at[op.XID], at[op.Parent] = nil, nil
+	}
+	size := 0
 	newDoc.Root.PreOrder(func(n *xmldom.Node) bool {
-		index[n.XID] = n
+		if _, named := at[n.XID]; named {
+			at[n.XID] = n
+		}
+		size++
 		return true
 	})
-	newSet := make(map[*xmldom.Node]bool)
-	updSet := make(map[*xmldom.Node]bool)
+	cl.flags = make([]uint8, size)
+	// Marking runs up to the root: it can stop at an ancestor already marked.
 	markAncestors := func(n *xmldom.Node) {
-		for p := n; p != nil; p = p.Parent {
-			if p.Type == xmldom.ElementNode && !newSet[p] {
-				updSet[p] = true
+		for ; n != nil && cl.flags[n.Ord()]&flagUpdated == 0; n = n.Parent {
+			if n.Type == xmldom.ElementNode {
+				cl.flags[n.Ord()] |= flagUpdated
 			}
 		}
 	}
 	for _, op := range delta.Ops {
 		switch op.Kind {
 		case OpInsert:
-			root := index[op.XID]
+			root := at[op.XID]
 			if root == nil {
 				continue
 			}
 			root.PreOrder(func(c *xmldom.Node) bool {
 				if c.Type == xmldom.ElementNode {
-					newSet[c] = true
+					cl.flags[c.Ord()] |= flagNew
 				}
 				return true
 			})
@@ -155,21 +182,15 @@ func Classify(newDoc *xmldom.Document, delta *Delta) *Classification {
 			cl.DeletedSubtrees = append(cl.DeletedSubtrees, op.Subtree)
 			// The parent of a deleted subtree survives in the new version
 			// (same XID); it and its ancestors are updated.
-			if p := index[op.Parent]; p != nil {
-				markAncestors(p)
-			}
+			markAncestors(at[op.Parent])
 		case OpUpdate:
-			n := index[op.XID]
-			if n == nil {
-				continue
-			}
-			markAncestors(n)
+			markAncestors(at[op.XID])
 		}
 	}
 	newDoc.Root.PreOrder(func(n *xmldom.Node) bool {
-		if newSet[n] {
+		if cl.IsNew(n) {
 			cl.NewElems = append(cl.NewElems, n)
-		} else if updSet[n] {
+		} else if cl.IsUpdated(n) {
 			cl.UpdatedElems = append(cl.UpdatedElems, n)
 		}
 		return true

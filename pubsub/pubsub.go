@@ -9,7 +9,9 @@
 //
 // Atomic events are integer codes you assign; a subscription is a
 // conjunction (set) of them; Match returns every registered conjunction
-// contained in the incoming event set, in observed time O(p·log k).
+// contained in the incoming event set, in observed time O(p·log k). The
+// structure follows the numeric order of the codes: give the events a
+// message rarely carries the low ones, or every match pays (see Event).
 //
 //	m := pubsub.NewMatcher()
 //	m.Add(1, []pubsub.Event{login})
