@@ -49,17 +49,10 @@ func (a *HTMLAlerter) Unregister(code core.Event, cond sublang.Condition) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	w := xmldom.NormalizeWord(cond.Str)
-	codes := a.words[w]
-	for i, c := range codes {
-		if c == code {
-			codes = append(codes[:i], codes[i+1:]...)
-			break
-		}
-	}
-	if len(codes) == 0 {
-		delete(a.words, w)
-	} else {
+	if codes := removeCode(a.words[w], code); len(codes) > 0 {
 		a.words[w] = codes
+	} else {
+		delete(a.words, w)
 	}
 }
 
@@ -67,21 +60,14 @@ func (a *HTMLAlerter) Unregister(code core.Event, cond sublang.Condition) {
 // codes are collected under the read lock and emitted after it is
 // released, so the emit callback may re-enter the alerter.
 func (a *HTMLAlerter) Detect(d *Doc, emit func(core.Event)) {
-	if len(d.Content) == 0 {
-		return
-	}
-	words := xmldom.Words(string(d.Content))
-
 	var out []core.Event
 	a.mu.RLock()
 	if len(a.words) > 0 {
+		var ws xmldom.WordScanner
 		seen := make(map[string]bool)
-		for _, w := range words {
-			if seen[w] {
-				continue
-			}
-			if codes, ok := a.words[w]; ok {
-				seen[w] = true
+		for w, i := ws.Next(d.Content, 0); w != nil; w, i = ws.Next(d.Content, i) {
+			if codes, ok := a.words[string(w)]; ok && !seen[string(w)] {
+				seen[string(w)] = true
 				out = append(out, codes...)
 			}
 		}

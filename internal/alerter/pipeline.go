@@ -6,6 +6,7 @@ import (
 	"xymon/internal/core"
 	"xymon/internal/sublang"
 	"xymon/internal/warehouse"
+	"xymon/internal/xmldom"
 )
 
 // Pipeline chains the alerters of Figure 7: a document is handled first by
@@ -75,17 +76,19 @@ type detectScratch struct {
 	events []core.Event
 	emit   func(core.Event)
 	// seen dedups self-contains words; frames and words are the explicit
-	// stacks of detectPresence's iterative walk. They live on the same
-	// scratch so the common no-match document allocates nothing.
-	seen   map[string]bool
+	// stacks of detectWords' iterative walk, scan its word scanner. They
+	// live on the same scratch so the common no-match document allocates
+	// nothing.
+	seen   map[*wordEntry]bool
 	frames []presenceFrame
-	words  []string
+	words  []*wordEntry
+	scan   xmldom.WordScanner
 }
 
 var detectPool = sync.Pool{New: func() any {
 	sc := &detectScratch{
 		events: make([]core.Event, 0, 16),
-		seen:   make(map[string]bool, 8),
+		seen:   make(map[*wordEntry]bool, 8),
 	}
 	sc.emit = func(c core.Event) { sc.events = append(sc.events, c) }
 	return sc

@@ -2,23 +2,27 @@ package alerter
 
 import (
 	"sync"
-	"unicode"
-	"unicode/utf8"
 
 	"xymon/internal/xmldom"
 )
 
 // Prefilter answers "could this serialized document possibly raise a
 // presence or self-contains event?" by running the XML alerter's word
-// tables (Figure 8) directly over the token stream: a tag stack plus a
+// index (Figure 8) directly over the token stream: a tag stack plus a
 // word scanner over the raw character data — no tree, no per-word string
 // allocations. The crawler consults it before parsing, so the common
 // document — interesting to nobody and not version-tracked — is rejected
-// before any DOM work.
+// before any DOM work. Rejecting is all such a document ever costs, so
+// the pass is built to be cheap: the tokenizer recognises the common
+// tokens by index walks (xmldom.Tokenizer.Next), and the scanner runs
+// under the alerter's word screen, which refuses a word whose length or
+// first byte no indexed word has without copying or hashing it — only a
+// word that survives pays the one index lookup. As the base grows the
+// screen fills up and admits more; the cost tends to one lookup per word.
 //
-// Match is exact with respect to detectPresence and detectSelfContains:
-// it returns true if and only if XMLAlerter.Detect would emit at least
-// one presence or self-contains event on the parsed document
+// Match is exact with respect to detectWords: it returns true if and
+// only if XMLAlerter.Detect would emit at least one presence or
+// self-contains event on the parsed document
 // (FuzzPrefilter holds the "never a false negative" half of that
 // equivalence). Change conditions and version tracking are the ingest
 // gate's business, not the pre-filter's.
@@ -34,12 +38,12 @@ func NewPrefilter(x *XMLAlerter) *Prefilter {
 
 // prefilterScratch is the pooled per-call state: the tokenizer, the
 // open-tag stack (sub-slices of the input, nothing copied), the entity
-// decode buffer and the current word.
+// decode buffer and the word scanner.
 type prefilterScratch struct {
 	tok  xmldom.Tokenizer
 	tags [][]byte
 	text []byte
-	word []byte
+	scan xmldom.WordScanner
 }
 
 var prefilterPool = sync.Pool{New: func() any { return new(prefilterScratch) }}
@@ -52,11 +56,13 @@ func (p *Prefilter) Match(data []byte) bool {
 	x := p.x
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	if len(x.contains) == 0 && len(x.strict) == 0 && len(x.selfContains) == 0 {
+	if len(x.words) == 0 {
 		return false
 	}
 	sc := prefilterPool.Get().(*prefilterScratch)
+	sc.scan.Screen = &x.screen
 	defer func() {
+		sc.scan.Screen = nil
 		sc.tok.Reset(nil)
 		clear(sc.tags) // drop references into the caller's buffer
 		sc.tags = sc.tags[:0]
@@ -89,74 +95,33 @@ func (p *Prefilter) Match(data []byte) bool {
 				sc.text = sc.tok.AppendText(sc.text[:0])
 				b = sc.text
 			}
-			if p.scanWords(b, sc) {
-				return true
+			// The scan restarts at every span: adjacent CDATA/text tokens
+			// become separate text nodes in the tree, whose words never
+			// merge.
+			for w, i := sc.scan.Next(b, 0); w != nil; w, i = sc.scan.Next(b, i) {
+				if e := x.words[string(w)]; e != nil && e.hits(sc.tags) {
+					return true
+				}
 			}
 		}
 	}
 }
 
-// scanWords runs the xmldom.Words tokenization — maximal runs of
-// lower-cased letters and digits, each rune lowered before the class
-// test — over one character-data span, checking every word against the
-// three tables as soon as it closes. The word is reset at span
-// boundaries because adjacent CDATA/text tokens become separate text
-// nodes in the tree, whose words never merge.
-func (p *Prefilter) scanWords(b []byte, sc *prefilterScratch) bool {
-	word := sc.word[:0]
-	defer func() { sc.word = word[:0] }()
-	for i := 0; i < len(b); {
-		var lr rune = -1
-		size := 1
-		if c := b[i]; c < utf8.RuneSelf {
-			switch {
-			case 'a' <= c && c <= 'z' || '0' <= c && c <= '9':
-				lr = rune(c)
-			case 'A' <= c && c <= 'Z':
-				lr = rune(c | 0x20)
-			}
-		} else {
-			r, s := utf8.DecodeRune(b[i:])
-			size = s
-			if l := unicode.ToLower(r); unicode.IsLetter(l) || unicode.IsDigit(l) {
-				lr = l
-			}
-		}
-		i += size
-		if lr >= 0 {
-			word = utf8.AppendRune(word, lr)
-			continue
-		}
-		if len(word) > 0 {
-			if p.wordHit(word, sc.tags) {
-				return true
-			}
-			word = word[:0]
-		}
-	}
-	return len(word) > 0 && p.wordHit(word, sc.tags)
-}
-
-// wordHit checks one word against the self-contains, contains and strict
-// tables — the same lookups detectPresence and detectSelfContains make
-// on the built tree: any enclosing tag for `contains`, the innermost
-// element for `strict`. Map lookups keyed by string(b) do not allocate.
-func (p *Prefilter) wordHit(w []byte, tags [][]byte) bool {
-	x := p.x
-	if _, ok := x.selfContains[string(w)]; ok {
+// hits checks the open tags against one word's entry — the same tests
+// detectWords makes on the built tree: a self-contains condition fires
+// anywhere, `contains` under any enclosing tag, `strict` under the
+// innermost one. Map lookups keyed by string(b) do not allocate.
+func (e *wordEntry) hits(tags [][]byte) bool {
+	if len(e.self) > 0 {
 		return true
 	}
-	if tt, ok := x.contains[string(w)]; ok {
+	if len(e.contains) > 0 {
 		for _, tag := range tags {
-			if _, ok := tt[string(tag)]; ok {
+			if _, ok := e.contains[string(tag)]; ok {
 				return true
 			}
 		}
 	}
-	if tt, ok := x.strict[string(w)]; ok {
-		if _, ok := tt[string(tags[len(tags)-1])]; ok {
-			return true
-		}
-	}
-	return false
+	_, ok := e.strict[string(tags[len(tags)-1])]
+	return ok
 }

@@ -1,11 +1,15 @@
 package alerter
 
 import (
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"xymon/internal/core"
 	"xymon/internal/sublang"
 	"xymon/internal/warehouse"
+	"xymon/internal/webgen"
 	"xymon/internal/xmldom"
 )
 
@@ -94,6 +98,62 @@ func TestPrefilterMalformedPasses(t *testing.T) {
 			t.Errorf("Match(%q) = false, want true for malformed input", src)
 		}
 	}
+}
+
+// TestPrefilterScreenFollowsUnregister pins the write path of the word
+// screen: its bits are counted per indexed word, so a word that leaves
+// the index takes its length and first-byte bits along only when it was
+// their last holder, and the filter stays exact both ways throughout.
+func TestPrefilterScreenFollowsUnregister(t *testing.T) {
+	x := NewXMLAlerter()
+	pf := NewPrefilter(x)
+	// Two words of one length and one first byte, the first under two codes.
+	camera := sublang.Condition{Kind: sublang.CondElement, Tag: "product", Str: "camera"}
+	candle := sublang.Condition{Kind: sublang.CondSelfContains, Str: "Candle"}
+	x.Register(1, camera)
+	x.Register(2, camera)
+	x.Register(3, candle)
+	check := func(step, src string, want bool) {
+		t.Helper()
+		if got := pf.Match([]byte(src)); got != want {
+			t.Errorf("%s: Match(%q) = %v, want %v", step, src, got, want)
+		}
+		if events := presenceEvents(x, xmldom.MustParse(src)); (len(events) > 0) != want {
+			t.Errorf("%s: Detect(%q) = %v, want events: %v", step, src, events, want)
+		}
+	}
+	const hasCamera, hasCandle = `<product>a Camera</product>`, `<shop>candle</shop>`
+	// The screen admits "castle" (same length, same first byte); the index does not hold it.
+	const hasNeither = `<product>castle cameras c camera2 Kamera</product>`
+	for _, step := range []struct {
+		name           string
+		unregister     core.Event
+		cond           sublang.Condition
+		camera, candle bool
+	}{
+		{"all registered", 0, sublang.Condition{}, true, true},
+		{"one of two codes on camera gone", 1, camera, true, true},
+		{"camera gone", 2, camera, false, true},
+	} {
+		if step.unregister != 0 {
+			x.Unregister(step.unregister, step.cond)
+		}
+		check(step.name, hasCamera, step.camera)
+		check(step.name, hasCandle, step.candle)
+		check(step.name, hasNeither, false)
+	}
+	x.Unregister(3, candle)
+	if x.screen != (xmldom.WordScreen{}) {
+		t.Errorf("screen not empty after the last word left: %+v", x.screen)
+	}
+	// An empty base refuses without tokenizing: malformed input, which a
+	// token pass must let through, is refused too.
+	if pf.Match([]byte(`<a><b></a>`)) {
+		t.Error("empty base: Match tokenized the input")
+	}
+	x.Register(4, camera)
+	check("registered again", hasCamera, true)
+	check("registered again", hasCandle, false)
 }
 
 func TestURLAlerterCouldAlert(t *testing.T) {
@@ -200,6 +260,17 @@ func FuzzPrefilter(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	// The tokenizer's boundary inputs: the filter runs on the same kernel.
+	boundary, err := os.ReadFile("../xmldom/testdata/boundary.txt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, line := range strings.Split(string(boundary), "\n") {
+		var s string
+		if _, err := fmt.Sscanf(line, "%q", &s); err == nil {
+			f.Add(s)
+		}
+	}
 	x := prefilterAlerter()
 	pf := NewPrefilter(x)
 	f.Fuzz(func(t *testing.T, src string) {
@@ -219,4 +290,36 @@ func FuzzPrefilter(f *testing.F) {
 			t.Fatalf("false positive on %q: prefilter matched, Detect emitted nothing", src)
 		}
 	})
+}
+
+// BenchmarkPrefilterReject is the ingest gate's steady state: a catalog
+// page of 100 products that carries no registered word. The 1-word base
+// is the discovery-nomatch shape, where the word screen refuses nearly
+// every word on two loads; the 10 000-word base saturates the screen, so
+// every word costs its one index lookup.
+func BenchmarkPrefilterReject(b *testing.B) {
+	site := webgen.NewSite(webgen.SiteSpec{BaseURL: "http://mall.example/", Pages: 1, Products: 100, Seed: 1})
+	page := site.FetchXMLBytes(site.XMLURLs()[0], 1)
+	for _, base := range []int{1, 10_000} {
+		x := NewXMLAlerter()
+		x.Register(0, sublang.Condition{Kind: sublang.CondElement, Tag: "product", Str: "zyzzyva"})
+		for i := 1; i < base; i++ {
+			// Words webgen never writes (a letter or digit, q's, a
+			// number), of every first byte and length it does write.
+			const alnum = "abcdefghijklmnopqrstuvwxyz0123456789"
+			word := fmt.Sprintf("%c%s%d", alnum[i%36], strings.Repeat("q", 1+i/36%8), i)
+			x.Register(core.Event(i), sublang.Condition{Kind: sublang.CondElement, Tag: "product", Str: word})
+		}
+		pf := NewPrefilter(x)
+		b.Run(fmt.Sprintf("base=%d", base), func(b *testing.B) {
+			if pf.Match(page) {
+				b.Fatal("page matched")
+			}
+			b.SetBytes(int64(len(page)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pf.Match(page)
+			}
+		})
+	}
 }

@@ -218,14 +218,21 @@ func (a *URLAlerter) Detect(d *Doc, emit func(core.Event)) {
 // events fire on the commit status itself, so having any of those
 // registered keeps every page on the parse path.
 func (a *URLAlerter) CouldAlert(url, filename, dtd, domain string) bool {
-	hit := false
-	collect := func(core.Event) { hit = true }
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	// Passive in-module index; see Register.
+	// Passive in-module index; see Register. The closure escapes into the
+	// index, so it is only built when there is a pattern to probe: a base
+	// without `URL extends` conditions keeps the gate allocation-free.
 	//xyvet:ignore lockcheck
-	a.prefixes.Lookup(url, collect)
-	if hit || len(a.urlEq[url]) > 0 || len(a.filenames[filename]) > 0 {
+	if a.prefixes.Len() > 0 {
+		hit := false
+		//xyvet:ignore lockcheck
+		a.prefixes.Lookup(url, func(core.Event) { hit = true })
+		if hit {
+			return true
+		}
+	}
+	if len(a.urlEq[url]) > 0 || len(a.filenames[filename]) > 0 {
 		return true
 	}
 	if dtd != "" && len(a.dtds[dtd]) > 0 {

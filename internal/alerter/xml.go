@@ -10,41 +10,34 @@ import (
 )
 
 // tagTable maps an element tag to atomic event codes — the TagTable of
-// Figure 8, reached through the WordTable.
+// Figure 8, reached through the word index.
 type tagTable map[string][]core.Event
 
-// wordTable maps an interesting word to its per-tag code table.
-type wordTable map[string]tagTable
-
-func (w wordTable) add(word, tag string, code core.Event) {
-	t := w[word]
-	if t == nil {
-		t = make(tagTable)
-		w[word] = t
-	}
-	t[tag] = append(t[tag], code)
-}
-
-func (w wordTable) remove(word, tag string, code core.Event) {
-	t := w[word]
-	if t == nil {
-		return
-	}
-	codes := t[tag]
+// removeCode deletes one occurrence of code from codes.
+func removeCode(codes []core.Event, code core.Event) []core.Event {
 	for i, c := range codes {
 		if c == code {
-			codes = append(codes[:i], codes[i+1:]...)
-			break
+			return append(codes[:i], codes[i+1:]...)
 		}
 	}
-	if len(codes) == 0 {
-		delete(t, tag)
-		if len(t) == 0 {
-			delete(w, word)
-		}
-	} else {
+	return codes
+}
+
+func (t tagTable) remove(tag string, code core.Event) {
+	if codes := removeCode(t[tag], code); len(codes) > 0 {
 		t[tag] = codes
+	} else {
+		delete(t, tag)
 	}
+}
+
+// wordEntry is everything registered on one word — the WordTable row of
+// Figure 8, widened to all three condition kinds so that a word of a
+// document costs one lookup.
+type wordEntry struct {
+	self     []core.Event // `self contains word`
+	contains tagTable     // `tag contains word`: the word anywhere below tag
+	strict   tagTable     // `tag strict contains word`: the word directly under tag
 }
 
 // changeTable indexes element change conditions: change op -> tag -> list
@@ -95,11 +88,14 @@ func (ct changeTable) remove(op sublang.ChangeOp, tag string, code core.Event) {
 // classification, and `self contains word` over the whole document.
 type XMLAlerter struct {
 	mu sync.RWMutex
-	// contains / strictContains are the two word tables of Figure 8.
-	contains wordTable
-	strict   wordTable
-	// selfContains maps a word to codes of `self contains word`.
-	selfContains map[string][]core.Event
+	// words is the word index: one entry per word that a presence or
+	// self-contains condition names. It is empty exactly when no such
+	// condition is registered.
+	words map[string]*wordEntry
+	// screen summarises the keys of words by length and first byte. It
+	// is updated with the index, under mu, when a word enters or leaves
+	// it, so a scan may trust it to admit every indexed word.
+	screen xmldom.WordScreen
 	// changes indexes element change conditions.
 	changes changeTable
 }
@@ -107,10 +103,8 @@ type XMLAlerter struct {
 // NewXMLAlerter returns an empty XML alerter.
 func NewXMLAlerter() *XMLAlerter {
 	return &XMLAlerter{
-		contains:     make(wordTable),
-		strict:       make(wordTable),
-		selfContains: make(map[string][]core.Event),
-		changes:      make(changeTable),
+		words:   make(map[string]*wordEntry),
+		changes: make(changeTable),
 	}
 }
 
@@ -121,55 +115,65 @@ func (a *XMLAlerter) Handles(kind sublang.CondKind) bool {
 
 // Register wires an atomic event code to a condition.
 func (a *XMLAlerter) Register(code core.Event, cond sublang.Condition) {
+	if !a.Handles(cond.Kind) {
+		return
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	switch cond.Kind {
-	case sublang.CondSelfContains:
-		w := xmldom.NormalizeWord(cond.Str)
-		a.selfContains[w] = append(a.selfContains[w], code)
-	case sublang.CondElement:
-		word := xmldom.NormalizeWord(cond.Str)
-		if cond.Change == sublang.NoChange {
-			if cond.Strict {
-				a.strict.add(word, cond.Tag, code)
-			} else {
-				a.contains.add(word, cond.Tag, code)
-			}
-		} else {
-			a.changes.add(cond.Change, cond.Tag, changeCond{word: word, strict: cond.Strict, code: code})
+	word := xmldom.NormalizeWord(cond.Str)
+	if cond.Kind == sublang.CondElement && cond.Change != sublang.NoChange {
+		a.changes.add(cond.Change, cond.Tag, changeCond{word: word, strict: cond.Strict, code: code})
+		return
+	}
+	e := a.words[word]
+	if e == nil {
+		e = new(wordEntry)
+		a.words[word] = e
+		if word != "" { // no scanned word is empty: nothing to admit
+			a.screen.Add(word)
 		}
+	}
+	if cond.Kind == sublang.CondSelfContains {
+		e.self = append(e.self, code)
+	} else {
+		t := &e.contains
+		if cond.Strict {
+			t = &e.strict
+		}
+		if *t == nil {
+			*t = make(tagTable)
+		}
+		(*t)[cond.Tag] = append((*t)[cond.Tag], code)
 	}
 }
 
 // Unregister removes a previously registered (code, condition) pair.
 func (a *XMLAlerter) Unregister(code core.Event, cond sublang.Condition) {
+	if !a.Handles(cond.Kind) {
+		return
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	switch cond.Kind {
-	case sublang.CondSelfContains:
-		w := xmldom.NormalizeWord(cond.Str)
-		codes := a.selfContains[w]
-		for i, c := range codes {
-			if c == code {
-				codes = append(codes[:i], codes[i+1:]...)
-				break
-			}
-		}
-		if len(codes) == 0 {
-			delete(a.selfContains, w)
-		} else {
-			a.selfContains[w] = codes
-		}
-	case sublang.CondElement:
-		word := xmldom.NormalizeWord(cond.Str)
-		if cond.Change == sublang.NoChange {
-			if cond.Strict {
-				a.strict.remove(word, cond.Tag, code)
-			} else {
-				a.contains.remove(word, cond.Tag, code)
-			}
-		} else {
-			a.changes.remove(cond.Change, cond.Tag, code)
+	if cond.Kind == sublang.CondElement && cond.Change != sublang.NoChange {
+		a.changes.remove(cond.Change, cond.Tag, code)
+		return
+	}
+	word := xmldom.NormalizeWord(cond.Str)
+	e := a.words[word]
+	if e == nil {
+		return
+	}
+	if cond.Kind == sublang.CondSelfContains {
+		e.self = removeCode(e.self, code)
+	} else if cond.Strict {
+		e.strict.remove(cond.Tag, code)
+	} else {
+		e.contains.remove(cond.Tag, code)
+	}
+	if len(e.self) == 0 && len(e.contains) == 0 && len(e.strict) == 0 {
+		delete(a.words, word)
+		if word != "" {
+			a.screen.Remove(word)
 		}
 	}
 }
@@ -199,38 +203,38 @@ func (a *XMLAlerter) detectWith(d *Doc, emit func(core.Event), sc *detectScratch
 	}
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	a.detectPresence(d.Doc.Root, emit, sc)
-	a.detectSelfContains(d.Doc.Root, emit, sc)
+	a.detectWords(d.Doc.Root, emit, sc)
 	a.detectChanges(d, emit)
 }
 
-// presenceFrame is one open element of detectPresence's explicit walk:
-// the node, the next child to visit, and the offset of the element's
-// first subtree word in the shared word stack.
+// presenceFrame is one open element of detectWords' explicit walk: the
+// node, the next child to visit, and the offset of the element's first
+// subtree word in the shared word stack.
 type presenceFrame struct {
 	n     *xmldom.Node
 	child int
 	base  int
 }
 
-// detectPresence runs the postorder algorithm of Section 6.3. Every node n
-// contributes the pair (level, content); walking in postorder, the words
-// of the subtree rooted at n are exactly the words collected since n's
-// subtree began. Only interesting words — entries of a WordTable — are
-// retained, as the paper notes, so memory stays proportional to the
+// detectWords raises the presence and self-contains events in one walk
+// with one index lookup per word the screen admits. For `contains` it
+// runs the postorder algorithm of Section 6.3. Every node n contributes
+// the pair (level, content); walking in postorder, the words of the
+// subtree rooted at n are exactly the words collected since n's subtree
+// began. Only interesting words — index entries with a contains table —
+// are retained, as the paper notes, so memory stays proportional to the
 // matches rather than the document. All subtrees share one word stack:
 // an element's words are words[base:], and since the offsets nest, a
 // closing element simply leaves its words in place for the parent — no
 // per-frame copying, no recursion (deep chains must not overflow the
 // goroutine stack; PR 5 made Hash64 and TextContent iterative for the
-// same reason).
-func (a *XMLAlerter) detectPresence(root *xmldom.Node, emit func(core.Event), sc *detectScratch) {
-	if len(a.contains) == 0 && len(a.strict) == 0 {
+// same reason). A data node's words also feed `strict contains` on its
+// parent, and `self contains`, which fires once per word and document.
+func (a *XMLAlerter) detectWords(root *xmldom.Node, emit func(core.Event), sc *detectScratch) {
+	if len(a.words) == 0 || root.Type != xmldom.ElementNode {
 		return
 	}
-	if root.Type != xmldom.ElementNode {
-		return
-	}
+	sc.scan.Screen = &a.screen
 	words := sc.words[:0]
 	frames := append(sc.frames[:0], presenceFrame{n: root})
 	for len(frames) > 0 {
@@ -238,61 +242,43 @@ func (a *XMLAlerter) detectPresence(root *xmldom.Node, emit func(core.Event), sc
 		if f.child < len(f.n.Children) {
 			c := f.n.Children[f.child]
 			f.child++
-			if c.Type == xmldom.TextNode {
-				// Direct data children feed both `strict contains` on this
-				// element and the subtree word list.
-				for _, w := range xmldom.Words(c.Text) {
-					if _, ok := a.contains[w]; ok {
-						words = append(words, w)
-					}
-					if t, ok := a.strict[w]; ok {
-						for _, code := range t[f.n.Tag] {
-							emit(code)
-						}
-					}
-				}
+			if c.Type != xmldom.TextNode {
+				frames = append(frames, presenceFrame{n: c, base: len(words)})
 				continue
 			}
-			frames = append(frames, presenceFrame{n: c, base: len(words)})
-			continue
-		}
-		// The closing element's subtree words against the contains table.
-		for _, w := range words[f.base:] {
-			if t, ok := a.contains[w]; ok {
-				for _, code := range t[f.n.Tag] {
+			for w, i := sc.scan.NextString(c.Text, 0); w != nil; w, i = sc.scan.NextString(c.Text, i) {
+				e := a.words[string(w)]
+				if e == nil {
+					continue
+				}
+				if len(e.self) > 0 && !sc.seen[e] {
+					sc.seen[e] = true
+					for _, code := range e.self {
+						emit(code)
+					}
+				}
+				for _, code := range e.strict[f.n.Tag] {
 					emit(code)
 				}
+				if len(e.contains) > 0 {
+					words = append(words, e)
+				}
+			}
+			continue
+		}
+		// The closing element's subtree words against their contains tables.
+		for _, e := range words[f.base:] {
+			for _, code := range e.contains[f.n.Tag] {
+				emit(code)
 			}
 		}
 		frames = frames[:len(frames)-1]
 	}
+	clear(words) // entries may leave the index; do not pin them
+	clear(sc.seen)
+	sc.scan.Screen = nil
 	sc.words = words[:0]
 	sc.frames = frames
-}
-
-func (a *XMLAlerter) detectSelfContains(root *xmldom.Node, emit func(core.Event), sc *detectScratch) {
-	if len(a.selfContains) == 0 {
-		return
-	}
-	seen := sc.seen
-	root.PostOrder(func(n *xmldom.Node) bool {
-		if n.Type != xmldom.TextNode {
-			return true
-		}
-		for _, w := range xmldom.Words(n.Text) {
-			if seen[w] {
-				continue
-			}
-			if codes, ok := a.selfContains[w]; ok {
-				seen[w] = true
-				for _, c := range codes {
-					emit(c)
-				}
-			}
-		}
-		return true
-	})
-	clear(seen)
 }
 
 // detectChanges raises element change events. On a new document every

@@ -10,6 +10,9 @@ func FuzzParseBytes(f *testing.F) {
 	for _, src := range parityCases {
 		f.Add(src)
 	}
+	for _, c := range boundaryCases(f) {
+		f.Add(c.src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		d1, err1 := ParseString(src)
 		d2, err2 := ParseBytes([]byte(src))

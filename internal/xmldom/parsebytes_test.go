@@ -165,21 +165,3 @@ func TestParseBytesDeep(t *testing.T) {
 		t.Fatalf("depth = %d, want %d", levels, depth)
 	}
 }
-
-func BenchmarkTokenize(b *testing.B) {
-	data := []byte(`<catalog site="http://s.example/"><product id="p1"><name>radio alpha</name><category>video</category><price>129</price></product><product id="p2"><name>camera</name><category>photo</category><price>349</price></product></catalog>`)
-	z := NewTokenizer(data)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		z.Reset(data)
-		for {
-			k, err := z.Next()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if k == TokEOF {
-				break
-			}
-		}
-	}
-}

@@ -65,6 +65,9 @@ func FuzzStreamHash(f *testing.F) {
 	for _, src := range parityCases {
 		f.Add(src)
 	}
+	for _, c := range boundaryCases(f) {
+		f.Add(c.src)
+	}
 	f.Add(`<c a="1" b="&lt;x&gt;">  <p id="p0"><n>radio</n></p> t <p/> </c>`)
 	f.Add("<a>\r\n<b>x</b><![CDATA[ ]]>]]&gt;<b>x</b>\r</a>")
 	f.Fuzz(func(t *testing.T, src string) {

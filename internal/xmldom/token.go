@@ -12,7 +12,10 @@ import (
 // in a []byte and yields start/end/chardata tokens as spans into that
 // buffer — Next performs no allocation, and entity decoding is deferred
 // until a span is actually consumed (AppendText), so a pre-filter pass
-// that rejects a document never materialises a single string.
+// that rejects a document never materialises a single string. The tokens
+// documents are mostly made of are recognised by index walks over one
+// byte-class table (see Next); the general scanner below them decides
+// everything else, and every rejection.
 //
 // The tokenizer accepts exactly the documents the strict encoding/xml
 // decoder accepts (FuzzParseBytes holds the two to identical trees or
@@ -63,22 +66,57 @@ const (
 // span is a half-open byte range into the tokenizer's input buffer.
 type span struct{ lo, hi int }
 
-// plainText marks the bytes scanText can bulk-skip: printable ASCII plus
-// tab and newline, excluding everything its state machine inspects — the
-// terminators ('<', the quote bytes), '&' (entities), ']' and '>' (the
-// ]]> tracker), and anything that needs validation (controls, '\r',
-// multi-byte lead bytes).
-var plainText [256]bool
+// nameSpan is an element name in the input buffer: the raw name is
+// [lo, hi) and the local name [local, hi), so local == lo unless the name
+// carries a prefix.
+type nameSpan struct{ lo, local, hi int }
 
-func init() {
-	for c := 0x20; c < utf8.RuneSelf; c++ {
-		plainText[c] = true
+// Byte classes. One 256-entry table drives every index walk of the hot
+// path — names, character data, attribute values — and the word scanner
+// of words.go, so each of them costs one load and one test per byte.
+const (
+	cName  uint8 = 0x01 // ASCII name byte other than ':': letters, digits, '_', '.', '-'
+	cStart uint8 = 0x02 // ASCII name-start byte other than ':': letters, '_'
+	cColon uint8 = 0x04 // ':', which a name scan must notice to split the prefix
+	cHigh  uint8 = 0x08 // >= 0x80: part of a multi-byte rune, validated after the scan
+	cPlain uint8 = 0x10 // character data scanText can bulk-skip (see below)
+	cUpper uint8 = 0x20 // 'A'..'Z' — the very bit that, or-ed in, lower-cases the byte
+	cWord  uint8 = 0x40 // ASCII letter or digit: a word byte
+
+	cNameAny = cName | cColon | cHigh // any byte a name scan absorbs
+)
+
+// cPlain marks printable ASCII plus tab and newline, excluding everything
+// scanText's state machine inspects — the terminators ('<', the quote
+// bytes), '&' (entities), ']' and '>' (the ]]> tracker), and anything
+// that needs validation (controls, '\r', multi-byte lead bytes).
+var byteClass = func() (t [256]uint8) {
+	for c := 0; c < 256; c++ {
+		switch {
+		case c >= utf8.RuneSelf:
+			t[c] = cHigh
+		case 'a' <= c && c <= 'z':
+			t[c] = cName | cStart | cWord
+		case 'A' <= c && c <= 'Z':
+			t[c] = cName | cStart | cWord | cUpper
+		case '0' <= c && c <= '9':
+			t[c] = cName | cWord
+		case c == '_':
+			t[c] = cName | cStart
+		case c == '.' || c == '-':
+			t[c] = cName
+		case c == ':':
+			t[c] = cColon
+		}
+		if c >= 0x20 && c < utf8.RuneSelf || c == '\t' || c == '\n' {
+			t[c] |= cPlain
+		}
 	}
-	plainText['\t'], plainText['\n'] = true, true
 	for _, c := range []byte{'<', '&', '"', '\'', ']', '>'} {
-		plainText[c] = false
+		t[c] &^= cPlain
 	}
-}
+	return t
+}()
 
 // textFlags records what a raw text span needs before it can be consumed.
 type textFlags uint8
@@ -105,18 +143,14 @@ type Tokenizer struct {
 	pos int
 	err error
 
-	kind   TokKind
-	raw    span // full element name, including any prefix
-	local  span // local element name
+	name   nameSpan // element name of the current TokStart or TokEnd
 	text   span
 	tflags textFlags
 	attrs  []attrSpan
 
-	needClose  bool
-	closeRaw   span
-	closeLocal span
+	needClose bool // the current TokStart was <name/>: its TokEnd is next
 
-	stack []span // raw names of open elements
+	stack []nameSpan // names of the open elements
 }
 
 // NewTokenizer returns a Tokenizer reading data.
@@ -132,7 +166,6 @@ func (z *Tokenizer) Reset(data []byte) {
 	z.buf = data
 	z.pos = 0
 	z.err = nil
-	z.kind = TokEOF
 	z.attrs = z.attrs[:0]
 	z.stack = z.stack[:0]
 	z.needClose = false
@@ -183,7 +216,7 @@ func (z *Tokenizer) space() {
 
 // Tag returns the local element name of the current TokStart or TokEnd.
 // The slice aliases the input buffer.
-func (z *Tokenizer) Tag() []byte { return z.bytes(z.local) }
+func (z *Tokenizer) Tag() []byte { return z.buf[z.name.local:z.name.hi] }
 
 // Text returns the raw character data of the current TokText. When
 // TextDirty reports true the bytes still contain entity references or
@@ -206,110 +239,162 @@ func (z *Tokenizer) Depth() int { return len(z.stack) }
 // TokText, or TokEOF at the end of a well-formed document. Comments,
 // processing instructions and directives are validated and skipped.
 // Self-closing elements yield a TokStart followed by a synthetic TokEnd.
+//
+// The tokens a serialized document is mostly made of are recognised here
+// by index walks over byteClass, without entering the general scanner: a
+// run of plain character data up to the next '<'; an end tag, which is
+// one compare of the bytes after "</" against the raw name on top of the
+// open-element stack and then '>' (a name byte-equal to one already
+// validated needs no validation and no prefix split); and a start tag
+// whose name is colon-free ASCII, which returns at once on '>' and
+// otherwise goes to the attribute loop. These paths only ever accept.
+// Whatever they do not recognise — prefixed or non-ASCII names,
+// whitespace before '>' in an end tag, entities, '\r', ']' and '>' in
+// text, comments, PIs, CDATA, directives, truncated input and every
+// malformed construct — is rescanned from the same offset by the general
+// code below, so the accepted set, the token stream and every
+// TokenizeError's offset and message are those of the general code alone.
 func (z *Tokenizer) Next() (TokKind, error) {
 	if z.err != nil {
 		return TokEOF, z.err
 	}
+	if z.needClose {
+		// The end tag implied by <name/>: the element is on top of the
+		// stack and z.name still holds it.
+		z.needClose = false
+		z.stack = z.stack[:len(z.stack)-1]
+		return TokEnd, nil
+	}
+	buf := z.buf
 	for {
-		k, ok := z.rawNext()
-		if !ok {
-			if z.err == nil {
-				if len(z.stack) > 0 {
-					z.syntax("unexpected EOF")
-					return TokEOF, z.err
-				}
-				z.kind = TokEOF
-				return TokEOF, nil
+		p := z.pos
+		if p >= len(buf) {
+			if len(z.stack) > 0 {
+				z.syntax("unexpected EOF")
 			}
 			return TokEOF, z.err
 		}
-		switch k {
-		case TokStart:
-			z.stack = append(z.stack, z.raw)
-			z.kind = TokStart
-			return TokStart, nil
-		case TokEnd:
+		if buf[p] != '<' {
+			q := p
+			for q < len(buf) && byteClass[buf[q]]&cPlain != 0 {
+				q++
+			}
+			if q < len(buf) && buf[q] == '<' {
+				z.text, z.tflags, z.pos = span{p, q}, 0, q
+				return TokText, nil
+			}
+			k := z.textToken(false)
+			return k, z.err
+		}
+		if p+1 < len(buf) {
+			if c := buf[p+1]; c == '/' {
+				if n := len(z.stack); n > 0 {
+					top := z.stack[n-1]
+					e := p + 2 + top.hi - top.lo
+					if e < len(buf) && buf[e] == '>' && string(buf[p+2:e]) == string(buf[top.lo:top.hi]) {
+						z.name, z.pos, z.stack = top, e+1, z.stack[:n-1]
+						return TokEnd, nil
+					}
+				}
+			} else if byteClass[c]&cStart != 0 {
+				q := p + 2
+				for q < len(buf) && byteClass[buf[q]]&cName != 0 {
+					q++
+				}
+				// The name must end at a delimiter inside the input: then
+				// it is pure ASCII with a checked start byte, hence valid.
+				if q < len(buf) && byteClass[buf[q]]&(cColon|cHigh) == 0 {
+					name := nameSpan{p + 1, p + 1, q}
+					if buf[q] == '>' {
+						z.name, z.pos, z.attrs = name, q+1, z.attrs[:0]
+						z.stack = append(z.stack, name)
+						return TokStart, nil
+					}
+					z.pos = q
+					k := z.startTag(name)
+					return k, z.err
+				}
+			}
+		}
+		switch k := z.scanMarkup(); {
+		case z.err != nil:
+			return TokEOF, z.err
+		case k == TokEnd:
 			// Raw-name matching: for names with at most one colon,
 			// byte equality of the raw names is exactly equality of
 			// the (space, local) pairs the stdlib compares.
 			if len(z.stack) == 0 {
-				z.syntax("unexpected end element </" + string(z.bytes(z.local)) + ">")
+				z.syntax("unexpected end element </" + string(z.Tag()) + ">")
 				return TokEOF, z.err
 			}
 			top := z.stack[len(z.stack)-1]
 			z.stack = z.stack[:len(z.stack)-1]
-			if !bytes.Equal(z.bytes(top), z.bytes(z.raw)) {
-				z.syntax("element <" + string(z.bytes(top)) + "> closed by </" + string(z.bytes(z.raw)) + ">")
+			if open, raw := buf[top.lo:top.hi], buf[z.name.lo:z.name.hi]; !bytes.Equal(open, raw) {
+				z.syntax("element <" + string(open) + "> closed by </" + string(raw) + ">")
 				return TokEOF, z.err
 			}
-			z.kind = TokEnd
 			return TokEnd, nil
-		case TokText:
-			z.kind = TokText
-			return TokText, nil
+		case k != tokSkip:
+			return k, nil
 		}
 		// tokSkip: comment, PI or directive — keep scanning.
 	}
 }
 
-// rawNext scans one raw token. ok=false means end of input (clean only
-// if z.err is nil) or an error already recorded in z.err.
-func (z *Tokenizer) rawNext() (TokKind, bool) {
-	if z.needClose {
-		// The end tag implied by <name/>.
-		z.needClose = false
-		z.raw, z.local = z.closeRaw, z.closeLocal
-		return TokEnd, true
-	}
-	b, ok := z.getc()
+// textToken scans one character-data or CDATA token with scanText; a
+// failure is recorded in z.err.
+func (z *Tokenizer) textToken(cdata bool) TokKind {
+	s, flags, ok := z.scanText(-1, cdata)
 	if !ok {
-		return TokEOF, false
+		return TokEOF
 	}
-	if b != '<' {
-		z.ungetc()
-		s, flags, ok := z.scanText(-1, false)
-		if !ok {
-			return TokEOF, false
-		}
-		z.text, z.tflags = s, flags
-		return TokText, true
-	}
-	if b, ok = z.mustgetc(); !ok {
-		return TokEOF, false
+	z.text, z.tflags = s, flags
+	return TokText
+}
+
+// scanMarkup is the general scanner for the markup at the cursor, which
+// is on a '<': an end tag, a start tag (TokStart, already opened by
+// startTag), a CDATA section (TokText), or a comment, processing
+// instruction or directive (tokSkip). A failure is recorded in z.err.
+func (z *Tokenizer) scanMarkup() TokKind {
+	z.pos++
+	b, ok := z.mustgetc()
+	if !ok {
+		return TokEOF
 	}
 	switch b {
 	case '/':
 		// </name>
-		raw, local, ok := z.nsName()
+		name, ok := z.nsName()
 		if !ok {
 			z.syntax("expected element name after </")
-			return TokEOF, false
+			return TokEOF
 		}
 		z.space()
 		if b, ok = z.mustgetc(); !ok {
-			return TokEOF, false
+			return TokEOF
 		}
 		if b != '>' {
-			z.syntax("invalid characters between </" + string(z.bytes(local)) + " and >")
-			return TokEOF, false
+			z.syntax("invalid characters between </" + string(z.buf[name.local:name.hi]) + " and >")
+			return TokEOF
 		}
-		z.raw, z.local = raw, local
-		return TokEnd, true
+		z.name = name
+		return TokEnd
 
 	case '?':
 		// Processing instruction: <?target ...?>. The target has no
 		// namespace restriction; only <?xml?> is inspected.
-		target, ok := z.rawName()
+		target, _, _, ok := z.rawName()
 		if !ok {
 			z.syntax("expected target name after <?")
-			return TokEOF, false
+			return TokEOF
 		}
 		z.space()
 		lo := z.pos
 		var b0 byte
 		for {
 			if b, ok = z.mustgetc(); !ok {
-				return TokEOF, false
+				return TokEOF
 			}
 			if b0 == '?' && b == '>' {
 				break
@@ -318,56 +403,51 @@ func (z *Tokenizer) rawNext() (TokKind, bool) {
 		}
 		if bytes.Equal(z.bytes(target), []byte("xml")) {
 			if !z.checkXMLDecl(z.buf[lo : z.pos-2]) {
-				return TokEOF, false
+				return TokEOF
 			}
 		}
-		return tokSkip, true
+		return tokSkip
 
 	case '!':
 		if b, ok = z.mustgetc(); !ok {
-			return TokEOF, false
+			return TokEOF
 		}
 		switch b {
 		case '-': // <!-- comment
 			if b, ok = z.mustgetc(); !ok {
-				return TokEOF, false
+				return TokEOF
 			}
 			if b != '-' {
 				z.syntax("invalid sequence <!- not part of <!--")
-				return TokEOF, false
+				return TokEOF
 			}
 			var b0, b1 byte
 			for {
 				if b, ok = z.mustgetc(); !ok {
-					return TokEOF, false
+					return TokEOF
 				}
 				if b0 == '-' && b1 == '-' {
 					if b != '>' {
 						z.syntax(`invalid sequence "--" not allowed in comments`)
-						return TokEOF, false
+						return TokEOF
 					}
 					break
 				}
 				b0, b1 = b1, b
 			}
-			return tokSkip, true
+			return tokSkip
 
 		case '[': // <![CDATA[
 			for i := 0; i < 6; i++ {
 				if b, ok = z.mustgetc(); !ok {
-					return TokEOF, false
+					return TokEOF
 				}
 				if b != "CDATA["[i] {
 					z.syntax("invalid <![ sequence")
-					return TokEOF, false
+					return TokEOF
 				}
 			}
-			s, flags, ok := z.scanText(-1, true)
-			if !ok {
-				return TokEOF, false
-			}
-			z.text, z.tflags = s, flags
-			return TokText, true
+			return z.textToken(true)
 		}
 		// A directive: <!DOCTYPE ...> etc. Consumed without keeping the
 		// body: quoted angle brackets do not nest, embedded comments are
@@ -377,7 +457,7 @@ func (z *Tokenizer) rawNext() (TokKind, bool) {
 		depth := 0
 		for {
 			if b, ok = z.mustgetc(); !ok {
-				return TokEOF, false
+				return TokEOF
 			}
 			if inquote == 0 && b == '>' && depth == 0 {
 				break
@@ -396,7 +476,7 @@ func (z *Tokenizer) rawNext() (TokKind, bool) {
 				// Probe for <!-- opening an embedded comment.
 				for i := 0; i < 3; i++ {
 					if b, ok = z.mustgetc(); !ok {
-						return TokEOF, false
+						return TokEOF
 					}
 					if b != "!--"[i] {
 						depth++
@@ -406,7 +486,7 @@ func (z *Tokenizer) rawNext() (TokKind, bool) {
 				var b0, b1 byte
 				for {
 					if b, ok = z.mustgetc(); !ok {
-						return TokEOF, false
+						return TokEOF
 					}
 					if b0 == '-' && b1 == '-' && b == '>' {
 						break
@@ -415,71 +495,95 @@ func (z *Tokenizer) rawNext() (TokKind, bool) {
 				}
 			}
 		}
-		return tokSkip, true
+		return tokSkip
 	}
 
 	// An open element: <name attr="value" ...> or <name/>.
 	z.ungetc()
-	raw, local, ok := z.nsName()
+	name, ok := z.nsName()
 	if !ok {
 		z.syntax("expected element name after <")
-		return TokEOF, false
+		return TokEOF
 	}
+	return z.startTag(name)
+}
+
+// startTag scans the rest of a start tag whose name has just been
+// scanned — attributes, then > or /> — and opens the element. An
+// attribute written name="value" with a colon-free ASCII name and a value
+// of plain bytes is taken by index walks; anything else goes through
+// nsName and scanText from the same offset.
+func (z *Tokenizer) startTag(name nameSpan) TokKind {
+	buf := z.buf
 	z.attrs = z.attrs[:0]
-	empty := false
 	for {
 		z.space()
-		if b, ok = z.mustgetc(); !ok {
-			return TokEOF, false
+		b, ok := z.mustgetc()
+		if !ok {
+			return TokEOF
 		}
 		if b == '/' {
 			if b, ok = z.mustgetc(); !ok {
-				return TokEOF, false
+				return TokEOF
 			}
 			if b != '>' {
 				z.syntax("expected /> in element")
-				return TokEOF, false
+				return TokEOF
 			}
-			empty = true
+			z.needClose = true
 			break
 		}
 		if b == '>' {
 			break
 		}
 		z.ungetc()
-		_, alocal, ok := z.nsName()
+		if p := z.pos; byteClass[b]&cStart != 0 {
+			q := p + 1
+			for q < len(buf) && byteClass[buf[q]]&cName != 0 {
+				q++
+			}
+			if q+1 < len(buf) && buf[q] == '=' && (buf[q+1] == '"' || buf[q+1] == '\'') {
+				e := q + 2
+				for e < len(buf) && byteClass[buf[e]]&cPlain != 0 {
+					e++
+				}
+				if e < len(buf) && buf[e] == buf[q+1] {
+					z.attrs = append(z.attrs, attrSpan{local: span{p, q}, value: span{q + 2, e}})
+					z.pos = e + 1
+					continue
+				}
+			}
+		}
+		aname, ok := z.nsName()
 		if !ok {
 			z.syntax("expected attribute name in element")
-			return TokEOF, false
+			return TokEOF
 		}
 		z.space()
 		if b, ok = z.mustgetc(); !ok {
-			return TokEOF, false
+			return TokEOF
 		}
 		if b != '=' {
 			z.syntax("attribute name without = in element")
-			return TokEOF, false
+			return TokEOF
 		}
 		z.space()
 		if b, ok = z.mustgetc(); !ok {
-			return TokEOF, false
+			return TokEOF
 		}
 		if b != '"' && b != '\'' {
 			z.syntax("unquoted or missing attribute value in element")
-			return TokEOF, false
+			return TokEOF
 		}
 		val, flags, ok := z.scanText(int(b), false)
 		if !ok {
-			return TokEOF, false
+			return TokEOF
 		}
-		z.attrs = append(z.attrs, attrSpan{local: alocal, value: val, flags: flags})
+		z.attrs = append(z.attrs, attrSpan{local: span{aname.local, aname.hi}, value: val, flags: flags})
 	}
-	z.raw, z.local = raw, local
-	if empty {
-		z.needClose = true
-		z.closeRaw, z.closeLocal = raw, local
-	}
-	return TokStart, true
+	z.name = name
+	z.stack = append(z.stack, name)
+	return TokStart
 }
 
 // rawName scans an XML name at the cursor: ASCII name bytes and all
@@ -487,70 +591,67 @@ func (z *Tokenizer) rawNext() (TokKind, bool) {
 // Appendix B tables. A name of pure ASCII name bytes — the overwhelming
 // case — validates with a single start-byte check: the scanned bytes are
 // exactly the ASCII subset of nameFirst ∪ nameRest, so only the
-// first-byte rule can still fail. ok=false with z.err unset means "no
-// name here"; callers convert that into their own context error.
-func (z *Tokenizer) rawName() (span, bool) {
+// first-byte rule can still fail. The scan also reports how many colons
+// the name holds and the offset of the last one, for nsName. ok=false
+// with z.err unset means "no name here"; callers convert that into their
+// own context error.
+func (z *Tokenizer) rawName() (s span, colons, colon int, ok bool) {
 	lo := z.pos
 	b, ok := z.mustgetc()
 	if !ok {
-		return span{}, false
+		return span{}, 0, 0, false
 	}
-	if b < utf8.RuneSelf && !isNameByte(b) {
-		z.ungetc()
-		return span{}, false
+	z.ungetc()
+	if byteClass[b]&cNameAny == 0 {
+		return span{}, 0, 0, false
 	}
-	ascii := b < utf8.RuneSelf
-	for z.pos < len(z.buf) {
-		b = z.buf[z.pos]
-		if b < utf8.RuneSelf {
-			if !isNameByte(b) {
-				break
-			}
-		} else {
-			ascii = false
+	ascii := true
+	for ; z.pos < len(z.buf); z.pos++ {
+		c := byteClass[z.buf[z.pos]]
+		if c&cName != 0 {
+			continue
 		}
-		z.pos++
+		if c&cColon != 0 {
+			colons, colon = colons+1, z.pos
+		} else if c&cHigh != 0 {
+			ascii = false
+		} else {
+			break
+		}
 	}
 	if z.pos == len(z.buf) {
 		// A name cannot end the document: something must close the tag.
 		z.syntax("unexpected EOF")
-		return span{}, false
+		return span{}, 0, 0, false
 	}
-	s := span{lo, z.pos}
+	s = span{lo, z.pos}
 	if ascii {
-		if !isNameStartByte(z.buf[lo]) {
+		if byteClass[z.buf[lo]]&(cStart|cColon) == 0 {
 			z.syntax("invalid XML name: " + string(z.bytes(s)))
-			return span{}, false
+			return span{}, 0, 0, false
 		}
-		return s, true
+		return s, colons, colon, true
 	}
 	if !isName(z.bytes(s)) {
 		z.syntax("invalid XML name: " + string(z.bytes(s)))
-		return span{}, false
+		return span{}, 0, 0, false
 	}
-	return s, true
+	return s, colons, colon, true
 }
 
 // nsName scans a name and applies the namespace split: more than one
 // colon rejects the name; exactly one interior colon splits prefix and
 // local name; a leading or trailing colon leaves the local name whole.
-func (z *Tokenizer) nsName() (raw, local span, ok bool) {
-	raw, ok = z.rawName()
-	if !ok {
-		return raw, raw, false
+func (z *Tokenizer) nsName() (nameSpan, bool) {
+	raw, colons, colon, ok := z.rawName()
+	name := nameSpan{raw.lo, raw.lo, raw.hi}
+	if !ok || colons > 1 {
+		return name, false
 	}
-	b := z.bytes(raw)
-	i := bytes.IndexByte(b, ':')
-	if i < 0 {
-		return raw, raw, true
+	if colons == 1 && colon > raw.lo && colon < raw.hi-1 {
+		name.local = colon + 1
 	}
-	if bytes.IndexByte(b[i+1:], ':') >= 0 {
-		return raw, raw, false
-	}
-	if i > 0 && i < len(b)-1 {
-		return raw, span{raw.lo + i + 1, raw.hi}, true
-	}
-	return raw, raw, true
+	return name, true
 }
 
 // scanText scans character data (quote < 0), a quoted attribute value
@@ -572,9 +673,9 @@ Input:
 		// entity, no ']' or '\r' or control or multi-byte candidates. Such
 		// bytes need no validation and cannot interact with the ]]> / CR
 		// state machine, so only the run's last two bytes matter to it.
-		if lo := z.pos; lo < len(z.buf) && plainText[z.buf[lo]] {
+		if lo := z.pos; lo < len(z.buf) && byteClass[z.buf[lo]]&cPlain != 0 {
 			p := lo + 1
-			for p < len(z.buf) && plainText[z.buf[p]] {
+			for p < len(z.buf) && byteClass[z.buf[p]]&cPlain != 0 {
 				p++
 			}
 			z.pos = p
@@ -594,7 +695,7 @@ Input:
 		}
 		// <![CDATA[ sections end with ]]>; it is an error for ]]> to
 		// appear in ordinary text (quoted strings excepted).
-		if b0 == ']' && b1 == ']' && b == '>' {
+		if quote < 0 && b0 == ']' && b1 == ']' && b == '>' {
 			if cdata {
 				trunc = 3
 				break Input
@@ -713,14 +814,14 @@ func (z *Tokenizer) scanEntity() bool {
 	if b, ok = z.mustgetc(); !ok {
 		return false
 	}
-	if b < utf8.RuneSelf && !isNameByte(b) {
+	if byteClass[b]&cNameAny == 0 {
 		z.ungetc()
 	} else {
 		for {
 			if b, ok = z.mustgetc(); !ok {
 				return false
 			}
-			if b < utf8.RuneSelf && !isNameByte(b) {
+			if byteClass[b]&cNameAny == 0 {
 				z.ungetc()
 				break
 			}

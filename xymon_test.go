@@ -507,3 +507,35 @@ func TestContinuousResultIsOwnedPayload(t *testing.T) {
 		}
 	}
 }
+
+// TestGateAllocCeiling holds the front door of a crawl round to zero
+// allocations: refusing an untracked page that carries no watched word is
+// the only code such a page ever runs, once per fetch, and it works on
+// pooled scratch over the fetched bytes. (The base here holds presence
+// conditions only; a registered `URL extends` pattern adds the two
+// objects of URLAlerter.CouldAlert's probe closure.)
+func TestGateAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	sys, _, _ := newSystem(t, Options{})
+	if _, err := sys.Subscribe(`subscription Rare
+monitoring
+select <Hit url=URL/>
+where product contains "zyzzyva"
+report when immediate`); err != nil {
+		t.Fatalf("Subscribe: %v", err)
+	}
+	site := NewSite(SiteSpec{BaseURL: "http://mall.example/", Pages: 1, Products: 100, Seed: 1})
+	url := site.XMLURLs()[0]
+	page := site.FetchXMLBytes(url, 1)
+	refuse := func() {
+		if sys.Crawler.Gate(url, site.Spec().DTD, "shopping", page) {
+			t.Fatal("the gate passed a page nobody wants")
+		}
+	}
+	refuse() // fill the pools
+	if allocs := testing.AllocsPerRun(200, refuse); allocs != 0 {
+		t.Errorf("Gate allocates %.1f objects refusing a %d-byte page, want 0", allocs, len(page))
+	}
+}
