@@ -160,6 +160,7 @@ func TestChaosStreamSlowConsumer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenReader: %v", err)
 	}
+	defer rd.Close()
 	truncations := 0
 	var nextExpect uint64
 	// consume runs one bounded poll, requiring offsets contiguous with

@@ -98,6 +98,7 @@ func streamDrain(stdout, stderr io.Writer, dir, consumer string, max int, resync
 		fmt.Fprintf(stderr, "xysub stream: %v\n", err)
 		return 1
 	}
+	defer rd.Close()
 	if fromSet {
 		rd.Seek(from)
 	} else if !commit {

@@ -272,6 +272,7 @@ func TestCrashChild(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenReader: %v", err)
 	}
+	defer rd.Close()
 	for {
 		recs, err := rd.Poll(2)
 		if err != nil {
@@ -480,6 +481,7 @@ func verifyStreamRecovery(t *testing.T, dir string, sys *System, acked []string)
 	if err != nil {
 		t.Fatalf("reopening consumer after crash: %v", err)
 	}
+	defer rd.Close()
 	committed := rd.Committed()
 	if committed < lastCursor {
 		t.Errorf("recovered cursor %d behind the last synced commit %d", committed, lastCursor)

@@ -142,6 +142,7 @@ func TestPublishAtDeliveryTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rd.Close()
 	recs, err := rd.Poll(10)
 	if err != nil || len(recs) != 2 {
 		t.Fatalf("Poll = %d recs, %v", len(recs), err)

@@ -3,7 +3,12 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
+
+	"xymon/internal/wal"
 )
 
 // FuzzStreamRecords throws arbitrary bytes at the batch codec. Whatever
@@ -43,6 +48,98 @@ func FuzzStreamRecords(f *testing.F) {
 		hbase, hcount, herr := decodeBatchHeader(data)
 		if herr != nil || hbase != base || hcount != len(recs) {
 			t.Fatalf("header decode disagrees: %d/%d/%v vs %d/%d", hbase, hcount, herr, base, len(recs))
+		}
+	})
+}
+
+// FuzzReaderTail writes batch frames into a segment file in fuzzed
+// pieces, draining a tailing Reader after each piece: it must return
+// exactly the records of the frames wholly written so far, in offset
+// order, each once — a torn frame surfaces nothing until its last byte
+// lands. Batches hold one to three records, each record's XML as long
+// as its size byte. A nonzero flip damages one record byte of the last
+// frame: once that frame is complete the poll fails with wal.ErrCorrupt
+// and Next stays at the records actually returned.
+func FuzzReaderTail(f *testing.F) {
+	f.Add([]byte{4, 4}, make([]byte, 128), uint8(0), uint16(0))  // one batch, byte by byte
+	f.Add([]byte{1, 10}, make([]byte, 128), uint8(0), uint16(5)) // a damaged one, byte by byte
+	f.Add([]byte{0, 3, 200, 7, 1, 1, 90}, []byte{7, 30, 2, 63}, uint8(2), uint16(0))
+	f.Add([]byte{5, 5, 5, 5, 5, 5}, []byte{40}, uint8(1), uint16(300))
+
+	f.Fuzz(func(t *testing.T, sizes, cuts []byte, max uint8, flip uint16) {
+		if len(sizes) > 48 {
+			sizes = sizes[:48]
+		}
+		var stream []byte
+		var ends, counts []int // each frame's end byte, records through it
+		last := 0
+		for i := 0; i < len(sizes); {
+			recs := make([]Record, min(1+int(sizes[i])%3, len(sizes)-i))
+			for j := range recs {
+				recs[j] = Record{Subscription: "F", Time: t0, XML: strings.Repeat("x", int(sizes[i+j]))}
+			}
+			last = len(stream)
+			stream = append(stream, batchFrame(t, uint64(i), recs...)...)
+			i += len(recs)
+			ends, counts = append(ends, len(stream)), append(counts, i)
+		}
+		damaged := flip != 0 && len(stream) > 0
+		if damaged {
+			rec := stream[last+8+batchHeader:]
+			rec[int(flip)%len(rec)] ^= 0x01
+		}
+
+		dir := t.TempDir()
+		seg, err := os.Create(filepath.Join(dir, wal.SegmentFileName(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer seg.Close()
+		r := openReader(t, dir, "f", ReaderOptions{MaxFetch: 1 + int(max%8)})
+
+		got := 0
+		for written := 0; written < len(stream); {
+			n := len(stream) - written
+			if len(cuts) > 0 {
+				n, cuts = min(n, 1+int(cuts[0])%64), cuts[1:]
+			}
+			if _, err := seg.Write(stream[written : written+n]); err != nil {
+				t.Fatal(err)
+			}
+			written += n
+			complete := 0
+			for k, e := range ends {
+				if e <= written {
+					complete = counts[k]
+				}
+			}
+			for {
+				recs, err := r.Poll(0)
+				if err != nil {
+					if !damaged || written < len(stream) || !errors.Is(err, wal.ErrCorrupt) {
+						t.Fatalf("Poll with %d of %d bytes written: %v", written, len(stream), err)
+					}
+					if r.Next() != uint64(got) {
+						t.Fatalf("failed poll left Next at %d, %d records returned", r.Next(), got)
+					}
+					return
+				}
+				if len(recs) == 0 {
+					break
+				}
+				for _, rec := range recs {
+					if rec.Offset != uint64(got) || len(rec.XML) != int(sizes[got]) {
+						t.Fatalf("record %d (%d bytes) where %d (%d bytes) was due", rec.Offset, len(rec.XML), got, sizes[got])
+					}
+					got++
+				}
+			}
+			if got != complete {
+				t.Fatalf("%d of %d bytes written: %d records returned, %d complete", written, len(stream), got, complete)
+			}
+		}
+		if damaged {
+			t.Fatal("damaged frame never reported")
 		}
 	})
 }

@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"xymon/internal/wal"
@@ -31,12 +34,28 @@ type ReaderOptions struct {
 // another process), tracks its position in memory, and commits it
 // durably through a Cursor. Not safe for concurrent use — one Reader
 // per consumer goroutine, which is what a cursor means anyway.
+//
+// A Reader tails: it holds the segment it reads open between polls, so
+// a Poll reads only what was appended since the last one. It re-lists
+// the directory (the only path that reports ErrTruncated) on its first
+// Poll, after Seek, SeekOldest or a failed Poll, and when the held
+// segment was deleted, replaced or shrunk. That one descriptor is held
+// until Close; unclosed, it pins reclaimed disk for at most one Poll,
+// the first after retention deletes the segment dropping it.
 type Reader struct {
 	dir      string
 	consumer string
 	o        ReaderOptions
 	cur      *Cursor
 	next     uint64
+
+	f        *os.File    // the held segment; nil: the next Poll re-lists
+	fi       os.FileInfo // f's identity, checked against a stat of path
+	idx      int
+	path     string // f's segment file
+	nextPath string // the segment after it, whose existence seals f
+	pos      int64  // byte offset of the first frame not wholly returned
+	buf      []byte // read buffer, reused across polls
 }
 
 // OpenReader opens the named consumer's view of the stream rooted at
@@ -67,11 +86,29 @@ func (r *Reader) Next() uint64 { return r.next }
 func (r *Reader) Committed() uint64 { return r.cur.Offset() }
 
 // Seek repositions the reader (in memory; Commit makes it durable).
-func (r *Reader) Seek(off uint64) { r.next = off }
+func (r *Reader) Seek(off uint64) {
+	r.drop()
+	r.next = off
+}
 
 // Commit durably commits the reader's position: every record returned
 // by Poll so far is acknowledged and will not replay.
 func (r *Reader) Commit() error { return r.cur.Commit(r.next) }
+
+// Close releases the segment descriptor the reader holds. A later Poll
+// re-lists and opens it again.
+func (r *Reader) Close() error {
+	if r.f == nil {
+		return nil
+	}
+	err := r.f.Close()
+	r.f, r.fi = nil, nil
+	return err
+}
+
+// drop makes the next Poll re-list. Closing a descriptor that was only
+// read from reports nothing a reader could act on.
+func (r *Reader) drop() { _ = r.Close() }
 
 // Poll returns up to max records from the reader's position, advancing
 // it past what was returned. An empty result means the consumer is
@@ -86,15 +123,16 @@ func (r *Reader) Poll(max int) ([]Record, error) {
 		return nil, err
 	}
 	// Retention in the writer process can delete a segment between our
-	// directory listing and the read; one retry re-lists. On any error
-	// the position rolls back so a later Poll cannot skip the records
-	// a failed pass consumed in memory.
+	// directory listing and the open; one retry re-lists. On any error
+	// the position rolls back and the next pass re-lists, so a later
+	// Poll cannot skip the records a failed pass consumed in memory.
 	startNext := r.next
 	for attempt := 0; ; attempt++ {
 		recs, err := r.read(max)
 		if err != nil {
 			r.next = startNext
-			if os.IsNotExist(errors.Unwrap(err)) && attempt == 0 {
+			r.drop()
+			if errors.Is(err, fs.ErrNotExist) && attempt == 0 {
 				continue
 			}
 			return nil, err
@@ -109,6 +147,7 @@ func (r *Reader) SeekOldest() (uint64, error) {
 	if err := r.consult(OpRead); err != nil {
 		return 0, err
 	}
+	r.drop()
 	segs, err := listSegments(r.dir)
 	if err != nil {
 		return 0, err
@@ -187,11 +226,48 @@ func readSegBase(path string) (base uint64, ok bool, err error) {
 	return base, true, nil
 }
 
-// read performs one poll pass over the segment files.
+// read performs one poll pass: from the held segment when it is still
+// the one on disk, else from a fresh listing.
 func (r *Reader) read(max int) ([]Record, error) {
+	if r.f != nil {
+		if st, err := os.Stat(r.path); err != nil || !os.SameFile(r.fi, st) || st.Size() < r.pos {
+			r.drop() // deleted, replaced or shrunk
+		}
+	}
+	if r.f == nil {
+		if err := r.relist(); err != nil || r.f == nil {
+			return nil, err
+		}
+	}
+	var out []Record
+	for {
+		// The wal numbers segments contiguously and creates the next one
+		// when it rotates: once that exists, the held one is sealed and
+		// its size, taken after, final.
+		nf, err := os.Open(r.nextPath)
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return out, fmt.Errorf("stream: %w", err)
+		}
+		stop, err := r.frames(max, &out)
+		if nf == nil || stop || err != nil {
+			if nf != nil {
+				nf.Close()
+			}
+			return out, err
+		}
+		if err := r.hold(nf, r.idx+1); err != nil {
+			return out, err
+		}
+	}
+}
+
+// relist finds the segment holding the reader's position from a
+// directory listing and holds it from its first byte; f stays nil when
+// nothing is published yet.
+func (r *Reader) relist() error {
 	segs, err := listSegments(r.dir)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	start := -1
 	var first uint64
@@ -208,51 +284,71 @@ func (r *Reader) read(max int) ([]Record, error) {
 		}
 	}
 	if !haveFirst {
-		return nil, nil // nothing published yet
+		return nil // nothing published yet
 	}
 	if r.next < first {
-		return nil, &TruncatedError{Consumer: r.consumer, Requested: r.next, First: first}
+		return &TruncatedError{Consumer: r.consumer, Requested: r.next, First: first}
 	}
 	if start < 0 {
-		return nil, nil
+		return nil
 	}
-	var out []Record
-	for si := start; si < len(segs) && len(out) < max; si++ {
-		done, err := r.readSegment(segs[si], max, &out)
-		if err != nil || done {
-			return out, err
-		}
+	idx := segs[start].idx
+	f, err := os.Open(filepath.Join(r.dir, wal.SegmentFileName(idx)))
+	if err != nil {
+		return fmt.Errorf("stream: segment vanished: %w", err)
 	}
-	return out, nil
+	return r.hold(f, idx)
 }
 
-// readSegment scans one segment from the reader's position, appending
-// up to max records total into out. done reports that the scan hit the
-// stream's tail (torn or end of active data) and later segments must
-// not be read.
-func (r *Reader) readSegment(s segInfo, max int, out *[]Record) (done bool, err error) {
-	data, err := os.ReadFile(filepath.Join(r.dir, wal.SegmentFileName(s.idx)))
+// hold makes f, segment idx, the tailed segment from its first byte,
+// closing the previous one.
+func (r *Reader) hold(f *os.File, idx int) error {
+	r.drop()
+	fi, err := f.Stat()
 	if err != nil {
-		if os.IsNotExist(err) {
-			return true, fmt.Errorf("stream: segment vanished: %w", err)
-		}
+		f.Close()
+		return fmt.Errorf("stream: %w", err)
+	}
+	r.f, r.fi, r.idx, r.pos = f, fi, idx, 0
+	r.path = filepath.Join(r.dir, wal.SegmentFileName(idx))
+	r.nextPath = filepath.Join(r.dir, wal.SegmentFileName(idx+1))
+	return nil
+}
+
+// frames reads the held segment from pos to its end and decodes it
+// frame by frame, CRC and batch validation before any record of a frame
+// is returned, appending records at or past the reader's position to
+// out, up to max. pos moves past every frame wholly returned, so a max
+// cut inside a batch leaves it at that batch. stop reports max reached
+// or a torn frame: the writer is mid-append (or crashed; its next Open
+// truncates the frame) and durable data ends there for now.
+func (r *Reader) frames(max int, out *[]Record) (stop bool, err error) {
+	end, err := r.f.Seek(0, io.SeekEnd)
+	if err != nil {
 		return true, fmt.Errorf("stream: %w", err)
 	}
+	n := int(end - r.pos)
+	if n <= 0 {
+		return false, nil
+	}
+	r.buf = slices.Grow(r.buf[:0], n)[:n]
+	m, err := r.f.ReadAt(r.buf, r.pos)
+	if err != nil && err != io.EOF {
+		return true, fmt.Errorf("stream: %w", err)
+	}
+	data := r.buf[:m]
 	fr := wal.Binary{}
-	off := 0
-	for off < len(data) {
-		payload, size, err := fr.Next(data[off:])
+	for len(data) > 0 {
+		payload, size, err := fr.Next(data)
 		if err != nil {
 			if errors.Is(err, wal.ErrCorrupt) {
-				return true, fmt.Errorf("stream: segment %s at byte %d: %w", wal.SegmentFileName(s.idx), off, err)
+				return true, fmt.Errorf("stream: segment %s at byte %d: %w", wal.SegmentFileName(r.idx), r.pos, err)
 			}
-			// Torn frame: the writer is mid-append (or crashed; its next
-			// Open truncates this). Durable data ends here.
 			return true, nil
 		}
 		base, recs, err := decodeBatch(payload)
 		if err != nil {
-			return true, fmt.Errorf("stream: segment %s: %w", wal.SegmentFileName(s.idx), err)
+			return true, fmt.Errorf("stream: segment %s: %w", wal.SegmentFileName(r.idx), err)
 		}
 		for i, raw := range recs {
 			o := base + uint64(i)
@@ -270,7 +366,8 @@ func (r *Reader) readSegment(s segInfo, max int, out *[]Record) (done bool, err 
 			*out = append(*out, rec)
 			r.next = o + 1
 		}
-		off += size
+		data = data[size:]
+		r.pos += int64(size)
 	}
-	return false, nil
+	return len(*out) >= max, nil
 }

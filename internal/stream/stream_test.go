@@ -33,6 +33,17 @@ func publishN(t *testing.T, l *Log, n int) {
 	}
 }
 
+// openReader opens a Reader closed when the test ends.
+func openReader(t *testing.T, dir, consumer string, o ReaderOptions) *Reader {
+	t.Helper()
+	r, err := OpenReader(dir, consumer, o)
+	if err != nil {
+		t.Fatalf("OpenReader: %v", err)
+	}
+	t.Cleanup(func() { r.Close() })
+	return r
+}
+
 // drain polls everything available, asserting contiguous offsets from
 // the reader's position.
 func drain(t *testing.T, r *Reader) []Record {
@@ -65,10 +76,7 @@ func TestPublishPollRoundTrip(t *testing.T) {
 		t.Fatalf("Next = %d, want 5", got)
 	}
 
-	r, err := OpenReader(dir, "c1", ReaderOptions{})
-	if err != nil {
-		t.Fatalf("OpenReader: %v", err)
-	}
+	r := openReader(t, dir, "c1", ReaderOptions{})
 	all := drain(t, r)
 	if len(all) != 5 {
 		t.Fatalf("drained %d records, want 5", len(all))
@@ -97,7 +105,7 @@ func TestReaderResumesFromCursor(t *testing.T) {
 	l := openStream(t, dir, Options{})
 	publishN(t, l, 10)
 
-	r1, _ := OpenReader(dir, "c", ReaderOptions{})
+	r1 := openReader(t, dir, "c", ReaderOptions{})
 	if recs, err := r1.Poll(4); err != nil || len(recs) != 4 {
 		t.Fatalf("first poll: %d, %v", len(recs), err)
 	}
@@ -109,7 +117,7 @@ func TestReaderResumesFromCursor(t *testing.T) {
 		t.Fatalf("second poll: %d, %v", len(recs), err)
 	}
 
-	r2, _ := OpenReader(dir, "c", ReaderOptions{})
+	r2 := openReader(t, dir, "c", ReaderOptions{})
 	if got := r2.Next(); got != 4 {
 		t.Fatalf("resumed at %d, want the committed 4", got)
 	}
@@ -134,7 +142,7 @@ func TestWriterRecoversOffsets(t *testing.T) {
 		t.Fatalf("recovered Next = %d, want 20", got)
 	}
 	publishN(t, l2, 5)
-	r, _ := OpenReader(dir, "c", ReaderOptions{})
+	r := openReader(t, dir, "c", ReaderOptions{})
 	if all := drain(t, r); len(all) != 25 || all[24].Offset != 24 {
 		t.Fatalf("drained %d, last %d", len(all), all[len(all)-1].Offset)
 	}
@@ -149,7 +157,7 @@ func TestRetentionTruncatesPastFloor(t *testing.T) {
 	l := openStream(t, dir, Options{SegmentBytes: 256, MaxBehind: 10})
 
 	// A consumer committed at 0 pins everything while within the floor.
-	r, _ := OpenReader(dir, "slow", ReaderOptions{})
+	r := openReader(t, dir, "slow", ReaderOptions{})
 	if err := r.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +226,7 @@ func TestRetentionSurvivesReopen(t *testing.T) {
 	if got := l2.FirstRetained(); got != first {
 		t.Fatalf("recovered FirstRetained = %d, want %d", got, first)
 	}
-	r, _ := OpenReader(dir, "c", ReaderOptions{})
+	r := openReader(t, dir, "c", ReaderOptions{})
 	if _, err := r.Poll(1); !errors.Is(err, ErrTruncated) {
 		t.Fatal("offset 0 should be truncated after reopen")
 	}
@@ -299,10 +307,7 @@ func TestHookGatesEverySeam(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := OpenReader(dir, "c", ReaderOptions{Hook: hook})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openReader(t, dir, "c", ReaderOptions{Hook: hook})
 	deny = OpRead
 	if _, err := r.Poll(1); err == nil {
 		t.Error("poll survived a denied stream.read")
@@ -343,8 +348,8 @@ func TestLagsGauge(t *testing.T) {
 	dir := t.TempDir()
 	l := openStream(t, dir, Options{})
 	publishN(t, l, 12)
-	fast, _ := OpenReader(dir, "fast", ReaderOptions{})
-	slow, _ := OpenReader(dir, "slow", ReaderOptions{})
+	fast := openReader(t, dir, "fast", ReaderOptions{})
+	slow := openReader(t, dir, "slow", ReaderOptions{})
 	drain(t, fast)
 	if err := fast.Commit(); err != nil {
 		t.Fatal(err)
@@ -390,7 +395,7 @@ func TestTornTailHidesPartialBatch(t *testing.T) {
 	f.Close()
 
 	// A reader over the torn tail sees exactly the intact records.
-	r, _ := OpenReader(dir, "c", ReaderOptions{})
+	r := openReader(t, dir, "c", ReaderOptions{})
 	if all := drain(t, r); len(all) != 3 {
 		t.Fatalf("reader over torn tail drained %d, want 3", len(all))
 	}
@@ -401,7 +406,7 @@ func TestTornTailHidesPartialBatch(t *testing.T) {
 		t.Fatalf("reopened Next = %d, want 3", got)
 	}
 	publishN(t, l2, 1)
-	r2, _ := OpenReader(dir, "c2", ReaderOptions{})
+	r2 := openReader(t, dir, "c2", ReaderOptions{})
 	all := drain(t, r2)
 	if len(all) != 4 || all[3].Offset != 3 {
 		t.Fatalf("after repair: %d records, last offset %d", len(all), all[len(all)-1].Offset)
@@ -413,7 +418,7 @@ func TestBoundedFetch(t *testing.T) {
 	dir := t.TempDir()
 	l := openStream(t, dir, Options{})
 	publishN(t, l, 50)
-	r, _ := OpenReader(dir, "c", ReaderOptions{MaxFetch: 8})
+	r := openReader(t, dir, "c", ReaderOptions{MaxFetch: 8})
 	if recs, err := r.Poll(0); err != nil || len(recs) != 8 {
 		t.Fatalf("Poll(0) = %d records, %v; want the 8 cap", len(recs), err)
 	}
