@@ -77,7 +77,7 @@ func runStream(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "xysub stream: %v\n", err)
 			return 1
 		}
-		if err := cur.Commit(*at); err != nil {
+		if err := errors.Join(cur.Commit(*at), cur.Close()); err != nil {
 			fmt.Fprintf(stderr, "xysub stream: %v\n", err)
 			return 1
 		}

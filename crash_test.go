@@ -1,19 +1,25 @@
 package xymon
 
 import (
+	"cmp"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"xymon/internal/faults"
 	"xymon/internal/stream"
+	"xymon/internal/wal"
 )
 
 // The kill-and-recover harness. TestCrashRecovery re-execs this test
@@ -104,52 +110,73 @@ type crashScenario struct {
 	point faults.Point
 	match string // rule key filter: WAL log name, consumer, or subscription
 	skip  int    // let the first skip matching operations pass
+	// phase is where the kill must land: the workload step the child
+	// names in its ledger as it dies.
+	phase string
 	// tornTail names a WAL log ("reporter", "stream") whose active
 	// segment additionally gets a partial binary frame appended before
 	// recovery — the residue of a write the kernel cut mid-frame.
 	tornTail string
+	// unsynced, when set, takes the page cache down with the process: the
+	// reporter journal is cut back to what its last completed fsync
+	// covered, and the cut must remove exactly these record types, in
+	// order. Every report whose done the cut removes is owed again.
+	unsynced string
+	// unpublished: the journal's last record is a fired report the stream
+	// has not seen; recovery must publish and deliver it.
+	unpublished bool
+	// tornSlot tears the newer slot of the consumer's cursor file — the
+	// in-place write the kill cut off before its fsync — and recovery
+	// must resume from the previous committed offset exactly.
+	tornSlot bool
 }
 
 var crashScenarios = []crashScenario{
-	{name: "subs-append", point: faults.PointWALAppend, match: "subs"},
-	{name: "subs-append-done", point: faults.PointWALAppendDone, match: "subs"},
-	{name: "subs-second-append", point: faults.PointWALAppend, match: "subs", skip: 1},
-	{name: "reporter-first-append", point: faults.PointWALAppend, match: "reporter"},
-	{name: "reporter-mid-append", point: faults.PointWALAppend, match: "reporter", skip: 5},
-	{name: "reporter-append-done", point: faults.PointWALAppendDone, match: "reporter", skip: 3, tornTail: "reporter"},
-	{name: "trigger-mark-append", point: faults.PointWALAppend, match: "trigger"},
-	{name: "checkpoint-temp", point: faults.PointWALCheckpointTemp},
-	{name: "checkpoint-install", point: faults.PointWALCheckpointInstall},
-	{name: "checkpoint-compact", point: faults.PointWALCheckpointCompact},
-	{name: "checkpoint-reporter-install", point: faults.PointWALCheckpointInstall, match: "reporter"},
-	{name: "delivery", point: faults.PointDelivery, skip: 2},
-	{name: "delivery-ack", point: faults.PointDeliveryAck, skip: 1, tornTail: "reporter"},
+	{name: "subs-append", point: faults.PointWALAppend, match: "subs", phase: "subscribe:Watch"},
+	{name: "subs-append-done", point: faults.PointWALAppendDone, match: "subs", phase: "subscribe:Watch"},
+	{name: "subs-second-append", point: faults.PointWALAppend, match: "subs", skip: 1, phase: "subscribe:Pulse"},
+	{name: "reporter-first-append", point: faults.PointWALAppend, match: "reporter", phase: "tick"},
+	{name: "reporter-mid-append", point: faults.PointWALAppend, match: "reporter", skip: 5, phase: "push:p0:v2"},
+	{name: "reporter-append-done", point: faults.PointWALAppendDone, match: "reporter", skip: 3, phase: "push:p1:v2", tornTail: "reporter"},
+	{name: "trigger-mark-append", point: faults.PointWALAppend, match: "trigger", phase: "tick"},
+	{name: "checkpoint-temp", point: faults.PointWALCheckpointTemp, phase: "checkpoint"},
+	{name: "checkpoint-install", point: faults.PointWALCheckpointInstall, phase: "checkpoint"},
+	{name: "checkpoint-compact", point: faults.PointWALCheckpointCompact, phase: "checkpoint"},
+	{name: "checkpoint-reporter-install", point: faults.PointWALCheckpointInstall, match: "reporter", phase: "checkpoint"},
+	{name: "delivery", point: faults.PointDelivery, skip: 2, phase: "push:p1:v2"},
+	{name: "delivery-ack", point: faults.PointDeliveryAck, skip: 1, phase: "push:p0:v2", tornTail: "reporter"},
 	// Change-stream crash points: the writer side dies mid-append (no
 	// phantom batch may survive), the consumer side dies between reading
 	// a batch and committing its cursor (the batch must replay), and the
-	// cursor install itself is torn (recovery resumes from the previous
-	// durable offset — behind is replay, ahead would be a skip).
-	{name: "stream-append", point: faults.PointWALAppend, match: "stream"},
-	{name: "stream-append-done", point: faults.PointWALAppendDone, match: "stream", skip: 3, tornTail: "stream"},
-	{name: "stream-publish", point: faults.PointStreamAppend, skip: 2},
-	{name: "stream-consumer-read", point: faults.PointStreamRead, match: "watcher", skip: 2},
-	{name: "cursor-commit", point: faults.PointCursorCommit, match: "watcher", skip: 1},
-	{name: "cursor-install", point: faults.PointCursorInstall, match: "watcher", skip: 1},
+	// second commit — the first in place — dies before its slot write or
+	// with the slot written, unsynced and torn (recovery resumes from the
+	// previous durable offset: behind is replay, ahead would be a skip).
+	{name: "stream-append", point: faults.PointWALAppend, match: "stream", phase: "tick"},
+	{name: "stream-append-done", point: faults.PointWALAppendDone, match: "stream", skip: 3, phase: "push:p2:v2", tornTail: "stream"},
+	{name: "stream-publish", point: faults.PointStreamAppend, skip: 2, phase: "push:p1:v2"},
+	{name: "stream-consumer-read", point: faults.PointStreamRead, match: "watcher", skip: 2, phase: "poll:2"},
+	{name: "cursor-commit", point: faults.PointCursorCommit, match: "watcher", skip: 1, phase: "commit:4"},
+	{name: "cursor-install", point: faults.PointCursorInstall, match: "watcher", skip: 1, phase: "commit:4"},
+	{name: "cursor-torn-slot", point: faults.PointWALFileSync, match: "watcher", phase: "commit:4", tornSlot: true},
 	// The windows group commit widens. The reporter journal is written
-	// record by record and fsynced by barriers: (1) before a document's
-	// reports leave the Reporter, (3) after its Deliver loop; every
-	// report-firing call of the child pays exactly that pair, so an even
-	// skip lands on a barrier (1) and an odd one on a barrier (3). Killing
-	// at wal.file.sync dies with the whole batch written and none of it
-	// synced — the first document's notif + fired, a later one's with a
-	// torn frame behind them, or a done record after the sink accepted.
-	// Killing at wal.append.done on an even skip dies between barrier (1)
-	// and the stream publish: the fired record is durable, the stream has
-	// not seen the report, recovery must publish and deliver it.
-	{name: "reporter-sync-first-batch", point: faults.PointWALFileSync, match: "reporter"},
-	{name: "reporter-sync-later-batch", point: faults.PointWALFileSync, match: "reporter", skip: 4, tornTail: "reporter"},
-	{name: "reporter-commit-before-publish", point: faults.PointWALAppendDone, match: "reporter", skip: 4},
-	{name: "reporter-done-unsynced", point: faults.PointWALFileSync, match: "reporter", skip: 3},
+	// record by record; barrier (1), one fsync before a call's reports
+	// leave the Reporter, makes its notif and fired records durable
+	// together with the done records of the call before it, which ride
+	// it. A Tick, a checkpoint's rotation and Close sync them too. In
+	// this workload the reporter's fsyncs are, by skip: 0 the tick's
+	// batch, 1 the reporter Tick syncing its done, 2–5 the barriers (1)
+	// of p0–p3, 6 the checkpoint, 7–10 those of p4–p7, 11 Close. A kill
+	// at wal.file.sync cuts the journal back to the previous fsync: the
+	// first batch lost whole; the first batch after the checkpoint, with
+	// a torn frame behind the cut; and a barrier (1) carrying the
+	// previous document's done, whose report recovery must deliver again.
+	// A kill at wal.append.done on a barrier (1) dies between it and the
+	// stream publish: the fired record is durable, the stream has not
+	// seen the report, recovery must publish and deliver it.
+	{name: "reporter-sync-first-batch", point: faults.PointWALFileSync, match: "reporter", phase: "tick", unsynced: "notif fired"},
+	{name: "reporter-sync-later-batch", point: faults.PointWALFileSync, match: "reporter", skip: 7, phase: "push:p4:v2", unsynced: "notif fired", tornTail: "reporter"},
+	{name: "reporter-commit-before-publish", point: faults.PointWALAppendDone, match: "reporter", skip: 4, phase: "push:p2:v2", unpublished: true},
+	{name: "reporter-done-unsynced", point: faults.PointWALFileSync, match: "reporter", skip: 3, phase: "push:p1:v2", unsynced: "done notif fired"},
 }
 
 // TestDurableLogsFireFileFaultPoints asserts the seam the new scenarios
@@ -188,6 +215,46 @@ func TestDurableLogsFireFileFaultPoints(t *testing.T) {
 	}
 }
 
+// crashSpy tells the parent where a kill landed. The child names the
+// workload step it is in; a latency rule at wal.file.sync on the
+// reporter journal notes, before each fsync, how far into the active
+// segment it reaches; the injector's Exit writes both to the acked
+// ledger before dying. A kill at wal.file.sync fires before the
+// latency rule, so what it reads is the reach of the last fsync that
+// completed: the journal a power loss there would leave.
+type crashSpy struct {
+	dir    string // the reporter journal
+	mu     sync.Mutex
+	phase  string
+	seg    string // the segment the last fsync covered
+	synced int64  // its size then
+}
+
+func (s *crashSpy) at(phase string) {
+	s.mu.Lock()
+	s.phase = phase
+	s.mu.Unlock()
+}
+
+func (s *crashSpy) noteSync() {
+	seg := activeSegment(s.dir)
+	fi, err := os.Stat(seg)
+	if err != nil {
+		return
+	}
+	s.mu.Lock()
+	s.seg, s.synced = filepath.Base(seg), fi.Size()
+	s.mu.Unlock()
+}
+
+// landing is the ledger line: "landed <phase> <segment> <synced size>",
+// the segment "-" before the journal's first fsync.
+func (s *crashSpy) landing() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return fmt.Sprintf("landed %s %s %d", s.phase, cmp.Or(s.seg, "-"), s.synced)
+}
+
 // TestCrashChild is the harness's child body; standalone it only skips.
 func TestCrashChild(t *testing.T) {
 	if os.Getenv(crashChildEnv) != "1" {
@@ -195,6 +262,10 @@ func TestCrashChild(t *testing.T) {
 	}
 	dir := os.Getenv(crashDirEnv)
 	skip, _ := strconv.Atoi(os.Getenv(crashSkipEnv))
+	acked, err := openLedger(filepath.Join(dir, "acked.log"))
+	if err != nil {
+		t.Fatalf("acked ledger: %v", err)
+	}
 	in := faults.New(1)
 	in.Enable(faults.Rule{
 		Point: faults.Point(os.Getenv(crashPointEnv)),
@@ -202,10 +273,12 @@ func TestCrashChild(t *testing.T) {
 		Match: os.Getenv(crashMatchEnv),
 		Skip:  skip,
 	})
-
-	acked, err := openLedger(filepath.Join(dir, "acked.log"))
-	if err != nil {
-		t.Fatalf("acked ledger: %v", err)
+	spy := &crashSpy{dir: filepath.Join(dir, "wal", "reporter"), phase: "new"}
+	in.Enable(faults.Rule{Point: faults.PointWALFileSync, Mode: faults.ModeLatency, Latency: 1, Match: "reporter"})
+	in.Sleep = func(time.Duration) { spy.noteSync() }
+	in.Exit = func(code int) {
+		_ = acked.add(spy.landing())
+		os.Exit(code)
 	}
 	delivered, err := openLedger(filepath.Join(dir, "delivered.log"))
 	if err != nil {
@@ -227,10 +300,12 @@ func TestCrashChild(t *testing.T) {
 			t.Fatalf("ack %q: %v", entry, err)
 		}
 	}
+	spy.at("subscribe:Watch")
 	if _, err := sys.Subscribe(crashWatchSub); err != nil {
 		t.Fatalf("Subscribe(Watch): %v", err)
 	}
 	mustAck("sub:Watch")
+	spy.at("subscribe:Pulse")
 	if _, err := sys.Subscribe(crashPulseSub); err != nil {
 		t.Fatalf("Subscribe(Pulse): %v", err)
 	}
@@ -238,14 +313,17 @@ func TestCrashChild(t *testing.T) {
 
 	// First Tick evaluates the never-run weekly query; its immediate
 	// report reaches the sink inside the call.
+	spy.at("tick")
 	sys.Tick()
 	mustAck("cq:ran")
 
 	for i := 0; i < 8; i++ {
 		url := fmt.Sprintf("http://crash.example/p%d.xml", i)
+		spy.at(fmt.Sprintf("push:p%d:v1", i))
 		if _, err := sys.PushXML(url, "", "", "<page>v1</page>"); err != nil {
 			t.Fatalf("push %s v1: %v", url, err)
 		}
+		spy.at(fmt.Sprintf("push:p%d:v2", i))
 		n, err := sys.PushXML(url, "", "", "<page>v2</page>")
 		if err != nil {
 			t.Fatalf("push %s v2: %v", url, err)
@@ -254,6 +332,7 @@ func TestCrashChild(t *testing.T) {
 			mustAck("push:" + url)
 		}
 		if i == 3 {
+			spy.at("checkpoint")
 			if err := sys.Checkpoint(); err != nil {
 				t.Fatalf("Checkpoint: %v", err)
 			}
@@ -266,6 +345,7 @@ func TestCrashChild(t *testing.T) {
 	// with the injector's rules live at the stream/cursor fault points.
 	// consumed: lines record every offset the child observed; cursor:
 	// lines record every durable commit it saw acknowledged.
+	spy.at("consume")
 	streamHook := func(op, key string) error { return in.Check(faults.Point(op), key) }
 	rd, err := stream.OpenReader(filepath.Join(dir, "wal", "stream"), "watcher",
 		stream.ReaderOptions{Hook: streamHook, MaxFetch: 2})
@@ -274,6 +354,7 @@ func TestCrashChild(t *testing.T) {
 	}
 	defer rd.Close()
 	for {
+		spy.at(fmt.Sprintf("poll:%d", rd.Next()))
 		recs, err := rd.Poll(2)
 		if err != nil {
 			t.Fatalf("Poll: %v", err)
@@ -285,11 +366,13 @@ func TestCrashChild(t *testing.T) {
 			mustAck(fmt.Sprintf("consumed:%d:%s:%s",
 				rec.Offset, rec.Subscription, strings.ReplaceAll(rec.XML, "\n", " ")))
 		}
+		spy.at(fmt.Sprintf("commit:%d", rd.Next()))
 		if err := rd.Commit(); err != nil {
 			t.Fatalf("cursor commit: %v", err)
 		}
 		mustAck(fmt.Sprintf("cursor:%d", rd.Next()))
 	}
+	spy.at("close")
 	sys.Close()
 	// Reaching here means the armed crash point never fired: exit 0 and
 	// let the parent flag the dead scenario.
@@ -309,10 +392,35 @@ func TestCrashRecovery(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			runCrashChild(t, dir, sc)
+			land := crashLanded(t, dir)
+			if land.phase != sc.phase {
+				t.Fatalf("the kill landed in %q, the scenario aims at %q", land.phase, sc.phase)
+			}
+			var owed []string // URLs recovery must deliver (again)
+			if sc.unsynced != "" {
+				owed = losePageCache(t, dir, land, sc.unsynced)
+			}
+			var unpublished string
+			if sc.unpublished {
+				unpublished = lastFiredUnpublished(t, dir)
+				owed = append(owed, unpublished)
+			}
 			if sc.tornTail != "" {
 				tearTail(t, dir, sc.tornTail)
 			}
-			verifyCrashRecovery(t, dir)
+			if sc.tornSlot {
+				tearNewerSlot(t, dir)
+			}
+			before := strings.Join(readLedger(filepath.Join(dir, "delivered.log")), "\n")
+			delivered, streamed := verifyCrashRecovery(t, dir, sc)
+			for _, url := range owed {
+				if strings.Count(delivered, url) <= strings.Count(before, url) {
+					t.Errorf("the report for %s lost its durable done or its publish, and recovery did not deliver it again", url)
+				}
+			}
+			if unpublished != "" && !strings.Contains(streamed, unpublished) {
+				t.Errorf("recovery did not publish the report for %s", unpublished)
+			}
 		})
 	}
 }
@@ -345,12 +453,11 @@ func runCrashChild(t *testing.T, dir string, sc crashScenario) {
 // on recovery.
 func tearTail(t *testing.T, dir, log string) {
 	t.Helper()
-	segs, err := filepath.Glob(filepath.Join(dir, "wal", log, "seg-*.wal"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no %s segments to tear (err=%v)", log, err)
+	seg := activeSegment(filepath.Join(dir, "wal", log))
+	if seg == "" {
+		t.Fatalf("no %s segments to tear", log)
 	}
-	sort.Strings(segs)
-	f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0)
+	f, err := os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatalf("tearing tail: %v", err)
 	}
@@ -362,20 +469,197 @@ func tearTail(t *testing.T, dir, log string) {
 	}
 }
 
+// activeSegment returns the path of a WAL directory's newest segment,
+// or "" when it has none.
+func activeSegment(dir string) string {
+	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
+	if len(segs) == 0 {
+		return ""
+	}
+	sort.Strings(segs)
+	return segs[len(segs)-1]
+}
+
+// crashLanding is where the child's kill landed, from its ledger.
+type crashLanding struct {
+	phase  string
+	seg    string // the reporter segment its last completed fsync covered
+	synced int    // and how far
+}
+
+func crashLanded(t *testing.T, dir string) crashLanding {
+	t.Helper()
+	for _, a := range readLedger(filepath.Join(dir, "acked.log")) {
+		f := strings.Fields(a)
+		if len(f) == 4 && f[0] == "landed" {
+			n, err := strconv.Atoi(f[3])
+			if err != nil {
+				t.Fatalf("malformed landing %q", a)
+			}
+			return crashLanding{phase: f[1], seg: f[2], synced: n}
+		}
+	}
+	t.Fatal("the child died without recording where")
+	return crashLanding{}
+}
+
+// journalRecord is what the harness reads of a reporter journal record.
+type journalRecord struct {
+	T   string `json:"t"`
+	ID  uint64 `json:"id"`
+	XML string `json:"xml"`
+}
+
+// readJournal decodes a reporter segment's frames up to a torn tail;
+// ends[i] is the byte offset where record i ends.
+func readJournal(t *testing.T, data []byte) (recs []journalRecord, ends []int) {
+	t.Helper()
+	for off := 0; off < len(data); {
+		payload, size, err := wal.Binary{}.Next(data[off:])
+		if err != nil {
+			break
+		}
+		var rec journalRecord
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			t.Fatalf("journal record at byte %d: %v", off, err)
+		}
+		off += size
+		recs, ends = append(recs, rec), append(ends, off)
+	}
+	return recs, ends
+}
+
+var crashURL = regexp.MustCompile(`http://crash\.example/p\d+\.xml`)
+
+// losePageCache cuts the reporter's active segment back to what the
+// child's last completed fsync covered (all of it, if that fsync was on
+// an older segment), requires the cut to remove exactly the record
+// types want, and returns the URLs of the reports whose done it removed.
+func losePageCache(t *testing.T, dir string, land crashLanding, want string) []string {
+	t.Helper()
+	seg := activeSegment(filepath.Join(dir, "wal", "reporter"))
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := 0
+	if filepath.Base(seg) == land.seg {
+		cut = land.synced
+	}
+	recs, ends := readJournal(t, data)
+	fired := make(map[uint64]string)
+	var lost []string
+	var owed []string
+	for i, rec := range recs {
+		switch {
+		case ends[i] <= cut:
+			if rec.T == "fired" {
+				fired[rec.ID] = crashURL.FindString(rec.XML)
+			}
+		case rec.T == "done" && fired[rec.ID] == "":
+			t.Fatalf("the cut removes the done of report %d, fired before this segment", rec.ID)
+		case rec.T == "done":
+			owed = append(owed, fired[rec.ID])
+			fallthrough
+		default:
+			lost = append(lost, rec.T)
+		}
+	}
+	if got := strings.Join(lost, " "); got != want {
+		t.Fatalf("the fsync the kill cut off covered %q, the scenario aims at %q", got, want)
+	}
+	if err := os.Truncate(seg, int64(cut)); err != nil {
+		t.Fatal(err)
+	}
+	return owed
+}
+
+// lastFiredUnpublished returns the URL of the fired record that ends
+// the reporter journal, requiring that the stream has not seen it.
+func lastFiredUnpublished(t *testing.T, dir string) string {
+	t.Helper()
+	data, err := os.ReadFile(activeSegment(filepath.Join(dir, "wal", "reporter")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _ := readJournal(t, data)
+	if len(recs) == 0 || recs[len(recs)-1].T != "fired" {
+		t.Fatalf("the journal does not end on a fired record: %v", recs)
+	}
+	url := crashURL.FindString(recs[len(recs)-1].XML)
+	if strings.Contains(streamText(t, dir), url) {
+		t.Fatalf("the stream already holds the report for %s", url)
+	}
+	return url
+}
+
+// streamText is every record the stream retains, one XML per line.
+func streamText(t *testing.T, dir string) string {
+	t.Helper()
+	rd, err := stream.OpenReader(filepath.Join(dir, "wal", "stream"), "probe", stream.ReaderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	var b strings.Builder
+	for {
+		recs, err := rd.Poll(0)
+		if err != nil {
+			t.Fatalf("reading the stream: %v", err)
+		}
+		if len(recs) == 0 {
+			return b.String()
+		}
+		for _, rec := range recs {
+			b.WriteString(rec.XML + "\n")
+		}
+	}
+}
+
+// tearNewerSlot damages the tail of the consumer cursor's newer slot —
+// a write cut short before its fsync — leaving the older one intact.
+func tearNewerSlot(t *testing.T, dir string) {
+	t.Helper()
+	path := filepath.Join(dir, "wal", "stream", "cursors", "watcher.cur")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sector = 512
+	newer, seq := -1, uint64(0)
+	for i := 0; i*sector < len(data); i++ {
+		payload, _, err := wal.Binary{}.Next(data[i*sector:])
+		if err != nil || len(payload) != 16 {
+			t.Fatalf("cursor slot %d is not intact before the tear: %v", i, err)
+		}
+		if s := binary.LittleEndian.Uint64(payload); newer < 0 || s > seq {
+			newer, seq = i, s
+		}
+	}
+	if newer < 0 || len(data) <= sector {
+		t.Fatalf("cursor file of %d bytes has no second slot to tear", len(data))
+	}
+	clear(data[newer*sector+16 : newer*sector+24]) // the new offset never landed
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // verifyCrashRecovery recovers from the child's disk state and checks
-// the durability invariants against its ledgers.
-func verifyCrashRecovery(t *testing.T, dir string) {
+// the durability invariants against its ledgers. It returns the
+// delivered ledger and the stream's records after recovery.
+func verifyCrashRecovery(t *testing.T, dir string, sc crashScenario) (delivered, streamed string) {
 	t.Helper()
 	acked := readLedger(filepath.Join(dir, "acked.log"))
-	delivered, err := openLedger(filepath.Join(dir, "delivered.log"))
+	sink, err := openLedger(filepath.Join(dir, "delivered.log"))
 	if err != nil {
 		t.Fatalf("delivered ledger: %v", err)
 	}
-	defer delivered.Close()
+	defer sink.Close()
 	clk := &testClock{t: crashT0}
 	sys, err := New(Options{
 		Clock:      clk.now,
-		Delivery:   delivered,
+		Delivery:   sink,
 		DurableDir: filepath.Join(dir, "wal"),
 	})
 	if err != nil {
@@ -440,7 +724,8 @@ func verifyCrashRecovery(t *testing.T, dir string) {
 		t.Errorf("%d reports still stuck in the retry queue after recovery", p)
 	}
 
-	verifyStreamRecovery(t, dir, sys, acked)
+	verifyStreamRecovery(t, dir, sys, acked, sc.tornSlot)
+	return all, streamText(t, dir)
 }
 
 // verifyStreamRecovery checks the change-stream's half of the
@@ -450,7 +735,7 @@ func verifyCrashRecovery(t *testing.T, dir string) {
 // offset-contiguous to the head with no phantom records, and every
 // notification the child saw accepted is in the stream — consumed
 // before the crash or replayable now.
-func verifyStreamRecovery(t *testing.T, dir string, sys *System, acked []string) {
+func verifyStreamRecovery(t *testing.T, dir string, sys *System, acked []string, exact bool) {
 	t.Helper()
 	consumed := make(map[uint64]string)
 	var maxConsumed, lastCursor uint64
@@ -485,6 +770,9 @@ func verifyStreamRecovery(t *testing.T, dir string, sys *System, acked []string)
 	committed := rd.Committed()
 	if committed < lastCursor {
 		t.Errorf("recovered cursor %d behind the last synced commit %d", committed, lastCursor)
+	}
+	if exact && committed != lastCursor {
+		t.Errorf("recovered cursor %d, want the previous commit %d: the torn slot must not count", committed, lastCursor)
 	}
 	if len(consumed) > 0 && committed > maxConsumed+1 {
 		t.Errorf("recovered cursor %d skipped past the last consumed offset %d", committed, maxConsumed)

@@ -83,8 +83,9 @@ const (
 	// test): stream.append before a batch is encoded and written,
 	// stream.read before any poll or recovery scan touches segment or
 	// cursor bytes, cursor.commit between consuming a batch and writing
-	// the cursor temp file, cursor.commit.install between the fsynced
-	// temp file and the rename that makes the new offset durable.
+	// anything, cursor.commit.install just before the new offset reaches
+	// the cursor file (the first commit's rename, a later one's in-place
+	// slot write).
 	PointStreamAppend  Point = "stream.append"
 	PointStreamRead    Point = "stream.read"
 	PointCursorCommit  Point = "cursor.commit"

@@ -70,8 +70,8 @@ func commitRig(t *testing.T, dir string, sink Delivery, c *fsyncCounter) (*Repor
 }
 
 // TestGroupCommitBarriersPerDocument pins the gain as a count: a
-// document costs three fsyncs when it fires reports (two on the journal
-// around one on the stream) and one when it only buffers, however many
+// document costs two fsyncs when it fires reports (one on the journal,
+// then one on the stream) and one when it only buffers, however many
 // notifications it raises and however many reports it fires.
 func TestGroupCommitBarriersPerDocument(t *testing.T) {
 	var c fsyncCounter
@@ -90,8 +90,8 @@ func TestGroupCommitBarriersPerDocument(t *testing.T) {
 	if len(sink.sent) != 2 {
 		t.Fatalf("12 notifications over two count-6 subscriptions fired %d reports, want 2", len(sink.sent))
 	}
-	if rep, st := c.take(); rep != 2 || st != 1 {
-		t.Errorf("N=12, R=2: %d fsyncs on reporter/ and %d on stream/, want 2 and 1", rep, st)
+	if rep, st := c.take(); rep != 1 || st != 1 {
+		t.Errorf("N=12, R=2: %d fsyncs on reporter/ and %d on stream/, want 1 and 1", rep, st)
 	}
 
 	r.NotifyBatch(quiet)
@@ -112,7 +112,7 @@ func TestGroupCommitBarriersPerDocument(t *testing.T) {
 }
 
 // TestGroupCommitTickBarriers: a Tick that fires K reports with nothing
-// to retry costs 2 + 1 fsyncs for every K.
+// to retry costs 1 + 1 fsyncs for every K.
 func TestGroupCommitTickBarriers(t *testing.T) {
 	daily := &sublang.ReportSpec{When: []sublang.ReportTerm{{Kind: sublang.TermPeriodic, Freq: sublang.Daily}}}
 	for _, k := range []int{1, 5} {
@@ -134,9 +134,93 @@ func TestGroupCommitTickBarriers(t *testing.T) {
 		if len(sink.sent) != k {
 			t.Fatalf("K=%d: Tick fired %d reports", k, len(sink.sent))
 		}
-		if rep, st := c.take(); rep != 2 || st != 1 {
-			t.Errorf("K=%d: Tick cost %d fsyncs on reporter/ and %d on stream/, want 2 and 1", k, rep, st)
+		if rep, st := c.take(); rep != 1 || st != 1 {
+			t.Errorf("K=%d: Tick cost %d fsyncs on reporter/ and %d on stream/, want 1 and 1", k, rep, st)
 		}
+	}
+}
+
+// TestDoneRidesNextBarrier: the done records a call writes are not
+// synced by that call. They become durable with the next reporter/
+// barrier at no extra fsync — the next call's barrier (1), a Tick that
+// fires nothing, or Close.
+func TestDoneRidesNextBarrier(t *testing.T) {
+	dir := t.TempDir()
+	seg := filepath.Join(dir, "reporter", wal.SegmentFileName(1))
+	var c fsyncCounter
+	var synced int64 // how far into seg the last reporter/ fsync reached
+	hook := func(op, key string) error {
+		if op == wal.OpFileSync && key == "reporter" {
+			fi, err := os.Stat(seg)
+			if err != nil {
+				return err
+			}
+			synced = fi.Size()
+		}
+		return c.hook(op, key)
+	}
+	st, err := stream.Open(filepath.Join(dir, "stream"), stream.Options{Hook: hook})
+	if err != nil {
+		t.Fatalf("stream.Open: %v", err)
+	}
+	t.Cleanup(func() { st.Close() })
+	l, err := wal.Open(filepath.Join(dir, "reporter"), wal.Options{Hook: hook})
+	if err != nil {
+		t.Fatalf("wal.Open: %v", err)
+	}
+	sink := &flakySink{}
+	r := New(sink, WithWAL(l), WithStream(st))
+	r.Register("S", nil)
+	// dones counts the done records written to seg and those of them the
+	// last fsync covered.
+	dones := func() (written, durable int) {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < len(data); {
+			payload, size, err := wal.Binary{}.Next(data[off:])
+			if err != nil {
+				t.Fatalf("frame at byte %d: %v", off, err)
+			}
+			var rec walRecord
+			if err := json.Unmarshal(payload, &rec); err != nil {
+				t.Fatal(err)
+			}
+			off += size
+			if rec.T == "done" {
+				written++
+				if off <= int(synced) {
+					durable++
+				}
+			}
+		}
+		return written, durable
+	}
+	step := func(what string, call func(), wantRep, wantSt, wantWritten, wantDurable int) {
+		t.Helper()
+		call()
+		if rep, st := c.take(); rep != wantRep || st != wantSt {
+			t.Errorf("%s: %d fsyncs on reporter/ and %d on stream/, want %d and %d", what, rep, st, wantRep, wantSt)
+		}
+		if w, d := dones(); w != wantWritten || d != wantDurable {
+			t.Errorf("%s: %d done records written, %d durable; want %d and %d", what, w, d, wantWritten, wantDurable)
+		}
+	}
+	notify := func() { r.Notify(Notification{Subscription: "S", Label: "l", Element: elem("x")}) }
+
+	step("call 1", notify, 1, 1, 1, 0)
+	step("call 2: its barrier (1) covers call 1's done", notify, 1, 1, 2, 1)
+	step("an idle Tick", r.Tick, 1, 0, 2, 2)
+	step("a second idle Tick", r.Tick, 0, 0, 2, 2)
+	step("call 3", notify, 1, 1, 3, 2)
+	step("Close", func() {
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}, 1, 0, 3, 3)
+	if len(sink.sent) != 3 || r.JournalErrors() != 0 {
+		t.Errorf("%d reports delivered, %d journal errors; want 3 and 0", len(sink.sent), r.JournalErrors())
 	}
 }
 

@@ -584,15 +584,18 @@ func (r *Reporter) StreamStats() (published, errors uint64) {
 // Failures enter the retry queue.
 //
 // The journal is group-committed — records are written where they
-// happen, three ordered barriers make them durable where it matters:
+// happen, two ordered barriers make them durable where it matters:
 //
 //  1. the commit below covers every notif and fired record of the call,
 //     so nothing leaves the Reporter — and the caller is not told its
 //     notifications were taken — before a crash could still forget them;
-//  2. publish is one durable stream append;
-//  3. the commit after the loop covers every done record: until it
-//     lands, a crash redelivers what the sink already accepted (the
-//     at-least-once window), and nothing else.
+//  2. publish is one durable stream append.
+//
+// The done records the loop writes are owed to nobody: they ride the
+// next commit — the next call's, a Tick's (which commits even when
+// nothing fires), a Checkpoint's or Close's. Until then a crash
+// redelivers what the sink already accepted (the at-least-once window),
+// and nothing else.
 func (r *Reporter) deliver(reps []*Report) {
 	r.commit()
 	if len(reps) == 0 {
@@ -609,7 +612,6 @@ func (r *Reporter) deliver(reps []*Report) {
 			r.noteDelivered(rep)
 		}
 	}
-	r.commit()
 }
 
 // Buffered returns the number of notifications waiting for a subscription.

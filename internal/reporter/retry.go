@@ -138,8 +138,8 @@ func (r *Reporter) noteFailure(rep *Report, attempts int, err error, now time.Ti
 
 // drainRetries re-attempts every queued report whose backoff has elapsed.
 // Deliver runs with no lock held; failures re-enter the queue (or the
-// dead-letter queue) through noteFailure. One commit after the loop
-// covers every done record it wrote.
+// dead-letter queue) through noteFailure. The done records it writes
+// ride the next commit, like deliver's.
 func (r *Reporter) drainRetries(now time.Time) {
 	rt := &r.retry
 	rt.mu.Lock()
@@ -183,7 +183,6 @@ func (r *Reporter) drainRetries(now time.Time) {
 			r.noteDelivered(e.rep)
 		}
 	}
-	r.commit()
 }
 
 // RetryPending returns the number of reports waiting for redelivery.

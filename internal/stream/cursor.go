@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -11,27 +12,43 @@ import (
 )
 
 // Cursor is a consumer's durable position in the stream: the offset of
-// the next record it has NOT yet consumed. Commit is atomic — temp file
-// → fsync → rename → parent-dir fsync — so a crash mid-commit leaves
-// either the previous offset or the new one, never a torn value, and
-// recovery resumes from the last synced offset: at-least-once, records
-// may replay, none are skipped.
+// the next record it has NOT yet consumed. Recovery resumes from the
+// last synced offset: at-least-once, records may replay, none are
+// skipped.
 //
-// One file per consumer under <stream>/cursors/<name>.cur; the payload
-// is a wal Binary frame (CRC-checked) holding the offset, so a damaged
-// cursor is detected rather than silently resetting a consumer to zero.
+// One file per consumer under <stream>/cursors/<name>.cur holds two
+// 512-byte slots, each a wal Binary frame (CRC-checked) of (seq, offset)
+// and zeros. The first commit installs the file atomically; every later
+// one overwrites the older slot in place and fsyncs it. A torn write
+// damages only that slot, so recovery — the intact slot with the higher
+// seq — finds the previous offset or the new one, never a torn value.
+// A non-zero file with no intact slot is damage, detected rather than
+// silently resetting the consumer to zero. A file of the earlier
+// single-frame format reads as seq 0 in slot 0.
+//
+// From its first in-place commit a Cursor holds the file open until
+// Close; one nobody closes keeps that descriptor until the process
+// exits, on a file retention never deletes.
 type Cursor struct {
-	dir    string // the cursors directory
-	path   string
-	tmp    string
-	name   string
-	hook   wal.Hook
-	offset uint64
+	dir  string // the cursors directory
+	path string
+	tmp  string
+	name string
+	hook wal.Hook
+	f    *os.File
+	cursorState
+}
+
+// cursorState is the newest intact slot of a cursor file.
+type cursorState struct {
+	seq, offset uint64
+	slot        int // -1: none yet
 }
 
 const (
 	cursorDirName = "cursors"
 	cursorExt     = ".cur"
+	slotSize      = 512 // a sector: no write spans both slots
 )
 
 // validConsumer restricts consumer names to file-name-safe characters.
@@ -52,8 +69,8 @@ func validConsumer(name string) bool {
 
 // OpenCursor loads (creating the directory if needed) the named
 // consumer's cursor for the stream rooted at streamDir. A leftover
-// temp file — a crash before the rename — is discarded: the previous
-// committed offset rules. A missing cursor file starts at offset 0.
+// temp file — a crash before the first commit's rename — is discarded.
+// A missing cursor file starts at offset 0.
 func OpenCursor(streamDir, consumer string, hook wal.Hook) (*Cursor, error) {
 	if !validConsumer(consumer) {
 		return nil, fmt.Errorf("stream: invalid consumer name %q", consumer)
@@ -74,13 +91,11 @@ func OpenCursor(streamDir, consumer string, hook wal.Hook) (*Cursor, error) {
 	if err := os.Remove(c.tmp); err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("stream: %w", err)
 	}
-	off, ok, err := readCursorFile(c.path)
+	st, err := readCursorFile(c.path)
 	if err != nil {
 		return nil, err
 	}
-	if ok {
-		c.offset = off
-	}
+	c.cursorState = st
 	return c, nil
 }
 
@@ -98,19 +113,61 @@ func (c *Cursor) Name() string { return c.name }
 // consumer has not yet durably consumed.
 func (c *Cursor) Offset() uint64 { return c.offset }
 
-// Commit durably records off. The install is atomic (temp → fsync →
-// rename → parent-dir fsync): a crash before the rename keeps the
-// previous offset, so recovery replays rather than skips.
+// Commit durably records off. A crash before it returns leaves the
+// previous offset or off, so recovery replays rather than skips. The
+// hook sees OpCursorCommit, then OpCursorInstall before off reaches the
+// file, then — for an in-place write — wal.OpFileSync before its fsync.
 func (c *Cursor) Commit(off uint64) error {
 	if err := c.consult(OpCursorCommit); err != nil {
 		return err
 	}
-	var p [8]byte
-	binary.LittleEndian.PutUint64(p[:], off)
-	frame, err := wal.Binary{}.AppendFrame(nil, p[:])
+	next := cursorState{seq: c.seq + 1, offset: off, slot: (c.slot + 1) % 2}
+	var p [16]byte
+	binary.LittleEndian.PutUint64(p[:8], next.seq)
+	binary.LittleEndian.PutUint64(p[8:], off)
+	frame, err := wal.Binary{}.AppendFrame(make([]byte, 0, slotSize), p[:])
 	if err != nil {
 		return err
 	}
+	frame = frame[:slotSize] // the whole slot: no stale byte survives behind the frame
+	if err := c.write(next.slot, frame); err != nil {
+		return err
+	}
+	c.cursorState = next
+	return nil
+}
+
+// write puts frame in slot. The first commit installs the file; a later
+// one overwrites the slot in place and fsyncs it, opening the file if the
+// cursor does not hold it.
+func (c *Cursor) write(slot int, frame []byte) (err error) {
+	if c.slot < 0 {
+		return c.install(frame)
+	}
+	if err := c.consult(OpCursorInstall); err != nil {
+		return err
+	}
+	if c.f == nil {
+		if c.f, err = os.OpenFile(c.path, os.O_RDWR, 0); err != nil {
+			return fmt.Errorf("stream: %w", err)
+		}
+	}
+	if _, err := c.f.WriteAt(frame, int64(slot)*slotSize); err != nil {
+		return fmt.Errorf("stream: %w", err)
+	}
+	if err := c.consult(wal.OpFileSync); err != nil {
+		return err
+	}
+	if err := c.f.Sync(); err != nil {
+		return fmt.Errorf("stream: %w", err)
+	}
+	return nil
+}
+
+// install creates the cursor file: temp → fsync → rename → parent-dir
+// fsync. It is apart from write so that xyvet's walfsync rule sees this
+// rename without the in-place write's fsync behind it.
+func (c *Cursor) install(frame []byte) error {
 	if err := wal.WriteFileSync(c.tmp, frame, 0o644); err != nil {
 		return err
 	}
@@ -120,32 +177,61 @@ func (c *Cursor) Commit(off uint64) error {
 	if err := os.Rename(c.tmp, c.path); err != nil {
 		return fmt.Errorf("stream: installing cursor: %w", err)
 	}
-	if err := wal.SyncDir(c.dir); err != nil {
-		return err
-	}
-	c.offset = off
-	return nil
+	return wal.SyncDir(c.dir)
 }
 
-// readCursorFile decodes one cursor file. The install is atomic, so a
-// present-but-undecodable file is damage, not a crash artifact.
-func readCursorFile(path string) (off uint64, ok bool, err error) {
+// Close releases the descriptor the cursor holds; a later Commit opens
+// it again.
+func (c *Cursor) Close() (err error) {
+	if c.f != nil {
+		err, c.f = c.f.Close(), nil
+	}
+	return err
+}
+
+// readCursorFile returns the intact slot with the higher seq; a missing
+// file has none. A slot is intact when its frame passes its CRC and
+// only zeros follow it; an all-zero slot is empty.
+func readCursorFile(path string) (cursorState, error) {
+	st := cursorState{slot: -1}
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return 0, false, nil
+		return st, nil
 	}
 	if err != nil {
-		return 0, false, fmt.Errorf("stream: %w", err)
+		return st, fmt.Errorf("stream: %w", err)
 	}
-	payload, size, err := wal.Binary{}.Next(data)
-	if err != nil || size != len(data) || len(payload) != 8 {
-		return 0, false, fmt.Errorf("stream: corrupt cursor %s", filepath.Base(path))
+	for i := 0; i < 2 && i*slotSize < len(data); i++ {
+		sector := data[i*slotSize : min(len(data), (i+1)*slotSize)]
+		payload, n, err := wal.Binary{}.Next(sector)
+		if err != nil || !zeros(sector[n:]) {
+			continue
+		}
+		s := cursorState{slot: i}
+		switch {
+		case len(payload) == 16:
+			s.seq, s.offset = binary.LittleEndian.Uint64(payload), binary.LittleEndian.Uint64(payload[8:])
+		case len(payload) == 8 && i == 0: // the single-frame format
+			s.offset = binary.LittleEndian.Uint64(payload)
+		default:
+			continue
+		}
+		if st.slot < 0 || s.seq > st.seq {
+			st = s
+		}
 	}
-	return binary.LittleEndian.Uint64(payload), true, nil
+	if st.slot < 0 && !zeros(data) || len(data) > 2*slotSize {
+		return cursorState{}, fmt.Errorf("stream: corrupt cursor %s", filepath.Base(path))
+	}
+	return st, nil
 }
 
+func zeros(b []byte) bool { return len(bytes.TrimLeft(b, "\x00")) == 0 }
+
 // readCursors returns every consumer's committed offset — the input to
-// the retention policy. Temp files (uncommitted) are ignored.
+// the retention policy. Temp files (uncommitted) are ignored. A read
+// racing a commit may see its slot half-written; that slot then fails
+// its CRC and the other one, the previous offset, is what it returns.
 func readCursors(streamDir string) (map[string]uint64, error) {
 	dir := filepath.Join(streamDir, cursorDirName)
 	entries, err := os.ReadDir(dir)
@@ -161,12 +247,12 @@ func readCursors(streamDir string) (map[string]uint64, error) {
 		if !found || e.IsDir() {
 			continue
 		}
-		off, ok, err := readCursorFile(filepath.Join(dir, e.Name()))
+		st, err := readCursorFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			return nil, err
 		}
-		if ok {
-			cursors[name] = off
+		if st.slot >= 0 {
+			cursors[name] = st.offset
 		}
 	}
 	return cursors, nil

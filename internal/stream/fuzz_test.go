@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -140,6 +141,81 @@ func FuzzReaderTail(f *testing.F) {
 		}
 		if damaged {
 			t.Fatal("damaged frame never reported")
+		}
+	})
+}
+
+// FuzzCursorSlots opens a cursor file of two arbitrary slots. The offset
+// it opens at must be that of the intact slot with the highest seq —
+// never above the largest intact one — and a file with no intact slot
+// opens only if it is all zeros. An opened cursor's next commit must
+// read back, whatever the slot it overwrites held.
+func FuzzCursorSlots(f *testing.F) {
+	frame := func(seq, off uint64) []byte { return cursorFrame(f, seq, off) }
+	f.Add(frame(1, 5), []byte(nil))
+	f.Add(frame(3, 9), frame(2, 7))
+	f.Add(frame(3, 9)[:20], frame(2, 7))
+	f.Add(frame(1, 5), frame(2, 7)[:11])
+	f.Add([]byte{16, 0, 0, 0, 1, 2, 3, 4}, []byte{0xff})
+	f.Add(make([]byte, slotSize), make([]byte, slotSize))
+
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		data := append([]byte(nil), a[:min(len(a), slotSize)]...)
+		if len(b) > 0 {
+			data = append(data, make([]byte, slotSize-len(data))...)
+			data = append(data, b[:min(len(b), slotSize)]...)
+		}
+		// The oracle: decode each slot on its own.
+		intact, best := false, cursorState{slot: -1}
+		var maxOff uint64
+		for i := 0; i*slotSize < len(data); i++ {
+			sector := data[i*slotSize : min(len(data), (i+1)*slotSize)]
+			payload, n, err := wal.Binary{}.Next(sector)
+			if err != nil || !zeros(sector[n:]) {
+				continue
+			}
+			s := cursorState{slot: i}
+			switch {
+			case len(payload) == 16:
+				s.seq, s.offset = binary.LittleEndian.Uint64(payload), binary.LittleEndian.Uint64(payload[8:])
+			case len(payload) == 8 && i == 0:
+				s.offset = binary.LittleEndian.Uint64(payload)
+			default:
+				continue
+			}
+			if !intact || s.seq > best.seq {
+				best = s
+			}
+			intact, maxOff = true, max(maxOff, s.offset)
+		}
+
+		dir := t.TempDir()
+		if err := os.MkdirAll(filepath.Join(dir, cursorDirName), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, cursorDirName, "f"+cursorExt)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := OpenCursor(dir, "f", nil)
+		if err != nil {
+			if intact || zeros(data) {
+				t.Fatalf("refused a file with an intact slot or no non-zero byte: %v", err)
+			}
+			return
+		}
+		if !intact && !zeros(data) {
+			t.Fatalf("opened a damaged file at %d", c.Offset())
+		}
+		if c.cursorState != best || c.Offset() > maxOff {
+			t.Fatalf("opened at %+v, the intact slots give %+v (largest offset %d)", c.cursorState, best, maxOff)
+		}
+		if err := c.Commit(c.Offset() + 1); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		if c2, err := OpenCursor(dir, "f", nil); err != nil || c2.Offset() != c.Offset() {
+			t.Fatalf("a commit of %d read back as %s", c.Offset(), state(c2, err))
 		}
 	})
 }

@@ -39,9 +39,10 @@ type ReaderOptions struct {
 // a Poll reads only what was appended since the last one. It re-lists
 // the directory (the only path that reports ErrTruncated) on its first
 // Poll, after Seek, SeekOldest or a failed Poll, and when the held
-// segment was deleted, replaced or shrunk. That one descriptor is held
-// until Close; unclosed, it pins reclaimed disk for at most one Poll,
-// the first after retention deletes the segment dropping it.
+// segment was deleted, replaced or shrunk. That segment descriptor is
+// held until Close, which also closes the cursor's; unclosed, it pins
+// reclaimed disk for at most one Poll, the first after retention
+// deletes the segment dropping it.
 type Reader struct {
 	dir      string
 	consumer string
@@ -95,20 +96,22 @@ func (r *Reader) Seek(off uint64) {
 // by Poll so far is acknowledged and will not replay.
 func (r *Reader) Commit() error { return r.cur.Commit(r.next) }
 
-// Close releases the segment descriptor the reader holds. A later Poll
-// re-lists and opens it again.
+// Close releases the descriptors the reader holds: the segment it tails
+// and its cursor's file. A later Poll or Commit opens them again.
 func (r *Reader) Close() error {
-	if r.f == nil {
-		return nil
-	}
-	err := r.f.Close()
-	r.f, r.fi = nil, nil
-	return err
+	r.drop()
+	return r.cur.Close()
 }
 
-// drop makes the next Poll re-list. Closing a descriptor that was only
-// read from reports nothing a reader could act on.
-func (r *Reader) drop() { _ = r.Close() }
+// drop closes the held segment, so the next Poll re-lists. Closing a
+// descriptor that was only read from reports nothing a reader could act
+// on.
+func (r *Reader) drop() {
+	if r.f != nil {
+		_ = r.f.Close()
+		r.f, r.fi = nil, nil
+	}
+}
 
 // Poll returns up to max records from the reader's position, advancing
 // it past what was returned. An empty result means the consumer is

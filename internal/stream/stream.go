@@ -40,13 +40,14 @@ const (
 	OpAppend = "stream.append"
 	// OpRead fires before any segment or cursor bytes are read.
 	OpRead = "stream.read"
-	// OpCursorCommit fires on entry to Cursor.Commit, before the temp
-	// file is written — the window between consuming a batch and making
-	// the new offset durable.
+	// OpCursorCommit fires on entry to Cursor.Commit, before anything is
+	// written — the window between consuming a batch and making the new
+	// offset durable.
 	OpCursorCommit = "cursor.commit"
-	// OpCursorInstall fires after the cursor temp file is written and
-	// fsynced, before the rename installs it — a crash here recovers to
-	// the previous offset.
+	// OpCursorInstall fires before the new offset reaches the cursor
+	// file: after the first commit's temp file is written and fsynced,
+	// before its rename; on every later commit, before the in-place slot
+	// write. A crash here recovers to the previous offset.
 	OpCursorInstall = "cursor.commit.install"
 )
 
