@@ -4,7 +4,6 @@
 package xymon
 
 import (
-	"bytes"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -604,22 +603,14 @@ report when notifications.count > 1000`, i, i%1000, vocab[i%len(vocab)])
 	}
 }
 
-// BenchmarkParse compares the two DOM construction paths over the same
-// serialized catalog: the stdlib-decoder Parse (kept as the
-// differential-fuzz reference) against ParseBytes, the byte tokenizer
-// with arena node allocation the crawler ingests through.
+// BenchmarkParse measures ParseBytes, the byte tokenizer with arena node
+// allocation the crawler ingests through, over a generated catalog; its
+// comparison against the stdlib decoder is internal/xmldom's
+// BenchmarkParse.
 func BenchmarkParse(b *testing.B) {
 	site := webgen.NewSite(webgen.SiteSpec{Products: 100, Seed: 12})
 	url := site.XMLURLs()[0]
 	data := site.FetchXMLBytes(url, 5)
-	b.Run("stdlib", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := xmldom.Parse(bytes.NewReader(data)); err != nil {
-				b.Fatalf("Parse: %v", err)
-			}
-		}
-	})
 	b.Run("bytes", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -751,32 +742,26 @@ func BenchmarkRefetchUnchanged(b *testing.B) {
 
 // BenchmarkClusterMatch measures distributed matching over loopback TCP —
 // the per-document cost of the Section 4.2 distribution when blocks live
-// in other processes (here: other goroutines behind real sockets).
+// in other processes (here: other goroutines behind real sockets), the
+// base sharded over the blocks by the R = 1 ring client.
 func BenchmarkClusterMatch(b *testing.B) {
 	w := webgen.GenEventWorkload(18, 10000, shortScale([]int{100000}, []int{10000})[0], 3, 20, 1024)
 	for _, blocks := range shortScale([]int{1, 4}, []int{1}) {
-		parts := make([]*core.Matcher, blocks)
-		for i := range parts {
-			parts[i] = core.NewMatcher()
-		}
-		for id, events := range w.Complex {
-			if err := parts[id%blocks].Add(core.ComplexID(id), events); err != nil {
-				b.Fatalf("Add: %v", err)
-			}
-		}
 		addrs := make([]string, blocks)
 		var servers []*cluster.Server
-		for i, part := range parts {
-			srv, err := cluster.Serve("127.0.0.1:0", core.Freeze(part))
+		for i := range addrs {
+			srv, err := cluster.ServeDynamic("127.0.0.1:0", nil)
 			if err != nil {
-				b.Fatalf("Serve: %v", err)
+				b.Fatalf("ServeDynamic: %v", err)
 			}
 			servers = append(servers, srv)
 			addrs[i] = srv.Addr()
 		}
-		client, err := cluster.Dial(addrs...)
-		if err != nil {
-			b.Fatalf("Dial: %v", err)
+		client := cluster.NewRingClientWithMap(cluster.BuildMap(1, 1, addrs))
+		for id, events := range w.Complex {
+			if err := client.Add(core.ComplexID(id), events); err != nil {
+				b.Fatalf("Add: %v", err)
+			}
 		}
 		b.Run(fmt.Sprintf("blocks=%d", blocks), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -258,47 +258,50 @@ func TestChaosStreamSlowConsumer(t *testing.T) {
 	}
 }
 
-// TestChaosClusterDegradation wires a two-block cluster client through
+// TestChaosClusterDegradation wires a two-block R = 1 ring client through
 // the fault injector's dialer, poisons one block, and requires every
 // match to return promptly with the surviving block's results flagged
 // Degraded — then heals the fault and requires a probe to restore full,
 // reference-equal results.
 func TestChaosClusterDegradation(t *testing.T) {
-	a, b, reference := core.NewMatcher(), core.NewMatcher(), core.NewMatcher()
-	for _, m := range []*core.Matcher{a, reference} {
-		if err := m.Add(0, []core.Event{1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, m := range []*core.Matcher{b, reference} {
-		if err := m.Add(1, []core.Event{2}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srvA, err := cluster.Serve("127.0.0.1:0", core.Freeze(a))
+	srvA, err := cluster.ServeDynamic("127.0.0.1:0", nil)
 	if err != nil {
-		t.Fatalf("Serve: %v", err)
+		t.Fatalf("ServeDynamic: %v", err)
 	}
 	defer srvA.Close()
-	srvB, err := cluster.Serve("127.0.0.1:0", core.Freeze(b))
+	srvB, err := cluster.ServeDynamic("127.0.0.1:0", nil)
 	if err != nil {
-		t.Fatalf("Serve: %v", err)
+		t.Fatalf("ServeDynamic: %v", err)
 	}
 	defer srvB.Close()
+	m := cluster.BuildMap(1, 1, []string{srvA.Addr(), srvB.Addr()})
 
 	in := faults.New(7)
-	client, err := cluster.DialWith([]cluster.ClientOption{
+	client := cluster.NewRingClientWithMap(m,
 		cluster.WithDialer(faults.Dialer(in, faults.PointConn, time.Second)),
 		cluster.WithTimeouts(time.Second, 500*time.Millisecond),
 		cluster.WithRetries(1),
 		cluster.WithDownCooldown(50*time.Millisecond, 200*time.Millisecond),
-	}, srvA.Addr(), srvB.Addr())
-	if err != nil {
-		t.Fatalf("DialWith: %v", err)
-	}
+	)
 	defer client.Close()
 
-	set := core.Canonical([]core.Event{1, 2})
+	// Complex 0 lives on block A and complex 1 on block B: each event is
+	// the smallest one the map routes to its block.
+	reference := core.NewMatcher()
+	var events []core.Event
+	for id, addr := range []string{srvA.Addr(), srvB.Addr()} {
+		e := core.Event(1)
+		for !m.Hosts(cluster.PartitionOfEvent(e), addr) {
+			e++
+		}
+		events = append(events, e)
+		for _, add := range []func(core.ComplexID, []core.Event) error{reference.Add, client.Add} {
+			if err := add(core.ComplexID(id), []core.Event{e}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	set := core.Canonical(events)
 	want := reference.Match(set)
 	res, err := client.MatchResult(set)
 	if err != nil || res.Degraded || len(res.IDs) != len(want) {

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -160,17 +159,11 @@ report when notifications.count > 1000000`, i, i%50, vocab[i%len(vocab)])
 		}).withDocsRate())
 	}
 
-	// Ingest parse path: the stdlib-decoder Parse (kept as the
-	// differential-fuzz reference) against ParseBytes, the byte tokenizer
-	// with arena node allocation, over the same serialized catalog.
+	// Ingest parse path: ParseBytes, the byte tokenizer with arena node
+	// allocation, over a serialized catalog.
 	{
 		site := webgen.NewSite(webgen.SiteSpec{Products: 100, Seed: 12})
 		data := site.FetchXMLBytes(site.XMLURLs()[0], 5)
-		results = append(results, measure("xmldom/parse", 300*time.Millisecond, 256, func(i int) {
-			if _, err := xmldom.Parse(bytes.NewReader(data)); err != nil {
-				panic(err)
-			}
-		}).withDocsRate())
 		results = append(results, measure("xmldom/parsebytes", 300*time.Millisecond, 256, func(i int) {
 			if _, err := xmldom.ParseBytes(data); err != nil {
 				panic(err)

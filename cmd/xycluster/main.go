@@ -1,23 +1,23 @@
 // Command xycluster runs the distributed Monitoring Query Processor from
 // the shell: the Section 4.2 distribution over real processes.
 //
-//	xycluster freeze -c 100000 -a 10000 -m 3 -blocks 4 -out dir/
-//	    generate a synthetic subscription base, partition it and write one
-//	    frozen snapshot per block (block0.xyc, block1.xyc, …)
+//	xycluster serve -addr :7070
+//	    serve an empty block over TCP; subscriptions arrive over the wire
 //
-//	xycluster serve -addr :7070 block0.xyc
-//	    serve one block's snapshot over TCP (frozen v1 block)
+//	xycluster load -blocks host1:7070,host2:7070 -c 100000 -a 10000 -m 3
+//	    generate a synthetic subscription base and shard it over the
+//	    blocks, one replica per partition
 //
 //	xycluster coord -addr :7060 -wal dir/ -replicas 2
 //	    run the partition-map coordinator: admits block joins/leaves,
 //	    rebalances partitions with WAL-backed handoffs
 //
 //	xycluster serve -addr :7070 -coord host:7060
-//	    serve a dynamic (v2 partition-map) block and join the cluster;
-//	    SIGINT/SIGTERM leaves gracefully, migrating subscriptions away
+//	    serve a block and join the coordinator's cluster; SIGINT/SIGTERM
+//	    leaves gracefully, migrating subscriptions away
 //
 //	xycluster match -blocks host1:7070,host2:7070 1,3,5
-//	    match one atomic event set against every block and print the
+//	    match one atomic event set against the blocks and print the
 //	    complex event ids
 //
 //	xycluster bench -blocks host1:7070,host2:7070 -p 20 -a 10000 -n 5000
@@ -30,7 +30,6 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,6 +39,7 @@ import (
 	"xymon/internal/cluster"
 	"xymon/internal/core"
 	"xymon/internal/webgen"
+	"xymon/pubsub"
 )
 
 func main() {
@@ -49,8 +49,8 @@ func main() {
 	}
 	var err error
 	switch os.Args[1] {
-	case "freeze":
-		err = runFreeze(os.Args[2:])
+	case "load":
+		err = runLoad(os.Args[2:])
 	case "serve":
 		err = runServe(os.Args[2:])
 	case "coord":
@@ -71,87 +71,66 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  xycluster freeze -c N -a N -m N -blocks N -out DIR [-seed N]
-  xycluster serve -addr HOST:PORT FILE.xyc
+  xycluster serve -addr HOST:PORT
+  xycluster load -blocks ADDR[,ADDR...] [-c N] [-a N] [-m N] [-seed N]
   xycluster serve -addr HOST:PORT -coord HOST:PORT [-advertise HOST:PORT]
   xycluster coord -addr HOST:PORT -wal DIR [-replicas N]
   xycluster match -blocks ADDR[,ADDR...] EVENT[,EVENT...]
   xycluster bench -blocks ADDR[,ADDR...] [-p N] [-a N] [-n N] [-seed N]`)
 }
 
-func runFreeze(args []string) error {
-	fs := flag.NewFlagSet("freeze", flag.ExitOnError)
+// runLoad shards a synthetic subscription base over the blocks through
+// the R = 1 ring client.
+func runLoad(args []string) error {
+	fs := flag.NewFlagSet("load", flag.ExitOnError)
+	blocks := fs.String("blocks", "", "comma-separated block addresses")
 	cardC := fs.Int("c", 100000, "complex events")
 	cardA := fs.Int("a", 10000, "atomic event universe")
 	m := fs.Int("m", 3, "events per complex event")
-	blocks := fs.Int("blocks", 4, "partition blocks")
-	out := fs.String("out", ".", "output directory")
 	seed := fs.Int64("seed", 1, "workload seed")
 	fs.Parse(args)
+	addrs := parseBlocks(*blocks)
+	if len(addrs) == 0 {
+		return fmt.Errorf("load needs -blocks")
+	}
+	client, err := pubsub.Dial(addrs...)
+	if err != nil {
+		return err
+	}
+	defer client.Close()
 	w := webgen.GenEventWorkload(*seed, *cardA, *cardC, *m, 1, 1)
-	parts := make([]*core.Matcher, *blocks)
-	for i := range parts {
-		parts[i] = core.NewMatcher()
-	}
 	for id, events := range w.Complex {
-		if err := parts[id%*blocks].Add(core.ComplexID(id), events); err != nil {
+		if err := client.Add(core.ComplexID(id), events); err != nil {
 			return err
 		}
 	}
-	for i, part := range parts {
-		frozen := core.Freeze(part)
-		path := filepath.Join(*out, fmt.Sprintf("block%d.xyc", i))
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		n, err := frozen.WriteTo(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%s: %d complex events, %d bytes\n", path, part.Len(), n)
-	}
+	fmt.Printf("loaded %d complex events over %d blocks\n", len(w.Complex), len(addrs))
 	return nil
 }
 
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7070", "listen address")
-	coord := fs.String("coord", "", "coordinator address (dynamic v2 block)")
+	coord := fs.String("coord", "", "coordinator address to join")
 	advertise := fs.String("advertise", "", "address announced to the coordinator (default: the bound listen address)")
 	fs.Parse(args)
+	if fs.NArg() != 0 {
+		return fmt.Errorf("serve takes no arguments; subscriptions arrive over the wire (see load)")
+	}
 	if *coord != "" {
-		if fs.NArg() != 0 {
-			return fmt.Errorf("a dynamic block takes no snapshot file; subscriptions arrive over the wire")
-		}
 		return serveDynamic(*addr, *coord, *advertise)
 	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("serve needs exactly one snapshot file (or -coord for a dynamic block)")
-	}
-	f, err := os.Open(fs.Arg(0))
+	srv, err := cluster.ServeDynamic(*addr, nil)
 	if err != nil {
 		return err
 	}
-	block, err := core.ReadCompact(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	srv, err := cluster.Serve(*addr, block)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("serving %d complex events on %s\n", block.Len(), srv.Addr())
+	fmt.Printf("serving an empty block on %s\n", srv.Addr())
 	waitForSignal()
 	fmt.Println("shutting down: draining connections")
 	return srv.Close()
 }
 
-// serveDynamic runs a v2 partition-map block: bind, join the cluster,
+// serveDynamic runs a coordinated block: bind, join the cluster,
 // serve until SIGINT/SIGTERM, then leave gracefully (the coordinator
 // migrates this block's partitions away before the leave acks) and
 // drain.
@@ -239,7 +218,7 @@ func runMatch(args []string) error {
 		}
 		events = append(events, core.Event(v))
 	}
-	client, err := cluster.Dial(addrs...)
+	client, err := pubsub.Dial(addrs...)
 	if err != nil {
 		return err
 	}
@@ -265,7 +244,7 @@ func runBench(args []string) error {
 	if len(addrs) == 0 {
 		return fmt.Errorf("bench needs -blocks")
 	}
-	client, err := cluster.Dial(addrs...)
+	client, err := pubsub.Dial(addrs...)
 	if err != nil {
 		return err
 	}

@@ -1,12 +1,14 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"xymon/internal/cluster"
 	"xymon/internal/core"
+	"xymon/internal/webgen"
+	"xymon/pubsub"
 )
 
 func TestParseBlocks(t *testing.T) {
@@ -19,42 +21,58 @@ func TestParseBlocks(t *testing.T) {
 	}
 }
 
-func TestFreezeProducesLoadableSnapshots(t *testing.T) {
-	dir := t.TempDir()
-	if err := runFreeze([]string{"-c", "2000", "-a", "500", "-m", "3", "-blocks", "3", "-out", dir, "-seed", "9"}); err != nil {
-		t.Fatalf("runFreeze: %v", err)
-	}
-	total := 0
-	var blocks []*core.Compact
-	for i := 0; i < 3; i++ {
-		f, err := os.Open(filepath.Join(dir, "block"+string(rune('0'+i))+".xyc"))
+// TestLoadThenMatch loads a synthetic base onto two in-process blocks and
+// holds the cluster's answers to a local matcher over the same base.
+func TestLoadThenMatch(t *testing.T) {
+	var servers []*cluster.Server
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		srv, err := cluster.ServeDynamic("127.0.0.1:0", nil)
 		if err != nil {
-			t.Fatalf("open: %v", err)
+			t.Fatalf("ServeDynamic: %v", err)
 		}
-		c, err := core.ReadCompact(f)
-		f.Close()
-		if err != nil {
-			t.Fatalf("ReadCompact: %v", err)
-		}
-		total += c.Len()
-		blocks = append(blocks, c)
+		defer srv.Close()
+		servers = append(servers, srv)
+		addrs = append(addrs, srv.Addr())
 	}
-	if total != 2000 {
+	blocks := strings.Join(addrs, ",")
+	if err := runLoad([]string{"-blocks", blocks, "-c", "2000", "-a", "500", "-m", "3", "-seed", "9"}); err != nil {
+		t.Fatalf("runLoad: %v", err)
+	}
+	if total := servers[0].Len() + servers[1].Len(); total != 2000 {
 		t.Errorf("total complex events across blocks = %d, want 2000", total)
 	}
-	// The snapshots are directly servable.
-	srv, err := cluster.Serve("127.0.0.1:0", blocks[0])
-	if err != nil {
-		t.Fatalf("Serve: %v", err)
+	if err := runMatch([]string{"-blocks", blocks, "1,2,3"}); err != nil {
+		t.Errorf("runMatch: %v", err)
 	}
-	defer srv.Close()
-	client, err := cluster.Dial(srv.Addr())
+
+	// The same seed and shape draw the same base; the documents follow it.
+	w := webgen.GenEventWorkload(9, 500, 2000, 3, 60, 50)
+	local := core.NewMatcher()
+	if err := w.Load(local.Add); err != nil {
+		t.Fatal(err)
+	}
+	client, err := pubsub.Dial(addrs...)
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer client.Close()
-	if _, err := client.Match(core.EventSet{1, 2, 3}); err != nil {
-		t.Errorf("Match: %v", err)
+	matched := 0
+	for _, doc := range w.Docs {
+		got, err := client.Match(doc)
+		if err != nil {
+			t.Fatalf("Match: %v", err)
+		}
+		want := local.Match(doc)
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("Match(%v) = %v, local matcher %v", doc, got, want)
+		}
+		matched += len(got)
+	}
+	if matched == 0 {
+		t.Error("no document matched anything: the comparison proved nothing")
 	}
 }
 
@@ -65,7 +83,10 @@ func TestMatchRejectsBadArgs(t *testing.T) {
 	if err := runBench([]string{"-blocks", ""}); err == nil {
 		t.Error("bench without blocks should fail")
 	}
-	if err := runServe([]string{"-addr", "127.0.0.1:0"}); err == nil {
-		t.Error("serve without file should fail")
+	if err := runLoad([]string{"-blocks", ""}); err == nil {
+		t.Error("load without blocks should fail")
+	}
+	if err := runServe([]string{"-addr", "127.0.0.1:0", "block0.xyc"}); err == nil {
+		t.Error("serve with a snapshot file should fail")
 	}
 }

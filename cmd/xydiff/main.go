@@ -69,12 +69,11 @@ func main() {
 }
 
 func parseFile(path string) (*xmldom.Document, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	doc, err := xmldom.Parse(f)
+	doc, err := xmldom.ParseBytes(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -92,7 +92,7 @@ var analyzers = []*Analyzer{
 	},
 	{
 		Name: "rawxml",
-		Doc:  "encoding/xml imports outside internal/xmldom; the zero-copy ingest path must stay on the byte tokenizer",
+		Doc:  "encoding/xml imports outside tests; the zero-copy ingest path must stay on the byte tokenizer",
 		Run:  runRawxml,
 	},
 }

@@ -1,7 +1,7 @@
 // Package rawxml is the fixture for the rawxml analyzer: encoding/xml
-// must not be imported outside internal/xmldom — the ingest path parses
-// with the byte tokenizer, and a stray stdlib decoder would bring back
-// the per-token allocations it removed.
+// must not be imported outside tests — the ingest path parses with the
+// byte tokenizer, and a stray stdlib decoder would bring back the
+// per-token allocations it removed.
 package rawxml
 
 import (

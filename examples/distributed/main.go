@@ -1,9 +1,10 @@
 // Distributed matching: the Section 4.2 scalability story made concrete.
-// The subscription base is split into partition blocks (the "Memory"
-// distribution); each block is frozen into a compact snapshot and served
-// by its own TCP server (Xyleme uses Corba between cluster nodes); a
-// client fans each document's atomic event set out to every block and
-// merges the matches — which are verified against a single local matcher.
+// The subscription base is sharded over partition blocks (the "Memory"
+// distribution), each served by its own TCP server (Xyleme uses Corba
+// between cluster nodes); the client adds every subscription to the block
+// owning its partition and sends each document's atomic event set to the
+// blocks holding the document's partitions, merging their matches —
+// which are verified against a single local matcher.
 package main
 
 import (
@@ -27,36 +28,16 @@ func main() {
 	)
 	w := webgen.GenEventWorkload(2001, cardA, cardC, m, p, docCount)
 
-	// Build the single-machine reference and the partition blocks.
-	local := pubsub.NewMatcher()
-	parts := make([]*pubsub.Matcher, blocks)
-	for i := range parts {
-		parts[i] = pubsub.NewMatcher()
-	}
-	for id, events := range w.Complex {
-		if err := local.Add(pubsub.ComplexID(id), events); err != nil {
-			log.Fatal(err)
-		}
-		if err := parts[id%blocks].Add(pubsub.ComplexID(id), events); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	// One TCP server per block, each holding a frozen snapshot.
+	// One empty TCP server per block.
 	addrs := make([]string, blocks)
 	var servers []*pubsub.Server
-	var totalBytes int64
-	for i, part := range parts {
-		frozen := pubsub.Freeze(part)
-		totalBytes += frozen.MemoryEstimate()
-		srv, err := pubsub.Serve("127.0.0.1:0", frozen)
+	for i := range addrs {
+		srv, err := pubsub.Serve("127.0.0.1:0")
 		if err != nil {
 			log.Fatal(err)
 		}
 		servers = append(servers, srv)
 		addrs[i] = srv.Addr()
-		fmt.Printf("block %d: %6d complex events, %4d KB frozen, serving on %s\n",
-			i, part.Len(), frozen.MemoryEstimate()/1024, srv.Addr())
 	}
 	defer func() {
 		for _, s := range servers {
@@ -69,6 +50,21 @@ func main() {
 		log.Fatal(err)
 	}
 	defer client.Close()
+
+	// Load the base through the client, and the single-machine reference
+	// beside it.
+	local := pubsub.NewMatcher()
+	for id, events := range w.Complex {
+		if err := local.Add(pubsub.ComplexID(id), events); err != nil {
+			log.Fatal(err)
+		}
+		if err := client.Add(pubsub.ComplexID(id), events); err != nil {
+			log.Fatal(err)
+		}
+	}
+	for i, srv := range servers {
+		fmt.Printf("block %d: %6d complex events, serving on %s\n", i, srv.Len(), srv.Addr())
+	}
 
 	// Match the document stream over the wire and verify against the
 	// local matcher.

@@ -24,7 +24,8 @@ type RemoteError struct{ Msg string }
 
 func (e *RemoteError) Error() string { return "cluster: remote: " + e.Msg }
 
-// clientConfig is the tunable robustness envelope of a Client.
+// clientConfig is the tunable robustness envelope of the ring client and
+// the coordinator's block connections.
 type clientConfig struct {
 	dialer      func(addr string) (net.Conn, error)
 	dialTimeout time.Duration
@@ -36,7 +37,7 @@ type clientConfig struct {
 	faults      *faults.Injector
 }
 
-// ClientOption configures DialWith.
+// ClientOption configures DialRing and NewRingClientWithMap.
 type ClientOption func(*clientConfig)
 
 // WithDialer substitutes the connection factory — fault-injection tests
@@ -133,17 +134,16 @@ type ClientStats struct {
 	// dial failure), each starting a down-cooldown window.
 	BlockFailures uint64
 	// Failovers counts partitions re-routed to another replica after the
-	// block asked for them failed mid-match (ring client only) — one per
-	// partition moved, not one per failed block; a partition left without
-	// a replica is not counted here but reported through Degraded.
+	// block asked for them failed mid-match — one per partition moved,
+	// not one per failed block; a partition left without a replica is
+	// not counted here but reported through Degraded.
 	Failovers uint64
 	// MapRefreshes counts partition-map refetches after a stale-map
-	// rejection (ring client only).
+	// rejection.
 	MapRefreshes uint64
 }
 
-// netStats holds the atomic robustness counters shared by the static
-// and ring clients.
+// netStats holds the ring client's atomic robustness counters.
 type netStats struct {
 	retries       atomic.Uint64
 	reconnects    atomic.Uint64
@@ -164,30 +164,20 @@ func (st *netStats) snapshot() ClientStats {
 	}
 }
 
-// Result is the outcome of one fan-out match.
+// Result is the outcome of one ring match.
 type Result struct {
 	IDs []core.ComplexID
-	// Degraded is set when at least one partition (v2) or block (v1)
-	// contributed no answer: the IDs are the matches of the partitions
-	// that responded. With the ring client and R ≥ 2 a single block
-	// failure never sets this — every partition fails over to a replica
-	// first; Degraded marks the last resort, not the common case.
+	// Degraded is set when at least one partition contributed no answer:
+	// the IDs are the matches of the partitions that responded. With
+	// R ≥ 2 a single block failure never sets this — every partition
+	// fails over to a replica first; Degraded marks the last resort, not
+	// the common case.
 	Degraded bool
 	// Down lists the addresses of the blocks that did not answer.
 	Down []string
 }
 
-// Client holds connections to every block server and matches against all
-// of them, surviving block failures with bounded retries, reconnection
-// backoff and degraded partial results. It speaks the v1 static-partition
-// protocol; DialRing speaks the v2 partition-map protocol.
-type Client struct {
-	mu    sync.Mutex
-	conns []*blockConn
-	cfg   clientConfig
-	st    netStats
-}
-
+// blockConn is one block's connection and its down-cooldown state.
 type blockConn struct {
 	mu   sync.Mutex
 	addr string
@@ -195,127 +185,13 @@ type blockConn struct {
 	r    *bufio.Reader
 	w    *bufio.Writer
 	buf  []byte // match-reply payload, reused across exchanges
+	// dialed is set by the first connection; every later one is a
+	// reconnect.
+	dialed bool
 	// downFails counts consecutive give-ups; downUntil is the end of the
 	// current cooldown window.
 	downFails int
 	downUntil time.Time
-}
-
-// Dial connects to every block address with default robustness settings.
-func Dial(addrs ...string) (*Client, error) {
-	return DialWith(nil, addrs...)
-}
-
-// DialWith connects to every block address. Every address must be
-// reachable at dial time — a cluster that starts degraded is a
-// configuration error; degradation is for blocks that die later.
-func DialWith(opts []ClientOption, addrs ...string) (*Client, error) {
-	cfg := newClientConfig(opts)
-	c := &Client{cfg: cfg}
-	for _, addr := range addrs {
-		conn, err := cfg.dialer(addr)
-		if err != nil {
-			_ = c.Close()
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
-		bc := &blockConn{addr: addr}
-		bc.attachLocked(conn)
-		c.conns = append(c.conns, bc)
-	}
-	return c, nil
-}
-
-// Close closes every block connection.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var first error
-	for _, bc := range c.conns {
-		if err := bc.close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	c.conns = nil
-	return first
-}
-
-// Match fans the canonical event set out to every block concurrently and
-// returns the merged complex-event ids. When some (but not all) blocks
-// are unavailable it returns the partial merge with a nil error — use
-// MatchResult to observe the Degraded flag.
-func (c *Client) Match(s core.EventSet) ([]core.ComplexID, error) {
-	res, err := c.MatchResult(s)
-	return res.IDs, err
-}
-
-// MatchResult fans the event set out to every block and reports exactly
-// what happened: full results, a degraded partial merge (some blocks
-// down), or an error (every block failed — there is nothing to degrade
-// to).
-func (c *Client) MatchResult(s core.EventSet) (Result, error) {
-	c.mu.Lock()
-	conns := append([]*blockConn(nil), c.conns...)
-	c.mu.Unlock()
-	if len(conns) == 0 {
-		return Result{}, errors.New("cluster: client is closed")
-	}
-	results := make([][]core.ComplexID, len(conns))
-	errs := make([]error, len(conns))
-	fanOut(len(conns), func(i int) { results[i], errs[i] = conns[i].match(s, &c.cfg, &c.st) })
-	var res Result
-	var firstErr error
-	for i := range conns {
-		if errs[i] != nil {
-			if firstErr == nil {
-				firstErr = errs[i]
-			}
-			res.Down = append(res.Down, conns[i].addr)
-			continue
-		}
-		res.IDs = append(res.IDs, results[i]...)
-	}
-	if len(res.Down) == len(conns) {
-		return Result{}, firstErr
-	}
-	if len(res.Down) > 0 {
-		res.Degraded = true
-		c.st.degraded.Add(1)
-	}
-	return res, nil
-}
-
-// Probe attempts to reconnect every down block immediately, ignoring the
-// cooldown window — the explicit health probe for operators and tests —
-// and returns how many blocks are up afterwards.
-func (c *Client) Probe() int {
-	c.mu.Lock()
-	conns := append([]*blockConn(nil), c.conns...)
-	c.mu.Unlock()
-	return probeConns(conns, &c.cfg, &c.st)
-}
-
-func probeConns(conns []*blockConn, cfg *clientConfig, st *netStats) int {
-	up := 0
-	for _, bc := range conns {
-		bc.mu.Lock()
-		if bc.conn == nil {
-			// The dialer is a config-owned leaf (net.DialTimeout or a test
-			// wrapper); it never calls back into the client, and holding
-			// bc.mu serialises the probe with in-flight matches.
-			//xyvet:ignore lockcheck
-			if conn, err := cfg.dialer(bc.addr); err == nil {
-				bc.attachLocked(conn)
-				bc.downFails = 0
-				bc.downUntil = time.Time{}
-				st.reconnects.Add(1)
-			}
-		}
-		if bc.conn != nil {
-			up++
-		}
-		bc.mu.Unlock()
-	}
-	return up
 }
 
 // BlockHealth is one block's liveness snapshot.
@@ -326,32 +202,13 @@ type BlockHealth struct {
 	DownUntil time.Time // end of the current cooldown (zero when up)
 }
 
-// Health snapshots every block's liveness.
-func (c *Client) Health() []BlockHealth {
-	c.mu.Lock()
-	conns := append([]*blockConn(nil), c.conns...)
-	c.mu.Unlock()
-	return healthOf(conns)
-}
-
-func healthOf(conns []*blockConn) []BlockHealth {
-	out := make([]BlockHealth, 0, len(conns))
-	for _, bc := range conns {
-		bc.mu.Lock()
-		out = append(out, BlockHealth{
-			Addr: bc.addr, Up: bc.conn != nil,
-			Fails: bc.downFails, DownUntil: bc.downUntil,
-		})
-		bc.mu.Unlock()
+// attachLocked adopts a fresh connection (bc.mu held), counting it as a
+// reconnect unless it is the block's first.
+func (bc *blockConn) attachLocked(conn net.Conn, st *netStats) {
+	if bc.dialed {
+		st.reconnects.Add(1)
 	}
-	return out
-}
-
-// Stats snapshots the robustness counters.
-func (c *Client) Stats() ClientStats { return c.st.snapshot() }
-
-// attachLocked adopts a fresh connection (bc.mu held, or bc not shared yet).
-func (bc *blockConn) attachLocked(conn net.Conn) {
+	bc.dialed = true
 	bc.conn = conn
 	bc.r = bufio.NewReader(conn)
 	bc.w = bufio.NewWriter(conn)
@@ -423,8 +280,7 @@ func (bc *blockConn) call(cfg *clientConfig, st *netStats, send func(w *bufio.Wr
 				bc.markDownLocked(cfg, st)
 				return err
 			}
-			bc.attachLocked(conn)
-			st.reconnects.Add(1)
+			bc.attachLocked(conn, st)
 		}
 		err := bc.exchangeLocked(cfg.ioTimeout, send, recv)
 		if err == nil {
@@ -466,15 +322,4 @@ func (bc *blockConn) exchangeLocked(ioTimeout time.Duration, send func(w *bufio.
 	}
 	//xyvet:ignore lockcheck
 	return recv(bc.r)
-}
-
-// match runs one v1 match request against one block.
-func (bc *blockConn) match(s core.EventSet, cfg *clientConfig, st *netStats) (ids []core.ComplexID, err error) {
-	err = bc.call(cfg, st,
-		func(w *bufio.Writer) error { return writeFrame(w, 'M', s) },
-		func(r *bufio.Reader) (err error) {
-			ids, err = readSetRaw[core.ComplexID](r, 'R')
-			return err
-		})
-	return ids, err
 }

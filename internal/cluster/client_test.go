@@ -9,29 +9,53 @@ import (
 	"xymon/internal/core"
 )
 
-// twoBlocks builds a two-block cluster with known partitions: block A
-// holds complex 0 ← {1}, block B holds complex 1 ← {2}. It returns both
-// servers so tests can kill and resurrect them individually.
-func twoBlocks(t *testing.T) (srvA, srvB *Server) {
+// twoBlockCluster is two blocks sharded by the R = 1 map over their
+// addresses: block A holds complex 0 ← {evA}, block B holds complex
+// 1 ← {evB}.
+type twoBlockCluster struct {
+	srvA, srvB *Server
+	m          Map
+	evA, evB   core.Event
+}
+
+// eventOn returns the smallest event whose partition m assigns to addr.
+func eventOn(m Map, addr string) core.Event {
+	e := core.Event(1)
+	for !m.Hosts(PartitionOfEvent(e), addr) {
+		e++
+	}
+	return e
+}
+
+// twoBlocks builds a two-block cluster with known partitions. It returns
+// both servers so tests can kill and resurrect them individually.
+func twoBlocks(t *testing.T) twoBlockCluster {
 	t.Helper()
-	a, b := core.NewMatcher(), core.NewMatcher()
-	if err := a.Add(0, []core.Event{1}); err != nil {
+	var c twoBlockCluster
+	for _, srv := range []**Server{&c.srvA, &c.srvB} {
+		s, err := ServeDynamic("127.0.0.1:0", nil)
+		if err != nil {
+			t.Fatalf("ServeDynamic: %v", err)
+		}
+		t.Cleanup(func() { s.Close() })
+		*srv = s
+	}
+	c.m = BuildMap(1, 1, []string{c.srvA.Addr(), c.srvB.Addr()})
+	c.evA, c.evB = eventOn(c.m, c.srvA.Addr()), eventOn(c.m, c.srvB.Addr())
+	loader := NewRingClientWithMap(c.m)
+	defer loader.Close()
+	if err := loader.Add(0, []core.Event{c.evA}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Add(1, []core.Event{2}); err != nil {
+	if err := loader.Add(1, []core.Event{c.evB}); err != nil {
 		t.Fatal(err)
 	}
-	srvA, err := Serve("127.0.0.1:0", core.Freeze(a))
-	if err != nil {
-		t.Fatalf("Serve A: %v", err)
-	}
-	t.Cleanup(func() { srvA.Close() })
-	srvB, err = Serve("127.0.0.1:0", core.Freeze(b))
-	if err != nil {
-		t.Fatalf("Serve B: %v", err)
-	}
-	t.Cleanup(func() { srvB.Close() })
-	return srvA, srvB
+	return c
+}
+
+// set is a document touching both blocks.
+func (c twoBlockCluster) set() core.EventSet {
+	return core.Canonical([]core.Event{c.evA, c.evB})
 }
 
 // restartBlock brings a block back up on the address it previously held.
@@ -41,7 +65,7 @@ func restartBlock(t *testing.T, addr string, id core.ComplexID, events []core.Ev
 	if err := m.Add(id, events); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := Serve(addr, core.Freeze(m))
+	srv, err := ServeDynamic(addr, m)
 	if err != nil {
 		t.Fatalf("restart on %s: %v", addr, err)
 	}
@@ -53,18 +77,16 @@ func restartBlock(t *testing.T, addr string, id core.ComplexID, events []core.Ev
 // client keeps answering with the surviving block's matches, flagged
 // Degraded, instead of failing the whole document.
 func TestDegradedPartialResults(t *testing.T) {
-	srvA, srvB := twoBlocks(t)
-	client, err := DialWith([]ClientOption{
+	c := twoBlocks(t)
+	srvB := c.srvB
+	client := NewRingClientWithMap(c.m,
 		WithTimeouts(time.Second, time.Second),
 		WithRetries(1),
 		WithDownCooldown(10*time.Millisecond, 50*time.Millisecond),
-	}, srvA.Addr(), srvB.Addr())
-	if err != nil {
-		t.Fatalf("DialWith: %v", err)
-	}
+	)
 	defer client.Close()
 
-	set := core.Canonical([]core.Event{1, 2})
+	set := c.set()
 	res, err := client.MatchResult(set)
 	if err != nil || res.Degraded || len(res.IDs) != 2 {
 		t.Fatalf("healthy MatchResult = %+v, %v", res, err)
@@ -91,7 +113,7 @@ func TestDegradedPartialResults(t *testing.T) {
 
 	// Resurrect block B; Probe reconnects it immediately (no cooldown
 	// wait) and full results come back.
-	restartBlock(t, addrB, 1, []core.Event{2})
+	restartBlock(t, addrB, 1, []core.Event{c.evB})
 	deadline := time.Now().Add(5 * time.Second)
 	for client.Probe() != 2 {
 		if time.Now().After(deadline) {
@@ -112,18 +134,15 @@ func TestDegradedPartialResults(t *testing.T) {
 // block is unreachable there is nothing to degrade to, so Match errors
 // (it must not silently return zero matches).
 func TestAllBlocksDownErrors(t *testing.T) {
-	srvA, srvB := twoBlocks(t)
-	client, err := DialWith([]ClientOption{
+	c := twoBlocks(t)
+	client := NewRingClientWithMap(c.m,
 		WithRetries(0),
 		WithDownCooldown(time.Minute, time.Minute),
-	}, srvA.Addr(), srvB.Addr())
-	if err != nil {
-		t.Fatalf("DialWith: %v", err)
-	}
+	)
 	defer client.Close()
-	srvA.Close()
-	srvB.Close()
-	if _, err := client.Match(core.EventSet{1, 2}); err == nil {
+	c.srvA.Close()
+	c.srvB.Close()
+	if _, err := client.Match(c.set()); err == nil {
 		t.Fatal("Match with every block down returned nil error")
 	}
 }
@@ -134,20 +153,17 @@ func TestAllBlocksDownErrors(t *testing.T) {
 func TestDownCooldownSkipsAndRecovers(t *testing.T) {
 	now := time.Unix(1_000_000, 0)
 	clock := func() time.Time { return now }
-	srvA, srvB := twoBlocks(t)
-	client, err := DialWith([]ClientOption{
+	c := twoBlocks(t)
+	client := NewRingClientWithMap(c.m,
 		WithRetries(0),
 		WithDownCooldown(time.Minute, time.Hour),
 		WithClientClock(clock),
-	}, srvA.Addr(), srvB.Addr())
-	if err != nil {
-		t.Fatalf("DialWith: %v", err)
-	}
+	)
 	defer client.Close()
 
-	addrB := srvB.Addr()
-	srvB.Close()
-	set := core.Canonical([]core.Event{1, 2})
+	addrB := c.srvB.Addr()
+	c.srvB.Close()
+	set := c.set()
 	if res, err := client.MatchResult(set); err != nil || !res.Degraded {
 		t.Fatalf("first MatchResult = %+v, %v", res, err)
 	}
@@ -164,7 +180,7 @@ func TestDownCooldownSkipsAndRecovers(t *testing.T) {
 
 	// Inside the cooldown the block is skipped without dialing: even with
 	// the server back up, the result stays degraded.
-	restartBlock(t, addrB, 1, []core.Event{2})
+	restartBlock(t, addrB, 1, []core.Event{c.evB})
 	if res, err := client.MatchResult(set); err != nil || !res.Degraded {
 		t.Fatalf("in-cooldown MatchResult = %+v, %v", res, err)
 	}
@@ -207,13 +223,10 @@ func TestMatchNeverHangsOnSilentPeer(t *testing.T) {
 			defer conn.Close() // hold it open, never respond
 		}
 	}()
-	client, err := DialWith([]ClientOption{
+	client := NewRingClientWithMap(BuildMap(1, 1, []string{ln.Addr().String()}),
 		WithTimeouts(time.Second, 200*time.Millisecond),
 		WithRetries(0),
-	}, ln.Addr().String())
-	if err != nil {
-		t.Fatalf("DialWith: %v", err)
-	}
+	)
 	defer client.Close()
 	start := time.Now()
 	if _, err := client.Match(core.EventSet{1}); err == nil {
@@ -251,10 +264,7 @@ func TestRemoteErrorNotRetried(t *testing.T) {
 			}(conn)
 		}
 	}()
-	client, err := DialWith([]ClientOption{WithRetries(3)}, ln.Addr().String())
-	if err != nil {
-		t.Fatalf("DialWith: %v", err)
-	}
+	client := NewRingClientWithMap(BuildMap(1, 1, []string{ln.Addr().String()}), WithRetries(3))
 	defer client.Close()
 	_, err = client.Match(core.EventSet{1})
 	var remote *RemoteError
@@ -273,18 +283,18 @@ func TestServerSurvivesAbruptDisconnect(t *testing.T) {
 	if err := m.Add(7, []core.Event{3}); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := Serve("127.0.0.1:0", core.Freeze(m))
+	srv, err := ServeDynamic("127.0.0.1:0", m)
 	if err != nil {
-		t.Fatalf("Serve: %v", err)
+		t.Fatalf("ServeDynamic: %v", err)
 	}
 	defer srv.Close()
 
-	// Announce a 4-event frame, send half of one event, vanish.
+	// Announce a 16-byte match frame, send two bytes of it, vanish.
 	raw, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
-	raw.Write([]byte{'M', 4, 0, 0, 0, 0xAA, 0xBB})
+	raw.Write([]byte{kindMatch, 16, 0, 0, 0, 0xAA, 0xBB})
 	raw.Close()
 
 	// And another that disconnects before even finishing the header.
@@ -292,13 +302,10 @@ func TestServerSurvivesAbruptDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
-	raw2.Write([]byte{'M', 1})
+	raw2.Write([]byte{kindMatch, 1})
 	raw2.Close()
 
-	client, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatalf("Dial after abrupt disconnects: %v", err)
-	}
+	client := NewRingClientWithMap(BuildMap(1, 1, []string{srv.Addr()}))
 	defer client.Close()
 	ids, err := client.Match(core.EventSet{3})
 	if err != nil || len(ids) != 1 || ids[0] != 7 {

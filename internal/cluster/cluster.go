@@ -1,15 +1,12 @@
 // Package cluster distributes the Monitoring Query Processor over the
 // network, realising the two distributions of Section 4.2 across real
-// processes. Two generations of block server coexist:
-//
-//   - Serve exposes one frozen core.Compact snapshot over the v1
-//     protocol ('M' match frames) — the static partition of the original
-//     distribution, still used by pubsub and the benchmarks.
-//   - ServeDynamic exposes a live core.Matcher over the v2 partition-map
-//     protocol: the block accepts subscription Add/Remove while serving
-//     matches, hosts the partitions a versioned Map assigns to it, and
-//     participates in coordinator-driven rebalancing (see ring.go and
-//     coord.go). v1 clients are rejected loudly.
+// processes. A block server (ServeDynamic) exposes a live core.Matcher
+// over the partition-map protocol: the block accepts subscription
+// Add/Remove while serving matches, hosts the partitions a versioned Map
+// assigns to it, and participates in coordinator-driven rebalancing (see
+// ring.go and coord.go). A block with no installed map serves every
+// partition it holds, so a ring client over a fixed version-1 map built
+// with R = 1 is plain static sharding, with no coordinator at all.
 //
 // The ring client (ringclient.go) routes a match by cover: every replica
 // of a partition may serve reads, so a document goes to the fewest blocks
@@ -23,20 +20,11 @@
 //
 // Xyleme uses Corba between cluster nodes; the wire protocol here is a
 // minimal length-prefixed binary exchange over the standard library's
-// net package.
-//
-// v1 wire protocol (little-endian):
-//
-//	request:  'M' | n u32 | events (u32)*
-//	response: 'R' | n u32 | complex ids (u32)*
-//	          'E' | n u32 | error text (n bytes)
-//
-// The v2 frames are documented in wire.go.
+// net package, documented in wire.go.
 package cluster
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -70,7 +58,7 @@ type serverConfig struct {
 	advertise string
 }
 
-// ServerOption configures Serve and ServeDynamic.
+// ServerOption configures ServeDynamic.
 type ServerOption func(*serverConfig)
 
 // WithReadIdle bounds how long a handler waits for the next request
@@ -103,8 +91,7 @@ func WithAdvertise(addr string) ServerOption {
 
 // Server serves match requests for one partition block.
 type Server struct {
-	matcher *core.Compact // v1 static block (nil in dynamic mode)
-	dyn     *core.Matcher // v2 dynamic block (nil in static mode)
+	matcher *core.Matcher
 	cfg     serverConfig
 	ln      net.Listener
 	wg      sync.WaitGroup
@@ -114,34 +101,24 @@ type Server struct {
 	closed bool
 	conns  map[net.Conn]struct{}
 
-	// Dynamic-block state: the installed partition map and the partition
-	// of every hosted subscription (avoiding a Definition lookup per
-	// matched id on the filter path). smu nests outside the matcher's own
-	// lock.
+	// The installed partition map and the partition of every hosted
+	// subscription (avoiding a Definition lookup per matched id on the
+	// filter path). smu nests outside the matcher's own lock.
 	smu  sync.RWMutex
 	pmap Map
 	part map[core.ComplexID]int
 }
 
-// Serve starts a static v1 server for the frozen block on the given
-// address ("127.0.0.1:0" picks a free port). It returns immediately; use
-// Addr for the bound address and Close to stop.
-func Serve(addr string, block *core.Compact, opts ...ServerOption) (*Server, error) {
-	return serve(addr, block, nil, opts)
-}
-
-// ServeDynamic starts a v2 partition-map server around a live matcher.
-// The matcher may start empty (a fresh block joining a cluster receives
-// its partitions from the coordinator) or pre-loaded. The caller must
-// not touch m afterwards — the server owns it.
+// ServeDynamic starts a block server around a live matcher on the given
+// address ("127.0.0.1:0" picks a free port). The matcher may start empty
+// (a fresh block receives its partitions from the coordinator or a ring
+// client's writes) or pre-loaded. The caller must not touch m afterwards
+// — the server owns it. It returns immediately; use Addr for the bound
+// address and Close to stop.
 func ServeDynamic(addr string, m *core.Matcher, opts ...ServerOption) (*Server, error) {
 	if m == nil {
 		m = core.NewMatcher()
 	}
-	return serve(addr, nil, m, opts)
-}
-
-func serve(addr string, block *core.Compact, dyn *core.Matcher, opts []ServerOption) (*Server, error) {
 	cfg := serverConfig{readIdle: DefaultReadIdle}
 	for _, o := range opts {
 		o(&cfg)
@@ -154,19 +131,17 @@ func serve(addr string, block *core.Compact, dyn *core.Matcher, opts []ServerOpt
 		cfg.advertise = ln.Addr().String()
 	}
 	s := &Server{
-		matcher: block, dyn: dyn, cfg: cfg, ln: ln,
+		matcher: m, cfg: cfg, ln: ln,
 		closing: make(chan struct{}),
 		conns:   make(map[net.Conn]struct{}),
 		part:    make(map[core.ComplexID]int),
 	}
-	if dyn != nil {
-		// A pre-loaded matcher's subscriptions need their partitions on
-		// record for the match filter and dumps.
-		dyn.Range(func(id core.ComplexID, set core.EventSet) bool {
-			s.part[id] = PartitionOf(set)
-			return true
-		})
-	}
+	// A pre-loaded matcher's subscriptions need their partitions on
+	// record for the match filter and dumps.
+	m.Range(func(id core.ComplexID, set core.EventSet) bool {
+		s.part[id] = PartitionOf(set)
+		return true
+	})
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -183,12 +158,7 @@ func (s *Server) Map() Map {
 }
 
 // Len returns the number of subscriptions this block currently hosts.
-func (s *Server) Len() int {
-	if s.dyn != nil {
-		return s.dyn.Len()
-	}
-	return s.matcher.Len()
-}
+func (s *Server) Len() int { return s.matcher.Len() }
 
 // Close stops the listener, severs every active connection (a handler
 // blocked on a client that never speaks again must not wedge shutdown),
@@ -301,7 +271,7 @@ func (s *Server) handle(conn net.Conn) {
 			// connection so the client's transport retry kicks in. A
 			// protocol error, by contrast, is answered in words.
 			if !errors.Is(err, io.EOF) && !errors.Is(err, faults.ErrInjected) {
-				_ = s.writeChecked(w, key, func() error { writeError(w, err); return nil })
+				_ = s.writeChecked(w, key, func() error { return writeError(w, err) })
 				w.Flush()
 			}
 			return
@@ -329,29 +299,7 @@ func (s *Server) writeChecked(w *bufio.Writer, key string, write func() error) e
 // response flushes, and a non-nil error to answer with an error frame
 // and close.
 func (s *Server) dispatch(kind byte, r *bufio.Reader, w *bufio.Writer, key string, sc *matchScratch) (keep bool, err error) {
-	// v1 match: the static block's only request.
-	if kind == 'M' {
-		if s.dyn != nil {
-			// Drain the frame so the error response isn't interleaved
-			// with unread request bytes, then reject loudly: a v1 client
-			// fanning out to every block would silently lose this block's
-			// partitions if we answered its match with partial data.
-			if _, err := readSetBody[uint32](r); err != nil {
-				return false, err
-			}
-			return false, fmt.Errorf("%w: this block speaks the v2 partition-map protocol; upgrade the client (v1 'M' rejected)", ErrProtocol)
-		}
-		events, err := readSetBody[core.Event](r)
-		if err != nil {
-			return false, err
-		}
-		ids := s.matcher.Match(core.Canonical(events))
-		return true, s.writeChecked(w, key, func() error { return writeFrame(w, 'R', ids) })
-	}
-	if s.dyn == nil {
-		return false, fmt.Errorf("%w: expected frame %q, got %q", ErrProtocol, 'M', kind)
-	}
-	if kind == kindMatchV2 {
+	if kind == kindMatch {
 		return s.handleMatch(r, w, key, sc)
 	}
 	payload, err := readBlobBody(r, nil)
@@ -388,7 +336,7 @@ type matchScratch struct {
 	ids     []core.ComplexID
 }
 
-// handleMatch answers a v2 match: verify this block read-serves every
+// handleMatch answers a match: verify this block read-serves every
 // requested partition under the installed map, match the live matcher,
 // and filter the ids down to the requested partitions — all on the
 // connection's scratch, the response written straight into w.
@@ -398,7 +346,7 @@ func (s *Server) handleMatch(r *bufio.Reader, w *bufio.Writer, key string, sc *m
 		return false, err
 	}
 	var want uint64
-	if _, want, sc.events, err = decodeMatchV2(sc.payload, sc.events[:0]); err != nil {
+	if _, want, sc.events, err = decodeMatch(sc.payload, sc.events[:0]); err != nil {
 		return false, err
 	}
 	s.smu.RLock()
@@ -420,7 +368,7 @@ func (s *Server) handleMatch(r *bufio.Reader, w *bufio.Writer, key string, sc *m
 	if !set.IsCanonical() {
 		set = core.Canonical(sc.events)
 	}
-	sc.ids = s.dyn.MatchAppend(sc.ids[:0], set)
+	sc.ids = s.matcher.MatchAppend(sc.ids[:0], set)
 	ids := sc.ids[:0]
 	s.smu.RLock()
 	for _, id := range sc.ids {
@@ -467,9 +415,9 @@ func (s *Server) handleAdd(payload []byte, resp func(byte, []byte) error) (bool,
 	if _, exists := s.part[cid]; exists {
 		// Replace: transfer re-sends and client retries land here; the
 		// newest definition wins.
-		_ = s.dyn.Remove(cid)
+		_ = s.matcher.Remove(cid)
 	}
-	err = s.dyn.Add(cid, set)
+	err = s.matcher.Add(cid, set)
 	if err == nil {
 		s.part[cid] = PartitionOf(set)
 	}
@@ -493,7 +441,7 @@ func (s *Server) handleRemove(payload []byte, resp func(byte, []byte) error) (bo
 	cid := core.ComplexID(id)
 	s.smu.Lock()
 	if _, exists := s.part[cid]; exists {
-		_ = s.dyn.Remove(cid)
+		_ = s.matcher.Remove(cid)
 		delete(s.part, cid)
 	}
 	s.smu.Unlock()
@@ -503,7 +451,7 @@ func (s *Server) handleRemove(payload []byte, resp func(byte, []byte) error) (bo
 // partSubs snapshots every subscription of partition p.
 func (s *Server) partSubs(p int) []Sub {
 	var subs []Sub
-	s.dyn.Range(func(id core.ComplexID, set core.EventSet) bool {
+	s.matcher.Range(func(id core.ComplexID, set core.EventSet) bool {
 		if PartitionOf(set) == p {
 			subs = append(subs, Sub{ID: id, Events: set.Clone()})
 		}
@@ -529,7 +477,7 @@ func (s *Server) handleDrop(payload []byte, resp func(byte, []byte) error) (bool
 	}
 	for _, sub := range s.partSubs(int(p)) {
 		s.smu.Lock()
-		_ = s.dyn.Remove(sub.ID)
+		_ = s.matcher.Remove(sub.ID)
 		delete(s.part, sub.ID)
 		s.smu.Unlock()
 	}
@@ -561,58 +509,4 @@ func (s *Server) handleMapReq(resp func(byte, []byte) error) (bool, error) {
 		return false, fmt.Errorf("%w: no partition map installed on this block", ErrProtocol)
 	}
 	return true, resp(kindMapResp, m.Encode())
-}
-
-func writeFrame[T ~uint32](w io.Writer, kind byte, values []T) error {
-	hdr := binary.LittleEndian.AppendUint32([]byte{kind}, uint32(len(values)))
-	_, err := w.Write(appendU32s(hdr, values))
-	return err
-}
-
-func writeError(w io.Writer, err error) {
-	msg := []byte(err.Error())
-	w.Write([]byte{'E'})
-	binary.Write(w, binary.LittleEndian, uint32(len(msg)))
-	w.Write(msg)
-}
-
-func readSetRaw[T ~uint32](r io.Reader, kind byte) ([]T, error) {
-	var k [1]byte
-	if _, err := io.ReadFull(r, k[:]); err != nil {
-		return nil, err
-	}
-	if k[0] == 'E' {
-		var n uint32
-		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-			return nil, fmt.Errorf("%w: bad error frame", ErrProtocol)
-		}
-		if n > maxSetLen {
-			return nil, fmt.Errorf("%w: oversized error frame", ErrProtocol)
-		}
-		msg := make([]byte, n)
-		if _, err := io.ReadFull(r, msg); err != nil {
-			return nil, fmt.Errorf("%w: truncated error frame", ErrProtocol)
-		}
-		return nil, &RemoteError{Msg: string(msg)}
-	}
-	if k[0] != kind {
-		return nil, fmt.Errorf("%w: expected frame %q, got %q", ErrProtocol, kind, k[0])
-	}
-	return readSetBody[T](r)
-}
-
-// readSetBody reads a v1 count-framed body whose kind byte was consumed.
-func readSetBody[T ~uint32](r io.Reader) ([]T, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, fmt.Errorf("%w: truncated length", ErrProtocol)
-	}
-	if n > maxSetLen {
-		return nil, fmt.Errorf("%w: frame of %d values", ErrProtocol, n)
-	}
-	raw := make([]byte, 4*n)
-	if _, err := io.ReadFull(r, raw); err != nil {
-		return nil, fmt.Errorf("%w: truncated frame", ErrProtocol)
-	}
-	return u32s[T](nil, raw)
 }

@@ -13,16 +13,30 @@ import (
 	"xymon/internal/core"
 )
 
-// startCluster splits a random subscription base over nBlocks servers and
-// returns a connected client, the reference single matcher, and a cleanup.
-func startCluster(t *testing.T, nBlocks, nComplex, universe int, seed int64) (*Client, *core.Matcher) {
+// startBlocks serves n empty blocks and returns their addresses.
+func startBlocks(t *testing.T, n int) []string {
 	t.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
+		srv, err := ServeDynamic("127.0.0.1:0", nil)
+		if err != nil {
+			t.Fatalf("ServeDynamic: %v", err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		addrs[i] = srv.Addr()
+	}
+	return addrs
+}
+
+// startCluster shards a random subscription base over nBlocks servers
+// through the R = 1 ring client and returns that client and the reference
+// single matcher.
+func startCluster(t *testing.T, nBlocks, nComplex, universe int, seed int64) (*RingClient, *core.Matcher) {
+	t.Helper()
+	client := NewRingClientWithMap(BuildMap(1, 1, startBlocks(t, nBlocks)))
+	t.Cleanup(func() { client.Close() })
 	rng := rand.New(rand.NewSource(seed))
 	reference := core.NewMatcher()
-	blocks := make([]*core.Matcher, nBlocks)
-	for i := range blocks {
-		blocks[i] = core.NewMatcher()
-	}
 	for id := core.ComplexID(0); int(id) < nComplex; id++ {
 		events := make([]core.Event, 1+rng.Intn(4))
 		for i := range events {
@@ -31,24 +45,10 @@ func startCluster(t *testing.T, nBlocks, nComplex, universe int, seed int64) (*C
 		if err := reference.Add(id, events); err != nil {
 			t.Fatalf("Add: %v", err)
 		}
-		if err := blocks[int(id)%nBlocks].Add(id, events); err != nil {
+		if err := client.Add(id, events); err != nil {
 			t.Fatalf("Add: %v", err)
 		}
 	}
-	addrs := make([]string, nBlocks)
-	for i, b := range blocks {
-		srv, err := Serve("127.0.0.1:0", core.Freeze(b))
-		if err != nil {
-			t.Fatalf("Serve: %v", err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		addrs[i] = srv.Addr()
-	}
-	client, err := Dial(addrs...)
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	t.Cleanup(func() { client.Close() })
 	return client, reference
 }
 
@@ -133,16 +133,23 @@ func TestClientClosedErrors(t *testing.T) {
 	}
 }
 
+// TestDialFailure pins that a block nobody listens on is down, not empty:
+// the probe counts it out and a match routed to it fails.
 func TestDialFailure(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1"); err == nil {
-		t.Error("Dial to a dead port should fail")
+	client := NewRingClientWithMap(BuildMap(1, 1, []string{"127.0.0.1:1"}), WithRetries(0))
+	defer client.Close()
+	if up := client.Probe(); up != 0 {
+		t.Errorf("Probe of a dead port = %d blocks up, want 0", up)
+	}
+	if _, err := client.Match(core.EventSet{1}); err == nil {
+		t.Error("Match through a dead port should fail")
 	}
 }
 
 func TestServerCloseUnblocksAccept(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", core.Freeze(core.NewMatcher()))
+	srv, err := ServeDynamic("127.0.0.1:0", nil)
 	if err != nil {
-		t.Fatalf("Serve: %v", err)
+		t.Fatalf("ServeDynamic: %v", err)
 	}
 	if err := srv.Close(); err != nil {
 		t.Errorf("Close: %v", err)
@@ -150,9 +157,9 @@ func TestServerCloseUnblocksAccept(t *testing.T) {
 }
 
 func TestProtocolErrorHandling(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", core.Freeze(core.NewMatcher()))
+	srv, err := ServeDynamic("127.0.0.1:0", nil)
 	if err != nil {
-		t.Fatalf("Serve: %v", err)
+		t.Fatalf("ServeDynamic: %v", err)
 	}
 	defer srv.Close()
 
@@ -210,10 +217,7 @@ func TestClientAgainstMisbehavingServer(t *testing.T) {
 			}(conn)
 		}
 	}()
-	client, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
+	client := NewRingClientWithMap(BuildMap(1, 1, []string{ln.Addr().String()}))
 	defer client.Close()
 	_, err = client.Match(core.EventSet{1})
 	if err == nil || !strings.Contains(err.Error(), "synthetic failure") {

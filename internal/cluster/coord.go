@@ -533,7 +533,7 @@ func (c *Coord) rpcOnce(addr string, kind byte, payload []byte) (byte, []byte, e
 }
 
 // ServeCoord starts the coordinator's control listener on addr. Blocks
-// and clients speak v2 blob frames to it: '?' fetches the current map,
+// and clients speak blob frames to it: '?' fetches the current map,
 // 'J'/'L'/'V' are join/leave/evict requests carrying the subject block's
 // address. Returns once the listener is bound; Close stops it.
 func (c *Coord) ServeCoord(addr string) error {
@@ -631,7 +631,7 @@ func (c *Coord) handle(conn net.Conn) {
 			continue
 		}
 		if err := c.dispatch(kind, body, w); err != nil {
-			writeError(w, err)
+			_ = writeError(w, err)
 		}
 		if w.Flush() != nil {
 			return

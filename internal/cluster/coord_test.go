@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"bufio"
 	"errors"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -409,23 +412,27 @@ func TestStaleClientRefreshesMap(t *testing.T) {
 	checkAgainstReference(t, rc, ref, false)
 }
 
-// TestV1ClientRejectedLoudly pins the compatibility boundary: a v1
-// static client talking to a v2 dynamic block gets an error naming the
-// protocol mismatch, never a silent empty result.
+// TestV1ClientRejectedLoudly pins the compatibility boundary: a request
+// in the retired count-framed protocol ('M' | n u32 | events) gets an
+// error frame naming a protocol error, never a silent empty result.
 func TestV1ClientRejectedLoudly(t *testing.T) {
 	srv, err := ServeDynamic("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatalf("ServeDynamic: %v", err)
 	}
 	defer srv.Close()
-	old, err := Dial(srv.Addr())
+	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
-	defer old.Close()
-	_, err = old.Match(core.EventSet{1, 2})
+	defer conn.Close()
+	if _, err := conn.Write([]byte{'M', 2, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0}); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	_, _, err = readBlob(bufio.NewReader(conn), nil)
 	var remote *RemoteError
-	if !errors.As(err, &remote) {
-		t.Fatalf("v1 match against v2 block = %v, want a remote protocol error", err)
+	if !errors.As(err, &remote) || !strings.Contains(remote.Msg, ErrProtocol.Error()) {
+		t.Fatalf("v1 match against a block = %v, want a remote protocol error", err)
 	}
 }

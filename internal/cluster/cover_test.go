@@ -183,7 +183,7 @@ func TestCoverSpreadsReads(t *testing.T) {
 	}
 	total := uint64(0)
 	for _, srv := range servers {
-		calls := srv.dyn.Stats().MatchCalls
+		calls := srv.matcher.Stats().MatchCalls
 		total += calls
 		if share := float64(calls) / docs; share < 0.25 || share > 0.42 {
 			t.Errorf("block %s answered %.0f%% of the requests, want 25–42%%", srv.Addr(), 100*share)
@@ -380,7 +380,7 @@ func referenceMatchFrame(ver uint64, parts, events []uint32) []byte {
 	}
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
-	if err := writeBlob(w, kindMatchV2, payload); err != nil {
+	if err := writeBlob(w, kindMatch, payload); err != nil {
 		panic(err)
 	}
 	if err := w.Flush(); err != nil {
@@ -412,7 +412,7 @@ func TestMatchFrameWire(t *testing.T) {
 		ver := rng.Uint64()
 		var buf bytes.Buffer
 		w := bufio.NewWriter(&buf)
-		if err := writeMatchV2(w, ver, mask, set); err != nil {
+		if err := writeMatch(w, ver, mask, set); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Flush(); err != nil {
@@ -421,7 +421,7 @@ func TestMatchFrameWire(t *testing.T) {
 		if want := referenceMatchFrame(ver, parts, events); !bytes.Equal(buf.Bytes(), want) {
 			t.Fatalf("frame for (v%d, %v, %d events) differs from the parent's encoding", ver, parts, len(events))
 		}
-		gotVer, gotMask, gotSet, err := decodeMatchV2(buf.Bytes()[5:], nil)
+		gotVer, gotMask, gotSet, err := decodeMatch(buf.Bytes()[5:], nil)
 		if err != nil || gotVer != ver || gotMask != mask || !slices.Equal(gotSet, []core.Event(set)) {
 			t.Fatalf("decode = v%d %#x %v, %v; sent v%d %#x %v", gotVer, gotMask, gotSet, err, ver, mask, set)
 		}
@@ -443,11 +443,11 @@ func TestMatchFrameWire(t *testing.T) {
 		"count past the payload":  frame(3, 1, 2),
 		"ragged event bytes":      append(frame(1, 9, 5), 0xff),
 	} {
-		if _, _, _, err := decodeMatchV2(payload, nil); !errors.Is(err, ErrProtocol) {
-			t.Errorf("%s: decodeMatchV2 = %v, want ErrProtocol", name, err)
+		if _, _, _, err := decodeMatch(payload, nil); !errors.Is(err, ErrProtocol) {
+			t.Errorf("%s: decodeMatch = %v, want ErrProtocol", name, err)
 		}
 	}
-	if _, parts, events, err := decodeMatchV2(frame(2, 63, 0, 5, 4), nil); err != nil || parts != 1<<63|1 || len(events) != 2 {
+	if _, parts, events, err := decodeMatch(frame(2, 63, 0, 5, 4), nil); err != nil || parts != 1<<63|1 || len(events) != 2 {
 		t.Errorf("partitions 63 and 0 = %#x %v, %v", parts, events, err)
 	}
 }
@@ -473,7 +473,7 @@ func TestServerRejectsOutOfRangePartition(t *testing.T) {
 		var ids []core.ComplexID
 		payload := referenceMatchFrame(1, parts, events)[5:]
 		err := bc.call(&cfg, st,
-			func(w *bufio.Writer) error { return writeBlob(w, kindMatchV2, payload) },
+			func(w *bufio.Writer) error { return writeBlob(w, kindMatch, payload) },
 			func(r *bufio.Reader) (err error) {
 				ids, _, err = readMatchReply(r, &bc.buf, nil)
 				return err

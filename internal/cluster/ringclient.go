@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"xymon/internal/core"
 )
@@ -21,7 +22,7 @@ var errRingClosed = errors.New("cluster: ring client is closed")
 // client can refetch them is a bug, not a condition to chase forever.
 const maxMapRefreshes = 3
 
-// RingClient is the v2 partition-map client. It routes every request by
+// RingClient is the partition-map client. It routes every request by
 // the current map: a match goes to the fewest blocks whose hosted
 // partitions cover the document's — one block, on the caller's goroutine,
 // whenever some block hosts them all, which is always so at R = N — with
@@ -234,7 +235,7 @@ func (c *RingClient) connLocked(addr string) *blockConn {
 	return bc
 }
 
-// request runs one v2 request/response round trip against addr through
+// request runs one request/response round trip against addr through
 // the shared robustness envelope (reconnect, deadlines, bounded retries,
 // down-cooldown).
 func (c *RingClient) request(addr string, kind byte, payload []byte) (byte, []byte, error) {
@@ -414,7 +415,7 @@ func fanOut(n int, f func(i int)) {
 func (c *RingClient) askBlock(rt *routes, l *leg, s core.EventSet) {
 	bc := rt.conns[l.block]
 	l.err = bc.call(&c.cfg, &c.st,
-		func(w *bufio.Writer) error { return writeMatchV2(w, rt.m.Version, l.parts, s) },
+		func(w *bufio.Writer) error { return writeMatch(w, rt.m.Version, l.parts, s) },
 		func(r *bufio.Reader) (err error) {
 			l.ids, l.stale, err = readMatchReply(r, &bc.buf, l.ids[:0])
 			return err
@@ -505,14 +506,44 @@ func (c *RingClient) writeAll(p int, frame func(ver uint64) (byte, []byte)) erro
 }
 
 // Probe attempts to reconnect every down block immediately, ignoring
-// cooldown windows, and returns how many of the map's blocks are up.
+// cooldown windows — the explicit health probe for operators and tests —
+// and returns how many of the map's blocks are up.
 func (c *RingClient) Probe() int {
-	return probeConns(c.blockConns(), &c.cfg, &c.st)
+	up := 0
+	for _, bc := range c.blockConns() {
+		bc.mu.Lock()
+		if bc.conn == nil {
+			// The dialer is a config-owned leaf (net.DialTimeout or a test
+			// wrapper); it never calls back into the client, and holding
+			// bc.mu serialises the probe with in-flight matches.
+			//xyvet:ignore lockcheck
+			if conn, err := c.cfg.dialer(bc.addr); err == nil {
+				bc.attachLocked(conn, &c.st)
+				bc.downFails = 0
+				bc.downUntil = time.Time{}
+			}
+		}
+		if bc.conn != nil {
+			up++
+		}
+		bc.mu.Unlock()
+	}
+	return up
 }
 
 // Health snapshots the liveness of every block in the current map.
 func (c *RingClient) Health() []BlockHealth {
-	return healthOf(c.blockConns())
+	conns := c.blockConns()
+	out := make([]BlockHealth, 0, len(conns))
+	for _, bc := range conns {
+		bc.mu.Lock()
+		out = append(out, BlockHealth{
+			Addr: bc.addr, Up: bc.conn != nil,
+			Fails: bc.downFails, DownUntil: bc.downUntil,
+		})
+		bc.mu.Unlock()
+	}
+	return out
 }
 
 // blockConns returns the conn state of every block in the current map,

@@ -20,9 +20,9 @@ func TestIdleConnectionReaped(t *testing.T) {
 	if err := m.Add(1, []core.Event{4}); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := Serve("127.0.0.1:0", core.Freeze(m), WithReadIdle(100*time.Millisecond))
+	srv, err := ServeDynamic("127.0.0.1:0", m, WithReadIdle(100*time.Millisecond))
 	if err != nil {
-		t.Fatalf("Serve: %v", err)
+		t.Fatalf("ServeDynamic: %v", err)
 	}
 	defer srv.Close()
 
@@ -46,10 +46,7 @@ func TestIdleConnectionReaped(t *testing.T) {
 	}
 
 	// The server is still serving fresh clients.
-	client, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatalf("Dial after stall: %v", err)
-	}
+	client := NewRingClientWithMap(BuildMap(1, 1, []string{srv.Addr()}))
 	defer client.Close()
 	if ids, err := client.Match(core.EventSet{4}); err != nil || len(ids) != 1 {
 		t.Fatalf("Match after stall = %v, %v", ids, err)
@@ -64,15 +61,12 @@ func TestReadIdleAllowsActiveClient(t *testing.T) {
 	if err := m.Add(1, []core.Event{4}); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := Serve("127.0.0.1:0", core.Freeze(m), WithReadIdle(300*time.Millisecond))
+	srv, err := ServeDynamic("127.0.0.1:0", m, WithReadIdle(300*time.Millisecond))
 	if err != nil {
-		t.Fatalf("Serve: %v", err)
+		t.Fatalf("ServeDynamic: %v", err)
 	}
 	defer srv.Close()
-	client, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
+	client := NewRingClientWithMap(BuildMap(1, 1, []string{srv.Addr()}))
 	defer client.Close()
 	for i := 0; i < 4; i++ {
 		if ids, err := client.Match(core.EventSet{4}); err != nil || len(ids) != 1 {
@@ -167,7 +161,7 @@ func TestOversizedFrameRejected(t *testing.T) {
 	}
 	defer conn.Close()
 	hdr := make([]byte, 5)
-	hdr[0] = kindMatchV2
+	hdr[0] = kindMatch
 	binary.LittleEndian.PutUint32(hdr[1:], maxBlob+1)
 	if _, err := conn.Write(hdr); err != nil {
 		t.Fatalf("Write: %v", err)

@@ -11,13 +11,11 @@ import (
 	"xymon/internal/core"
 )
 
-// Protocol v2: the partition-map protocol. Every message is a blob
-// frame — kind byte, u32 little-endian byte length, payload — so the
-// control plane and the match path share one framing and one size guard.
-// Version 1 ('M' count-framed match requests) is still spoken by the
-// static Serve/Dial pair; a v2 block answers a v1 request with an error
-// frame naming the version mismatch, so old clients fail loudly instead
-// of silently losing partitions.
+// The partition-map protocol. Every message is a blob frame — kind byte,
+// u32 little-endian byte length, payload — so the control plane and the
+// match path share one framing and one size guard. A block answers any
+// other kind byte with an error frame and hangs up, so a peer speaking
+// another protocol fails loudly instead of silently losing partitions.
 //
 // Frame kinds (requests → responses):
 //
@@ -32,7 +30,7 @@ import (
 //	'L' leave(addr)    [coordinator]           → 'k' | 'E'
 //	'V' evict(addr)    [coordinator]           → 'k' | 'E'
 const (
-	kindMatchV2 = 'm'
+	kindMatch   = 'm'
 	kindResults = 'r'
 	kindStale   = 'S'
 	kindAdd     = '+'
@@ -50,7 +48,7 @@ const (
 	kindError   = 'E'
 )
 
-// maxBlob bounds a v2 frame's payload: a full 64-partition dump of a
+// maxBlob bounds a frame's payload: a full 64-partition dump of a
 // million 4-event subscriptions still fits, anything bigger is a
 // protocol error, not a request to buffer gigabytes.
 const maxBlob = 8 << 20
@@ -72,7 +70,7 @@ func beginBlob(w *bufio.Writer, kind byte, n int) ([]byte, error) {
 	return binary.LittleEndian.AppendUint32(append(w.AvailableBuffer(), kind), uint32(n)), nil
 }
 
-// writeBlob frames one v2 message.
+// writeBlob frames one message.
 func writeBlob(w *bufio.Writer, kind byte, payload []byte) error {
 	hdr, err := beginBlob(w, kind, len(payload))
 	if err != nil {
@@ -83,6 +81,11 @@ func writeBlob(w *bufio.Writer, kind byte, payload []byte) error {
 	}
 	_, err = w.Write(payload)
 	return err
+}
+
+// writeError frames err as an error reply.
+func writeError(w *bufio.Writer, err error) error {
+	return writeBlob(w, kindError, []byte(err.Error()))
 }
 
 // readBlobBody reads the length and payload of a blob frame whose kind
@@ -145,12 +148,12 @@ func u32s[T ~uint32](dst []T, b []byte) ([]T, error) {
 	return dst, nil
 }
 
-// writeMatchV2 frames an 'm' request straight into w: map version, the
+// writeMatch frames an 'm' request straight into w: map version, the
 // partitions of the parts mask in ascending order, the event set as given
 // (callers pass a canonical one).
-func writeMatchV2(w *bufio.Writer, ver uint64, parts uint64, s core.EventSet) error {
+func writeMatch(w *bufio.Writer, ver uint64, parts uint64, s core.EventSet) error {
 	np := bits.OnesCount64(parts)
-	b, err := beginBlob(w, kindMatchV2, 12+4*(np+len(s)))
+	b, err := beginBlob(w, kindMatch, 12+4*(np+len(s)))
 	if err != nil {
 		return err
 	}
@@ -163,9 +166,9 @@ func writeMatchV2(w *bufio.Writer, ver uint64, parts uint64, s core.EventSet) er
 	return err
 }
 
-// decodeMatchV2 splits an 'm' payload into the map version, the mask of
+// decodeMatch splits an 'm' payload into the map version, the mask of
 // wanted partitions and the events, which it appends to events.
-func decodeMatchV2(b []byte, events []core.Event) (ver uint64, parts uint64, _ []core.Event, err error) {
+func decodeMatch(b []byte, events []core.Event) (ver uint64, parts uint64, _ []core.Event, err error) {
 	if len(b) < 12 {
 		return 0, 0, events, fmt.Errorf("%w: short match frame", ErrProtocol)
 	}

@@ -8,9 +8,7 @@ import "sort"
 // updates — the subscription manager rebuilds it periodically — and exists
 // for the Section 4.2 memory discussion: the paper fits Card(C)=10^7
 // complex events in ~500 MB of 2001-era C++ hash tables, which a
-// pointer-rich map structure cannot approach. Compact also serialises
-// naturally, which is how a snapshot would ship to the partitioned
-// processors of the distribution discussion.
+// pointer-rich map structure cannot approach.
 type Compact struct {
 	// entries holds every cell; each table is a contiguous, event-sorted
 	// run of entries.

@@ -39,6 +39,9 @@ type Cursor struct {
 	cursorState
 }
 
+// fsync is the in-place commit's fsync call; tests count through it.
+var fsync = (*os.File).Sync
+
 // cursorState is the newest intact slot of a cursor file.
 type cursorState struct {
 	seq, offset uint64
@@ -158,7 +161,7 @@ func (c *Cursor) write(slot int, frame []byte) (err error) {
 	if err := c.consult(wal.OpFileSync); err != nil {
 		return err
 	}
-	if err := c.f.Sync(); err != nil {
+	if err := fsync(c.f); err != nil {
 		return fmt.Errorf("stream: %w", err)
 	}
 	return nil

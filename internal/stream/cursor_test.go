@@ -80,6 +80,39 @@ func TestCursorCommitsInPlace(t *testing.T) {
 	}
 }
 
+// TestCursorCommitFsyncs holds every in-place commit to one real fsync —
+// counted through the fsync seam — and one OpFileSync firing. The hook
+// fires before the fsync, so without this count a deleted Sync would
+// fail no test. The first commit installs the file through
+// wal.WriteFileSync and fires neither.
+func TestCursorCommitFsyncs(t *testing.T) {
+	var real, hooked int
+	orig := fsync
+	fsync = func(f *os.File) error {
+		real++
+		return orig(f)
+	}
+	t.Cleanup(func() { fsync = orig })
+	c, err := OpenCursor(t.TempDir(), "f", func(op, _ string) error {
+		if op == wal.OpFileSync {
+			hooked++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i, off := range []uint64{4, 8, 15, 16} {
+		if err := c.Commit(off); err != nil {
+			t.Fatalf("Commit(%d): %v", off, err)
+		}
+		if real != i || hooked != i {
+			t.Fatalf("after %d commits: %d fsyncs and %d OpFileSync firings, want %d of each", i+1, real, hooked, i)
+		}
+	}
+}
+
 // TestCursorTornNewerSlotAtEveryByte: a write cut anywhere in the newer
 // slot — a byte flipped, the rest never written, or the rest still the
 // slot's older frame — recovers the previous offset.

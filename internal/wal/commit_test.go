@@ -213,3 +213,73 @@ func TestLogSyncFailureKeepsFramesUnsynced(t *testing.T) {
 		t.Fatalf("retry after a failed barrier: err=%v fsyncs=%d, want nil and 1", err, fsyncs)
 	}
 }
+
+// countFsyncs swaps the fsync seam, for the rest of the test, for one
+// that counts the fsyncs a File really issues.
+func countFsyncs(t *testing.T) *atomic.Int64 {
+	var n atomic.Int64
+	orig := fsync
+	fsync = func(f *os.File) error {
+		n.Add(1)
+		return orig(f)
+	}
+	t.Cleanup(func() { fsync = orig })
+	return &n
+}
+
+// TestFsyncsMatchSyncHook holds the fsyncs a File really issues to its
+// OpFileSync firings through Append, Write + Sync, Close and a Log's
+// rotations. The hook fires before the fsync, so without this count a
+// deleted Sync would fail no test.
+func TestFsyncsMatchSyncHook(t *testing.T) {
+	real := countFsyncs(t)
+	var ops opCounter
+	check := func(step string, want int) {
+		t.Helper()
+		if hooked, got := ops.count(OpFileSync), int(real.Load()); hooked != want || got != want {
+			t.Fatalf("after %s: %d OpFileSync firings and %d fsyncs, want %d of each", step, hooked, got, want)
+		}
+	}
+	f, err := OpenFile(filepath.Join(t.TempDir(), "f.log"), FileOptions{Hook: ops.hook})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Append([]byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	check("Append", 1)
+	if err := f.Write([]byte("w")); err != nil {
+		t.Fatal(err)
+	}
+	check("Write", 1)
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	check("Write + Sync", 2)
+	if err := f.Write([]byte("c")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("Write + Close", 3)
+
+	l := openLog(t, t.TempDir(), Options{SegmentBytes: 64, Hook: ops.hook})
+	for i := 0; i < 20; i++ {
+		if err := l.Write([]byte(fmt.Sprintf("rec-%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rot := int(l.Stats().Rotations)
+	if rot == 0 {
+		t.Fatal("no rotation at 64-byte segments")
+	}
+	check("rotations", 3+rot)
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	check("Log.Sync", 4+rot)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

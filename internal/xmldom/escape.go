@@ -33,7 +33,7 @@ func init() {
 // that render documents straight to bytes (webgen's byte-first fetch
 // path) use it so their output round-trips to the exact canonical
 // serialisation — same signature, same tree — without importing
-// encoding/xml (which the rawxml vet rule forbids outside this package).
+// encoding/xml (which the rawxml vet rule forbids outside tests).
 func AppendEscaped(dst []byte, s string) []byte {
 	last := 0
 	for i := 0; i < len(s); {

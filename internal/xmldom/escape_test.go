@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// TestAppendEscapedMatchesStdlib holds AppendEscaped byte-identical to
-// xml.EscapeText, which is what WriteXML uses: byte-path generators rely
-// on that to reproduce the canonical serialisation exactly.
+// TestAppendEscapedMatchesStdlib holds AppendEscaped — the escaping
+// WriteXML and XML apply — byte-identical to xml.EscapeText, so the
+// serialisation stays the one encoding/xml would write.
 func TestAppendEscapedMatchesStdlib(t *testing.T) {
 	cases := []string{
 		"",

@@ -1,8 +1,9 @@
 // Package xmldom provides the small DOM used throughout the system: the
 // XML alerter walks documents in postorder (Section 6.3), the diff layer
 // labels elements with persistent XIDs (Section 5.2), and the query
-// processor evaluates path expressions over trees. It is built on the
-// encoding/xml tokenizer from the standard library.
+// processor evaluates path expressions over trees. It is built on its own
+// byte tokenizer (token.go); the strict encoding/xml decoder is only the
+// tests' differential oracle.
 package xmldom
 
 import (

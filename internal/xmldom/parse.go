@@ -1,71 +1,16 @@
 package xmldom
 
 import (
-	"encoding/xml"
 	"errors"
-	"fmt"
 	"io"
-	"strings"
 )
 
 // ErrNoRoot is returned when the input contains no element.
 var ErrNoRoot = errors.New("xmldom: document has no root element")
 
-// Parse reads an XML document and builds its DOM. Whitespace-only text is
-// dropped (the alerters and the diff work on meaningful data nodes only);
-// comments, processing instructions and directives are ignored.
-func Parse(r io.Reader) (*Document, error) {
-	dec := xml.NewDecoder(r)
-	var root *Node
-	var stack []*Node
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("xmldom: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			n := &Node{Type: ElementNode, Tag: t.Name.Local}
-			for _, a := range t.Attr {
-				n.Attrs = append(n.Attrs, Attr{Name: a.Name.Local, Value: a.Value})
-			}
-			if len(stack) == 0 {
-				if root != nil {
-					return nil, errors.New("xmldom: multiple root elements")
-				}
-				root = n
-			} else {
-				stack[len(stack)-1].AppendChild(n)
-			}
-			stack = append(stack, n)
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, errors.New("xmldom: unbalanced end element")
-			}
-			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			text := strings.TrimSpace(string(t))
-			if text == "" || len(stack) == 0 {
-				continue
-			}
-			stack[len(stack)-1].AppendChild(Text(text))
-		}
-	}
-	if root == nil {
-		return nil, ErrNoRoot
-	}
-	if len(stack) != 0 {
-		return nil, errors.New("xmldom: unexpected end of input")
-	}
-	return NewDocument(root), nil
-}
-
-// ParseString parses a document held in a string.
+// ParseString parses a document held in a string with ParseBytes.
 func ParseString(s string) (*Document, error) {
-	return Parse(strings.NewReader(s))
+	return ParseBytes([]byte(s))
 }
 
 // MustParse parses a document and panics on error; for tests and
@@ -79,53 +24,15 @@ func MustParse(s string) *Document {
 }
 
 // WriteXML serialises the subtree to w as XML. Attributes and text are
-// escaped; output has no insignificant whitespace so that
-// Parse(WriteXML(d)) reproduces the same tree.
+// escaped with AppendEscaped; output has no insignificant whitespace so
+// that ParseBytes(WriteXML(d)) reproduces the same tree.
 func (n *Node) WriteXML(w io.Writer) error {
-	switch n.Type {
-	case TextNode:
-		return escapeText(w, n.Text)
-	case ElementNode:
-		if _, err := io.WriteString(w, "<"+n.Tag); err != nil {
-			return err
-		}
-		for _, a := range n.Attrs {
-			if _, err := io.WriteString(w, " "+a.Name+`="`); err != nil {
-				return err
-			}
-			if err := escapeText(w, a.Value); err != nil {
-				return err
-			}
-			if _, err := io.WriteString(w, `"`); err != nil {
-				return err
-			}
-		}
-		if len(n.Children) == 0 {
-			_, err := io.WriteString(w, "/>")
-			return err
-		}
-		if _, err := io.WriteString(w, ">"); err != nil {
-			return err
-		}
-		for _, c := range n.Children {
-			if err := c.WriteXML(w); err != nil {
-				return err
-			}
-		}
-		_, err := io.WriteString(w, "</"+n.Tag+">")
-		return err
-	}
-	return fmt.Errorf("xmldom: unknown node type %d", n.Type)
+	_, err := w.Write(n.appendXML(nil))
+	return err
 }
 
 // XML returns the subtree serialised as a string.
-func (n *Node) XML() string {
-	var b strings.Builder
-	if err := n.WriteXML(&b); err != nil {
-		return ""
-	}
-	return b.String()
-}
+func (n *Node) XML() string { return string(n.appendXML(nil)) }
 
 // XML returns the document serialised as a string.
 func (d *Document) XML() string {
@@ -135,6 +42,22 @@ func (d *Document) XML() string {
 	return d.Root.XML()
 }
 
-func escapeText(w io.Writer, s string) error {
-	return xml.EscapeText(w, []byte(s))
+// appendXML appends the subtree's serialisation to dst.
+func (n *Node) appendXML(dst []byte) []byte {
+	if n.Type == TextNode {
+		return AppendEscaped(dst, n.Text)
+	}
+	dst = append(append(dst, '<'), n.Tag...)
+	for _, a := range n.Attrs {
+		dst = append(append(append(dst, ' '), a.Name...), `="`...)
+		dst = append(AppendEscaped(dst, a.Value), '"')
+	}
+	if len(n.Children) == 0 {
+		return append(dst, "/>"...)
+	}
+	dst = append(dst, '>')
+	for _, c := range n.Children {
+		dst = c.appendXML(dst)
+	}
+	return append(append(append(dst, "</"...), n.Tag...), '>')
 }

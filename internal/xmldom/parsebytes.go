@@ -140,8 +140,11 @@ func (sc *parseScratch) attrValue(a attrSpan) string {
 }
 
 // ParseBytes parses a serialized document with the byte tokenizer,
-// producing the same tree — and the same accept/reject decisions — as
-// Parse (FuzzParseBytes holds the two together), without encoding/xml.
+// producing the same tree — and the same accept/reject decisions — as the
+// strict encoding/xml decoder (FuzzParseBytes holds the two together).
+// Whitespace-only text is dropped (the alerters and the diff work on
+// meaningful data nodes only); comments, processing instructions and
+// directives are ignored.
 // Nodes, child-pointer slices and attributes come from a chunked arena
 // sized from the input length, tag and attribute names are interned, and
 // text is decoded straight off the input spans, so the documents that
@@ -209,7 +212,7 @@ func ParseBytes(data []byte) (*Document, error) {
 				kids = append(kids, f.n)
 			}
 		case TokText:
-			// Top-level character data is dropped, like Parse; so is
+			// Top-level character data is dropped; so is
 			// whitespace-only text (the alerters and the diff work on
 			// meaningful data nodes only).
 			if len(frames) == 0 {

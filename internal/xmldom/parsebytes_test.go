@@ -67,21 +67,21 @@ var parityCases = []string{
 	`<a xmlns="u" xmlns:p="v" p:x="1"/>`,
 }
 
-// TestParseBytesParity holds ParseBytes to the legacy parser's
+// TestParseBytesParity holds ParseBytes to the encoding/xml oracle's
 // accept/reject decision and tree shape on every handwritten corner.
 func TestParseBytesParity(t *testing.T) {
 	for _, src := range parityCases {
-		d1, err1 := ParseString(src)
+		d1, err1 := stdlibParse([]byte(src))
 		d2, err2 := ParseBytes([]byte(src))
 		if (err1 == nil) != (err2 == nil) {
-			t.Errorf("%q: Parse err=%v, ParseBytes err=%v", src, err1, err2)
+			t.Errorf("%q: oracle err=%v, ParseBytes err=%v", src, err1, err2)
 			continue
 		}
 		if err1 != nil {
 			continue
 		}
 		if x1, x2 := d1.XML(), d2.XML(); x1 != x2 {
-			t.Errorf("%q: trees differ:\n legacy %q\n bytes  %q", src, x1, x2)
+			t.Errorf("%q: trees differ:\n oracle %q\n bytes  %q", src, x1, x2)
 		}
 		if h1, h2 := d1.Root.Hash64(HashSeed()), d2.Root.Hash64(HashSeed()); h1 != h2 {
 			t.Errorf("%q: Hash64 differs", src)

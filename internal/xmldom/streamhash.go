@@ -16,7 +16,7 @@ import (
 // tokenize, and, when the root hash differs, to hand the diff layer a
 // precomputed agreement mask over the top-level children.
 //
-// The equivalence is exact and fuzz-held (FuzzStreamHash): for every
+// The equivalence is exact and fuzz-held (FuzzParseBytes): for every
 // input, Sum errors iff ParseBytes errors, and on acceptance the root
 // hash and every frontier entry are bit-identical to the HashVector
 // ParseBytes(data).Hashes() would compute. That requires mirroring the

@@ -57,24 +57,6 @@ func checkStreamAgainstDOM(t *testing.T, src string, maxDepth int) {
 	}
 }
 
-// FuzzStreamHash is the gate holding StreamHasher bit-identical to the
-// DOM path: for every input, Sum accepts iff ParseBytes accepts, and on
-// acceptance the root hash and the depth<=2 frontier equal the entries of
-// ParseBytes(data).Hashes().
-func FuzzStreamHash(f *testing.F) {
-	for _, src := range parityCases {
-		f.Add(src)
-	}
-	for _, c := range boundaryCases(f) {
-		f.Add(c.src)
-	}
-	f.Add(`<c a="1" b="&lt;x&gt;">  <p id="p0"><n>radio</n></p> t <p/> </c>`)
-	f.Add("<a>\r\n<b>x</b><![CDATA[ ]]>]]&gt;<b>x</b>\r</a>")
-	f.Fuzz(func(t *testing.T, src string) {
-		checkStreamAgainstDOM(t, src, 2)
-	})
-}
-
 func TestStreamHashMatchesDOM(t *testing.T) {
 	cases := []string{
 		`<catalog><product id="p0"><name>radio</name><price>10</price></product></catalog>`,

@@ -42,10 +42,10 @@ func boundaryCases(t testing.TB) []boundaryCase {
 // before the hot path existed.
 func TestTokenizerBoundaries(t *testing.T) {
 	for _, c := range boundaryCases(t) {
-		want, wantErr := ParseString(c.src)
+		want, wantErr := stdlibParse([]byte(c.src))
 		got, err := ParseBytes([]byte(c.src))
 		if (err == nil) != (wantErr == nil) {
-			t.Errorf("%q: Parse err=%v, ParseBytes err=%v", c.src, wantErr, err)
+			t.Errorf("%q: oracle err=%v, ParseBytes err=%v", c.src, wantErr, err)
 			continue
 		}
 		off, msg := 0, ""

@@ -149,9 +149,13 @@ func (q *Query) String() string {
 			b.WriteString(p.Path.String())
 			b.WriteString(" ")
 			b.WriteString(p.Op.String())
-			b.WriteString(" \"")
-			b.WriteString(p.Value)
-			b.WriteString("\"")
+			// Strings have no escapes; a value read from one holds at
+			// most the quote it was not delimited by.
+			quote := `"`
+			if strings.Contains(p.Value, quote) {
+				quote = "'"
+			}
+			b.WriteString(" " + quote + p.Value + quote)
 		}
 	}
 	return b.String()

@@ -18,12 +18,13 @@
 //	m.Add(2, []pubsub.Event{purchase, bigBasket})
 //	hits := m.Match(pubsub.Canonical([]pubsub.Event{login, purchase, bigBasket}))
 //
-// For scale-out, Freeze a matcher into a compact serialisable snapshot
-// and serve partition blocks over TCP with Serve/Dial.
+// For scale-out, Serve empty blocks over TCP and Dial them: the client
+// shards subscriptions over the blocks as they are added and sends each
+// match to the blocks holding the document's partitions.
 package pubsub
 
 import (
-	"io"
+	"fmt"
 
 	"xymon/internal/cluster"
 	"xymon/internal/core"
@@ -41,14 +42,13 @@ type (
 	Matcher = core.Matcher
 	// Partitioned splits the subscription base across blocks.
 	Partitioned = core.Partitioned
-	// Compact is a frozen, memory-lean, serialisable matcher snapshot.
-	Compact = core.Compact
 	// Stats reports structure and matching counters.
 	Stats = core.Stats
 	// Server serves one partition block over TCP.
 	Server = cluster.Server
-	// Client fans matches out to several partition blocks.
-	Client = cluster.Client
+	// Client shards subscriptions over partition blocks and matches
+	// against them.
+	Client = cluster.RingClient
 )
 
 // Errors re-exported from the implementation.
@@ -59,8 +59,6 @@ var (
 	ErrDuplicateComplexID = core.ErrDuplicateComplexID
 	// ErrUnknownComplexID reports removal of an unregistered id.
 	ErrUnknownComplexID = core.ErrUnknownComplexID
-	// ErrBadSnapshot reports a corrupt frozen-matcher snapshot.
-	ErrBadSnapshot = core.ErrBadSnapshot
 )
 
 // NewMatcher returns an empty matcher.
@@ -75,17 +73,22 @@ func NewPartitioned(n int, parallel bool) *Partitioned {
 // Canonical sorts and deduplicates events into an EventSet.
 func Canonical(events []Event) EventSet { return core.Canonical(events) }
 
-// Freeze flattens a matcher into a Compact snapshot.
-func Freeze(m *Matcher) *Compact { return core.Freeze(m) }
-
-// ReadCompact deserialises a snapshot written with Compact.WriteTo.
-func ReadCompact(r io.Reader) (*Compact, error) { return core.ReadCompact(r) }
-
-// Serve exposes a frozen partition block over TCP; addr "127.0.0.1:0"
-// picks a free port (see Server.Addr).
-func Serve(addr string, block *Compact) (*Server, error) {
-	return cluster.Serve(addr, block)
+// Serve exposes an empty partition block over TCP; addr "127.0.0.1:0"
+// picks a free port (see Server.Addr). Subscriptions reach it through a
+// Client's Add.
+func Serve(addr string) (*Server, error) {
+	return cluster.ServeDynamic(addr, nil)
 }
 
-// Dial connects to block servers for fan-out matching.
-func Dial(addrs ...string) (*Client, error) { return cluster.Dial(addrs...) }
+// Dial returns a client sharding over the given blocks, one replica per
+// partition. Every address must be reachable at dial time — a cluster
+// that starts degraded is a configuration error; degradation is for
+// blocks that die later.
+func Dial(addrs ...string) (*Client, error) {
+	c := cluster.NewRingClientWithMap(cluster.BuildMap(1, 1, addrs))
+	if up := c.Probe(); up != len(addrs) {
+		_ = c.Close()
+		return nil, fmt.Errorf("pubsub: %d of %d blocks reachable", up, len(addrs))
+	}
+	return c, nil
+}

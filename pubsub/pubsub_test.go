@@ -1,7 +1,6 @@
 package pubsub_test
 
 import (
-	"bytes"
 	"sort"
 	"testing"
 
@@ -9,8 +8,7 @@ import (
 )
 
 // TestPublicSurface exercises the whole re-exported API end to end:
-// dynamic matcher, canonicalisation, freeze, snapshot round trip,
-// partitioning and the TCP fan-out.
+// dynamic matcher, canonicalisation, partitioning and TCP sharding.
 func TestPublicSurface(t *testing.T) {
 	m := pubsub.NewMatcher()
 	if err := m.Add(1, []pubsub.Event{1, 3}); err != nil {
@@ -32,23 +30,6 @@ func TestPublicSurface(t *testing.T) {
 		t.Fatalf("Match = %v", got)
 	}
 
-	// Freeze + serialise + decode.
-	frozen := pubsub.Freeze(m)
-	var buf bytes.Buffer
-	if _, err := frozen.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	decoded, err := pubsub.ReadCompact(&buf)
-	if err != nil {
-		t.Fatalf("ReadCompact: %v", err)
-	}
-	if len(decoded.Match(s)) != 2 {
-		t.Error("decoded snapshot lost subscriptions")
-	}
-	if _, err := pubsub.ReadCompact(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Error("junk snapshot accepted")
-	}
-
 	// Partitioned.
 	part := pubsub.NewPartitioned(2, false)
 	part.Add(1, []pubsub.Event{1, 3})
@@ -57,19 +38,45 @@ func TestPublicSurface(t *testing.T) {
 		t.Error("partitioned matcher disagrees")
 	}
 
-	// TCP fan-out.
-	srv, err := pubsub.Serve("127.0.0.1:0", frozen)
-	if err != nil {
-		t.Fatalf("Serve: %v", err)
+	// TCP sharding: two empty blocks, the subscriptions added through the
+	// client.
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		srv, err := pubsub.Serve("127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+		defer srv.Close()
+		addrs = append(addrs, srv.Addr())
 	}
-	defer srv.Close()
-	client, err := pubsub.Dial(srv.Addr())
+	client, err := pubsub.Dial(addrs...)
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer client.Close()
+	for _, sub := range []struct {
+		id     pubsub.ComplexID
+		events []pubsub.Event
+	}{{1, []pubsub.Event{1, 3}}, {2, []pubsub.Event{3}}} {
+		if err := client.Add(sub.id, sub.events); err != nil {
+			t.Fatalf("client Add: %v", err)
+		}
+	}
 	remote, err := client.Match(s)
 	if err != nil || len(remote) != 2 {
 		t.Errorf("remote Match = %v, %v", remote, err)
+	}
+}
+
+// TestDialFailure pins Dial's contract: a block nobody listens on fails
+// the dial instead of yielding a client that starts degraded.
+func TestDialFailure(t *testing.T) {
+	srv, err := pubsub.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	defer srv.Close()
+	if _, err := pubsub.Dial(srv.Addr(), "127.0.0.1:1"); err == nil {
+		t.Error("Dial with a dead port should fail")
 	}
 }
