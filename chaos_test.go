@@ -132,7 +132,9 @@ func (s *downSink) Deliver(*reporter.Report) error {
 // consumer genuinely falls past the retention floor, the documented
 // re-sync path recovers it, and once the storm ends it catches up by
 // replay to zero lag with every published record either consumed in
-// order or skipped across an honestly-reported truncation gap.
+// order or skipped across an honestly-reported truncation gap. The
+// stream is the reporter's journal: its notif and dead records sit
+// between the fired batches the consumer reads.
 func TestChaosStreamSlowConsumer(t *testing.T) {
 	c := &testClock{t: time.Date(2001, 5, 21, 0, 0, 0, 0, time.UTC)}
 	dir := t.TempDir()
@@ -148,7 +150,7 @@ func TestChaosStreamSlowConsumer(t *testing.T) {
 		reporter.WithClock(c.now),
 		reporter.WithRetryPolicy(1, time.Minute, time.Minute),
 		reporter.WithDeadLetterCap(deadCap),
-		reporter.WithStream(st),
+		reporter.WithWAL(st),
 	)
 	rep.Register("Storm", nil)
 	doc, err := xmldom.ParseString("<page>storm</page>")
@@ -173,7 +175,7 @@ func TestChaosStreamSlowConsumer(t *testing.T) {
 			if !errors.As(err, &trunc) {
 				t.Fatalf("Poll: %v", err)
 			}
-			if first := st.FirstRetained(); trunc.Requested >= first {
+			if first := st.Stats().FirstRetained; trunc.Requested >= first {
 				t.Fatalf("spurious truncation: requested %d with first retained %d", trunc.Requested, first)
 			}
 			first, err := rd.SeekOldest()
@@ -201,8 +203,9 @@ func TestChaosStreamSlowConsumer(t *testing.T) {
 	}
 
 	// The storm: 400 reports fired at a dead sink, the consumer pulling
-	// 4 records for every 10 produced, retention every 5 rounds. The
-	// reporter's bounds hold at every step, not just at the end.
+	// 4 records for every 10 produced, a reporter checkpoint — which
+	// applies retention — every 5 rounds. The reporter's bounds hold at
+	// every step, not just at the end.
 	const rounds, perRound = 40, 10
 	for round := 0; round < rounds; round++ {
 		for i := 0; i < perRound; i++ {
@@ -210,8 +213,8 @@ func TestChaosStreamSlowConsumer(t *testing.T) {
 		}
 		consume(4)
 		if round%5 == 4 {
-			if _, err := st.Retain(); err != nil {
-				t.Fatalf("Retain: %v", err)
+			if err := rep.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
 			}
 		}
 		if p := rep.RetryPending(); p != 0 {
@@ -227,8 +230,11 @@ func TestChaosStreamSlowConsumer(t *testing.T) {
 	if got := st.Next(); got != produced {
 		t.Fatalf("stream head %d, want every one of %d fired reports published", got, produced)
 	}
-	if pub, serrs := rep.StreamStats(); pub != produced || serrs != 0 {
-		t.Fatalf("StreamStats = %d published, %d errors; want %d, 0", pub, serrs, produced)
+	if got := st.Stats().Records; got != produced {
+		t.Fatalf("Stats().Records = %d; want every one of %d fired reports", got, produced)
+	}
+	if n := rep.JournalErrors(); n != 0 {
+		t.Fatalf("JournalErrors = %d", n)
 	}
 	if truncations == 0 {
 		t.Fatal("a 10x-slower consumer never fell past the retention floor; the scenario did not bite")

@@ -1,8 +1,8 @@
 // xysub stream — pull consumer for the durable notification
 // change-stream (internal/stream). Where check/explain work on
 // subscription source, this mode works on a running system's output:
-// the stream directory a System with Options.DurableDir writes under
-// <dir>/stream.
+// the reporter journal a System with Options.DurableDir writes under
+// <DurableDir>/reporter, whose fired reports are the stream.
 //
 //	xysub stream tail   -dir DIR [-consumer NAME] [-max N] [-resync]
 //	xysub stream replay -dir DIR [-from OFF] [-max N]
@@ -37,7 +37,7 @@ func runStream(args []string, stdout, stderr io.Writer) int {
 	mode, args := args[0], args[1:]
 	fs := flag.NewFlagSet("stream "+mode, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	dir := fs.String("dir", "", "stream directory (<DurableDir>/stream)")
+	dir := fs.String("dir", "", "stream directory (<DurableDir>/reporter)")
 	consumer := fs.String("consumer", "xysub", "cursor name to read or commit under")
 	max := fs.Int("max", stream.DefaultMaxFetch, "records per poll")
 	from := fs.Uint64("from", 0, "replay start offset (default: oldest retained)")
@@ -147,6 +147,7 @@ func streamDrain(stdout, stderr io.Writer, dir, consumer string, max int, resync
 
 func streamUsage(w io.Writer) {
 	fmt.Fprintln(w, `usage: xysub stream tail|replay|commit -dir DIR [flags]
+  DIR is <DurableDir>/reporter
   tail    read from the durable cursor to the head, committing as it goes
   replay  read from the oldest retained offset (or -from) without committing
   commit  set the cursor to -at`)

@@ -2,14 +2,19 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"xymon"
 	"xymon/internal/stream"
 )
 
-// streamFixture publishes n records into a fresh stream directory.
+// streamFixture publishes n records into a fresh stream directory,
+// each behind an owner frame, as the reporter journals its notif
+// records between its fired reports.
 func streamFixture(t *testing.T, n int, o stream.Options) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -20,6 +25,9 @@ func streamFixture(t *testing.T, n int, o stream.Options) string {
 	defer st.Close()
 	when := time.Date(2001, 5, 21, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < n; i++ {
+		if err := st.Write([]byte(fmt.Sprintf(`{"t":"notif","sub":"S","xml":"<r n=\"%d\"/>"}`, i))); err != nil {
+			t.Fatal(err)
+		}
 		_, err := st.Publish([]stream.Record{{
 			Subscription:  "S",
 			Time:          when,
@@ -103,10 +111,10 @@ func TestStreamTailResyncAfterTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Retain(); err != nil {
+	if _, err := st.Checkpoint(func(io.Writer) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	first := st.FirstRetained()
+	first := st.Stats().FirstRetained
 	st.Close()
 	if first == 0 {
 		t.Fatal("retention reclaimed nothing; fixture too small")
@@ -149,5 +157,39 @@ func TestStreamUsageErrors(t *testing.T) {
 	}
 	if code := runStream([]string{"bogus", "-dir", "x"}, &out, &errb); code != 2 {
 		t.Errorf("unknown mode: exit %d", code)
+	}
+}
+
+// TestStreamTailsSystemJournal: tail reads the reports a System with
+// DurableDir fired straight out of <DurableDir>/reporter.
+func TestStreamTailsSystemJournal(t *testing.T) {
+	durable := t.TempDir()
+	sys, err := xymon.New(xymon.Options{DurableDir: durable})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Subscribe(`subscription W
+monitoring
+select <UpdatedPage url=URL/>
+where URL extends "http://shop.example/" and modified self
+report when immediate`); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"<p>1</p>", "<p>2</p>", "<p>3</p>"} {
+		if _, err := sys.PushXML("http://shop.example/c.xml", "", "shopping", v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb strings.Builder
+	if code := runStream([]string{"tail", "-dir", filepath.Join(durable, "reporter")}, &out, &errb); code != 0 {
+		t.Fatalf("tail exit %d: %s", code, errb.String())
+	}
+	lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
+	if len(lines) != 2 || !strings.HasPrefix(lines[0], "0\t") || !strings.HasPrefix(lines[1], "1\t") ||
+		!strings.Contains(lines[1], `url="http://shop.example/c.xml"`) {
+		t.Fatalf("tail of the reporter journal printed:\n%s", out.String())
 	}
 }

@@ -113,18 +113,20 @@ type crashScenario struct {
 	// phase is where the kill must land: the workload step the child
 	// names in its ledger as it dies.
 	phase string
-	// tornTail names a WAL log ("reporter", "stream") whose active
-	// segment additionally gets a partial binary frame appended before
-	// recovery — the residue of a write the kernel cut mid-frame.
+	// tornTail names a WAL log ("reporter") whose active segment
+	// additionally gets a partial binary frame appended before recovery —
+	// the residue of a write the kernel cut mid-frame.
 	tornTail string
 	// unsynced, when set, takes the page cache down with the process: the
 	// reporter journal is cut back to what its last completed fsync
 	// covered, and the cut must remove exactly these record types, in
 	// order. Every report whose done the cut removes is owed again.
 	unsynced string
-	// unpublished: the journal's last record is a fired report the stream
-	// has not seen; recovery must publish and deliver it.
-	unpublished bool
+	// firedLast: the kill lands right after barrier (1), so the journal
+	// ends on the fired batch of a report no sink has seen. Recovery must
+	// deliver it, and the stream must hold it once, at that batch's
+	// offset: the fired record is the stream record, nothing is caught up.
+	firedLast bool
 	// tornSlot tears the newer slot of the consumer's cursor file — the
 	// in-place write the kill cut off before its fsync — and recovery
 	// must resume from the previous committed offset exactly.
@@ -145,15 +147,20 @@ var crashScenarios = []crashScenario{
 	{name: "checkpoint-reporter-install", point: faults.PointWALCheckpointInstall, match: "reporter", phase: "checkpoint"},
 	{name: "delivery", point: faults.PointDelivery, skip: 2, phase: "push:p1:v2"},
 	{name: "delivery-ack", point: faults.PointDeliveryAck, skip: 1, phase: "push:p0:v2", tornTail: "reporter"},
-	// Change-stream crash points: the writer side dies mid-append (no
-	// phantom batch may survive), the consumer side dies between reading
-	// a batch and committing its cursor (the batch must replay), and the
-	// second commit — the first in place — dies before its slot write or
-	// with the slot written, unsynced and torn (recovery resumes from the
-	// previous durable offset: behind is replay, ahead would be a skip).
-	{name: "stream-append", point: faults.PointWALAppend, match: "stream", phase: "tick"},
-	{name: "stream-append-done", point: faults.PointWALAppendDone, match: "stream", skip: 3, phase: "push:p2:v2", tornTail: "stream"},
-	{name: "stream-publish", point: faults.PointStreamAppend, skip: 2, phase: "push:p1:v2"},
+	// Change-stream crash points. The stream is the reporter journal's
+	// fired batches, and stream.append fires on entry to each batch
+	// write: the writer side dies before the tick's report, then a
+	// document's, reaches the log (no phantom batch may survive; the
+	// buffered notification reports on recovery). The consumer side dies
+	// between reading a batch and committing its cursor (the batch must
+	// replay), and the second commit — the first in place — dies before
+	// its slot write or with the slot written, unsynced and torn
+	// (recovery resumes from the previous durable offset: behind is
+	// replay, ahead would be a skip). A kill after a batch's fsync is a
+	// kill after barrier (1): reporter-append-done below, torn tail and
+	// all, and reporter-commit-before-publish.
+	{name: "stream-append", point: faults.PointStreamAppend, match: "reporter", phase: "tick"},
+	{name: "stream-publish", point: faults.PointStreamAppend, match: "reporter", skip: 2, phase: "push:p1:v2"},
 	{name: "stream-consumer-read", point: faults.PointStreamRead, match: "watcher", skip: 2, phase: "poll:2"},
 	{name: "cursor-commit", point: faults.PointCursorCommit, match: "watcher", skip: 1, phase: "commit:4"},
 	{name: "cursor-install", point: faults.PointCursorInstall, match: "watcher", skip: 1, phase: "commit:4"},
@@ -170,12 +177,12 @@ var crashScenarios = []crashScenario{
 	// first batch lost whole; the first batch after the checkpoint, with
 	// a torn frame behind the cut; and a barrier (1) carrying the
 	// previous document's done, whose report recovery must deliver again.
-	// A kill at wal.append.done on a barrier (1) dies between it and the
-	// stream publish: the fired record is durable, the stream has not
-	// seen the report, recovery must publish and deliver it.
+	// A kill at wal.append.done on a barrier (1) dies right after it,
+	// before any sink sees the report: its fired record — its stream
+	// record — is durable, and recovery must deliver it.
 	{name: "reporter-sync-first-batch", point: faults.PointWALFileSync, match: "reporter", phase: "tick", unsynced: "notif fired"},
 	{name: "reporter-sync-later-batch", point: faults.PointWALFileSync, match: "reporter", skip: 7, phase: "push:p4:v2", unsynced: "notif fired", tornTail: "reporter"},
-	{name: "reporter-commit-before-publish", point: faults.PointWALAppendDone, match: "reporter", skip: 4, phase: "push:p2:v2", unpublished: true},
+	{name: "reporter-commit-before-publish", point: faults.PointWALAppendDone, match: "reporter", skip: 4, phase: "push:p2:v2", firedLast: true},
 	{name: "reporter-done-unsynced", point: faults.PointWALFileSync, match: "reporter", skip: 3, phase: "push:p1:v2", unsynced: "done notif fired"},
 }
 
@@ -190,7 +197,7 @@ func TestDurableLogsFireFileFaultPoints(t *testing.T) {
 	in.Sleep = func(d time.Duration) { fired[d]++ }
 	want := make(map[time.Duration]string)
 	for _, point := range []faults.Point{faults.PointWALFileAppend, faults.PointWALFileSync} {
-		for _, log := range []string{"subs", "reporter", "trigger", "stream"} {
+		for _, log := range []string{"subs", "reporter", "trigger"} {
 			d := time.Duration(len(want) + 1)
 			want[d] = string(point) + " on " + log
 			in.Enable(faults.Rule{Point: point, Mode: faults.ModeLatency, Latency: d, Match: log})
@@ -211,6 +218,71 @@ func TestDurableLogsFireFileFaultPoints(t *testing.T) {
 	for d, what := range want {
 		if fired[d] == 0 {
 			t.Errorf("%s never fired", what)
+		}
+	}
+}
+
+// TestNewRefusesLegacyStreamDir: a change-stream left in
+// <DurableDir>/stream by the earlier layout numbers its offsets apart
+// from the reporter journal's, so a consumer still pointed at it would
+// silently see nothing new. New refuses to start beside it, naming the
+// directory and the command that drains it; once it is gone, New
+// starts.
+func TestNewRefusesLegacyStreamDir(t *testing.T) {
+	durable := t.TempDir()
+	legacy := filepath.Join(durable, "stream")
+	old, err := stream.Open(legacy, stream.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := old.Publish([]stream.Record{{Subscription: "Watch", XML: "<Report/>"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := New(Options{DurableDir: durable})
+	if err == nil {
+		sys.Close()
+		t.Fatal("New started beside a legacy stream directory")
+	}
+	if drain := "xysub stream replay -dir " + legacy; !strings.Contains(err.Error(), drain) {
+		t.Fatalf("New's error %q does not name the drain command %q", err, drain)
+	}
+	if err := os.RemoveAll(legacy); err != nil {
+		t.Fatal(err)
+	}
+	sys, err = New(Options{DurableDir: durable})
+	if err != nil {
+		t.Fatalf("New after the legacy directory was drained: %v", err)
+	}
+	sys.Close()
+}
+
+// TestCheckpointBesideCorruptCursor: a pull consumer's damaged cursor
+// file makes System.Checkpoint report it, but only after every journal —
+// the reporter's, whose retention reads the cursors, included — has
+// installed its checkpoint.
+func TestCheckpointBesideCorruptCursor(t *testing.T) {
+	durable := t.TempDir()
+	sys, err := New(Options{DurableDir: durable})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	cursors := filepath.Join(durable, "reporter", "cursors")
+	if err := os.MkdirAll(cursors, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(cursors, "broken.cur"), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Checkpoint(); err == nil || !strings.Contains(err.Error(), "broken.cur") {
+		t.Fatalf("Checkpoint beside a corrupt cursor = %v, want an error naming it", err)
+	}
+	for _, log := range []string{"subs", "reporter", "trigger"} {
+		if _, err := os.Stat(filepath.Join(durable, log, "checkpoint.wal")); err != nil {
+			t.Errorf("%s/ was not checkpointed: %v", log, err)
 		}
 	}
 }
@@ -347,7 +419,7 @@ func TestCrashChild(t *testing.T) {
 	// lines record every durable commit it saw acknowledged.
 	spy.at("consume")
 	streamHook := func(op, key string) error { return in.Check(faults.Point(op), key) }
-	rd, err := stream.OpenReader(filepath.Join(dir, "wal", "stream"), "watcher",
+	rd, err := stream.OpenReader(filepath.Join(dir, "wal", "reporter"), "watcher",
 		stream.ReaderOptions{Hook: streamHook, MaxFetch: 2})
 	if err != nil {
 		t.Fatalf("OpenReader: %v", err)
@@ -400,10 +472,10 @@ func TestCrashRecovery(t *testing.T) {
 			if sc.unsynced != "" {
 				owed = losePageCache(t, dir, land, sc.unsynced)
 			}
-			var unpublished string
-			if sc.unpublished {
-				unpublished = lastFiredUnpublished(t, dir)
-				owed = append(owed, unpublished)
+			var last firedReport
+			if sc.firedLast {
+				last = lastFired(t, dir)
+				owed = append(owed, last.url)
 			}
 			if sc.tornTail != "" {
 				tearTail(t, dir, sc.tornTail)
@@ -415,11 +487,17 @@ func TestCrashRecovery(t *testing.T) {
 			delivered, streamed := verifyCrashRecovery(t, dir, sc)
 			for _, url := range owed {
 				if strings.Count(delivered, url) <= strings.Count(before, url) {
-					t.Errorf("the report for %s lost its durable done or its publish, and recovery did not deliver it again", url)
+					t.Errorf("the report for %s was owed a delivery, and recovery did not deliver it again", url)
 				}
 			}
-			if unpublished != "" && !strings.Contains(streamed, unpublished) {
-				t.Errorf("recovery did not publish the report for %s", unpublished)
+			if sc.firedLast {
+				copies := 0
+				for _, xml := range streamed {
+					copies += strings.Count(xml, last.url)
+				}
+				if copies != 1 || !strings.Contains(streamed[last.off], last.url) {
+					t.Errorf("after recovery the stream holds the report for %s %d times, want once at its fired offset %d", last.url, copies, last.off)
+				}
 			}
 		})
 	}
@@ -511,7 +589,9 @@ type journalRecord struct {
 }
 
 // readJournal decodes a reporter segment's frames up to a torn tail;
-// ends[i] is the byte offset where record i ends.
+// ends[i] is the byte offset where record i ends. A fired record is a
+// stream batch ('S', version, base offset, ...): the workload has no
+// virtual followers, so it holds one report, whose id is its offset.
 func readJournal(t *testing.T, data []byte) (recs []journalRecord, ends []int) {
 	t.Helper()
 	for off := 0; off < len(data); {
@@ -520,7 +600,9 @@ func readJournal(t *testing.T, data []byte) (recs []journalRecord, ends []int) {
 			break
 		}
 		var rec journalRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		if payload[0] == 'S' {
+			rec = journalRecord{T: "fired", ID: binary.LittleEndian.Uint64(payload[2:10]), XML: string(payload)}
+		} else if err := json.Unmarshal(payload, &rec); err != nil {
 			t.Fatalf("journal record at byte %d: %v", off, err)
 		}
 		off += size
@@ -574,9 +656,15 @@ func losePageCache(t *testing.T, dir string, land crashLanding, want string) []s
 	return owed
 }
 
-// lastFiredUnpublished returns the URL of the fired record that ends
-// the reporter journal, requiring that the stream has not seen it.
-func lastFiredUnpublished(t *testing.T, dir string) string {
+// firedReport is a report's URL and its fired record's offset.
+type firedReport struct {
+	url string
+	off uint64
+}
+
+// lastFired returns the report whose fired batch ends the reporter
+// journal, requiring that a consumer can already read it there.
+func lastFired(t *testing.T, dir string) firedReport {
 	t.Helper()
 	data, err := os.ReadFile(activeSegment(filepath.Join(dir, "wal", "reporter")))
 	if err != nil {
@@ -586,32 +674,32 @@ func lastFiredUnpublished(t *testing.T, dir string) string {
 	if len(recs) == 0 || recs[len(recs)-1].T != "fired" {
 		t.Fatalf("the journal does not end on a fired record: %v", recs)
 	}
-	url := crashURL.FindString(recs[len(recs)-1].XML)
-	if strings.Contains(streamText(t, dir), url) {
-		t.Fatalf("the stream already holds the report for %s", url)
+	last := firedReport{url: crashURL.FindString(recs[len(recs)-1].XML), off: recs[len(recs)-1].ID}
+	if !strings.Contains(streamRecords(t, dir)[last.off], last.url) {
+		t.Fatalf("the stream does not hold the report for %s at its fired offset %d", last.url, last.off)
 	}
-	return url
+	return last
 }
 
-// streamText is every record the stream retains, one XML per line.
-func streamText(t *testing.T, dir string) string {
+// streamRecords is every record the stream retains: its XML by offset.
+func streamRecords(t *testing.T, dir string) map[uint64]string {
 	t.Helper()
-	rd, err := stream.OpenReader(filepath.Join(dir, "wal", "stream"), "probe", stream.ReaderOptions{})
+	rd, err := stream.OpenReader(filepath.Join(dir, "wal", "reporter"), "probe", stream.ReaderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rd.Close()
-	var b strings.Builder
+	out := make(map[uint64]string)
 	for {
 		recs, err := rd.Poll(0)
 		if err != nil {
 			t.Fatalf("reading the stream: %v", err)
 		}
 		if len(recs) == 0 {
-			return b.String()
+			return out
 		}
 		for _, rec := range recs {
-			b.WriteString(rec.XML + "\n")
+			out[rec.Offset] = rec.XML
 		}
 	}
 }
@@ -620,7 +708,7 @@ func streamText(t *testing.T, dir string) string {
 // a write cut short before its fsync — leaving the older one intact.
 func tearNewerSlot(t *testing.T, dir string) {
 	t.Helper()
-	path := filepath.Join(dir, "wal", "stream", "cursors", "watcher.cur")
+	path := filepath.Join(dir, "wal", "reporter", "cursors", "watcher.cur")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -648,7 +736,7 @@ func tearNewerSlot(t *testing.T, dir string) {
 // verifyCrashRecovery recovers from the child's disk state and checks
 // the durability invariants against its ledgers. It returns the
 // delivered ledger and the stream's records after recovery.
-func verifyCrashRecovery(t *testing.T, dir string, sc crashScenario) (delivered, streamed string) {
+func verifyCrashRecovery(t *testing.T, dir string, sc crashScenario) (delivered string, streamed map[uint64]string) {
 	t.Helper()
 	acked := readLedger(filepath.Join(dir, "acked.log"))
 	sink, err := openLedger(filepath.Join(dir, "delivered.log"))
@@ -725,7 +813,7 @@ func verifyCrashRecovery(t *testing.T, dir string, sc crashScenario) (delivered,
 	}
 
 	verifyStreamRecovery(t, dir, sys, acked, sc.tornSlot)
-	return all, streamText(t, dir)
+	return all, streamRecords(t, dir)
 }
 
 // verifyStreamRecovery checks the change-stream's half of the
@@ -762,7 +850,7 @@ func verifyStreamRecovery(t *testing.T, dir string, sys *System, acked []string,
 		}
 	}
 
-	rd, err := stream.OpenReader(filepath.Join(dir, "wal", "stream"), "watcher", stream.ReaderOptions{})
+	rd, err := stream.OpenReader(filepath.Join(dir, "wal", "reporter"), "watcher", stream.ReaderOptions{})
 	if err != nil {
 		t.Fatalf("reopening consumer after crash: %v", err)
 	}

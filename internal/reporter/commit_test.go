@@ -1,12 +1,15 @@
 package reporter
 
 import (
+	"cmp"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,7 +19,7 @@ import (
 )
 
 // fsyncCounter counts wal.file.sync per log key — the fsyncs a document
-// actually paid, on the reporter journal and on the stream.
+// actually paid, on the reporter journal and anywhere else.
 type fsyncCounter struct {
 	mu sync.Mutex
 	n  map[string]int
@@ -40,39 +43,42 @@ func (c *fsyncCounter) hook(op, key string) error {
 	return nil
 }
 
-// take returns the fsyncs counted on (reporter, stream) since the last
-// take.
-func (c *fsyncCounter) take() (rep, st int) {
+// take returns the fsyncs counted on the reporter journal and on any
+// other key since the last take.
+func (c *fsyncCounter) take() (rep, other int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rep, st = c.n["reporter"], c.n["stream"]
+	for key, n := range c.n {
+		if key == "reporter" {
+			rep += n
+		} else {
+			other += n
+		}
+	}
 	c.n = nil
-	return rep, st
+	return rep, other
 }
 
-// commitRig builds a Reporter journaling into dir/reporter and
-// publishing to dir/stream, both reporting their fsyncs to c.
+// commitRig builds a Reporter journaling into dir/reporter — the log
+// whose fired batches are the change-stream — with its fsyncs counted
+// by c.
 func commitRig(t *testing.T, dir string, sink Delivery, c *fsyncCounter) (*Reporter, *time.Time) {
 	t.Helper()
-	st, err := stream.Open(filepath.Join(dir, "stream"), stream.Options{Hook: c.hook})
+	l, err := stream.Open(filepath.Join(dir, "reporter"), stream.Options{Hook: c.hook})
 	if err != nil {
 		t.Fatalf("stream.Open: %v", err)
 	}
-	t.Cleanup(func() { st.Close() })
-	l, err := wal.Open(filepath.Join(dir, "reporter"), wal.Options{Hook: c.hook})
-	if err != nil {
-		t.Fatalf("wal.Open: %v", err)
-	}
 	t.Cleanup(func() { l.Close() })
 	now := time.Date(2001, 5, 21, 9, 0, 0, 0, time.UTC)
-	r := New(sink, WithClock(func() time.Time { return now }), WithWAL(l), WithStream(st))
+	r := New(sink, WithClock(func() time.Time { return now }), WithWAL(l))
 	return r, &now
 }
 
 // TestGroupCommitBarriersPerDocument pins the gain as a count: a
-// document costs two fsyncs when it fires reports (one on the journal,
-// then one on the stream) and one when it only buffers, however many
-// notifications it raises and however many reports it fires.
+// document costs one fsync, whether it fires reports or only buffers,
+// however many notifications it raises and however many reports it
+// fires — the fired records are the stream, so publishing them costs no
+// second barrier.
 func TestGroupCommitBarriersPerDocument(t *testing.T) {
 	var c fsyncCounter
 	sink := &flakySink{}
@@ -90,21 +96,24 @@ func TestGroupCommitBarriersPerDocument(t *testing.T) {
 	if len(sink.sent) != 2 {
 		t.Fatalf("12 notifications over two count-6 subscriptions fired %d reports, want 2", len(sink.sent))
 	}
-	if rep, st := c.take(); rep != 1 || st != 1 {
-		t.Errorf("N=12, R=2: %d fsyncs on reporter/ and %d on stream/, want 1 and 1", rep, st)
+	if rep, other := c.take(); rep != 1 || other != 0 {
+		t.Errorf("N=12, R=2: %d fsyncs on reporter/ and %d elsewhere, want 1 and 0", rep, other)
+	}
+	if got := r.log.Next(); got != 2 {
+		t.Errorf("the stream holds %d records after two reports fired", got)
 	}
 
 	r.NotifyBatch(quiet)
-	if rep, st := c.take(); rep != 1 || st != 0 {
-		t.Errorf("a batch that fires nothing: %d fsyncs on reporter/ and %d on stream/, want 1 and 0", rep, st)
+	if rep, other := c.take(); rep != 1 || other != 0 {
+		t.Errorf("a batch that fires nothing: %d fsyncs on reporter/ and %d elsewhere, want 1 and 0", rep, other)
 	}
 	r.Notify(Notification{Subscription: "Quiet", Label: "l", Element: elem("one more")})
-	if rep, st := c.take(); rep != 1 || st != 0 {
-		t.Errorf("a single buffered Notify: %d fsyncs on reporter/ and %d on stream/, want 1 and 0", rep, st)
+	if rep, other := c.take(); rep != 1 || other != 0 {
+		t.Errorf("a single buffered Notify: %d fsyncs on reporter/ and %d elsewhere, want 1 and 0", rep, other)
 	}
 	r.Notify(Notification{Subscription: "nobody", Label: "l"})
-	if rep, st := c.take(); rep != 0 || st != 0 {
-		t.Errorf("a notification nobody takes journals nothing, yet cost %d + %d fsyncs", rep, st)
+	if rep, other := c.take(); rep != 0 || other != 0 {
+		t.Errorf("a notification nobody takes journals nothing, yet cost %d + %d fsyncs", rep, other)
 	}
 	if n := r.JournalErrors(); n != 0 {
 		t.Errorf("JournalErrors = %d", n)
@@ -112,7 +121,7 @@ func TestGroupCommitBarriersPerDocument(t *testing.T) {
 }
 
 // TestGroupCommitTickBarriers: a Tick that fires K reports with nothing
-// to retry costs 1 + 1 fsyncs for every K.
+// to retry costs one fsync for every K.
 func TestGroupCommitTickBarriers(t *testing.T) {
 	daily := &sublang.ReportSpec{When: []sublang.ReportTerm{{Kind: sublang.TermPeriodic, Freq: sublang.Daily}}}
 	for _, k := range []int{1, 5} {
@@ -126,16 +135,16 @@ func TestGroupCommitTickBarriers(t *testing.T) {
 		}
 		c.take()
 		r.Tick() // nothing due: nothing journaled, nothing to commit
-		if rep, st := c.take(); rep != 0 || st != 0 {
-			t.Errorf("K=%d: an idle Tick cost %d + %d fsyncs", k, rep, st)
+		if rep, other := c.take(); rep != 0 || other != 0 {
+			t.Errorf("K=%d: an idle Tick cost %d + %d fsyncs", k, rep, other)
 		}
 		*now = now.Add(25 * time.Hour)
 		r.Tick()
 		if len(sink.sent) != k {
 			t.Fatalf("K=%d: Tick fired %d reports", k, len(sink.sent))
 		}
-		if rep, st := c.take(); rep != 1 || st != 1 {
-			t.Errorf("K=%d: Tick cost %d fsyncs on reporter/ and %d on stream/, want 1 and 1", k, rep, st)
+		if rep, other := c.take(); rep != 1 || other != 0 {
+			t.Errorf("K=%d: Tick cost %d fsyncs on reporter/ and %d elsewhere, want 1 and 0", k, rep, other)
 		}
 	}
 }
@@ -159,17 +168,12 @@ func TestDoneRidesNextBarrier(t *testing.T) {
 		}
 		return c.hook(op, key)
 	}
-	st, err := stream.Open(filepath.Join(dir, "stream"), stream.Options{Hook: hook})
+	l, err := stream.Open(filepath.Join(dir, "reporter"), stream.Options{Hook: hook})
 	if err != nil {
 		t.Fatalf("stream.Open: %v", err)
 	}
-	t.Cleanup(func() { st.Close() })
-	l, err := wal.Open(filepath.Join(dir, "reporter"), wal.Options{Hook: hook})
-	if err != nil {
-		t.Fatalf("wal.Open: %v", err)
-	}
 	sink := &flakySink{}
-	r := New(sink, WithWAL(l), WithStream(st))
+	r := New(sink, WithWAL(l))
 	r.Register("S", nil)
 	// dones counts the done records written to seg and those of them the
 	// last fsync covered.
@@ -178,30 +182,21 @@ func TestDoneRidesNextBarrier(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for off := 0; off < len(data); {
-			payload, size, err := wal.Binary{}.Next(data[off:])
-			if err != nil {
-				t.Fatalf("frame at byte %d: %v", off, err)
-			}
-			var rec walRecord
-			if err := json.Unmarshal(payload, &rec); err != nil {
-				t.Fatal(err)
-			}
-			off += size
-			if rec.T == "done" {
+		for _, f := range readFrames(t, data) {
+			if f.rec.T == "done" {
 				written++
-				if off <= int(synced) {
+				if f.end <= int(synced) {
 					durable++
 				}
 			}
 		}
 		return written, durable
 	}
-	step := func(what string, call func(), wantRep, wantSt, wantWritten, wantDurable int) {
+	step := func(what string, call func(), wantRep, wantWritten, wantDurable int) {
 		t.Helper()
 		call()
-		if rep, st := c.take(); rep != wantRep || st != wantSt {
-			t.Errorf("%s: %d fsyncs on reporter/ and %d on stream/, want %d and %d", what, rep, st, wantRep, wantSt)
+		if rep, other := c.take(); rep != wantRep || other != 0 {
+			t.Errorf("%s: %d fsyncs on reporter/ and %d elsewhere, want %d and 0", what, rep, other, wantRep)
 		}
 		if w, d := dones(); w != wantWritten || d != wantDurable {
 			t.Errorf("%s: %d done records written, %d durable; want %d and %d", what, w, d, wantWritten, wantDurable)
@@ -209,16 +204,16 @@ func TestDoneRidesNextBarrier(t *testing.T) {
 	}
 	notify := func() { r.Notify(Notification{Subscription: "S", Label: "l", Element: elem("x")}) }
 
-	step("call 1", notify, 1, 1, 1, 0)
-	step("call 2: its barrier (1) covers call 1's done", notify, 1, 1, 2, 1)
-	step("an idle Tick", r.Tick, 1, 0, 2, 2)
-	step("a second idle Tick", r.Tick, 0, 0, 2, 2)
-	step("call 3", notify, 1, 1, 3, 2)
+	step("call 1", notify, 1, 1, 0)
+	step("call 2: its barrier (1) covers call 1's done", notify, 1, 2, 1)
+	step("an idle Tick", r.Tick, 1, 2, 2)
+	step("a second idle Tick", r.Tick, 0, 2, 2)
+	step("call 3", notify, 1, 3, 2)
 	step("Close", func() {
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-	}, 1, 0, 3, 3)
+	}, 1, 3, 3)
 	if len(sink.sent) != 3 || r.JournalErrors() != 0 {
 		t.Errorf("%d reports delivered, %d journal errors; want 3 and 0", len(sink.sent), r.JournalErrors())
 	}
@@ -226,7 +221,8 @@ func TestDoneRidesNextBarrier(t *testing.T) {
 
 // TestFailedBarrierDegradesLikeFailedAppend: when the journal's fsync
 // fails the barrier is counted in JournalErrors and the document goes on
-// — published, delivered — on in-memory state, as a failed append does.
+// — written to the stream, delivered — on in-memory state, as a failed
+// append does.
 func TestFailedBarrierDegradesLikeFailedAppend(t *testing.T) {
 	c := fsyncCounter{failKey: "reporter"}
 	sink := &flakySink{}
@@ -239,9 +235,54 @@ func TestFailedBarrierDegradesLikeFailedAppend(t *testing.T) {
 	if len(sink.sent) != 1 {
 		t.Fatalf("delivery stopped at a failed barrier: %d reports sent", len(sink.sent))
 	}
-	if pub, errs := r.StreamStats(); pub != 1 || errs != 0 {
-		t.Errorf("stream after a failed journal barrier: %d published, %d errors", pub, errs)
+	if got := r.log.Stats().Records; got != 1 {
+		t.Errorf("stream after a failed journal barrier: %d records written, want 1", got)
 	}
+}
+
+// journalFrame is one frame of a reporter journal: a JSON record, or a
+// fired batch with its reports' stream records. end is the byte offset
+// where the frame ends.
+type journalFrame struct {
+	rec   walRecord
+	fired []stream.Record
+	end   int
+}
+
+// readFrames decodes a reporter segment frame by frame. A fired batch is
+// 'S', version, base offset (uint64), count (uint32), then each record
+// as a uint32 length and its JSON; record i's offset is base+i.
+func readFrames(t *testing.T, data []byte) []journalFrame {
+	t.Helper()
+	var out []journalFrame
+	for off := 0; off < len(data); {
+		payload, size, err := wal.Binary{}.Next(data[off:])
+		if err != nil {
+			t.Fatalf("frame at byte %d: %v", off, err)
+		}
+		off += size
+		f := journalFrame{end: off}
+		if payload[0] != 'S' {
+			if err := json.Unmarshal(payload, &f.rec); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, f)
+			continue
+		}
+		f.rec.T = "fired"
+		base := binary.LittleEndian.Uint64(payload[2:10])
+		for rest := payload[14:]; len(rest) > 0; {
+			n := binary.LittleEndian.Uint32(rest)
+			rec := stream.Record{Offset: base + uint64(len(f.fired))}
+			if err := json.Unmarshal(rest[4:4+n], &rec); err != nil {
+				t.Fatal(err)
+			}
+			f.fired = append(f.fired, rec)
+			rest = rest[4+n:]
+		}
+		out = append(out, f)
+	}
+	return out
 }
 
 // TestRecoverAtEveryFrameOfABatch is the power-loss property of group
@@ -281,43 +322,33 @@ func TestRecoverAtEveryFrameOfABatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recs []walRecord
-	var ends []int // ends[i] is the byte offset where frame i ends
-	for off := 0; off < len(data); {
-		payload, size, err := wal.Binary{}.Next(data[off:])
-		if err != nil {
-			t.Fatalf("frame at byte %d: %v", off, err)
-		}
-		var rec walRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			t.Fatal(err)
-		}
-		recs = append(recs, rec)
-		off += size
-		ends = append(ends, off)
-	}
-	// 6 notif + 5 fired (Cnt, and Imm + its follower twice) + 5 done.
-	if len(recs) != history+16 {
-		t.Fatalf("journal holds %d records, want %d", len(recs), history+16)
+	frames := readFrames(t, data)
+	// 6 notif + 3 fired batches (Cnt's, and Imm's with its follower's
+	// copy, twice) + 5 done.
+	if len(frames) != history+14 {
+		t.Fatalf("journal holds %d frames, want %d", len(frames), history+14)
 	}
 
-	for k := history; k <= len(recs); k++ {
-		cuts := []int{ends[k-1]}
-		if k < len(recs) {
-			cuts = append(cuts, ends[k-1]+5) // a torn frame k keeps the same prefix
+	for k := history; k <= len(frames); k++ {
+		cuts := []int{frames[k-1].end}
+		if k < len(frames) {
+			cuts = append(cuts, frames[k-1].end+5) // a torn frame k keeps the same prefix
 		}
-		// The state the run had once record k-1 was applied.
+		// The state the run had once frame k-1 was applied; next is the
+		// first stream offset no journaled report holds.
 		buffers := make(map[string][]string)
 		outstanding := make(map[uint64]bool)
-		var maxID uint64
-		for _, rec := range recs[:k] {
-			switch rec.T {
+		var next uint64
+		for _, f := range frames[:k] {
+			switch rec := f.rec; rec.T {
 			case "notif":
 				buffers[rec.Sub] = append(buffers[rec.Sub], rec.XML)
 			case "fired":
-				delete(buffers, rec.Origin)
-				outstanding[rec.ID] = true
-				maxID = max(maxID, rec.ID)
+				for _, fr := range f.fired {
+					delete(buffers, cmp.Or(fr.Origin, fr.Subscription))
+					outstanding[fr.Offset] = true
+					next = fr.Offset + 1
+				}
 			case "done":
 				delete(outstanding, rec.ID)
 			}
@@ -353,10 +384,10 @@ func TestRecoverAtEveryFrameOfABatch(t *testing.T) {
 			// The Tick redelivers the outstanding reports and reports each
 			// recovered buffer — whose content must be exactly the
 			// journaled prefix, in order. Reports built after recovery
-			// carry ids above every journaled one.
+			// carry ids past every journaled one.
 			fresh := make(map[string]*Report)
 			for _, rep := range sink.sent {
-				if rep.walID > maxID {
+				if rep.id >= next {
 					fresh[rep.Subscription] = rep
 				}
 			}
@@ -383,5 +414,131 @@ func TestRecoverAtEveryFrameOfABatch(t *testing.T) {
 					name, len(sink.sent), len(outstanding), pending)
 			}
 		}
+	}
+}
+
+// TestReportIDsAreStreamOffsets: a report's id is the offset its fired
+// record was written at, assigned under the log's lock, so ids follow
+// log order even while stripes fire concurrently. Eight goroutines
+// notify across stripes, virtual followers registered, every delivery
+// failing into the dead-letter queue: a replay from offset 0 is
+// contiguous and holds each fired report exactly once, and each dead
+// letter's ID names its own report's offset. After a checkpoint and a
+// recovery, numbering goes on from the head with no offset reused, and
+// recovered dead letters keep their ids. CI repeats it under -race.
+func TestReportIDsAreStreamOffsets(t *testing.T) {
+	dir := t.TempDir()
+	const workers, docs, subs = 8, 10, 16
+	open := func() (*Reporter, *stream.Log) {
+		l, err := stream.Open(dir, stream.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := New(DeliveryFunc(func(*Report) error { return errors.New("sink down") }),
+			WithRetryPolicy(1, time.Minute, time.Minute), WithDeadLetterCap(0), WithWAL(l))
+		for i := 0; i < subs; i++ {
+			r.Register(fmt.Sprint("S", i), nil)
+		}
+		for i := 0; i < subs; i += 4 {
+			if err := r.Follow(fmt.Sprint("F", i), fmt.Sprint("S", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := r.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		return r, l
+	}
+	// fire has every worker push docs batches of three notifications;
+	// it returns how many records the reports they fire must take: one
+	// each, two where a follower gets a copy.
+	fire := func(r *Reporter, round int) uint64 {
+		var wg sync.WaitGroup
+		var want atomic.Uint64
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for d := 0; d < docs; d++ {
+					batch := make([]Notification, 3)
+					for i := range batch {
+						s := (w*3 + d + i*5) % subs
+						batch[i] = Notification{Subscription: fmt.Sprint("S", s), Label: "l",
+							Element: elem(fmt.Sprintf("r%d-w%d-d%d-n%d", round, w, d, i))}
+						want.Add(1)
+						if s%4 == 0 {
+							want.Add(1) // F<s> follows S<s>
+						}
+					}
+					r.NotifyBatch(batch)
+				}
+			}()
+		}
+		wg.Wait()
+		return want.Load()
+	}
+	replayed := make(map[uint64]stream.Record)
+	// check replays [from, head) and holds the dead letters to it.
+	check := func(r *Reporter, from, want uint64) uint64 {
+		t.Helper()
+		rd, err := stream.OpenReader(dir, "check", stream.ReaderOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rd.Close()
+		rd.Seek(from)
+		copies := make(map[[2]string]int)
+		next := from
+		for {
+			recs, err := rd.Poll(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recs) == 0 {
+				break
+			}
+			for _, rec := range recs {
+				if rec.Offset != next {
+					t.Fatalf("replay jumped from offset %d to %d", next, rec.Offset)
+				}
+				next++
+				replayed[rec.Offset] = rec
+				copies[[2]string{rec.Subscription, rec.XML}]++
+			}
+		}
+		if next-from != want || uint64(len(copies)) != want {
+			t.Fatalf("replay from %d: %d records, %d distinct reports; want %d fired", from, next-from, len(copies), want)
+		}
+		named := make(map[uint64]bool)
+		for _, d := range r.DeadLetters() {
+			rec, ok := replayed[d.ID()]
+			if !ok || named[d.ID()] || rec.Subscription != d.Report.Subscription || rec.XML != d.Report.Doc.XML() {
+				t.Fatalf("dead letter for %s (%s) names offset %d, which holds %+v", d.Report.Subscription, d.Report.Doc.XML(), d.ID(), rec)
+			}
+			named[d.ID()] = true
+		}
+		if uint64(len(named)) != next {
+			t.Fatalf("%d dead letters name an offset, %d reports fired", len(named), next)
+		}
+		return next
+	}
+
+	r1, l1 := open()
+	head := check(r1, 0, fire(r1, 1))
+	if err := r1.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r2, l2 := open()
+	defer l2.Close()
+	if got := l2.Next(); got != head {
+		t.Fatalf("recovered head %d, the first incarnation ended at %d", got, head)
+	}
+	check(r2, head, fire(r2, 2))
+	if n := r1.JournalErrors() + r2.JournalErrors(); n != 0 {
+		t.Errorf("JournalErrors = %d", n)
 	}
 }

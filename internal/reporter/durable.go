@@ -1,13 +1,15 @@
 package reporter
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
-	"xymon/internal/wal"
+	"xymon/internal/stream"
 	"xymon/internal/xmldom"
 )
 
@@ -16,10 +18,12 @@ import (
 // since the last report (the paper's Reporter explicitly accumulates it
 // between evaluations), and every report that was built but whose
 // delivery was not yet acknowledged. Both journal their mutations into a
-// wal.Log as they happen:
+// stream.Log as they happen:
 //
 //	notif  — a notification entered a subscription's buffer
-//	fired  — a report was built; its buffer emptied into it
+//	fired  — a report was built; its buffer emptied into it. One stream
+//	         batch per build, a record per recipient: the fired records
+//	         are the change-stream, and a report's id is its offset
 //	done   — the sink accepted the report
 //	dead   — the report exhausted its retry budget (dead-lettered)
 //	lost   — delivery failed with retrying disabled; intentionally dropped
@@ -29,7 +33,7 @@ import (
 // written to the log where it happens — under the lock that orders it —
 // and made durable by a commit barrier per document, not an fsync per
 // record (see deliver). The cold ones (dead, lost, redrive) commit on
-// their own.
+// their own. Every record but fired is a JSON owner frame.
 //
 // Recovery replays checkpoint + tail: buffered notifications come back
 // flagged pending (the next Tick reports them — re-evaluating the exact
@@ -39,12 +43,9 @@ import (
 // therefore redelivers it: that duplicate is the at-least-once contract,
 // never a loss.
 type walRecord struct {
-	T   string `json:"t"`
-	ID  uint64 `json:"id,omitempty"`
-	Sub string `json:"sub,omitempty"`
-	// Origin is the subscription whose buffer a fired report consumed —
-	// it differs from Sub on the copies delivered to virtual followers.
-	Origin   string    `json:"origin,omitempty"`
+	T        string    `json:"t"`
+	ID       uint64    `json:"id,omitempty"`
+	Sub      string    `json:"sub,omitempty"`
 	Label    string    `json:"label,omitempty"`
 	XML      string    `json:"xml,omitempty"`
 	Time     time.Time `json:"time,omitempty"`
@@ -56,31 +57,31 @@ type walRecord struct {
 // walSnapshot is the checkpoint payload: the durable state at the
 // checkpoint's boundary, replacing every journal record before it.
 type walSnapshot struct {
-	NextID      uint64                 `json:"next_id"`
 	Buffers     map[string][]walRecord `json:"buffers,omitempty"`
 	Outstanding []walRecord            `json:"outstanding,omitempty"`
 	Dead        []walRecord            `json:"dead,omitempty"`
 	Evicted     uint64                 `json:"evicted,omitempty"`
 }
 
-// WithWAL journals the Reporter's durable state into l. The caller opens
-// the log, calls Recover once registration is done, and closes it after
-// the Reporter stops.
-func WithWAL(l *wal.Log) Option {
-	return func(r *Reporter) { r.wal = l }
+// WithWAL journals the Reporter's durable state into l, whose stream
+// records are then the Reporter's fired reports. The caller opens the
+// log, calls Recover once registration is done, and closes it after the
+// Reporter stops; Checkpoint applies l's retention.
+func WithWAL(l *stream.Log) Option {
+	return func(r *Reporter) { r.log = l }
 }
 
 // journalWrite writes one record to the journal in log order without
 // making it durable; the caller's next commit covers it. Journaling
 // failures degrade (the system keeps running on its in-memory state) but
-// are counted.
+// are counted; a failed fired write holds its report back (buildLocked).
 func (r *Reporter) journalWrite(rec walRecord) {
-	if r.wal == nil {
+	if r.log == nil {
 		return
 	}
 	enc, err := json.Marshal(rec)
 	if err == nil {
-		err = r.wal.Write(enc)
+		err = r.log.Write(enc)
 	}
 	if err != nil {
 		r.walErrors.Add(1)
@@ -99,10 +100,10 @@ func (r *Reporter) journal(rec walRecord) {
 // failed barrier degrades like a failed append — counted, operation
 // continues.
 func (r *Reporter) commit() {
-	if r.wal == nil {
+	if r.log == nil {
 		return
 	}
-	if err := r.wal.Sync(); err != nil {
+	if err := r.log.Sync(); err != nil {
 		r.walErrors.Add(1)
 	}
 }
@@ -111,25 +112,52 @@ func (r *Reporter) commit() {
 // (state kept in memory only — durability degraded, operation continued).
 func (r *Reporter) JournalErrors() uint64 { return r.walErrors.Load() }
 
-// noteFired writes a built report to the journal and tracks it as
-// outstanding until a delivery outcome lands. Called with the stripe
-// lock held; rt.mu nests inside it (stripe → rt.mu → wal everywhere), so
-// the record follows every notification the report consumed in the log.
-// The caller commits before the report leaves the Reporter.
-func (r *Reporter) noteFired(rep *Report, origin string, now time.Time) {
-	if r.wal == nil {
-		return
+// noteFired writes the copies of one built report — the origin's and
+// its followers' — to the journal as one stream batch, numbers each by
+// the offset the write assigns, and tracks them as outstanding until a
+// delivery outcome lands. Called with the stripe lock held; rt.mu nests
+// inside it (stripe → rt.mu → log everywhere), so the batch follows
+// every notification the report consumed in the log, and offsets follow
+// log order. The caller commits before the reports leave the Reporter.
+// It reports false, counted in JournalErrors, when the write failed and
+// the reports must not leave at all.
+func (r *Reporter) noteFired(reps []*Report, origin string) bool {
+	if r.log == nil {
+		return true
 	}
-	rep.walID = r.nextID.Add(1)
-	rec := walRecord{
-		T: "fired", ID: rep.walID, Sub: rep.Subscription, Origin: origin,
-		XML: rep.xml, Time: now, Count: rep.Notifications,
+	recs := make([]stream.Record, len(reps))
+	for i, rep := range reps {
+		recs[i] = stream.Record{Subscription: rep.Subscription, Time: rep.Time, Notifications: rep.Notifications, XML: rep.xml}
+		if i > 0 {
+			recs[i].Origin = origin
+		}
 	}
 	rt := &r.retry
 	rt.mu.Lock()
-	r.journalWrite(rec)
-	rt.outstanding[rep.walID] = rec
-	rt.mu.Unlock()
+	defer rt.mu.Unlock()
+	base, err := r.log.Append(recs)
+	if err != nil {
+		r.walErrors.Add(1)
+		return false
+	}
+	for i, rep := range reps {
+		rep.id = base + uint64(i)
+		rt.outstanding[rep.id] = rep.outstanding()
+	}
+	return true
+}
+
+// outstanding is how an undelivered journaled report is checkpointed.
+func (rep *Report) outstanding() walRecord {
+	return walRecord{T: "fired", ID: rep.id, Sub: rep.Subscription, XML: rep.xml, Time: rep.Time, Count: rep.Notifications}
+}
+
+// report rebuilds the journaled report a fired or dead record holds.
+func (rec walRecord) report() *Report {
+	return &Report{
+		Subscription: rec.Sub, Doc: parseReportDoc(rec.XML), xml: rec.XML,
+		Time: rec.Time, Notifications: rec.Count, id: rec.ID,
+	}
 }
 
 // noteDelivered resolves an outstanding report. Writing and removal
@@ -138,28 +166,28 @@ func (r *Reporter) noteFired(rep *Report, origin string, now time.Time) {
 // is already gone from the snapshot. The caller commits once its
 // Deliver loop is over; until then a crash redelivers (at-least-once).
 func (r *Reporter) noteDelivered(rep *Report) {
-	if r.wal == nil || rep.walID == 0 {
+	if r.log == nil {
 		return
 	}
 	rt := &r.retry
 	rt.mu.Lock()
-	r.journalWrite(walRecord{T: "done", ID: rep.walID})
-	delete(rt.outstanding, rep.walID)
+	r.journalWrite(walRecord{T: "done", ID: rep.id})
+	delete(rt.outstanding, rep.id)
 	rt.mu.Unlock()
 }
 
 // resolveLocked journals a terminal non-delivery outcome ("dead" or
 // "lost") for an outstanding report. Caller holds rt.mu.
 func (r *Reporter) resolveLocked(rep *Report, t, reason string, attempts int, now time.Time) {
-	if r.wal == nil || rep.walID == 0 {
+	if r.log == nil {
 		return
 	}
 	rec := walRecord{
-		T: t, ID: rep.walID, Sub: rep.Subscription, Count: rep.Notifications,
-		Reason: reason, Attempts: attempts, Time: now, XML: rep.docXML(),
+		T: t, ID: rep.id, Sub: rep.Subscription, Count: rep.Notifications,
+		Reason: reason, Attempts: attempts, Time: now, XML: rep.xml,
 	}
 	r.journal(rec)
-	delete(r.retry.outstanding, rep.walID)
+	delete(r.retry.outstanding, rep.id)
 }
 
 // parseReportDoc rebuilds a report document from its journaled XML.
@@ -181,24 +209,21 @@ func parseReportDoc(s string) *xmldom.Node {
 // them; recovered outstanding reports re-enter the retry queue due
 // immediately.
 func (r *Reporter) Recover() error {
-	if r.wal == nil {
+	if r.log == nil {
 		return nil
 	}
 	buffers := make(map[string][]walRecord)
 	outstanding := make(map[uint64]walRecord)
 	var order []uint64
 	var dead []walRecord
-	var evicted, nextID uint64
-	err := r.wal.Recover(
+	var evicted uint64
+	err := r.log.Recover(
 		func(snap []byte) error {
 			var s walSnapshot
 			if err := json.Unmarshal(snap, &s); err != nil {
 				return fmt.Errorf("reporter: corrupt checkpoint: %w", err)
 			}
-			nextID = s.NextID
-			for sub, recs := range s.Buffers {
-				buffers[sub] = recs
-			}
+			maps.Copy(buffers, s.Buffers)
 			for _, rec := range s.Outstanding {
 				outstanding[rec.ID] = rec
 				order = append(order, rec.ID)
@@ -215,14 +240,6 @@ func (r *Reporter) Recover() error {
 			switch rec.T {
 			case "notif":
 				buffers[rec.Sub] = append(buffers[rec.Sub], rec)
-			case "fired":
-				if rec.ID > nextID {
-					nextID = rec.ID
-				}
-				outstanding[rec.ID] = rec
-				order = append(order, rec.ID)
-				// Building the report consumed the origin's buffer.
-				delete(buffers, rec.Origin)
 			case "done", "lost":
 				delete(outstanding, rec.ID)
 			case "dead":
@@ -243,6 +260,13 @@ func (r *Reporter) Recover() error {
 					}
 				}
 			}
+			return nil
+		},
+		func(rec stream.Record) error {
+			outstanding[rec.Offset] = walRecord{T: "fired", ID: rec.Offset, Sub: rec.Subscription, XML: rec.XML, Time: rec.Time, Count: rec.Notifications}
+			order = append(order, rec.Offset)
+			// Building the report consumed the origin's buffer.
+			delete(buffers, cmp.Or(rec.Origin, rec.Subscription))
 			return nil
 		},
 	)
@@ -275,18 +299,13 @@ func (r *Reporter) Recover() error {
 		s.mu.Unlock()
 	}
 
-	r.nextID.Store(nextID)
 	r.deadLettered.Add(uint64(len(dead)))
 	rt := &r.retry
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	for _, rec := range dead {
 		rt.dead = append(rt.dead, DeadLetter{
-			Report: &Report{
-				Subscription: rec.Sub, Doc: parseReportDoc(rec.XML), xml: rec.XML,
-				Time: rec.Time, Notifications: rec.Count, walID: rec.ID,
-			},
-			Attempts: rec.Attempts, Reason: rec.Reason, Time: rec.Time,
+			Report: rec.report(), Attempts: rec.Attempts, Reason: rec.Reason, Time: rec.Time,
 		})
 	}
 	r.evictDeadLocked()
@@ -301,24 +320,19 @@ func (r *Reporter) Recover() error {
 		}
 		queued[id] = true
 		rt.outstanding[id] = rec
-		rt.queue = append(rt.queue, &retryEntry{
-			rep: &Report{
-				Subscription: rec.Sub, Doc: parseReportDoc(rec.XML), xml: rec.XML,
-				Time: rec.Time, Notifications: rec.Count, walID: rec.ID,
-			},
-			attempts: rec.Attempts,
-			nextTry:  now,
-		})
+		rt.queue = append(rt.queue, &retryEntry{rep: rec.report(), attempts: rec.Attempts, nextTry: now})
 	}
 	return nil
 }
 
 // Checkpoint snapshots the durable state and compacts the journal it
-// covers. It locks every stripe plus the retry state, so the snapshot is
-// a consistent cut: no notification, report, or outcome can land between
-// the snapshot and the checkpoint boundary.
+// covers, keeping the segments the change-stream's retention policy
+// still owes a consumer. It locks every stripe plus the retry state, so
+// the snapshot is a consistent cut: no notification, report, or outcome
+// can land between the snapshot and the checkpoint boundary. A consumer's
+// unreadable cursor makes it keep more and return an error afterwards.
 func (r *Reporter) Checkpoint() error {
-	if r.wal == nil {
+	if r.log == nil {
 		return nil
 	}
 	for i := range r.stripes {
@@ -330,7 +344,6 @@ func (r *Reporter) Checkpoint() error {
 	defer rt.mu.Unlock()
 
 	snap := walSnapshot{
-		NextID:  r.nextID.Load(),
 		Buffers: make(map[string][]walRecord),
 		Evicted: r.evicted.Load(),
 	}
@@ -350,24 +363,22 @@ func (r *Reporter) Checkpoint() error {
 			snap.Buffers[sub] = recs
 		}
 	}
-	for _, rec := range rt.outstanding {
-		snap.Outstanding = append(snap.Outstanding, rec)
-	}
-	sort.Slice(snap.Outstanding, func(i, j int) bool {
-		return snap.Outstanding[i].ID < snap.Outstanding[j].ID
+	snap.Outstanding = slices.SortedFunc(maps.Values(rt.outstanding), func(a, b walRecord) int {
+		return cmp.Compare(a.ID, b.ID)
 	})
 	for _, d := range rt.dead {
 		rec := walRecord{
-			T: "dead", ID: d.Report.walID, Sub: d.Report.Subscription,
+			T: "dead", ID: d.Report.id, Sub: d.Report.Subscription,
 			Time: d.Report.Time, Count: d.Report.Notifications,
-			Attempts: d.Attempts, Reason: d.Reason, XML: d.Report.docXML(),
+			Attempts: d.Attempts, Reason: d.Reason, XML: d.Report.xml,
 		}
 		snap.Dead = append(snap.Dead, rec)
 	}
 	// All stripe locks and rt.mu are held across the checkpoint: nothing
 	// can append between the snapshot above and the boundary rotation.
 	//xyvet:ignore lockcheck
-	return r.wal.Checkpoint(func(w io.Writer) error {
+	_, err := r.log.Checkpoint(func(w io.Writer) error {
 		return json.NewEncoder(w).Encode(&snap)
 	})
+	return err
 }

@@ -1,13 +1,15 @@
 package reporter
 
 import (
+	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"xymon/internal/stream"
 	"xymon/internal/sublang"
-	"xymon/internal/wal"
 	"xymon/internal/xmldom"
 )
 
@@ -16,9 +18,9 @@ func contains(s, sub string) bool { return strings.Contains(s, sub) }
 // durableRig builds a WAL-backed Reporter on a virtual clock.
 func durableRig(t *testing.T, dir string, sink Delivery, opts ...Option) (*Reporter, *time.Time) {
 	t.Helper()
-	l, err := wal.Open(dir, wal.Options{})
+	l, err := stream.Open(dir, stream.Options{})
 	if err != nil {
-		t.Fatalf("wal.Open: %v", err)
+		t.Fatalf("stream.Open: %v", err)
 	}
 	t.Cleanup(func() { l.Close() })
 	now := time.Date(2001, 5, 21, 9, 0, 0, 0, time.UTC)
@@ -248,5 +250,101 @@ func TestRecoverTwiceIsIdempotentReporter(t *testing.T) {
 	// a duplicate entry, which at-least-once delivery permits.
 	if got := r2.RetryPending(); got < 1 {
 		t.Errorf("retry queue after double recovery = %d, want >= 1", got)
+	}
+}
+
+// TestFollowerCopyKeepsFollowersBuffer: a fired batch's follower copy
+// names the subscription whose buffer the report consumed, so recovery
+// empties that buffer and not the follower's own, which a follower that
+// is a subscription in its own right may hold.
+func TestFollowerCopyKeepsFollowersBuffer(t *testing.T) {
+	dir := t.TempDir()
+	register := func(r *Reporter) {
+		r.Register("Imm", nil)
+		r.Register("Fol", reportEvery(3))
+		if err := r.Follow("Fol", "Imm"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r1, _ := durableRig(t, dir, &flakySink{})
+	register(r1)
+	r1.Notify(Notification{Subscription: "Fol", Label: "l", Element: elem("own")})
+	r1.Notify(Notification{Subscription: "Imm", Label: "l", Element: elem("shared")})
+
+	r2, _ := durableRig(t, dir, &flakySink{})
+	register(r2)
+	if err := r2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if got := r2.Buffered("Fol"); got != 1 {
+		t.Errorf("the follower's own buffer recovered with %d notifications, want 1", got)
+	}
+	if got := r2.Buffered("Imm"); got != 0 {
+		t.Errorf("the reported buffer recovered with %d notifications, want 0", got)
+	}
+}
+
+// TestFailedFiredWriteKeepsReportOwed: a report whose fired record
+// cannot be written does not leave the Reporter — the journal could not
+// account for it — and its subscription's buffer stays, so a checkpoint
+// taken meanwhile snapshots the notifications, not nothing. After
+// recovery the report is still owed: the next Tick builds and delivers
+// it, to the follower too, at the stream's first offsets.
+func TestFailedFiredWriteKeepsReportOwed(t *testing.T) {
+	dir := t.TempDir()
+	var failAppend atomic.Bool
+	l1, err := stream.Open(dir, stream.Options{Hook: func(op, _ string) error {
+		if op == stream.OpAppend && failAppend.Load() {
+			return errors.New("injected")
+		}
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	register := func(r *Reporter) {
+		r.Register("S", nil)
+		if err := r.Follow("F", "S"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sink1 := &flakySink{}
+	r1 := New(sink1, WithWAL(l1))
+	register(r1)
+	failAppend.Store(true)
+	r1.Notify(Notification{Subscription: "S", Label: "l", Element: elem("held")})
+	r1.Tick()
+	if len(sink1.sent) != 0 || r1.JournalErrors() == 0 {
+		t.Fatalf("a report with no fired record left the Reporter: %d sent, %d journal errors", len(sink1.sent), r1.JournalErrors())
+	}
+	if got := r1.Buffered("S"); got != 1 {
+		t.Fatalf("the failed build kept %d notifications, want 1", got)
+	}
+	if err := r1.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, err := stream.Open(dir, stream.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	sink2 := &flakySink{}
+	r2 := New(sink2, WithWAL(l2))
+	register(r2)
+	if err := r2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	r2.Tick()
+	if len(sink2.sent) != 2 {
+		t.Fatalf("after recovery the owed report reached %d recipients, want 2", len(sink2.sent))
+	}
+	for i, rep := range sink2.sent {
+		if !contains(rep.Doc.XML(), "held") || rep.id != uint64(i) {
+			t.Errorf("recipient %s got %s at offset %d", rep.Subscription, rep.Doc.XML(), rep.id)
+		}
 	}
 }

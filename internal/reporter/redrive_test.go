@@ -47,14 +47,16 @@ func TestRedriveByID(t *testing.T) {
 	if len(dead) != 2 {
 		t.Fatalf("dead letters = %d", len(dead))
 	}
+	// A dead letter's id is its fired record's stream offset: A fired
+	// first, at offset 0, B at 1.
 	var idA uint64
 	for _, d := range dead {
+		if want := map[string]uint64{"A": 0, "B": 1}[d.Report.Subscription]; d.ID() != want {
+			t.Fatalf("dead letter for %s has id %d, its offset is %d", d.Report.Subscription, d.ID(), want)
+		}
 		if d.Report.Subscription == "A" {
 			idA = d.ID()
 		}
-	}
-	if idA == 0 {
-		t.Fatal("dead letter has no journal id under a WAL")
 	}
 	if moved := r.Redrive(idA); moved != 1 {
 		t.Fatalf("Redrive(%d) moved %d", idA, moved)
@@ -114,29 +116,24 @@ func TestRedriveSurvivesCrash(t *testing.T) {
 }
 
 // TestPublishAtDeliveryTime: every fired report lands in the stream
-// exactly once — before the push attempt, so a failing sink does not
-// hide it from pull consumers — and retries do not duplicate it.
+// exactly once — at build time, before the push attempt, so a failing
+// sink does not hide it from pull consumers — and retries do not
+// duplicate it.
 func TestPublishAtDeliveryTime(t *testing.T) {
 	dir := t.TempDir()
-	st, err := stream.Open(dir, stream.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-
 	sink := &flakySink{failN: 1}
-	r, now := retryRig(sink, WithStream(st))
-	r.Notify(Notification{Subscription: "S", Label: "l", Element: elem("one")}) // push fails, stream publishes
+	r, now := durableRig(t, dir, sink)
+	r.Register("S", nil)
+	r.Notify(Notification{Subscription: "S", Label: "l", Element: elem("one")}) // push fails, the stream has it
 	r.Notify(Notification{Subscription: "S", Label: "l", Element: elem("two")}) // push succeeds
 	*now = now.Add(2 * time.Minute)
-	r.Tick() // retry of "one" must not re-publish
+	r.Tick() // the retry of "one" must not write it again
 
-	if got := st.Next(); got != 2 {
-		t.Fatalf("stream holds %d records, want 2 (no retry duplicates)", got)
+	if len(sink.sent) != 2 {
+		t.Fatalf("%d reports delivered, want 2", len(sink.sent))
 	}
-	pub, errs := r.StreamStats()
-	if pub != 2 || errs != 0 {
-		t.Errorf("StreamStats = %d published, %d errors", pub, errs)
+	if got := r.log.Next(); got != 2 {
+		t.Fatalf("stream holds %d records, want 2 (no retry duplicates)", got)
 	}
 	rd, err := stream.OpenReader(dir, "t", stream.ReaderOptions{})
 	if err != nil {
@@ -150,41 +147,41 @@ func TestPublishAtDeliveryTime(t *testing.T) {
 	if !contains(recs[0].XML, "one") || !contains(recs[1].XML, "two") {
 		t.Errorf("stream payloads: %q, %q", recs[0].XML, recs[1].XML)
 	}
-	if recs[0].Subscription != "S" || recs[0].Notifications != 1 {
+	if recs[0].Subscription != "S" || recs[0].Notifications != 1 || recs[0].Origin != "" {
 		t.Errorf("stream record meta: %+v", recs[0])
 	}
 }
 
 // TestRecoveredReportsReachStream: a report that fired before a crash
-// but may have missed its stream publish is caught up when the
-// recovered retry queue first drains — at-least-once on the pull side
-// too.
+// and was never delivered is in the stream at its fired offset already
+// — recovery redelivers it without writing it to the stream again.
 func TestRecoveredReportsReachStream(t *testing.T) {
 	dir := t.TempDir()
-	// First incarnation: no stream attached at all (the worst case of
-	// "crashed before publish"), sink fails, report stays outstanding.
 	sink1 := &flakySink{failN: 1 << 30}
-	r1, _ := durableRig(t, dir+"/wal", sink1)
+	r1, _ := durableRig(t, dir, sink1)
 	r1.Register("S", nil)
 	r1.Notify(Notification{Subscription: "S", Label: "l", Element: elem("lost-and-found")})
 
-	st, err := stream.Open(dir+"/stream", stream.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
 	sink2 := &flakySink{}
-	r2, now2 := durableRig(t, dir+"/wal", sink2, WithStream(st))
+	r2, now2 := durableRig(t, dir, sink2)
 	r2.Register("S", nil)
 	if err := r2.Recover(); err != nil {
 		t.Fatal(err)
 	}
 	*now2 = now2.Add(time.Second)
 	r2.Tick()
-	if len(sink2.sent) != 1 {
-		t.Fatalf("recovered redelivery: %d", len(sink2.sent))
+	if len(sink2.sent) != 1 || sink2.sent[0].id != 0 {
+		t.Fatalf("recovered redelivery: %d reports", len(sink2.sent))
 	}
-	if got := st.Next(); got != 1 {
-		t.Fatalf("recovered report not published to stream: Next=%d", got)
+	if got := r2.log.Next(); got != 1 {
+		t.Fatalf("the stream holds %d records after the redelivery, want the one fired", got)
+	}
+	rd, err := stream.OpenReader(dir, "t", stream.ReaderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	if recs, err := rd.Poll(10); err != nil || len(recs) != 1 || !contains(recs[0].XML, "lost-and-found") {
+		t.Fatalf("Poll = %+v, %v", recs, err)
 	}
 }

@@ -18,7 +18,6 @@ import (
 
 	"xymon/internal/stream"
 	"xymon/internal/sublang"
-	"xymon/internal/wal"
 	"xymon/internal/xmldom"
 	"xymon/internal/xyquery"
 )
@@ -47,26 +46,12 @@ type Report struct {
 	Notifications int
 
 	// xml is Doc serialised, rendered once when the report is built (or
-	// carried over from the journal on recovery) and shared by the fired
-	// record and the stream record; empty when neither is configured.
+	// carried over from the journal on recovery) for every record the
+	// journal keeps of it; empty without a WAL.
 	xml string
-	// walID identifies the report in the durability journal; 0 when the
-	// Reporter runs without a WAL.
-	walID uint64
-	// streamed marks the report as already published to the notification
-	// change-stream, so retries and recovered redeliveries publish it at
-	// most once more — duplicates across a crash are the at-least-once
-	// contract, duplicates per retry attempt would just be noise.
-	streamed bool
-}
-
-// docXML returns the report document serialised, reusing the rendering
-// made at build time when there is one.
-func (rep *Report) docXML() string {
-	if rep.xml != "" || rep.Doc == nil {
-		return rep.xml
-	}
-	return rep.Doc.XML()
+	// id is the report's stream offset: where its fired record landed in
+	// the journal. It is 0 without a WAL.
+	id uint64
 }
 
 // Delivery receives finished reports. The paper emails them; the default
@@ -153,24 +138,17 @@ type Reporter struct {
 	// queue drains on Tick.
 	retry retryState
 
-	// wal, when set, journals durable state (see durable.go); nextID
-	// numbers fired reports in it.
-	wal       *wal.Log
-	nextID    atomic.Uint64
+	// log, when set, journals durable state (see durable.go); its
+	// batches — the fired records — are the change-stream.
+	log       *stream.Log
 	walErrors atomic.Uint64
 
-	// stream, when set, receives every delivered notification batch —
-	// the pull side of delivery (see publish).
-	stream *stream.Log
-
-	delivered       atomic.Uint64
-	failed          atomic.Uint64
-	retried         atomic.Uint64
-	deadLettered    atomic.Uint64
-	evicted         atomic.Uint64
-	redriven        atomic.Uint64
-	streamPublished atomic.Uint64
-	streamErrors    atomic.Uint64
+	delivered    atomic.Uint64
+	failed       atomic.Uint64
+	retried      atomic.Uint64
+	deadLettered atomic.Uint64
+	evicted      atomic.Uint64
+	redriven     atomic.Uint64
 }
 
 type archivedReport struct {
@@ -388,7 +366,7 @@ func (r *Reporter) noteLocked(reps []*Report, s *stripe, n *Notification, now ti
 		// atmost N: stop registering new notifications until the next report.
 		return reps
 	}
-	if r.wal != nil {
+	if r.log != nil {
 		rec := walRecord{T: "notif", Sub: st.name, Label: n.Label, Time: n.Time}
 		if n.Element != nil {
 			rec.XML = n.Element.XML()
@@ -509,8 +487,20 @@ func (r *Reporter) buildLocked(reps []*Report, st *Sub, now time.Time) []*Report
 		}
 	}
 	rep := &Report{Subscription: st.name, Doc: doc, Time: now, Notifications: count}
-	if r.wal != nil || r.stream != nil {
+	if r.log != nil {
 		rep.xml = doc.XML()
+	}
+	fired := len(reps)
+	reps = append(reps, rep)
+	for _, rcpt := range st.followers {
+		reps = append(reps, &Report{Subscription: rcpt, Doc: rep.Doc, xml: rep.xml, Time: now, Notifications: count})
+	}
+	if !r.noteFired(reps[fired:], st.name) {
+		// No fired record, no report: the journal could not account for
+		// it once a checkpoint drops this buffer. The buffer stays (linked
+		// into doc now, so the next build copies it) and Tick retries.
+		st.pending = true
+		return reps[:fired]
 	}
 	clear(st.buffer) // the elements now belong to the report
 	st.buffer = st.buffer[:0]
@@ -523,73 +513,20 @@ func (r *Reporter) buildLocked(reps []*Report, st *Sub, now time.Time) []*Report
 		r.archive = append(r.archive, archivedReport{rep: rep, expiry: now.Add(st.archive.Duration())})
 		r.archMu.Unlock()
 	}
-	r.noteFired(rep, st.name, now)
-	reps = append(reps, rep)
-	for _, rcpt := range st.followers {
-		rp := &Report{Subscription: rcpt, Doc: rep.Doc, xml: rep.xml, Time: now, Notifications: count}
-		r.noteFired(rp, st.name, now)
-		reps = append(reps, rp)
-	}
 	return reps
-}
-
-// WithStream publishes every notification batch to st at delivery
-// time: the durable change-stream consumers poll and replay instead of
-// being pushed at. Publish failures degrade like journal failures —
-// counted, push delivery continues.
-func WithStream(st *stream.Log) Option {
-	return func(r *Reporter) { r.stream = st }
-}
-
-// publish appends the not-yet-streamed reports of a batch to the
-// change-stream — before any push attempt, so stream consumers observe
-// a report even when every push fails and it dead-letters.
-func (r *Reporter) publish(reps []*Report) {
-	if r.stream == nil {
-		return
-	}
-	recs := make([]stream.Record, 0, len(reps))
-	for _, rep := range reps {
-		if rep.streamed {
-			continue
-		}
-		recs = append(recs, stream.Record{
-			Subscription: rep.Subscription, Time: rep.Time,
-			Notifications: rep.Notifications, XML: rep.docXML(),
-		})
-	}
-	if len(recs) == 0 {
-		return
-	}
-	if _, err := r.stream.Publish(recs); err != nil {
-		r.streamErrors.Add(1)
-		return
-	}
-	for _, rep := range reps {
-		rep.streamed = true
-	}
-	r.streamPublished.Add(uint64(len(recs)))
-}
-
-// StreamStats counts change-stream publication activity: records
-// published, and publishes that failed (stream durability degraded,
-// push delivery continued).
-func (r *Reporter) StreamStats() (published, errors uint64) {
-	return r.streamPublished.Load(), r.streamErrors.Load()
 }
 
 // deliver ends a Notify, NotifyBatch or Tick: with no lock held it makes
 // the call's journal records durable, then hands the reports it fired to
-// the stream and the sink and folds the outcome into the counters.
-// Failures enter the retry queue.
+// the sink and folds the outcome into the counters. Failures enter the
+// retry queue.
 //
 // The journal is group-committed — records are written where they
-// happen, two ordered barriers make them durable where it matters:
-//
-//  1. the commit below covers every notif and fired record of the call,
-//     so nothing leaves the Reporter — and the caller is not told its
-//     notifications were taken — before a crash could still forget them;
-//  2. publish is one durable stream append.
+// happen, and the one barrier below, barrier (1), makes every notif and
+// fired record of the call durable: nothing leaves the Reporter — and
+// the caller is not told its notifications were taken — before a crash
+// could still forget them. The fired records are the change-stream, so
+// the same barrier publishes the call's reports to pull consumers.
 //
 // The done records the loop writes are owed to nobody: they ride the
 // next commit — the next call's, a Tick's (which commits even when
@@ -601,7 +538,6 @@ func (r *Reporter) deliver(reps []*Report) {
 	if len(reps) == 0 {
 		return
 	}
-	r.publish(reps)
 	now := r.clock()
 	for _, rep := range reps {
 		if err := r.delivery.Deliver(rep); err != nil {

@@ -154,25 +154,6 @@ func (r *Reporter) drainRetries(now time.Time) {
 	}
 	rt.queue = keep
 	rt.mu.Unlock()
-	if len(due) == 0 {
-		return
-	}
-	// Reports recovered from the WAL may have crashed between firing and
-	// their stream publish; catch them up before redelivery so stream
-	// consumers never miss what the push path is about to ack.
-	unstreamed := due[:0:0]
-	for _, e := range due {
-		if !e.rep.streamed {
-			unstreamed = append(unstreamed, e)
-		}
-	}
-	if len(unstreamed) > 0 {
-		reps := make([]*Report, len(unstreamed))
-		for i, e := range unstreamed {
-			reps[i] = e.rep
-		}
-		r.publish(reps)
-	}
 	for _, e := range due {
 		r.retried.Add(1)
 		if err := r.delivery.Deliver(e.rep); err != nil {
@@ -199,10 +180,11 @@ func (r *Reporter) DeadLetters() []DeadLetter {
 	return append([]DeadLetter(nil), r.retry.dead...)
 }
 
-// ID returns the dead letter's journal id — the handle Redrive takes.
-// It is 0 when the Reporter runs without a WAL (redrive everything with
-// no ids in that configuration).
-func (d DeadLetter) ID() uint64 { return d.Report.walID }
+// ID returns the dead letter's stream offset — where its fired record
+// sits in the journal, and the handle Redrive takes. It is 0 when the
+// Reporter runs without a WAL (redrive everything with no ids in that
+// configuration).
+func (d DeadLetter) ID() uint64 { return d.Report.id }
 
 // Redrive moves dead letters back onto the retry queue with a fresh
 // attempt budget — the operator's "the sink is fixed, try again". With
@@ -222,21 +204,17 @@ func (r *Reporter) Redrive(ids ...uint64) int {
 	keep := rt.dead[:0]
 	moved := 0
 	for _, d := range rt.dead {
-		if len(ids) > 0 && !want[d.Report.walID] {
+		if len(ids) > 0 && !want[d.Report.id] {
 			keep = append(keep, d)
 			continue
 		}
 		moved++
-		if r.wal != nil && d.Report.walID != 0 {
+		if r.log != nil {
 			// Journal the redrive, and track the report as outstanding
 			// again so a checkpoint taken before its redelivery outcome
 			// snapshots it into the retry queue, not the dead queue.
-			r.journal(walRecord{T: "redrive", ID: d.Report.walID, Time: now})
-			rec := walRecord{
-				T: "fired", ID: d.Report.walID, Sub: d.Report.Subscription,
-				Time: d.Report.Time, Count: d.Report.Notifications, XML: d.Report.docXML(),
-			}
-			rt.outstanding[d.Report.walID] = rec
+			r.journal(walRecord{T: "redrive", ID: d.Report.id, Time: now})
+			rt.outstanding[d.Report.id] = d.Report.outstanding()
 		}
 		rt.queue = append(rt.queue, &retryEntry{rep: d.Report, nextTry: now})
 	}

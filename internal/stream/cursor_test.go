@@ -316,7 +316,7 @@ func TestReaderCloseReleasesCursor(t *testing.T) {
 // TestRetainBesideCursorCommit runs retention beside a consumer that
 // polls and commits, both over 256-byte segments. A retention cursor
 // read may land on the slot a commit is overwriting; it must then read
-// the other slot, so Retain never fails and never reclaims past the
+// the other slot, so Checkpoint never fails and never reclaims past the
 // offset being committed, and the consumer never sees a truncation.
 // The cursor hook also reads every cursor between each slot write and
 // its fsync. Run under -race.
@@ -365,9 +365,9 @@ func TestRetainBesideCursorCommit(t *testing.T) {
 		default:
 		}
 		floor := committing.Load()
-		first, err := l.Retain()
+		first, err := checkpoint(l)
 		if err != nil {
-			t.Fatalf("Retain beside Commit: %v", err)
+			t.Fatalf("Checkpoint beside Commit: %v", err)
 		}
 		if bound := committing.Load(); first > bound {
 			t.Fatalf("retention reclaimed to %d past the offset being committed, %d (was %d)", first, bound, floor)
@@ -376,7 +376,7 @@ func TestRetainBesideCursorCommit(t *testing.T) {
 	if err := <-errc; err != nil {
 		t.Fatalf("consumer: %v", err)
 	}
-	if first, err := l.Retain(); err != nil || first == 0 || first > total {
-		t.Fatalf("final Retain = %d, %v; want it to reclaim behind the committed %d", first, err, total)
+	if first, err := checkpoint(l); err != nil || first == 0 || first > total {
+		t.Fatalf("final Checkpoint = %d, %v; want it to reclaim behind the committed %d", first, err, total)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -53,40 +54,58 @@ func FuzzStreamRecords(f *testing.F) {
 	})
 }
 
-// FuzzReaderTail writes batch frames into a segment file in fuzzed
-// pieces, draining a tailing Reader after each piece: it must return
-// exactly the records of the frames wholly written so far, in offset
-// order, each once — a torn frame surfaces nothing until its last byte
-// lands. Batches hold one to three records, each record's XML as long
-// as its size byte. A nonzero flip damages one record byte of the last
-// frame: once that frame is complete the poll fails with wal.ErrCorrupt
-// and Next stays at the records actually returned.
+// FuzzReaderTail writes batch frames, with owner frames between them,
+// into a segment file in fuzzed pieces, draining a tailing Reader after
+// each piece: it must return exactly the records of the batches wholly
+// written so far, in offset order, each once — a torn frame surfaces
+// nothing until its last byte lands, and owner frames never surface. A
+// size byte from ownerByte up writes an owner frame instead of a
+// record, so the segment can start with owner frames or hold nothing
+// else. Batches hold one to three records, each record's XML as long as
+// its size byte. A nonzero flip damages one byte of the last frame —
+// past the batch header if it is a batch: once that frame is complete
+// the poll fails with wal.ErrCorrupt and Next stays at the records
+// actually returned.
 func FuzzReaderTail(f *testing.F) {
 	f.Add([]byte{4, 4}, make([]byte, 128), uint8(0), uint16(0))  // one batch, byte by byte
 	f.Add([]byte{1, 10}, make([]byte, 128), uint8(0), uint16(5)) // a damaged one, byte by byte
 	f.Add([]byte{0, 3, 200, 7, 1, 1, 90}, []byte{7, 30, 2, 63}, uint8(2), uint16(0))
 	f.Add([]byte{5, 5, 5, 5, 5, 5}, []byte{40}, uint8(1), uint16(300))
+	f.Add([]byte{ownerByte + 9, 2, ownerByte, 6, 6, ownerByte + 40}, []byte{5, 9}, uint8(3), uint16(0))
+	f.Add([]byte{ownerByte + 20, ownerByte + 1}, []byte{3}, uint8(0), uint16(0)) // owner frames only
+	f.Add([]byte{ownerByte + 3, 8, ownerByte + 5}, make([]byte, 64), uint8(0), uint16(7))
 
 	f.Fuzz(func(t *testing.T, sizes, cuts []byte, max uint8, flip uint16) {
 		if len(sizes) > 48 {
 			sizes = sizes[:48]
 		}
 		var stream []byte
+		var xmlLen []int       // XML length of record k
 		var ends, counts []int // each frame's end byte, records through it
-		last := 0
+		last := 0              // where the last frame's damageable bytes start
 		for i := 0; i < len(sizes); {
-			recs := make([]Record, min(1+int(sizes[i])%3, len(sizes)-i))
-			for j := range recs {
-				recs[j] = Record{Subscription: "F", Time: t0, XML: strings.Repeat("x", int(sizes[i+j]))}
+			last = len(stream) + 8
+			if sizes[i] >= ownerByte {
+				frame, err := wal.Binary{}.AppendFrame(nil, []byte(fmt.Sprintf(`{"t":"done","pad":%q}`, strings.Repeat("o", int(sizes[i]-ownerByte)))))
+				if err != nil {
+					t.Fatal(err)
+				}
+				stream = append(stream, frame...)
+				i++
+			} else {
+				var recs []Record
+				for n := 1 + int(sizes[i])%3; len(recs) < n && i < len(sizes) && sizes[i] < ownerByte; i++ {
+					recs = append(recs, Record{Subscription: "F", Time: t0, XML: strings.Repeat("x", int(sizes[i]))})
+					xmlLen = append(xmlLen, int(sizes[i]))
+				}
+				stream = append(stream, batchFrame(t, uint64(len(xmlLen)-len(recs)), recs...)...)
+				last += batchHeader
 			}
-			last = len(stream)
-			stream = append(stream, batchFrame(t, uint64(i), recs...)...)
-			i += len(recs)
-			ends, counts = append(ends, len(stream)), append(counts, i)
+			ends, counts = append(ends, len(stream)), append(counts, len(xmlLen))
 		}
 		damaged := flip != 0 && len(stream) > 0
 		if damaged {
-			rec := stream[last+8+batchHeader:]
+			rec := stream[last:]
 			rec[int(flip)%len(rec)] ^= 0x01
 		}
 
@@ -129,8 +148,8 @@ func FuzzReaderTail(f *testing.F) {
 					break
 				}
 				for _, rec := range recs {
-					if rec.Offset != uint64(got) || len(rec.XML) != int(sizes[got]) {
-						t.Fatalf("record %d (%d bytes) where %d (%d bytes) was due", rec.Offset, len(rec.XML), got, sizes[got])
+					if rec.Offset != uint64(got) || len(rec.XML) != xmlLen[got] {
+						t.Fatalf("record %d (%d bytes) where %d (%d bytes) was due", rec.Offset, len(rec.XML), got, xmlLen[got])
 					}
 					got++
 				}
@@ -144,6 +163,10 @@ func FuzzReaderTail(f *testing.F) {
 		}
 	})
 }
+
+// ownerByte is FuzzReaderTail's size byte from which an owner frame is
+// written, its payload padded by the byte's excess over ownerByte.
+const ownerByte = 0xC0
 
 // FuzzCursorSlots opens a cursor file of two arbitrary slots. The offset
 // it opens at must be that of the intact slot with the highest seq —

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -31,15 +32,16 @@ type ReaderOptions struct {
 
 // Reader is the consume side of the stream: it polls batches from the
 // segment files directly (no writer handle needed, so it works from
-// another process), tracks its position in memory, and commits it
-// durably through a Cursor. Not safe for concurrent use — one Reader
-// per consumer goroutine, which is what a cursor means anyway.
+// another process), skipping the owner's frames between them, tracks
+// its position in memory, and commits it durably through a Cursor. Not
+// safe for concurrent use — one Reader per consumer goroutine, which is
+// what a cursor means anyway.
 //
 // A Reader tails: it holds the segment it reads open between polls, so
 // a Poll reads only what was appended since the last one. It re-lists
-// the directory (the only path that reports ErrTruncated) on its first
-// Poll, after Seek, SeekOldest or a failed Poll, and when the held
-// segment was deleted, replaced or shrunk. That segment descriptor is
+// the directory (where ErrTruncated is decided) on its first Poll, after
+// Seek, SeekOldest or a failed Poll, and when the held segment was
+// deleted, replaced or shrunk. That segment descriptor is
 // held until Close, which also closes the cursor's; unclosed, it pins
 // reclaimed disk for at most one Poll, the first after retention
 // deletes the segment dropping it.
@@ -174,7 +176,7 @@ type segInfo struct {
 }
 
 // listSegments lists the stream's segment files with their base
-// offsets, ascending. Only batch headers are read.
+// offsets, ascending. Only frame and batch headers are read.
 func listSegments(dir string) ([]segInfo, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -201,9 +203,10 @@ func listSegments(dir string) ([]segInfo, error) {
 	return segs, nil
 }
 
-// readSegBase decodes the base offset of a segment's first batch
-// without reading the whole file. ok is false for an empty segment or
-// one whose first frame is still being written (torn).
+// readSegBase decodes the base offset of a segment's first batch,
+// stepping over the owner frames before it by their length fields. ok
+// is false while the segment holds no batch header yet: it is empty,
+// holds owner frames only, or its first batch is still being written.
 func readSegBase(path string) (base uint64, ok bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -213,20 +216,26 @@ func readSegBase(path string) (base uint64, ok bool, err error) {
 		return 0, false, fmt.Errorf("stream: %w", err)
 	}
 	defer f.Close()
-	// Frame header (8) + batch header is all decodeBatchHeader needs.
-	buf := make([]byte, 8+batchHeader)
-	n, _ := f.Read(buf)
-	if n < len(buf) {
-		return 0, false, nil // empty or torn-short first frame
+	// Frame header (8) + batch header is all decodeBatchHeader needs;
+	// the full-frame CRC is checked when the records are polled.
+	var hdr [8 + batchHeader]byte
+	for off := int64(0); ; {
+		n, _ := f.ReadAt(hdr[:], off)
+		if n <= 8 {
+			return 0, false, nil // the data ends, or a torn frame header
+		}
+		if size := binary.LittleEndian.Uint32(hdr[:4]); size == 0 || hdr[8] != batchMagic {
+			off += 8 + int64(size)
+			continue
+		}
+		if n < len(hdr) {
+			return 0, false, nil // torn-short first batch
+		}
+		if base, _, err = decodeBatchHeader(hdr[8:]); err != nil {
+			return 0, false, fmt.Errorf("stream: %s: %w", filepath.Base(path), err)
+		}
+		return base, true, nil
 	}
-	// Reading a prefix of the frame: skip the wal header and decode the
-	// batch header directly; the full-frame CRC is checked when the
-	// records are actually polled.
-	base, _, err = decodeBatchHeader(buf[8:])
-	if err != nil {
-		return 0, false, fmt.Errorf("stream: %s: %w", filepath.Base(path), err)
-	}
-	return base, true, nil
 }
 
 // read performs one poll pass: from the held segment when it is still
@@ -265,14 +274,16 @@ func (r *Reader) read(max int) ([]Record, error) {
 }
 
 // relist finds the segment holding the reader's position from a
-// directory listing and holds it from its first byte; f stays nil when
-// nothing is published yet.
+// directory listing and holds it from its first byte: the last one
+// whose first batch is at or before the position or, when no segment
+// holds a batch yet, the oldest — a batch the listing found half-written
+// may be whole by now. f stays nil when there is no segment.
 func (r *Reader) relist() error {
 	segs, err := listSegments(r.dir)
-	if err != nil {
+	if err != nil || len(segs) == 0 {
 		return err
 	}
-	start := -1
+	start := 0
 	var first uint64
 	haveFirst := false
 	for i, s := range segs {
@@ -286,14 +297,8 @@ func (r *Reader) relist() error {
 			start = i
 		}
 	}
-	if !haveFirst {
-		return nil // nothing published yet
-	}
-	if r.next < first {
+	if haveFirst && r.next < first {
 		return &TruncatedError{Consumer: r.consumer, Requested: r.next, First: first}
-	}
-	if start < 0 {
-		return nil
 	}
 	idx := segs[start].idx
 	f, err := os.Open(filepath.Join(r.dir, wal.SegmentFileName(idx)))
@@ -321,10 +326,13 @@ func (r *Reader) hold(f *os.File, idx int) error {
 // frames reads the held segment from pos to its end and decodes it
 // frame by frame, CRC and batch validation before any record of a frame
 // is returned, appending records at or past the reader's position to
-// out, up to max. pos moves past every frame wholly returned, so a max
-// cut inside a batch leaves it at that batch. stop reports max reached
-// or a torn frame: the writer is mid-append (or crashed; its next Open
-// truncates the frame) and durable data ends there for now.
+// out, up to max; owner frames are stepped over. pos moves past every
+// frame wholly returned, so a max cut inside a batch leaves it at that
+// batch. stop reports max reached or a torn frame: the writer is
+// mid-append (or crashed; its next Open truncates the frame) and durable
+// data ends there for now. A batch starting past the position means
+// retention reclaimed the records between while no retained segment
+// held a batch: the tail reports the truncation the listing could not.
 func (r *Reader) frames(max int, out *[]Record) (stop bool, err error) {
 	end, err := r.f.Seek(0, io.SeekEnd)
 	if err != nil {
@@ -349,9 +357,17 @@ func (r *Reader) frames(max int, out *[]Record) (stop bool, err error) {
 			}
 			return true, nil
 		}
+		if !isBatch(payload) {
+			data = data[size:]
+			r.pos += int64(size)
+			continue
+		}
 		base, recs, err := decodeBatch(payload)
 		if err != nil {
 			return true, fmt.Errorf("stream: segment %s: %w", wal.SegmentFileName(r.idx), err)
+		}
+		if base > r.next {
+			return true, &TruncatedError{Consumer: r.consumer, Requested: r.next, First: base}
 		}
 		for i, raw := range recs {
 			o := base + uint64(i)

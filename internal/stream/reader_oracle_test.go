@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,8 +17,9 @@ import (
 
 // oracleReader is the full-rescan reader the tailing Reader replaced:
 // every Poll lists the directory and reads each segment from the one
-// holding the position, re-verifying every frame from byte 0. It is
-// kept here, and only here, as the oracle the tail is held to.
+// holding the position, re-verifying every frame from byte 0 and
+// stepping over owner frames. It is kept here, and only here, as the
+// oracle the tail is held to.
 type oracleReader struct {
 	dir, consumer string
 	next          uint64
@@ -108,6 +110,10 @@ func (r *oracleReader) readSegment(s segInfo, max int, out *[]Record) (done bool
 			}
 			return true, nil
 		}
+		off += size
+		if !isBatch(payload) {
+			continue
+		}
 		base, recs, err := decodeBatch(payload)
 		if err != nil {
 			return true, fmt.Errorf("stream: segment %s: %w", wal.SegmentFileName(s.idx), err)
@@ -128,7 +134,6 @@ func (r *oracleReader) readSegment(s segInfo, max int, out *[]Record) (done bool
 			*out = append(*out, rec)
 			r.next = o + 1
 		}
-		off += size
 	}
 	return false, nil
 }
@@ -139,17 +144,43 @@ func rotate(t *testing.T, l *Log) {
 	t.Helper()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	snap, err := json.Marshal(streamSnapshot{Next: l.next})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var hdr [snapHeader]byte
+	binary.LittleEndian.PutUint64(hdr[:], l.next)
 	if err := l.w.CheckpointRetain(l.w.Segments()[0], func(w io.Writer) error {
-		_, err := w.Write(snap)
+		_, err := w.Write(hdr[:])
 		return err
 	}); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	l.indexNewSegments(l.next)
+}
+
+// ownerFrame is an owner's JSON record of about n bytes.
+func ownerFrame(n int) []byte {
+	return []byte(fmt.Sprintf(`{"t":"notif","pad":%q}`, strings.Repeat("o", n)))
+}
+
+// segmentShapes counts the segments on disk that start with an owner
+// frame, and those of them that hold no batch.
+func segmentShapes(t *testing.T, dir string) (ownerFirst, ownerOnly int) {
+	t.Helper()
+	segs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range segs {
+		data, err := os.ReadFile(filepath.Join(dir, wal.SegmentFileName(s.idx)))
+		if err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		if payload, _, err := (wal.Binary{}).Next(data); err == nil && !isBatch(payload) {
+			ownerFirst++
+			if !s.hasBase {
+				ownerOnly++
+			}
+		}
+	}
+	return ownerFirst, ownerOnly
 }
 
 // errClass names the error classes a consumer can act on.
@@ -183,25 +214,31 @@ func sameRecords(a, b []Record) bool {
 
 // diffCoverage counts the situations a differential run reached, so the
 // test can insist the interleavings exercised what they are meant to.
+// ownerFirst and ownerOnly count polls made while some segment started
+// with an owner frame, and while one held nothing else.
 type diffCoverage struct {
 	heldDeleted, truncated, cut, emptyRotations, reopens, seeks int
+	ownerFirst, ownerOnly                                       int
 }
 
 // TestReaderMatchesRescanOracle drives the tailing Reader and the
 // full-rescan oracle over the same stream through seeded interleavings
-// of publishes across rotations at 256-byte segments, retention with a
-// MaxBehind floor (including deleting the segment the tail holds open),
-// seeks both ways, SeekOldest, polls cut inside a batch, writer
-// close/reopen and checkpoints rotating to an empty segment. Every poll
-// must return the same records, every step leave the same Next, every
-// failure carry the same class and the same TruncatedError detail.
+// of publishes and owner frames across rotations at 256-byte segments
+// (so segments start with owner frames, or hold nothing else),
+// retention with a MaxBehind floor (including deleting the segment the
+// tail holds open), seeks both ways, SeekOldest, polls cut inside a
+// batch, writer close/reopen and checkpoints rotating to an empty
+// segment. Every poll must return the same records, every step leave
+// the same Next, every failure carry the same class and the same
+// TruncatedError detail.
 func TestReaderMatchesRescanOracle(t *testing.T) {
 	var cov diffCoverage
 	for seed := uint64(1); seed <= 40; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) { diffRun(t, seed, 250, &cov) })
 	}
 	t.Logf("coverage: %+v", cov)
-	if cov.heldDeleted == 0 || cov.truncated == 0 || cov.cut == 0 || cov.emptyRotations == 0 || cov.reopens == 0 || cov.seeks == 0 {
+	if cov.heldDeleted == 0 || cov.truncated == 0 || cov.cut == 0 || cov.emptyRotations == 0 || cov.reopens == 0 || cov.seeks == 0 ||
+		cov.ownerFirst == 0 || cov.ownerOnly == 0 {
 		t.Errorf("interleavings missed a case: %+v", cov)
 	}
 }
@@ -226,6 +263,12 @@ func diffRun(t *testing.T, seed uint64, steps int, cov *diffCoverage) {
 		}
 	}
 	poll := func(step int) int {
+		if first, only := segmentShapes(t, dir); first > 0 {
+			cov.ownerFirst++
+			if only > 0 {
+				cov.ownerOnly++
+			}
+		}
 		max := 1 + rng.IntN(8)
 		got, gerr := tail.Poll(max)
 		want, werr := orc.Poll(max)
@@ -257,6 +300,12 @@ func diffRun(t *testing.T, seed uint64, steps int, cov *diffCoverage) {
 
 	for step := 0; step < steps; step++ {
 		switch op := rng.IntN(100); {
+		case op < 10:
+			for n := 1 + rng.IntN(3); n > 0; n-- {
+				if err := l.Write(ownerFrame(rng.IntN(90))); err != nil {
+					t.Fatalf("step %d: Write: %v", step, err)
+				}
+			}
 		case op < 34:
 			recs := make([]Record, 1+rng.IntN(3))
 			for i := range recs {
@@ -273,8 +322,8 @@ func diffRun(t *testing.T, seed uint64, steps int, cov *diffCoverage) {
 			if tail.f != nil {
 				held = tail.path
 			}
-			if _, err := l.Retain(); err != nil {
-				t.Fatalf("step %d: Retain: %v", step, err)
+			if _, err := checkpoint(l); err != nil {
+				t.Fatalf("step %d: Checkpoint: %v", step, err)
 			}
 			if _, err := os.Stat(held); held != "" && errors.Is(err, os.ErrNotExist) {
 				cov.heldDeleted++

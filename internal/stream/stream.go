@@ -1,5 +1,5 @@
 // Package stream is the durable notification change-stream: an
-// offset-addressable log of delivered notification reports layered on
+// offset-addressable log of fired notification reports layered on
 // internal/wal, with per-consumer durable cursors, replay from any
 // retained offset, and a retention policy that turns a slow or dead
 // subscriber into retained segments on disk instead of reporter memory.
@@ -10,7 +10,12 @@
 // gap a consumer can ever observe is retention truncation, which is
 // reported as ErrTruncated, never silently skipped.
 //
-// The write side (Log) is in-process with the reporter; the read side
+// A Log shares its wal with an owner: the Reporter writes its
+// notif/done/dead/lost/redrive JSON records between the batches of its
+// fired reports, so a report is written and synced once, in one log.
+// Offsets count batch records only; readers step over owner frames.
+//
+// The write side (Log) is in-process with the owner; the read side
 // (Reader, Cursor) works on the directory alone, so consumers in other
 // processes (cmd/xysub stream) poll the same segments the writer
 // appends to. Torn frames at the tail of the active segment — a writer
@@ -19,9 +24,11 @@
 package stream
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -36,7 +43,8 @@ import (
 // or recovery scan; an error there fails the read before any byte is
 // returned.
 const (
-	// OpAppend fires on entry to Publish, before the batch is encoded.
+	// OpAppend fires on entry to Append (and so Publish), before the
+	// batch is encoded.
 	OpAppend = "stream.append"
 	// OpRead fires before any segment or cursor bytes are read.
 	OpRead = "stream.read"
@@ -74,8 +82,11 @@ func (e *TruncatedError) Unwrap() error { return ErrTruncated }
 // Record is one notification report as published to the stream. Offset
 // is assigned by the log and derived on read; it is never serialised.
 type Record struct {
-	Offset        uint64    `json:"-"`
-	Subscription  string    `json:"sub"`
+	Offset       uint64 `json:"-"`
+	Subscription string `json:"sub"`
+	// Origin is the subscription whose report a virtual follower's copy
+	// repeats; empty on the original.
+	Origin        string    `json:"origin,omitempty"`
 	Time          time.Time `json:"time"`
 	Notifications int       `json:"n,omitempty"`
 	XML           string    `json:"xml,omitempty"`
@@ -87,7 +98,7 @@ type Options struct {
 	// 0 means the wal default (1 MiB). Retention granularity is the
 	// segment, so smaller segments reclaim space sooner.
 	SegmentBytes int64
-	// MaxBehind is the retention floor: Retain never preserves more
+	// MaxBehind is the retention floor: Checkpoint never preserves more
 	// than this many records behind the head, even for a live lagging
 	// cursor — the consumer is truncated (ErrTruncated + re-sync)
 	// instead of pinning disk forever. 0 means no floor: every record
@@ -103,8 +114,7 @@ type Options struct {
 // Stats counts a Log's activity.
 type Stats struct {
 	Next             uint64 // next offset to be assigned
-	FirstRetained    uint64 // oldest offset still on disk
-	Batches          uint64 // batches appended this incarnation
+	FirstRetained    uint64 // oldest offset a Reader can still replay
 	Records          uint64 // records appended this incarnation
 	Segments         int
 	TruncatedRecords uint64 // records reclaimed by retention this incarnation
@@ -122,6 +132,11 @@ type Log struct {
 	rotated uint64         // wal rotations segBase has accounted for
 	stats   Stats
 }
+
+// snapHeader is the stream's part of a checkpoint payload: the head
+// offset, little-endian, ahead of the owner's snapshot — what restores
+// next when retention has reclaimed every batch-bearing segment.
+const snapHeader = 8
 
 // Open opens (creating if needed) the stream rooted at dir, repairing
 // wal crash residue (torn tail truncated) and rebuilding the offset
@@ -150,11 +165,9 @@ func (l *Log) hook(op, key string) error {
 	return l.o.Hook(op, key)
 }
 
-// streamSnapshot is the wal checkpoint payload: enough to restore the
-// head offset when retention has reclaimed every batch-bearing segment.
-type streamSnapshot struct {
-	Next uint64 `json:"next"`
-}
+// isBatch tells a batch frame from an owner's: owner payloads never
+// start with the batch magic (see Write).
+func isBatch(payload []byte) bool { return len(payload) > 0 && payload[0] == batchMagic }
 
 // recoverIndex rebuilds next and the per-segment base-offset index by
 // reading batch headers from every retained segment, and validates that
@@ -163,11 +176,10 @@ type streamSnapshot struct {
 func (l *Log) recoverIndex() error {
 	var snapNext uint64
 	err := l.w.Recover(func(snapshot []byte) error {
-		var s streamSnapshot
-		if err := json.Unmarshal(snapshot, &s); err != nil {
-			return fmt.Errorf("stream: snapshot: %w", err)
+		if len(snapshot) < snapHeader {
+			return fmt.Errorf("stream: %d-byte checkpoint snapshot", len(snapshot))
 		}
-		snapNext = s.Next
+		snapNext = binary.LittleEndian.Uint64(snapshot)
 		return nil
 	}, nil)
 	if err != nil {
@@ -185,14 +197,17 @@ func (l *Log) recoverIndex() error {
 			}
 			return fmt.Errorf("stream: %w", err)
 		}
-		off := 0
-		for off < len(data) {
+		for off := 0; off < len(data); {
 			payload, size, err := fr.Next(data[off:])
 			if err != nil {
 				// wal.Open already truncated the active segment's torn
 				// tail and Recover verified the sealed ones, so any
 				// undecodable frame here is damage.
 				return fmt.Errorf("stream: segment %s at byte %d: %w", wal.SegmentFileName(idx), off, err)
+			}
+			off += size
+			if !isBatch(payload) {
+				continue
 			}
 			base, count, err := decodeBatchHeader(payload)
 			if err != nil {
@@ -201,14 +216,11 @@ func (l *Log) recoverIndex() error {
 			if seen && base != running {
 				return fmt.Errorf("stream: segment %s: batch base %d, want %d (offset discontinuity)", wal.SegmentFileName(idx), base, running)
 			}
-			if !seen {
-				seen = true
-			}
+			seen = true
 			if _, ok := l.segBase[idx]; !ok {
 				l.segBase[idx] = base
 			}
 			running = base + uint64(count)
-			off += size
 		}
 	}
 	l.next = running
@@ -222,7 +234,7 @@ func (l *Log) recoverIndex() error {
 
 // indexNewSegments records base as the first offset of every live
 // segment the index has not seen yet, and notes the wal's rotation
-// count so Publish can tell when to call it again.
+// count so Append can tell when to call it again.
 func (l *Log) indexNewSegments(base uint64) {
 	for _, idx := range l.w.Segments() {
 		if _, ok := l.segBase[idx]; !ok {
@@ -232,6 +244,35 @@ func (l *Log) indexNewSegments(base uint64) {
 	l.rotated = l.w.Stats().Rotations
 }
 
+// Recover replays the log for its owner, in log order: snap receives
+// the owner's part of the latest checkpoint, frame every owner frame
+// after it and rec every stream record after it, with its offset. Call
+// it once, after Open and before the first write.
+func (l *Log) Recover(snap, frame func(payload []byte) error, rec func(Record) error) error {
+	return l.w.Recover(func(snapshot []byte) error {
+		return snap(snapshot[snapHeader:])
+	}, func(payload []byte) error {
+		if !isBatch(payload) {
+			return frame(payload)
+		}
+		base, recs, err := decodeBatch(payload)
+		if err != nil {
+			return err
+		}
+		for i, raw := range recs {
+			var r Record
+			if err := json.Unmarshal(raw, &r); err != nil {
+				return fmt.Errorf("stream: record %d: %w", base+uint64(i), err)
+			}
+			r.Offset = base + uint64(i)
+			if err := rec(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
 // Next returns the offset the next published record will be assigned.
 func (l *Log) Next() uint64 {
 	l.mu.Lock()
@@ -239,11 +280,20 @@ func (l *Log) Next() uint64 {
 	return l.next
 }
 
-// Publish durably appends one batch of records and returns the offset
-// assigned to its first record. The append is one CRC-framed wal write:
-// a crash mid-append leaves a torn tail the next Open discards whole —
-// never a phantom partial batch.
-func (l *Log) Publish(recs []Record) (uint64, error) {
+// Write appends one owner frame in log order without making it durable;
+// the next Sync does. The payload must not start with the batch magic (a
+// JSON object never does). It holds Append's lock: see its rotation check.
+func (l *Log) Write(payload []byte) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(payload)
+}
+
+// Append writes one batch of records in log order without making it
+// durable, and returns the offset assigned to its first record. The
+// batch is one CRC-framed wal write: a crash mid-append leaves a torn
+// tail the next Open discards whole — never a phantom partial batch.
+func (l *Log) Append(recs []Record) (uint64, error) {
 	if err := l.hook(OpAppend, l.key); err != nil {
 		return 0, err
 	}
@@ -261,17 +311,30 @@ func (l *Log) Publish(recs []Record) (uint64, error) {
 		}
 		encoded[i] = b
 	}
-	if err := l.w.Append(appendBatch(nil, base, encoded)); err != nil {
+	if err := l.w.Write(appendBatch(nil, base, encoded)); err != nil {
 		return 0, err
 	}
 	l.next = base + uint64(len(recs))
 	if l.w.Stats().Rotations != l.rotated {
-		// The append rotated: the new segment's first batch is this one.
+		// A rotation since the last batch, before this one's write (Write
+		// holds l.mu too): no batch landed in the new segments before it.
 		l.indexNewSegments(base)
 	}
-	l.stats.Batches++
 	l.stats.Records += uint64(len(recs))
 	return base, nil
+}
+
+// Sync is the commit barrier: one fsync covering every frame written so
+// far, batches and owner frames alike.
+func (l *Log) Sync() error { return l.w.Sync() }
+
+// Publish durably appends one batch of records: Append, then Sync.
+func (l *Log) Publish(recs []Record) (uint64, error) {
+	base, err := l.Append(recs)
+	if err != nil {
+		return 0, err
+	}
+	return base, l.w.Sync()
 }
 
 // firstRetainedLocked is the oldest offset still on disk.
@@ -285,65 +348,51 @@ func (l *Log) firstRetainedLocked() uint64 {
 	return first
 }
 
-// FirstRetained returns the oldest offset a Reader can still replay.
-func (l *Log) FirstRetained() uint64 {
+// Checkpoint installs a checkpoint with the owner's snapshot (write,
+// called under the owner's locks: the frames before it are never
+// replayed again), applies retention and returns the first retained
+// offset.
+//
+// The keep bound is the slowest live cursor, raised to the MaxBehind
+// floor: a consumer further behind no longer pins segments and will
+// observe ErrTruncated. The segment holding the bound survives whole.
+// Unreadable cursors do not stop the owner's compaction: retention keeps
+// what a cursor at offset 0 would need, and their error follows.
+func (l *Log) Checkpoint(write func(w io.Writer) error) (uint64, error) {
+	cursors, cerr := l.cursors()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.firstRetainedLocked()
-}
-
-// Retain applies the retention policy and returns the first retained
-// offset afterwards. The keep bound is the slowest live cursor, raised
-// to the MaxBehind floor: a consumer more than MaxBehind records behind
-// the head no longer pins segments and will observe ErrTruncated.
-// Granularity is the wal segment — the segment containing the keep
-// bound survives whole.
-func (l *Log) Retain() (uint64, error) {
-	if err := l.hook(OpRead, "cursors"); err != nil {
-		return 0, err
-	}
-	cursors, err := readCursors(l.dir)
-	if err != nil {
-		return 0, err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	// The keep bound: the slowest live cursor, raised to the floor. With
-	// no cursors at all, exactly the floor window survives (a stream
-	// nobody consumes yet must not discard what a late joiner replays);
-	// with no floor either, nothing is ever reclaimed.
+	// With no cursors only the floor reclaims (a stream nobody consumes
+	// yet keeps what a late joiner replays); with no floor, nothing.
 	keep := uint64(0)
 	if len(cursors) > 0 {
 		keep = l.next
 		for _, off := range cursors {
-			if off < keep {
-				keep = off
-			}
+			keep = min(keep, off)
 		}
 	}
 	if l.o.MaxBehind > 0 && l.next > l.o.MaxBehind {
-		if floor := l.next - l.o.MaxBehind; keep < floor {
-			keep = floor
-		}
+		keep = max(keep, l.next-l.o.MaxBehind)
 	}
 	segs := l.w.Segments()
 	retainSeg := segs[0]
-	for _, idx := range segs {
-		if base, ok := l.segBase[idx]; ok && base <= keep {
-			retainSeg = idx
+	if keep >= l.next {
+		retainSeg = math.MaxInt // every record passed: only the fresh segment stays
+	} else {
+		for _, idx := range segs {
+			if base, ok := l.segBase[idx]; ok && base <= keep {
+				retainSeg = idx
+			}
 		}
 	}
-	if retainSeg == segs[0] {
-		return l.firstRetainedLocked(), nil // nothing to reclaim
-	}
 	before := l.firstRetainedLocked()
-	snap, err := json.Marshal(streamSnapshot{Next: l.next})
-	if err != nil {
-		return 0, fmt.Errorf("stream: %w", err)
-	}
+	var hdr [snapHeader]byte
+	binary.LittleEndian.PutUint64(hdr[:], l.next)
 	if err := l.w.CheckpointRetain(retainSeg, func(w io.Writer) error {
-		_, err := w.Write(snap)
-		return err
+		if _, err := w.Write(hdr[:]); err != nil {
+			return err
+		}
+		return write(w)
 	}); err != nil {
 		return 0, err
 	}
@@ -356,16 +405,24 @@ func (l *Log) Retain() (uint64, error) {
 	l.indexNewSegments(l.next)
 	first := l.firstRetainedLocked()
 	l.stats.TruncatedRecords += first - before
+	if cerr != nil {
+		return first, fmt.Errorf("stream: checkpoint installed, retaining as for a cursor at offset 0: %w", cerr)
+	}
 	return first, nil
+}
+
+// cursors reads every consumer's committed offset.
+func (l *Log) cursors() (map[string]uint64, error) {
+	if err := l.hook(OpRead, "cursors"); err != nil {
+		return nil, err
+	}
+	return readCursors(l.dir)
 }
 
 // Lags returns every consumer's lag — records published but not yet
 // committed past — the stream's backpressure gauge.
 func (l *Log) Lags() (map[string]uint64, error) {
-	if err := l.hook(OpRead, "cursors"); err != nil {
-		return nil, err
-	}
-	cursors, err := readCursors(l.dir)
+	cursors, err := l.cursors()
 	if err != nil {
 		return nil, err
 	}

@@ -3,8 +3,11 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -31,6 +34,11 @@ func publishN(t *testing.T, l *Log, n int) {
 			t.Fatalf("Publish: %v", err)
 		}
 	}
+}
+
+// checkpoint checkpoints a log whose owner keeps no state of its own.
+func checkpoint(l *Log) (uint64, error) {
+	return l.Checkpoint(func(io.Writer) error { return nil })
 }
 
 // openReader opens a Reader closed when the test ends.
@@ -162,15 +170,15 @@ func TestRetentionTruncatesPastFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	publishN(t, l, 8)
-	if first, err := l.Retain(); err != nil || first != 0 {
-		t.Fatalf("Retain within floor = %d, %v; want 0 (cursor pins)", first, err)
+	if first, err := checkpoint(l); err != nil || first != 0 {
+		t.Fatalf("Checkpoint within floor = %d, %v; want 0 (cursor pins)", first, err)
 	}
 
 	// Push the head far past the floor: the cursor no longer pins.
 	publishN(t, l, 40)
-	first, err := l.Retain()
+	first, err := checkpoint(l)
 	if err != nil {
-		t.Fatalf("Retain: %v", err)
+		t.Fatalf("Checkpoint: %v", err)
 	}
 	if first == 0 {
 		t.Fatal("retention reclaimed nothing past the floor")
@@ -209,13 +217,13 @@ func TestRetentionSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	l := openStream(t, dir, Options{SegmentBytes: 256, MaxBehind: 5})
 	publishN(t, l, 30)
-	first, err := l.Retain()
+	first, err := checkpoint(l)
 	if err != nil || first == 0 {
-		t.Fatalf("Retain = %d, %v", first, err)
+		t.Fatalf("Checkpoint = %d, %v", first, err)
 	}
-	// Retain twice in a row: idempotent, no further reclaim possible.
-	if again, err := l.Retain(); err != nil || again != first {
-		t.Fatalf("second Retain = %d, %v; want %d", again, err, first)
+	// Checkpoint twice in a row: idempotent, no further reclaim possible.
+	if again, err := checkpoint(l); err != nil || again != first {
+		t.Fatalf("second Checkpoint = %d, %v; want %d", again, err, first)
 	}
 	l.Close()
 
@@ -223,7 +231,7 @@ func TestRetentionSurvivesReopen(t *testing.T) {
 	if got := l2.Next(); got != 30 {
 		t.Fatalf("recovered Next = %d, want 30", got)
 	}
-	if got := l2.FirstRetained(); got != first {
+	if got := l2.Stats().FirstRetained; got != first {
 		t.Fatalf("recovered FirstRetained = %d, want %d", got, first)
 	}
 	r := openReader(t, dir, "c", ReaderOptions{})
@@ -427,5 +435,296 @@ func TestBoundedFetch(t *testing.T) {
 	}
 	if recs, err := r.Poll(3); err != nil || len(recs) != 3 {
 		t.Fatalf("Poll(3) = %d records, %v", len(recs), err)
+	}
+}
+
+// TestOwnerFramesBesideBatches: a log's owner writes frames of its own
+// between the batches. Readers step over them — the listing finds each
+// segment's first batch behind them, a segment holding nothing else has
+// no base — offsets count records only, the writer's Open re-derives
+// the head past them, and Recover hands the owner its frames and the
+// records in log order.
+func TestOwnerFramesBesideBatches(t *testing.T) {
+	dir := t.TempDir()
+	l := openStream(t, dir, Options{SegmentBytes: 256})
+	var want []string // log order: owner payloads and record subscriptions
+	for i := 0; i < 12; i++ {
+		owner := fmt.Sprintf(`{"t":"notif","n":%d,"pad":"%0100d"}`, i, 0)
+		if err := l.Write([]byte(owner)); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, owner)
+		if i%3 == 2 {
+			continue // some segments hold owner frames only
+		}
+		if _, err := l.Append([]Record{{Subscription: fmt.Sprint("R", i), Time: t0}}); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, fmt.Sprint("R", i))
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ownerOnly := 0
+	for _, s := range segs {
+		data, err := os.ReadFile(filepath.Join(dir, wal.SegmentFileName(s.idx)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := ^uint64(0)
+		for off := 0; off < len(data); {
+			payload, size, err := wal.Binary{}.Next(data[off:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if base, _, err := decodeBatchHeader(payload); isBatch(payload) && err == nil && first == ^uint64(0) {
+				first = base
+			}
+			off += size
+		}
+		if s.hasBase != (first != ^uint64(0)) || s.hasBase && s.base != first {
+			t.Errorf("segment %d listed with base %d (%v), its first batch is at %d", s.idx, s.base, s.hasBase, first)
+		}
+		if !s.hasBase && len(data) > 0 {
+			ownerOnly++
+		}
+	}
+	if len(segs) < 3 || ownerOnly == 0 {
+		t.Fatalf("%d segments, %d holding owner frames only: the rotation did not bite", len(segs), ownerOnly)
+	}
+
+	r := openReader(t, dir, "c", ReaderOptions{})
+	all := drain(t, r)
+	if len(all) != 8 {
+		t.Fatalf("drained %d records, want 8", len(all))
+	}
+	for i, rec := range all {
+		if rec.Offset != uint64(i) {
+			t.Fatalf("record %d has offset %d", i, rec.Offset)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2 := openStream(t, dir, Options{SegmentBytes: 256})
+	if got := l2.Next(); got != 8 {
+		t.Fatalf("reopened Next = %d, want 8", got)
+	}
+	var got []string
+	var records uint64
+	if err := l2.Recover(func([]byte) error {
+		t.Fatal("no checkpoint was taken")
+		return nil
+	}, func(payload []byte) error {
+		got = append(got, string(payload))
+		return nil
+	}, func(rec Record) error {
+		if rec.Offset != records {
+			t.Errorf("record %d replayed at offset %d", records, rec.Offset)
+		}
+		records++
+		got = append(got, rec.Subscription)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Recover replayed\n%v\nwrote\n%v", got, want)
+	}
+}
+
+// TestCheckpointCarriesOwnerSnapshot: Checkpoint installs the owner's
+// snapshot beside the stream's head. Recover hands it back and replays
+// only what was written after it, and with every cursor at the head the
+// head survives retention reclaiming every batch.
+func TestCheckpointCarriesOwnerSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	l := openStream(t, dir, Options{})
+	publishN(t, l, 5)
+	if err := l.Write([]byte(`{"t":"before"}`)); err != nil {
+		t.Fatal(err)
+	}
+	r := openReader(t, dir, "c", ReaderOptions{})
+	drain(t, r)
+	if err := r.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	first, err := l.Checkpoint(func(w io.Writer) error {
+		_, err := w.Write([]byte(`{"state":1}`))
+		return err
+	})
+	if err != nil || first != 5 {
+		t.Fatalf("Checkpoint = %d, %v; want every record reclaimed, first retained 5", first, err)
+	}
+	if err := l.Write([]byte(`{"t":"after"}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2 := openStream(t, dir, Options{})
+	if got := l2.Next(); got != 5 {
+		t.Fatalf("reopened Next = %d, want 5", got)
+	}
+	var got []string
+	if err := l2.Recover(func(snap []byte) error {
+		got = append(got, "snapshot "+string(snap))
+		return nil
+	}, func(payload []byte) error {
+		got = append(got, string(payload))
+		return nil
+	}, func(rec Record) error {
+		got = append(got, fmt.Sprint("record ", rec.Offset))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := `[snapshot {"state":1} {"t":"after"}]`; fmt.Sprint(got) != want {
+		t.Fatalf("Recover replayed %v, want %s", got, want)
+	}
+	publishN(t, l2, 1)
+	if recs := drain(t, r); len(recs) != 1 || recs[0].Offset != 5 {
+		t.Fatalf("after the checkpoint the consumer read %+v, want offset 5", recs)
+	}
+}
+
+// TestSegmentIndexBesideOwnerWrites: an owner writes frames while
+// batches are appended, and any of its frames can rotate the log. The
+// offset index must still name each segment's first batch — retention
+// keys on it, and a segment indexed with an offset its predecessor
+// holds would let a checkpoint delete the record a cursor sits on.
+// Then, oldest first, a cursor parked on each indexed offset survives
+// a checkpoint and reads that record. CI repeats it under -race.
+func TestSegmentIndexBesideOwnerWrites(t *testing.T) {
+	dir := t.TempDir()
+	l := openStream(t, dir, Options{SegmentBytes: 200})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				if _, err := l.Append([]Record{{Subscription: "S", Time: t0}}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				if err := l.Write([]byte(`{"t":"notif"}`)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	index := maps.Clone(l.segBase)
+	segs := l.w.Segments()
+	l.mu.Unlock()
+	var bases []uint64
+	for _, idx := range segs {
+		base, ok, err := readSegBase(filepath.Join(dir, wal.SegmentFileName(idx)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			continue
+		}
+		if index[idx] != base {
+			t.Errorf("segment %d indexed at offset %d, its first batch is %d", idx, index[idx], base)
+		}
+		bases = append(bases, index[idx])
+	}
+	if len(bases) < 20 {
+		t.Fatalf("%d segments hold a batch: the rotation did not bite", len(bases))
+	}
+
+	c, err := OpenCursor(dir, "c", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, off := range bases[:20] {
+		if err := c.Commit(off); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := checkpoint(l); err != nil {
+			t.Fatal(err)
+		}
+		r := openReader(t, dir, "c", ReaderOptions{})
+		recs, err := r.Poll(1)
+		if err != nil || len(recs) != 1 || recs[0].Offset != off {
+			t.Fatalf("cursor at %d after a checkpoint read %+v, %v", off, recs, err)
+		}
+		r.Close()
+	}
+}
+
+// TestCheckpointBesideCorruptCursor: a consumer's damaged cursor file
+// does not stop its owner compacting. The checkpoint installs — the
+// owner's snapshot replaces every frame before it — retaining what a
+// cursor at offset 0 would need, so only the MaxBehind floor reclaims,
+// and the cursor error comes back after it.
+func TestCheckpointBesideCorruptCursor(t *testing.T) {
+	dir := t.TempDir()
+	l := openStream(t, dir, Options{SegmentBytes: 256, MaxBehind: 10})
+	publishN(t, l, 30)
+	if err := l.Write([]byte(`{"t":"before"}`)); err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenCursor(dir, "broken", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Commit(25); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	if err := os.WriteFile(filepath.Join(dir, "cursors", "broken.cur"), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	first, err := l.Checkpoint(func(w io.Writer) error {
+		_, err := w.Write([]byte(`{"state":1}`))
+		return err
+	})
+	if err == nil {
+		t.Fatal("a corrupt cursor went unreported")
+	}
+	if first == 0 || first > l.Next()-10 {
+		t.Fatalf("first retained %d with head %d: the floor alone should have reclaimed up to %d", first, l.Next(), l.Next()-10)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2 := openStream(t, dir, Options{SegmentBytes: 256, MaxBehind: 10})
+	var got []string
+	if err := l2.Recover(func(snap []byte) error {
+		got = append(got, "snapshot "+string(snap))
+		return nil
+	}, func(payload []byte) error {
+		got = append(got, string(payload))
+		return nil
+	}, func(rec Record) error {
+		got = append(got, fmt.Sprint("record ", rec.Offset))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := `[snapshot {"state":1}]`; fmt.Sprint(got) != want {
+		t.Fatalf("Recover after the checkpoint replayed %v, want %s", got, want)
 	}
 }

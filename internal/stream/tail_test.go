@@ -175,7 +175,7 @@ func TestTailRelistsWhenSegmentShrinks(t *testing.T) {
 }
 
 // TestPollBesidePublish runs one publisher and one tailing consumer
-// concurrently over 256-byte segments, the publisher calling Retain as
+// concurrently over 256-byte segments, the publisher calling Checkpoint as
 // it goes but never running more than MaxBehind ahead of the consumer:
 // every record must arrive exactly once, in offset order, and no poll
 // may report a truncation. Run under -race.
@@ -209,7 +209,7 @@ func TestPollBesidePublish(t *testing.T) {
 				}
 				next += uint64(len(batch))
 				if rng.IntN(5) == 0 {
-					if _, err := l.Retain(); err != nil {
+					if _, err := checkpoint(l); err != nil {
 						return err
 					}
 				}
@@ -223,7 +223,7 @@ func TestPollBesidePublish(t *testing.T) {
 	for next < total {
 		recs, err := r.Poll(0)
 		if err != nil {
-			t.Fatalf("Poll at %d (head %d, first retained %d): %v", next, l.Next(), l.FirstRetained(), err)
+			t.Fatalf("Poll at %d (head %d, first retained %d): %v", next, l.Next(), l.Stats().FirstRetained, err)
 		}
 		for _, rec := range recs {
 			if rec.Offset != next || rec.XML != fmt.Sprint(next) {
@@ -252,12 +252,13 @@ func TestPollBesidePublish(t *testing.T) {
 }
 
 // TestPollCostIndependentOfSegmentSize pins what a poll costs once the
-// reader is deep into a large active segment: returning one new record
-// allocates a few kilobytes however much of the segment lies behind the
-// position (the rescan it replaced read the whole segment), and a
-// caught-up poll allocates only its two path probes — the stat that
-// checks the held segment is still the one on disk, and the failed open
-// of the segment after it.
+// reader is deep into a large active segment, owner frames between its
+// batches as the reporter writes them: returning one new record behind
+// a new owner frame allocates a few kilobytes however much of the
+// segment lies behind the position (the rescan it replaced read the
+// whole segment), and a caught-up poll allocates only its two path
+// probes — the stat that checks the held segment is still the one on
+// disk, and the failed open of the segment after it.
 func TestPollCostIndependentOfSegmentSize(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector moves stack objects to the heap")
@@ -268,17 +269,26 @@ func TestPollCostIndependentOfSegmentSize(t *testing.T) {
 	for i := range batch {
 		batch[i] = Record{Subscription: "S", Time: t0, Notifications: 1, XML: strings.Repeat("x", 1000)}
 	}
+	owner := ownerFrame(1000)
 	for l.Next() < 1024 {
+		for i := 0; i < 32; i++ {
+			if err := l.Write(owner); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if _, err := l.Publish(batch); err != nil {
 			t.Fatal(err)
 		}
 	}
 	r := openReader(t, dir, "c", ReaderOptions{})
 	drain(t, r)
-	if st := l.Stats(); st.Segments != 1 || r.pos < 1<<20 {
-		t.Fatalf("want one active segment with over 1 MiB consumed: %d segments, position %d", st.Segments, r.pos)
+	if st := l.Stats(); st.Segments != 1 || r.pos < 3<<19 {
+		t.Fatalf("want one active segment with over 1.5 MiB consumed: %d segments, position %d", st.Segments, r.pos)
 	}
 
+	if err := l.Write(owner); err != nil {
+		t.Fatal(err)
+	}
 	publishN(t, l, 1)
 	orc := &oracleReader{dir: dir, consumer: "c", next: r.Next()}
 	var before, after runtime.MemStats

@@ -25,6 +25,7 @@ package xymon
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -89,12 +90,12 @@ type Options struct {
 	// DurableDir enables the crash-safe durability layer: write-ahead
 	// logs under this directory persist the subscription base (subs/),
 	// the Reporter's notification buffers and undelivered reports
-	// (reporter/), and the Trigger Engine's evaluation marks (trigger/),
-	// plus the notification change-stream (stream/) every delivered
-	// report batch is published to for pull consumers with durable
-	// cursors. New recovers them all before returning, Checkpoint
-	// compacts them (applying stream retention), and Close releases
-	// them.
+	// (reporter/), and the Trigger Engine's evaluation marks (trigger/).
+	// The reporter's fired records are the notification change-stream:
+	// pull consumers read <DurableDir>/reporter with durable cursors
+	// (stream.OpenReader, xysub stream -dir <DurableDir>/reporter). New
+	// recovers them all before returning, Checkpoint compacts them
+	// (applying stream retention), and Close releases them.
 	DurableDir string
 	// StreamMaxBehind is the change-stream's retention floor: at most
 	// this many records are kept behind the head for lagging consumers;
@@ -148,7 +149,8 @@ type System struct {
 	Matcher    *core.Matcher
 	Pipeline   *alerter.Pipeline
 	Classifier *semantic.Classifier
-	// Stream is the durable notification change-stream (nil without
+	// Stream is the Reporter's journal, whose fired records are the
+	// durable notification change-stream (nil without
 	// Options.DurableDir): open a stream.Reader on its directory to
 	// consume reports at your own pace with a durable cursor.
 	Stream  *stream.Log
@@ -187,9 +189,15 @@ func New(opts Options) (*System, error) {
 		in := opts.Faults
 		hook = func(op, key string) error { return in.Check(faults.Point(op), key) }
 	}
-	var walRep, walTrig *wal.Log
+	var walTrig *wal.Log
 	var journal manager.Journal
 	if opts.DurableDir != "" {
+		// The change-stream used to be a log of its own, counting offsets
+		// its own way: a consumer still reading it would see nothing new.
+		legacy := filepath.Join(opts.DurableDir, "stream")
+		if segs, _ := filepath.Glob(filepath.Join(legacy, "seg-*.wal")); len(segs) > 0 {
+			return fail(fmt.Errorf("xymon: %s is a change-stream of the earlier layout; the stream is now %s/reporter. Drain it with `xysub stream replay -dir %s`, then remove it", legacy, opts.DurableDir, legacy))
+		}
 		walSubs, err := wal.Open(filepath.Join(opts.DurableDir, "subs"), wal.Options{Hook: hook})
 		if err != nil {
 			return fail(err)
@@ -197,21 +205,17 @@ func New(opts Options) (*System, error) {
 		wj := manager.NewWALJournal(walSubs)
 		journal = wj
 		s.closers = append(s.closers, wj)
-		if walRep, err = wal.Open(filepath.Join(opts.DurableDir, "reporter"), wal.Options{Hook: hook}); err != nil {
-			return fail(err)
-		}
-		s.closers = append(s.closers, walRep)
-		if walTrig, err = wal.Open(filepath.Join(opts.DurableDir, "trigger"), wal.Options{Hook: hook}); err != nil {
-			return fail(err)
-		}
-		s.closers = append(s.closers, walTrig)
-		if s.Stream, err = stream.Open(filepath.Join(opts.DurableDir, "stream"), stream.Options{
+		if s.Stream, err = stream.Open(filepath.Join(opts.DurableDir, "reporter"), stream.Options{
 			Hook:      hook,
 			MaxBehind: opts.StreamMaxBehind,
 		}); err != nil {
 			return fail(err)
 		}
 		s.closers = append(s.closers, s.Stream)
+		if walTrig, err = wal.Open(filepath.Join(opts.DurableDir, "trigger"), wal.Options{Hook: hook}); err != nil {
+			return fail(err)
+		}
+		s.closers = append(s.closers, walTrig)
 	} else if opts.JournalPath != "" {
 		fj, err := manager.NewFileJournal(opts.JournalPath)
 		if err != nil {
@@ -222,11 +226,8 @@ func New(opts Options) (*System, error) {
 	}
 
 	repOpts := []reporter.Option{reporter.WithClock(clock)}
-	if walRep != nil {
-		repOpts = append(repOpts, reporter.WithWAL(walRep))
-	}
 	if s.Stream != nil {
-		repOpts = append(repOpts, reporter.WithStream(s.Stream))
+		repOpts = append(repOpts, reporter.WithWAL(s.Stream))
 	}
 	s.Reporter = reporter.New(opts.Delivery, repOpts...)
 	trigOpts := []trigger.Option{trigger.WithClock(clock)}
@@ -319,25 +320,18 @@ func (s *System) SaveWarehouse(dir string) error {
 // Checkpoint compacts the durability layer: each module snapshots its
 // state (live subscription base, buffered notifications plus undelivered
 // reports, evaluation marks) and truncates the journal records the
-// snapshot covers. A no-op without Options.DurableDir.
+// snapshot covers — the Reporter's keeping the segments a stream
+// consumer still needs (every live cursor's, bounded below by
+// StreamMaxBehind), last, as its error for a consumer's unreadable cursor
+// must not stop the others. A no-op without Options.DurableDir.
 func (s *System) Checkpoint() error {
 	if err := s.Manager.Checkpoint(); err != nil {
-		return err
-	}
-	if err := s.Reporter.Checkpoint(); err != nil {
 		return err
 	}
 	if err := s.Trigger.Checkpoint(); err != nil {
 		return err
 	}
-	if s.Stream != nil {
-		// Stream retention: reclaim segments every live cursor has
-		// passed, bounded below by StreamMaxBehind.
-		if _, err := s.Stream.Retain(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.Reporter.Checkpoint()
 }
 
 // Close flushes and releases the durability layer. The System must not
