@@ -3,12 +3,14 @@
 // consists of a set of atomic events and the problem is finding, in a
 // flow of sets of atomic events, the sets that satisfy a conjunction of
 // properties" (Section 1). This example uses the core matcher standalone
-// as a tiny publish/subscribe broker over integer event codes, then
-// shows the subscription-partitioned variant producing identical results.
+// as a tiny publish/subscribe broker over integer event codes, then splits
+// the same subscriptions over four loopback TCP blocks (the "Memory"
+// distribution of Section 4.2) and checks that they match identically.
 package main
 
 import (
 	"fmt"
+	"slices"
 
 	"xymon/pubsub"
 )
@@ -52,19 +54,45 @@ func main() {
 		}
 	}
 
-	// The same base split across 4 partition blocks (the "Memory"
-	// distribution of Section 4.2) matches identically.
-	p := pubsub.NewPartitioned(4, true)
-	for id := range subs {
-		must(p.Add(id, m.Definition(id)))
+	// The same base split across 4 TCP blocks on loopback (the "Memory"
+	// distribution of Section 4.2): the client shards each subscription to
+	// the block owning its partition and merges the blocks' matches.
+	var addrs []string
+	for i := 0; i < 4; i++ {
+		srv, err := pubsub.Serve("127.0.0.1:0")
+		must(err)
+		defer srv.Close()
+		addrs = append(addrs, srv.Addr())
 	}
-	carol := pubsub.Canonical(sessions[2].events)
-	fmt.Printf("\npartitioned matcher agrees: single=%d blocks=%d matches\n",
-		len(m.Match(carol)), len(p.Match(carol)))
+	client, err := pubsub.Dial(addrs...)
+	must(err)
+	defer client.Close()
+	for id := range subs {
+		must(client.Add(id, m.Definition(id)))
+	}
+	fmt.Println()
+	for _, s := range sessions {
+		set := pubsub.Canonical(s.events)
+		remote, err := client.Match(set)
+		must(err)
+		single := m.Match(set)
+		if !sameIDs(single, remote) {
+			panic(fmt.Sprintf("%s: single matcher %v, 4-block cluster %v", s.who, single, remote))
+		}
+		fmt.Printf("%-6s single matcher and 4-block cluster agree: %d rule(s)\n", s.who, len(remote))
+	}
 
 	st := m.Stats()
 	fmt.Printf("structure: %d complex events, %d atomic events, %d cells in %d tables\n",
 		st.Complex, st.Atomic, st.Cells, st.Tables)
+}
+
+// sameIDs reports whether a and b hold the same ids in any order.
+func sameIDs(a, b []pubsub.ComplexID) bool {
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.Sort(a)
+	slices.Sort(b)
+	return slices.Equal(a, b)
 }
 
 func must(err error) {

@@ -29,14 +29,3 @@ func ExampleCanonical() {
 	fmt.Println(core.Canonical([]core.Event{9, 3, 9, 1, 3}))
 	// Output: [1 3 9]
 }
-
-func ExampleFreeze() {
-	m := core.NewMatcher()
-	m.Add(1, []core.Event{2, 4})
-	m.Add(2, []core.Event{4})
-	frozen := core.Freeze(m)
-	matched := frozen.Match(core.EventSet{2, 4})
-	sort.Slice(matched, func(i, j int) bool { return matched[i] < matched[j] })
-	fmt.Println(matched, frozen.Len())
-	// Output: [1 2] 2
-}

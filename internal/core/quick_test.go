@@ -116,39 +116,6 @@ func TestQuickMatchInputNormalisation(t *testing.T) {
 	}
 }
 
-// Property: Freeze preserves the match relation exactly.
-func TestQuickFreezeEquivalent(t *testing.T) {
-	f := func(defs [][]uint32, probe []uint32) bool {
-		m := NewMatcher()
-		for i, d := range defs {
-			if len(d) == 0 {
-				continue
-			}
-			if err := m.Add(ComplexID(i), quickEvents(d, 48)); err != nil {
-				return false
-			}
-		}
-		c := Freeze(m)
-		s := Canonical(quickEvents(probe, 48))
-		a := m.Match(s)
-		b := c.Match(s)
-		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
-		sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: Matches (the boolean fast path) agrees with Match.
 func TestQuickMatchesAgrees(t *testing.T) {
 	f := func(defs [][]uint32, probe []uint32) bool {

@@ -193,6 +193,41 @@ func TestAdaptiveRefreshConverges(t *testing.T) {
 	}
 }
 
+// TestAdaptiveBeatsFixedUsefulShare is TAB-CRAWL (Section 2.1, [19]): two
+// populations of pages, one changing every 6 virtual hours and one
+// every 50 days, crawled for 60 virtual days with a fixed 2-day period and
+// with adaptive change-rate refresh. A useful fetch is one that observed a
+// change; adaptive refresh must spend a larger share of its fetches on
+// them. The simulation is deterministic, so the logged rows are the ones
+// EXPERIMENTS.md quotes; -short and the race detector run 20 pages each.
+func TestAdaptiveBeatsFixedUsefulShare(t *testing.T) {
+	pages := 200
+	if testing.Short() || raceEnabled {
+		pages = 20
+	}
+	useful := func(adaptive bool) float64 {
+		r := newRig()
+		c := New(r.store, nil, func() time.Time { return r.clock })
+		c.DefaultPeriod = 2 * 24 * time.Hour
+		c.Adaptive = adaptive
+		c.ChangeEvery = 6 * time.Hour
+		c.AddSite(webgen.NewSite(webgen.SiteSpec{BaseURL: "http://fast.example", Pages: pages, Seed: 1}))
+		c.ChangeEvery = 50 * 24 * time.Hour
+		c.AddSite(webgen.NewSite(webgen.SiteSpec{BaseURL: "http://slow.example", Pages: pages, Seed: 2}))
+		for step := 0; step < 60*4; step++ {
+			c.Step()
+			r.clock = r.clock.Add(6 * time.Hour)
+		}
+		st := c.Stats()
+		share := float64(st.Updated) / float64(max(st.Fetches, 1))
+		t.Logf("adaptive=%-5v fetches=%d updated=%d useful=%.0f%%", adaptive, st.Fetches, st.Updated, 100*share)
+		return share
+	}
+	if fixed, adaptive := useful(false), useful(true); adaptive <= fixed {
+		t.Errorf("adaptive useful-fetch share %.2f does not beat fixed %.2f", adaptive, fixed)
+	}
+}
+
 func TestAdaptiveRespectsHintPin(t *testing.T) {
 	r := newRig()
 	c := New(r.store, nil, func() time.Time { return r.clock })

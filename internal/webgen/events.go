@@ -77,7 +77,7 @@ func drawDistinct(rng *rand.Rand, n, universe int) []core.Event {
 }
 
 // Load registers every complex event of the workload into a matcher-like
-// target (core.Matcher, core.Partitioned, or a baseline).
+// target (core.Matcher or a baseline).
 func (w *EventWorkload) Load(add func(core.ComplexID, []core.Event) error) error {
 	for i, events := range w.Complex {
 		if err := add(core.ComplexID(i), events); err != nil {

@@ -18,12 +18,14 @@
 //	m.Add(2, []pubsub.Event{purchase, bigBasket})
 //	hits := m.Match(pubsub.Canonical([]pubsub.Event{login, purchase, bigBasket}))
 //
-// For scale-out, Serve empty blocks over TCP and Dial them: the client
-// shards subscriptions over the blocks as they are added and sends each
-// match to the blocks holding the document's partitions.
+// For scale-out (the subscription split of Section 4.2), Serve empty
+// blocks over TCP and Dial them: the client shards subscriptions over the
+// blocks as they are added and sends each match to the blocks holding the
+// document's partitions.
 package pubsub
 
 import (
+	"errors"
 	"fmt"
 
 	"xymon/internal/cluster"
@@ -40,8 +42,6 @@ type (
 	EventSet = core.EventSet
 	// Matcher is the dynamic Atomic Event Sets structure.
 	Matcher = core.Matcher
-	// Partitioned splits the subscription base across blocks.
-	Partitioned = core.Partitioned
 	// Stats reports structure and matching counters.
 	Stats = core.Stats
 	// Server serves one partition block over TCP.
@@ -64,12 +64,6 @@ var (
 // NewMatcher returns an empty matcher.
 func NewMatcher() *Matcher { return core.NewMatcher() }
 
-// NewPartitioned returns a subscription-partitioned matcher with n blocks;
-// with parallel set, Match fans out with one goroutine per block.
-func NewPartitioned(n int, parallel bool) *Partitioned {
-	return core.NewPartitioned(n, parallel)
-}
-
 // Canonical sorts and deduplicates events into an EventSet.
 func Canonical(events []Event) EventSet { return core.Canonical(events) }
 
@@ -81,10 +75,13 @@ func Serve(addr string) (*Server, error) {
 }
 
 // Dial returns a client sharding over the given blocks, one replica per
-// partition. Every address must be reachable at dial time — a cluster
-// that starts degraded is a configuration error; degradation is for
-// blocks that die later.
+// partition. There must be at least one address, and every address must
+// be reachable at dial time — a cluster that starts degraded is a
+// configuration error; degradation is for blocks that die later.
 func Dial(addrs ...string) (*Client, error) {
+	if len(addrs) == 0 {
+		return nil, errors.New("pubsub: Dial needs at least one block address")
+	}
 	c := cluster.NewRingClientWithMap(cluster.BuildMap(1, 1, addrs))
 	if up := c.Probe(); up != len(addrs) {
 		_ = c.Close()

@@ -8,7 +8,7 @@ import (
 )
 
 // TestPublicSurface exercises the whole re-exported API end to end:
-// dynamic matcher, canonicalisation, partitioning and TCP sharding.
+// dynamic matcher, canonicalisation and TCP sharding.
 func TestPublicSurface(t *testing.T) {
 	m := pubsub.NewMatcher()
 	if err := m.Add(1, []pubsub.Event{1, 3}); err != nil {
@@ -28,14 +28,6 @@ func TestPublicSurface(t *testing.T) {
 	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("Match = %v", got)
-	}
-
-	// Partitioned.
-	part := pubsub.NewPartitioned(2, false)
-	part.Add(1, []pubsub.Event{1, 3})
-	part.Add(2, []pubsub.Event{3})
-	if len(part.Match(s)) != 2 {
-		t.Error("partitioned matcher disagrees")
 	}
 
 	// TCP sharding: two empty blocks, the subscriptions added through the
@@ -68,9 +60,14 @@ func TestPublicSurface(t *testing.T) {
 	}
 }
 
-// TestDialFailure pins Dial's contract: a block nobody listens on fails
-// the dial instead of yielding a client that starts degraded.
+// TestDialFailure pins Dial's contract: no address, or a block nobody
+// listens on, fails the dial instead of yielding a client that starts
+// degraded.
 func TestDialFailure(t *testing.T) {
+	if c, err := pubsub.Dial(); err == nil {
+		c.Close()
+		t.Error("Dial with no address should fail")
+	}
 	srv, err := pubsub.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Serve: %v", err)

@@ -105,9 +105,6 @@ type Options struct {
 	// checkpoint installation (the crash harness's kill switch). Nil
 	// injects nothing.
 	Faults *faults.Injector
-	// TriePrefixes selects the trie structure for `URL extends` patterns
-	// instead of the default hash structure (the Section 6.2 ablation).
-	TriePrefixes bool
 	// Domains seeds the semantic classifier (Xyleme's semantic module):
 	// domain name -> typical element tags. Documents pushed or crawled
 	// without an explicit domain are classified automatically.
@@ -232,11 +229,7 @@ func New(opts Options) (*System, error) {
 			Subscription: r.Subscription, Label: r.Query, Element: r.Element, Time: r.Time,
 		})
 	}, trigOpts...)
-	var prefixes alerter.PrefixIndex
-	if opts.TriePrefixes {
-		prefixes = alerter.NewTriePrefixIndex()
-	}
-	s.Pipeline = alerter.NewPipeline(prefixes)
+	s.Pipeline = alerter.NewPipeline(nil)
 	s.Matcher = core.NewMatcher()
 	s.Manager = manager.New(manager.Config{
 		Matcher:     s.Matcher,

@@ -207,20 +207,6 @@ report when immediate`
 	}
 }
 
-func TestTriePrefixOption(t *testing.T) {
-	sys, _, reports := newSystem(t, Options{TriePrefixes: true})
-	if _, err := sys.Subscribe(`subscription T
-monitoring select <P url=URL/> where URL extends "http://t.example/" and modified self
-report when immediate`); err != nil {
-		t.Fatalf("Subscribe: %v", err)
-	}
-	sys.PushXML("http://t.example/x.xml", "", "", `<a><v>1</v></a>`)
-	sys.PushXML("http://t.example/x.xml", "", "", `<a><v>2</v></a>`)
-	if len(*reports) != 1 {
-		t.Errorf("trie-based system reports = %d", len(*reports))
-	}
-}
-
 func TestHTMLMonitoring(t *testing.T) {
 	sys, _, reports := newSystem(t, Options{})
 	if _, err := sys.Subscribe(`subscription HtmlWatch
