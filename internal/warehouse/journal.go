@@ -200,7 +200,7 @@ func (j *Journal) Recover(s *Store) error {
 			if err != nil {
 				return fmt.Errorf("%w: document %s: %v", wal.ErrCorrupt, url, err)
 			}
-			e.Doc, e.Base = doc, doc.Clone()
+			e.Doc = doc
 			e.rawSig, e.rawOK = Signature(xml), true
 			e.structHash, e.structOK = doc.Hashes().Of(doc.Root), true
 			e.Meta.Signature = structSignature(e.structHash)

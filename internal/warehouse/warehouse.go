@@ -2,9 +2,11 @@
 // reproduction — the stand-in for the Natix tree store the paper's system
 // uses (Section 2.1). It keeps the current version of every warehoused XML
 // document together with its metadata (URL, DOCID, DTD, semantic domain,
-// fetch times), a signature for change detection on non-warehoused HTML
-// pages, and the chain of deltas linking successive versions, which is the
-// basis of the versioning mechanism of Section 5.2.
+// fetch times) and a signature for change detection on non-warehoused HTML
+// pages. Only the current version is kept: each commit hands the previous
+// version and the delta to the pipeline once (CommitResult), which is all
+// the subscription system of Section 5.2 consumes. Keeping older versions
+// is Natix's job, which this reproduction does not copy.
 package warehouse
 
 import (
@@ -84,16 +86,11 @@ type Metadata struct {
 	Signature [sha256.Size]byte
 }
 
-// Entry is a warehoused page: metadata plus, for XML, the current DOM and
-// the delta history.
+// Entry is a warehoused page: metadata plus, for XML, the current DOM.
+// No older version is kept.
 type Entry struct {
 	Meta Metadata
 	Doc  *xmldom.Document // current version; nil for HTML
-	// Base is the oldest retained version; Deltas[i] turns it i steps
-	// forward, so Base + all Deltas = Doc. This is exactly the XyDelta
-	// versioning scheme: old versions are reconstructed on demand.
-	Base   *xmldom.Document
-	Deltas []*xydiff.Delta
 	// rawSig is the signature of the serialized bytes the current version
 	// was committed from; CommitXMLBytes short-circuits an identical
 	// refetch before parsing. Only valid while rawOK — a commit through
@@ -381,7 +378,7 @@ func (s *Store) commitXML(url, dtd, domain string, doc *xmldom.Document, rawSig 
 			Signature:    structSignature(root),
 		}
 		s.nextDoc++
-		e = &Entry{Meta: meta, Doc: doc, Base: doc.Clone()}
+		e = &Entry{Meta: meta, Doc: doc}
 		if rawSig != nil {
 			e.rawSig, e.rawOK = *rawSig, true
 		}
@@ -405,11 +402,8 @@ func (s *Store) commitXML(url, dtd, domain string, doc *xmldom.Document, rawSig 
 	s.statDiffed.Add(1)
 	delta, err := xydiff.DiffMasked(old, doc, mask)
 	if err != nil {
-		// Unrelated root: treat as a wholesale replacement. The old
-		// version chain ends; a fresh one starts.
+		// Unrelated root: treat as a wholesale replacement, with no delta.
 		e.Doc = doc
-		e.Base = doc.Clone()
-		e.Deltas = nil
 		e.structHash, e.structOK = root, true
 		old.InvalidateHashes()
 		e.Meta.Signature = structSignature(root)
@@ -418,7 +412,6 @@ func (s *Store) commitXML(url, dtd, domain string, doc *xmldom.Document, rawSig 
 		return &CommitResult{Status: StatusUpdated, Meta: e.Meta, Old: old, Doc: doc}, nil
 	}
 	e.Doc = doc
-	e.Deltas = append(e.Deltas, delta)
 	// The superseded version's vector is recycled: no later Diff involves it.
 	e.structHash, e.structOK = root, true
 	old.InvalidateHashes()
@@ -485,7 +478,8 @@ func (s *Store) Delete(url string) (*CommitResult, error) {
 
 // Tracked reports whether the URL has a stored entry — whether the page
 // is version-tracked. The crawler's ingest gate uses it: a tracked page
-// is always parsed and committed, so its version chain stays complete.
+// is always parsed and committed, so every change to it is diffed
+// against the current version.
 func (s *Store) Tracked(url string) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -536,46 +530,6 @@ func (s *Store) AllRoots() []*xmldom.Node {
 		}
 	}
 	return roots
-}
-
-// VersionAt reconstructs version v (1-based) of a document by replaying
-// the delta chain from the first stored version. The current version is
-// returned directly.
-func (s *Store) VersionAt(url string, v int) (*xmldom.Document, error) {
-	s.mu.RLock()
-	e, ok := s.pages[url]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, ErrUnknownURL
-	}
-	if e.Doc == nil {
-		return nil, fmt.Errorf("warehouse: %s is not a warehoused XML page", url)
-	}
-	if v < 1 || v > e.Meta.Version {
-		return nil, fmt.Errorf("warehouse: version %d of %s does not exist (current %d)", v, url, e.Meta.Version)
-	}
-	if v == e.Meta.Version {
-		return e.Doc, nil
-	}
-	// Replay the delta chain forward from the oldest retained version.
-	// When a wholesale replacement reset the chain, versions before the
-	// reset are gone.
-	base := e.Meta.Version - len(e.Deltas)
-	if v < base {
-		return nil, fmt.Errorf("warehouse: version %d of %s predates the retained history", v, url)
-	}
-	doc := e.Base
-	for i := 0; i < v-base; i++ {
-		next, err := xydiff.Apply(doc, e.Deltas[i])
-		if err != nil {
-			return nil, fmt.Errorf("warehouse: replaying version chain of %s: %w", url, err)
-		}
-		doc = next
-	}
-	if doc == e.Base {
-		doc = e.Base.Clone()
-	}
-	return doc, nil
 }
 
 // DTDID returns the stable identifier of a DTD URL, allocating one if

@@ -2,11 +2,14 @@ package warehouse
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"xymon/internal/xmldom"
+	"xymon/internal/xydiff"
 )
 
 type fakeClock struct{ t time.Time }
@@ -160,47 +163,6 @@ func TestDTDIDStable(t *testing.T) {
 	}
 }
 
-func TestVersionAtReplaysHistory(t *testing.T) {
-	s, _ := newTestStore()
-	versions := []string{
-		`<cat><p>a</p></cat>`,
-		`<cat><p>a</p><p>b</p></cat>`,
-		`<cat><p>a2</p><p>b</p><p>c</p></cat>`,
-	}
-	for _, v := range versions {
-		if _, err := s.CommitXML("u", "", "", xmldom.MustParse(v)); err != nil {
-			t.Fatalf("CommitXML: %v", err)
-		}
-	}
-	for i, want := range versions {
-		doc, err := s.VersionAt("u", i+1)
-		if err != nil {
-			t.Fatalf("VersionAt(%d): %v", i+1, err)
-		}
-		wantDoc := xmldom.MustParse(want)
-		if doc.XML() != wantDoc.XML() {
-			t.Errorf("VersionAt(%d) = %s, want %s", i+1, doc.XML(), wantDoc.XML())
-		}
-	}
-	if _, err := s.VersionAt("u", 0); err == nil {
-		t.Error("VersionAt(0) should fail")
-	}
-	if _, err := s.VersionAt("u", 4); err == nil {
-		t.Error("VersionAt(4) should fail")
-	}
-	if _, err := s.VersionAt("nope", 1); err != ErrUnknownURL {
-		t.Errorf("VersionAt(unknown) = %v", err)
-	}
-}
-
-func TestVersionAtHTMLFails(t *testing.T) {
-	s, _ := newTestStore()
-	s.CommitHTML("h", []byte("x"))
-	if _, err := s.VersionAt("h", 1); err == nil {
-		t.Error("VersionAt on HTML should fail")
-	}
-}
-
 func TestWholesaleReplacementResetsChain(t *testing.T) {
 	s, _ := newTestStore()
 	s.CommitXML("u", "", "", xmldom.MustParse(`<a><x>1</x></a>`))
@@ -211,14 +173,11 @@ func TestWholesaleReplacementResetsChain(t *testing.T) {
 	if r.Status != StatusUpdated || r.Meta.Version != 2 {
 		t.Errorf("replacement = %+v", r)
 	}
+	if r.Old == nil || r.Old.Root.Tag != "a" || r.Doc.Root.Tag != "b" {
+		t.Errorf("replacement Old = %v, Doc = %v", r.Old, r.Doc)
+	}
 	if r.Delta != nil {
 		t.Error("wholesale replacement has no delta")
-	}
-	if _, err := s.VersionAt("u", 1); err == nil {
-		t.Error("version before a replacement should be unavailable")
-	}
-	if doc, err := s.VersionAt("u", 2); err != nil || doc.Root.Tag != "b" {
-		t.Errorf("VersionAt(2) = %v, %v", doc, err)
 	}
 }
 
@@ -268,23 +227,69 @@ func TestConcurrentCommits(t *testing.T) {
 	}
 }
 
-// TestVersionChainDepth replays a long version chain.
+// TestVersionChainDepth commits a long run of versions through the store
+// and checks every update's delta turns its Old into its Doc.
 func TestVersionChainDepth(t *testing.T) {
 	s, _ := newTestStore()
 	const versions = 50
 	for v := 1; v <= versions; v++ {
 		doc := xmldom.MustParse(fmt.Sprintf("<d><v>%d</v></d>", v))
-		if _, err := s.CommitXML("u", "", "", doc); err != nil {
+		res, err := s.CommitXML("u", "", "", doc)
+		if err != nil {
 			t.Fatalf("CommitXML: %v", err)
 		}
-	}
-	for _, v := range []int{1, 25, 50} {
-		doc, err := s.VersionAt("u", v)
+		if res.Meta.Version != v {
+			t.Fatalf("version %d: Meta.Version = %d", v, res.Meta.Version)
+		}
+		if v == 1 {
+			continue
+		}
+		if res.Status != StatusUpdated || res.Delta == nil {
+			t.Fatalf("version %d: status %v, delta %v", v, res.Status, res.Delta)
+		}
+		got, err := xydiff.Apply(res.Old, res.Delta)
 		if err != nil {
-			t.Fatalf("VersionAt(%d): %v", v, err)
+			t.Fatalf("version %d: Apply: %v", v, err)
 		}
-		if want := fmt.Sprintf("<d><v>%d</v></d>", v); doc.XML() != want {
-			t.Errorf("VersionAt(%d) = %s", v, doc.XML())
+		if got.XML() != res.Doc.XML() {
+			t.Errorf("version %d: old + delta = %s, want %s", v, got.XML(), res.Doc.XML())
 		}
 	}
+}
+
+// TestStoreKeepsOnlyCurrentVersion pins that a superseded version and its
+// delta become garbage once the caller drops the CommitResult: the store
+// holds the current version of a page and nothing older.
+func TestStoreKeepsOnlyCurrentVersion(t *testing.T) {
+	s, _ := newTestStore()
+	commit := func(v int) *CommitResult {
+		t.Helper()
+		r, err := s.CommitXML("u", "", "", xmldom.MustParse(fmt.Sprintf("<d><v>%d</v><w/></d>", v)))
+		if err != nil {
+			t.Fatalf("CommitXML %d: %v", v, err)
+		}
+		return r
+	}
+	commit(1)
+	delta, oldRoot := func() (weak.Pointer[xydiff.Delta], weak.Pointer[xmldom.Node]) {
+		r := commit(2)
+		if r.Delta == nil || r.Old == nil {
+			t.Fatalf("version 2: delta %v, old %v", r.Delta, r.Old)
+		}
+		return weak.Make(r.Delta), weak.Make(r.Old.Root)
+	}()
+	for v := 3; v <= 5; v++ {
+		commit(v)
+	}
+	runtime.GC()
+	runtime.GC()
+	if delta.Value() != nil {
+		t.Error("version 2's delta is still reachable")
+	}
+	if oldRoot.Value() != nil {
+		t.Error("version 1's tree is still reachable")
+	}
+	// Without this the whole store is garbage too, and the test would pass
+	// whatever the store retained.
+	runtime.KeepAlive(s)
 }
