@@ -10,6 +10,7 @@ package xymon
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -464,6 +465,62 @@ func BenchmarkMatcherMemory(b *testing.B) {
 			b.ReportMetric(perComplex*1e7/1e9, "GB@C=1e7")
 		})
 	}
+}
+
+// BenchmarkSubscriptionBaseMemory sizes the whole subscription base, where
+// BenchmarkMatcherMemory sizes the matcher alone: push-fanout-shaped
+// subscriptions (a site prefix and a content condition, then a path
+// prefix, a content condition and `modified self`, two literal select
+// clauses) loaded through System.Subscribe, the source text built in the
+// loop so it counts. B/subscription and B/complex are the live heap the
+// loaded base holds — source text, manager, matcher, alerter, reporter —
+// across forced collections; ns/op is one subscribe and unsubscribe beside
+// it.
+func BenchmarkSubscriptionBaseMemory(b *testing.B) {
+	const sites = 450
+	subs := shortScale([]int{40000}, []int{2000})[0]
+	kinds := []string{"product contains %q", "catalog contains %q", "self contains %q", "name contains %q",
+		"category contains %q", "updated product contains %q", "new product contains %q"}
+	whens := []string{"immediate", "notifications.count > 30", "notifications.count > 30", "notifications.count > 30", "daily"}
+	vocab, rng := webgen.Vocabulary(), rand.New(rand.NewSource(1))
+	source := func(name, when string) string {
+		cond := func() string { return fmt.Sprintf(kinds[rng.Intn(len(kinds))], vocab[rng.Intn(len(vocab))]) }
+		site := rng.Intn(sites)
+		return fmt.Sprintf("subscription %s\nmonitoring\nselect <A url=URL/>\nwhere URL extends \"http://f%d.example/\" and %s\n"+
+			"monitoring\nselect <B url=URL/>\nwhere URL extends \"http://f%d.example/c/\" and %s and modified self\nreport when %s",
+			name, site, cond(), site, cond(), when)
+	}
+	sys, err := New(Options{Delivery: DeliveryFunc(func(*Report) error { return nil })})
+	if err != nil {
+		b.Fatalf("New: %v", err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < subs; i++ {
+		if _, err := sys.Subscribe(source(fmt.Sprintf("S%d", i), whens[i%len(whens)])); err != nil {
+			b.Fatalf("Subscribe: %v", err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	live := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	complexN := sys.Manager.Stats().ComplexEvents
+	churn := source("Churn", "immediate")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.Subscribe(churn); err != nil {
+			b.Fatalf("Subscribe: %v", err)
+		}
+		if err := sys.Unsubscribe("Churn"); err != nil {
+			b.Fatalf("Unsubscribe: %v", err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(live/float64(subs), "B/subscription")
+	b.ReportMetric(live/float64(complexN), "B/complex")
+	runtime.KeepAlive(sys)
 }
 
 // BenchmarkMatcherFanoutShape loads the shape the event order decides the

@@ -146,11 +146,16 @@ report when notifications.count > 100000`); err != nil {
 	if len(r.mgr.Suspended()) != 1 {
 		t.Fatal("not suspended")
 	}
+	// Suspension keeps the compiled plan (Resume needs it); only the
+	// unsubscription releases it.
+	if len(r.mgr.plans) != 1 {
+		t.Errorf("%d interned plans while suspended, want 1", len(r.mgr.plans))
+	}
 	if err := r.mgr.Unsubscribe("Chatty"); err != nil {
 		t.Fatalf("Unsubscribe of suspended: %v", err)
 	}
 	st := r.mgr.Stats()
-	if st.Subscriptions != 0 || st.AtomicEvents != 0 {
-		t.Errorf("stats after unsubscribe = %+v", st)
+	if st.Subscriptions != 0 || st.AtomicEvents != 0 || len(r.mgr.plans) != 0 {
+		t.Errorf("stats after unsubscribe = %+v, %d interned plans", st, len(r.mgr.plans))
 	}
 }

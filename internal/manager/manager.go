@@ -21,9 +21,7 @@ import (
 	"xymon/internal/reporter"
 	"xymon/internal/sublang"
 	"xymon/internal/trigger"
-	"xymon/internal/warehouse"
 	"xymon/internal/xmldom"
-	"xymon/internal/xyquery"
 )
 
 // ErrDuplicateSubscription is returned when a subscription name is taken.
@@ -37,18 +35,14 @@ var ErrUnknownSubscription = errors.New("manager: unknown subscription")
 var ErrJournal = errors.New("manager: subscription journal failed")
 
 // registeredQuery is one compiled monitoring query: its complex event id,
-// the atomic event codes it is a conjunction of, and — bound once, at
-// registration — what every notification of it needs: the label, the dedup
-// hash already folded over (subscription, label), the compiled select
-// clause and the Reporter's handle. Immutable once published in the query
-// table.
+// its atomic event codes, and what every notification of it needs, bound
+// at registration: the dedup hash folded over (subscription, label), the
+// shared select plan and the Reporter's handle. Immutable once published.
 type registeredQuery struct {
 	sub    string
-	label  string
 	seed   uint64
-	plan   selectPlan
+	plan   *selectPlan
 	rep    *reporter.Sub
-	mq     *sublang.MonitoringQuery // from and where clauses, for varElements
 	id     core.ComplexID
 	events core.EventSet
 }
@@ -121,9 +115,10 @@ func (t *queryTable) set(id core.ComplexID, rq *registeredQuery) {
 	}
 }
 
+// registeredSub is what the manager keeps of a subscription: no parse tree.
 type registeredSub struct {
 	src     string
-	sub     *sublang.Subscription
+	refresh []sublang.RefreshStatement
 	queries []*registeredQuery
 	// a posteriori inhibition state (Section 5.4)
 	suspended   bool
@@ -163,6 +158,7 @@ type Manager struct {
 
 	queries     queryTable
 	nextComplex core.ComplexID
+	plans       map[string]*selectPlan // compiled select clauses by key
 
 	subs map[string]*registeredSub
 
@@ -256,6 +252,7 @@ func New(cfg Config) *Manager {
 		condRef:     make(map[core.Event]int),
 		condOf:      make(map[core.Event]sublang.Condition),
 		seqLimit:    1 << classShift,
+		plans:       make(map[string]*selectPlan),
 		subs:        make(map[string]*registeredSub),
 		maxCost:     cfg.MaxCost,
 		inhibitRate: cfg.InhibitRate,
@@ -293,7 +290,7 @@ func (m *Manager) register(src string, sub *sublang.Subscription, journal bool) 
 				ErrTooExpensive, cost.Total(), m.maxCost)
 		}
 	}
-	rs := &registeredSub{src: src, sub: sub}
+	rs := &registeredSub{src: src, refresh: sub.Refresh}
 	// Compile monitoring queries: each where clause becomes one complex
 	// event over deduplicated atomic event codes.
 	for _, mq := range sub.Monitoring {
@@ -316,11 +313,10 @@ func (m *Manager) register(src string, sub *sublang.Subscription, journal bool) 
 			m.rollbackLocked(rs)
 			return fmt.Errorf("manager: registering complex event: %w", err)
 		}
-		label := mq.Label()
+		plan := m.internPlanLocked(mq)
 		rs.queries = append(rs.queries, &registeredQuery{
-			sub: sub.Name, label: label, plan: compileSelect(mq.Select),
-			seed: xmldom.HashFold(xmldom.HashFold(xmldom.HashSeed(), sub.Name), label),
-			mq:   mq, id: id, events: set,
+			sub: sub.Name, plan: plan, id: id, events: set,
+			seed: xmldom.HashFold(xmldom.HashFold(xmldom.HashSeed(), sub.Name), plan.label),
 		})
 	}
 	// The queries go live only once they carry the Reporter's handle; a
@@ -370,7 +366,27 @@ func (m *Manager) rollbackLocked(rs *registeredSub) {
 		for _, e := range rq.events {
 			m.releaseEventLocked(e)
 		}
+		if rq.plan.refs--; rq.plan.refs == 0 {
+			delete(m.plans, rq.plan.key)
+		}
 	}
+}
+
+// internPlanLocked compiles the select clause of mq and returns the plan
+// interned under its key, interning it if none is. The lookup converts the
+// key without allocating: a shared plan costs the compile and one probe.
+func (m *Manager) internPlanLocked(mq *sublang.MonitoringQuery) *selectPlan {
+	var buf [128]byte
+	p := compileSelect(mq)
+	key := p.appendKey(buf[:0])
+	if q := m.plans[string(key)]; q != nil {
+		p = q
+	} else {
+		p.key = string(key)
+		m.plans[p.key] = p
+	}
+	p.refs++
+	return p
 }
 
 // Unsubscribe removes a subscription and journals the removal.
@@ -475,7 +491,7 @@ func (m *Manager) ProcessAlert(a *alerter.Alert) int {
 		if rq == nil {
 			continue // unsubscribed or suspended since the match
 		}
-		sc.elems = m.appendNotifications(sc.elems[:0], rq, a.Doc)
+		sc.elems = rq.plan.appendPayloads(sc.elems[:0], a.Doc)
 		n := 0
 		for _, el := range sc.elems {
 			// Disjunctive where clauses compile to several complex events
@@ -492,7 +508,7 @@ func (m *Manager) ProcessAlert(a *alerter.Alert) int {
 			// el is fresh (built or cloned for this notification): the
 			// Reporter takes ownership of it.
 			sc.batch = append(sc.batch, reporter.Notification{
-				Sub: rq.rep, Label: rq.label, Element: el, Time: now,
+				Sub: rq.rep, Label: rq.plan.label, Element: el, Time: now,
 			})
 			n++
 		}
@@ -505,7 +521,7 @@ func (m *Manager) ProcessAlert(a *alerter.Alert) int {
 	// Continuous queries may be triggered by these notifications; they fire
 	// now that the Reporter has the payloads.
 	for _, p := range sc.trig {
-		m.trigger.OnNotification(p.rq.sub, p.rq.label)
+		m.trigger.OnNotification(p.rq.sub, p.rq.plan.label)
 	}
 	m.notifications.Add(uint64(total))
 	if m.inhibitRate > 0 && len(sc.trig) > 0 {
@@ -526,148 +542,6 @@ func (m *Manager) ProcessAlert(a *alerter.Alert) int {
 	return total
 }
 
-// appendNotifications materialises the select clause of a matched
-// monitoring query against the triggering document, walking the plan
-// compiled at registration, and appends the payloads to dst.
-func (m *Manager) appendNotifications(dst []*xmldom.Node, rq *registeredQuery, d *alerter.Doc) []*xmldom.Node {
-	p := &rq.plan
-	if p.tag == "" {
-		return append(dst, m.varElements(rq, p.v, d)...)
-	}
-	e := xmldom.Element(p.tag)
-	if len(p.attrs) > 0 {
-		e.Attrs = make([]xmldom.Attr, len(p.attrs))
-		for i, a := range p.attrs {
-			if a.slot != noBuiltin {
-				a.value = a.slot.value(d)
-			}
-			e.Attrs[i] = xmldom.Attr{Name: a.name, Value: a.value}
-		}
-	}
-	for _, k := range p.kids {
-		if k.v == "" {
-			e.AppendChild(xmldom.Text(k.text))
-		} else if v := k.slot.value(d); v != "" {
-			e.AppendChild(xmldom.Text(v))
-		} else {
-			for _, n := range m.varElements(rq, k.v, d) {
-				e.AppendChild(n)
-			}
-		}
-	}
-	return append(dst, e)
-}
-
-// varElements resolves `select X` payloads: the elements bound to X in the
-// current document, filtered by the change pattern the where clause put on
-// X (so `new X` returns only the new elements).
-func (m *Manager) varElements(rq *registeredQuery, v string, d *alerter.Doc) []*xmldom.Node {
-	if d.Doc == nil || d.Doc.Root == nil {
-		return nil
-	}
-	var binding *sublang.FromBinding
-	for i := range rq.mq.From {
-		if rq.mq.From[i].Var == v {
-			binding = &rq.mq.From[i]
-			break
-		}
-	}
-	if binding == nil {
-		return nil
-	}
-	nodes := xyquery.Resolve(binding.Path, []*xmldom.Node{d.Doc.Root})
-	change := sublang.NoChange
-	var wordCond *sublang.Condition
-	for i := range rq.mq.Where {
-		c := &rq.mq.Where[i]
-		if c.Kind != sublang.CondElement || c.Var != v {
-			continue
-		}
-		if c.Change != sublang.NoChange && change == sublang.NoChange {
-			change = c.Change
-		}
-		if c.Str != "" && wordCond == nil {
-			wordCond = c
-		}
-	}
-	// A contains constraint on the variable restricts the payload to the
-	// elements that actually carry the word.
-	if wordCond != nil {
-		word := xmldom.NormalizeWord(wordCond.Str)
-		kept := nodes[:0]
-		for _, n := range nodes {
-			if wordCond.Strict {
-				for _, c := range n.Children {
-					if c.Type == xmldom.TextNode && xmldom.ContainsWord(c.Text, word) {
-						kept = append(kept, n)
-						break
-					}
-				}
-			} else if xmldom.ContainsWord(n.TextContent(), word) {
-				kept = append(kept, n)
-			}
-		}
-		nodes = kept
-	}
-	if change == sublang.NoChange {
-		return cloneAll(nodes)
-	}
-	switch {
-	case change == sublang.OpNew && d.Status == warehouse.StatusNew:
-		// Every element of a brand-new document is new.
-		return cloneAll(nodes)
-	case d.Status == warehouse.StatusUpdated && d.Delta != nil:
-		// The classification is computed once per document (on the Doc,
-		// shared with the XML alerter and every matched query).
-		cl := d.Classification()
-		if cl == nil {
-			return nil
-		}
-		if change == sublang.OpDeleted {
-			// Deleted elements are in the old version; match by tag among
-			// the deleted subtrees.
-			var out []*xmldom.Node
-			tag := lastTag(binding.Path)
-			for _, sub := range cl.DeletedSubtrees {
-				sub.PreOrder(func(n *xmldom.Node) bool {
-					if n.Type == xmldom.ElementNode && (tag == "" || n.Tag == tag) {
-						out = append(out, n.Clone())
-					}
-					return true
-				})
-			}
-			return out
-		}
-		var out []*xmldom.Node
-		for _, n := range nodes {
-			if change == sublang.OpNew && cl.IsNew(n) || change == sublang.OpUpdated && cl.IsUpdated(n) {
-				out = append(out, n.Clone())
-			}
-		}
-		return out
-	}
-	return nil
-}
-
-func lastTag(p xyquery.Path) string {
-	if len(p.Steps) == 0 {
-		return ""
-	}
-	t := p.Steps[len(p.Steps)-1].Name
-	if t == "*" {
-		return ""
-	}
-	return t
-}
-
-func cloneAll(nodes []*xmldom.Node) []*xmldom.Node {
-	out := make([]*xmldom.Node, 0, len(nodes))
-	for _, n := range nodes {
-		out = append(out, n.Clone())
-	}
-	return out
-}
-
 // Subscriptions lists the registered subscription names.
 func (m *Manager) Subscriptions() []string {
 	m.mu.Lock()
@@ -679,17 +553,6 @@ func (m *Manager) Subscriptions() []string {
 	return out
 }
 
-// Subscription returns the parsed form of a registered subscription.
-func (m *Manager) Subscription(name string) (*sublang.Subscription, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	rs, ok := m.subs[name]
-	if !ok {
-		return nil, ErrUnknownSubscription
-	}
-	return rs.sub, nil
-}
-
 // RefreshHints aggregates the refresh statements of all subscriptions,
 // keyed by URL (the smallest period wins). The crawler consults them to
 // boost page importance (Section 2.2).
@@ -698,7 +561,7 @@ func (m *Manager) RefreshHints() map[string]sublang.Frequency {
 	defer m.mu.Unlock()
 	hints := make(map[string]sublang.Frequency)
 	for _, rs := range m.subs {
-		for _, r := range rs.sub.Refresh {
+		for _, r := range rs.refresh {
 			if cur, ok := hints[r.URL]; !ok || r.Freq < cur {
 				hints[r.URL] = r.Freq
 			}

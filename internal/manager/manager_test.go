@@ -331,12 +331,11 @@ report when immediate`)
 func TestSubscriptionLookup(t *testing.T) {
 	r := newRig(t, nil)
 	r.subscribe(watchInria)
-	sub, err := r.mgr.Subscription("WatchInria")
-	if err != nil || sub.Name != "WatchInria" {
-		t.Errorf("Subscription = %v, %v", sub, err)
+	if subs := r.mgr.Subscriptions(); len(subs) != 1 || subs[0] != "WatchInria" {
+		t.Errorf("Subscriptions = %v", subs)
 	}
-	if _, err := r.mgr.Subscription("nope"); err != ErrUnknownSubscription {
-		t.Errorf("Subscription(nope) = %v", err)
+	if err := r.mgr.Unsubscribe("nope"); err != ErrUnknownSubscription {
+		t.Errorf("Unsubscribe(nope) = %v", err)
 	}
 }
 

@@ -202,8 +202,11 @@ func TestCodeSpaceExhaustion(t *testing.T) {
 	if n := r.mgr.condRef[r.mgr.condCodes[`self contains "two"`]]; n != 1 {
 		t.Errorf("shared condition holds %d references after the rollback, want 1", n)
 	}
-	if _, err := r.mgr.Subscription("D"); !errors.Is(err, ErrUnknownSubscription) {
-		t.Errorf("D is registered: %v", err)
+	if subs := r.mgr.Subscriptions(); slices.Contains(subs, "D") {
+		t.Errorf("D is registered: %v", subs)
+	}
+	if err := r.mgr.Unsubscribe("D"); !errors.Is(err, ErrUnknownSubscription) {
+		t.Errorf("Unsubscribe(D) = %v, want ErrUnknownSubscription", err)
 	}
 	// Other classes still have room, and shared conditions need no code.
 	r.subscribe(sub("E", `URL = "http://b.example/x.xml"`, `self contains "two"`, `modified self`))
