@@ -170,35 +170,6 @@ func BenchmarkBaselines(b *testing.B) {
 	}
 }
 
-// BenchmarkURLAlerter is the Section 6.2 ablation: hash-table prefix
-// lookup against the dictionary (trie) structure the paper measured as
-// ~30% faster but too memory-hungry.
-func BenchmarkURLAlerter(b *testing.B) {
-	const patterns = 100000
-	urls := make([]string, 1024)
-	for i := range urls {
-		urls[i] = fmt.Sprintf("http://site%d.example/path/sub%d/page%d.xml", i%500, i%37, i)
-	}
-	for _, impl := range []struct {
-		name string
-		idx  alerter.PrefixIndex
-	}{
-		{"hash", alerter.NewHashPrefixIndex()},
-		{"trie", alerter.NewTriePrefixIndex()},
-	} {
-		for i := 0; i < patterns; i++ {
-			impl.idx.Add(fmt.Sprintf("http://site%d.example/path/sub%d/", i%500, i%37), core.Event(i))
-		}
-		b.Run(impl.name, func(b *testing.B) {
-			b.ReportMetric(float64(impl.idx.MemoryEstimate())/1e6, "MB")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				impl.idx.Lookup(urls[i%len(urls)], func(core.Event) {})
-			}
-		})
-	}
-}
-
 // BenchmarkXMLAlerter measures the Section 6.3 postorder word-detection
 // algorithm across document sizes and depths (the paper bounds the cost
 // by Size × Depth and reports the alerters keep up with the crawl rate).

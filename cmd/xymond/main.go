@@ -101,12 +101,10 @@ func main() {
 		// Documents flow from the crawler through a bounded worker pool —
 		// the in-process version of the paper's threaded alerters and
 		// flow-split processors.
-		runner = flow.NewRunner(*workers, 256, func(d *alerter.Doc) int {
-			n, err := sys.ProcessDoc(d)
-			if err != nil {
+		runner = flow.NewRunner(*workers, 256, func(d *alerter.Doc) {
+			if _, err := sys.ProcessDoc(d); err != nil {
 				log.Printf("warehouse log: %s: %v", d.Meta.URL, err)
 			}
-			return n
 		})
 		sys.Crawler.SetSink(func(d *alerter.Doc) {
 			if err := runner.Submit(d); err != nil {

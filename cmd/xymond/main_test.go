@@ -15,6 +15,7 @@ import (
 
 	"xymon"
 	"xymon/internal/faults"
+	"xymon/internal/wal"
 )
 
 func testServer(t *testing.T) *server { return newTestServer(t, xymon.Options{}) }
@@ -179,7 +180,7 @@ func TestJournalFailureStatus(t *testing.T) {
 	if code := do(srv.handleSubscribe, "/subscribe", testSub); code != http.StatusCreated {
 		t.Fatalf("subscribe: %d", code)
 	}
-	in.Enable(faults.Rule{Point: faults.PointWALAppend, Mode: faults.ModeError, Match: "subs"})
+	in.Enable(faults.Rule{Point: faults.Point(wal.OpAppend), Mode: faults.ModeError, Match: "subs"})
 	other := strings.Replace(testSub, "HttpWatch", "Other", 1)
 	for _, c := range []struct {
 		what string

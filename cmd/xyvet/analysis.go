@@ -95,6 +95,11 @@ var analyzers = []*Analyzer{
 		Doc:  "encoding/xml imports outside tests; the zero-copy ingest path must stay on the byte tokenizer",
 		Run:  runRawxml,
 	},
+	{
+		Name:      "testonly",
+		Doc:       "exported identifiers of internal/ packages that no non-test file of the module references",
+		RunEngine: runTestonly,
+	},
 }
 
 // ruleTiming accumulates per-rule wall time (cumulative across workers)

@@ -210,21 +210,6 @@ func (l *loader) inModule(path string) bool {
 	return path == l.modpath || strings.HasPrefix(path, l.modpath+"/")
 }
 
-// loadDir loads the package in a single absolute directory (plus its
-// dependency closure) and returns it.
-func (l *loader) loadDir(dir string) (*Package, error) {
-	pkgs, err := l.loadAll([]string{dir})
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range pkgs {
-		if p.Dir == filepath.Clean(dir) {
-			return p, nil
-		}
-	}
-	return nil, nil // no buildable Go files
-}
-
 // loadAll parses and type-checks the packages in the given directories
 // and their in-module dependency closure, returning the requested
 // packages (marked Analyzed) and the dependencies, sorted by import

@@ -188,6 +188,24 @@ func TestCleanTree(t *testing.T) {
 	}
 }
 
+// TestTestonlyPartialRun vets internal packages without their importers:
+// the fixture's lib without pub, and internal/cluster without pubsub (whose
+// Client aliases cluster.RingClient) or anything else that calls it. An
+// unloaded package may use any of their exports, so testonly must report
+// none of them.
+func TestTestonlyPartialRun(t *testing.T) {
+	root, _, _ := fixtureRoot(t)
+	for _, pattern := range []string{"./cmd/xyvet/testdata/src/testonly/internal/lib", "./internal/cluster"} {
+		var buf bytes.Buffer
+		if _, err := run(&buf, root, []string{pattern}, options{}); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(buf.String(), "[testonly]") {
+			t.Errorf("partial run over %s reported exports its unloaded importers may use:\n%s", pattern, buf.String())
+		}
+	}
+}
+
 // TestExpandPatterns covers the walker's testdata and module-boundary
 // behavior.
 func TestExpandPatterns(t *testing.T) {

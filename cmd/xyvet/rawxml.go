@@ -11,7 +11,7 @@ const stdXML = "encoding/" + "xml"
 // and screens documents with the streaming pre-filter before any DOM
 // exists; an encoding/xml decoder smuggled in anywhere would reintroduce
 // exactly the per-token allocations that path removed, invisibly to the
-// benchmarks. Serialisation is covered too (Node.WriteXML,
+// benchmarks. Serialisation is covered too (Node.XML,
 // xmldom.AppendEscaped), so no production code has a legitimate need for
 // the package. Tests are exempt because the loader skips _test.go files:
 // internal/xmldom's tests keep the stdlib decoder as their differential
@@ -27,7 +27,7 @@ func runRawxml(pkg *Package) []Finding {
 			out = append(out, Finding{
 				Pos:  imp.Pos(),
 				Rule: "rawxml",
-				Msg:  "import of encoding/xml outside tests; use xmldom.ParseBytes / Node.WriteXML / AppendEscaped so the zero-copy ingest path cannot silently regress",
+				Msg:  "import of encoding/xml outside tests; use xmldom.ParseBytes / Node.XML / AppendEscaped so the zero-copy ingest path cannot silently regress",
 			})
 		}
 	}

@@ -4,5 +4,5 @@ package xmldom
 
 import "encoding/xml" // want rawxml
 
-// Name keeps the import in use.
-type Name = xml.Name
+// The blank variable keeps the import in use.
+var _ xml.Name

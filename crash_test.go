@@ -140,17 +140,17 @@ type crashScenario struct {
 }
 
 var crashScenarios = []crashScenario{
-	{name: "subs-append", point: faults.PointWALAppend, match: "subs", phase: "subscribe:Watch"},
-	{name: "subs-append-done", point: faults.PointWALAppendDone, match: "subs", phase: "subscribe:Watch"},
-	{name: "subs-second-append", point: faults.PointWALAppend, match: "subs", skip: 1, phase: "subscribe:Pulse"},
-	{name: "reporter-first-append", point: faults.PointWALAppend, match: "reporter", phase: "tick"},
-	{name: "reporter-mid-append", point: faults.PointWALAppend, match: "reporter", skip: 5, phase: "push:p0:v2"},
-	{name: "reporter-append-done", point: faults.PointWALAppendDone, match: "reporter", skip: 3, phase: "push:p1:v2", tornTail: "reporter"},
-	{name: "trigger-mark-append", point: faults.PointWALAppend, match: "trigger", phase: "tick"},
-	{name: "checkpoint-temp", point: faults.PointWALCheckpointTemp, phase: "checkpoint"},
-	{name: "checkpoint-install", point: faults.PointWALCheckpointInstall, phase: "checkpoint"},
-	{name: "checkpoint-compact", point: faults.PointWALCheckpointCompact, phase: "checkpoint"},
-	{name: "checkpoint-reporter-install", point: faults.PointWALCheckpointInstall, match: "reporter", phase: "checkpoint"},
+	{name: "subs-append", point: faults.Point(wal.OpAppend), match: "subs", phase: "subscribe:Watch"},
+	{name: "subs-append-done", point: faults.Point(wal.OpAppendDone), match: "subs", phase: "subscribe:Watch"},
+	{name: "subs-second-append", point: faults.Point(wal.OpAppend), match: "subs", skip: 1, phase: "subscribe:Pulse"},
+	{name: "reporter-first-append", point: faults.Point(wal.OpAppend), match: "reporter", phase: "tick"},
+	{name: "reporter-mid-append", point: faults.Point(wal.OpAppend), match: "reporter", skip: 5, phase: "push:p0:v2"},
+	{name: "reporter-append-done", point: faults.Point(wal.OpAppendDone), match: "reporter", skip: 3, phase: "push:p1:v2", tornTail: "reporter"},
+	{name: "trigger-mark-append", point: faults.Point(wal.OpAppend), match: "trigger", phase: "tick"},
+	{name: "checkpoint-temp", point: faults.Point(wal.OpCheckpointTemp), phase: "checkpoint"},
+	{name: "checkpoint-install", point: faults.Point(wal.OpCheckpointInstall), phase: "checkpoint"},
+	{name: "checkpoint-compact", point: faults.Point(wal.OpCheckpointCompact), phase: "checkpoint"},
+	{name: "checkpoint-reporter-install", point: faults.Point(wal.OpCheckpointInstall), match: "reporter", phase: "checkpoint"},
 	{name: "delivery", point: faults.PointDelivery, skip: 2, phase: "push:p1:v2"},
 	{name: "delivery-ack", point: faults.PointDeliveryAck, skip: 1, phase: "push:p0:v2", tornTail: "reporter"},
 	// Change-stream crash points. The stream is the reporter journal's
@@ -165,12 +165,12 @@ var crashScenarios = []crashScenario{
 	// replay, ahead would be a skip). A kill after a batch's fsync is a
 	// kill after barrier (1): reporter-append-done below, torn tail and
 	// all, and reporter-commit-before-publish.
-	{name: "stream-append", point: faults.PointStreamAppend, match: "reporter", phase: "tick"},
-	{name: "stream-publish", point: faults.PointStreamAppend, match: "reporter", skip: 2, phase: "push:p1:v2"},
-	{name: "stream-consumer-read", point: faults.PointStreamRead, match: "watcher", skip: 2, phase: "poll:2"},
-	{name: "cursor-commit", point: faults.PointCursorCommit, match: "watcher", skip: 1, phase: "commit:4"},
-	{name: "cursor-install", point: faults.PointCursorInstall, match: "watcher", skip: 1, phase: "commit:4"},
-	{name: "cursor-torn-slot", point: faults.PointWALFileSync, match: "watcher", phase: "commit:4", tornSlot: true},
+	{name: "stream-append", point: faults.Point(stream.OpAppend), match: "reporter", phase: "tick"},
+	{name: "stream-publish", point: faults.Point(stream.OpAppend), match: "reporter", skip: 2, phase: "push:p1:v2"},
+	{name: "stream-consumer-read", point: faults.Point(stream.OpRead), match: "watcher", skip: 2, phase: "poll:2"},
+	{name: "cursor-commit", point: faults.Point(stream.OpCursorCommit), match: "watcher", skip: 1, phase: "commit:4"},
+	{name: "cursor-install", point: faults.Point(stream.OpCursorInstall), match: "watcher", skip: 1, phase: "commit:4"},
+	{name: "cursor-torn-slot", point: faults.Point(wal.OpFileSync), match: "watcher", phase: "commit:4", tornSlot: true},
 	// The windows group commit widens. The reporter journal is written
 	// record by record; barrier (1), one fsync before a call's reports
 	// leave the Reporter, makes its notif and fired records durable
@@ -186,17 +186,17 @@ var crashScenarios = []crashScenario{
 	// A kill at wal.append.done on a barrier (1) dies right after it,
 	// before any sink sees the report: its fired record — its stream
 	// record — is durable, and recovery must deliver it.
-	{name: "reporter-sync-first-batch", point: faults.PointWALFileSync, match: "reporter", phase: "tick", unsynced: "notif fired"},
-	{name: "reporter-sync-later-batch", point: faults.PointWALFileSync, match: "reporter", skip: 7, phase: "push:p4:v2", unsynced: "notif fired", tornTail: "reporter"},
-	{name: "reporter-commit-before-publish", point: faults.PointWALAppendDone, match: "reporter", skip: 4, phase: "push:p2:v2", firedLast: true},
-	{name: "reporter-done-unsynced", point: faults.PointWALFileSync, match: "reporter", skip: 3, phase: "push:p1:v2", unsynced: "done notif fired"},
+	{name: "reporter-sync-first-batch", point: faults.Point(wal.OpFileSync), match: "reporter", phase: "tick", unsynced: "notif fired"},
+	{name: "reporter-sync-later-batch", point: faults.Point(wal.OpFileSync), match: "reporter", skip: 7, phase: "push:p4:v2", unsynced: "notif fired", tornTail: "reporter"},
+	{name: "reporter-commit-before-publish", point: faults.Point(wal.OpAppendDone), match: "reporter", skip: 4, phase: "push:p2:v2", firedLast: true},
+	{name: "reporter-done-unsynced", point: faults.Point(wal.OpFileSync), match: "reporter", skip: 3, phase: "push:p1:v2", unsynced: "done notif fired"},
 	// The warehouse log. A version's record is written after its document
 	// went past barrier (1), so a kill on that write (skip 5: the records
 	// so far are p0:v1, p0:v2, p1:v1, p1:v2, p2:v1) leaves a reported
 	// page one version behind: its update must be raised again. The
 	// warehouse checkpoint runs last in System.Checkpoint.
-	{name: "warehouse-append", point: faults.PointWALAppend, match: "warehouse", skip: 5, phase: "push:p2:v2"},
-	{name: "warehouse-checkpoint-install", point: faults.PointWALCheckpointInstall, match: "warehouse", phase: "checkpoint"},
+	{name: "warehouse-append", point: faults.Point(wal.OpAppend), match: "warehouse", skip: 5, phase: "push:p2:v2"},
+	{name: "warehouse-checkpoint-install", point: faults.Point(wal.OpCheckpointInstall), match: "warehouse", phase: "checkpoint"},
 }
 
 // TestDurableLogsFireFileFaultPoints asserts the seam the new scenarios
@@ -209,7 +209,7 @@ func TestDurableLogsFireFileFaultPoints(t *testing.T) {
 	fired := make(map[time.Duration]int)
 	in.Sleep = func(d time.Duration) { fired[d]++ }
 	want := make(map[time.Duration]string)
-	for _, point := range []faults.Point{faults.PointWALFileAppend, faults.PointWALFileSync} {
+	for _, point := range []faults.Point{faults.Point(wal.OpFileAppend), faults.Point(wal.OpFileSync)} {
 		for _, log := range []string{"subs", "reporter", "trigger", "warehouse"} {
 			d := time.Duration(len(want) + 1)
 			want[d] = string(point) + " on " + log
@@ -365,7 +365,7 @@ func TestCrashChild(t *testing.T) {
 		Skip:  skip,
 	})
 	spy := &crashSpy{dir: filepath.Join(dir, "wal", "reporter"), phase: "new"}
-	in.Enable(faults.Rule{Point: faults.PointWALFileSync, Mode: faults.ModeLatency, Latency: 1, Match: "reporter"})
+	in.Enable(faults.Rule{Point: faults.Point(wal.OpFileSync), Mode: faults.ModeLatency, Latency: 1, Match: "reporter"})
 	in.Sleep = func(time.Duration) { spy.noteSync() }
 	in.Exit = func(code int) {
 		_ = acked.add(spy.landing())

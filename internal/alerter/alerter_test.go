@@ -1,7 +1,6 @@
 package alerter
 
 import (
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -38,42 +37,35 @@ func xmlDoc(url string, status warehouse.Status, doc *xmldom.Document) *Doc {
 }
 
 func TestURLAlerterPatterns(t *testing.T) {
-	for _, impl := range []struct {
-		name string
-		idx  PrefixIndex
-	}{
-		{"hash", NewHashPrefixIndex()},
-		{"trie", NewTriePrefixIndex()},
-	} {
-		t.Run(impl.name, func(t *testing.T) {
-			p := NewPipeline(impl.idx)
-			p.Register(1, urlCond(sublang.CondURLExtends, "http://inria.fr/Xy/"))
-			p.Register(2, urlCond(sublang.CondURLExtends, "http://inria.fr/"))
-			p.Register(3, urlCond(sublang.CondURLEquals, "http://inria.fr/Xy/index.html"))
-			p.Register(4, urlCond(sublang.CondFilename, "index.html"))
-			p.Register(5, urlCond(sublang.CondURLExtends, "http://other.org/"))
+	// The pipeline always matches URL prefixes on the hash index.
+	t.Run("hash", func(t *testing.T) {
+		p := NewPipeline()
+		p.Register(1, urlCond(sublang.CondURLExtends, "http://inria.fr/Xy/"))
+		p.Register(2, urlCond(sublang.CondURLExtends, "http://inria.fr/"))
+		p.Register(3, urlCond(sublang.CondURLEquals, "http://inria.fr/Xy/index.html"))
+		p.Register(4, urlCond(sublang.CondFilename, "index.html"))
+		p.Register(5, urlCond(sublang.CondURLExtends, "http://other.org/"))
 
-			got := detect(p, xmlDoc("http://inria.fr/Xy/index.html", warehouse.StatusUnchanged, xmldom.MustParse("<a/>")))
-			want := core.EventSet{1, 2, 3, 4}
-			if !got.Equal(want) {
-				t.Errorf("events = %v, want %v", got, want)
-			}
+		got := detect(p, xmlDoc("http://inria.fr/Xy/index.html", warehouse.StatusUnchanged, xmldom.MustParse("<a/>")))
+		want := core.EventSet{1, 2, 3, 4}
+		if !got.Equal(want) {
+			t.Errorf("events = %v, want %v", got, want)
+		}
 
-			got = detect(p, xmlDoc("http://inria.fr/other.xml", warehouse.StatusUnchanged, xmldom.MustParse("<a/>")))
-			want = core.EventSet{2}
-			if !got.Equal(want) {
-				t.Errorf("events = %v, want %v", got, want)
-			}
+		got = detect(p, xmlDoc("http://inria.fr/other.xml", warehouse.StatusUnchanged, xmldom.MustParse("<a/>")))
+		want = core.EventSet{2}
+		if !got.Equal(want) {
+			t.Errorf("events = %v, want %v", got, want)
+		}
 
-			if got := detect(p, xmlDoc("http://nowhere.net/x", warehouse.StatusUnchanged, xmldom.MustParse("<a/>"))); got != nil {
-				t.Errorf("events = %v, want none", got)
-			}
-		})
-	}
+		if got := detect(p, xmlDoc("http://nowhere.net/x", warehouse.StatusUnchanged, xmldom.MustParse("<a/>"))); got != nil {
+			t.Errorf("events = %v, want none", got)
+		}
+	})
 }
 
 func TestURLAlerterMetadataConditions(t *testing.T) {
-	p := NewPipeline(nil)
+	p := NewPipeline()
 	p.Register(1, sublang.Condition{Kind: sublang.CondDTD, Str: "http://x/cat.dtd"})
 	p.Register(2, sublang.Condition{Kind: sublang.CondDTDID, Num: 7})
 	p.Register(3, sublang.Condition{Kind: sublang.CondDOCID, Num: 42})
@@ -93,7 +85,7 @@ func TestURLAlerterMetadataConditions(t *testing.T) {
 }
 
 func TestURLAlerterDates(t *testing.T) {
-	p := NewPipeline(nil)
+	p := NewPipeline()
 	ref := time.Date(2001, 5, 1, 0, 0, 0, 0, time.UTC)
 	p.Register(1, sublang.Condition{Kind: sublang.CondLastUpdate, Cmp: sublang.CmpGe, Date: ref})
 	p.Register(2, sublang.Condition{Kind: sublang.CondLastAccessed, Cmp: sublang.CmpLt, Date: ref})
@@ -112,7 +104,7 @@ func TestURLAlerterDates(t *testing.T) {
 }
 
 func TestSelfChangeIsWeak(t *testing.T) {
-	p := NewPipeline(nil)
+	p := NewPipeline()
 	p.Register(1, sublang.Condition{Kind: sublang.CondSelfChange, Change: sublang.OpUpdated})
 	p.Register(2, urlCond(sublang.CondURLExtends, "http://inria.fr/"))
 
@@ -135,7 +127,7 @@ func TestSelfChangeIsWeak(t *testing.T) {
 }
 
 func TestXMLContainsConditions(t *testing.T) {
-	p := NewPipeline(nil)
+	p := NewPipeline()
 	p.Register(1, sublang.Condition{Kind: sublang.CondElement, Tag: "category", Str: "electronic"})
 	p.Register(2, sublang.Condition{Kind: sublang.CondElement, Tag: "product", Str: "camera"})
 	p.Register(3, sublang.Condition{Kind: sublang.CondElement, Tag: "product", Str: "camera", Strict: true})
@@ -164,7 +156,7 @@ func TestXMLContainsConditions(t *testing.T) {
 }
 
 func TestXMLContainsIsWordBased(t *testing.T) {
-	p := NewPipeline(nil)
+	p := NewPipeline()
 	p.Register(1, sublang.Condition{Kind: sublang.CondElement, Tag: "product", Str: "cam"})
 	doc := xmldom.MustParse(`<catalog><product>camera</product></catalog>`)
 	if got := detect(p, xmlDoc("u", warehouse.StatusUnchanged, doc)); got != nil {
@@ -173,7 +165,7 @@ func TestXMLContainsIsWordBased(t *testing.T) {
 }
 
 func TestXMLNewElementOnNewDocument(t *testing.T) {
-	p := NewPipeline(nil)
+	p := NewPipeline()
 	p.Register(1, sublang.Condition{Kind: sublang.CondElement, Change: sublang.OpNew, Tag: "Member"})
 	doc := xmldom.MustParse(`<Team><Member><name>nguyen</name></Member></Team>`)
 	got := detect(p, xmlDoc("http://inria.fr/Xy/members.xml", warehouse.StatusNew, doc))
@@ -183,7 +175,7 @@ func TestXMLNewElementOnNewDocument(t *testing.T) {
 }
 
 func TestXMLChangeConditionsOnUpdate(t *testing.T) {
-	p := NewPipeline(nil)
+	p := NewPipeline()
 	p.Register(1, sublang.Condition{Kind: sublang.CondElement, Change: sublang.OpNew, Tag: "product"})
 	p.Register(2, sublang.Condition{Kind: sublang.CondElement, Change: sublang.OpUpdated, Tag: "product"})
 	p.Register(3, sublang.Condition{Kind: sublang.CondElement, Change: sublang.OpUpdated, Tag: "product", Str: "camera"})
@@ -214,7 +206,7 @@ func TestXMLChangeConditionsOnUpdate(t *testing.T) {
 }
 
 func TestXMLUpdateWithoutDeltaRaisesNothing(t *testing.T) {
-	p := NewPipeline(nil)
+	p := NewPipeline()
 	p.Register(1, sublang.Condition{Kind: sublang.CondElement, Change: sublang.OpUpdated, Tag: "product"})
 	d := xmlDoc("u", warehouse.StatusUpdated, xmldom.MustParse(`<catalog><product>x</product></catalog>`))
 	if got := detect(p, d); got != nil {
@@ -223,7 +215,7 @@ func TestXMLUpdateWithoutDeltaRaisesNothing(t *testing.T) {
 }
 
 func TestHTMLAlerter(t *testing.T) {
-	p := NewPipeline(nil)
+	p := NewPipeline()
 	p.Register(1, sublang.Condition{Kind: sublang.CondSelfContains, Str: "xyleme"})
 	p.Register(2, urlCond(sublang.CondURLExtends, "http://www.example/"))
 	d := &Doc{
@@ -238,7 +230,7 @@ func TestHTMLAlerter(t *testing.T) {
 }
 
 func TestUnregister(t *testing.T) {
-	p := NewPipeline(nil)
+	p := NewPipeline()
 	conds := []sublang.Condition{
 		urlCond(sublang.CondURLExtends, "http://inria.fr/"),
 		urlCond(sublang.CondURLEquals, "http://inria.fr/a.xml"),
@@ -261,55 +253,6 @@ func TestUnregister(t *testing.T) {
 	}
 	if got := detect(p, d); got != nil {
 		t.Errorf("after unregister: events = %v, want none", got)
-	}
-}
-
-func TestPrefixIndexImplementationsAgree(t *testing.T) {
-	hash := NewHashPrefixIndex()
-	trie := NewTriePrefixIndex()
-	patterns := []string{
-		"http://a.com/", "http://a.com/x/", "http://a.com/x/y/",
-		"http://b.org/", "", "http://a.com/x/y/z.xml",
-	}
-	for i, pat := range patterns {
-		hash.Add(pat, core.Event(i))
-		trie.Add(pat, core.Event(i))
-	}
-	urls := []string{
-		"http://a.com/x/y/z.xml", "http://a.com/", "http://b.org/q",
-		"http://c.net/", "", "http://a.com/x/other",
-	}
-	collect := func(idx PrefixIndex, url string) []core.Event {
-		var out []core.Event
-		idx.Lookup(url, func(c core.Event) { out = append(out, c) })
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out
-	}
-	for _, u := range urls {
-		h := collect(hash, u)
-		tr := collect(trie, u)
-		if len(h) != len(tr) {
-			t.Fatalf("url %q: hash %v, trie %v", u, h, tr)
-		}
-		for i := range h {
-			if h[i] != tr[i] {
-				t.Fatalf("url %q: hash %v, trie %v", u, h, tr)
-			}
-		}
-	}
-	if hash.Len() != trie.Len() {
-		t.Errorf("Len: hash %d, trie %d", hash.Len(), trie.Len())
-	}
-	// Remove and re-check.
-	hash.Remove("http://a.com/x/", 1)
-	trie.Remove("http://a.com/x/", 1)
-	h := collect(hash, "http://a.com/x/y/z.xml")
-	tr := collect(trie, "http://a.com/x/y/z.xml")
-	if len(h) != len(tr) || len(h) != 4 {
-		t.Errorf("after remove: hash %v, trie %v", h, tr)
-	}
-	if hash.MemoryEstimate() <= 0 || trie.MemoryEstimate() <= 0 {
-		t.Error("memory estimates should be positive")
 	}
 }
 
@@ -343,7 +286,7 @@ func TestHashPrefixLookupConcurrent(t *testing.T) {
 }
 
 func TestNoEventsNoAlert(t *testing.T) {
-	p := NewPipeline(nil)
+	p := NewPipeline()
 	d := xmlDoc("http://x/", warehouse.StatusNew, xmldom.MustParse("<a/>"))
 	if a := p.Detect(d); a != nil {
 		t.Errorf("alert = %+v, want nil", a)
@@ -354,7 +297,7 @@ func TestNoEventsNoAlert(t *testing.T) {
 // detection runs while conditions are registered and unregistered. Run
 // with -race.
 func TestConcurrentDetectDuringRegistration(t *testing.T) {
-	p := NewPipeline(nil)
+	p := NewPipeline()
 	doc := xmldom.MustParse(`<catalog>
 		<product><name>camera</name></product>
 		<category>Electronic</category>
@@ -399,7 +342,7 @@ func TestConcurrentDetectDuringRegistration(t *testing.T) {
 }
 
 func TestUnregisterDateAndIDConditions(t *testing.T) {
-	p := NewPipeline(nil)
+	p := NewPipeline()
 	ref := time.Date(2001, 5, 1, 0, 0, 0, 0, time.UTC)
 	conds := []sublang.Condition{
 		{Kind: sublang.CondLastUpdate, Cmp: sublang.CmpGt, Date: ref},
@@ -431,7 +374,7 @@ func TestUnregisterDateAndIDConditions(t *testing.T) {
 }
 
 func TestCmpTimeAllComparators(t *testing.T) {
-	p := NewPipeline(nil)
+	p := NewPipeline()
 	ref := time.Date(2001, 5, 1, 0, 0, 0, 0, time.UTC)
 	cases := []struct {
 		cmp  sublang.Comparator
@@ -464,16 +407,8 @@ func TestCmpTimeAllComparators(t *testing.T) {
 	}
 }
 
-func TestPrefixMemoryExposed(t *testing.T) {
-	ua := NewURLAlerter(nil)
-	ua.Register(1, sublang.Condition{Kind: sublang.CondURLExtends, Str: "http://x/"})
-	if ua.PrefixMemory() <= 0 {
-		t.Error("PrefixMemory should be positive")
-	}
-}
-
 func TestDeletedElementConditions(t *testing.T) {
-	p := NewPipeline(nil)
+	p := NewPipeline()
 	p.Register(1, sublang.Condition{Kind: sublang.CondElement, Change: sublang.OpDeleted, Tag: "product", Str: "camera"})
 	p.Register(2, sublang.Condition{Kind: sublang.CondElement, Change: sublang.OpDeleted, Tag: "product", Str: "camera", Strict: true})
 	// Whole-document deletion: every element is deleted.

@@ -23,11 +23,10 @@ type Pipeline struct {
 	weak map[core.Event]bool // codes of weak (document change) events
 }
 
-// NewPipeline assembles the default alerter chain; prefixes selects the
-// `URL extends` structure (nil for the default hash index).
-func NewPipeline(prefixes PrefixIndex) *Pipeline {
+// NewPipeline assembles the alerter chain.
+func NewPipeline() *Pipeline {
 	return &Pipeline{
-		URL:  NewURLAlerter(prefixes),
+		URL:  NewURLAlerter(),
 		XML:  NewXMLAlerter(),
 		HTML: NewHTMLAlerter(),
 		weak: make(map[core.Event]bool),

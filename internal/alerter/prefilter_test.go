@@ -157,7 +157,7 @@ func TestPrefilterScreenFollowsUnregister(t *testing.T) {
 }
 
 func TestURLAlerterCouldAlert(t *testing.T) {
-	a := NewURLAlerter(nil)
+	a := NewURLAlerter()
 	if a.CouldAlert("http://x/a.xml", "a.xml", "http://x/cat.dtd", "shopping") {
 		t.Fatal("empty alerter could alert")
 	}

@@ -6,23 +6,12 @@ import (
 	"xymon/internal/core"
 )
 
-// PrefixIndex detects `URL extends "prefix"` patterns: given a URL, it
-// yields the codes of every registered pattern that is a prefix of it.
-// Two implementations exist, matching the ablation of Section 6.2: the
-// production hash-table structure and the dictionary (trie) alternative
-// the paper measured as ~30% faster but too memory-hungry.
-type PrefixIndex interface {
-	Add(prefix string, code core.Event)
-	Remove(prefix string, code core.Event)
-	Lookup(url string, emit func(core.Event))
-	Len() int
-	MemoryEstimate() int64
-}
-
 // HashPrefixIndex stores patterns in a hash table keyed by the full
 // pattern and probes the URL's prefixes at every registered pattern
 // length. This is the paper's production structure: "the dominating cost
-// is the look-up in the million-records hash table".
+// is the look-up in the million-records hash table". The dictionary
+// (trie) alternative of the Section 6.2 ablation lives in prefix_test.go,
+// beside BenchmarkURLAlerter.
 type HashPrefixIndex struct {
 	patterns map[string][]core.Event
 	lengths  map[int]int // pattern length -> number of patterns of that length
@@ -93,110 +82,3 @@ func (h *HashPrefixIndex) Lookup(url string, emit func(core.Event)) {
 
 // Len returns the number of distinct patterns.
 func (h *HashPrefixIndex) Len() int { return len(h.patterns) }
-
-// MemoryEstimate approximates retained bytes: keys, code slices, buckets.
-func (h *HashPrefixIndex) MemoryEstimate() int64 {
-	var b int64
-	for p, codes := range h.patterns {
-		b += int64(len(p)) + 16 /*string header*/ + 24 /*slice header*/ + int64(len(codes))*4 + 16 /*bucket share*/
-	}
-	return b
-}
-
-// TriePrefixIndex is the dictionary alternative: a byte trie walked once
-// per URL, so lookup is linear in the URL length regardless of how many
-// patterns are registered. Each trie node costs a map and pointers, which
-// is the memory overhead that made the paper reject it.
-type TriePrefixIndex struct {
-	root  *trieNode
-	count int
-}
-
-type trieNode struct {
-	children map[byte]*trieNode
-	codes    []core.Event
-}
-
-// NewTriePrefixIndex returns an empty trie-based prefix index.
-func NewTriePrefixIndex() *TriePrefixIndex {
-	return &TriePrefixIndex{root: &trieNode{}}
-}
-
-// Add registers a pattern.
-func (t *TriePrefixIndex) Add(prefix string, code core.Event) {
-	n := t.root
-	for i := 0; i < len(prefix); i++ {
-		if n.children == nil {
-			n.children = make(map[byte]*trieNode)
-		}
-		c := n.children[prefix[i]]
-		if c == nil {
-			c = &trieNode{}
-			n.children[prefix[i]] = c
-		}
-		n = c
-	}
-	if len(n.codes) == 0 {
-		t.count++
-	}
-	n.codes = append(n.codes, code)
-}
-
-// Remove unregisters one (pattern, code) pair. Empty branches are left in
-// place; the trie is rebuilt wholesale by the manager on compaction.
-func (t *TriePrefixIndex) Remove(prefix string, code core.Event) {
-	n := t.root
-	for i := 0; i < len(prefix); i++ {
-		c := n.children[prefix[i]]
-		if c == nil {
-			return
-		}
-		n = c
-	}
-	for i, x := range n.codes {
-		if x == code {
-			copy(n.codes[i:], n.codes[i+1:])
-			n.codes = n.codes[:len(n.codes)-1]
-			break
-		}
-	}
-	if len(n.codes) == 0 {
-		t.count--
-	}
-}
-
-// Lookup walks the trie along the URL, emitting codes at every marked node.
-func (t *TriePrefixIndex) Lookup(url string, emit func(core.Event)) {
-	n := t.root
-	for _, c := range n.codes {
-		emit(c)
-	}
-	for i := 0; i < len(url); i++ {
-		n = n.children[url[i]]
-		if n == nil {
-			return
-		}
-		for _, c := range n.codes {
-			emit(c)
-		}
-	}
-}
-
-// Len returns the number of distinct marked patterns.
-func (t *TriePrefixIndex) Len() int { return t.count }
-
-// MemoryEstimate approximates retained bytes across trie nodes.
-func (t *TriePrefixIndex) MemoryEstimate() int64 {
-	var walk func(n *trieNode) int64
-	walk = func(n *trieNode) int64 {
-		b := int64(24 /*codes header*/ + len(n.codes)*4 + 8 /*map ptr*/)
-		if n.children != nil {
-			b += int64(len(n.children)) * (1 + 8 + 16) // key + ptr + bucket share
-			for _, c := range n.children {
-				b += walk(c)
-			}
-		}
-		return b
-	}
-	return walk(t.root)
-}

@@ -15,7 +15,7 @@ import (
 // sits next to the URL manager and never needs the document content.
 type URLAlerter struct {
 	mu        sync.RWMutex
-	prefixes  PrefixIndex
+	prefixes  *HashPrefixIndex
 	urlEq     map[string][]core.Event
 	filenames map[string][]core.Event
 	dtds      map[string][]core.Event
@@ -33,14 +33,10 @@ type dateCond struct {
 	code core.Event
 }
 
-// NewURLAlerter returns a URL alerter using the given prefix index; pass
-// nil for the default hash structure.
-func NewURLAlerter(prefixes PrefixIndex) *URLAlerter {
-	if prefixes == nil {
-		prefixes = NewHashPrefixIndex()
-	}
+// NewURLAlerter returns an empty URL alerter.
+func NewURLAlerter() *URLAlerter {
 	return &URLAlerter{
-		prefixes:  prefixes,
+		prefixes:  NewHashPrefixIndex(),
 		urlEq:     make(map[string][]core.Event),
 		filenames: make(map[string][]core.Event),
 		dtds:      make(map[string][]core.Event),
@@ -68,10 +64,6 @@ func (a *URLAlerter) Register(code core.Event, cond sublang.Condition) {
 	defer a.mu.Unlock()
 	switch cond.Kind {
 	case sublang.CondURLExtends:
-		// The prefix index is a passive data structure owned by this
-		// alerter, not a user plug point; mutating it under a.mu is the
-		// point of the lock.
-		//xyvet:ignore lockcheck
 		a.prefixes.Add(cond.Str, code)
 	case sublang.CondURLEquals:
 		a.urlEq[cond.Str] = append(a.urlEq[cond.Str], code)
@@ -98,8 +90,6 @@ func (a *URLAlerter) Unregister(code core.Event, cond sublang.Condition) {
 	defer a.mu.Unlock()
 	switch cond.Kind {
 	case sublang.CondURLExtends:
-		// Passive in-module index; see Register.
-		//xyvet:ignore lockcheck
 		a.prefixes.Remove(cond.Str, code)
 	case sublang.CondURLEquals:
 		a.urlEq[cond.Str] = dropCode(a.urlEq, cond.Str, code)
@@ -170,8 +160,6 @@ func (a *URLAlerter) Detect(d *Doc, emit func(core.Event)) {
 	collect := func(c core.Event) { codes = append(codes, c) }
 
 	a.mu.RLock()
-	// Passive in-module index; see Register. collect only appends.
-	//xyvet:ignore lockcheck
 	a.prefixes.Lookup(d.Meta.URL, collect)
 	codes = append(codes, a.urlEq[d.Meta.URL]...)
 	codes = append(codes, a.filenames[d.Meta.Filename]...)
@@ -220,13 +208,11 @@ func (a *URLAlerter) Detect(d *Doc, emit func(core.Event)) {
 func (a *URLAlerter) CouldAlert(url, filename, dtd, domain string) bool {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	// Passive in-module index; see Register. The closure escapes into the
-	// index, so it is only built when there is a pattern to probe: a base
-	// without `URL extends` conditions keeps the gate allocation-free.
-	//xyvet:ignore lockcheck
+	// The closure escapes into the index, so it is only built when there
+	// is a pattern to probe: a base without `URL extends` conditions keeps
+	// the gate allocation-free.
 	if a.prefixes.Len() > 0 {
 		hit := false
-		//xyvet:ignore lockcheck
 		a.prefixes.Lookup(url, func(core.Event) { hit = true })
 		if hit {
 			return true
@@ -266,14 +252,4 @@ func cmpTime(v time.Time, cmp sublang.Comparator, ref time.Time) bool {
 		return !v.Before(ref)
 	}
 	return false
-}
-
-// PrefixMemory exposes the prefix structure's memory estimate for the
-// hash-vs-trie ablation.
-func (a *URLAlerter) PrefixMemory() int64 {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	// Passive in-module index; see Register.
-	//xyvet:ignore lockcheck
-	return a.prefixes.MemoryEstimate()
 }

@@ -25,7 +25,7 @@ import (
 
 // Matcher is the common surface of all Monitoring Query Processor
 // implementations (core.Matcher, Naive, Counting).
-type Matcher interface {
+type Matcher interface { //xyvet:ignore testonly reference matcher of the differential tests and benchmarks
 	Add(id core.ComplexID, events []core.Event) error
 	Remove(id core.ComplexID) error
 	Match(s core.EventSet) []core.ComplexID
@@ -39,7 +39,7 @@ type Naive struct {
 }
 
 // NewNaive returns an empty naive matcher.
-func NewNaive() *Naive {
+func NewNaive() *Naive { //xyvet:ignore testonly reference matcher of the differential tests and benchmarks
 	return &Naive{defs: make(map[core.ComplexID]core.EventSet)}
 }
 
@@ -101,7 +101,7 @@ type Counting struct {
 }
 
 // NewCounting returns an empty counting matcher.
-func NewCounting() *Counting {
+func NewCounting() *Counting { //xyvet:ignore testonly reference matcher of the differential tests and benchmarks
 	return &Counting{
 		defs:  make(map[core.ComplexID]core.EventSet),
 		index: make(map[core.Event][]core.ComplexID),

@@ -46,12 +46,13 @@ func WithDialer(dial func(addr string) (net.Conn, error)) ClientOption {
 	return func(c *clientConfig) { c.dialer = dial }
 }
 
-// WithInjector arms the default dialer's fault seam: dials and every
-// Read/Write of the produced connections consult in at
-// faults.PointConn. A nil injector (the default) keeps the seam
+// WithInjector arms the default dialer's fault seam (faults.PointConn)
+// and, on a coordinator, its transfer, admission and journal points
+// (faults.PointXfer, PointAccept, PointServe*, the WAL ops), which no
+// dialer reaches. A nil injector (the default) keeps the seams
 // transparent, so the production and chaos configurations differ only
 // by the injector, not by the code path.
-func WithInjector(in *faults.Injector) ClientOption {
+func WithInjector(in *faults.Injector) ClientOption { //xyvet:ignore testonly fault seam of the crash-mid-transfer tests
 	return func(c *clientConfig) { c.faults = in }
 }
 
@@ -59,7 +60,7 @@ func WithInjector(in *faults.Injector) ClientOption {
 // exchange. A zero keeps the default (2s dial, 5s I/O). Deadlines are what
 // turn a hung peer from "every document stalls forever" into an error the
 // retry path can act on.
-func WithTimeouts(dial, io time.Duration) ClientOption {
+func WithTimeouts(dial, io time.Duration) ClientOption { //xyvet:ignore testonly robustness knob the chaos and cluster tests tighten
 	return func(c *clientConfig) {
 		if dial > 0 {
 			c.dialTimeout = dial
@@ -72,7 +73,7 @@ func WithTimeouts(dial, io time.Duration) ClientOption {
 
 // WithRetries sets how many times one Match reconnects and resends to a
 // failing block before giving up on it (default 2).
-func WithRetries(n int) ClientOption {
+func WithRetries(n int) ClientOption { //xyvet:ignore testonly robustness knob the chaos and cluster tests tighten
 	return func(c *clientConfig) { c.retries = n }
 }
 
@@ -80,7 +81,7 @@ func WithRetries(n int) ClientOption {
 // exhausting its retry budget: base·2ⁿ⁻¹ capped at max (defaults 1s/30s).
 // While cooling down the block is skipped instantly; the first Match after
 // the window doubles as the health probe.
-func WithDownCooldown(base, max time.Duration) ClientOption {
+func WithDownCooldown(base, max time.Duration) ClientOption { //xyvet:ignore testonly robustness knob the chaos and cluster tests tighten
 	return func(c *clientConfig) {
 		if base > 0 {
 			c.downBase = base
@@ -94,7 +95,7 @@ func WithDownCooldown(base, max time.Duration) ClientOption {
 // WithClientClock substitutes the time source of the down-cooldown
 // bookkeeping (the I/O deadlines always run on the real clock — the
 // kernel knows no virtual time).
-func WithClientClock(clock func() time.Time) ClientOption {
+func WithClientClock(clock func() time.Time) ClientOption { //xyvet:ignore testonly virtual clock of the cooldown tests
 	return func(c *clientConfig) { c.clock = clock }
 }
 

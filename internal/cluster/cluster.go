@@ -66,7 +66,7 @@ type ServerOption func(*serverConfig)
 // reconnect transparently; a connect-and-stall peer cannot pin a handler
 // goroutine. Zero keeps the default; a negative value disables the
 // deadline (the pre-deadline behaviour, for tests that need a hang).
-func WithReadIdle(d time.Duration) ServerOption {
+func WithReadIdle(d time.Duration) ServerOption { //xyvet:ignore testonly robustness knob the server tests tighten
 	return func(c *serverConfig) { c.readIdle = d }
 }
 
@@ -76,7 +76,7 @@ func WithReadIdle(d time.Duration) ServerOption {
 // all keyed by the remote address. A nil injector keeps the seams
 // transparent — the production and chaos configurations differ only by
 // the injector.
-func WithServerInjector(in *faults.Injector) ServerOption {
+func WithServerInjector(in *faults.Injector) ServerOption { //xyvet:ignore testonly fault seam of the chaos and server tests
 	return func(c *serverConfig) { c.faults = in }
 }
 

@@ -232,18 +232,6 @@ func (c *Coord) Map() Map {
 	return c.curr.Clone()
 }
 
-// Blocks lists the admitted block addresses, sorted.
-func (c *Coord) Blocks() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.members))
-	for b := range c.members {
-		out = append(out, b)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Join admits a block and rebalances onto it. The block must already be
 // serving — partitions are copied to it before the new map commits.
 func (c *Coord) Join(addr string) error { return c.reshape(addr, true) }
@@ -256,7 +244,7 @@ func (c *Coord) Leave(addr string) error { return c.reshape(addr, false) }
 // Evict removes a dead block from the cluster: like Leave, but the
 // transfer never contacts addr — every copy reads from a surviving
 // replica. This is the R ≥ 2 recovery path after a block failure.
-func (c *Coord) Evict(addr string) error { return c.reshape(addr, false) }
+func (c *Coord) Evict(addr string) error { return c.reshape(addr, false) } //xyvet:ignore testonly operator surface: the rebalance tests evict a killed block
 
 // reshape runs one membership change as a journaled two-phase transition.
 func (c *Coord) reshape(addr string, add bool) error {
@@ -660,11 +648,6 @@ func (c *Coord) dispatch(kind byte, body []byte, w *bufio.Writer) error {
 			return err
 		}
 		return writeBlob(w, kindAck, nil)
-	case kindEvict:
-		if err := c.Evict(string(body)); err != nil {
-			return err
-		}
-		return writeBlob(w, kindAck, nil)
 	default:
 		return fmt.Errorf("%w: unknown coordinator frame kind %q", ErrProtocol, kind)
 	}
@@ -685,11 +668,6 @@ func JoinCluster(coordAddr, addr string, opts ...ClientOption) error {
 // returns once the cluster has rebalanced off addr.
 func LeaveCluster(coordAddr, addr string, opts ...ClientOption) error {
 	return coordRequest(coordAddr, kindLeave, addr, opts)
-}
-
-// EvictFromCluster reports addr as dead to the coordinator.
-func EvictFromCluster(coordAddr, addr string, opts ...ClientOption) error {
-	return coordRequest(coordAddr, kindEvict, addr, opts)
 }
 
 func coordRequest(coordAddr string, kind byte, addr string, opts []ClientOption) error {

@@ -97,7 +97,7 @@ func (rt *routes) cover(legs []leg, need uint64, start uint32) ([]leg, uint64) {
 
 // DialRing fetches the current partition map from the coordinator and
 // returns a client routing by it.
-func DialRing(coordAddr string, opts ...ClientOption) (*RingClient, error) {
+func DialRing(coordAddr string, opts ...ClientOption) (*RingClient, error) { //xyvet:ignore testonly coordinator-backed client the rebalance tests dial
 	c := &RingClient{
 		cfg:   newClientConfig(opts),
 		coord: coordAddr,

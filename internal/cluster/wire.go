@@ -44,7 +44,6 @@ const (
 	kindAck     = 'k'
 	kindJoin    = 'J'
 	kindLeave   = 'L'
-	kindEvict   = 'V'
 	kindError   = 'E'
 )
 

@@ -264,8 +264,9 @@ func (c *Crawler) Step() int {
 }
 
 // FetchAll forces an immediate fetch of every page, regardless of
-// schedule; examples use it to drive deterministic rounds.
-func (c *Crawler) FetchAll() int {
+// schedule; the crawl benchmarks and tests use it to drive deterministic
+// rounds.
+func (c *Crawler) FetchAll() int { //xyvet:ignore testonly drives deterministic crawl rounds in benchmarks and tests
 	now := c.clock()
 	c.mu.Lock()
 	all := make([]*pageState, 0, len(c.pages))
@@ -451,7 +452,7 @@ func clampPeriod(d, min, max time.Duration) time.Duration {
 
 // Period reports the current refresh period of a page (0 when unknown);
 // the adaptive-refresh tests observe convergence through it.
-func (c *Crawler) Period(url string) time.Duration {
+func (c *Crawler) Period(url string) time.Duration { //xyvet:ignore testonly the adaptive-refresh tests observe convergence through it
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if p, ok := c.pages[url]; ok {
@@ -524,24 +525,15 @@ func (c *Crawler) Stats() Stats {
 }
 
 // Pages returns the number of known pages.
-func (c *Crawler) Pages() int {
+func (c *Crawler) Pages() int { //xyvet:ignore testonly benchmarks and tests size the frontier with it
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.pages)
 }
 
-// BreakerOpen reports whether the circuit breaker of the site with the
-// given base URL is currently open.
-func (c *Crawler) BreakerOpen(baseURL string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	br := c.breakers[baseURL]
-	return br != nil && br.open
-}
-
 // Fails reports the consecutive-failure count of a page (0 when unknown
 // or healthy); retry tests observe backoff growth through it.
-func (c *Crawler) Fails(url string) int {
+func (c *Crawler) Fails(url string) int { //xyvet:ignore testonly the retry and chaos tests observe backoff through it
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if p, ok := c.pages[url]; ok {

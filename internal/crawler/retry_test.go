@@ -202,3 +202,12 @@ func TestFetchFaultInjection(t *testing.T) {
 		t.Errorf("store has %d pages, want 1", r.store.Len())
 	}
 }
+
+// BreakerOpen reports whether the circuit breaker of the site with the
+// given base URL is currently open.
+func (c *Crawler) BreakerOpen(baseURL string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	br := c.breakers[baseURL]
+	return br != nil && br.open
+}

@@ -18,7 +18,7 @@ type FaultyDelivery struct {
 }
 
 // WrapDelivery wraps sink so Deliver consults in.
-func WrapDelivery(sink reporter.Delivery, in *Injector) *FaultyDelivery {
+func WrapDelivery(sink reporter.Delivery, in *Injector) *FaultyDelivery { //xyvet:ignore testonly fault-injector API the chaos and crash tests arm
 	return &FaultyDelivery{sink: sink, in: in}
 }
 
@@ -48,6 +48,3 @@ func (d *FaultyDelivery) Deliver(rep *reporter.Report) error {
 	// at-least-once contract, not a bug.
 	return d.in.Check(PointDeliveryAck, rep.Subscription)
 }
-
-// Lost counts reports swallowed by drop-mode faults.
-func (d *FaultyDelivery) Lost() uint64 { return d.lost.Load() }

@@ -59,32 +59,9 @@ const (
 	// legitimate duplicate the at-least-once contract allows.
 	PointDeliveryAck Point = "delivery.ack"
 
-	// The WAL's durability points (the wal package reports them to its
-	// Hook by these same strings; it cannot import this package, so the
-	// names are duplicated by contract, pinned by a test).
-	PointWALAppend            Point = "wal.append"
-	PointWALAppendDone        Point = "wal.append.done"
-	PointWALCheckpointTemp    Point = "wal.checkpoint.temp"
-	PointWALCheckpointInstall Point = "wal.checkpoint.install"
-	PointWALCheckpointCompact Point = "wal.checkpoint.compact"
-	// The File-level pair sits one level below the Log's append points:
-	// wal.file.append fires before the OS write, wal.file.sync between
-	// the write and the fsync — the page-cache window.
-	PointWALFileAppend Point = "wal.file.append"
-	PointWALFileSync   Point = "wal.file.sync"
-
-	// The notification change-stream's durability points (same
-	// duplicated-by-contract discipline as the wal ops, pinned by a
-	// test): stream.append before a batch is encoded and written,
-	// stream.read before any poll or recovery scan touches segment or
-	// cursor bytes, cursor.commit between consuming a batch and writing
-	// anything, cursor.commit.install just before the new offset reaches
-	// the cursor file (the first commit's rename, a later one's in-place
-	// slot write).
-	PointStreamAppend  Point = "stream.append"
-	PointStreamRead    Point = "stream.read"
-	PointCursorCommit  Point = "cursor.commit"
-	PointCursorInstall Point = "cursor.commit.install"
+	// The WAL's and the change-stream's durability points are named by
+	// the wal.Op* and stream.Op* constants those packages report to their
+	// hooks; arm them as faults.Point(wal.OpAppend) and so on.
 )
 
 // Mode is the kind of fault a rule injects.
@@ -181,7 +158,7 @@ type PointStats struct {
 }
 
 // Total sums the counters.
-func (p PointStats) Total() uint64 {
+func (p PointStats) Total() uint64 { //xyvet:ignore testonly fault-injector API the chaos and crash tests arm
 	return p.Errors + p.Latencies + p.Drops + p.Truncates + p.Crashes
 }
 
@@ -206,7 +183,7 @@ type Injector struct {
 }
 
 // New returns an injector drawing from the given seed.
-func New(seed int64) *Injector {
+func New(seed int64) *Injector { //xyvet:ignore testonly fault-injector API the chaos and crash tests arm
 	return &Injector{
 		rng:   rand.New(rand.NewSource(seed)),
 		stats: make(map[Point]*PointStats),
@@ -218,7 +195,7 @@ func New(seed int64) *Injector {
 
 // Enable arms a rule. Rules at the same point are consulted in the order
 // they were armed; the first one that fires wins.
-func (in *Injector) Enable(r Rule) {
+func (in *Injector) Enable(r Rule) { //xyvet:ignore testonly fault-injector API the chaos and crash tests arm
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.rules = append(in.rules, &ruleState{rule: r})
@@ -226,14 +203,14 @@ func (in *Injector) Enable(r Rule) {
 
 // Clear disarms every rule (stats are kept). Operations in flight finish
 // with whatever decision they already drew.
-func (in *Injector) Clear() {
+func (in *Injector) Clear() { //xyvet:ignore testonly fault-injector API the chaos and crash tests arm
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.rules = nil
 }
 
 // ClearPoint disarms the rules of one point.
-func (in *Injector) ClearPoint(p Point) {
+func (in *Injector) ClearPoint(p Point) { //xyvet:ignore testonly fault-injector API the chaos and crash tests arm
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	kept := in.rules[:0]
@@ -340,7 +317,7 @@ func (in *Injector) sleep(d time.Duration) {
 }
 
 // Stats snapshots the per-point injection counters.
-func (in *Injector) Stats() map[Point]PointStats {
+func (in *Injector) Stats() map[Point]PointStats { //xyvet:ignore testonly fault-injector API the chaos and crash tests arm
 	out := make(map[Point]PointStats)
 	if in == nil {
 		return out

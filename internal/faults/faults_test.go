@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"xymon/internal/reporter"
-	"xymon/internal/stream"
 	"xymon/internal/wal"
 )
 
@@ -246,18 +245,18 @@ func TestCrashModeCallsExit(t *testing.T) {
 	var code int
 	calls := 0
 	in.Exit = func(c int) { code = c; calls++ }
-	in.Enable(Rule{Point: PointWALAppend, Mode: ModeCrash, Count: 1})
+	in.Enable(Rule{Point: Point(wal.OpAppend), Mode: ModeCrash, Count: 1})
 
-	if err := in.Check(PointWALAppend, "subs"); !errors.Is(err, ErrInjected) {
+	if err := in.Check(Point(wal.OpAppend), "subs"); !errors.Is(err, ErrInjected) {
 		t.Fatalf("stubbed crash = %v, want ErrInjected", err)
 	}
 	if calls != 1 || code != 2 {
 		t.Fatalf("Exit called %d times with code %d, want once with 2", calls, code)
 	}
-	if st := in.Stats()[PointWALAppend]; st.Crashes != 1 {
+	if st := in.Stats()[Point(wal.OpAppend)]; st.Crashes != 1 {
 		t.Errorf("Crashes = %d, want 1", st.Crashes)
 	}
-	if err := in.Check(PointWALAppend, "subs"); err != nil {
+	if err := in.Check(Point(wal.OpAppend), "subs"); err != nil {
 		t.Errorf("after Count exhausted: %v", err)
 	}
 }
@@ -265,50 +264,26 @@ func TestCrashModeCallsExit(t *testing.T) {
 func TestRuleSkipDefersFiring(t *testing.T) {
 	in := New(1)
 	in.Exit = func(int) {}
-	in.Enable(Rule{Point: PointWALAppend, Mode: ModeCrash, Skip: 3, Count: 1})
+	in.Enable(Rule{Point: Point(wal.OpAppend), Mode: ModeCrash, Skip: 3, Count: 1})
 	for i := 0; i < 3; i++ {
-		if err := in.Check(PointWALAppend, "k"); err != nil {
+		if err := in.Check(Point(wal.OpAppend), "k"); err != nil {
 			t.Fatalf("skipped occurrence %d faulted: %v", i, err)
 		}
 	}
-	if err := in.Check(PointWALAppend, "k"); !errors.Is(err, ErrInjected) {
+	if err := in.Check(Point(wal.OpAppend), "k"); !errors.Is(err, ErrInjected) {
 		t.Fatalf("occurrence 4 = %v, want the crash", err)
 	}
 	// Skip only counts matching keys.
 	in.Clear()
-	in.Enable(Rule{Point: PointWALAppend, Mode: ModeError, Skip: 1, Match: "yes"})
-	if err := in.Check(PointWALAppend, "no"); err != nil {
+	in.Enable(Rule{Point: Point(wal.OpAppend), Mode: ModeError, Skip: 1, Match: "yes"})
+	if err := in.Check(Point(wal.OpAppend), "no"); err != nil {
 		t.Fatalf("non-matching key consumed a skip: %v", err)
 	}
-	if err := in.Check(PointWALAppend, "yes"); err != nil {
+	if err := in.Check(Point(wal.OpAppend), "yes"); err != nil {
 		t.Fatalf("first match should be skipped: %v", err)
 	}
-	if err := in.Check(PointWALAppend, "yes"); !errors.Is(err, ErrInjected) {
+	if err := in.Check(Point(wal.OpAppend), "yes"); !errors.Is(err, ErrInjected) {
 		t.Fatalf("second match = %v, want fault", err)
-	}
-}
-
-// TestWALPointNamesMatch pins the cross-package contract: the wal
-// package reports its durability points by string (it cannot import
-// faults), and the harness arms rules by these Point constants.
-func TestWALPointNamesMatch(t *testing.T) {
-	pairs := map[Point]string{
-		PointWALAppend:            wal.OpAppend,
-		PointWALAppendDone:        wal.OpAppendDone,
-		PointWALCheckpointTemp:    wal.OpCheckpointTemp,
-		PointWALCheckpointInstall: wal.OpCheckpointInstall,
-		PointWALCheckpointCompact: wal.OpCheckpointCompact,
-		PointWALFileAppend:        wal.OpFileAppend,
-		PointWALFileSync:          wal.OpFileSync,
-		PointStreamAppend:         stream.OpAppend,
-		PointStreamRead:           stream.OpRead,
-		PointCursorCommit:         stream.OpCursorCommit,
-		PointCursorInstall:        stream.OpCursorInstall,
-	}
-	for p, op := range pairs {
-		if string(p) != op {
-			t.Errorf("faults point %q != wal op %q", p, op)
-		}
 	}
 }
 
@@ -331,3 +306,6 @@ func TestDeliveryAckFault(t *testing.T) {
 		t.Errorf("retry = %v (n=%d), want clean duplicate", err, sink.n)
 	}
 }
+
+// Lost counts reports swallowed by drop-mode faults.
+func (d *FaultyDelivery) Lost() uint64 { return d.lost.Load() }

@@ -15,15 +15,13 @@ import (
 	"xymon/internal/alerter"
 )
 
-// Handler processes one document; typically manager.Manager.ProcessDoc.
-type Handler func(*alerter.Doc) int
+// Handler processes one document; typically System.ProcessDoc.
+type Handler func(*alerter.Doc)
 
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("flow: runner is closed")
 
 // Runner is a fixed-size worker pool over a buffered document queue.
-// Per-document counters are atomics so workers never serialise on a
-// bookkeeping lock between documents.
 type Runner struct {
 	handler Handler
 	queue   chan *alerter.Doc
@@ -34,9 +32,6 @@ type Runner struct {
 	// holding it exclusively, so a send can never hit a closed channel.
 	closeMu sync.RWMutex
 	closed  atomic.Bool
-
-	docs          atomic.Uint64
-	notifications atomic.Uint64
 }
 
 // NewRunner starts workers goroutines draining a queue of the given
@@ -62,9 +57,7 @@ func NewRunner(workers, capacity int, handler Handler) *Runner {
 func (r *Runner) work() {
 	defer r.wg.Done()
 	for d := range r.queue {
-		n := r.handler(d)
-		r.docs.Add(1)
-		r.notifications.Add(uint64(n))
+		r.handler(d)
 	}
 }
 
@@ -100,9 +93,4 @@ func (r *Runner) Close() {
 	close(r.queue)
 	r.closeMu.Unlock()
 	r.wg.Wait()
-}
-
-// Stats returns documents processed and notifications produced so far.
-func (r *Runner) Stats() (docs, notifications uint64) {
-	return r.docs.Load(), r.notifications.Load()
 }

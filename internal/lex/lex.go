@@ -227,17 +227,3 @@ func (l *Lexer) scan() Token {
 		return Token{Kind: Symbol, Text: string(r), Line: line, Col: col}
 	}
 }
-
-// Tokens scans the whole input; for tests.
-func Tokens(src string) ([]Token, error) {
-	l := New(src)
-	var out []Token
-	for {
-		t := l.Next()
-		if t.Kind == EOF {
-			break
-		}
-		out = append(out, t)
-	}
-	return out, l.Err()
-}

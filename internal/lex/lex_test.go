@@ -108,3 +108,17 @@ func TestIdentsWithDashesAndColons(t *testing.T) {
 		t.Errorf("tokens = %v", toks)
 	}
 }
+
+// Tokens scans the whole input.
+func Tokens(src string) ([]Token, error) {
+	l := New(src)
+	var out []Token
+	for {
+		t := l.Next()
+		if t.Kind == EOF {
+			break
+		}
+		out = append(out, t)
+	}
+	return out, l.Err()
+}

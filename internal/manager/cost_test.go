@@ -52,7 +52,7 @@ func newCostRig(t *testing.T, maxCost, inhibitRate float64) *rig {
 	// Rebuild the manager with budgets.
 	r.mgr = New(Config{
 		Matcher:     core.NewMatcher(),
-		Pipeline:    alerter.NewPipeline(nil),
+		Pipeline:    alerter.NewPipeline(),
 		Reporter:    r.rep,
 		Trigger:     r.eng,
 		Clock:       func() time.Time { return r.clock },

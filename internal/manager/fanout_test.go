@@ -21,7 +21,7 @@ func bareManager(rep *reporter.Reporter) (*Manager, *warehouse.Store) {
 	store := warehouse.NewStore()
 	return New(Config{
 		Matcher:  core.NewMatcher(),
-		Pipeline: alerter.NewPipeline(nil),
+		Pipeline: alerter.NewPipeline(),
 		Reporter: rep,
 		Trigger:  trigger.New(store.AllRoots, nil),
 	}), store

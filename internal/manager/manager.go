@@ -272,12 +272,6 @@ func (m *Manager) Subscribe(src string) (*sublang.Subscription, error) {
 	return sub, nil
 }
 
-// SubscribeParsed registers an already-parsed subscription (no journal
-// entry is written; used by tests and programmatic callers).
-func (m *Manager) SubscribeParsed(sub *sublang.Subscription) error {
-	return m.register("", sub, false)
-}
-
 func (m *Manager) register(src string, sub *sublang.Subscription, journal bool) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -636,8 +630,8 @@ func (m *Manager) Checkpoint() error {
 	live := make([]Record, 0, len(m.subs))
 	for name, rs := range m.subs {
 		if rs.src == "" {
-			// Registered via SubscribeParsed: never journalled, so it has
-			// no source text to recover from — leave it out, as Append did.
+			// Registered without source text (the tests' SubscribeParsed):
+			// never journalled, nothing to recover from — leave it out.
 			continue
 		}
 		live = append(live, Record{Op: "subscribe", Name: name, Source: rs.src})

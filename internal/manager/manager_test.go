@@ -41,7 +41,7 @@ func newRig(t *testing.T, journal Journal) *rig {
 	}, trigger.WithClock(now))
 	r.mgr = New(Config{
 		Matcher:  core.NewMatcher(),
-		Pipeline: alerter.NewPipeline(nil),
+		Pipeline: alerter.NewPipeline(),
 		Reporter: r.rep,
 		Trigger:  r.eng,
 		Clock:    now,
@@ -540,4 +540,10 @@ report when immediate`)
 	if !strings.Contains(out, "camera") || strings.Contains(out, "radio") {
 		t.Errorf("report = %s", out)
 	}
+}
+
+// SubscribeParsed registers an already-parsed subscription (no journal
+// entry is written).
+func (m *Manager) SubscribeParsed(sub *sublang.Subscription) error {
+	return m.register("", sub, false)
 }

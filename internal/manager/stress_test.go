@@ -46,7 +46,7 @@ func TestManagerStress(t *testing.T) {
 	})
 	mgr := New(Config{
 		Matcher:  core.NewMatcher(),
-		Pipeline: alerter.NewPipeline(nil),
+		Pipeline: alerter.NewPipeline(),
 		Reporter: rep,
 		Trigger:  eng,
 	})
@@ -156,7 +156,7 @@ func TestConcurrentProcessDocChurn(t *testing.T) {
 	eng := trigger.New(store.AllRoots, func(trigger.Result) {})
 	mgr := New(Config{
 		Matcher:  core.NewMatcher(),
-		Pipeline: alerter.NewPipeline(nil),
+		Pipeline: alerter.NewPipeline(),
 		Reporter: rep,
 		Trigger:  eng,
 	})

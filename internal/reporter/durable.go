@@ -110,7 +110,7 @@ func (r *Reporter) commit() {
 
 // JournalErrors counts journal writes and commit barriers that failed
 // (state kept in memory only — durability degraded, operation continued).
-func (r *Reporter) JournalErrors() uint64 { return r.walErrors.Load() }
+func (r *Reporter) JournalErrors() uint64 { return r.walErrors.Load() } //xyvet:ignore testonly operator surface with no endpoint yet
 
 // noteFired writes the copies of one built report — the origin's and
 // its followers' — to the journal as one stream batch, numbers each by

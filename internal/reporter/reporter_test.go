@@ -268,33 +268,6 @@ func TestUnregister(t *testing.T) {
 	}
 }
 
-func TestEmailSinkCapacity(t *testing.T) {
-	c := newClock()
-	sink := NewEmailSink(2, true, c.now)
-	r := New(sink, WithClock(c.now))
-	r.Register("S", countSpec(0))
-	for i := 0; i < 4; i++ {
-		r.Notify(notif("S", "X"))
-	}
-	total, rejected := sink.Counts()
-	if total != 2 || rejected != 2 {
-		t.Errorf("total=%d rejected=%d, want 2/2", total, rejected)
-	}
-	delivered, failed := r.Stats()
-	if delivered != 2 || failed != 2 {
-		t.Errorf("delivered=%d failed=%d", delivered, failed)
-	}
-	// Next day the capacity resets.
-	c.advance(25 * time.Hour)
-	r.Notify(notif("S", "X"))
-	if total, _ := sink.Counts(); total != 3 {
-		t.Errorf("total after reset = %d, want 3", total)
-	}
-	if msgs := sink.Sent(); len(msgs) != 3 || !strings.Contains(msgs[0].Subject, "report for S") {
-		t.Errorf("sent = %v", msgs)
-	}
-}
-
 func TestNotifyBatch(t *testing.T) {
 	c := newClock()
 	r, reports := collectReports(t, WithClock(c.now))

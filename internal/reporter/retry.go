@@ -53,7 +53,7 @@ const DefaultDeadLetterCap = 1024
 // WithDeadLetterCap bounds the dead-letter queue to n letters, evicting
 // oldest-first past the cap (n <= 0 removes the bound). Evictions are
 // counted in RetryStats.
-func WithDeadLetterCap(n int) Option {
+func WithDeadLetterCap(n int) Option { //xyvet:ignore testonly delivery knob the chaos and reporter tests tighten
 	return func(r *Reporter) { r.retry.maxDead = n }
 }
 
@@ -77,7 +77,7 @@ func (r *Reporter) evictDeadLocked() {
 // counted, the pre-retry behaviour), with the delay between attempts
 // growing from base, doubling, capped at max. The default is 5 attempts,
 // 1m base, 1h cap.
-func WithRetryPolicy(maxAttempts int, base, max time.Duration) Option {
+func WithRetryPolicy(maxAttempts int, base, max time.Duration) Option { //xyvet:ignore testonly delivery knob the chaos and reporter tests tighten
 	return func(r *Reporter) {
 		r.retry.maxAttempts = maxAttempts
 		if base > 0 {
@@ -167,14 +167,14 @@ func (r *Reporter) drainRetries(now time.Time) {
 }
 
 // RetryPending returns the number of reports waiting for redelivery.
-func (r *Reporter) RetryPending() int {
+func (r *Reporter) RetryPending() int { //xyvet:ignore testonly operator surface with no endpoint yet
 	r.retry.mu.Lock()
 	defer r.retry.mu.Unlock()
 	return len(r.retry.queue)
 }
 
 // DeadLetters returns a copy of the dead-letter queue.
-func (r *Reporter) DeadLetters() []DeadLetter {
+func (r *Reporter) DeadLetters() []DeadLetter { //xyvet:ignore testonly operator surface with no endpoint yet
 	r.retry.mu.Lock()
 	defer r.retry.mu.Unlock()
 	return append([]DeadLetter(nil), r.retry.dead...)
@@ -184,7 +184,7 @@ func (r *Reporter) DeadLetters() []DeadLetter {
 // sits in the journal, and the handle Redrive takes. It is 0 when the
 // Reporter runs without a WAL (redrive everything with no ids in that
 // configuration).
-func (d DeadLetter) ID() uint64 { return d.Report.id }
+func (d DeadLetter) ID() uint64 { return d.Report.id } //xyvet:ignore testonly operator surface with no endpoint yet
 
 // Redrive moves dead letters back onto the retry queue with a fresh
 // attempt budget — the operator's "the sink is fixed, try again". With
@@ -192,7 +192,7 @@ func (d DeadLetter) ID() uint64 { return d.Report.id }
 // ID() matches. The move is journaled, so a redrive survives a crash:
 // recovery rebuilds the report as outstanding, not dead. Returns the
 // number of letters moved; they deliver on the next Tick.
-func (r *Reporter) Redrive(ids ...uint64) int {
+func (r *Reporter) Redrive(ids ...uint64) int { //xyvet:ignore testonly operator surface with no endpoint yet
 	want := make(map[uint64]bool, len(ids))
 	for _, id := range ids {
 		want[id] = true
@@ -239,7 +239,7 @@ type RetryStats struct {
 }
 
 // RetryStats snapshots the redelivery counters.
-func (r *Reporter) RetryStats() RetryStats {
+func (r *Reporter) RetryStats() RetryStats { //xyvet:ignore testonly operator surface with no endpoint yet
 	return RetryStats{
 		Retried:      r.retried.Load(),
 		DeadLettered: r.deadLettered.Load(),

@@ -5,8 +5,8 @@
 // all DTDs"; here each domain is described by a prototype vocabulary of
 // element tags, and documents (or DTDs, represented by their tag sets)
 // are assigned to the closest domain by weighted cosine similarity over
-// tag frequencies. The `domain = "biology"` atomic condition and the
-// per-domain continuous-query views consume the assignment.
+// tag frequencies. The `domain = "biology"` atomic condition consumes
+// the assignment.
 package semantic
 
 import (
@@ -52,25 +52,6 @@ func (c *Classifier) AddDomain(name string, tags ...string) {
 	}
 }
 
-// RemoveDomain drops a domain.
-func (c *Classifier) RemoveDomain(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.domains, name)
-}
-
-// Domains lists the registered domain names, sorted.
-func (c *Classifier) Domains() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.domains))
-	for name := range c.domains {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // TagProfile extracts the tag-frequency vector of a document.
 func TagProfile(doc *xmldom.Document) map[string]float64 {
 	profile := make(map[string]float64)
@@ -90,16 +71,6 @@ func TagProfile(doc *xmldom.Document) map[string]float64 {
 // similarity score. An empty domain means no domain reached MinScore.
 func (c *Classifier) Classify(doc *xmldom.Document) (string, float64) {
 	return c.classifyProfile(TagProfile(doc))
-}
-
-// ClassifyTags classifies a raw tag set — the form a DTD takes when only
-// its element declarations are known.
-func (c *Classifier) ClassifyTags(tags []string) (string, float64) {
-	profile := make(map[string]float64, len(tags))
-	for _, t := range tags {
-		profile[strings.ToLower(t)]++
-	}
-	return c.classifyProfile(profile)
 }
 
 func (c *Classifier) classifyProfile(profile map[string]float64) (string, float64) {
@@ -143,21 +114,4 @@ func cosine(a, b map[string]float64) float64 {
 		return 0
 	}
 	return dot / (math.Sqrt(na) * math.Sqrt(nb))
-}
-
-// Train folds an already-classified document into its domain's prototype,
-// so the classification sharpens as the warehouse grows (the paper's
-// classification is automatic and evolves with the DTD population).
-func (c *Classifier) Train(domain string, doc *xmldom.Document) {
-	profile := TagProfile(doc)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	proto := c.domains[domain]
-	if proto == nil {
-		proto = make(map[string]float64)
-		c.domains[domain] = proto
-	}
-	for tag, n := range profile {
-		proto[tag] += n
-	}
 }

@@ -1,6 +1,8 @@
 package semantic
 
 import (
+	"sort"
+	"strings"
 	"testing"
 
 	"xymon/internal/xmldom"
@@ -104,5 +106,54 @@ func TestTagProfile(t *testing.T) {
 	}
 	if len(TagProfile(nil)) != 0 {
 		t.Error("nil doc should give empty profile")
+	}
+}
+
+// Test-side classifier operations: the build keeps only AddDomain and
+// Classify, which the System calls.
+
+// RemoveDomain drops a domain.
+func (c *Classifier) RemoveDomain(name string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.domains, name)
+}
+
+// Domains lists the registered domain names, sorted.
+func (c *Classifier) Domains() []string {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	out := make([]string, 0, len(c.domains))
+	for name := range c.domains {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// ClassifyTags classifies a raw tag set — the form a DTD takes when only
+// its element declarations are known.
+func (c *Classifier) ClassifyTags(tags []string) (string, float64) {
+	profile := make(map[string]float64, len(tags))
+	for _, t := range tags {
+		profile[strings.ToLower(t)]++
+	}
+	return c.classifyProfile(profile)
+}
+
+// Train folds an already-classified document into its domain's prototype,
+// so the classification sharpens as the warehouse grows (the paper's
+// classification is automatic and evolves with the DTD population).
+func (c *Classifier) Train(domain string, doc *xmldom.Document) {
+	profile := TagProfile(doc)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	proto := c.domains[domain]
+	if proto == nil {
+		proto = make(map[string]float64)
+		c.domains[domain] = proto
+	}
+	for tag, n := range profile {
+		proto[tag] += n
 	}
 }

@@ -109,9 +109,6 @@ func (c *Cursor) consult(op string) error {
 	return c.hook(op, c.name)
 }
 
-// Name returns the consumer name.
-func (c *Cursor) Name() string { return c.name }
-
 // Offset returns the last committed offset — the next record the
 // consumer has not yet durably consumed.
 func (c *Cursor) Offset() uint64 { return c.offset }

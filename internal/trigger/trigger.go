@@ -16,8 +16,8 @@ import (
 	"xymon/internal/xydiff"
 )
 
-// Source supplies the forest a continuous query runs over — typically a
-// semantic-domain view of the warehouse.
+// Source supplies the forest a continuous query runs over — the System
+// passes the warehouse's AllRoots.
 type Source func() []*xmldom.Node
 
 // Result is a continuous-query notification: the query code plus its
@@ -191,7 +191,7 @@ func (e *Engine) evaluate(r *registered, now time.Time) {
 }
 
 // Evaluations returns the number of query evaluations performed.
-func (e *Engine) Evaluations() uint64 {
+func (e *Engine) Evaluations() uint64 { //xyvet:ignore testonly operator surface with no endpoint yet
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.evaluations

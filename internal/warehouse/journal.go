@@ -206,7 +206,6 @@ func (j *Journal) Recover(s *Store) error {
 			e.Meta.Signature = structSignature(e.structHash)
 		}
 		s.pages[url] = e
-		s.indexDomainLocked(e.Meta.Domain, url)
 	}
 	s.nextDoc = max(s.nextDoc, j.nextDoc)
 	for dtd, id := range j.dtds {

@@ -128,9 +128,9 @@ func TestJournalRoundTrip(t *testing.T) {
 	if id := s2.DTDID("http://a.example/c.dtd"); id != e.Meta.DTDID {
 		t.Errorf("DTD id of c.dtd = %d, want %d", id, e.Meta.DTDID)
 	}
-	// Domain views restored.
-	if len(s2.DomainRoots("shopping")) != 1 {
-		t.Errorf("domain view not restored")
+	// Domains restored.
+	if e, err := s2.Get("http://a.example/c.xml"); err != nil || e.Meta.Domain != "shopping" {
+		t.Errorf("domain not restored: %+v, %v", e, err)
 	}
 }
 

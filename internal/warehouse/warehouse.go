@@ -126,7 +126,6 @@ var ErrUnknownURL = errors.New("warehouse: unknown URL")
 type Store struct {
 	mu         sync.RWMutex
 	pages      map[string]*Entry
-	domains    map[string]map[string]bool // domain -> set of URLs
 	dtdIDs     map[string]uint64
 	nextDoc    uint64
 	nextDTD    uint64
@@ -189,7 +188,6 @@ func WithAlwaysDiff() Option {
 func NewStore(opts ...Option) *Store {
 	s := &Store{
 		pages:   make(map[string]*Entry),
-		domains: make(map[string]map[string]bool),
 		dtdIDs:  make(map[string]uint64),
 		nextDoc: 1,
 		nextDTD: 1,
@@ -227,7 +225,7 @@ func structSignature(root uint64) (sig [sha256.Size]byte) {
 // doc's nodes with persistent XIDs), bumps the version and updates all
 // metadata. The dtd and domain describe the document class; they may be
 // empty.
-func (s *Store) CommitXML(url, dtd, domain string, doc *xmldom.Document) (*CommitResult, error) {
+func (s *Store) CommitXML(url, dtd, domain string, doc *xmldom.Document) (*CommitResult, error) { //xyvet:ignore testonly commits a parsed tree: the tests' entry to the commit path
 	return s.commitXML(url, dtd, domain, doc, nil, nil)
 }
 
@@ -383,7 +381,6 @@ func (s *Store) commitXML(url, dtd, domain string, doc *xmldom.Document, rawSig 
 			e.rawSig, e.rawOK = *rawSig, true
 		}
 		s.pages[url] = e
-		s.indexDomainLocked(domain, url)
 		// The hash vector stays cached on doc: the next version's Diff then
 		// hashes only its own tree — and the root hash is the tier-2
 		// reference for the next refetch.
@@ -422,10 +419,8 @@ func (s *Store) commitXML(url, dtd, domain string, doc *xmldom.Document, rawSig 
 		e.Meta.DTD = dtd
 		e.Meta.DTDID = s.dtdIDLocked(dtd)
 	}
-	if domain != "" && domain != e.Meta.Domain {
-		s.unindexDomainLocked(e.Meta.Domain, url)
+	if domain != "" {
 		e.Meta.Domain = domain
-		s.indexDomainLocked(domain, url)
 	}
 	return &CommitResult{Status: StatusUpdated, Meta: e.Meta, Old: old, Doc: doc, Delta: delta}, nil
 }
@@ -472,7 +467,6 @@ func (s *Store) Delete(url string) (*CommitResult, error) {
 		return nil, ErrUnknownURL
 	}
 	delete(s.pages, url)
-	s.unindexDomainLocked(e.Meta.Domain, url)
 	return &CommitResult{Status: StatusDeleted, Meta: e.Meta, Old: e.Doc, Doc: e.Doc}, nil
 }
 
@@ -488,7 +482,7 @@ func (s *Store) Tracked(url string) bool {
 }
 
 // Get returns the entry for a URL.
-func (s *Store) Get(url string) (*Entry, error) {
+func (s *Store) Get(url string) (*Entry, error) { //xyvet:ignore testonly per-page lookup the tests read metadata through
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	e, ok := s.pages[url]
@@ -505,20 +499,6 @@ func (s *Store) Len() int {
 	return len(s.pages)
 }
 
-// DomainRoots returns the root elements of every XML document classified
-// in the given domain — the integrated view continuous queries run over.
-func (s *Store) DomainRoots(domain string) []*xmldom.Node {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var roots []*xmldom.Node
-	for url := range s.domains[domain] {
-		if e := s.pages[url]; e != nil && e.Doc != nil {
-			roots = append(roots, e.Doc.Root)
-		}
-	}
-	return roots
-}
-
 // AllRoots returns the root elements of every warehoused XML document.
 func (s *Store) AllRoots() []*xmldom.Node {
 	s.mu.RLock()
@@ -532,14 +512,6 @@ func (s *Store) AllRoots() []*xmldom.Node {
 	return roots
 }
 
-// DTDID returns the stable identifier of a DTD URL, allocating one if
-// needed.
-func (s *Store) DTDID(dtd string) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dtdIDLocked(dtd)
-}
-
 func (s *Store) dtdIDLocked(dtd string) uint64 {
 	if dtd == "" {
 		return 0
@@ -551,25 +523,4 @@ func (s *Store) dtdIDLocked(dtd string) uint64 {
 	s.nextDTD++
 	s.dtdIDs[dtd] = id
 	return id
-}
-
-func (s *Store) indexDomainLocked(domain, url string) {
-	if domain == "" {
-		return
-	}
-	set := s.domains[domain]
-	if set == nil {
-		set = make(map[string]bool)
-		s.domains[domain] = set
-	}
-	set[url] = true
-}
-
-func (s *Store) unindexDomainLocked(domain, url string) {
-	if set := s.domains[domain]; set != nil {
-		delete(set, url)
-		if len(set) == 0 {
-			delete(s.domains, domain)
-		}
-	}
 }

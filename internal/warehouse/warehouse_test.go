@@ -111,22 +111,30 @@ func TestDelete(t *testing.T) {
 	if _, err := s.Delete("u1"); err != ErrUnknownURL {
 		t.Errorf("double Delete = %v", err)
 	}
-	if got := s.DomainRoots("d"); len(got) != 0 {
-		t.Errorf("domain index kept deleted page")
+	if got := s.AllRoots(); len(got) != 0 {
+		t.Errorf("AllRoots kept deleted page")
 	}
 }
 
-func TestDomainRoots(t *testing.T) {
+// domainOf is the domain a page is classified in, "" when unknown.
+func domainOf(s *Store, url string) string {
+	e, err := s.Get(url)
+	if err != nil {
+		return ""
+	}
+	return e.Meta.Domain
+}
+
+func TestAllRootsAndDomains(t *testing.T) {
 	s, _ := newTestStore()
 	s.CommitXML("u1", "", "culture", xmldom.MustParse(`<culture><museum/></culture>`))
 	s.CommitXML("u2", "", "culture", xmldom.MustParse(`<culture><museum/></culture>`))
 	s.CommitXML("u3", "", "biology", xmldom.MustParse(`<bio/>`))
 	s.CommitHTML("u4", []byte("x"))
-	if got := len(s.DomainRoots("culture")); got != 2 {
-		t.Errorf("culture roots = %d, want 2", got)
-	}
-	if got := len(s.DomainRoots("biology")); got != 1 {
-		t.Errorf("biology roots = %d, want 1", got)
+	for url, want := range map[string]string{"u1": "culture", "u2": "culture", "u3": "biology"} {
+		if got := domainOf(s, url); got != want {
+			t.Errorf("%s domain = %q, want %q", url, got, want)
+		}
 	}
 	if got := len(s.AllRoots()); got != 3 {
 		t.Errorf("all roots = %d, want 3", got)
@@ -140,11 +148,12 @@ func TestDomainReclassification(t *testing.T) {
 	s, _ := newTestStore()
 	s.CommitXML("u1", "", "culture", xmldom.MustParse(`<c><x>1</x></c>`))
 	s.CommitXML("u1", "", "biology", xmldom.MustParse(`<c><x>2</x></c>`))
-	if got := len(s.DomainRoots("culture")); got != 0 {
-		t.Errorf("culture roots = %d, want 0 after reclassification", got)
+	if got := domainOf(s, "u1"); got != "biology" {
+		t.Errorf("domain = %q, want biology after reclassification", got)
 	}
-	if got := len(s.DomainRoots("biology")); got != 1 {
-		t.Errorf("biology roots = %d, want 1", got)
+	s.CommitXML("u1", "", "", xmldom.MustParse(`<c><x>3</x></c>`))
+	if got := domainOf(s, "u1"); got != "biology" {
+		t.Errorf("domain = %q, want biology kept by an unclassified commit", got)
 	}
 }
 
@@ -195,7 +204,7 @@ func TestFilename(t *testing.T) {
 }
 
 // TestConcurrentCommits exercises the store's locking: concurrent commits
-// to disjoint URLs plus readers on the domain views. Run with -race.
+// to disjoint URLs plus readers of the roots. Run with -race.
 func TestConcurrentCommits(t *testing.T) {
 	s, _ := newTestStore()
 	var wg sync.WaitGroup
@@ -210,7 +219,6 @@ func TestConcurrentCommits(t *testing.T) {
 					t.Errorf("CommitXML: %v", err)
 					return
 				}
-				s.DomainRoots("load")
 				s.AllRoots()
 			}
 		}(g)
@@ -292,4 +300,12 @@ func TestStoreKeepsOnlyCurrentVersion(t *testing.T) {
 	// Without this the whole store is garbage too, and the test would pass
 	// whatever the store retained.
 	runtime.KeepAlive(s)
+}
+
+// DTDID returns the stable identifier of a DTD URL, allocating one if
+// needed.
+func (s *Store) DTDID(dtd string) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.dtdIDLocked(dtd)
 }

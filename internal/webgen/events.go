@@ -26,7 +26,7 @@ type EventWorkload struct {
 
 // K returns the paper's estimate of the average number of complex events
 // per atomic event: k ≈ m·Card(C)/Card(A).
-func (w *EventWorkload) K() float64 {
+func (w *EventWorkload) K() float64 { //xyvet:ignore testonly workload generator of the benchmarks and tests
 	if w.CardA == 0 {
 		return 0
 	}

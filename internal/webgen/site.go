@@ -476,7 +476,7 @@ func ExtractLinks(content []byte) []string {
 // RandomTree generates a random XML document with the given approximate
 // node count and depth, for the XML-alerter size/depth sweeps (Section 6.3
 // bounds the alerter cost by Size × Depth).
-func RandomTree(seed int64, size, depth int) *xmldom.Document {
+func RandomTree(seed int64, size, depth int) *xmldom.Document { //xyvet:ignore testonly workload generator of the benchmarks and tests
 	return RandomTreeRand(rand.New(rand.NewSource(seed)), size, depth)
 }
 

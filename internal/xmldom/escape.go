@@ -29,7 +29,7 @@ func init() {
 }
 
 // AppendEscaped appends s to dst with XML escaping, byte-identical to
-// the escaping WriteXML applies to text and attribute values. Generators
+// the escaping Node.XML applies to text and attribute values. Generators
 // that render documents straight to bytes (webgen's byte-first fetch
 // path) use it so their output round-trips to the exact canonical
 // serialisation — same signature, same tree — without importing

@@ -7,7 +7,7 @@ import (
 )
 
 // TestAppendEscapedMatchesStdlib holds AppendEscaped — the escaping
-// WriteXML and XML apply — byte-identical to xml.EscapeText, so the
+// Node.XML applies — byte-identical to xml.EscapeText, so the
 // serialisation stays the one encoding/xml would write.
 func TestAppendEscapedMatchesStdlib(t *testing.T) {
 	cases := []string{

@@ -22,9 +22,6 @@ type HashVector struct {
 // was computed from.
 func (hv *HashVector) Of(n *Node) uint64 { return hv.v[n.ord] }
 
-// Len returns the number of hashed nodes.
-func (hv *HashVector) Len() int { return len(hv.v) }
-
 // hashVecPool recycles hash vectors across document versions: the
 // warehouse releases a superseded version's vector (InvalidateHashes) and
 // the next committed version draws it back, so steady-state version-chain

@@ -199,3 +199,6 @@ func TestContainsWordMatchesTokenizer(t *testing.T) {
 		}
 	}
 }
+
+// Len returns the number of hashed nodes.
+func (hv *HashVector) Len() int { return len(hv.v) }

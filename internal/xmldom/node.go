@@ -178,15 +178,6 @@ func (n *Node) ChildIndex(c *Node) int {
 	return -1
 }
 
-// Level returns the depth of the node: 0 for the root.
-func (n *Node) Level() int {
-	l := 0
-	for p := n.Parent; p != nil; p = p.Parent {
-		l++
-	}
-	return l
-}
-
 // Clone returns a deep copy of the subtree rooted at n. XIDs are copied,
 // so the clone refers to the same persistent identities.
 func (n *Node) Clone() *Node {
@@ -268,22 +259,9 @@ func (n *Node) PreOrder(visit func(*Node) bool) bool {
 	return true
 }
 
-// FindByXID returns the node with the given XID in the subtree, or nil.
-func (n *Node) FindByXID(x XID) *Node {
-	var found *Node
-	n.PreOrder(func(c *Node) bool {
-		if c.XID == x {
-			found = c
-			return false
-		}
-		return true
-	})
-	return found
-}
-
 // Size returns the number of nodes in the subtree. Iterative for the same
 // reason as TextContent: depth must not bound the documents we can handle.
-func (n *Node) Size() int {
+func (n *Node) Size() int { //xyvet:ignore testonly tree helper of the tests across packages
 	count := 0
 	stp := nodeStackPool.Get().(*[]*Node)
 	st := append((*stp)[:0], n)
@@ -313,7 +291,7 @@ func (n *Node) Depth() int {
 
 // Elements returns all element nodes with the given tag in the subtree, in
 // document order.
-func (n *Node) Elements(tag string) []*Node {
+func (n *Node) Elements(tag string) []*Node { //xyvet:ignore testonly tree helper of the tests across packages
 	var out []*Node
 	n.PreOrder(func(c *Node) bool {
 		if c.Type == ElementNode && c.Tag == tag {

@@ -239,3 +239,25 @@ func TestHashFoldFieldBoundaries(t *testing.T) {
 		t.Error("field boundary not encoded: (ab,c) == (a,bc)")
 	}
 }
+
+// Level returns the depth of the node: 0 for the root.
+func (n *Node) Level() int {
+	l := 0
+	for p := n.Parent; p != nil; p = p.Parent {
+		l++
+	}
+	return l
+}
+
+// FindByXID returns the node with the given XID in the subtree, or nil.
+func (n *Node) FindByXID(x XID) *Node {
+	var found *Node
+	n.PreOrder(func(c *Node) bool {
+		if c.XID == x {
+			found = c
+			return false
+		}
+		return true
+	})
+	return found
+}

@@ -1,9 +1,6 @@
 package xmldom
 
-import (
-	"errors"
-	"io"
-)
+import "errors"
 
 // ErrNoRoot is returned when the input contains no element.
 var ErrNoRoot = errors.New("xmldom: document has no root element")
@@ -15,20 +12,12 @@ func ParseString(s string) (*Document, error) {
 
 // MustParse parses a document and panics on error; for tests and
 // generators with known-good input.
-func MustParse(s string) *Document {
+func MustParse(s string) *Document { //xyvet:ignore testonly tree helper of the tests across packages
 	d, err := ParseString(s)
 	if err != nil {
 		panic(err)
 	}
 	return d
-}
-
-// WriteXML serialises the subtree to w as XML. Attributes and text are
-// escaped with AppendEscaped; output has no insignificant whitespace so
-// that ParseBytes(WriteXML(d)) reproduces the same tree.
-func (n *Node) WriteXML(w io.Writer) error {
-	_, err := w.Write(n.appendXML(nil))
-	return err
 }
 
 // XML returns the subtree serialised as a string.

@@ -153,13 +153,6 @@ type Tokenizer struct {
 	stack []nameSpan // names of the open elements
 }
 
-// NewTokenizer returns a Tokenizer reading data.
-func NewTokenizer(data []byte) *Tokenizer {
-	z := &Tokenizer{}
-	z.Reset(data)
-	return z
-}
-
 // Reset rewinds the tokenizer onto a new buffer, keeping its internal
 // scratch. Reset(nil) drops the reference to the previous buffer.
 func (z *Tokenizer) Reset(data []byte) {
@@ -231,9 +224,6 @@ func (z *Tokenizer) TextDirty() bool { return z.tflags&(textEntity|textCR) != 0 
 func (z *Tokenizer) AppendText(dst []byte) []byte {
 	return appendDecoded(dst, z.bytes(z.text), z.tflags)
 }
-
-// Depth returns the number of currently open elements.
-func (z *Tokenizer) Depth() int { return len(z.stack) }
 
 // Next advances to the next structural token: TokStart, TokEnd or
 // TokText, or TokEOF at the end of a well-formed document. Comments,

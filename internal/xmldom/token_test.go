@@ -94,3 +94,10 @@ func BenchmarkTokenize(b *testing.B) {
 		})
 	}
 }
+
+// NewTokenizer returns a Tokenizer reading data.
+func NewTokenizer(data []byte) *Tokenizer {
+	z := &Tokenizer{}
+	z.Reset(data)
+	return z
+}

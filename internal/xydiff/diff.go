@@ -576,14 +576,3 @@ func alignKey(n *xmldom.Node) string {
 	}
 	return n.Tag
 }
-
-// alignLCS is the full-table weighted LCS the anchor aligner replaced. It
-// is retained as the reference implementation: the property tests in
-// quick_test.go run every adversarial shape through both aligners and
-// require identical reconstruction.
-func alignLCS(d *differ, old, new []*xmldom.Node, buf []pair) []pair {
-	if len(old) == 0 || len(new) == 0 {
-		return buf
-	}
-	return alignDP(d, old, new, 0, len(old), 0, len(new), buf)
-}

@@ -292,3 +292,14 @@ func TestDeepChainDiff(t *testing.T) {
 		t.Fatal("deep edit not applied")
 	}
 }
+
+// alignLCS is the full-table weighted LCS the anchor aligner replaced. It
+// is retained as the reference implementation: the property tests here
+// run every adversarial shape through both aligners and
+// require identical reconstruction.
+func alignLCS(d *differ, old, new []*xmldom.Node, buf []pair) []pair {
+	if len(old) == 0 || len(new) == 0 {
+		return buf
+	}
+	return alignDP(d, old, new, 0, len(old), 0, len(new), buf)
+}

@@ -7,8 +7,8 @@
 //	from culture/museum m, m/painting p
 //	where m/address contains "Amsterdam"
 //
-// and is evaluated over a forest of document roots (a semantic-domain view
-// of the warehouse, or the notification stream of a report).
+// and is evaluated over a forest of document roots (the warehouse's
+// documents, or the notification stream of a report).
 package xyquery
 
 import "strings"

@@ -6,7 +6,7 @@ import (
 
 // Parse parses a complete query. The input must start with `select` and
 // consume the whole string.
-func Parse(src string) (*Query, error) {
+func Parse(src string) (*Query, error) { //xyvet:ignore testonly parses a bare query for the trigger and reporter tests
 	p := &parser{lx: lex.New(src)}
 	q, err := p.parseQuery()
 	if err != nil {

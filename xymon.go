@@ -101,8 +101,9 @@ type Options struct {
 	// meaningful with DurableDir.
 	StreamMaxBehind uint64
 	// Faults threads a fault injector into the durability layer: rules
-	// armed at the faults.PointWAL* points fire inside WAL appends and
-	// checkpoint installation (the crash harness's kill switch). Nil
+	// armed at faults.Point(op) for the wal.Op* and stream.Op* names
+	// fire inside WAL appends, checkpoint installation and the stream's
+	// writes and cursor commits (the crash harness's kill switch). Nil
 	// injects nothing.
 	Faults *faults.Injector
 	// Domains seeds the semantic classifier (Xyleme's semantic module):
@@ -229,7 +230,7 @@ func New(opts Options) (*System, error) {
 			Subscription: r.Subscription, Label: r.Query, Element: r.Element, Time: r.Time,
 		})
 	}, trigOpts...)
-	s.Pipeline = alerter.NewPipeline(nil)
+	s.Pipeline = alerter.NewPipeline()
 	s.Matcher = core.NewMatcher()
 	s.Manager = manager.New(manager.Config{
 		Matcher:     s.Matcher,

@@ -11,6 +11,7 @@ import (
 	"xymon/internal/alerter"
 	"xymon/internal/faults"
 	"xymon/internal/manager"
+	"xymon/internal/wal"
 	"xymon/internal/xmldom"
 )
 
@@ -178,7 +179,7 @@ report when immediate`); err != nil {
 func TestSubscribeJournalFailureRollsBack(t *testing.T) {
 	dir := t.TempDir()
 	in := faults.New(1)
-	in.Enable(faults.Rule{Point: faults.PointWALAppend, Mode: faults.ModeError, Match: "subs"})
+	in.Enable(faults.Rule{Point: faults.Point(wal.OpAppend), Mode: faults.ModeError, Match: "subs"})
 	sys, _, reports := newSystem(t, Options{DurableDir: dir, Faults: in})
 	src := `subscription Flaky
 monitoring select <F url=URL/> where URL extends "http://f.example/" and modified self
@@ -371,7 +372,7 @@ func TestWarehouseLogAddsNoFsync(t *testing.T) {
 	in := faults.New(1)
 	logs := []string{"subs", "reporter", "trigger", "warehouse"}
 	for i, log := range logs {
-		in.Enable(faults.Rule{Point: faults.PointWALFileSync, Mode: faults.ModeLatency, Latency: time.Duration(i + 1), Match: log})
+		in.Enable(faults.Rule{Point: faults.Point(wal.OpFileSync), Mode: faults.ModeLatency, Latency: time.Duration(i + 1), Match: log})
 	}
 	fsyncs := make(map[string]int)
 	in.Sleep = func(d time.Duration) { fsyncs[logs[d-1]]++ }
