@@ -513,10 +513,10 @@ func TestChaosClusterRebalance(t *testing.T) {
 		t.Fatalf("a dead block never forced a failover: %+v", st)
 	}
 
-	// Phase 3: evict the corpse; the survivors re-replicate its
+	// Phase 3: evict the corpse (Leave); the survivors re-replicate its
 	// partitions from the remaining copies and writes resume everywhere.
-	if err := coord.Evict(killed.Addr()); err != nil {
-		t.Fatalf("Evict: %v", err)
+	if err := coord.Leave(killed.Addr()); err != nil {
+		t.Fatalf("Leave: %v", err)
 	}
 	storm()
 	addSubs(rc, 40)

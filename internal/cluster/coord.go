@@ -61,7 +61,7 @@ type Coord struct {
 	conns   map[net.Conn]struct{}
 }
 
-// coordRecord is one JSON-lines journal entry of the transfer WAL.
+// coordRecord is one JSON journal entry of the transfer WAL.
 type coordRecord struct {
 	Kind string `json:"kind"` // "begin" | "subs" | "moved" | "commit"
 	// begin: the full planned transition.
@@ -110,7 +110,7 @@ func NewCoord(walDir string, replicas int, opts ...ClientOption) (*Coord, error)
 		in := cfg.faults
 		hook = func(op, key string) error { return in.Check(faults.Point(op), key) }
 	}
-	log, err := wal.Open(walDir, wal.Options{Framing: wal.Lines{}, Hook: hook})
+	log, err := wal.Open(walDir, wal.Options{Hook: hook})
 	if err != nil {
 		return nil, err
 	}
@@ -236,15 +236,12 @@ func (c *Coord) Map() Map {
 // serving — partitions are copied to it before the new map commits.
 func (c *Coord) Join(addr string) error { return c.reshape(addr, true) }
 
-// Leave retires a block gracefully: its partitions are copied off it
-// (the leaving block is a preferred copy source) before the map that
-// excludes it commits, after which it can shut down with nothing lost.
+// Leave retires a block: its partitions are copied off it (the leaving
+// block is the preferred copy source) before the map that excludes it
+// commits, after which it can shut down with nothing lost. It also
+// retires a dead block: a copy the block cannot serve falls back to a
+// surviving replica, the R ≥ 2 recovery path after a block failure.
 func (c *Coord) Leave(addr string) error { return c.reshape(addr, false) }
-
-// Evict removes a dead block from the cluster: like Leave, but the
-// transfer never contacts addr — every copy reads from a surviving
-// replica. This is the R ≥ 2 recovery path after a block failure.
-func (c *Coord) Evict(addr string) error { return c.reshape(addr, false) } //xyvet:ignore testonly operator surface: the rebalance tests evict a killed block
 
 // reshape runs one membership change as a journaled two-phase transition.
 func (c *Coord) reshape(addr string, add bool) error {
@@ -450,7 +447,7 @@ func (c *Coord) checkpoint() error {
 	})
 }
 
-// append journals one record (Lines framing: one JSON object per line).
+// append journals one record: one JSON object in a CRC-checked frame.
 func (c *Coord) append(rec coordRecord) error {
 	raw, err := json.Marshal(rec)
 	if err != nil {

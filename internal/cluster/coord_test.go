@@ -2,14 +2,18 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"xymon/internal/core"
 	"xymon/internal/faults"
+	"xymon/internal/wal"
 )
 
 // fastOpts keeps test retries and cooldowns tight.
@@ -190,8 +194,8 @@ func TestFailoverBeforeDegrade(t *testing.T) {
 
 	// Evicting the dead block rebalances the survivors back to full
 	// replication; matches stay complete and now need no failover.
-	if err := tc.coord.Evict(killed.Addr()); err != nil {
-		t.Fatalf("Evict: %v", err)
+	if err := tc.coord.Leave(killed.Addr()); err != nil {
+		t.Fatalf("Leave: %v", err)
 	}
 	checkAgainstReference(t, rc, ref, false)
 }
@@ -434,5 +438,81 @@ func TestV1ClientRejectedLoudly(t *testing.T) {
 	var remote *RemoteError
 	if !errors.As(err, &remote) || !strings.Contains(remote.Msg, ErrProtocol.Error()) {
 		t.Fatalf("v1 match against a block = %v, want a remote protocol error", err)
+	}
+}
+
+// TestCoordJournalDigitFlipIsCorrupt: every journal record is a
+// CRC-checked frame, so a flipped digit inside one fails recovery
+// loudly instead of replaying a wrong map. The checkpoint after the join
+// fails, which leaves the begin and commit records in a sealed segment.
+func TestCoordJournalDigitFlipIsCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	in := faults.New(1)
+	in.Enable(faults.Rule{Point: faults.Point(wal.OpCheckpointTemp), Mode: faults.ModeError})
+	c, err := NewCoord(dir, 1, append(fastOpts(), WithInjector(in))...)
+	if err != nil {
+		t.Fatalf("NewCoord: %v", err)
+	}
+	srv, err := ServeDynamic("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatalf("ServeDynamic: %v", err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	if err := c.Join(srv.Addr()); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("Join = %v, want the injected checkpoint failure", err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	seg := filepath.Join(dir, wal.SegmentFileName(1))
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := []byte(`"kind":"commit","version":2`)
+	i := bytes.Index(data, rec)
+	if i < 0 {
+		t.Fatalf("no commit record in %q", data)
+	}
+	data[i+len(rec)-1] = '3'
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := NewCoord(dir, 1, fastOpts()...); !errors.Is(err, wal.ErrCorrupt) {
+		if err == nil {
+			c.Close()
+		}
+		t.Fatalf("NewCoord on a flipped digit = %v, want wal.ErrCorrupt", err)
+	}
+}
+
+// TestCoordRefusesJSONLinesJournal: a journal written by an earlier
+// build, one JSON object per line, fails to open. Its first four bytes
+// decode as a frame length above the frame cap.
+func TestCoordRefusesJSONLinesJournal(t *testing.T) {
+	for name, files := range map[string]map[string]string{
+		"segment": {
+			wal.SegmentFileName(1): `{"kind":"moved","part":3,"to":"127.0.0.1:1"}` + "\n",
+		},
+		"checkpoint": {
+			"checkpoint.wal":       `{"boundary":2}` + "\n" + `{"stable":{"version":2},"blocks":["127.0.0.1:1"]}` + "\n",
+			wal.SegmentFileName(2): `{"kind":"commit","version":4}` + "\n",
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			for f, body := range files {
+				if err := os.WriteFile(filepath.Join(dir, f), []byte(body), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if c, err := NewCoord(dir, 1, fastOpts()...); !errors.Is(err, wal.ErrCorrupt) {
+				if err == nil {
+					c.Close()
+				}
+				t.Fatalf("NewCoord on a JSON-lines journal = %v, want wal.ErrCorrupt", err)
+			}
+		})
 	}
 }

@@ -26,19 +26,20 @@ import (
 //	         are the change-stream, and a report's id is its offset
 //	done   — the sink accepted the report
 //	dead   — the report exhausted its retry budget (dead-lettered)
-//	lost   — delivery failed with retrying disabled; intentionally dropped
+//	lost   — written by earlier builds when retrying was disabled; still
+//	         read back, as done, since their journals may hold it
 //	redrive — an operator moved a dead letter back onto the retry queue
 //
 // The hot records (notif, fired, done) are group-committed: each is
 // written to the log where it happens — under the lock that orders it —
 // and made durable by a commit barrier per document, not an fsync per
-// record (see deliver). The cold ones (dead, lost, redrive) commit on
+// record (see deliver). The cold ones (dead, redrive) commit on
 // their own. Every record but fired is a JSON owner frame.
 //
 // Recovery replays checkpoint + tail: buffered notifications come back
 // flagged pending (the next Tick reports them — re-evaluating the exact
 // when clause could only delay them further), and every report that
-// fired without a done/dead/lost record re-enters the retry queue. A
+// fired without a done or dead record re-enters the retry queue. A
 // crash between the sink accepting a report and the done record landing
 // therefore redelivers it: that duplicate is the at-least-once contract,
 // never a loss.
@@ -176,14 +177,14 @@ func (r *Reporter) noteDelivered(rep *Report) {
 	rt.mu.Unlock()
 }
 
-// resolveLocked journals a terminal non-delivery outcome ("dead" or
-// "lost") for an outstanding report. Caller holds rt.mu.
-func (r *Reporter) resolveLocked(rep *Report, t, reason string, attempts int, now time.Time) {
+// resolveLocked journals the dead record of a report that exhausted its
+// attempts. Caller holds rt.mu.
+func (r *Reporter) resolveLocked(rep *Report, reason string, attempts int, now time.Time) {
 	if r.log == nil {
 		return
 	}
 	rec := walRecord{
-		T: t, ID: rep.id, Sub: rep.Subscription, Count: rep.Notifications,
+		T: "dead", ID: rep.id, Sub: rep.Subscription, Count: rep.Notifications,
 		Reason: reason, Attempts: attempts, Time: now, XML: rep.xml,
 	}
 	r.journal(rec)

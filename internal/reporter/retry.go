@@ -35,7 +35,7 @@ type retryState struct {
 	mu          sync.Mutex
 	queue       []*retryEntry
 	dead        []DeadLetter
-	maxAttempts int // total attempts per report; 0 disables retrying
+	maxAttempts int // total attempts per report; ≤ 1 never retries
 	maxDead     int // dead-letter cap; <= 0 is unbounded
 	base        time.Duration
 	max         time.Duration
@@ -73,10 +73,9 @@ func (r *Reporter) evictDeadLocked() {
 }
 
 // WithRetryPolicy sets the delivery retry budget: maxAttempts total
-// attempts per report (0 disables retrying entirely — a failure is only
-// counted, the pre-retry behaviour), with the delay between attempts
-// growing from base, doubling, capped at max. The default is 5 attempts,
-// 1m base, 1h cap.
+// attempts per report (≤ 1 dead-letters a report on its first failure),
+// with the delay between attempts growing from base, doubling, capped at
+// max. The default is 5 attempts, 1m base, 1h cap.
 func WithRetryPolicy(maxAttempts int, base, max time.Duration) Option { //xyvet:ignore testonly delivery knob the chaos and reporter tests tighten
 	return func(r *Reporter) {
 		r.retry.maxAttempts = maxAttempts
@@ -109,13 +108,6 @@ func (r *Reporter) noteFailure(rep *Report, attempts int, err error, now time.Ti
 	rt := &r.retry
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.maxAttempts == 0 {
-		// Retrying disabled: the failure is counted and the report
-		// intentionally dropped — resolve it so recovery does not
-		// resurrect what this configuration chose to lose.
-		r.resolveLocked(rep, "lost", err.Error(), attempts, now)
-		return
-	}
 	if attempts >= rt.maxAttempts {
 		rt.dead = append(rt.dead, DeadLetter{
 			Report:   rep,
@@ -124,7 +116,7 @@ func (r *Reporter) noteFailure(rep *Report, attempts int, err error, now time.Ti
 			Time:     now,
 		})
 		r.deadLettered.Add(1)
-		r.resolveLocked(rep, "dead", err.Error(), attempts, now)
+		r.resolveLocked(rep, err.Error(), attempts, now)
 		r.evictDeadLocked()
 		return
 	}

@@ -98,17 +98,21 @@ func TestDeadLetterAfterBudget(t *testing.T) {
 	}
 }
 
+// TestRetryDisabled: a budget of at most one attempt never retries; the
+// first failure dead-letters the report instead of dropping it.
 func TestRetryDisabled(t *testing.T) {
-	sink := &flakySink{failN: 1 << 30}
-	r, now := retryRig(sink, WithRetryPolicy(0, 0, 0))
-	r.Notify(Notification{Subscription: "S"})
-	*now = now.Add(24 * time.Hour)
-	r.Tick()
-	if sink.calls != 1 {
-		t.Errorf("disabled retry still re-attempted: %d calls", sink.calls)
-	}
-	if r.RetryPending() != 0 || len(r.DeadLetters()) != 0 {
-		t.Errorf("disabled retry left state: pending=%d dead=%d", r.RetryPending(), len(r.DeadLetters()))
+	for _, maxAttempts := range []int{0, 1} {
+		sink := &flakySink{failN: 1 << 30}
+		r, now := retryRig(sink, WithRetryPolicy(maxAttempts, 0, 0))
+		r.Notify(Notification{Subscription: "S"})
+		*now = now.Add(24 * time.Hour)
+		r.Tick()
+		if sink.calls != 1 {
+			t.Errorf("maxAttempts %d still re-attempted: %d calls", maxAttempts, sink.calls)
+		}
+		if r.RetryPending() != 0 || len(r.DeadLetters()) != 1 {
+			t.Errorf("maxAttempts %d: pending=%d dead=%d, want 0 and 1", maxAttempts, r.RetryPending(), len(r.DeadLetters()))
+		}
 	}
 }
 

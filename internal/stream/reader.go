@@ -168,7 +168,7 @@ func (r *Reader) SeekOldest() (uint64, error) {
 }
 
 // segInfo is one on-disk segment and the base offset of its first
-// batch, when it has one (a freshly rotated segment may be empty).
+// batch, when it has one (a segment opened by rotation may be empty).
 type segInfo struct {
 	idx     int
 	base    uint64

@@ -152,7 +152,6 @@ func rotate(t *testing.T, l *Log) {
 	}); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	l.indexNewSegments(l.next)
 }
 
 // ownerFrame is an owner's JSON record of about n bytes.

@@ -11,7 +11,7 @@
 // reported as ErrTruncated, never silently skipped.
 //
 // A Log shares its wal with an owner: the Reporter writes its
-// notif/done/dead/lost/redrive JSON records between the batches of its
+// notif/done/dead/redrive JSON records between the batches of its
 // fired reports, so a report is written and synced once, in one log.
 // Offsets count batch records only; readers step over owner frames.
 //
@@ -122,15 +122,14 @@ type Stats struct {
 
 // Log is the write side of the change-stream. Safe for concurrent use.
 type Log struct {
-	mu      sync.Mutex
-	dir     string
-	key     string
-	o       Options
-	w       *wal.Log
-	next    uint64
-	segBase map[int]uint64 // first offset landing in each live segment
-	rotated uint64         // wal rotations segBase has accounted for
-	stats   Stats
+	mu    sync.Mutex
+	dir   string
+	key   string
+	o     Options
+	w     *wal.Log
+	next  uint64
+	first uint64 // oldest retained offset; only Open and Checkpoint move it
+	stats Stats
 }
 
 // snapHeader is the stream's part of a checkpoint payload: the head
@@ -139,10 +138,10 @@ type Log struct {
 const snapHeader = 8
 
 // Open opens (creating if needed) the stream rooted at dir, repairing
-// wal crash residue (torn tail truncated) and rebuilding the offset
-// index by scanning the retained segments' batch headers.
+// wal crash residue (torn tail truncated) and recovering the head offset
+// by scanning the retained segments' batch headers.
 func Open(dir string, o Options) (*Log, error) {
-	l := &Log{dir: dir, key: filepath.Base(dir), o: o, segBase: make(map[int]uint64)}
+	l := &Log{dir: dir, key: filepath.Base(dir), o: o}
 	if err := l.hook(OpRead, l.key); err != nil {
 		return nil, err
 	}
@@ -169,10 +168,10 @@ func (l *Log) hook(op, key string) error {
 // start with the batch magic (see Write).
 func isBatch(payload []byte) bool { return len(payload) > 0 && payload[0] == batchMagic }
 
-// recoverIndex rebuilds next and the per-segment base-offset index by
-// reading batch headers from every retained segment, and validates that
-// offsets are contiguous across the whole retained range — a phantom or
-// missing batch fails recovery loudly.
+// recoverIndex rebuilds next and first by reading batch headers from
+// every retained segment, and validates that offsets are contiguous
+// across the whole retained range — a phantom or missing batch fails
+// recovery loudly.
 func (l *Log) recoverIndex() error {
 	var snapNext uint64
 	err := l.w.Recover(func(snapshot []byte) error {
@@ -213,13 +212,12 @@ func (l *Log) recoverIndex() error {
 			if err != nil {
 				return fmt.Errorf("stream: segment %s: %w", wal.SegmentFileName(idx), err)
 			}
-			if seen && base != running {
+			if !seen {
+				l.first = base
+			} else if base != running {
 				return fmt.Errorf("stream: segment %s: batch base %d, want %d (offset discontinuity)", wal.SegmentFileName(idx), base, running)
 			}
 			seen = true
-			if _, ok := l.segBase[idx]; !ok {
-				l.segBase[idx] = base
-			}
 			running = base + uint64(count)
 		}
 	}
@@ -227,21 +225,10 @@ func (l *Log) recoverIndex() error {
 	if !seen || snapNext > l.next {
 		l.next = snapNext
 	}
-	// Segments with no batch yet (rotation residue) start at next.
-	l.indexNewSegments(l.next)
-	return nil
-}
-
-// indexNewSegments records base as the first offset of every live
-// segment the index has not seen yet, and notes the wal's rotation
-// count so Append can tell when to call it again.
-func (l *Log) indexNewSegments(base uint64) {
-	for _, idx := range l.w.Segments() {
-		if _, ok := l.segBase[idx]; !ok {
-			l.segBase[idx] = base
-		}
+	if !seen {
+		l.first = l.next
 	}
-	l.rotated = l.w.Stats().Rotations
+	return nil
 }
 
 // Recover replays the log for its owner, in log order: snap receives
@@ -282,7 +269,8 @@ func (l *Log) Next() uint64 { //xyvet:ignore testonly operator surface with no e
 
 // Write appends one owner frame in log order without making it durable;
 // the next Sync does. The payload must not start with the batch magic (a
-// JSON object never does). It holds Append's lock: see its rotation check.
+// JSON object never does). It holds Append's lock so Checkpoint's segment
+// listing never reads a frame in flight.
 func (l *Log) Write(payload []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -315,11 +303,6 @@ func (l *Log) Append(recs []Record) (uint64, error) {
 		return 0, err
 	}
 	l.next = base + uint64(len(recs))
-	if l.w.Stats().Rotations != l.rotated {
-		// A rotation since the last batch, before this one's write (Write
-		// holds l.mu too): no batch landed in the new segments before it.
-		l.indexNewSegments(base)
-	}
 	l.stats.Records += uint64(len(recs))
 	return base, nil
 }
@@ -335,17 +318,6 @@ func (l *Log) Publish(recs []Record) (uint64, error) {
 		return 0, err
 	}
 	return base, l.w.Sync()
-}
-
-// firstRetainedLocked is the oldest offset still on disk.
-func (l *Log) firstRetainedLocked() uint64 {
-	first := l.next
-	for _, idx := range l.w.Segments() {
-		if b, ok := l.segBase[idx]; ok && b < first {
-			first = b
-		}
-	}
-	return first
 }
 
 // Checkpoint installs a checkpoint with the owner's snapshot (write,
@@ -374,18 +346,28 @@ func (l *Log) Checkpoint(write func(w io.Writer) error) (uint64, error) {
 	if l.o.MaxBehind > 0 && l.next > l.o.MaxBehind {
 		keep = max(keep, l.next-l.o.MaxBehind)
 	}
-	segs := l.w.Segments()
-	retainSeg := segs[0]
-	if keep >= l.next {
-		retainSeg = math.MaxInt // every record passed: only the fresh segment stays
-	} else {
-		for _, idx := range segs {
-			if base, ok := l.segBase[idx]; ok && base <= keep {
-				retainSeg = idx
+	// The segment files are the offset index. Under l.mu no frame is in
+	// flight, so each listed base is the segment's first batch.
+	segs, err := listSegments(l.dir)
+	if err != nil {
+		return 0, err
+	}
+	retainSeg, first := math.MaxInt, l.next // every record passed: only the fresh segment stays
+	if keep < l.next {
+		retainSeg = 0 // the wal raises it to its oldest segment
+		for _, s := range segs {
+			if !s.hasBase {
+				continue
 			}
+			if s.base > keep {
+				if retainSeg == 0 {
+					first = s.base // keep itself was reclaimed already
+				}
+				break
+			}
+			retainSeg, first = s.idx, s.base
 		}
 	}
-	before := l.firstRetainedLocked()
 	var hdr [snapHeader]byte
 	binary.LittleEndian.PutUint64(hdr[:], l.next)
 	if err := l.w.CheckpointRetain(retainSeg, func(w io.Writer) error {
@@ -396,15 +378,8 @@ func (l *Log) Checkpoint(write func(w io.Writer) error) (uint64, error) {
 	}); err != nil {
 		return 0, err
 	}
-	for idx := range l.segBase {
-		if idx < retainSeg {
-			delete(l.segBase, idx)
-		}
-	}
-	// The checkpoint rotated: the fresh active segment starts at next.
-	l.indexNewSegments(l.next)
-	first := l.firstRetainedLocked()
-	l.stats.TruncatedRecords += first - before
+	l.stats.TruncatedRecords += first - l.first
+	l.first = first
 	if cerr != nil {
 		return first, fmt.Errorf("stream: checkpoint installed, retaining as for a cursor at offset 0: %w", cerr)
 	}
@@ -444,7 +419,7 @@ func (l *Log) Stats() Stats { //xyvet:ignore testonly operator surface with no e
 	defer l.mu.Unlock()
 	st := l.stats
 	st.Next = l.next
-	st.FirstRetained = l.firstRetainedLocked()
+	st.FirstRetained = l.first
 	st.Segments = len(l.w.Segments())
 	return st
 }

@@ -93,7 +93,7 @@ func TestLogWriteSyncIsOneFsync(t *testing.T) {
 func TestLogConcurrentCommittersShareFsync(t *testing.T) {
 	dir := t.TempDir()
 	var fsyncs, covered atomic.Int64
-	seg := filepath.Join(dir, segName(1))
+	seg := filepath.Join(dir, SegmentFileName(1))
 	l := openLog(t, dir, Options{Hook: func(op, _ string) error {
 		switch op {
 		case OpFileSync:

@@ -29,7 +29,7 @@ var fsync = (*os.File).Sync
 type File struct {
 	path  string
 	f     *os.File
-	fr    Framing
+	fr    Binary
 	hook  Hook
 	dirty bool // frames written since the last fsync
 	buf   []byte
@@ -41,7 +41,7 @@ type File struct {
 // the file path as key; an error fails the write (or fsync) before it
 // happens. This is the File's fault seam — the Log has its own coarser
 // one around whole appends and checkpoints.
-func OpenFile(path string, fr Framing, hook Hook) (*File, error) {
+func OpenFile(path string, fr Binary, hook Hook) (*File, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)

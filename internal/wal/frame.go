@@ -8,8 +8,9 @@
 //
 // The package has three layers:
 //
-//   - Framing: how records are delimited on disk. Binary frames carry a
-//     length prefix and a CRC32C; Lines frames are newline-terminated.
+//   - Binary: the one record codec. A frame carries a length prefix and
+//     the CRC32C of its payload, so a damaged record fails recovery
+//     instead of replaying.
 //   - File: one append-only segment file of frames, held open for its
 //     lifetime, with a write / commit-barrier split.
 //   - Log: a directory of rotated segment files plus a checkpoint
@@ -38,18 +39,6 @@ var ErrCorrupt = errors.New("wal: corrupt record")
 // escapes the package: scans convert it into truncation (active file)
 // or ErrCorrupt (sealed file).
 var errTorn = errors.New("wal: torn frame")
-
-// Framing delimits records on disk.
-type Framing interface {
-	// AppendFrame appends the framed payload to dst and returns the
-	// extended slice.
-	AppendFrame(dst, payload []byte) ([]byte, error)
-	// Next decodes the first frame of data, returning its payload and
-	// the total frame size. An incomplete final frame returns errTorn;
-	// a complete frame that fails validation returns an error wrapping
-	// ErrCorrupt.
-	Next(data []byte) (payload []byte, size int, err error)
-}
 
 // binaryHeader is the frame header size: 4-byte little-endian payload
 // length followed by the 4-byte CRC32C (Castagnoli) of the payload.
@@ -88,7 +77,9 @@ func (b Binary) AppendFrame(dst, payload []byte) ([]byte, error) {
 	return append(dst, payload...), nil
 }
 
-// Next decodes the first binary frame of data.
+// Next decodes the first frame of data, returning its payload and the
+// total frame size. An incomplete final frame returns errTorn; a
+// complete frame that fails validation, an error wrapping ErrCorrupt.
 func (b Binary) Next(data []byte) ([]byte, int, error) {
 	if len(data) < binaryHeader {
 		return nil, 0, errTorn
@@ -107,39 +98,11 @@ func (b Binary) Next(data []byte) ([]byte, int, error) {
 	return payload, binaryHeader + n, nil
 }
 
-// Lines frames records as newline-terminated text — the cluster
-// coordinator's JSON-lines format. Payloads must not contain newlines;
-// integrity of the payload itself is the caller's concern (a JSON line
-// that does not parse is the caller's ErrCorrupt).
-type Lines struct{}
-
-// AppendFrame frames payload as one line.
-func (Lines) AppendFrame(dst, payload []byte) ([]byte, error) {
-	for _, c := range payload {
-		if c == '\n' {
-			return dst, errors.New("wal: line record contains a newline")
-		}
-	}
-	dst = append(dst, payload...)
-	return append(dst, '\n'), nil
-}
-
-// Next decodes the first line of data. A final line without its newline
-// is a torn tail.
-func (Lines) Next(data []byte) ([]byte, int, error) {
-	for i, c := range data {
-		if c == '\n' {
-			return data[:i], i + 1, nil
-		}
-	}
-	return nil, 0, errTorn
-}
-
 // scan walks data frame by frame, calling fn for each intact payload,
 // and returns the number of bytes covered by intact frames. A torn tail
 // ends the scan silently — valid tells the caller where to truncate.
 // Corruption, and any error from fn, aborts the scan.
-func scan(data []byte, fr Framing, fn func(payload []byte) error) (valid int, err error) {
+func scan(data []byte, fr Binary, fn func(payload []byte) error) (valid int, err error) {
 	for valid < len(data) {
 		payload, size, err := fr.Next(data[valid:])
 		if errors.Is(err, errTorn) {

@@ -46,13 +46,8 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it reaches this many
 	// bytes; 0 means 1 MiB.
 	SegmentBytes int64
-	// MaxFrame caps record size; 0 means DefaultMaxFrame. Ignored when
-	// Framing is set.
+	// MaxFrame caps record size; 0 means DefaultMaxFrame.
 	MaxFrame int
-	// Framing substitutes the record codec; nil means Binary (length ‖
-	// CRC32C frames). The cluster coordinator's transfer journal passes
-	// Lines to keep its records greppable JSON.
-	Framing Framing
 	// Hook, when non-nil, is consulted at every Op point with the log's
 	// key (the directory's base name).
 	Hook Hook
@@ -60,9 +55,7 @@ type Options struct {
 
 // Stats counts a Log's activity.
 type Stats struct {
-	Appends     uint64
-	Rotations   uint64
-	Checkpoints uint64
+	Rotations uint64
 	// TornBytes counts bytes truncated from the active segment when the
 	// log was opened — the residue of a crash mid-append.
 	TornBytes int64
@@ -85,7 +78,7 @@ type Log struct {
 	dir string
 	key string
 	o   Options
-	fr  Framing
+	fr  Binary
 
 	seg    *File // active segment
 	segs   []int // live segment indexes, ascending; last is active
@@ -101,12 +94,10 @@ const (
 	checkpointTmp  = "checkpoint.tmp"
 )
 
-func segName(idx int) string { return fmt.Sprintf("seg-%08d.wal", idx) }
-
 // SegmentFileName returns the file name (inside the log directory) of
 // the segment with the given index. Layered readers — internal/stream's
 // offset-addressable change-stream — locate retained segments by it.
-func SegmentFileName(idx int) string { return segName(idx) }
+func SegmentFileName(idx int) string { return fmt.Sprintf("seg-%08d.wal", idx) }
 
 // checkpointMeta is the first frame of a checkpoint file.
 type checkpointMeta struct {
@@ -131,10 +122,7 @@ func Open(dir string, o Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	l := &Log{dir: dir, key: filepath.Base(dir), o: o, fr: o.Framing, bound: 1, retain: 1}
-	if l.fr == nil {
-		l.fr = Binary{MaxFrame: o.MaxFrame}
-	}
+	l := &Log{dir: dir, key: filepath.Base(dir), o: o, fr: Binary{MaxFrame: o.MaxFrame}, bound: 1, retain: 1}
 	// A temp file means the crash hit before the rename: the checkpoint
 	// was never installed and the previous one (if any) still rules.
 	if err := os.Remove(filepath.Join(dir, checkpointTmp)); err != nil && !os.IsNotExist(err) {
@@ -203,7 +191,7 @@ func (l *Log) loadSegments() error {
 	live := idxs[:0]
 	for _, idx := range idxs {
 		if idx < l.retain {
-			if err := os.Remove(filepath.Join(l.dir, segName(idx))); err != nil {
+			if err := os.Remove(filepath.Join(l.dir, SegmentFileName(idx))); err != nil {
 				return fmt.Errorf("wal: removing covered segment: %w", err)
 			}
 			continue
@@ -222,7 +210,7 @@ func (l *Log) loadSegments() error {
 
 	// Only the most recent segment can carry a torn tail; verify it and
 	// truncate the residue before any append lands behind it.
-	active := filepath.Join(l.dir, segName(l.segs[len(l.segs)-1]))
+	active := filepath.Join(l.dir, SegmentFileName(l.segs[len(l.segs)-1]))
 	if data, err := os.ReadFile(active); err == nil {
 		valid, err := scan(data, l.fr, nil)
 		if err != nil {
@@ -295,11 +283,7 @@ func (l *Log) writeLocked(payload []byte) error {
 			return err
 		}
 	}
-	if err := l.seg.Write(payload); err != nil {
-		return err
-	}
-	l.stats.Appends++
-	return nil
+	return l.seg.Write(payload)
 }
 
 // syncLocked is the barrier: sealed segments were fsynced when they
@@ -319,7 +303,7 @@ func (l *Log) rotateLocked() error {
 		return err
 	}
 	next := l.segs[len(l.segs)-1] + 1
-	seg, err := l.openSegment(filepath.Join(l.dir, segName(next)))
+	seg, err := l.openSegment(filepath.Join(l.dir, SegmentFileName(next)))
 	if err != nil {
 		return err
 	}
@@ -366,16 +350,16 @@ func (l *Log) Recover(snap func(snapshot []byte) error, replay func(payload []by
 			// for replay.
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(l.dir, segName(idx)))
+		data, err := os.ReadFile(filepath.Join(l.dir, SegmentFileName(idx)))
 		if err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
 		valid, err := scan(data, l.fr, replay)
 		if err != nil {
-			return fmt.Errorf("wal: segment %s: %w", segName(idx), err)
+			return fmt.Errorf("wal: segment %s: %w", SegmentFileName(idx), err)
 		}
 		if valid < len(data) {
-			return fmt.Errorf("%w: torn frame inside sealed segment %s", ErrCorrupt, segName(idx))
+			return fmt.Errorf("%w: torn frame inside sealed segment %s", ErrCorrupt, SegmentFileName(idx))
 		}
 	}
 	return nil
@@ -440,14 +424,10 @@ func (l *Log) checkpoint(retain int, write func(w io.Writer) error) error {
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	// Framing implementations are pure byte codecs (Binary, Lines);
-	// AppendFrame never does I/O or takes locks.
-	//xyvet:ignore lockcheck
 	buf, err := l.fr.AppendFrame(nil, metaRaw)
 	if err != nil {
 		return err
 	}
-	//xyvet:ignore lockcheck
 	if buf, err = l.fr.AppendFrame(buf, snap.Bytes()); err != nil {
 		return err
 	}
@@ -477,7 +457,7 @@ func (l *Log) checkpoint(retain int, write func(w io.Writer) error) error {
 			kept = append(kept, idx)
 			continue
 		}
-		if err := os.Remove(filepath.Join(l.dir, segName(idx))); err != nil {
+		if err := os.Remove(filepath.Join(l.dir, SegmentFileName(idx))); err != nil {
 			return fmt.Errorf("wal: compacting: %w", err)
 		}
 		deleted++
@@ -492,7 +472,6 @@ func (l *Log) checkpoint(retain int, write func(w io.Writer) error) error {
 	l.bound = boundary
 	l.retain = retain
 	l.snap = append(l.snap[:0], snap.Bytes()...)
-	l.stats.Checkpoints++
 	return nil
 }
 
@@ -506,7 +485,7 @@ func (l *Log) Segments() []int {
 }
 
 // Stats snapshots the log's counters.
-func (l *Log) Stats() Stats {
+func (l *Log) Stats() Stats { //xyvet:ignore testonly operator surface with no endpoint yet
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.stats

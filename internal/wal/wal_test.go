@@ -160,7 +160,7 @@ func TestLogTornTail(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seg := filepath.Join(dir, segName(1))
+			seg := filepath.Join(dir, SegmentFileName(1))
 			f, err := os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0o644)
 			if err != nil {
 				t.Fatal(err)
@@ -204,7 +204,7 @@ func TestLogMidFileCorruptionFailsLoudly(t *testing.T) {
 		}
 	}
 	l.Close()
-	seg := filepath.Join(dir, segName(1))
+	seg := filepath.Join(dir, SegmentFileName(1))
 	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +266,7 @@ func TestLogCrashResidue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, segName(1)), stale, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, SegmentFileName(1)), stale, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		l := openLog(t, dir, Options{})
@@ -274,7 +274,7 @@ func TestLogCrashResidue(t *testing.T) {
 		if string(snap) != "SNAP" || len(got) != 1 || string(got[0]) != "tail" {
 			t.Fatalf("recovered snap=%q tail=%q (covered segment replayed?)", snap, got)
 		}
-		if _, err := os.Stat(filepath.Join(dir, segName(1))); !os.IsNotExist(err) {
+		if _, err := os.Stat(filepath.Join(dir, SegmentFileName(1))); !os.IsNotExist(err) {
 			t.Error("covered segment survived Open")
 		}
 	})
@@ -288,7 +288,7 @@ func TestLogCrashResidue(t *testing.T) {
 			}
 		}
 		l.Close()
-		if err := os.Remove(filepath.Join(dir, segName(2))); err != nil {
+		if err := os.Remove(filepath.Join(dir, SegmentFileName(2))); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
@@ -349,38 +349,6 @@ func TestFileWriteSyncGroupCommit(t *testing.T) {
 	}
 	if fsyncs != 2 {
 		t.Fatalf("Write + sync + Close with nothing unsynced = %d fsyncs in total, want 2", fsyncs)
-	}
-}
-
-func TestLinesFraming(t *testing.T) {
-	dir := t.TempDir()
-	l := openLog(t, dir, Options{Framing: Lines{}})
-	if err := l.Append([]byte(`{"a":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append([]byte("with\nnewline")); err == nil {
-		t.Fatal("newline payload accepted by Lines framing")
-	}
-	l.Close()
-	// A torn line (no trailing newline) is truncated away when the log
-	// reopens, and the intact line replays.
-	seg := filepath.Join(dir, segName(1))
-	raw, _ := os.ReadFile(seg)
-	if err := os.WriteFile(seg, append(raw, []byte(`{"b":`)...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l2 := openLog(t, dir, Options{Framing: Lines{}})
-	defer l2.Close()
-	var got [][]byte
-	if err := l2.Recover(nil, func(p []byte) error { got = append(got, append([]byte(nil), p...)); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || string(got[0]) != `{"a":1}` {
-		t.Fatalf("lines replay = %q", got)
-	}
-	data, _ := os.ReadFile(seg)
-	if !bytes.Equal(data, raw) {
-		t.Errorf("torn line not truncated: %q", data)
 	}
 }
 
