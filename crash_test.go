@@ -35,7 +35,10 @@ import (
 //     between sink accept and the done record may deliver twice — that
 //     duplicate is the contract, a loss is a bug)
 //   - a periodic continuous query neither re-fires at an unadvanced
-//     clock nor skips its next due evaluation
+//     clock nor skips its next due evaluation, and a kill after its
+//     evaluation began never leaves it unreported and unevaluated: its
+//     evaluation mark rides the reporter journal's record of its result,
+//     so the mark is never durable without the result
 //   - every page whose push the child saw acknowledged is in the
 //     warehouse at that version or later (never New again), and the page
 //     whose push the kill cut short raises its update again
@@ -146,7 +149,11 @@ var crashScenarios = []crashScenario{
 	{name: "reporter-first-append", point: faults.Point(wal.OpAppend), match: "reporter", phase: "tick"},
 	{name: "reporter-mid-append", point: faults.Point(wal.OpAppend), match: "reporter", skip: 5, phase: "push:p0:v2"},
 	{name: "reporter-append-done", point: faults.Point(wal.OpAppendDone), match: "reporter", skip: 3, phase: "push:p1:v2", tornTail: "reporter"},
-	{name: "trigger-mark-append", point: faults.Point(wal.OpAppend), match: "trigger", phase: "tick"},
+	// The weekly query's evaluation mark rides its notif record: the
+	// kill lands after that record and before the fired batch of its
+	// report, so recovery restores the mark and the buffered result,
+	// and reports it instead of evaluating again.
+	{name: "trigger-mark-append", point: faults.Point(wal.OpAppend), match: "reporter", skip: 1, phase: "tick"},
 	{name: "checkpoint-temp", point: faults.Point(wal.OpCheckpointTemp), phase: "checkpoint"},
 	{name: "checkpoint-install", point: faults.Point(wal.OpCheckpointInstall), phase: "checkpoint"},
 	{name: "checkpoint-compact", point: faults.Point(wal.OpCheckpointCompact), phase: "checkpoint"},
@@ -210,7 +217,7 @@ func TestDurableLogsFireFileFaultPoints(t *testing.T) {
 	in.Sleep = func(d time.Duration) { fired[d]++ }
 	want := make(map[time.Duration]string)
 	for _, point := range []faults.Point{faults.Point(wal.OpFileAppend), faults.Point(wal.OpFileSync)} {
-		for _, log := range []string{"subs", "reporter", "trigger", "warehouse"} {
+		for _, log := range []string{"subs", "reporter", "warehouse"} {
 			d := time.Duration(len(want) + 1)
 			want[d] = string(point) + " on " + log
 			in.Enable(faults.Rule{Point: point, Mode: faults.ModeLatency, Latency: d, Match: log})
@@ -227,7 +234,7 @@ func TestDurableLogsFireFileFaultPoints(t *testing.T) {
 			t.Fatalf("Subscribe: %v", err)
 		}
 	}
-	sys.Tick() // the weekly query runs, marks its evaluation, reports
+	sys.Tick() // the weekly query runs and reports, its mark in its record
 	if _, err := sys.PushXML("http://crash.example/p0.xml", "", "", "<page>v1</page>"); err != nil {
 		t.Fatal(err)
 	}
@@ -241,41 +248,67 @@ func TestDurableLogsFireFileFaultPoints(t *testing.T) {
 	}
 }
 
-// TestNewRefusesLegacyStreamDir: a change-stream left in
-// <DurableDir>/stream by the earlier layout numbers its offsets apart
-// from the reporter journal's, so a consumer still pointed at it would
-// silently see nothing new. New refuses to start beside it, naming the
-// directory and the command that drains it; once it is gone, New
-// starts.
+// TestNewRefusesLegacyStreamDir: New refuses to start beside a log of
+// an earlier layout, naming the directory and what removing it costs;
+// once it is gone, New starts. A change-stream left in
+// <DurableDir>/stream numbers its offsets apart from the reporter
+// journal's, so a consumer still pointed at it would silently see nothing
+// new: the error names the command that drains it. Evaluation marks left
+// in <DurableDir>/trigger are not read (they now ride the reporter
+// journal): without them each periodic query evaluates once more.
 func TestNewRefusesLegacyStreamDir(t *testing.T) {
-	durable := t.TempDir()
-	legacy := filepath.Join(durable, "stream")
-	old, err := stream.Open(legacy, stream.Options{})
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		dir   string
+		write func(dir string) error
+		say   []string // what the error must say, DIR standing for the directory
+	}{
+		{"stream", func(dir string) error {
+			old, err := stream.Open(dir, stream.Options{})
+			if err != nil {
+				return err
+			}
+			if _, err := old.Publish([]stream.Record{{Subscription: "Watch", XML: "<Report/>"}}); err != nil {
+				return err
+			}
+			return old.Close()
+		}, []string{"DIR holds a change-stream", "xysub stream replay -dir DIR`"}},
+		{"trigger", func(dir string) error {
+			old, err := wal.Open(dir, wal.Options{})
+			if err != nil {
+				return err
+			}
+			if err := old.Append([]byte(`{"sub":"Pulse","query":"WeeklyPulse","last":"2001-05-21T00:00:00Z"}`)); err != nil {
+				return err
+			}
+			return old.Close()
+		}, []string{"DIR holds continuous-query evaluation marks", "each periodic query then evaluates once more"}},
+	} {
+		t.Run(c.dir, func(t *testing.T) {
+			durable := t.TempDir()
+			legacy := filepath.Join(durable, c.dir)
+			if err := c.write(legacy); err != nil {
+				t.Fatal(err)
+			}
+			sys, err := New(Options{DurableDir: durable})
+			if err == nil {
+				sys.Close()
+				t.Fatalf("New started beside a legacy %s directory", c.dir)
+			}
+			for _, say := range c.say {
+				if say = strings.ReplaceAll(say, "DIR", legacy); !strings.Contains(err.Error(), say) {
+					t.Fatalf("New's error %q does not say %q", err, say)
+				}
+			}
+			if err := os.RemoveAll(legacy); err != nil {
+				t.Fatal(err)
+			}
+			sys, err = New(Options{DurableDir: durable})
+			if err != nil {
+				t.Fatalf("New after the legacy directory was removed: %v", err)
+			}
+			sys.Close()
+		})
 	}
-	if _, err := old.Publish([]stream.Record{{Subscription: "Watch", XML: "<Report/>"}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := old.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sys, err := New(Options{DurableDir: durable})
-	if err == nil {
-		sys.Close()
-		t.Fatal("New started beside a legacy stream directory")
-	}
-	if drain := "xysub stream replay -dir " + legacy; !strings.Contains(err.Error(), drain) {
-		t.Fatalf("New's error %q does not name the drain command %q", err, drain)
-	}
-	if err := os.RemoveAll(legacy); err != nil {
-		t.Fatal(err)
-	}
-	sys, err = New(Options{DurableDir: durable})
-	if err != nil {
-		t.Fatalf("New after the legacy directory was drained: %v", err)
-	}
-	sys.Close()
 }
 
 // TestCheckpointBesideCorruptCursor: a pull consumer's damaged cursor
@@ -299,7 +332,7 @@ func TestCheckpointBesideCorruptCursor(t *testing.T) {
 	if err := sys.Checkpoint(); err == nil || !strings.Contains(err.Error(), "broken.cur") {
 		t.Fatalf("Checkpoint beside a corrupt cursor = %v, want an error naming it", err)
 	}
-	for _, log := range []string{"subs", "reporter", "trigger", "warehouse"} {
+	for _, log := range []string{"subs", "reporter", "warehouse"} {
 		if _, err := os.Stat(filepath.Join(durable, log, "checkpoint.wal")); err != nil {
 			t.Errorf("%s/ was not checkpointed: %v", log, err)
 		}
@@ -798,6 +831,20 @@ func verifyCrashRecovery(t *testing.T, dir string, sc crashScenario) (delivered 
 	atT0 := sys.Trigger.Evaluations()
 	if atT0 > 1 {
 		t.Errorf("weekly query evaluated %d times at the unadvanced clock", atT0)
+	}
+	// Nor is its period skipped: once the kill landed at or after the
+	// Tick that evaluates it, at the crash clock it was reported — before
+	// the crash, or from its recovered result — or it evaluates again.
+	if subs["Pulse"] && sc.phase != "new" && !strings.HasPrefix(sc.phase, "subscribe:") {
+		pulses := 0
+		for _, line := range readLedger(filepath.Join(dir, "delivered.log")) {
+			if strings.Contains(line, "WeeklyPulse") {
+				pulses++
+			}
+		}
+		if pulses+int(atT0) < 1 {
+			t.Errorf("weekly query neither reported nor evaluated at the crash clock: its period was skipped")
+		}
 	}
 	// And once its period elapses it is due exactly once more — the
 	// persisted mark must not push the schedule forward either.

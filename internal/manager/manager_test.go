@@ -36,7 +36,7 @@ func newRig(t *testing.T, journal Journal) *rig {
 	}), reporter.WithClock(now))
 	r.eng = trigger.New(r.store.AllRoots, func(res trigger.Result) {
 		r.rep.Notify(reporter.Notification{
-			Subscription: res.Subscription, Label: res.Query, Element: res.Element, Time: res.Time,
+			Subscription: res.Subscription, Label: res.Query, Element: res.Element, Time: res.Time, Mark: true,
 		})
 	}, trigger.WithClock(now))
 	r.mgr = New(Config{

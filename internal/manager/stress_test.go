@@ -41,7 +41,7 @@ func TestManagerStress(t *testing.T) {
 	store := warehouse.NewStore()
 	eng := trigger.New(store.AllRoots, func(res trigger.Result) {
 		rep.Notify(reporter.Notification{
-			Subscription: res.Subscription, Label: res.Query, Element: res.Element, Time: res.Time,
+			Subscription: res.Subscription, Label: res.Query, Element: res.Element, Time: res.Time, Mark: true,
 		})
 	})
 	mgr := New(Config{

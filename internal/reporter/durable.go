@@ -20,7 +20,10 @@ import (
 // delivery was not yet acknowledged. Both journal their mutations into a
 // stream.Log as they happen:
 //
-//	notif  — a notification entered a subscription's buffer
+//	notif  — a notification entered a subscription's buffer; a
+//	         continuous query's result also marks the query as
+//	         evaluated at its time
+//	mark   — a continuous query evaluated and its delta was empty
 //	fired  — a report was built; its buffer emptied into it. One stream
 //	         batch per build, a record per recipient: the fired records
 //	         are the change-stream, and a report's id is its offset
@@ -30,7 +33,7 @@ import (
 //	         read back, as done, since their journals may hold it
 //	redrive — an operator moved a dead letter back onto the retry queue
 //
-// The hot records (notif, fired, done) are group-committed: each is
+// The hot records (notif, mark, fired, done) are group-committed: each is
 // written to the log where it happens — under the lock that orders it —
 // and made durable by a commit barrier per document, not an fsync per
 // record (see deliver). The cold ones (dead, redrive) commit on
@@ -42,7 +45,8 @@ import (
 // fired without a done or dead record re-enters the retry queue. A
 // crash between the sink accepting a report and the done record landing
 // therefore redelivers it: that duplicate is the at-least-once contract,
-// never a loss.
+// never a loss. The latest mark of each continuous query comes back too,
+// for the Trigger Engine to resume its schedule from (Evaluated).
 type walRecord struct {
 	T        string    `json:"t"`
 	ID       uint64    `json:"id,omitempty"`
@@ -53,6 +57,7 @@ type walRecord struct {
 	Count    int       `json:"count,omitempty"`
 	Attempts int       `json:"attempts,omitempty"`
 	Reason   string    `json:"reason,omitempty"`
+	Mark     bool      `json:"mark,omitempty"`
 }
 
 // walSnapshot is the checkpoint payload: the durable state at the
@@ -62,6 +67,8 @@ type walSnapshot struct {
 	Outstanding []walRecord            `json:"outstanding,omitempty"`
 	Dead        []walRecord            `json:"dead,omitempty"`
 	Evicted     uint64                 `json:"evicted,omitempty"`
+	// Marks is subscription -> continuous query -> last evaluation.
+	Marks map[string]map[string]time.Time `json:"marks,omitempty"`
 }
 
 // WithWAL journals the Reporter's durable state into l, whose stream
@@ -214,6 +221,7 @@ func (r *Reporter) Recover() error {
 		return nil
 	}
 	buffers := make(map[string][]walRecord)
+	marks := make(map[string]map[string]time.Time)
 	outstanding := make(map[uint64]walRecord)
 	var order []uint64
 	var dead []walRecord
@@ -231,12 +239,20 @@ func (r *Reporter) Recover() error {
 			}
 			dead = append(dead, s.Dead...)
 			evicted = s.Evicted
+			maps.Copy(marks, s.Marks)
 			return nil
 		},
 		func(payload []byte) error {
 			var rec walRecord
 			if err := json.Unmarshal(payload, &rec); err != nil {
 				return fmt.Errorf("reporter: corrupt journal record: %w", err)
+			}
+			if rec.Mark {
+				// Later records win: the journal is in evaluation order.
+				if marks[rec.Sub] == nil {
+					marks[rec.Sub] = make(map[string]time.Time)
+				}
+				marks[rec.Sub][rec.Label] = rec.Time
 			}
 			switch rec.T {
 			case "notif":
@@ -299,6 +315,14 @@ func (r *Reporter) Recover() error {
 		}
 		s.mu.Unlock()
 	}
+	for sub, m := range marks {
+		s := r.stripeFor(sub)
+		s.mu.Lock()
+		if st, ok := s.subs[sub]; ok {
+			st.marks = m
+		}
+		s.mu.Unlock()
+	}
 
 	r.deadLettered.Add(uint64(len(dead)))
 	rt := &r.retry
@@ -347,9 +371,13 @@ func (r *Reporter) Checkpoint() error {
 	snap := walSnapshot{
 		Buffers: make(map[string][]walRecord),
 		Evicted: r.evicted.Load(),
+		Marks:   make(map[string]map[string]time.Time),
 	}
 	for i := range r.stripes {
 		for sub, st := range r.stripes[i].subs {
+			if len(st.marks) > 0 {
+				snap.Marks[sub] = st.marks
+			}
 			if len(st.buffer) == 0 {
 				continue
 			}

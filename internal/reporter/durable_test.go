@@ -348,3 +348,75 @@ func TestFailedFiredWriteKeepsReportOwed(t *testing.T) {
 		}
 	}
 }
+
+// TestEvaluationMarksSurviveRestart: a continuous query's result marks
+// the query evaluated in its own record, a mark alone (an unchanged
+// delta) buffers and fires nothing, and marks come back from the
+// snapshot and the tail alike. Unregister and re-registration drop them
+// as they drop buffers; a result atmost suppresses marks nothing.
+func TestEvaluationMarksSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	sink := &flakySink{}
+	r1, now := durableRig(t, dir, sink)
+	capped := &sublang.ReportSpec{When: []sublang.ReportTerm{{Kind: sublang.TermCount, Count: 9}}, AtMostCount: 1}
+	r1.Register("S", nil)
+	r1.Register("Capped", capped)
+	r1.Register("Gone", nil)
+	t0, t1 := *now, now.Add(time.Hour)
+	r1.Notify(Notification{Subscription: "S", Label: "Q", Element: elem("full"), Time: t0, Mark: true})
+	r1.Notify(Notification{Subscription: "Capped", Label: "Q", Element: elem("kept"), Time: t0, Mark: true})
+	r1.Notify(Notification{Subscription: "Capped", Label: "Q", Element: elem("suppressed"), Time: t1, Mark: true})
+	r1.Notify(Notification{Subscription: "Gone", Label: "Q", Element: elem("x"), Time: t0, Mark: true})
+	r1.Unregister("Gone")
+	if err := r1.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	r1.Notify(Notification{Subscription: "S", Label: "Q", Time: t1, Mark: true})
+	r1.Notify(Notification{Subscription: "S", Label: "Unchanged", Time: t1, Mark: true})
+	if len(sink.sent) != 2 || r1.Buffered("S") != 0 {
+		t.Fatalf("marks alone fired or buffered: %d reports, %d buffered", len(sink.sent), r1.Buffered("S"))
+	}
+
+	r2, _ := durableRig(t, dir, &flakySink{})
+	for _, sub := range []string{"S", "Capped", "Gone"} {
+		r2.Register(sub, nil)
+	}
+	if err := r2.Recover(); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	for _, c := range []struct {
+		sub, query string
+		want       time.Time // zero: no mark
+	}{
+		{"S", "Q", t1}, {"S", "Unchanged", t1}, {"Capped", "Q", t0}, {"Gone", "Q", time.Time{}}, {"S", "Never", time.Time{}},
+	} {
+		got, ok := r2.Evaluated(c.sub, c.query)
+		if ok != !c.want.IsZero() || !got.Equal(c.want) {
+			t.Errorf("Evaluated(%s, %s) = %v, %v; want %v", c.sub, c.query, got, ok, c.want)
+		}
+	}
+	r2.Register("S", nil)
+	if _, ok := r2.Evaluated("S", "Q"); ok {
+		t.Error("a re-registered subscription inherited its predecessor's mark")
+	}
+}
+
+// TestMarkAloneRidesNextBarrier: a mark alone costs no fsync of its own;
+// the next barrier — here an idle Tick's — makes it durable.
+func TestMarkAloneRidesNextBarrier(t *testing.T) {
+	var c fsyncCounter
+	r, now := commitRig(t, t.TempDir(), &flakySink{}, &c)
+	r.Register("S", nil)
+	r.Notify(Notification{Subscription: "S", Label: "Q", Element: elem("full"), Time: *now, Mark: true})
+	if rep, other := c.take(); rep != 1 || other != 0 {
+		t.Fatalf("a marked result cost %d + %d fsyncs, want the one barrier", rep, other)
+	}
+	r.Notify(Notification{Subscription: "S", Label: "Q", Time: *now, Mark: true})
+	if rep, other := c.take(); rep != 0 || other != 0 {
+		t.Fatalf("a mark alone cost %d + %d fsyncs, want none", rep, other)
+	}
+	r.Tick()
+	if rep, _ := c.take(); rep != 1 {
+		t.Fatalf("the Tick after a mark alone synced %d times, want 1", rep)
+	}
+}

@@ -36,7 +36,16 @@ type Notification struct {
 	Label        string // monitoring query label or continuous query name
 	Element      *xmldom.Node
 	Time         time.Time
+	// Mark says Label is a continuous query that evaluated at Time. The
+	// mark is journaled in this notification's own record, and Evaluated
+	// hands it out after a restart. With a nil Element the notification
+	// is the mark alone — an evaluation whose delta was empty — and
+	// buffers and fires nothing.
+	Mark bool
 }
+
+// markOnly reports whether n carries an evaluation mark and nothing else.
+func (n *Notification) markOnly() bool { return n.Mark && n.Element == nil }
 
 // Report is a generated subscription report.
 type Report struct {
@@ -95,6 +104,9 @@ type Sub struct {
 	hasReport  bool // a report was generated at least once
 	pending    bool // condition fired while rate-limited
 	followers  []string
+	// marks is when each of the subscription's continuous queries last
+	// evaluated, as journaled; nil until the first mark.
+	marks map[string]time.Time
 }
 
 // buffered is a notification waiting in its subscription's buffer.
@@ -306,6 +318,11 @@ func (r *Reporter) Notify(n Notification) {
 	s.mu.Lock()
 	reps := r.noteLocked(nil, s, &n, now)
 	s.mu.Unlock()
+	if n.markOnly() {
+		// No barrier of its own: a lost mark only re-runs its query, and
+		// the next commit covers it.
+		return
+	}
 	r.deliver(reps)
 }
 
@@ -362,19 +379,34 @@ func (r *Reporter) noteLocked(reps []*Report, s *stripe, n *Notification, now ti
 	if st == nil || !st.live {
 		return reps
 	}
-	if st.atMostCount > 0 && len(st.buffer) >= st.atMostCount {
-		// atmost N: stop registering new notifications until the next report.
+	markOnly := n.markOnly()
+	if !markOnly && st.atMostCount > 0 && len(st.buffer) >= st.atMostCount {
+		// atmost N: stop registering new notifications until the next
+		// report. A suppressed result marks nothing either: after a crash
+		// its query runs again.
 		return reps
 	}
 	if r.log != nil {
-		rec := walRecord{T: "notif", Sub: st.name, Label: n.Label, Time: n.Time}
-		if n.Element != nil {
+		rec := walRecord{T: "notif", Sub: st.name, Label: n.Label, Time: n.Time, Mark: n.Mark}
+		if markOnly {
+			rec.T = "mark"
+		} else if n.Element != nil {
 			rec.XML = n.Element.XML()
 		}
 		// Written under the stripe lock so the log records notifications
-		// in the order the buffer gained them; deliver commits them.
+		// in the order the buffer gained them; deliver commits them. A
+		// mark rides its result's record, so it is never durable first.
 		//xyvet:ignore lockcheck
 		r.journalWrite(rec)
+	}
+	if n.Mark {
+		if st.marks == nil {
+			st.marks = make(map[string]time.Time)
+		}
+		st.marks[n.Label] = n.Time
+	}
+	if markOnly {
+		return reps
 	}
 	st.buffer = append(st.buffer, buffered{label: n.Label, elem: n.Element, time: n.Time})
 	if st.labelCount != nil {
@@ -559,6 +591,20 @@ func (r *Reporter) Buffered(sub string) int {
 		return len(st.buffer)
 	}
 	return 0
+}
+
+// Evaluated returns when continuous query query of subscription sub last
+// evaluated, as the Reporter noted it (and Recover restored it), and
+// whether it has.
+func (r *Reporter) Evaluated(sub, query string) (time.Time, bool) {
+	s := r.stripeFor(sub)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if st := s.subs[sub]; st != nil {
+		t, ok := st.marks[query]
+		return t, ok
+	}
+	return time.Time{}, false
 }
 
 // Archived returns the archived reports of a subscription that have not

@@ -7,11 +7,11 @@
 package trigger
 
 import (
+	"slices"
 	"sync"
 	"time"
 
 	"xymon/internal/sublang"
-	"xymon/internal/wal"
 	"xymon/internal/xmldom"
 	"xymon/internal/xydiff"
 )
@@ -21,7 +21,10 @@ import (
 type Source func() []*xmldom.Node
 
 // Result is a continuous-query notification: the query code plus its
-// (possibly delta) result element.
+// (possibly delta) result element. Element is nil when a delta query's
+// result did not change: there is nothing to report, but the query did
+// evaluate at Time, and a sink that journals evaluation marks (the
+// Reporter's, via Notification.Mark) still records it.
 type Result struct {
 	Subscription string
 	Query        string
@@ -49,11 +52,6 @@ type Engine struct {
 	sink    Sink
 	clock   func() time.Time
 
-	// wal journals per-query evaluation marks; marks carries them from
-	// Recover to Register (see durable.go).
-	wal   *wal.Log
-	marks map[markKey]time.Time
-
 	evaluations uint64
 }
 
@@ -75,36 +73,45 @@ func New(source Source, sink Sink, opts ...Option) *Engine {
 	return e
 }
 
-// Register adds a continuous query owned by subscription sub. A
-// recovered evaluation mark (see Recover) restores the query's schedule:
-// it resumes from its persisted last run instead of starting fresh.
+// Register adds a continuous query owned by subscription sub. It has
+// never run, so a frequency-scheduled query evaluates on the next Tick.
 func (e *Engine) Register(sub string, cq *sublang.ContinuousQuery) {
 	now := e.clock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	r := &registered{sub: sub, cq: cq, lastRun: now}
-	if last, ok := e.marks[markKey{sub, cq.Name}]; ok {
-		r.lastRun = last
-		r.hasRun = true
+	e.queries = append(e.queries, &registered{sub: sub, cq: cq, lastRun: now})
+}
+
+// Restore resumes the schedules of the registered queries after a
+// restart: each query that evaluated returns its last evaluation, and a
+// periodic one then runs when its period since that mark elapses instead
+// of at once. The marks live in the Reporter's journal, inside the record
+// of the result each evaluation produced, so a mark is never durable
+// without its result. The previous result of a delta query is not kept:
+// its first evaluation after a restart emits the full result once — a
+// duplicate, never a silent gap.
+func (e *Engine) Restore(evaluated func(sub, query string) (time.Time, bool)) {
+	e.mu.Lock()
+	queries := slices.Clone(e.queries)
+	e.mu.Unlock()
+	for _, r := range queries {
+		last, ok := evaluated(r.sub, r.cq.Name)
+		if !ok {
+			continue
+		}
+		e.mu.Lock()
+		if !r.hasRun {
+			r.lastRun, r.hasRun = last, true
+		}
+		e.mu.Unlock()
 	}
-	e.queries = append(e.queries, r)
 }
 
 // Unregister removes every continuous query of a subscription.
 func (e *Engine) Unregister(sub string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	keep := e.queries[:0]
-	for _, r := range e.queries {
-		if r.sub != sub {
-			keep = append(keep, r)
-		} else if e.marks != nil {
-			// Drop the mark: a later re-registration under the same name
-			// must not inherit a dead subscription's schedule.
-			delete(e.marks, markKey{r.sub, r.cq.Name})
-		}
-	}
-	e.queries = keep
+	e.queries = slices.DeleteFunc(e.queries, func(r *registered) bool { return r.sub == sub })
 }
 
 // Tick evaluates every frequency-scheduled query whose period has elapsed.
@@ -144,7 +151,8 @@ func (e *Engine) OnNotification(sub, label string) {
 	}
 }
 
-// evaluate runs one query and emits its (delta) result. The sink is
+// evaluate runs one query and emits its (delta) result — a nil Element
+// when a delta query's result did not change. The sink is
 // immutable after construction and is invoked with no lock held, so a
 // sink may call back into the engine (Register, Tick) without
 // deadlocking.
@@ -162,22 +170,16 @@ func (e *Engine) evaluate(r *registered, now time.Time) {
 
 	e.mu.Lock()
 	r.lastRun = now
-	e.noteEvaluatedLocked(r, now)
 	e.evaluations++
 	out := result
 	if r.cq.Delta {
 		newDoc := xmldom.NewDocument(result.Clone())
 		if r.hasRun && r.lastResult != nil {
-			delta, err := xydiff.Diff(r.lastResult, newDoc)
-			if err == nil {
-				if delta.Empty() {
-					// No change: delta queries stay silent.
-					r.hasRun = true
-					r.lastResult = newDoc
-					e.mu.Unlock()
-					return
+			if delta, err := xydiff.Diff(r.lastResult, newDoc); err == nil {
+				out = nil // no change: delta queries stay silent
+				if !delta.Empty() {
+					out = delta.RenderXML(r.cq.Name)
 				}
-				out = delta.RenderXML(r.cq.Name)
 			}
 		}
 		r.lastResult = newDoc

@@ -84,11 +84,12 @@ func TestDeltaQueryReportsOnlyChanges(t *testing.T) {
 	if got := (*results)[0].Element.XML(); !strings.Contains(got, "Night Watch") || strings.Contains(got, "-delta") {
 		t.Errorf("first delta result = %s", got)
 	}
-	// Unchanged: no notification at all.
+	// Unchanged: no notification, only the evaluation's mark — a result
+	// with no element, which a Reporter journals and never reports.
 	c.advance(25 * time.Hour)
 	e.Tick()
-	if len(*results) != 1 {
-		t.Fatalf("unchanged delta produced a notification: %v", (*results)[1].Element.XML())
+	if len(*results) != 2 || (*results)[1].Element != nil || !(*results)[1].Time.Equal(c.now()) {
+		t.Fatalf("unchanged delta: results %+v, want one more with no element, at the evaluation", *results)
 	}
 	// Changed: a -delta element with the insertion.
 	setForest(`<culture><museum><address>Amsterdam</address>
@@ -96,10 +97,10 @@ func TestDeltaQueryReportsOnlyChanges(t *testing.T) {
 		<painting><title>Milkmaid</title></painting></museum></culture>`)
 	c.advance(25 * time.Hour)
 	e.Tick()
-	if len(*results) != 2 {
-		t.Fatalf("changed delta missing: %d", len(*results))
+	if len(*results) != 3 || (*results)[2].Element == nil {
+		t.Fatalf("changed delta missing: %+v", *results)
 	}
-	got := (*results)[1].Element.XML()
+	got := (*results)[2].Element.XML()
 	if !strings.HasPrefix(got, "<AmsterdamPaintings-delta>") || !strings.Contains(got, "<inserted") ||
 		!strings.Contains(got, "Milkmaid") || strings.Contains(got, "Night Watch") {
 		t.Errorf("delta = %s", got)

@@ -86,8 +86,9 @@ type Options struct {
 	// DurableDir enables the crash-safe durability layer: write-ahead
 	// logs under this directory persist the subscription base (subs/),
 	// the Reporter's notification buffers and undelivered reports
-	// (reporter/), the Trigger Engine's evaluation marks (trigger/) and
-	// every page's current version in the warehouse (warehouse/).
+	// together with the Trigger Engine's evaluation marks, each in the
+	// record of the result it produced (reporter/), and every page's
+	// current version in the warehouse (warehouse/).
 	// The reporter's fired records are the notification change-stream:
 	// pull consumers read <DurableDir>/reporter with durable cursors
 	// (stream.OpenReader, xysub stream -dir <DurableDir>/reporter). New
@@ -182,14 +183,20 @@ func New(opts Options) (*System, error) {
 		in := opts.Faults
 		hook = func(op, key string) error { return in.Check(faults.Point(op), key) }
 	}
-	var walTrig *wal.Log
 	var journal manager.Journal
 	if opts.DurableDir != "" {
-		// The change-stream used to be a log of its own, counting offsets
-		// its own way: a consumer still reading it would see nothing new.
-		legacy := filepath.Join(opts.DurableDir, "stream")
-		if segs, _ := filepath.Glob(filepath.Join(legacy, "seg-*.wal")); len(segs) > 0 {
-			return fail(fmt.Errorf("xymon: %s is a change-stream of the earlier layout; the stream is now %s/reporter. Drain it with `xysub stream replay -dir %s`, then remove it", legacy, opts.DurableDir, legacy))
+		// Logs of the earlier layouts, refused rather than read: the
+		// change-stream counted offsets its own way (a consumer still
+		// reading it would see nothing new), and the trigger log held the
+		// evaluation marks that now ride the reporter journal.
+		streamDir := filepath.Join(opts.DurableDir, "stream")
+		for _, legacy := range [][2]string{
+			{streamDir, fmt.Sprintf("a change-stream of the earlier layout; the stream is now %s/reporter. Drain it with `xysub stream replay -dir %s`, then remove it", opts.DurableDir, streamDir)},
+			{filepath.Join(opts.DurableDir, "trigger"), "continuous-query evaluation marks of the earlier layout; they now ride the reporter journal. Remove it: each periodic query then evaluates once more"},
+		} {
+			if logs, _ := filepath.Glob(filepath.Join(legacy[0], "*.wal")); len(logs) > 0 {
+				return fail(fmt.Errorf("xymon: %s holds %s", legacy[0], legacy[1]))
+			}
 		}
 		walSubs, err := wal.Open(filepath.Join(opts.DurableDir, "subs"), wal.Options{Hook: hook})
 		if err != nil {
@@ -204,10 +211,6 @@ func New(opts Options) (*System, error) {
 			return fail(err)
 		}
 		s.closers = append(s.closers, s.Stream)
-		if walTrig, err = wal.Open(filepath.Join(opts.DurableDir, "trigger"), wal.Options{Hook: hook}); err != nil {
-			return fail(err)
-		}
-		s.closers = append(s.closers, walTrig)
 		if s.pages, err = warehouse.OpenJournal(filepath.Join(opts.DurableDir, "warehouse"), hook); err != nil {
 			return fail(err)
 		}
@@ -219,17 +222,15 @@ func New(opts Options) (*System, error) {
 		repOpts = append(repOpts, reporter.WithWAL(s.Stream))
 	}
 	s.Reporter = reporter.New(opts.Delivery, repOpts...)
-	trigOpts := []trigger.Option{trigger.WithClock(clock)}
-	if walTrig != nil {
-		trigOpts = append(trigOpts, trigger.WithWAL(walTrig))
-	}
 	s.Trigger = trigger.New(s.Store.AllRoots, func(r trigger.Result) {
 		// r.Element is built for this result alone (a fresh element, the
-		// query's clones, or a rendered delta), so the Reporter can own it.
+		// query's clones, or a rendered delta), so the Reporter can own it;
+		// a nil one (an unchanged delta) makes the notification a mark
+		// alone.
 		s.Reporter.Notify(reporter.Notification{
-			Subscription: r.Subscription, Label: r.Query, Element: r.Element, Time: r.Time,
+			Subscription: r.Subscription, Label: r.Query, Element: r.Element, Time: r.Time, Mark: true,
 		})
-	}, trigOpts...)
+	}, trigger.WithClock(clock))
 	s.Pipeline = alerter.NewPipeline()
 	s.Matcher = core.NewMatcher()
 	s.Manager = manager.New(manager.Config{
@@ -243,20 +244,17 @@ func New(opts Options) (*System, error) {
 		InhibitRate: opts.InhibitRate,
 	})
 	if journal != nil {
-		// Recovery order matters: trigger marks first (Register consults
-		// them as the subscription base comes back), then the base itself,
-		// then the Reporter (its recovery drops the buffers of
+		// Recovery order matters: the subscription base first, then the
+		// Reporter (its recovery drops the buffers and marks of
 		// subscriptions that no longer exist, so registration must be
-		// done).
-		if err := s.Trigger.Recover(); err != nil {
-			return fail(err)
-		}
+		// done), then the continuous queries' schedules from its marks.
 		if err := s.Manager.Recover(journal); err != nil {
 			return fail(err)
 		}
 		if err := s.Reporter.Recover(); err != nil {
 			return fail(err)
 		}
+		s.Trigger.Restore(s.Reporter.Evaluated)
 		if err := s.pages.Recover(s.Store); err != nil {
 			return fail(err)
 		}
@@ -287,8 +285,8 @@ func New(opts Options) (*System, error) {
 }
 
 // Checkpoint compacts the durability layer: each module snapshots its
-// state (live subscription base, buffered notifications plus undelivered
-// reports, evaluation marks, every page's current version) and truncates
+// state (live subscription base, buffered notifications, undelivered
+// reports and evaluation marks, every page's current version) and truncates
 // the journal records the snapshot covers — the Reporter's keeping the
 // segments a stream consumer still needs (every live cursor's, bounded
 // below by StreamMaxBehind). The warehouse goes last and runs whatever the
@@ -296,9 +294,6 @@ func New(opts Options) (*System, error) {
 // cursor must not stop the others. A no-op without Options.DurableDir.
 func (s *System) Checkpoint() error {
 	if err := s.Manager.Checkpoint(); err != nil {
-		return err
-	}
-	if err := s.Trigger.Checkpoint(); err != nil {
 		return err
 	}
 	err := s.Reporter.Checkpoint()

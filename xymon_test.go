@@ -1,9 +1,11 @@
 package xymon
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"maps"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -102,6 +104,107 @@ report when immediate`)
 	c.advance(8 * 24 * time.Hour)
 	if n := sys.Crawl(); n != 5 {
 		t.Errorf("due recrawl fetched %d", n)
+	}
+}
+
+// TestContinuousQueryMarksAcrossRestart: a continuous query's evaluation
+// marks ride the reporter journal, and a System restarted on the same
+// DurableDir resumes each periodic query's schedule from them. Each row
+// is a script: tick; restart (Close, then New on the same directory);
+// checkpoint; unsubscribe (every subscription); subscribe (the row's);
+// +D advances the clock by D; =N requires N evaluations so far, over
+// every System of the row.
+func TestContinuousQueryMarksAcrossRestart(t *testing.T) {
+	weekly := func(name string) string {
+		return "subscription " + name + "\ncontinuous Q\ntry weekly\nreport when immediate"
+	}
+	for _, c := range []struct {
+		name   string
+		subs   []string
+		script string
+	}{
+		// Two days in, the query does not re-fire; a week after its
+		// mark, it fires.
+		{"restart-2-days-in-does-not-refire", []string{weekly("S")}, "tick =1 +48h restart tick =1 +120h tick =2"},
+		// The outage outlasts the period: the first Tick fires.
+		{"restart-9-days-in-fires", []string{weekly("S")}, "tick =1 +216h restart tick =2"},
+		// Marks come back from the checkpoint's snapshot, and from an
+		// evaluation in the tail after it.
+		{"marks-survive-checkpoint", []string{weekly("A"), weekly("B")}, "tick =2 checkpoint +48h restart tick =2 +144h tick =4 +1h restart tick =4"},
+		// A subscription recycled under the same name starts a fresh
+		// schedule: it has never run, so it fires at once.
+		{"resubscribe-starts-fresh", []string{weekly("S")}, "tick =1 unsubscribe subscribe +1h tick =2 +1h restart tick =2"},
+		// An unchanged delta reports nothing, but its mark is journaled:
+		// restarted inside the period since, it does not evaluate again.
+		{"unchanged-delta-does-not-reevaluate", []string{`subscription S
+continuous delta Q
+select p/title from culture/museum m, m/painting p
+when daily
+report when immediate`}, "tick =1 +25h tick =2 +2h restart tick =2"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			clk := &testClock{t: time.Date(2001, 5, 21, 0, 0, 0, 0, time.UTC)}
+			open := func() *System {
+				sys, err := New(Options{Clock: clk.now, DurableDir: dir})
+				if err != nil {
+					t.Fatalf("New: %v", err)
+				}
+				return sys
+			}
+			sys := open()
+			defer func() { sys.Close() }()
+			subscribe := func() {
+				for _, src := range c.subs {
+					if _, err := sys.Subscribe(src); err != nil {
+						t.Fatalf("Subscribe: %v", err)
+					}
+				}
+			}
+			subscribe()
+			var before uint64 // evaluations of the Systems closed so far
+			steps := strings.Fields(c.script)
+			for i, step := range steps {
+				switch {
+				case step == "tick":
+					sys.Tick()
+				case step == "restart":
+					before += sys.Trigger.Evaluations()
+					if err := sys.Close(); err != nil {
+						t.Fatal(err)
+					}
+					sys = open()
+				case step == "checkpoint":
+					if err := sys.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+				case step == "unsubscribe":
+					for _, name := range sys.Manager.Subscriptions() {
+						if err := sys.Unsubscribe(name); err != nil {
+							t.Fatal(err)
+						}
+					}
+				case step == "subscribe":
+					subscribe()
+				case step[0] == '+':
+					d, err := time.ParseDuration(step[1:])
+					if err != nil {
+						t.Fatal(err)
+					}
+					clk.advance(d)
+				case step[0] == '=':
+					want, err := strconv.ParseUint(step[1:], 10, 64)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := before + sys.Trigger.Evaluations(); got != want {
+						t.Fatalf("after %q: %d evaluations, want %d", strings.Join(steps[:i], " "), got, want)
+					}
+				default:
+					t.Fatalf("unknown step %q", step)
+				}
+			}
+		})
 	}
 }
 
@@ -367,21 +470,39 @@ report when immediate`); err != nil {
 // TestWarehouseLogAddsNoFsync: a page's record is written to the
 // warehouse log without a barrier of its own — a report-firing document
 // still pays exactly one fsync, the reporter's — and only a checkpoint
-// syncs the warehouse log.
+// syncs the warehouse log. A continuous query's evaluation mark has no
+// log of its own either: an evaluating Tick syncs the reporter journal
+// alone.
 func TestWarehouseLogAddsNoFsync(t *testing.T) {
 	in := faults.New(1)
-	logs := []string{"subs", "reporter", "trigger", "warehouse"}
+	// The last rule matches any key: a sync on a log not named before it
+	// counts as "other".
+	logs := []string{"subs", "reporter", "warehouse", ""}
 	for i, log := range logs {
 		in.Enable(faults.Rule{Point: faults.Point(wal.OpFileSync), Mode: faults.ModeLatency, Latency: time.Duration(i + 1), Match: log})
 	}
 	fsyncs := make(map[string]int)
-	in.Sleep = func(d time.Duration) { fsyncs[logs[d-1]]++ }
+	in.Sleep = func(d time.Duration) { fsyncs[cmp.Or(logs[d-1], "other")]++ }
 	sys, _, reports := newSystem(t, Options{DurableDir: t.TempDir(), Faults: in})
 	defer sys.Close()
 	if _, err := sys.Subscribe(`subscription F
 monitoring select <U url=URL/> where URL extends "http://f.example/" and modified self
 report when immediate`); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := sys.Subscribe(`subscription P
+continuous Pulse
+try weekly
+report when immediate`); err != nil {
+		t.Fatal(err)
+	}
+	clear(fsyncs)
+	sys.Tick()
+	// The weekly query evaluates and reports: barrier (1) makes its notif
+	// record, mark included, and its fired batch durable, and the
+	// Reporter's Tick commits the report's done.
+	if want := map[string]int{"reporter": 2}; !maps.Equal(fsyncs, want) {
+		t.Errorf("evaluating Tick: fsyncs %v, want %v", fsyncs, want)
 	}
 	for v := 1; v <= 3; v++ {
 		clear(fsyncs)
@@ -396,8 +517,8 @@ report when immediate`); err != nil {
 			t.Errorf("push v%d: fsyncs %v, want %v", v, fsyncs, want)
 		}
 	}
-	if len(*reports) != 2 {
-		t.Fatalf("%d reports, want 2", len(*reports))
+	if len(*reports) != 3 {
+		t.Fatalf("%d reports, want 3", len(*reports))
 	}
 	clear(fsyncs)
 	if err := sys.Checkpoint(); err != nil {
