@@ -180,7 +180,7 @@ func TestJournalFailureStatus(t *testing.T) {
 	if code := do(srv.handleSubscribe, "/subscribe", testSub); code != http.StatusCreated {
 		t.Fatalf("subscribe: %d", code)
 	}
-	in.Enable(faults.Rule{Point: faults.Point(wal.OpAppend), Mode: faults.ModeError, Match: "subs"})
+	in.Enable(faults.Rule{Point: faults.Point(wal.OpAppend), Mode: faults.ModeError, Match: "reporter"})
 	other := strings.Replace(testSub, "HttpWatch", "Other", 1)
 	for _, c := range []struct {
 		what string

@@ -143,17 +143,20 @@ type crashScenario struct {
 }
 
 var crashScenarios = []crashScenario{
-	{name: "subs-append", point: faults.Point(wal.OpAppend), match: "subs", phase: "subscribe:Watch"},
-	{name: "subs-append-done", point: faults.Point(wal.OpAppendDone), match: "subs", phase: "subscribe:Watch"},
-	{name: "subs-second-append", point: faults.Point(wal.OpAppend), match: "subs", skip: 1, phase: "subscribe:Pulse"},
-	{name: "reporter-first-append", point: faults.Point(wal.OpAppend), match: "reporter", phase: "tick"},
-	{name: "reporter-mid-append", point: faults.Point(wal.OpAppend), match: "reporter", skip: 5, phase: "push:p0:v2"},
-	{name: "reporter-append-done", point: faults.Point(wal.OpAppendDone), match: "reporter", skip: 3, phase: "push:p1:v2", tornTail: "reporter"},
+	// The subscription base rides the reporter journal: its first two
+	// records are the sub records of Watch and Pulse, each committed on
+	// its own, so every reporter-* skip below counts them.
+	{name: "subs-append", point: faults.Point(wal.OpAppend), match: "reporter", phase: "subscribe:Watch"},
+	{name: "subs-append-done", point: faults.Point(wal.OpAppendDone), match: "reporter", phase: "subscribe:Watch"},
+	{name: "subs-second-append", point: faults.Point(wal.OpAppend), match: "reporter", skip: 1, phase: "subscribe:Pulse"},
+	{name: "reporter-first-append", point: faults.Point(wal.OpAppend), match: "reporter", skip: 2, phase: "tick"},
+	{name: "reporter-mid-append", point: faults.Point(wal.OpAppend), match: "reporter", skip: 7, phase: "push:p0:v2"},
+	{name: "reporter-append-done", point: faults.Point(wal.OpAppendDone), match: "reporter", skip: 5, phase: "push:p1:v2", tornTail: "reporter"},
 	// The weekly query's evaluation mark rides its notif record: the
 	// kill lands after that record and before the fired batch of its
 	// report, so recovery restores the mark and the buffered result,
 	// and reports it instead of evaluating again.
-	{name: "trigger-mark-append", point: faults.Point(wal.OpAppend), match: "reporter", skip: 1, phase: "tick"},
+	{name: "trigger-mark-append", point: faults.Point(wal.OpAppend), match: "reporter", skip: 3, phase: "tick"},
 	{name: "checkpoint-temp", point: faults.Point(wal.OpCheckpointTemp), phase: "checkpoint"},
 	{name: "checkpoint-install", point: faults.Point(wal.OpCheckpointInstall), phase: "checkpoint"},
 	{name: "checkpoint-compact", point: faults.Point(wal.OpCheckpointCompact), phase: "checkpoint"},
@@ -183,9 +186,10 @@ var crashScenarios = []crashScenario{
 	// leave the Reporter, makes its notif and fired records durable
 	// together with the done records of the call before it, which ride
 	// it. A Tick, a checkpoint's rotation and Close sync them too. In
-	// this workload the reporter's fsyncs are, by skip: 0 the tick's
-	// batch, 1 the reporter Tick syncing its done, 2–5 the barriers (1)
-	// of p0–p3, 6 the checkpoint, 7–10 those of p4–p7, 11 Close. A kill
+	// this workload the reporter's fsyncs are, by skip: 0–1 the sub
+	// records of Watch and Pulse, 2 the tick's batch, 3 the reporter Tick
+	// syncing its done, 4–7 the barriers (1) of p0–p3, 8 the checkpoint,
+	// 9–12 those of p4–p7, 13 Close. A kill
 	// at wal.file.sync cuts the journal back to the previous fsync: the
 	// first batch lost whole; the first batch after the checkpoint, with
 	// a torn frame behind the cut; and a barrier (1) carrying the
@@ -193,10 +197,10 @@ var crashScenarios = []crashScenario{
 	// A kill at wal.append.done on a barrier (1) dies right after it,
 	// before any sink sees the report: its fired record — its stream
 	// record — is durable, and recovery must deliver it.
-	{name: "reporter-sync-first-batch", point: faults.Point(wal.OpFileSync), match: "reporter", phase: "tick", unsynced: "notif fired"},
-	{name: "reporter-sync-later-batch", point: faults.Point(wal.OpFileSync), match: "reporter", skip: 7, phase: "push:p4:v2", unsynced: "notif fired", tornTail: "reporter"},
-	{name: "reporter-commit-before-publish", point: faults.Point(wal.OpAppendDone), match: "reporter", skip: 4, phase: "push:p2:v2", firedLast: true},
-	{name: "reporter-done-unsynced", point: faults.Point(wal.OpFileSync), match: "reporter", skip: 3, phase: "push:p1:v2", unsynced: "done notif fired"},
+	{name: "reporter-sync-first-batch", point: faults.Point(wal.OpFileSync), match: "reporter", skip: 2, phase: "tick", unsynced: "notif fired"},
+	{name: "reporter-sync-later-batch", point: faults.Point(wal.OpFileSync), match: "reporter", skip: 9, phase: "push:p4:v2", unsynced: "notif fired", tornTail: "reporter"},
+	{name: "reporter-commit-before-publish", point: faults.Point(wal.OpAppendDone), match: "reporter", skip: 6, phase: "push:p2:v2", firedLast: true},
+	{name: "reporter-done-unsynced", point: faults.Point(wal.OpFileSync), match: "reporter", skip: 5, phase: "push:p1:v2", unsynced: "done notif fired"},
 	// The warehouse log. A version's record is written after its document
 	// went past barrier (1), so a kill on that write (skip 5: the records
 	// so far are p0:v1, p0:v2, p1:v1, p1:v2, p2:v1) leaves a reported
@@ -217,7 +221,7 @@ func TestDurableLogsFireFileFaultPoints(t *testing.T) {
 	in.Sleep = func(d time.Duration) { fired[d]++ }
 	want := make(map[time.Duration]string)
 	for _, point := range []faults.Point{faults.Point(wal.OpFileAppend), faults.Point(wal.OpFileSync)} {
-		for _, log := range []string{"subs", "reporter", "warehouse"} {
+		for _, log := range []string{"reporter", "warehouse"} {
 			d := time.Duration(len(want) + 1)
 			want[d] = string(point) + " on " + log
 			in.Enable(faults.Rule{Point: point, Mode: faults.ModeLatency, Latency: d, Match: log})
@@ -255,7 +259,9 @@ func TestDurableLogsFireFileFaultPoints(t *testing.T) {
 // journal's, so a consumer still pointed at it would silently see nothing
 // new: the error names the command that drains it. Evaluation marks left
 // in <DurableDir>/trigger are not read (they now ride the reporter
-// journal): without them each periodic query evaluates once more.
+// journal): without them each periodic query evaluates once more. A
+// subscription base left in <DurableDir>/subs is not read either (it now
+// rides the reporter journal): it must be subscribed again.
 func TestNewRefusesLegacyStreamDir(t *testing.T) {
 	for _, c := range []struct {
 		dir   string
@@ -282,6 +288,16 @@ func TestNewRefusesLegacyStreamDir(t *testing.T) {
 			}
 			return old.Close()
 		}, []string{"DIR holds continuous-query evaluation marks", "each periodic query then evaluates once more"}},
+		{"subs", func(dir string) error {
+			old, err := wal.Open(dir, wal.Options{})
+			if err != nil {
+				return err
+			}
+			if err := old.Append([]byte(`{"op":"subscribe","name":"Watch","source":"subscription Watch"}`)); err != nil {
+				return err
+			}
+			return old.Close()
+		}, []string{"DIR holds a subscription base", "subscribe the base again"}},
 	} {
 		t.Run(c.dir, func(t *testing.T) {
 			durable := t.TempDir()
@@ -332,7 +348,7 @@ func TestCheckpointBesideCorruptCursor(t *testing.T) {
 	if err := sys.Checkpoint(); err == nil || !strings.Contains(err.Error(), "broken.cur") {
 		t.Fatalf("Checkpoint beside a corrupt cursor = %v, want an error naming it", err)
 	}
-	for _, log := range []string{"subs", "reporter", "warehouse"} {
+	for _, log := range []string{"reporter", "warehouse"} {
 		if _, err := os.Stat(filepath.Join(durable, log, "checkpoint.wal")); err != nil {
 			t.Errorf("%s/ was not checkpointed: %v", log, err)
 		}

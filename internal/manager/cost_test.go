@@ -48,7 +48,7 @@ report when immediate`))
 
 func newCostRig(t *testing.T, maxCost, inhibitRate float64) *rig {
 	t.Helper()
-	r := newRig(t, nil)
+	r := newRig(t)
 	// Rebuild the manager with budgets.
 	r.mgr = New(Config{
 		Matcher:     core.NewMatcher(),

@@ -3,15 +3,14 @@
 // codes of atomic events, warns the alerters of new events, manages the
 // complex events of the Monitoring Query Processor, wires continuous
 // queries into the Trigger Engine and report specifications into the
-// Reporter, and persists everything through a journal so the system
-// recovers its subscription base on restart (the paper uses MySQL; the
-// journal interface plays that role).
+// Reporter. The base is persisted in the Reporter's journal beside the
+// buffers and marks that belong to it, so the system recovers it on
+// restart (the paper keeps it in MySQL).
 package manager
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,7 +29,7 @@ var ErrDuplicateSubscription = errors.New("manager: subscription name already re
 // ErrUnknownSubscription is returned for operations on unknown names.
 var ErrUnknownSubscription = errors.New("manager: unknown subscription")
 
-// ErrJournal wraps a subscription journal write that failed: the
+// ErrJournal wraps a write to the Reporter's journal that failed: the
 // subscribe or unsubscribe it recorded did not take effect.
 var ErrJournal = errors.New("manager: subscription journal failed")
 
@@ -115,9 +114,9 @@ func (t *queryTable) set(id core.ComplexID, rq *registeredQuery) {
 	}
 }
 
-// registeredSub is what the manager keeps of a subscription: no parse tree.
+// registeredSub is what the manager keeps of a subscription: no parse tree
+// and no source text (the Reporter journals that).
 type registeredSub struct {
-	src     string
 	refresh []sublang.RefreshStatement
 	queries []*registeredQuery
 	// a posteriori inhibition state (Section 5.4)
@@ -146,7 +145,6 @@ type Manager struct {
 	reporter *reporter.Reporter
 	trigger  *trigger.Engine
 	clock    func() time.Time
-	journal  Journal
 
 	condCodes map[string]core.Event // canonical condition -> code
 	condRef   map[core.Event]int
@@ -215,15 +213,14 @@ func (sc *processScratch) release() {
 }
 
 // Config wires the manager to the other modules. Matcher, Pipeline,
-// Reporter and Trigger must be non-nil; Clock defaults to time.Now and
-// Journal to a no-op in-memory journal.
+// Reporter and Trigger must be non-nil; Clock defaults to time.Now. The
+// Reporter's journal, when it has one, persists the base.
 type Config struct {
 	Matcher  *core.Matcher
 	Pipeline *alerter.Pipeline
 	Reporter *reporter.Reporter
 	Trigger  *trigger.Engine
 	Clock    func() time.Time
-	Journal  Journal
 	// MaxCost rejects subscriptions whose a priori cost estimate exceeds
 	// the budget (0 disables the check). See Estimate.
 	MaxCost float64
@@ -238,16 +235,12 @@ func New(cfg Config) *Manager {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	if cfg.Journal == nil {
-		cfg.Journal = NopJournal{}
-	}
 	return &Manager{
 		matcher:     cfg.Matcher,
 		pipeline:    cfg.Pipeline,
 		reporter:    cfg.Reporter,
 		trigger:     cfg.Trigger,
 		clock:       cfg.Clock,
-		journal:     cfg.Journal,
 		condCodes:   make(map[string]core.Event),
 		condRef:     make(map[core.Event]int),
 		condOf:      make(map[core.Event]sublang.Condition),
@@ -272,6 +265,10 @@ func (m *Manager) Subscribe(src string) (*sublang.Subscription, error) {
 	return sub, nil
 }
 
+// register compiles and registers sub. With journal the Reporter journals
+// it last, and a failed write undoes it. Without (recovery) a virtual
+// target that is absent is left unlinked: it was unsubscribed after sub
+// registered, and its removal took the link.
 func (m *Manager) register(src string, sub *sublang.Subscription, journal bool) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -284,7 +281,7 @@ func (m *Manager) register(src string, sub *sublang.Subscription, journal bool) 
 				ErrTooExpensive, cost.Total(), m.maxCost)
 		}
 	}
-	rs := &registeredSub{src: src, refresh: sub.Refresh}
+	rs := &registeredSub{refresh: sub.Refresh}
 	// Compile monitoring queries: each where clause becomes one complex
 	// event over deduplicated atomic event codes.
 	for _, mq := range sub.Monitoring {
@@ -324,19 +321,17 @@ func (m *Manager) register(src string, sub *sublang.Subscription, journal bool) 
 		m.trigger.Register(sub.Name, cq)
 	}
 	for _, v := range sub.Virtual {
-		if err := m.reporter.Follow(sub.Name, v.Subscription); err != nil {
-			m.unregisterLocked(sub.Name, rs)
+		if err := m.reporter.Follow(sub.Name, v.Subscription); err != nil && journal {
+			_ = m.unregisterLocked(sub.Name, rs) // not journaled: cannot fail
 			return err
 		}
 	}
 	if journal {
-		// Appending under m.mu is deliberate: the journal must record
-		// subscribe/unsubscribe in the order they took effect, and the
-		// Journal implementations are plain file/buffer writers.
-		//xyvet:ignore lockcheck
-		if err := m.journal.Append(Record{Op: "subscribe", Name: sub.Name, Source: src}); err != nil {
+		// Journaled under m.mu, so the journal holds subscribes and
+		// unsubscribes in the order they took effect.
+		if err := m.reporter.Persist(rep, src); err != nil {
 			// A restart would not bring it back, so it does not stay.
-			m.unregisterLocked(sub.Name, rs)
+			_ = m.unregisterLocked(sub.Name, rs) // Persist failed whole: cannot fail
 			return fmt.Errorf("%w: %w", ErrJournal, err)
 		}
 	}
@@ -344,12 +339,16 @@ func (m *Manager) register(src string, sub *sublang.Subscription, journal bool) 
 	return nil
 }
 
-// unregisterLocked takes rs out of the matcher, the Reporter and the
-// Trigger Engine.
-func (m *Manager) unregisterLocked(name string, rs *registeredSub) {
+// unregisterLocked takes rs out of the Reporter — which journals the
+// removal of a journaled subscription, and fails without changing
+// anything if it cannot — then out of the matcher and the Trigger Engine.
+func (m *Manager) unregisterLocked(name string, rs *registeredSub) error {
+	if err := m.reporter.Unregister(name); err != nil {
+		return fmt.Errorf("%w: %w", ErrJournal, err)
+	}
 	m.rollbackLocked(rs)
-	m.reporter.Unregister(name)
 	m.trigger.Unregister(name)
+	return nil
 }
 
 // rollbackLocked undoes partial registration of rs.
@@ -383,7 +382,9 @@ func (m *Manager) internPlanLocked(mq *sublang.MonitoringQuery) *selectPlan {
 	return p
 }
 
-// Unsubscribe removes a subscription and journals the removal.
+// Unsubscribe removes a subscription and journals the removal, under
+// m.mu for ordering (see register) and first: a removal the journal did
+// not take does not happen.
 func (m *Manager) Unsubscribe(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -391,13 +392,9 @@ func (m *Manager) Unsubscribe(name string) error {
 	if !ok {
 		return ErrUnknownSubscription
 	}
-	// Journalled under m.mu for ordering (see register), and first: a
-	// removal the journal did not take does not happen.
-	//xyvet:ignore lockcheck
-	if err := m.journal.Append(Record{Op: "unsubscribe", Name: name}); err != nil {
-		return fmt.Errorf("%w: %w", ErrJournal, err)
+	if err := m.unregisterLocked(name, rs); err != nil {
+		return err
 	}
-	m.unregisterLocked(name, rs)
 	delete(m.subs, name)
 	return nil
 }
@@ -580,70 +577,22 @@ func (m *Manager) Stats() Stats {
 	}
 }
 
-// Recover replays a journal, restoring the subscription base. Call it on
-// an empty manager before processing documents. Recover is idempotent: a
-// subscription already registered under its journalled name is skipped,
-// so replaying the same journal twice (or a checkpoint that overlaps its
-// tail) cannot duplicate the base.
-func (m *Manager) Recover(j Journal) error {
-	records, err := j.Records()
-	if err != nil {
-		return err
-	}
-	for _, r := range records {
-		switch r.Op {
-		case "subscribe":
-			sub, err := sublang.Parse(r.Source)
-			if err != nil {
-				return fmt.Errorf("manager: recovering %q: %w", r.Name, err)
-			}
-			if err := m.register(r.Source, sub, false); errors.Is(err, ErrDuplicateSubscription) {
-				continue
-			} else if err != nil {
-				return fmt.Errorf("manager: recovering %q: %w", r.Name, err)
-			}
-		case "unsubscribe":
-			m.mu.Lock()
-			if rs, ok := m.subs[r.Name]; ok {
-				m.unregisterLocked(r.Name, rs)
-				delete(m.subs, r.Name)
-			}
-			m.mu.Unlock()
+// Recover restores the Reporter's durable state, the subscription base
+// first: each journaled subscription is registered again, in the order it
+// was, before its buffers and marks are restored. Call it on an empty
+// manager before processing documents. Recover is idempotent: a
+// subscription already registered under its journaled name is skipped.
+func (m *Manager) Recover() error {
+	return m.reporter.Recover(func(name, src string) error {
+		sub, err := sublang.Parse(src)
+		if err == nil {
+			err = m.register(src, sub, false)
 		}
-	}
-	return nil
-}
-
-// Checkpoint compacts the journal down to the live subscription base:
-// one subscribe record per registered subscription, with every
-// journalled subscribe/unsubscribe before it truncated away. It is a
-// no-op unless the journal is a WALJournal. Held under m.mu, so the
-// snapshot is consistent with the append order register and Unsubscribe
-// maintain.
-func (m *Manager) Checkpoint() error {
-	c, ok := m.journal.(*WALJournal)
-	if !ok {
+		if err != nil && !errors.Is(err, ErrDuplicateSubscription) {
+			return fmt.Errorf("manager: recovering %q: %w", name, err)
+		}
 		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	live := make([]Record, 0, len(m.subs))
-	for name, rs := range m.subs {
-		if rs.src == "" {
-			// Registered without source text (the tests' SubscribeParsed):
-			// never journalled, nothing to recover from — leave it out.
-			continue
-		}
-		live = append(live, Record{Op: "subscribe", Name: name, Source: rs.src})
-	}
-	sort.Slice(live, func(i, j int) bool { return live[i].Name < live[j].Name })
-	// Compacting under m.mu mirrors Append's ordering guarantee; see
-	// register.
-	//xyvet:ignore lockcheck
-	if err := c.Compact(live); err != nil {
-		return fmt.Errorf("manager: checkpoint: %w", err)
-	}
-	return nil
+	})
 }
 
 // ErrTooExpensive rejects a subscription whose a priori cost estimate

@@ -1,6 +1,10 @@
 package manager
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -8,6 +12,7 @@ import (
 	"xymon/internal/alerter"
 	"xymon/internal/core"
 	"xymon/internal/reporter"
+	"xymon/internal/stream"
 	"xymon/internal/sublang"
 	"xymon/internal/trigger"
 	"xymon/internal/warehouse"
@@ -26,14 +31,14 @@ type rig struct {
 	reports []*reporter.Report
 }
 
-func newRig(t *testing.T, journal Journal) *rig {
+func newRig(t *testing.T, opts ...reporter.Option) *rig {
 	r := &rig{t: t, clock: time.Date(2001, 5, 21, 0, 0, 0, 0, time.UTC)}
 	now := func() time.Time { return r.clock }
 	r.store = warehouse.NewStore(warehouse.WithClock(now))
 	r.rep = reporter.New(reporter.DeliveryFunc(func(rep *reporter.Report) error {
 		r.reports = append(r.reports, rep)
 		return nil
-	}), reporter.WithClock(now))
+	}), append(opts, reporter.WithClock(now))...)
 	r.eng = trigger.New(r.store.AllRoots, func(res trigger.Result) {
 		r.rep.Notify(reporter.Notification{
 			Subscription: res.Subscription, Label: res.Query, Element: res.Element, Time: res.Time, Mark: true,
@@ -45,9 +50,36 @@ func newRig(t *testing.T, journal Journal) *rig {
 		Reporter: r.rep,
 		Trigger:  r.eng,
 		Clock:    now,
-		Journal:  journal,
 	})
 	return r
+}
+
+// journalRig is a rig whose Reporter journals into a stream log at dir,
+// the log the subscription base is persisted in. The log is closed when
+// the test ends, if the test has not closed it.
+func journalRig(t *testing.T, dir string) (*rig, *stream.Log) {
+	t.Helper()
+	l, err := stream.Open(dir, stream.Options{})
+	if err != nil {
+		t.Fatalf("stream.Open: %v", err)
+	}
+	t.Cleanup(func() { l.Close() })
+	return newRig(t, reporter.WithWAL(l)), l
+}
+
+// journalBytes is the size of the journal's segments at dir.
+func journalBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
+	var n int64
+	for _, seg := range segs {
+		fi, err := os.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += fi.Size()
+	}
+	return n
 }
 
 // commitXML pushes a document version through warehouse + manager.
@@ -78,7 +110,7 @@ report when notifications.count > 1
 `
 
 func TestMonitoringEndToEnd(t *testing.T) {
-	r := newRig(t, nil)
+	r := newRig(t)
 	r.subscribe(watchInria)
 
 	// First fetch: document is new, not modified — no notification.
@@ -129,7 +161,7 @@ report when immediate
 `
 
 func TestSelectVariableNewElements(t *testing.T) {
-	r := newRig(t, nil)
+	r := newRig(t)
 	r.subscribe(watchMembers)
 
 	// New document: all members are new; one notification per member.
@@ -165,7 +197,7 @@ func TestSelectVariableNewElements(t *testing.T) {
 }
 
 func TestAtomicEventDeduplication(t *testing.T) {
-	r := newRig(t, nil)
+	r := newRig(t)
 	r.subscribe(`subscription A
 monitoring select <PA/> where URL extends "http://shared.example/" and modified self
 report when immediate`)
@@ -194,7 +226,7 @@ report when immediate`)
 }
 
 func TestUnsubscribeErrors(t *testing.T) {
-	r := newRig(t, nil)
+	r := newRig(t)
 	if err := r.mgr.Unsubscribe("nope"); err != ErrUnknownSubscription {
 		t.Errorf("Unsubscribe(nope) = %v", err)
 	}
@@ -205,7 +237,7 @@ func TestUnsubscribeErrors(t *testing.T) {
 }
 
 func TestWeakSuppression(t *testing.T) {
-	r := newRig(t, nil)
+	r := newRig(t)
 	r.subscribe(`subscription W
 monitoring select <P/> where URL extends "http://inria.fr/" and modified self
 report when immediate`)
@@ -222,7 +254,7 @@ report when immediate`)
 }
 
 func TestVirtualSubscription(t *testing.T) {
-	r := newRig(t, nil)
+	r := newRig(t)
 	r.subscribe(watchInria)
 	r.subscribe(`subscription Follower
 virtual WatchInria.UpdatedPage`)
@@ -244,7 +276,7 @@ virtual Missing.Query`); err == nil {
 }
 
 func TestNotificationTriggeredContinuousQuery(t *testing.T) {
-	r := newRig(t, nil)
+	r := newRig(t)
 	r.commitXML("http://market.example/data.xml", "", "market",
 		`<market><competitor><name>acme</name></competitor></market>`)
 	r.reports = nil
@@ -281,7 +313,7 @@ report when immediate`)
 }
 
 func TestRefreshHints(t *testing.T) {
-	r := newRig(t, nil)
+	r := newRig(t)
 	r.subscribe(`subscription R1
 monitoring select <P/> where URL extends "http://a.example/"
 refresh "http://a.example/x.xml" weekly`)
@@ -300,8 +332,7 @@ refresh "http://a.example/y.xml" monthly`)
 
 func TestJournalRecovery(t *testing.T) {
 	dir := t.TempDir()
-	j := newWALJournal(t, dir)
-	r := newRig(t, j)
+	r, l := journalRig(t, dir)
 	r.subscribe(watchInria)
 	r.subscribe(`subscription Gone
 monitoring select <G/> where URL extends "http://gone.example/"
@@ -311,10 +342,9 @@ report when immediate`)
 	}
 
 	// A fresh system recovers the base from the journal.
-	j.Close()
-	j2 := newWALJournal(t, dir)
-	r2 := newRig(t, nil)
-	if err := r2.mgr.Recover(j2); err != nil {
+	l.Close()
+	r2, _ := journalRig(t, dir)
+	if err := r2.mgr.Recover(); err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
 	subs := r2.mgr.Subscriptions()
@@ -329,7 +359,7 @@ report when immediate`)
 }
 
 func TestSubscriptionLookup(t *testing.T) {
-	r := newRig(t, nil)
+	r := newRig(t)
 	r.subscribe(watchInria)
 	if subs := r.mgr.Subscriptions(); len(subs) != 1 || subs[0] != "WatchInria" {
 		t.Errorf("Subscriptions = %v", subs)
@@ -339,17 +369,113 @@ func TestSubscriptionLookup(t *testing.T) {
 	}
 }
 
-func TestMemJournal(t *testing.T) {
-	j := &MemJournal{}
-	j.Append(Record{Op: "subscribe", Name: "A", Source: "src"})
-	recs, err := j.Records()
-	if err != nil || len(recs) != 1 || recs[0].Name != "A" {
-		t.Errorf("records = %v, %v", recs, err)
+// TestRecoverTwiceIsIdempotent pins the replay contract: recovering the
+// same journal twice — a harness restarting a half-recovered system —
+// must not duplicate the subscription base or error out.
+func TestRecoverTwiceIsIdempotent(t *testing.T) {
+	dir := t.TempDir()
+	r, l := journalRig(t, dir)
+	r.subscribe(watchInria)
+	r.subscribe(`subscription Second
+monitoring select <S/> where URL extends "http://second.example/"
+report when immediate`)
+	l.Close()
+
+	r2, _ := journalRig(t, dir)
+	if err := r2.mgr.Recover(); err != nil {
+		t.Fatalf("first Recover: %v", err)
+	}
+	if err := r2.mgr.Recover(); err != nil {
+		t.Fatalf("second Recover: %v", err)
+	}
+	if subs := r2.mgr.Subscriptions(); len(subs) != 2 {
+		t.Fatalf("after double recovery: %v", subs)
+	}
+	// The base still behaves: one notification per change, not two.
+	r2.commitXML("http://inria.fr/Xy/a.xml", "", "", `<a><b>1</b></a>`)
+	if n := r2.commitXML("http://inria.fr/Xy/a.xml", "", "", `<a><b>2</b></a>`); n != 1 {
+		t.Errorf("notifications after double recovery = %d, want 1", n)
+	}
+}
+
+// TestManagerCheckpointCompactsJournal drives a checkpoint end to end
+// under the manager: the reporter's checkpoint reclaims the segments
+// holding a subscribe/unsubscribe pair, and recovery from the compacted
+// journal rebuilds the live base alone.
+func TestManagerCheckpointCompactsJournal(t *testing.T) {
+	dir := t.TempDir()
+	r, l := journalRig(t, dir)
+	r.subscribe(watchInria)
+	r.subscribe(`subscription Gone
+monitoring select <G/> where URL extends "http://gone.example/"
+report when immediate`)
+	if err := r.mgr.Unsubscribe("Gone"); err != nil {
+		t.Fatal(err)
+	}
+	before := journalBytes(t, dir)
+	if err := r.rep.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	// No stream record is owed to any consumer, so only the fresh
+	// segment after the checkpoint boundary stays.
+	if after := journalBytes(t, dir); after >= before {
+		t.Fatalf("journal %d bytes after checkpoint, %d before: not compacted", after, before)
+	}
+	l.Close()
+
+	r2, _ := journalRig(t, dir)
+	if err := r2.mgr.Recover(); err != nil {
+		t.Fatalf("Recover from checkpoint: %v", err)
+	}
+	if subs := r2.mgr.Subscriptions(); len(subs) != 1 || subs[0] != "WatchInria" {
+		t.Fatalf("recovered subs = %v", subs)
+	}
+}
+
+// TestWALJournalCompactPlusTail: recovery takes the base from the
+// checkpoint's snapshot and replays the journal's tail after it, so a
+// subscription made after the checkpoint comes back beside the ones the
+// snapshot holds, and one that left before it does not.
+func TestWALJournalCompactPlusTail(t *testing.T) {
+	src := func(name string) string {
+		return fmt.Sprintf(`subscription %s
+monitoring select <%s/> where URL extends "http://%s.example/" and modified self
+report when immediate`, name, name, strings.ToLower(name))
+	}
+	dir := t.TempDir()
+	r, l := journalRig(t, dir)
+	r.subscribe(src("A"))
+	r.subscribe(src("B"))
+	if err := r.mgr.Unsubscribe("B"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.rep.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	r.subscribe(src("C"))
+	l.Close()
+
+	r2, _ := journalRig(t, dir)
+	if err := r2.mgr.Recover(); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	subs := r2.mgr.Subscriptions()
+	slices.Sort(subs)
+	if !slices.Equal(subs, []string{"A", "C"}) {
+		t.Fatalf("recovered subs = %v, want [A C]", subs)
+	}
+	// Each recovered subscription watches its own site; B's is unwatched.
+	for name, want := range map[string]int{"A": 1, "B": 0, "C": 1} {
+		url := "http://" + strings.ToLower(name) + ".example/page.xml"
+		r2.commitXML(url, "", "", `<a><v>1</v></a>`)
+		if n := r2.commitXML(url, "", "", `<a><v>2</v></a>`); n != want {
+			t.Errorf("%s: notifications = %d, want %d", name, n, want)
+		}
 	}
 }
 
 func TestDisjunctionDeduplicatesNotifications(t *testing.T) {
-	r := newRig(t, nil)
+	r := newRig(t)
 	// Both disjuncts match the same document; the subscriber must get the
 	// notification once (Section 7 disjunction extension).
 	r.subscribe(`subscription D
@@ -374,7 +500,7 @@ report when immediate`)
 }
 
 func TestLiteralBuiltinVariables(t *testing.T) {
-	r := newRig(t, nil)
+	r := newRig(t)
 	r.subscribe(`subscription Builtins
 monitoring
 select <Full url=URL date=DATE id=DOCID dtd=DTD dom=DOMAIN st=STATUS lit="fixed"/>
@@ -401,7 +527,7 @@ report when immediate`)
 }
 
 func TestSelectVariableUpdatedAndDeleted(t *testing.T) {
-	r := newRig(t, nil)
+	r := newRig(t)
 	r.subscribe(`subscription Upd
 monitoring
 select X
@@ -432,7 +558,7 @@ report when immediate`)
 }
 
 func TestFullSelectClauseWithContent(t *testing.T) {
-	r := newRig(t, nil)
+	r := newRig(t)
 	r.subscribe(`subscription Full
 monitoring
 select <Offer url=URL>"new member:" X</Offer>
@@ -457,7 +583,7 @@ report when immediate`)
 }
 
 func TestSubscribeParsedAndDefaultSelect(t *testing.T) {
-	r := newRig(t, nil)
+	r := newRig(t)
 	// Hand-built subscription with no select clause at all: the manager's
 	// default notification payload kicks in.
 	sub := &sublang.Subscription{
@@ -485,17 +611,6 @@ func TestSubscribeParsedAndDefaultSelect(t *testing.T) {
 	}
 }
 
-func TestNopJournal(t *testing.T) {
-	var j NopJournal
-	if err := j.Append(Record{Op: "subscribe"}); err != nil {
-		t.Errorf("Append: %v", err)
-	}
-	recs, err := j.Records()
-	if err != nil || recs != nil {
-		t.Errorf("Records = %v, %v", recs, err)
-	}
-}
-
 func TestEstimateSelectivityCoverage(t *testing.T) {
 	// One subscription touching every condition kind: the estimate must be
 	// finite and positive and dominated by the weak self condition's rate
@@ -520,7 +635,7 @@ report when immediate`
 }
 
 func TestSelectVariableWithContainsFilter(t *testing.T) {
-	r := newRig(t, nil)
+	r := newRig(t)
 	r.subscribe(`subscription Cameras
 monitoring
 select X

@@ -55,7 +55,7 @@ func TestCodesFollowSelectivityClass(t *testing.T) {
 	subs := orderBase(rng, 60)
 	for round := 0; round < 4; round++ {
 		rng.Shuffle(len(subs), func(i, j int) { subs[i], subs[j] = subs[j], subs[i] })
-		r := newRig(t, nil)
+		r := newRig(t)
 		for _, src := range subs {
 			r.subscribe(src)
 		}
@@ -100,7 +100,7 @@ func TestCodesFollowSelectivityClass(t *testing.T) {
 // orderRun loads the base and pushes four versions of a webgen site through
 // it, returning every notification as "subscription payload", sorted.
 func orderRun(t *testing.T, subs []string) []string {
-	r := newRig(t, nil)
+	r := newRig(t)
 	for _, src := range subs {
 		r.subscribe(src)
 	}
@@ -164,8 +164,8 @@ func firstDiff(a, b []string) int {
 // and shared conditions keep working — and a released code is not handed out
 // again, because an alert in flight may still carry it.
 func TestCodeSpaceExhaustion(t *testing.T) {
-	j := &MemJournal{}
-	r := newRig(t, j)
+	dir := t.TempDir()
+	r, _ := journalRig(t, dir)
 	r.mgr.seqLimit = 3
 	sub := func(name string, conds ...string) string {
 		return fmt.Sprintf("subscription %s\nmonitoring\nselect <Hit/>\nwhere %s\nreport when immediate", name, strings.Join(conds, " and "))
@@ -187,14 +187,14 @@ func TestCodeSpaceExhaustion(t *testing.T) {
 
 	// Content and location are both at the limit now. D's first condition is
 	// shared and interns; its second needs a fourth content code.
-	before, _ := j.Records()
+	before := journalBytes(t, dir)
 	stats := r.mgr.Stats()
 	_, err := r.mgr.Subscribe(sub("D", `self contains "two"`, `URL extends "http://b.example/"`, `self contains "four"`))
 	if !errors.Is(err, ErrCodeSpaceExhausted) {
 		t.Fatalf("Subscribe past the limit: %v", err)
 	}
-	if after, _ := j.Records(); len(after) != len(before) {
-		t.Errorf("failed subscription journalled: %d records, %d before", len(after), len(before))
+	if after := journalBytes(t, dir); after != before {
+		t.Errorf("failed subscription journalled: %d journal bytes, %d before", after, before)
 	}
 	if got := r.mgr.Stats(); got != stats {
 		t.Errorf("failed subscription left state behind: %+v, before %+v", got, stats)

@@ -230,7 +230,7 @@ func randomSelect(rng *rand.Rand) *sublang.SelectSpec {
 // plans, shared between queries whose clauses compile alike, so a key that
 // leaves out a field the payload depends on shows here as a mismatch.
 func TestPlanMatchesASTWalk(t *testing.T) {
-	r := newRig(t, nil)
+	r := newRig(t)
 	rng := rand.New(rand.NewSource(20010521))
 	// extra draws what the first version of this test did not vary (strict
 	// contains, a second path), so rng's cases stay as they were.
@@ -364,7 +364,7 @@ report when immediate`)
 // drops what Subscribe returned, the monitoring query and its select clause
 // are garbage, and the compiled plan still builds the payload.
 func TestManagerKeepsNoParseTree(t *testing.T) {
-	r := newRig(t, nil)
+	r := newRig(t)
 	mq, sel := func() (weak.Pointer[sublang.MonitoringQuery], weak.Pointer[sublang.SelectSpec]) {
 		sub, err := r.mgr.Subscribe(`subscription Tree
 monitoring
@@ -405,7 +405,7 @@ report when immediate`)
 // stays interned exactly as long as a registered query holds it — a
 // subscription that fails half-way through registration included.
 func TestIdenticalSelectsShareOnePlan(t *testing.T) {
-	r := newRig(t, nil)
+	r := newRig(t)
 	src := func(name, sel, cond string) string {
 		return fmt.Sprintf("subscription %s\nmonitoring\nselect %s\nfrom self//product X\n"+
 			"where URL extends \"http://s.example/\" and %s\nreport when immediate", name, sel, cond)

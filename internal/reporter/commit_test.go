@@ -365,7 +365,7 @@ func TestRecoverAtEveryFrameOfABatch(t *testing.T) {
 			sink := &flakySink{}
 			r2, now := durableRig(t, dir2, sink)
 			register(r2)
-			if err := r2.Recover(); err != nil {
+			if err := r2.Recover(nil); err != nil {
 				t.Fatalf("%s: Recover: %v", name, err)
 			}
 			for _, sub := range []string{"Imm", "Fol", "Cnt", "Buf"} {
@@ -444,7 +444,7 @@ func TestReportIDsAreStreamOffsets(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := r.Recover(); err != nil {
+		if err := r.Recover(nil); err != nil {
 			t.Fatal(err)
 		}
 		return r, l

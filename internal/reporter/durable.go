@@ -14,12 +14,15 @@ import (
 )
 
 // The Reporter's durable state is the part of the paper's delivery
-// semantics a restart must not erase: the notification stream gathered
-// since the last report (the paper's Reporter explicitly accumulates it
-// between evaluations), and every report that was built but whose
-// delivery was not yet acknowledged. Both journal their mutations into a
-// stream.Log as they happen:
+// semantics a restart must not erase: the subscription base the buffers
+// belong to (the paper's Subscription Manager keeps it in one store), the
+// notification stream gathered since the last report (the paper's
+// Reporter explicitly accumulates it between evaluations), and every
+// report that was built but whose delivery was not yet acknowledged. All
+// journal their mutations into a stream.Log as they happen:
 //
+//	sub    — a subscription joined the base; it carries the source text
+//	unsub  — a subscription left the base; its buffer and marks go too
 //	notif  — a notification entered a subscription's buffer; a
 //	         continuous query's result also marks the query as
 //	         evaluated at its time
@@ -36,10 +39,12 @@ import (
 // The hot records (notif, mark, fired, done) are group-committed: each is
 // written to the log where it happens — under the lock that orders it —
 // and made durable by a commit barrier per document, not an fsync per
-// record (see deliver). The cold ones (dead, redrive) commit on
-// their own. Every record but fired is a JSON owner frame.
+// record (see deliver). The cold ones (sub, unsub, dead, redrive) commit
+// on their own. Every record but fired is a JSON owner frame.
 //
-// Recovery replays checkpoint + tail: buffered notifications come back
+// Recovery replays checkpoint + tail in log order and hands the base it
+// ends with to the caller, in registration order, before it restores
+// buffers and marks: buffered notifications come back
 // flagged pending (the next Tick reports them — re-evaluating the exact
 // when clause could only delay them further), and every report that
 // fired without a done or dead record re-enters the retry queue. A
@@ -58,11 +63,15 @@ type walRecord struct {
 	Attempts int       `json:"attempts,omitempty"`
 	Reason   string    `json:"reason,omitempty"`
 	Mark     bool      `json:"mark,omitempty"`
+	Src      string    `json:"src,omitempty"`
 }
 
 // walSnapshot is the checkpoint payload: the durable state at the
 // checkpoint's boundary, replacing every journal record before it.
 type walSnapshot struct {
+	// Base is the journaled subscriptions' sub records, in registration
+	// order.
+	Base        []walRecord            `json:"base,omitempty"`
 	Buffers     map[string][]walRecord `json:"buffers,omitempty"`
 	Outstanding []walRecord            `json:"outstanding,omitempty"`
 	Dead        []walRecord            `json:"dead,omitempty"`
@@ -73,7 +82,8 @@ type walSnapshot struct {
 
 // WithWAL journals the Reporter's durable state into l, whose stream
 // records are then the Reporter's fired reports. The caller opens the
-// log, calls Recover once registration is done, and closes it after the
+// log, calls Recover — which hands it the journaled subscription base
+// to register — before the first notification, and closes it after the
 // Reporter stops; Checkpoint applies l's retention.
 func WithWAL(l *stream.Log) Option {
 	return func(r *Reporter) { r.log = l }
@@ -87,13 +97,19 @@ func (r *Reporter) journalWrite(rec walRecord) {
 	if r.log == nil {
 		return
 	}
-	enc, err := json.Marshal(rec)
-	if err == nil {
-		err = r.log.Write(enc)
-	}
-	if err != nil {
+	if err := r.write(rec); err != nil {
 		r.walErrors.Add(1)
 	}
+}
+
+// write writes one record to the journal in log order; the caller
+// decides what its failure costs.
+func (r *Reporter) write(rec walRecord) error {
+	enc, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
+	return r.log.Write(enc)
 }
 
 // journal durably appends one record — the cold ones, which commit on
@@ -114,6 +130,37 @@ func (r *Reporter) commit() {
 	if err := r.log.Sync(); err != nil {
 		r.walErrors.Add(1)
 	}
+}
+
+// Persist journals the registration of st: a sub record carrying its
+// source text, committed with one fsync. From then on st is in the
+// journaled base — Checkpoint snapshots it, Unregister journals its
+// removal. It fails whole: when the barrier fails after the record was
+// written, an unsub record follows it, so the journal does not keep a
+// subscription whose caller was told it failed. A no-op without a WAL.
+func (r *Reporter) Persist(st *Sub, src string) error {
+	if r.log == nil {
+		return nil
+	}
+	s := &r.stripes[st.stripe]
+	s.mu.Lock()
+	// Under the stripe lock: a Checkpoint holding them all sees the record
+	// and st's place in the base together, or neither.
+	err := r.write(walRecord{T: "sub", Sub: st.name, Src: src})
+	if err == nil {
+		st.src, st.seq = src, r.baseSeq.Add(1)
+	}
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	if err = r.log.Sync(); err != nil {
+		s.mu.Lock()
+		r.journalWrite(walRecord{T: "unsub", Sub: st.name})
+		st.src, st.seq = "", 0
+		s.mu.Unlock()
+	}
+	return err
 }
 
 // JournalErrors counts journal writes and commit barriers that failed
@@ -198,6 +245,9 @@ func (r *Reporter) resolveLocked(rep *Report, reason string, attempts int, now t
 	delete(r.retry.outstanding, rep.id)
 }
 
+// byID orders records by ID: reports by offset, the base by registration.
+func byID(a, b walRecord) int { return cmp.Compare(a.ID, b.ID) }
+
 // parseReportDoc rebuilds a report document from its journaled XML.
 func parseReportDoc(s string) *xmldom.Node {
 	if s == "" {
@@ -210,16 +260,22 @@ func parseReportDoc(s string) *xmldom.Node {
 	return d.Root
 }
 
-// Recover rebuilds the Reporter's durable state from its WAL. Call it
-// after every subscription is Registered (recovery drops the buffers of
-// subscriptions that no longer exist) and before the first Notify or
-// Tick. Recovered buffers are marked pending, so the next Tick reports
-// them; recovered outstanding reports re-enter the retry queue due
-// immediately.
-func (r *Reporter) Recover() error {
+// Recover rebuilds the Reporter's durable state from its WAL, replaying
+// it in log order. It hands the subscription base the journal ends with
+// to register, one subscription at a time in registration order and with
+// no lock of the Reporter's held, and only then restores the buffers and
+// marks of the registered subscriptions (a subscription registered
+// before Recover gets its own back too). A nil register registers
+// nothing. Call it before the first Notify or Tick. Recovered buffers are
+// marked pending, so the next Tick reports them; recovered outstanding
+// reports re-enter the retry queue due immediately.
+func (r *Reporter) Recover(register func(name, src string) error) error {
 	if r.log == nil {
 		return nil
 	}
+	// The base by name; a record's ID is its place in registration order.
+	base := make(map[string]walRecord)
+	var joined uint64
 	buffers := make(map[string][]walRecord)
 	marks := make(map[string]map[string]time.Time)
 	outstanding := make(map[uint64]walRecord)
@@ -231,6 +287,10 @@ func (r *Reporter) Recover() error {
 			var s walSnapshot
 			if err := json.Unmarshal(snap, &s); err != nil {
 				return fmt.Errorf("reporter: corrupt checkpoint: %w", err)
+			}
+			for _, rec := range s.Base {
+				rec.ID, joined = joined, joined+1
+				base[rec.Sub] = rec
 			}
 			maps.Copy(buffers, s.Buffers)
 			for _, rec := range s.Outstanding {
@@ -255,6 +315,15 @@ func (r *Reporter) Recover() error {
 				marks[rec.Sub][rec.Label] = rec.Time
 			}
 			switch rec.T {
+			case "sub":
+				rec.ID, joined = joined, joined+1
+				base[rec.Sub] = rec
+			case "unsub":
+				// What was staged for the name belonged to the subscription
+				// that left; one subscribed again under it starts empty.
+				delete(base, rec.Sub)
+				delete(buffers, rec.Sub)
+				delete(marks, rec.Sub)
 			case "notif":
 				buffers[rec.Sub] = append(buffers[rec.Sub], rec)
 			case "done", "lost":
@@ -291,6 +360,19 @@ func (r *Reporter) Recover() error {
 		return err
 	}
 
+	for _, rec := range slices.SortedFunc(maps.Values(base), byID) {
+		if register != nil {
+			if err := register(rec.Sub, rec.Src); err != nil {
+				return err
+			}
+		}
+		s := r.stripeFor(rec.Sub)
+		s.mu.Lock()
+		if st := s.subs[rec.Sub]; st != nil {
+			st.src, st.seq = rec.Src, r.baseSeq.Add(1)
+		}
+		s.mu.Unlock()
+	}
 	now := r.clock()
 	for sub, recs := range buffers {
 		if len(recs) == 0 {
@@ -350,11 +432,12 @@ func (r *Reporter) Recover() error {
 	return nil
 }
 
-// Checkpoint snapshots the durable state and compacts the journal it
-// covers, keeping the segments the change-stream's retention policy
-// still owes a consumer. It locks every stripe plus the retry state, so
-// the snapshot is a consistent cut: no notification, report, or outcome
-// can land between the snapshot and the checkpoint boundary. A consumer's
+// Checkpoint snapshots the durable state — the journaled base in
+// registration order among it — and compacts the journal it covers,
+// keeping the segments the change-stream's retention policy still owes a
+// consumer. It locks every stripe plus the retry state, so the snapshot is
+// a consistent cut: no subscription, notification, report, or outcome can
+// land between the snapshot and the checkpoint boundary. A consumer's
 // unreadable cursor makes it keep more and return an error afterwards.
 func (r *Reporter) Checkpoint() error {
 	if r.log == nil {
@@ -375,6 +458,9 @@ func (r *Reporter) Checkpoint() error {
 	}
 	for i := range r.stripes {
 		for sub, st := range r.stripes[i].subs {
+			if st.seq != 0 {
+				snap.Base = append(snap.Base, walRecord{T: "sub", ID: st.seq, Sub: sub, Src: st.src})
+			}
 			if len(st.marks) > 0 {
 				snap.Marks[sub] = st.marks
 			}
@@ -392,9 +478,8 @@ func (r *Reporter) Checkpoint() error {
 			snap.Buffers[sub] = recs
 		}
 	}
-	snap.Outstanding = slices.SortedFunc(maps.Values(rt.outstanding), func(a, b walRecord) int {
-		return cmp.Compare(a.ID, b.ID)
-	})
+	slices.SortFunc(snap.Base, byID)
+	snap.Outstanding = slices.SortedFunc(maps.Values(rt.outstanding), byID)
 	for _, d := range rt.dead {
 		rec := walRecord{
 			T: "dead", ID: d.Report.id, Sub: d.Report.Subscription,

@@ -54,7 +54,7 @@ func TestDurableBufferSurvivesRestart(t *testing.T) {
 	sink2 := &flakySink{}
 	r2, _ := durableRig(t, dir, sink2)
 	r2.Register("S", reportEvery(3))
-	if err := r2.Recover(); err != nil {
+	if err := r2.Recover(nil); err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
 	if got := r2.Buffered("S"); got != 2 {
@@ -98,7 +98,7 @@ func TestDurableOutstandingRedelivers(t *testing.T) {
 	sink2 := &flakySink{}
 	r2, now2 := durableRig(t, dir, sink2)
 	r2.Register("S", nil)
-	if err := r2.Recover(); err != nil {
+	if err := r2.Recover(nil); err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
 	if got := r2.RetryPending(); got != 1 {
@@ -118,7 +118,7 @@ func TestDurableOutstandingRedelivers(t *testing.T) {
 	sink3 := &flakySink{}
 	r3, _ := durableRig(t, dir, sink3)
 	r3.Register("S", nil)
-	if err := r3.Recover(); err != nil {
+	if err := r3.Recover(nil); err != nil {
 		t.Fatalf("third Recover: %v", err)
 	}
 	if got := r3.RetryPending(); got != 0 {
@@ -145,7 +145,7 @@ func TestDurableCheckpointCompacts(t *testing.T) {
 	r2, now2 := durableRig(t, dir, sink2)
 	r2.Register("S", nil)
 	r2.Register("Buf", reportEvery(5))
-	if err := r2.Recover(); err != nil {
+	if err := r2.Recover(nil); err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
 	if got := r2.Buffered("Buf"); got != 2 {
@@ -207,7 +207,7 @@ func TestDurableDeadLettersSurviveRestart(t *testing.T) {
 
 	r2, _ := durableRig(t, dir, &flakySink{})
 	r2.Register("S", nil)
-	if err := r2.Recover(); err != nil {
+	if err := r2.Recover(nil); err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
 	dead := r2.DeadLetters()
@@ -237,10 +237,10 @@ func TestRecoverTwiceIsIdempotentReporter(t *testing.T) {
 	r2, _ := durableRig(t, dir, &flakySink{})
 	r2.Register("S", nil)
 	r2.Register("Buf", reportEvery(5))
-	if err := r2.Recover(); err != nil {
+	if err := r2.Recover(nil); err != nil {
 		t.Fatalf("first Recover: %v", err)
 	}
-	if err := r2.Recover(); err != nil {
+	if err := r2.Recover(nil); err != nil {
 		t.Fatalf("second Recover: %v", err)
 	}
 	if got := r2.Buffered("Buf"); got != 1 {
@@ -273,7 +273,7 @@ func TestFollowerCopyKeepsFollowersBuffer(t *testing.T) {
 
 	r2, _ := durableRig(t, dir, &flakySink{})
 	register(r2)
-	if err := r2.Recover(); err != nil {
+	if err := r2.Recover(nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := r2.Buffered("Fol"); got != 1 {
@@ -335,7 +335,7 @@ func TestFailedFiredWriteKeepsReportOwed(t *testing.T) {
 	sink2 := &flakySink{}
 	r2 := New(sink2, WithWAL(l2))
 	register(r2)
-	if err := r2.Recover(); err != nil {
+	if err := r2.Recover(nil); err != nil {
 		t.Fatal(err)
 	}
 	r2.Tick()
@@ -381,7 +381,7 @@ func TestEvaluationMarksSurviveRestart(t *testing.T) {
 	for _, sub := range []string{"S", "Capped", "Gone"} {
 		r2.Register(sub, nil)
 	}
-	if err := r2.Recover(); err != nil {
+	if err := r2.Recover(nil); err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
 	for _, c := range []struct {

@@ -89,7 +89,7 @@ func TestRedriveSurvivesCrash(t *testing.T) {
 	sink2 := &flakySink{}
 	r2, now2 := durableRig(t, dir, sink2, WithRetryPolicy(1, time.Second, time.Second))
 	r2.Register("S", nil)
-	if err := r2.Recover(); err != nil {
+	if err := r2.Recover(nil); err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
 	if got := len(r2.DeadLetters()); got != 0 {
@@ -107,7 +107,7 @@ func TestRedriveSurvivesCrash(t *testing.T) {
 	// Third incarnation: the delivery resolved it; nothing comes back.
 	r3, _ := durableRig(t, dir, &flakySink{}, WithRetryPolicy(1, time.Second, time.Second))
 	r3.Register("S", nil)
-	if err := r3.Recover(); err != nil {
+	if err := r3.Recover(nil); err != nil {
 		t.Fatal(err)
 	}
 	if r3.RetryPending() != 0 || len(r3.DeadLetters()) != 0 {
@@ -165,7 +165,7 @@ func TestRecoveredReportsReachStream(t *testing.T) {
 	sink2 := &flakySink{}
 	r2, now2 := durableRig(t, dir, sink2)
 	r2.Register("S", nil)
-	if err := r2.Recover(); err != nil {
+	if err := r2.Recover(nil); err != nil {
 		t.Fatal(err)
 	}
 	*now2 = now2.Add(time.Second)

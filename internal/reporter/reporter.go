@@ -107,6 +107,10 @@ type Sub struct {
 	// marks is when each of the subscription's continuous queries last
 	// evaluated, as journaled; nil until the first mark.
 	marks map[string]time.Time
+	// seq is the subscription's place in the journaled base, 0 until
+	// Persist or Recover puts it there; src is its source text.
+	seq uint64
+	src string
 }
 
 // buffered is a notification waiting in its subscription's buffer.
@@ -154,6 +158,8 @@ type Reporter struct {
 	// batches — the fired records — are the change-stream.
 	log       *stream.Log
 	walErrors atomic.Uint64
+	// baseSeq numbers the journaled base in registration order.
+	baseSeq atomic.Uint64
 
 	delivered    atomic.Uint64
 	failed       atomic.Uint64
@@ -260,20 +266,34 @@ func (r *Reporter) Register(sub string, spec *sublang.ReportSpec) *Sub {
 }
 
 // Unregister drops a subscription's reporting state and detaches it from
-// the subscriptions it follows. While nothing follows anything — the common
-// case — it touches its own stripe alone; otherwise every stripe is scanned
-// for links to drop, one lock at a time.
-func (r *Reporter) Unregister(sub string) {
+// the subscriptions it follows. A journaled subscription's unsub record
+// is written first, in the critical section that drops the state; when
+// that write fails, nothing changes and the error is returned. While
+// nothing follows anything — the common case — it touches its own stripe
+// alone; otherwise every stripe is scanned for links to drop, one lock at
+// a time.
+func (r *Reporter) Unregister(sub string) error {
 	s := r.stripeFor(sub)
 	s.mu.Lock()
-	if st := s.subs[sub]; st != nil {
+	st := s.subs[sub]
+	journaled := st != nil && st.seq != 0
+	if journaled {
+		if err := r.write(walRecord{T: "unsub", Sub: sub}); err != nil {
+			s.mu.Unlock()
+			return err
+		}
+	}
+	if st != nil {
 		st.live = false
 		r.links.Add(-int64(len(st.followers)))
 		delete(s.subs, sub)
 	}
 	s.mu.Unlock()
+	if journaled {
+		r.commit()
+	}
 	if r.links.Load() == 0 {
-		return
+		return nil
 	}
 	for i := range r.stripes {
 		s := &r.stripes[i]
@@ -289,6 +309,7 @@ func (r *Reporter) Unregister(sub string) {
 		}
 		s.mu.Unlock()
 	}
+	return nil
 }
 
 // Follow implements virtual subscriptions (Section 5.4): every report of

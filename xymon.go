@@ -83,12 +83,12 @@ type Options struct {
 	Clock func() time.Time
 	// Delivery receives reports; nil discards them.
 	Delivery Delivery
-	// DurableDir enables the crash-safe durability layer: write-ahead
-	// logs under this directory persist the subscription base (subs/),
-	// the Reporter's notification buffers and undelivered reports
-	// together with the Trigger Engine's evaluation marks, each in the
-	// record of the result it produced (reporter/), and every page's
-	// current version in the warehouse (warehouse/).
+	// DurableDir enables the crash-safe durability layer: two
+	// write-ahead logs under this directory. reporter/ persists the
+	// subscription base, the Reporter's notification buffers and
+	// undelivered reports together with the Trigger Engine's evaluation
+	// marks, each in the record of the result it produced; warehouse/
+	// persists every page's current version.
 	// The reporter's fired records are the notification change-stream:
 	// pull consumers read <DurableDir>/reporter with durable cursors
 	// (stream.OpenReader, xysub stream -dir <DurableDir>/reporter). New
@@ -183,27 +183,23 @@ func New(opts Options) (*System, error) {
 		in := opts.Faults
 		hook = func(op, key string) error { return in.Check(faults.Point(op), key) }
 	}
-	var journal manager.Journal
 	if opts.DurableDir != "" {
 		// Logs of the earlier layouts, refused rather than read: the
 		// change-stream counted offsets its own way (a consumer still
-		// reading it would see nothing new), and the trigger log held the
-		// evaluation marks that now ride the reporter journal.
+		// reading it would see nothing new), and the trigger and
+		// subscription logs held the evaluation marks and the base that
+		// now ride the reporter journal.
 		streamDir := filepath.Join(opts.DurableDir, "stream")
 		for _, legacy := range [][2]string{
 			{streamDir, fmt.Sprintf("a change-stream of the earlier layout; the stream is now %s/reporter. Drain it with `xysub stream replay -dir %s`, then remove it", opts.DurableDir, streamDir)},
 			{filepath.Join(opts.DurableDir, "trigger"), "continuous-query evaluation marks of the earlier layout; they now ride the reporter journal. Remove it: each periodic query then evaluates once more"},
+			{filepath.Join(opts.DurableDir, "subs"), "a subscription base of the earlier layout; the base now rides the reporter journal. Remove it, then subscribe the base again"},
 		} {
 			if logs, _ := filepath.Glob(filepath.Join(legacy[0], "*.wal")); len(logs) > 0 {
 				return fail(fmt.Errorf("xymon: %s holds %s", legacy[0], legacy[1]))
 			}
 		}
-		walSubs, err := wal.Open(filepath.Join(opts.DurableDir, "subs"), wal.Options{Hook: hook})
-		if err != nil {
-			return fail(err)
-		}
-		journal = manager.NewWALJournal(walSubs)
-		s.closers = append(s.closers, walSubs)
+		var err error
 		if s.Stream, err = stream.Open(filepath.Join(opts.DurableDir, "reporter"), stream.Options{
 			Hook:      hook,
 			MaxBehind: opts.StreamMaxBehind,
@@ -239,19 +235,14 @@ func New(opts Options) (*System, error) {
 		Reporter:    s.Reporter,
 		Trigger:     s.Trigger,
 		Clock:       clock,
-		Journal:     journal,
 		MaxCost:     opts.MaxCost,
 		InhibitRate: opts.InhibitRate,
 	})
-	if journal != nil {
-		// Recovery order matters: the subscription base first, then the
-		// Reporter (its recovery drops the buffers and marks of
-		// subscriptions that no longer exist, so registration must be
-		// done), then the continuous queries' schedules from its marks.
-		if err := s.Manager.Recover(journal); err != nil {
-			return fail(err)
-		}
-		if err := s.Reporter.Recover(); err != nil {
+	if s.Stream != nil {
+		// One replay of the reporter journal restores the subscription
+		// base, then the buffers and marks that belong to it; the
+		// continuous queries' schedules come from those marks.
+		if err := s.Manager.Recover(); err != nil {
 			return fail(err)
 		}
 		s.Trigger.Restore(s.Reporter.Evaluated)
@@ -284,18 +275,16 @@ func New(opts Options) (*System, error) {
 	return s, nil
 }
 
-// Checkpoint compacts the durability layer: each module snapshots its
-// state (live subscription base, buffered notifications, undelivered
-// reports and evaluation marks, every page's current version) and truncates
-// the journal records the snapshot covers — the Reporter's keeping the
-// segments a stream consumer still needs (every live cursor's, bounded
-// below by StreamMaxBehind). The warehouse goes last and runs whatever the
-// Reporter returned, as the Reporter's error for a consumer's unreadable
-// cursor must not stop the others. A no-op without Options.DurableDir.
+// Checkpoint compacts the durability layer: each log's owner snapshots its
+// state (the Reporter the subscription base, buffered notifications,
+// undelivered reports and evaluation marks; the warehouse every page's
+// current version) and truncates the journal records the snapshot covers —
+// the Reporter's keeping the segments a stream consumer still needs (every
+// live cursor's, bounded below by StreamMaxBehind). The warehouse goes last
+// and runs whatever the Reporter returned, as the Reporter's error for a
+// consumer's unreadable cursor must not stop it. A no-op without
+// Options.DurableDir.
 func (s *System) Checkpoint() error {
-	if err := s.Manager.Checkpoint(); err != nil {
-		return err
-	}
 	err := s.Reporter.Checkpoint()
 	if s.pages != nil {
 		err = errors.Join(err, s.pages.Checkpoint())

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -208,6 +209,131 @@ report when immediate`}, "tick =1 +25h tick =2 +2h restart tick =2"},
 	}
 }
 
+// TestSubscriptionBaseAcrossRestart: the subscription base rides the
+// reporter journal, in registration order, and a System restarted on the
+// same DurableDir — across a checkpoint or not — gets back the base the
+// live one had, with only the buffers and marks of the subscriptions in
+// it. Each row is a script: sub:N and unsub:N subscribe and unsubscribe
+// N; push:N pushes the next version of N's page; tick; checkpoint;
+// restart (Close, then New on the same directory); base=A,B requires the
+// base; reports:N=K requires K reports delivered to N, over every System
+// of the row; buffered:N=K requires K notifications in N's buffer; and
+// marked:N.Q or unmarked:N.Q whether N's continuous query Q has an
+// evaluation mark.
+func TestSubscriptionBaseAcrossRestart(t *testing.T) {
+	watch := func(name string) string {
+		return "subscription " + name + "\nmonitoring\nselect <UpdatedPage url=URL/>\nwhere URL extends \"http://" +
+			strings.ToLower(name) + ".example/\" and modified self\nreport when immediate"
+	}
+	srcs := map[string]string{
+		"Zeta":  watch("Zeta"),
+		"Alpha": "subscription Alpha\nvirtual Zeta.P",
+		"W": `subscription W
+monitoring
+select <UpdatedPage url=URL/>
+where URL extends "http://w.example/" and modified self
+continuous Q
+try weekly
+report when notifications.count > 5`,
+	}
+	for _, c := range []struct{ name, script string }{
+		// The follower comes back after its target, in registration
+		// order, from a checkpoint too, and still follows it.
+		{"virtual-before-target-across-checkpoint",
+			"sub:Zeta sub:Alpha checkpoint restart base=Alpha,Zeta push:Zeta push:Zeta reports:Zeta=1 reports:Alpha=1"},
+		// The target left before the checkpoint, and took the link with
+		// it: the follower comes back unlinked, as it was live.
+		{"orphaned-follower-across-checkpoint",
+			"sub:Zeta sub:Alpha unsub:Zeta checkpoint restart base=Alpha sub:Zeta push:Zeta push:Zeta reports:Zeta=1 reports:Alpha=0"},
+		// A name subscribed again starts with an empty buffer and no
+		// mark; the old subscription's do not come back into it.
+		{"resubscribed-name-restarts-empty",
+			"sub:W tick push:W push:W buffered:W=2 marked:W.Q unsub:W sub:W buffered:W=0 unmarked:W.Q restart base=W buffered:W=0 unmarked:W.Q tick reports:W=0 buffered:W=1"},
+		{"resubscribed-name-restarts-empty-across-checkpoint",
+			"sub:W tick push:W push:W checkpoint unsub:W sub:W restart base=W buffered:W=0 unmarked:W.Q tick reports:W=0"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			clk := &testClock{t: time.Date(2001, 5, 21, 0, 0, 0, 0, time.UTC)}
+			reports := make(map[string]int)
+			open := func() *System {
+				sys, err := New(Options{Clock: clk.now, DurableDir: dir, Delivery: DeliveryFunc(func(r *Report) error {
+					reports[r.Subscription]++
+					return nil
+				})})
+				if err != nil {
+					t.Fatalf("New: %v", err)
+				}
+				return sys
+			}
+			sys := open()
+			defer func() { sys.Close() }()
+			versions := make(map[string]int)
+			steps := strings.Fields(c.script)
+			for i, step := range steps {
+				fail := func(format string, args ...any) {
+					t.Helper()
+					t.Fatalf("after %q: %s", strings.Join(steps[:i], " "), fmt.Sprintf(format, args...))
+				}
+				op, arg, _ := strings.Cut(step, ":")
+				if k, v, ok := strings.Cut(step, "="); ok {
+					op, arg, _ = strings.Cut(k, ":")
+					want, err := strconv.Atoi(v)
+					switch {
+					case op == "base":
+						got := sys.Manager.Subscriptions()
+						slices.Sort(got)
+						if strings.Join(got, ",") != v {
+							fail("base %v, want %s", got, v)
+						}
+					case err != nil:
+						t.Fatalf("bad step %q", step)
+					case op == "reports" && reports[arg] != want:
+						fail("%d reports to %s, want %d", reports[arg], arg, want)
+					case op == "buffered" && sys.Reporter.Buffered(arg) != want:
+						fail("%d notifications buffered for %s, want %d", sys.Reporter.Buffered(arg), arg, want)
+					}
+					continue
+				}
+				switch op {
+				case "sub":
+					if _, err := sys.Subscribe(srcs[arg]); err != nil {
+						fail("Subscribe(%s): %v", arg, err)
+					}
+				case "unsub":
+					if err := sys.Unsubscribe(arg); err != nil {
+						fail("Unsubscribe(%s): %v", arg, err)
+					}
+				case "push":
+					versions[arg]++
+					url := "http://" + strings.ToLower(arg) + ".example/p.xml"
+					if _, err := sys.PushXML(url, "", "", fmt.Sprintf("<p>v%d</p>", versions[arg])); err != nil {
+						fail("push %s: %v", url, err)
+					}
+				case "tick":
+					sys.Tick()
+				case "checkpoint":
+					if err := sys.Checkpoint(); err != nil {
+						fail("Checkpoint: %v", err)
+					}
+				case "restart":
+					if err := sys.Close(); err != nil {
+						t.Fatal(err)
+					}
+					sys = open()
+				case "marked", "unmarked":
+					name, query, _ := strings.Cut(arg, ".")
+					if _, ok := sys.Reporter.Evaluated(name, query); ok != (op == "marked") {
+						fail("%s.%s evaluated: %v", name, query, ok)
+					}
+				default:
+					t.Fatalf("unknown step %q", step)
+				}
+			}
+		})
+	}
+}
+
 func TestContinuousQueryOverWarehouse(t *testing.T) {
 	sys, c, reports := newSystem(t, Options{})
 	if _, err := sys.PushXML("http://museums.example/ams.xml", "", "culture",
@@ -282,7 +408,7 @@ report when immediate`); err != nil {
 func TestSubscribeJournalFailureRollsBack(t *testing.T) {
 	dir := t.TempDir()
 	in := faults.New(1)
-	in.Enable(faults.Rule{Point: faults.Point(wal.OpAppend), Mode: faults.ModeError, Match: "subs"})
+	in.Enable(faults.Rule{Point: faults.Point(wal.OpAppend), Mode: faults.ModeError, Match: "reporter"})
 	sys, _, reports := newSystem(t, Options{DurableDir: dir, Faults: in})
 	src := `subscription Flaky
 monitoring select <F url=URL/> where URL extends "http://f.example/" and modified self
@@ -477,7 +603,7 @@ func TestWarehouseLogAddsNoFsync(t *testing.T) {
 	in := faults.New(1)
 	// The last rule matches any key: a sync on a log not named before it
 	// counts as "other".
-	logs := []string{"subs", "reporter", "warehouse", ""}
+	logs := []string{"reporter", "warehouse", ""}
 	for i, log := range logs {
 		in.Enable(faults.Rule{Point: faults.Point(wal.OpFileSync), Mode: faults.ModeLatency, Latency: time.Duration(i + 1), Match: log})
 	}
