@@ -692,7 +692,7 @@ report when notifications.count > 1000000`, i, word)
 					RareWord: word, RareEvery: 20,
 				}))
 			}
-			pages := sys.Crawler.Pages()
+			pages := sys.Crawler.Stats().Pages
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -745,7 +745,7 @@ func BenchmarkRefetchUnchanged(b *testing.B) {
 					PerturbEvery: 1 << 16, PerturbKind: PerturbWhitespace,
 				}))
 			}
-			pages := sys.Crawler.Pages()
+			pages := sys.Crawler.Stats().Pages
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -58,7 +58,7 @@ report when immediate`); err != nil {
 	if st.Crawler.FetchErrors == 0 || st.Crawler.CommitErrors == 0 || st.Crawler.Retries == 0 {
 		t.Fatalf("fault storm did not bite: crawler stats = %+v", st.Crawler)
 	}
-	if _, failed := sys.Reporter.Stats(); failed == 0 {
+	if sys.Reporter.Stats().Failed == 0 {
 		t.Fatal("fault storm did not bite: no delivery ever failed")
 	}
 
@@ -83,13 +83,12 @@ report when immediate`); err != nil {
 
 	// Delivery conservation: everything the reporter fired is accounted
 	// for — accepted by the sink or dead-lettered with its reason.
-	delivered, _ := sys.Reporter.Stats()
-	rst := sys.Reporter.RetryStats()
-	retried, deadLettered := rst.Retried, rst.DeadLettered
+	rst := sys.Reporter.Stats()
+	delivered, retried, deadLettered := rst.Delivered, rst.Retried, rst.DeadLettered
 	if retried == 0 {
 		t.Error("no delivery was ever retried under a 50% failure rate")
 	}
-	if pending := sys.Reporter.RetryPending(); pending != 0 {
+	if pending := rst.RetryPending; pending != 0 {
 		t.Errorf("%d reports stuck in the retry queue after healing", pending)
 	}
 	total := sink.n.Load()
@@ -97,8 +96,8 @@ report when immediate`); err != nil {
 		t.Errorf("reporter counted %d delivered, sink accepted %d", delivered, total)
 	}
 	dead := sys.Reporter.DeadLetters()
-	if uint64(len(dead)) != deadLettered {
-		t.Errorf("DeadLetters has %d entries, counter says %d", len(dead), deadLettered)
+	if uint64(len(dead)) != deadLettered || rst.DeadLetters != len(dead) {
+		t.Errorf("DeadLetters has %d entries, counter says %d, queue length %d", len(dead), deadLettered, rst.DeadLetters)
 	}
 	for _, dl := range dead {
 		if dl.Reason == "" || !strings.Contains(dl.Reason, "injected") {
@@ -220,7 +219,7 @@ func TestChaosStreamSlowConsumer(t *testing.T) {
 				t.Fatalf("Checkpoint: %v", err)
 			}
 		}
-		if p := rep.RetryPending(); p != 0 {
+		if p := rep.Stats().RetryPending; p != 0 {
 			t.Fatalf("round %d: retry queue grew to %d with retrying exhausted", round, p)
 		}
 		if d := len(rep.DeadLetters()); d > deadCap {
@@ -230,13 +229,13 @@ func TestChaosStreamSlowConsumer(t *testing.T) {
 	}
 
 	produced := uint64(rounds * perRound)
-	if got := st.Next(); got != produced {
+	if got := st.Stats().Next; got != produced {
 		t.Fatalf("stream head %d, want every one of %d fired reports published", got, produced)
 	}
 	if got := st.Stats().Records; got != produced {
 		t.Fatalf("Stats().Records = %d; want every one of %d fired reports", got, produced)
 	}
-	if n := rep.JournalErrors(); n != 0 {
+	if n := rep.Stats().JournalErrors; n != 0 {
 		t.Fatalf("JournalErrors = %d", n)
 	}
 	if truncations == 0 {
@@ -248,19 +247,18 @@ func TestChaosStreamSlowConsumer(t *testing.T) {
 
 	// Storm over: the consumer catches up by replay — larger polls, same
 	// contiguity contract — to zero lag.
-	for rd.Next() < st.Next() {
+	for rd.Next() < st.Stats().Next {
 		before := rd.Next()
 		consume(64)
 		if rd.Next() == before {
-			t.Fatalf("catch-up stalled at offset %d with head %d", before, st.Next())
+			t.Fatalf("catch-up stalled at offset %d with head %d", before, st.Stats().Next)
 		}
 	}
-	lags, err := st.Lags()
-	if err != nil {
-		t.Fatalf("Lags: %v", err)
+	if err := rep.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
 	}
-	if lags["slow"] != 0 {
-		t.Errorf("consumer lag after catch-up = %d, want 0", lags["slow"])
+	if lag, ok := st.Stats().Lags["slow"]; !ok || lag != 0 {
+		t.Errorf("consumer lag after catch-up = %d (known: %v), want 0", lag, ok)
 	}
 	if sink.calls == 0 {
 		t.Error("the dead sink was never even attempted")

@@ -20,7 +20,8 @@
 //	POST /push?url=U&dtd=D&domain=X   body: XML document
 //	POST /pushhtml?url=U              body: HTML page
 //	GET  /reports        latest reports (web consultation)
-//	GET  /stats          JSON counters
+//	GET  /reports?subscription=N      N's archived reports (archive clause)
+//	GET  /stats          JSON counters of every module
 package main
 
 import (
@@ -135,17 +136,9 @@ func main() {
 		}
 	}()
 
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /", srv.handleIndex)
-	mux.HandleFunc("POST /subscribe", srv.handleSubscribe)
-	mux.HandleFunc("POST /unsubscribe", srv.handleUnsubscribe)
-	mux.HandleFunc("POST /push", srv.handlePush)
-	mux.HandleFunc("POST /pushhtml", srv.handlePushHTML)
-	mux.HandleFunc("GET /reports", srv.handleReports)
-	mux.HandleFunc("GET /stats", srv.handleStats)
 	log.Printf("xymond listening on %s (%d synthetic sites)", *addr, *sites)
 
-	httpSrv := &http.Server{Addr: *addr, Handler: mux}
+	httpSrv := &http.Server{Addr: *addr, Handler: srv.routes()}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	select {
@@ -170,6 +163,18 @@ func main() {
 	if err := sys.Close(); err != nil {
 		log.Printf("xymond: close: %v", err)
 	}
+}
+
+func (s *server) routes() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /", s.handleIndex)
+	mux.HandleFunc("POST /subscribe", s.handleSubscribe)
+	mux.HandleFunc("POST /unsubscribe", s.handleUnsubscribe)
+	mux.HandleFunc("POST /push", s.handlePush)
+	mux.HandleFunc("POST /pushhtml", s.handlePushHTML)
+	mux.HandleFunc("GET /reports", s.handleReports)
+	mux.HandleFunc("GET /stats", s.handleStats)
+	return mux
 }
 
 // errStatus is the HTTP status of a failed subscribe or unsubscribe.
@@ -276,9 +281,14 @@ func (s *server) handlePushHTML(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleReports(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	reports := append([]*xymon.Report(nil), s.reports...)
-	s.mu.Unlock()
+	var reports []*xymon.Report
+	if name := r.FormValue("subscription"); name != "" {
+		reports = s.sys.Reporter.Archived(name)
+	} else {
+		s.mu.Lock()
+		reports = append(reports, s.reports...)
+		s.mu.Unlock()
+	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	fmt.Fprintf(w, "<html><body><h1>%d reports</h1>", len(reports))
 	for i := len(reports) - 1; i >= 0; i-- {

@@ -9,12 +9,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"xymon"
 	"xymon/internal/faults"
+	"xymon/internal/stream"
 	"xymon/internal/wal"
 )
 
@@ -306,5 +308,104 @@ func TestKill9Restart(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(string(body), "UpdatedPage") || !strings.Contains(string(body), "1 reports") {
 		t.Errorf("reports after the restart: %s", body)
+	}
+}
+
+// serve runs one request through the daemon's routes.
+func serve(srv *server, method, target, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	srv.routes().ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+	return rec
+}
+
+// getStats decodes GET /stats.
+func getStats(t *testing.T, srv *server) xymon.Stats {
+	t.Helper()
+	var st xymon.Stats
+	if err := json.Unmarshal(serve(srv, "GET", "/stats", "").Body.Bytes(), &st); err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	return st
+}
+
+// pushVersion pushes version v of the page testSub watches.
+func pushVersion(t *testing.T, srv *server, v int) string {
+	t.Helper()
+	rec := serve(srv, "POST", "/push?url=http://w.example/a.xml", fmt.Sprintf("<p><v>%d</v></p>", v))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("push v%d: %d %s", v, rec.Code, rec.Body.String())
+	}
+	return rec.Body.String()
+}
+
+// TestArchivedReportsRoute: GET /reports?subscription=N renders N's
+// archived reports — the archive clause's — and no other's.
+func TestArchivedReportsRoute(t *testing.T) {
+	srv := testServer(t)
+	archived := strings.Replace(testSub, "report when immediate", "report when immediate archive weekly", 1)
+	for _, src := range []string{archived, strings.Replace(testSub, "HttpWatch", "Other", 1)} {
+		if rec := serve(srv, "POST", "/subscribe", src); rec.Code != http.StatusCreated {
+			t.Fatalf("subscribe: %d %s", rec.Code, rec.Body.String())
+		}
+	}
+	pushVersion(t, srv, 1)
+	pushVersion(t, srv, 2)
+	body := serve(srv, "GET", "/reports?subscription=HttpWatch", "").Body.String()
+	if !strings.Contains(body, "1 reports") || !strings.Contains(body, "HttpWatch") || strings.Contains(body, "Other") {
+		t.Errorf("HttpWatch's archive: %s", body)
+	}
+	if body := serve(srv, "GET", "/reports?subscription=Other", "").Body.String(); !strings.Contains(body, "0 reports") {
+		t.Errorf("a subscription with no archive clause: %s", body)
+	}
+	if body := serve(srv, "GET", "/reports", "").Body.String(); !strings.Contains(body, "2 reports") {
+		t.Errorf("the latest reports: %s", body)
+	}
+}
+
+// TestDurableStatsSections: after a Checkpoint, /stats of a -durable
+// server carries the Reporter's counters, the lag of a committed
+// stream consumer, both logs' counters and the continuous queries'
+// evaluations.
+func TestDurableStatsSections(t *testing.T) {
+	dir := t.TempDir()
+	srv := newTestServer(t, xymon.Options{DurableDir: dir})
+	for _, src := range []string{testSub, "subscription CQ\ncontinuous Q\ntry weekly\nreport when immediate"} {
+		if rec := serve(srv, "POST", "/subscribe", src); rec.Code != http.StatusCreated {
+			t.Fatalf("subscribe: %d %s", rec.Code, rec.Body.String())
+		}
+	}
+	pushVersion(t, srv, 1)
+	pushVersion(t, srv, 2)
+	srv.sys.Tick()
+	// A consumer, as xysub stream tail runs one, reads and commits
+	// everything so far; one more report then lags it by one.
+	rd, err := stream.OpenReader(filepath.Join(dir, "reporter"), "tail", stream.ReaderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rd.Poll(100); err != nil {
+		t.Fatal(err)
+	}
+	if err := rd.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	rd.Close()
+	pushVersion(t, srv, 3)
+	if err := srv.sys.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	st := getStats(t, srv)
+	if st.Reporter.Delivered < 2 || st.Reporter.Delivered != st.Stream.Next || st.Reporter.JournalErrors != 0 {
+		t.Errorf("Reporter = %+v with %d records published, want every one delivered", st.Reporter, st.Stream.Next)
+	}
+	if lag, ok := st.Stream.Lags["tail"]; !ok || lag != 1 {
+		t.Errorf("Stream.Lags = %v, want tail: 1", st.Stream.Lags)
+	}
+	if st.Stream.WAL.Rotations == 0 || st.WarehouseLog.Rotations == 0 {
+		t.Errorf("the checkpoint rotated no log: Stream.WAL %+v, WarehouseLog %+v", st.Stream.WAL, st.WarehouseLog)
+	}
+	if st.Evaluations != 1 {
+		t.Errorf("Evaluations = %d, want the continuous query's one", st.Evaluations)
 	}
 }

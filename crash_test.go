@@ -892,7 +892,7 @@ func verifyCrashRecovery(t *testing.T, dir string, sc crashScenario) (delivered 
 			t.Errorf("continuous query report lost across the crash")
 		}
 	}
-	if p := sys.Reporter.RetryPending(); p != 0 {
+	if p := sys.Reporter.Stats().RetryPending; p != 0 {
 		t.Errorf("%d reports still stuck in the retry queue after recovery", p)
 	}
 
@@ -984,7 +984,7 @@ func verifyStreamRecovery(t *testing.T, dir string, sys *System, acked []string,
 		t.Fatalf("reopening consumer after crash: %v", err)
 	}
 	defer rd.Close()
-	committed := rd.Committed()
+	committed := rd.Next() // a fresh reader starts at its committed cursor
 	if committed < lastCursor {
 		t.Errorf("recovered cursor %d behind the last synced commit %d", committed, lastCursor)
 	}
@@ -1023,7 +1023,7 @@ func verifyStreamRecovery(t *testing.T, dir string, sys *System, acked []string,
 			replayed[rec.Offset] = rec.XML
 		}
 	}
-	if head := sys.Stream.Next(); next != head {
+	if head := sys.Stream.Stats().Next; next != head {
 		t.Errorf("replay stopped at offset %d, stream head is %d", next, head)
 	}
 

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -70,6 +71,54 @@ func TestExperimentDocsCiteExistingHarness(t *testing.T) {
 	}
 	if repros == 0 {
 		t.Fatal("EXPERIMENTS.md: no *Repro:* lines")
+	}
+}
+
+// TestReadmeListsDaemonRoutes holds README's cmd/xymond entry to the
+// daemon: it must name every route cmd/xymond/main.go registers.
+func TestReadmeListsDaemonRoutes(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("cmd", "xymond", "main.go"), nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var routes []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || sel.Sel.Name != "HandleFunc" || len(call.Args) == 0 {
+			return true
+		}
+		if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "mux" {
+			return true
+		}
+		lit, ok := call.Args[0].(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING {
+			t.Errorf("a route of cmd/xymond/main.go is not a string literal")
+			return true
+		}
+		pattern, _ := strconv.Unquote(lit.Value)
+		routes = append(routes, pattern)
+		return true
+	})
+	if len(routes) == 0 {
+		t.Fatal("cmd/xymond/main.go registers no route with mux.HandleFunc")
+	}
+	var entry string
+	for _, line := range strings.Split(readDoc(t, "README.md"), "\n") {
+		if strings.HasPrefix(line, "| `cmd/xymond` |") {
+			entry = line
+		}
+	}
+	if entry == "" {
+		t.Fatal("README.md has no cmd/xymond entry in its command table")
+	}
+	for _, r := range routes {
+		if !strings.Contains(entry, "`"+r+"`") {
+			t.Errorf("README's cmd/xymond entry does not name the route `%s`", r)
+		}
 	}
 }
 

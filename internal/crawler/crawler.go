@@ -49,6 +49,8 @@ type Stats struct {
 	// BreakerOpens / BreakerCloses count circuit-breaker transitions.
 	BreakerOpens  uint64
 	BreakerCloses uint64
+	// Pages is the number of known pages: the crawl frontier.
+	Pages int
 }
 
 type pageState struct {
@@ -521,14 +523,9 @@ func (c *Crawler) handleGone(p *pageState) {
 func (c *Crawler) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.stats
-}
-
-// Pages returns the number of known pages.
-func (c *Crawler) Pages() int { //xyvet:ignore testonly benchmarks and tests size the frontier with it
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.pages)
+	st := c.stats
+	st.Pages = len(c.pages)
+	return st
 }
 
 // Fails reports the consecutive-failure count of a page (0 when unknown

@@ -29,8 +29,8 @@ func TestDiscoveryFetch(t *testing.T) {
 	r := newRig()
 	site := webgen.NewSite(webgen.SiteSpec{BaseURL: "http://s.example", Pages: 3, HTMLShare: 2, Seed: 1})
 	r.crawl.AddSite(site)
-	if r.crawl.Pages() != 5 {
-		t.Fatalf("Pages = %d", r.crawl.Pages())
+	if r.crawl.Stats().Pages != 5 {
+		t.Fatalf("Pages = %d", r.crawl.Stats().Pages)
 	}
 	n := r.crawl.Step()
 	if n != 5 || len(r.docs) != 5 {
@@ -277,7 +277,7 @@ func TestPageDeletionFlow(t *testing.T) {
 	if _, err := r.store.Get(url); err != warehouse.ErrUnknownURL {
 		t.Errorf("warehouse still has the page: %v", err)
 	}
-	if r.crawl.Pages() != 0 {
+	if r.crawl.Stats().Pages != 0 {
 		t.Errorf("deleted page still scheduled")
 	}
 	if st := r.crawl.Stats(); st.Deleted != 1 {
@@ -308,8 +308,8 @@ func TestLinkDiscovery(t *testing.T) {
 		BaseURL: "http://disc.example", Pages: 2, HTMLShare: 1, HiddenPages: 2, Seed: 20,
 	})
 	r.crawl.AddSite(site)
-	if r.crawl.Pages() != 3 {
-		t.Fatalf("initial pages = %d (hidden pages must not be pre-registered)", r.crawl.Pages())
+	if r.crawl.Stats().Pages != 3 {
+		t.Fatalf("initial pages = %d (hidden pages must not be pre-registered)", r.crawl.Stats().Pages)
 	}
 	// Discovery crawl: the HTML page at version 1 links only to the
 	// catalogs; hidden0 appears from version 2.

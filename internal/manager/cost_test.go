@@ -100,7 +100,7 @@ report when notifications.count > 100000`); err != nil {
 	for v := 1; v <= 200; v++ {
 		r.commitXML(url, "", "", fmt.Sprintf(`<a><v>%d</v></a>`, v))
 	}
-	suspended := r.mgr.Suspended()
+	suspended := r.mgr.Stats().Suspended
 	if len(suspended) != 1 || suspended[0] != "Chatty" {
 		t.Fatalf("Suspended = %v, want [Chatty]", suspended)
 	}
@@ -143,7 +143,7 @@ report when notifications.count > 100000`); err != nil {
 	for v := 1; v <= 200; v++ {
 		r.commitXML(url, "", "", fmt.Sprintf(`<a><v>%d</v></a>`, v))
 	}
-	if len(r.mgr.Suspended()) != 1 {
+	if len(r.mgr.Stats().Suspended) != 1 {
 		t.Fatal("not suspended")
 	}
 	// Suspension keeps the compiled plan (Resume needs it); only the

@@ -11,6 +11,7 @@ package manager
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -134,7 +135,8 @@ type Stats struct {
 	AlertsSent    uint64 // alerts with at least one strong event
 	WeakSuppress  uint64 // alerts suppressed by the weak/strong rule
 	Notifications uint64
-	Suspensions   uint64 // subscriptions inhibited a posteriori
+	Suspensions   uint64   // subscriptions inhibited a posteriori
+	Suspended     []string // the ones inhibited now, sorted; Resume lifts one
 }
 
 // Manager owns the subscription base and drives the notification chain.
@@ -565,6 +567,13 @@ func (m *Manager) RefreshHints() map[string]sublang.Frequency {
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	var suspended []string
+	for name, rs := range m.subs {
+		if rs.suspended {
+			suspended = append(suspended, name)
+		}
+	}
+	slices.Sort(suspended)
 	return Stats{
 		Subscriptions: len(m.subs),
 		AtomicEvents:  len(m.condRef),
@@ -574,6 +583,7 @@ func (m *Manager) Stats() Stats {
 		WeakSuppress:  m.weakSuppress.Load(),
 		Notifications: m.notifications.Load(),
 		Suspensions:   m.suspensions,
+		Suspended:     suspended,
 	}
 }
 

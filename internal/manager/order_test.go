@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -196,7 +197,7 @@ func TestCodeSpaceExhaustion(t *testing.T) {
 	if after := journalBytes(t, dir); after != before {
 		t.Errorf("failed subscription journalled: %d journal bytes, %d before", after, before)
 	}
-	if got := r.mgr.Stats(); got != stats {
+	if got := r.mgr.Stats(); !reflect.DeepEqual(got, stats) {
 		t.Errorf("failed subscription left state behind: %+v, before %+v", got, stats)
 	}
 	if n := r.mgr.condRef[r.mgr.condCodes[`self contains "two"`]]; n != 1 {

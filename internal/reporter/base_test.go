@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"xymon/internal/stream"
 )
@@ -114,18 +115,30 @@ func TestBaseCheckpointPlusTail(t *testing.T) {
 }
 
 // TestRecoverBaseTwiceIsIdempotent: recovering the same journal twice
-// hands the same base in the same order, and doubles no buffer.
+// hands the same base in the same order, doubles no buffer, and restores
+// the retry and dead-letter queues rather than appending to them — one
+// dead letter stays one, and an outstanding report is delivered once.
 func TestRecoverBaseTwiceIsIdempotent(t *testing.T) {
 	dir := t.TempDir()
-	r, l := openBase(t, dir, stream.Options{})
+	// The sink is down: z's first report dead-letters after its two
+	// attempts, its second stays outstanding on the retry queue.
+	r, now := durableRig(t, dir, &flakySink{failN: 1 << 30}, WithRetryPolicy(2, time.Minute, time.Minute))
 	subscribe(t, r, "z")
 	if err := r.Persist(r.Register("a", reportEvery(5)), "subscription a"); err != nil {
 		t.Fatal(err)
 	}
 	r.Notify(Notification{Subscription: "a", Label: "l", Element: elem("x")})
-	l.Close()
+	r.Notify(Notification{Subscription: "z", Label: "l", Element: elem("dead")})
+	*now = now.Add(time.Hour)
+	r.Tick()
+	r.Notify(Notification{Subscription: "z", Label: "l", Element: elem("owed")})
+	if st := r.Stats(); st.DeadLetters != 1 || st.RetryPending != 1 {
+		t.Fatalf("before the restart: %d dead letters, %d pending; want 1 and 1", st.DeadLetters, st.RetryPending)
+	}
+	r.log.Close()
 
-	r, l = openBase(t, dir, stream.Options{})
+	sink := &flakySink{}
+	r, now = durableRig(t, dir, sink)
 	var got []string
 	register := func(name, _ string) error {
 		got = append(got, name)
@@ -143,10 +156,25 @@ func TestRecoverBaseTwiceIsIdempotent(t *testing.T) {
 	if n := r.Buffered("a"); n != 1 {
 		t.Errorf("buffer after double recovery = %d, want 1", n)
 	}
+	if st := r.Stats(); len(r.DeadLetters()) != 1 || st.DeadLetters != 1 || st.DeadLettered != 1 || st.RetryPending != 1 {
+		t.Errorf("after double recovery: %d dead letters (queue length %d, DeadLettered %d), %d pending; want 1 each",
+			len(r.DeadLetters()), st.DeadLetters, st.DeadLettered, st.RetryPending)
+	}
+	*now = now.Add(time.Second)
+	r.Tick()
+	owed := 0
+	for _, rep := range sink.sent {
+		if rep.Subscription == "z" {
+			owed++
+		}
+	}
+	if owed != 1 {
+		t.Errorf("the outstanding report was delivered %d times after double recovery, want once", owed)
+	}
 	if err := r.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	l.Close()
+	r.log.Close()
 	r, _ = openBase(t, dir, stream.Options{})
 	if got := recoverBase(t, r); !slices.Equal(got, []string{"z", "a"}) {
 		t.Fatalf("base after double recovery and a checkpoint %v, want [z a]", got)

@@ -99,7 +99,7 @@ func TestGroupCommitBarriersPerDocument(t *testing.T) {
 	if rep, other := c.take(); rep != 1 || other != 0 {
 		t.Errorf("N=12, R=2: %d fsyncs on reporter/ and %d elsewhere, want 1 and 0", rep, other)
 	}
-	if got := r.log.Next(); got != 2 {
+	if got := r.log.Stats().Next; got != 2 {
 		t.Errorf("the stream holds %d records after two reports fired", got)
 	}
 
@@ -115,7 +115,7 @@ func TestGroupCommitBarriersPerDocument(t *testing.T) {
 	if rep, other := c.take(); rep != 0 || other != 0 {
 		t.Errorf("a notification nobody takes journals nothing, yet cost %d + %d fsyncs", rep, other)
 	}
-	if n := r.JournalErrors(); n != 0 {
+	if n := r.Stats().JournalErrors; n != 0 {
 		t.Errorf("JournalErrors = %d", n)
 	}
 }
@@ -214,8 +214,8 @@ func TestDoneRidesNextBarrier(t *testing.T) {
 			t.Fatal(err)
 		}
 	}, 1, 3, 3)
-	if len(sink.sent) != 3 || r.JournalErrors() != 0 {
-		t.Errorf("%d reports delivered, %d journal errors; want 3 and 0", len(sink.sent), r.JournalErrors())
+	if len(sink.sent) != 3 || r.Stats().JournalErrors != 0 {
+		t.Errorf("%d reports delivered, %d journal errors; want 3 and 0", len(sink.sent), r.Stats().JournalErrors)
 	}
 }
 
@@ -229,7 +229,7 @@ func TestFailedBarrierDegradesLikeFailedAppend(t *testing.T) {
 	r, _ := commitRig(t, t.TempDir(), sink, &c)
 	r.Register("S", nil)
 	r.Notify(Notification{Subscription: "S", Label: "l", Element: elem("through")})
-	if n := r.JournalErrors(); n == 0 {
+	if n := r.Stats().JournalErrors; n == 0 {
 		t.Error("failed commit barriers were not counted in JournalErrors")
 	}
 	if len(sink.sent) != 1 {
@@ -373,12 +373,12 @@ func TestRecoverAtEveryFrameOfABatch(t *testing.T) {
 					t.Errorf("%s: %s recovered %d buffered notifications, the run had %d", name, sub, got, len(buffers[sub]))
 				}
 			}
-			if got := r2.RetryPending(); got != len(outstanding) {
+			if got := r2.Stats().RetryPending; got != len(outstanding) {
 				t.Errorf("%s: %d reports back on the retry queue, %d were fired without a done", name, got, len(outstanding))
 			}
 			*now = now.Add(time.Second)
 			r2.Tick()
-			if got := r2.RetryPending(); got != 0 {
+			if got := r2.Stats().RetryPending; got != 0 {
 				t.Errorf("%s: retry queue holds %d after the recovery Tick", name, got)
 			}
 			// The Tick redelivers the outstanding reports and reports each
@@ -534,11 +534,11 @@ func TestReportIDsAreStreamOffsets(t *testing.T) {
 
 	r2, l2 := open()
 	defer l2.Close()
-	if got := l2.Next(); got != head {
+	if got := l2.Stats().Next; got != head {
 		t.Fatalf("recovered head %d, the first incarnation ended at %d", got, head)
 	}
 	check(r2, head, fire(r2, 2))
-	if n := r1.JournalErrors() + r2.JournalErrors(); n != 0 {
+	if n := r1.Stats().JournalErrors + r2.Stats().JournalErrors; n != 0 {
 		t.Errorf("JournalErrors = %d", n)
 	}
 }

@@ -163,10 +163,6 @@ func (r *Reporter) Persist(st *Sub, src string) error {
 	return err
 }
 
-// JournalErrors counts journal writes and commit barriers that failed
-// (state kept in memory only — durability degraded, operation continued).
-func (r *Reporter) JournalErrors() uint64 { return r.walErrors.Load() } //xyvet:ignore testonly operator surface with no endpoint yet
-
 // noteFired writes the copies of one built report — the origin's and
 // its followers' — to the journal as one stream batch, numbers each by
 // the offset the write assigns, and tracks them as outstanding until a
@@ -174,8 +170,8 @@ func (r *Reporter) JournalErrors() uint64 { return r.walErrors.Load() } //xyvet:
 // inside it (stripe → rt.mu → log everywhere), so the batch follows
 // every notification the report consumed in the log, and offsets follow
 // log order. The caller commits before the reports leave the Reporter.
-// It reports false, counted in JournalErrors, when the write failed and
-// the reports must not leave at all.
+// It reports false, counted in Stats.JournalErrors, when the write failed
+// and the reports must not leave at all.
 func (r *Reporter) noteFired(reps []*Report, origin string) bool {
 	if r.log == nil {
 		return true
@@ -406,17 +402,21 @@ func (r *Reporter) Recover(register func(name, src string) error) error {
 		s.mu.Unlock()
 	}
 
-	r.deadLettered.Add(uint64(len(dead)))
 	rt := &r.retry
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
+	// The queues are restored, not appended to: recovering twice must not
+	// queue a report or a letter twice.
+	rt.queue, rt.dead = nil, nil
+	clear(rt.outstanding)
+	r.deadLettered.Store(uint64(len(dead)))
+	r.evicted.Store(evicted)
 	for _, rec := range dead {
 		rt.dead = append(rt.dead, DeadLetter{
 			Report: rec.report(), Attempts: rec.Attempts, Reason: rec.Reason, Time: rec.Time,
 		})
 	}
 	r.evictDeadLocked()
-	r.evicted.Add(evicted)
 	queued := make(map[uint64]bool, len(order))
 	for _, id := range order {
 		rec, ok := outstanding[id]

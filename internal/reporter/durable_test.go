@@ -101,7 +101,7 @@ func TestDurableOutstandingRedelivers(t *testing.T) {
 	if err := r2.Recover(nil); err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-	if got := r2.RetryPending(); got != 1 {
+	if got := r2.Stats().RetryPending; got != 1 {
 		t.Fatalf("recovered retry queue = %d entries, want 1", got)
 	}
 	*now2 = now2.Add(time.Second)
@@ -109,7 +109,7 @@ func TestDurableOutstandingRedelivers(t *testing.T) {
 	if len(sink2.sent) != 1 || !contains(sink2.sent[0].Doc.XML(), "payload") {
 		t.Fatalf("recovered redelivery: %+v", sink2.sent)
 	}
-	if got := r2.RetryPending(); got != 0 {
+	if got := r2.Stats().RetryPending; got != 0 {
 		t.Errorf("retry queue after redelivery = %d", got)
 	}
 
@@ -121,7 +121,7 @@ func TestDurableOutstandingRedelivers(t *testing.T) {
 	if err := r3.Recover(nil); err != nil {
 		t.Fatalf("third Recover: %v", err)
 	}
-	if got := r3.RetryPending(); got != 0 {
+	if got := r3.Stats().RetryPending; got != 0 {
 		t.Errorf("resolved report resurrected: %d pending", got)
 	}
 }
@@ -151,7 +151,7 @@ func TestDurableCheckpointCompacts(t *testing.T) {
 	if got := r2.Buffered("Buf"); got != 2 {
 		t.Fatalf("recovered buffer = %d, want 2 (snapshot + tail)", got)
 	}
-	if got := r2.RetryPending(); got != 1 {
+	if got := r2.Stats().RetryPending; got != 1 {
 		t.Fatalf("recovered outstanding = %d, want 1", got)
 	}
 	*now2 = now2.Add(time.Second)
@@ -186,9 +186,9 @@ func TestDeadLetterCapUnderFaultStorm(t *testing.T) {
 			t.Errorf("dead[%d] = %s, want %s", i, dl.Report.Subscription, want)
 		}
 	}
-	st := r.RetryStats()
+	st := r.Stats()
 	if st.Evicted != 6 || st.DeadLettered != 10 {
-		t.Errorf("RetryStats = %+v, want Evicted=6 DeadLettered=10", st)
+		t.Errorf("Stats = %+v, want Evicted=6 DeadLettered=10", st)
 	}
 }
 
@@ -218,7 +218,7 @@ func TestDurableDeadLettersSurviveRestart(t *testing.T) {
 		t.Errorf("recovered dead letter lost its payload")
 	}
 	// The dead report must not re-enter the retry queue.
-	if got := r2.RetryPending(); got != 0 {
+	if got := r2.Stats().RetryPending; got != 0 {
 		t.Errorf("dead report resurrected into retry queue: %d", got)
 	}
 }
@@ -246,10 +246,8 @@ func TestRecoverTwiceIsIdempotentReporter(t *testing.T) {
 	if got := r2.Buffered("Buf"); got != 1 {
 		t.Errorf("buffer after double recovery = %d, want 1", got)
 	}
-	// The outstanding map deduplicates by id; the queue may briefly hold
-	// a duplicate entry, which at-least-once delivery permits.
-	if got := r2.RetryPending(); got < 1 {
-		t.Errorf("retry queue after double recovery = %d, want >= 1", got)
+	if got := r2.Stats().RetryPending; got != 1 {
+		t.Errorf("retry queue after double recovery = %d, want 1", got)
 	}
 }
 
@@ -314,8 +312,8 @@ func TestFailedFiredWriteKeepsReportOwed(t *testing.T) {
 	failAppend.Store(true)
 	r1.Notify(Notification{Subscription: "S", Label: "l", Element: elem("held")})
 	r1.Tick()
-	if len(sink1.sent) != 0 || r1.JournalErrors() == 0 {
-		t.Fatalf("a report with no fired record left the Reporter: %d sent, %d journal errors", len(sink1.sent), r1.JournalErrors())
+	if len(sink1.sent) != 0 || r1.Stats().JournalErrors == 0 {
+		t.Fatalf("a report with no fired record left the Reporter: %d sent, %d journal errors", len(sink1.sent), r1.Stats().JournalErrors)
 	}
 	if got := r1.Buffered("S"); got != 1 {
 		t.Fatalf("the failed build kept %d notifications, want 1", got)

@@ -21,15 +21,15 @@ func TestRedriveMovesDeadLettersBack(t *testing.T) {
 	if moved := r.Redrive(); moved != 1 {
 		t.Fatalf("Redrive moved %d, want 1", moved)
 	}
-	if len(r.DeadLetters()) != 0 || r.RetryPending() != 1 {
-		t.Fatalf("after redrive: dead=%d pending=%d", len(r.DeadLetters()), r.RetryPending())
+	if len(r.DeadLetters()) != 0 || r.Stats().RetryPending != 1 {
+		t.Fatalf("after redrive: dead=%d pending=%d", len(r.DeadLetters()), r.Stats().RetryPending)
 	}
 	*now = now.Add(time.Second)
 	r.Tick()
 	if len(sink.sent) != 1 || !contains(sink.sent[0].Doc.XML(), "again") {
 		t.Fatalf("redriven report not delivered: %+v", sink.sent)
 	}
-	if st := r.RetryStats(); st.Redriven != 1 {
+	if st := r.Stats(); st.Redriven != 1 {
 		t.Errorf("Redriven stat = %d", st.Redriven)
 	}
 }
@@ -95,7 +95,7 @@ func TestRedriveSurvivesCrash(t *testing.T) {
 	if got := len(r2.DeadLetters()); got != 0 {
 		t.Fatalf("redriven report recovered as %d dead letters", got)
 	}
-	if got := r2.RetryPending(); got != 1 {
+	if got := r2.Stats().RetryPending; got != 1 {
 		t.Fatalf("recovered retry queue = %d, want the redriven report", got)
 	}
 	*now2 = now2.Add(time.Second)
@@ -110,8 +110,8 @@ func TestRedriveSurvivesCrash(t *testing.T) {
 	if err := r3.Recover(nil); err != nil {
 		t.Fatal(err)
 	}
-	if r3.RetryPending() != 0 || len(r3.DeadLetters()) != 0 {
-		t.Errorf("resolved redrive resurrected: pending=%d dead=%d", r3.RetryPending(), len(r3.DeadLetters()))
+	if r3.Stats().RetryPending != 0 || len(r3.DeadLetters()) != 0 {
+		t.Errorf("resolved redrive resurrected: pending=%d dead=%d", r3.Stats().RetryPending, len(r3.DeadLetters()))
 	}
 }
 
@@ -132,7 +132,7 @@ func TestPublishAtDeliveryTime(t *testing.T) {
 	if len(sink.sent) != 2 {
 		t.Fatalf("%d reports delivered, want 2", len(sink.sent))
 	}
-	if got := r.log.Next(); got != 2 {
+	if got := r.log.Stats().Next; got != 2 {
 		t.Fatalf("stream holds %d records, want 2 (no retry duplicates)", got)
 	}
 	rd, err := stream.OpenReader(dir, "t", stream.ReaderOptions{})
@@ -173,7 +173,7 @@ func TestRecoveredReportsReachStream(t *testing.T) {
 	if len(sink2.sent) != 1 || sink2.sent[0].id != 0 {
 		t.Fatalf("recovered redelivery: %d reports", len(sink2.sent))
 	}
-	if got := r2.log.Next(); got != 1 {
+	if got := r2.log.Stats().Next; got != 1 {
 		t.Fatalf("the stream holds %d records after the redelivery, want the one fired", got)
 	}
 	rd, err := stream.OpenReader(dir, "t", stream.ReaderOptions{})

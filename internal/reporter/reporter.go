@@ -630,7 +630,7 @@ func (r *Reporter) Evaluated(sub, query string) (time.Time, bool) {
 
 // Archived returns the archived reports of a subscription that have not
 // expired yet.
-func (r *Reporter) Archived(sub string) []*Report { //xyvet:ignore testonly operator surface with no endpoint yet
+func (r *Reporter) Archived(sub string) []*Report {
 	r.archMu.Lock()
 	defer r.archMu.Unlock()
 	var out []*Report
@@ -642,7 +642,36 @@ func (r *Reporter) Archived(sub string) []*Report { //xyvet:ignore testonly oper
 	return out
 }
 
-// Stats returns delivery counters.
-func (r *Reporter) Stats() (delivered, failed uint64) { //xyvet:ignore testonly operator surface with no endpoint yet
-	return r.delivered.Load(), r.failed.Load()
+// Stats counts the Reporter's deliveries, redeliveries and journal
+// failures, and sizes its retry and dead-letter queues.
+type Stats struct {
+	Delivered    uint64
+	Failed       uint64 // delivery attempts the sink refused, retries included
+	Retried      uint64 // redelivery attempts
+	RetryPending int    // reports waiting for redelivery
+	DeadLetters  int    // the dead-letter queue's length
+	DeadLettered uint64 // reports that exhausted their attempt budget
+	Evicted      uint64 // dead letters dropped oldest-first by the cap
+	Redriven     uint64 // dead letters moved back onto the retry queue
+	// JournalErrors counts failed journal writes and commit barriers:
+	// state kept in memory only, durability degraded, operation went on.
+	JournalErrors uint64
+}
+
+// Stats snapshots the Reporter's counters.
+func (r *Reporter) Stats() Stats {
+	r.retry.mu.Lock()
+	pending, dead := len(r.retry.queue), len(r.retry.dead)
+	r.retry.mu.Unlock()
+	return Stats{
+		Delivered:     r.delivered.Load(),
+		Failed:        r.failed.Load(),
+		Retried:       r.retried.Load(),
+		RetryPending:  pending,
+		DeadLetters:   dead,
+		DeadLettered:  r.deadLettered.Load(),
+		Evicted:       r.evicted.Load(),
+		Redriven:      r.redriven.Load(),
+		JournalErrors: r.walErrors.Load(),
+	}
 }

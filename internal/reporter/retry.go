@@ -52,7 +52,7 @@ const DefaultDeadLetterCap = 1024
 
 // WithDeadLetterCap bounds the dead-letter queue to n letters, evicting
 // oldest-first past the cap (n <= 0 removes the bound). Evictions are
-// counted in RetryStats.
+// counted in Stats.
 func WithDeadLetterCap(n int) Option { //xyvet:ignore testonly delivery knob the chaos and reporter tests tighten
 	return func(r *Reporter) { r.retry.maxDead = n }
 }
@@ -158,15 +158,8 @@ func (r *Reporter) drainRetries(now time.Time) {
 	}
 }
 
-// RetryPending returns the number of reports waiting for redelivery.
-func (r *Reporter) RetryPending() int { //xyvet:ignore testonly operator surface with no endpoint yet
-	r.retry.mu.Lock()
-	defer r.retry.mu.Unlock()
-	return len(r.retry.queue)
-}
-
 // DeadLetters returns a copy of the dead-letter queue.
-func (r *Reporter) DeadLetters() []DeadLetter { //xyvet:ignore testonly operator surface with no endpoint yet
+func (r *Reporter) DeadLetters() []DeadLetter { //xyvet:ignore testonly library action with no xymond route: xymond's sink never fails, so only the retry tests dead-letter
 	r.retry.mu.Lock()
 	defer r.retry.mu.Unlock()
 	return append([]DeadLetter(nil), r.retry.dead...)
@@ -176,7 +169,7 @@ func (r *Reporter) DeadLetters() []DeadLetter { //xyvet:ignore testonly operator
 // sits in the journal, and the handle Redrive takes. It is 0 when the
 // Reporter runs without a WAL (redrive everything with no ids in that
 // configuration).
-func (d DeadLetter) ID() uint64 { return d.Report.id } //xyvet:ignore testonly operator surface with no endpoint yet
+func (d DeadLetter) ID() uint64 { return d.Report.id } //xyvet:ignore testonly library action with no xymond route: xymond's sink never fails, so only the retry tests dead-letter
 
 // Redrive moves dead letters back onto the retry queue with a fresh
 // attempt budget — the operator's "the sink is fixed, try again". With
@@ -184,7 +177,7 @@ func (d DeadLetter) ID() uint64 { return d.Report.id } //xyvet:ignore testonly o
 // ID() matches. The move is journaled, so a redrive survives a crash:
 // recovery rebuilds the report as outstanding, not dead. Returns the
 // number of letters moved; they deliver on the next Tick.
-func (r *Reporter) Redrive(ids ...uint64) int { //xyvet:ignore testonly operator surface with no endpoint yet
+func (r *Reporter) Redrive(ids ...uint64) int { //xyvet:ignore testonly library action with no xymond route: xymond's sink never fails, so only the retry tests dead-letter
 	want := make(map[uint64]bool, len(ids))
 	for _, id := range ids {
 		want[id] = true
@@ -216,26 +209,4 @@ func (r *Reporter) Redrive(ids ...uint64) int { //xyvet:ignore testonly operator
 	rt.dead = keep
 	r.redriven.Add(uint64(moved))
 	return moved
-}
-
-// RetryStats counts the Reporter's redelivery activity.
-type RetryStats struct {
-	// Retried counts redelivery attempts.
-	Retried uint64
-	// DeadLettered counts reports that exhausted their attempt budget.
-	DeadLettered uint64
-	// Evicted counts dead letters dropped oldest-first by the cap.
-	Evicted uint64
-	// Redriven counts dead letters moved back onto the retry queue.
-	Redriven uint64
-}
-
-// RetryStats snapshots the redelivery counters.
-func (r *Reporter) RetryStats() RetryStats { //xyvet:ignore testonly operator surface with no endpoint yet
-	return RetryStats{
-		Retried:      r.retried.Load(),
-		DeadLettered: r.deadLettered.Load(),
-		Evicted:      r.evicted.Load(),
-		Redriven:     r.redriven.Load(),
-	}
 }

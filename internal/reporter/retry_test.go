@@ -38,11 +38,11 @@ func TestRetryQueueRedelivers(t *testing.T) {
 	r, now := retryRig(sink)
 
 	r.Notify(Notification{Subscription: "S"})
-	if d, f := r.Stats(); d != 0 || f != 1 {
-		t.Fatalf("after failed delivery: delivered=%d failed=%d", d, f)
+	if st := r.Stats(); st.Delivered != 0 || st.Failed != 1 {
+		t.Fatalf("after failed delivery: delivered=%d failed=%d", st.Delivered, st.Failed)
 	}
-	if r.RetryPending() != 1 {
-		t.Fatalf("RetryPending = %d, want 1", r.RetryPending())
+	if st := r.Stats(); st.RetryPending != 1 {
+		t.Fatalf("RetryPending = %d, want 1", st.RetryPending)
 	}
 
 	// Before the backoff elapses, Tick must not re-attempt.
@@ -53,14 +53,15 @@ func TestRetryQueueRedelivers(t *testing.T) {
 
 	*now = now.Add(2 * time.Minute)
 	r.Tick()
-	if d, _ := r.Stats(); d != 1 {
-		t.Fatalf("after retry Tick: delivered=%d, want 1", d)
+	st := r.Stats()
+	if st.Delivered != 1 {
+		t.Fatalf("after retry Tick: delivered=%d, want 1", st.Delivered)
 	}
-	if r.RetryPending() != 0 || len(r.DeadLetters()) != 0 {
-		t.Errorf("pending=%d dead=%d after successful retry", r.RetryPending(), len(r.DeadLetters()))
+	if st.RetryPending != 0 || len(r.DeadLetters()) != 0 {
+		t.Errorf("pending=%d dead=%d after successful retry", st.RetryPending, len(r.DeadLetters()))
 	}
-	if st := r.RetryStats(); st.Retried != 1 || st.DeadLettered != 0 {
-		t.Errorf("RetryStats = (%d, %d), want (1, 0)", st.Retried, st.DeadLettered)
+	if st.Retried != 1 || st.DeadLettered != 0 {
+		t.Errorf("Retried, DeadLettered = (%d, %d), want (1, 0)", st.Retried, st.DeadLettered)
 	}
 	if len(sink.sent) != 1 || sink.sent[0].Subscription != "S" {
 		t.Errorf("sink got %v", sink.sent)
@@ -79,8 +80,9 @@ func TestDeadLetterAfterBudget(t *testing.T) {
 	if sink.calls != 3 {
 		t.Fatalf("sink saw %d attempts, want exactly the budget of 3", sink.calls)
 	}
-	if r.RetryPending() != 0 {
-		t.Errorf("RetryPending = %d after exhausting the budget", r.RetryPending())
+	st := r.Stats()
+	if st.RetryPending != 0 {
+		t.Errorf("RetryPending = %d after exhausting the budget", st.RetryPending)
 	}
 	dead := r.DeadLetters()
 	if len(dead) != 1 {
@@ -90,11 +92,11 @@ func TestDeadLetterAfterBudget(t *testing.T) {
 	if dl.Attempts != 3 || dl.Report.Subscription != "S" || !strings.Contains(dl.Reason, "spool full") {
 		t.Errorf("dead letter = %+v", dl)
 	}
-	if st := r.RetryStats(); st.DeadLettered != 1 {
-		t.Errorf("deadLettered = %d, want 1", st.DeadLettered)
+	if st.DeadLettered != 1 || st.DeadLetters != 1 {
+		t.Errorf("deadLettered = %d, queue length %d, want 1 and 1", st.DeadLettered, st.DeadLetters)
 	}
-	if _, f := r.Stats(); f != 3 {
-		t.Errorf("failed = %d, want 3 (one per attempt)", f)
+	if st.Failed != 3 {
+		t.Errorf("failed = %d, want 3 (one per attempt)", st.Failed)
 	}
 }
 
@@ -110,8 +112,8 @@ func TestRetryDisabled(t *testing.T) {
 		if sink.calls != 1 {
 			t.Errorf("maxAttempts %d still re-attempted: %d calls", maxAttempts, sink.calls)
 		}
-		if r.RetryPending() != 0 || len(r.DeadLetters()) != 1 {
-			t.Errorf("maxAttempts %d: pending=%d dead=%d, want 0 and 1", maxAttempts, r.RetryPending(), len(r.DeadLetters()))
+		if r.Stats().RetryPending != 0 || len(r.DeadLetters()) != 1 {
+			t.Errorf("maxAttempts %d: pending=%d dead=%d, want 0 and 1", maxAttempts, r.Stats().RetryPending, len(r.DeadLetters()))
 		}
 	}
 }

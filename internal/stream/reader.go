@@ -85,9 +85,6 @@ func (r *Reader) consult(op string) error {
 // Next returns the offset of the next record Poll will return.
 func (r *Reader) Next() uint64 { return r.next }
 
-// Committed returns the durably committed cursor offset.
-func (r *Reader) Committed() uint64 { return r.cur.Offset() } //xyvet:ignore testonly operator surface with no endpoint yet
-
 // Seek repositions the reader (in memory; Commit makes it durable).
 func (r *Reader) Seek(off uint64) {
 	r.drop()

@@ -309,7 +309,7 @@ func diffRun(t *testing.T, seed uint64, steps int, cov *diffCoverage) {
 			recs := make([]Record, 1+rng.IntN(3))
 			for i := range recs {
 				recs[i] = Record{Subscription: fmt.Sprint("S", len(recs)), Time: t0, Notifications: i + 1,
-					XML: fmt.Sprintf("<r n=\"%d\" pad=%q/>", l.Next()+uint64(i), strings.Repeat("x", rng.IntN(40)))}
+					XML: fmt.Sprintf("<r n=\"%d\" pad=%q/>", l.Stats().Next+uint64(i), strings.Repeat("x", rng.IntN(40)))}
 			}
 			if _, err := l.Publish(recs); err != nil {
 				t.Fatalf("step %d: Publish: %v", step, err)

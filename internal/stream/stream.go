@@ -118,6 +118,12 @@ type Stats struct {
 	Records          uint64 // records appended this incarnation
 	Segments         int
 	TruncatedRecords uint64 // records reclaimed by retention this incarnation
+	// Lags is every consumer's lag — records published but not yet
+	// committed past — as the last Checkpoint read the cursors: the
+	// stream's backpressure gauge. Nil before the first Checkpoint, and
+	// after one that could not read them. Read-only.
+	Lags map[string]uint64
+	WAL  wal.Stats
 }
 
 // Log is the write side of the change-stream. Safe for concurrent use.
@@ -260,13 +266,6 @@ func (l *Log) Recover(snap, frame func(payload []byte) error, rec func(Record) e
 	})
 }
 
-// Next returns the offset the next published record will be assigned.
-func (l *Log) Next() uint64 { //xyvet:ignore testonly operator surface with no endpoint yet
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next
-}
-
 // Write appends one owner frame in log order without making it durable;
 // the next Sync does. The payload must not start with the batch magic (a
 // JSON object never does). It holds Append's lock so Checkpoint's segment
@@ -339,10 +338,16 @@ func (l *Log) Checkpoint(write func(w io.Writer) error) (uint64, error) {
 	keep := uint64(0)
 	if len(cursors) > 0 {
 		keep = l.next
-		for _, off := range cursors {
-			keep = min(keep, off)
-		}
 	}
+	var lags map[string]uint64
+	if cerr == nil {
+		lags = make(map[string]uint64, len(cursors))
+	}
+	for name, off := range cursors {
+		keep = min(keep, off)
+		lags[name] = l.next - min(off, l.next)
+	}
+	l.stats.Lags = lags
 	if l.o.MaxBehind > 0 && l.next > l.o.MaxBehind {
 		keep = max(keep, l.next-l.o.MaxBehind)
 	}
@@ -394,33 +399,15 @@ func (l *Log) cursors() (map[string]uint64, error) {
 	return readCursors(l.dir)
 }
 
-// Lags returns every consumer's lag — records published but not yet
-// committed past — the stream's backpressure gauge.
-func (l *Log) Lags() (map[string]uint64, error) { //xyvet:ignore testonly operator surface with no endpoint yet
-	cursors, err := l.cursors()
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	lags := make(map[string]uint64, len(cursors))
-	for name, off := range cursors {
-		if off > l.next {
-			off = l.next
-		}
-		lags[name] = l.next - off
-	}
-	return lags, nil
-}
-
 // Stats snapshots the log's counters.
-func (l *Log) Stats() Stats { //xyvet:ignore testonly operator surface with no endpoint yet
+func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st := l.stats
 	st.Next = l.next
 	st.FirstRetained = l.first
 	st.Segments = len(l.w.Segments())
+	st.WAL = l.w.Stats()
 	return st
 }
 

@@ -28,7 +28,7 @@ func openStream(t *testing.T, dir string, o Options) *Log {
 func publishN(t *testing.T, l *Log, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		rec := Record{Subscription: "S", Time: t0, Notifications: 1, XML: fmt.Sprintf("<r n=%q/>", fmt.Sprint(l.Next()))}
+		rec := Record{Subscription: "S", Time: t0, Notifications: 1, XML: fmt.Sprintf("<r n=%q/>", fmt.Sprint(l.Stats().Next))}
 		if _, err := l.Publish([]Record{rec}); err != nil {
 			t.Fatalf("Publish: %v", err)
 		}
@@ -79,7 +79,7 @@ func TestPublishPollRoundTrip(t *testing.T) {
 		t.Fatalf("Publish = %d, %v", base, err)
 	}
 	publishN(t, l, 3)
-	if got := l.Next(); got != 5 {
+	if got := l.Stats().Next; got != 5 {
 		t.Fatalf("Next = %d, want 5", got)
 	}
 
@@ -99,7 +99,7 @@ func TestPublishPollRoundTrip(t *testing.T) {
 	if err := r.Commit(); err != nil {
 		t.Fatalf("Commit: %v", err)
 	}
-	if got := r.Committed(); got != 5 {
+	if got := openReader(t, dir, "c1", ReaderOptions{}).Next(); got != 5 {
 		t.Errorf("committed = %d, want 5", got)
 	}
 }
@@ -145,7 +145,7 @@ func TestWriterRecoversOffsets(t *testing.T) {
 	}
 
 	l2 := openStream(t, dir, Options{SegmentBytes: 256})
-	if got := l2.Next(); got != 20 {
+	if got := l2.Stats().Next; got != 20 {
 		t.Fatalf("recovered Next = %d, want 20", got)
 	}
 	publishN(t, l2, 5)
@@ -182,8 +182,8 @@ func TestRetentionTruncatesPastFloor(t *testing.T) {
 	if first == 0 {
 		t.Fatal("retention reclaimed nothing past the floor")
 	}
-	if min := l.Next() - 10; first > min {
-		t.Errorf("retention overshot the floor: first=%d, head=%d", first, l.Next())
+	if min := l.Stats().Next - 10; first > min {
+		t.Errorf("retention overshot the floor: first=%d, head=%d", first, l.Stats().Next)
 	}
 
 	if _, err := r.Poll(4); !errors.Is(err, ErrTruncated) {
@@ -200,8 +200,8 @@ func TestRetentionTruncatesPastFloor(t *testing.T) {
 		t.Fatalf("SeekOldest = %d, %v; want %d", got, err, first)
 	}
 	all := drain(t, r)
-	if uint64(len(all)) != l.Next()-first {
-		t.Fatalf("post-resync drain = %d records, want %d", len(all), l.Next()-first)
+	if uint64(len(all)) != l.Stats().Next-first {
+		t.Fatalf("post-resync drain = %d records, want %d", len(all), l.Stats().Next-first)
 	}
 	for i, rec := range all {
 		if rec.Offset != first+uint64(i) {
@@ -227,7 +227,7 @@ func TestRetentionSurvivesReopen(t *testing.T) {
 	l.Close()
 
 	l2 := openStream(t, dir, Options{SegmentBytes: 256, MaxBehind: 5})
-	if got := l2.Next(); got != 30 {
+	if got := l2.Stats().Next; got != 30 {
 		t.Fatalf("recovered Next = %d, want 30", got)
 	}
 	if got := l2.Stats().FirstRetained; got != first {
@@ -329,7 +329,7 @@ func TestHookGatesEverySeam(t *testing.T) {
 	}
 	// The install-point failure left a temp file but no install: the
 	// committed offset is unchanged.
-	if got := r.Committed(); got != 0 {
+	if got := openReader(t, dir, "c", ReaderOptions{}).Next(); got != 0 {
 		t.Errorf("denied commit moved the cursor to %d", got)
 	}
 	deny = ""
@@ -350,10 +350,17 @@ func TestHookGatesEverySeam(t *testing.T) {
 }
 
 // TestLagsGauge: per-consumer lag reflects commits, the backpressure
-// gauge retention and operators read.
+// gauge retention and operators read; the checkpoint that reads the
+// cursors records it, and one that cannot read them clears it.
 func TestLagsGauge(t *testing.T) {
 	dir := t.TempDir()
-	l := openStream(t, dir, Options{})
+	denyCursors := false
+	l := openStream(t, dir, Options{Hook: func(op, key string) error {
+		if denyCursors && op == OpRead && key == "cursors" {
+			return errors.New("injected")
+		}
+		return nil
+	}})
 	publishN(t, l, 12)
 	fast := openReader(t, dir, "fast", ReaderOptions{})
 	slow := openReader(t, dir, "slow", ReaderOptions{})
@@ -367,12 +374,21 @@ func TestLagsGauge(t *testing.T) {
 	if err := slow.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	lags, err := l.Lags()
-	if err != nil {
+	if l.Stats().Lags != nil {
+		t.Error("lags before any checkpoint read the cursors")
+	}
+	if _, err := checkpoint(l); err != nil {
 		t.Fatal(err)
 	}
-	if lags["fast"] != 0 || lags["slow"] != 9 {
+	if lags := l.Stats().Lags; len(lags) != 2 || lags["fast"] != 0 || lags["slow"] != 9 {
 		t.Errorf("lags = %v, want fast=0 slow=9", lags)
+	}
+	denyCursors = true
+	if _, err := checkpoint(l); err == nil {
+		t.Error("a checkpoint that could not read the cursors returned no error")
+	}
+	if lags := l.Stats().Lags; lags != nil {
+		t.Errorf("lags %v kept past a checkpoint that could not read the cursors", lags)
 	}
 }
 
@@ -409,7 +425,7 @@ func TestTornTailHidesPartialBatch(t *testing.T) {
 
 	// The writer reopens, truncates the tear, and continues at offset 3.
 	l2 := openStream(t, dir, Options{})
-	if got := l2.Next(); got != 3 {
+	if got := l2.Stats().Next; got != 3 {
 		t.Fatalf("reopened Next = %d, want 3", got)
 	}
 	publishN(t, l2, 1)
@@ -511,7 +527,7 @@ func TestOwnerFramesBesideBatches(t *testing.T) {
 	}
 
 	l2 := openStream(t, dir, Options{SegmentBytes: 256})
-	if got := l2.Next(); got != 8 {
+	if got := l2.Stats().Next; got != 8 {
 		t.Fatalf("reopened Next = %d, want 8", got)
 	}
 	var got []string
@@ -568,7 +584,7 @@ func TestCheckpointCarriesOwnerSnapshot(t *testing.T) {
 	}
 
 	l2 := openStream(t, dir, Options{})
-	if got := l2.Next(); got != 5 {
+	if got := l2.Stats().Next; got != 5 {
 		t.Fatalf("reopened Next = %d, want 5", got)
 	}
 	var got []string
@@ -692,8 +708,8 @@ func TestCheckpointBesideCorruptCursor(t *testing.T) {
 	if err == nil {
 		t.Fatal("a corrupt cursor went unreported")
 	}
-	if first == 0 || first > l.Next()-10 {
-		t.Fatalf("first retained %d with head %d: the floor alone should have reclaimed up to %d", first, l.Next(), l.Next()-10)
+	if first == 0 || first > l.Stats().Next-10 {
+		t.Fatalf("first retained %d with head %d: the floor alone should have reclaimed up to %d", first, l.Stats().Next, l.Stats().Next-10)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)

@@ -223,7 +223,7 @@ func TestPollBesidePublish(t *testing.T) {
 	for next < total {
 		recs, err := r.Poll(0)
 		if err != nil {
-			t.Fatalf("Poll at %d (head %d, first retained %d): %v", next, l.Next(), l.Stats().FirstRetained, err)
+			t.Fatalf("Poll at %d (head %d, first retained %d): %v", next, l.Stats().Next, l.Stats().FirstRetained, err)
 		}
 		for _, rec := range recs {
 			if rec.Offset != next || rec.XML != fmt.Sprint(next) {
@@ -234,7 +234,7 @@ func TestPollBesidePublish(t *testing.T) {
 		consumed.Store(next)
 		if len(recs) == 0 {
 			if time.Now().After(deadline) {
-				t.Fatalf("stuck at %d of %d (head %d)", next, total, l.Next())
+				t.Fatalf("stuck at %d of %d (head %d)", next, total, l.Stats().Next)
 			}
 			runtime.Gosched()
 		} else if next%3 == 0 {
@@ -270,7 +270,7 @@ func TestPollCostIndependentOfSegmentSize(t *testing.T) {
 		batch[i] = Record{Subscription: "S", Time: t0, Notifications: 1, XML: strings.Repeat("x", 1000)}
 	}
 	owner := ownerFrame(1000)
-	for l.Next() < 1024 {
+	for l.Stats().Next < 1024 {
 		for i := 0; i < 32; i++ {
 			if err := l.Write(owner); err != nil {
 				t.Fatal(err)

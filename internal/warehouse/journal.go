@@ -237,5 +237,8 @@ func (j *Journal) Checkpoint() error {
 	})
 }
 
+// Stats snapshots the log's counters.
+func (j *Journal) Stats() wal.Stats { return j.log.Stats() }
+
 // Close syncs and releases the log.
 func (j *Journal) Close() error { return j.log.Close() }

@@ -401,22 +401,33 @@ func (s *System) Tick() {
 	s.Reporter.Tick()
 }
 
-// Stats aggregates the counters of every module.
+// Stats aggregates the counters of every module; the two logs' are zero
+// without Options.DurableDir.
 type Stats struct {
-	Manager   manager.Stats
-	Crawler   crawler.Stats
-	Matcher   core.Stats
-	Warehouse warehouse.Stats
-	Pages     int
+	Manager      manager.Stats
+	Crawler      crawler.Stats
+	Matcher      core.Stats
+	Warehouse    warehouse.Stats
+	Pages        int
+	Reporter     reporter.Stats
+	Stream       stream.Stats // the reporter journal's
+	WarehouseLog wal.Stats
+	Evaluations  uint64 // continuous-query evaluations
 }
 
 // Stats snapshots the system counters.
 func (s *System) Stats() Stats {
-	return Stats{
-		Manager:   s.Manager.Stats(),
-		Crawler:   s.Crawler.Stats(),
-		Matcher:   s.Matcher.Stats(),
-		Warehouse: s.Store.Stats(),
-		Pages:     s.Store.Len(),
+	st := Stats{
+		Manager:     s.Manager.Stats(),
+		Crawler:     s.Crawler.Stats(),
+		Matcher:     s.Matcher.Stats(),
+		Warehouse:   s.Store.Stats(),
+		Pages:       s.Store.Len(),
+		Reporter:    s.Reporter.Stats(),
+		Evaluations: s.Trigger.Evaluations(),
 	}
+	if s.Stream != nil {
+		st.Stream, st.WarehouseLog = s.Stream.Stats(), s.pages.Stats()
+	}
+	return st
 }
