@@ -325,10 +325,9 @@ report when notifications.count > 1000000`, i, i%50, webgen.Vocabulary()[i%28])
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		doc := site.FetchXML(url, 1+i%50)
-		res, err := sys.Store.CommitXML(url, "", "shopping", doc)
+		res, err := sys.Store.CommitXMLBytes(url, "", "shopping", site.FetchXMLBytes(url, 1+i%50))
 		if err != nil {
-			b.Fatalf("CommitXML: %v", err)
+			b.Fatalf("CommitXMLBytes: %v", err)
 		}
 		sys.Manager.ProcessDoc(&alerter.Doc{
 			Meta: res.Meta, Status: res.Status, Doc: res.Doc, Delta: res.Delta,
@@ -367,9 +366,9 @@ report when notifications.count > 1000000`, i, i%50, webgen.Vocabulary()[i%28])
 	url := site.XMLURLs()[0]
 	docs := make([]*alerter.Doc, 0, 64)
 	for i := 0; i < 64; i++ {
-		res, err := sys.Store.CommitXML(url, "", "shopping", site.FetchXML(url, 1+i))
+		res, err := sys.Store.CommitXMLBytes(url, "", "shopping", site.FetchXMLBytes(url, 1+i))
 		if err != nil {
-			b.Fatalf("CommitXML: %v", err)
+			b.Fatalf("CommitXMLBytes: %v", err)
 		}
 		docs = append(docs, &alerter.Doc{
 			Meta: res.Meta, Status: res.Status, Doc: res.Doc, Delta: res.Delta,

@@ -12,7 +12,6 @@ import (
 	"xymon/internal/reporter"
 	"xymon/internal/trigger"
 	"xymon/internal/warehouse"
-	"xymon/internal/xmldom"
 )
 
 // bareManager assembles a manager on real clocks around rep, with no
@@ -103,10 +102,9 @@ func TestChurnBesideProcessAlert(t *testing.T) {
 	var updates atomic.Int64
 	push := func(url string) {
 		for v := 0; v < 2; v++ {
-			doc := xmldom.MustParse(fmt.Sprintf("<page><v>%d</v></page>", v))
-			res, err := store.CommitXML(url, "", "", doc)
+			res, err := store.CommitXMLBytes(url, "", "", fmt.Appendf(nil, "<page><v>%d</v></page>", v))
 			if err != nil {
-				t.Errorf("CommitXML: %v", err)
+				t.Errorf("CommitXMLBytes: %v", err)
 				return
 			}
 			mgr.ProcessDoc(&alerter.Doc{Meta: res.Meta, Status: res.Status, Doc: res.Doc, Delta: res.Delta})
@@ -270,9 +268,9 @@ report when %s
 	}
 	var d *alerter.Doc
 	for v := 0; v < 2; v++ {
-		res, err := store.CommitXML("http://fan.example/a.xml", "", "", xmldom.MustParse(fmt.Sprintf("<a><v>%d</v></a>", v)))
+		res, err := store.CommitXMLBytes("http://fan.example/a.xml", "", "", fmt.Appendf(nil, "<a><v>%d</v></a>", v))
 		if err != nil {
-			t.Fatalf("CommitXML: %v", err)
+			t.Fatalf("CommitXMLBytes: %v", err)
 		}
 		d = &alerter.Doc{Meta: res.Meta, Status: res.Status, Doc: res.Doc, Delta: res.Delta}
 	}

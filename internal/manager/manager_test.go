@@ -16,7 +16,6 @@ import (
 	"xymon/internal/sublang"
 	"xymon/internal/trigger"
 	"xymon/internal/warehouse"
-	"xymon/internal/xmldom"
 )
 
 // rig is a full subscription system over an in-memory warehouse with a
@@ -85,9 +84,9 @@ func journalBytes(t *testing.T, dir string) int64 {
 // commitXML pushes a document version through warehouse + manager.
 func (r *rig) commitXML(url, dtd, domain, xml string) int {
 	r.t.Helper()
-	res, err := r.store.CommitXML(url, dtd, domain, xmldom.MustParse(xml))
+	res, err := r.store.CommitXMLBytes(url, dtd, domain, []byte(xml))
 	if err != nil {
-		r.t.Fatalf("CommitXML: %v", err)
+		r.t.Fatalf("CommitXMLBytes: %v", err)
 	}
 	return r.mgr.ProcessDoc(&alerter.Doc{
 		Meta: res.Meta, Status: res.Status, Doc: res.Doc, Delta: res.Delta,

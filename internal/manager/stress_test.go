@@ -10,7 +10,6 @@ import (
 	"xymon/internal/reporter"
 	"xymon/internal/trigger"
 	"xymon/internal/warehouse"
-	"xymon/internal/xmldom"
 )
 
 // TestManagerStress drives a full manager — real clocks, live reporter
@@ -98,9 +97,9 @@ report when immediate
 			for i := 0; i < pushIters; i++ {
 				url := fmt.Sprintf("http://stress%d.example/page%d.xml", p, i%7)
 				xml := fmt.Sprintf(`<catalog><product id="p%d"><price>%d</price></product></catalog>`, i, 10+i)
-				res, err := store.CommitXML(url, "", "stress", xmldom.MustParse(xml))
+				res, err := store.CommitXMLBytes(url, "", "stress", []byte(xml))
 				if err != nil {
-					t.Errorf("CommitXML: %v", err)
+					t.Errorf("CommitXMLBytes: %v", err)
 					return
 				}
 				mgr.ProcessDoc(&alerter.Doc{Meta: res.Meta, Status: res.Status, Doc: res.Doc, Delta: res.Delta})
@@ -166,9 +165,9 @@ func TestConcurrentProcessDocChurn(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		url := fmt.Sprintf("http://churn.example/page%d.xml", i)
 		xml := fmt.Sprintf(`<catalog><product id="p%d"><price>%d</price></product></catalog>`, i, i)
-		res, err := store.CommitXML(url, "", "churn", xmldom.MustParse(xml))
+		res, err := store.CommitXMLBytes(url, "", "churn", []byte(xml))
 		if err != nil {
-			t.Fatalf("CommitXML: %v", err)
+			t.Fatalf("CommitXMLBytes: %v", err)
 		}
 		docs = append(docs, &alerter.Doc{Meta: res.Meta, Status: res.Status, Doc: res.Doc, Delta: res.Delta})
 	}

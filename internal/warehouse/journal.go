@@ -201,8 +201,8 @@ func (j *Journal) Recover(s *Store) error {
 				return fmt.Errorf("%w: document %s: %v", wal.ErrCorrupt, url, err)
 			}
 			e.Doc = doc
-			e.rawSig, e.rawOK = Signature(xml), true
-			e.structHash, e.structOK = doc.Hashes().Of(doc.Root), true
+			e.rawSig = Signature(xml)
+			e.structHash = doc.Hashes().Of(doc.Root)
 			e.Meta.Signature = structSignature(e.structHash)
 		}
 		s.pages[url] = e

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"xymon/internal/wal"
-	"xymon/internal/xmldom"
 )
 
 // journaled is a Store whose every commit is noted in a Journal, the way
@@ -103,14 +102,12 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	// Change detection continues working: an identical commit is unchanged,
 	// because the signature was restored.
-	r, err := s2.CommitXML("http://a.example/c.xml", "", "",
-		xmldom.MustParse(`<catalog><product>radio</product><product>tv</product></catalog>`))
+	r, err := s2.CommitXMLBytes("http://a.example/c.xml", "", "", []byte(`<catalog><product>radio</product><product>tv</product></catalog>`))
 	if err != nil || r.Status != StatusUnchanged {
 		t.Errorf("recommit = %+v, %v", r, err)
 	}
 	// A changed commit yields a delta against the restored version.
-	r, err = s2.CommitXML("http://a.example/c.xml", "", "",
-		xmldom.MustParse(`<catalog><product>radio</product></catalog>`))
+	r, err = s2.CommitXMLBytes("http://a.example/c.xml", "", "", []byte(`<catalog><product>radio</product></catalog>`))
 	if err != nil || r.Status != StatusUpdated || r.Delta.Empty() || r.Meta.Version != 3 {
 		t.Errorf("changed recommit = %+v, %v", r, err)
 	}
@@ -121,7 +118,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	// DocIDs and DTD ids keep increasing past every one the log saw, the
 	// deleted page's included.
-	rn, _ := s2.CommitXML("http://a.example/new.xml", "http://a.example/n.dtd", "", xmldom.MustParse(`<n/>`))
+	rn, _ := s2.CommitXMLBytes("http://a.example/new.xml", "http://a.example/n.dtd", "", []byte(`<n/>`))
 	if rn.Meta.DocID != 4 || rn.Meta.DTDID != 3 {
 		t.Errorf("new page ids = doc %d, dtd %d; want 4 and 3", rn.Meta.DocID, rn.Meta.DTDID)
 	}
@@ -163,7 +160,7 @@ func TestJournalCheckpointKeepsNewestRecords(t *testing.T) {
 	if s2.Len() != 2 || !s2.Tracked("http://a.example/b.xml") {
 		t.Fatalf("pages after checkpoint + tail: %d", s2.Len())
 	}
-	if r, _ := s2.CommitXML("http://a.example/c.xml", "", "", xmldom.MustParse(`<c/>`)); r.Meta.DocID != 4 {
+	if r, _ := s2.CommitXMLBytes("http://a.example/c.xml", "", "", []byte(`<c/>`)); r.Meta.DocID != 4 {
 		t.Errorf("DocID after a checkpoint dropped the deleted page = %d, want 4", r.Meta.DocID)
 	}
 }

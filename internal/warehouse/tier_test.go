@@ -8,6 +8,7 @@ import (
 
 	"xymon/internal/webgen"
 	"xymon/internal/xmldom"
+	"xymon/internal/xydiff"
 )
 
 // canonSig is the version identity commitXML records in Metadata: the
@@ -80,7 +81,7 @@ func TestCommitXMLBytesTiering(t *testing.T) {
 	if r.Meta.Version != 2 {
 		t.Fatalf("update version = %d", r.Meta.Version)
 	}
-	// The masked diff narrowed to the one changed product.
+	// The diff found the one changed product.
 	if r.Delta == nil || len(r.Delta.Ops) == 0 {
 		t.Fatal("update produced no delta")
 	}
@@ -88,7 +89,8 @@ func TestCommitXMLBytesTiering(t *testing.T) {
 
 // TestCommitXMLBytesMaskedUpdate: a byte-different refetch that perturbs
 // whitespace AND edits one middle child must come out as a normal update
-// with a delta that reconstructs the new version — the masked-diff path.
+// whose delta touches only that child: Diff trims the eight unchanged
+// products on its own.
 func TestCommitXMLBytesMaskedUpdate(t *testing.T) {
 	s, _ := newTestStore()
 	url := "http://shop.example/wide.xml"
@@ -112,13 +114,36 @@ func TestCommitXMLBytesMaskedUpdate(t *testing.T) {
 	}
 	r, err := s.CommitXMLBytes(url, "", "", mk("edited", true))
 	if err != nil || r.Status != StatusUpdated {
-		t.Fatalf("masked update: %v %v", r, err)
+		t.Fatalf("update: %v %v", r, err)
 	}
 	if r.Doc.XML() != string(mustCanon(t, mk("edited", false))) {
 		t.Fatalf("stored version diverged: %s", r.Doc.XML())
 	}
 	if got := s.Stats(); got.Diffed != 1 || got.SkippedStructHash != 0 {
 		t.Fatalf("stats %+v", got)
+	}
+	if r.Delta.Empty() {
+		t.Fatal("update produced no delta")
+	}
+	// Every op lies under the fifth product, which keeps its XID: updates
+	// and deletes name one of its old nodes, inserts one as their parent.
+	under := map[xmldom.XID]bool{}
+	var walk func(n *xmldom.Node)
+	walk = func(n *xmldom.Node) {
+		under[n.XID] = true
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(r.Old.Root.Children[4])
+	for _, op := range r.Delta.Ops {
+		target := op.XID
+		if op.Kind == xydiff.OpInsert {
+			target = op.Parent
+		}
+		if !under[target] {
+			t.Errorf("%v op on XID %d lies outside the edited product", op.Kind, target)
+		}
 	}
 }
 

@@ -91,27 +91,25 @@ type Metadata struct {
 type Entry struct {
 	Meta Metadata
 	Doc  *xmldom.Document // current version; nil for HTML
-	// rawSig is the signature of the serialized bytes the current version
-	// was committed from; CommitXMLBytes short-circuits an identical
-	// refetch before parsing. Only valid while rawOK — a commit through
-	// the DOM path clears it. Recovery restores it from the logged bytes.
+	// rawSig is the signature of the serialized bytes the current XML
+	// version was committed from (or last refetched as); CommitXMLBytes
+	// short-circuits an identical refetch before parsing. Recovery
+	// restores it from the logged bytes.
 	rawSig [sha256.Size]byte
-	rawOK  bool
-	// structHash is the structural subtree hash of the current version's
-	// root — what xmldom.StreamHasher computes for any serialization of
-	// the tree. Recorded inside the same critical section as the commit,
-	// like rawSig, so a structural-hash hit can never pair with a
-	// superseded version. Unlike rawSig it survives DOM-path commits: it
-	// is a function of the tree, not of the bytes it arrived in.
+	// structHash is the structural subtree hash of the current XML
+	// version's root — what xmldom.StreamHasher computes for any
+	// serialization of the tree. Recorded inside the same critical section
+	// as the commit, like rawSig, so a structural-hash hit can never pair
+	// with a superseded version.
 	structHash uint64
-	structOK   bool
 }
 
 // CommitResult reports what a commit did.
 type CommitResult struct {
 	Status Status
 	Meta   Metadata
-	// Old is the previous version (nil when Status is New); only for XML.
+	// Old is the previous XML version (nil when Status is New or the page
+	// was HTML); only for XML.
 	Old *xmldom.Document
 	// Doc is the stored current version, with XIDs propagated from Old.
 	Doc *xmldom.Document
@@ -220,22 +218,16 @@ func structSignature(root uint64) (sig [sha256.Size]byte) {
 	return sig
 }
 
-// CommitXML stores a fetched XML document. It detects the change status
-// against the previous version, computes the delta for updates (labelling
-// doc's nodes with persistent XIDs), bumps the version and updates all
-// metadata. The dtd and domain describe the document class; they may be
-// empty.
-func (s *Store) CommitXML(url, dtd, domain string, doc *xmldom.Document) (*CommitResult, error) { //xyvet:ignore testonly commits a parsed tree: the tests' entry to the commit path
-	return s.commitXML(url, dtd, domain, doc, nil, nil)
-}
-
 // streamHasherPool recycles streaming hashers across commits; a pooled
 // hasher retains its scratch, so the tier-2 probe does not allocate.
 var streamHasherPool = sync.Pool{New: func() any { return new(xmldom.StreamHasher) }}
 
-// CommitXMLBytes parses serialized XML with xmldom.ParseBytes and stores
-// it like CommitXML, after running the refetch through a two-tier
-// unchanged cascade:
+// CommitXMLBytes stores a fetched XML page. It detects the change status
+// against the previous version, computes the delta for updates (labelling
+// the new tree's nodes with persistent XIDs), bumps the version and
+// updates all metadata. The dtd and domain describe the document class;
+// they may be empty. A refetch first runs through a two-tier unchanged
+// cascade:
 //
 //	tier 1 — raw signature: byte-identical to the stored version's bytes;
 //	         resolved by one SHA-256, no tokenize.
@@ -244,23 +236,22 @@ var streamHasherPool = sync.Pool{New: func() any { return new(xmldom.StreamHashe
 //	         entities); resolved by one streaming tokenize+hash pass
 //	         (xmldom.StreamHasher), no DOM build, no diff.
 //
-// Only when both tiers miss does the commit pay ParseBytes — and then the
-// streaming pass's top-level hash frontier is carried into the diff as a
-// precomputed agreement mask, trimming the aligner to the region that
-// actually changed.
+// Only when both tiers miss does the commit pay ParseBytes and
+// xydiff.Diff, whose aligner trims the unchanged prefix and suffix of
+// every children list itself.
 func (s *Store) CommitXMLBytes(url, dtd, domain string, data []byte) (*CommitResult, error) {
 	rawSig := Signature(data)
 	now := s.clock()
 	s.mu.Lock()
 	e, tracked := s.pages[url]
-	if tracked && !s.alwaysDiff && e.rawOK && e.rawSig == rawSig {
+	if tracked && !s.alwaysDiff && e.Meta.Type == XML && e.rawSig == rawSig {
 		e.Meta.LastAccessed = now
 		res := &CommitResult{Status: StatusUnchanged, Meta: e.Meta, Old: e.Doc, Doc: e.Doc}
 		s.mu.Unlock()
 		s.statRawSig.Add(1)
 		return res, nil
 	}
-	probe := tracked && !s.alwaysDiff && e.structOK
+	probe := tracked && !s.alwaysDiff && e.Meta.Type == XML
 	s.mu.Unlock()
 
 	// Tier 2: hash the bytes without building a DOM. The stream hash is a
@@ -268,17 +259,16 @@ func (s *Store) CommitXMLBytes(url, dtd, domain string, data []byte) (*CommitRes
 	// comparison — and the pairing of result metadata with the version
 	// that matched — happens inside one critical section, mirroring the
 	// rawSig discipline above.
-	var topHashes []uint64
 	if probe {
 		sh := streamHasherPool.Get().(*xmldom.StreamHasher)
-		root, frontier, err := sh.Sum(data, 1)
+		root, _, err := sh.Sum(data, 0)
 		if err == nil {
 			s.mu.Lock()
-			if e, ok := s.pages[url]; ok && !s.alwaysDiff && e.structOK && e.structHash == root {
+			if e, ok := s.pages[url]; ok && !s.alwaysDiff && e.Meta.Type == XML && e.structHash == root {
 				e.Meta.LastAccessed = now
 				// Refresh tier 1 for this serialization: the next refetch
 				// of these exact bytes is one SHA-256 again.
-				e.rawSig, e.rawOK = rawSig, true
+				e.rawSig = rawSig
 				res := &CommitResult{Status: StatusUnchanged, Meta: e.Meta, Old: e.Doc, Doc: e.Doc}
 				s.mu.Unlock()
 				streamHasherPool.Put(sh)
@@ -286,14 +276,6 @@ func (s *Store) CommitXMLBytes(url, dtd, domain string, data []byte) (*CommitRes
 				return res, nil
 			}
 			s.mu.Unlock()
-			// The root differs: keep the depth-1 frontier. commitXML turns
-			// it into a diff mask against the stored version under the
-			// commit lock.
-			for _, f := range frontier {
-				if f.Depth == 1 {
-					topHashes = append(topHashes, f.Hash)
-				}
-			}
 		}
 		// On a stream error, fall through: ParseBytes reports the
 		// authoritative parse error for these bytes.
@@ -305,46 +287,14 @@ func (s *Store) CommitXMLBytes(url, dtd, domain string, data []byte) (*CommitRes
 		return nil, fmt.Errorf("warehouse: %s: %w", url, err)
 	}
 	s.statParsed.Add(1)
-	return s.commitXML(url, dtd, domain, doc, &rawSig, topHashes)
+	return s.commitXML(url, dtd, domain, doc, rawSig)
 }
 
-// topMask builds the top-level agreement mask for the diff: the longest
-// common prefix and suffix of the stored version's root-children subtree
-// hashes against the streaming frontier of the incoming bytes. DiffMasked
-// re-verifies the claimed runs against its own hash vectors, so a
-// frontier that raced with a superseding commit costs a fallback to the
-// plain aligner, never a wrong delta.
-func topMask(old *xmldom.Document, topHashes []uint64) *xydiff.Mask {
-	oc := old.Root.Children
-	n := len(oc)
-	if len(topHashes) < n {
-		n = len(topHashes)
-	}
-	oh := old.Hashes()
-	pre := 0
-	for pre < n && oh.Of(oc[pre]) == topHashes[pre] {
-		pre++
-	}
-	suf := 0
-	for suf < n-pre && oh.Of(oc[len(oc)-1-suf]) == topHashes[len(topHashes)-1-suf] {
-		suf++
-	}
-	if pre == 0 && suf == 0 {
-		return nil
-	}
-	return &xydiff.Mask{Prefix: pre, Suffix: suf}
-}
-
-// commitXML is the shared commit body. rawSig, when non-nil, is the
-// signature of the serialized bytes doc was parsed from; it is recorded
-// on the entry inside the same critical section as the commit, so the
-// fast path can never pair a stale byte signature with a newer document.
-// topHashes, when non-empty, is the depth-1 streaming hash frontier of
-// those bytes, turned into a diff mask against the stored version.
-func (s *Store) commitXML(url, dtd, domain string, doc *xmldom.Document, rawSig *[sha256.Size]byte, topHashes []uint64) (*CommitResult, error) {
-	if doc == nil || doc.Root == nil {
-		return nil, errors.New("warehouse: empty document")
-	}
+// commitXML is the commit body of CommitXMLBytes: doc was parsed from
+// bytes whose signature is rawSig, recorded on the entry inside the same
+// critical section as the commit, so the fast path can never pair a stale
+// byte signature with a newer document.
+func (s *Store) commitXML(url, dtd, domain string, doc *xmldom.Document, rawSig [sha256.Size]byte) (*CommitResult, error) {
 	// The structural root hash identifies the version (tier 2 already
 	// decides on it, Diff needs the vector anyway): the tree is never
 	// serialised to compare it. doc is still the caller's alone — no lock.
@@ -354,13 +304,6 @@ func (s *Store) commitXML(url, dtd, domain string, doc *xmldom.Document, rawSig 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.pages[url]
-	if ok {
-		if rawSig != nil {
-			e.rawSig, e.rawOK = *rawSig, true
-		} else {
-			e.rawOK = false
-		}
-	}
 	if !ok {
 		meta := Metadata{
 			URL:          url,
@@ -376,42 +319,31 @@ func (s *Store) commitXML(url, dtd, domain string, doc *xmldom.Document, rawSig 
 			Signature:    structSignature(root),
 		}
 		s.nextDoc++
-		e = &Entry{Meta: meta, Doc: doc}
-		if rawSig != nil {
-			e.rawSig, e.rawOK = *rawSig, true
-		}
-		s.pages[url] = e
 		// The hash vector stays cached on doc: the next version's Diff then
 		// hashes only its own tree — and the root hash is the tier-2
 		// reference for the next refetch.
-		e.structHash, e.structOK = root, true
+		e = &Entry{Meta: meta, Doc: doc, rawSig: rawSig, structHash: root}
+		s.pages[url] = e
 		return &CommitResult{Status: StatusNew, Meta: meta, Doc: doc}, nil
 	}
 	e.Meta.LastAccessed = now
-	if e.structOK && e.structHash == root {
+	e.rawSig = rawSig
+	if e.Meta.Type == XML && e.structHash == root {
 		return &CommitResult{Status: StatusUnchanged, Meta: e.Meta, Old: e.Doc, Doc: e.Doc}, nil
 	}
+	// A page that was HTML has no old tree, and an unrelated root fails
+	// the diff: both are wholesale replacements, with no delta.
 	old := e.Doc
-	var mask *xydiff.Mask
-	if len(topHashes) > 0 && old != nil && old.Root != nil {
-		mask = topMask(old, topHashes)
-	}
-	s.statDiffed.Add(1)
-	delta, err := xydiff.DiffMasked(old, doc, mask)
-	if err != nil {
-		// Unrelated root: treat as a wholesale replacement, with no delta.
-		e.Doc = doc
-		e.structHash, e.structOK = root, true
+	var delta *xydiff.Delta
+	if old != nil {
+		s.statDiffed.Add(1)
+		delta, _ = xydiff.Diff(old, doc)
+		// The superseded version's vector is recycled: no later Diff
+		// involves it.
 		old.InvalidateHashes()
-		e.Meta.Signature = structSignature(root)
-		e.Meta.LastUpdate = now
-		e.Meta.Version++
-		return &CommitResult{Status: StatusUpdated, Meta: e.Meta, Old: old, Doc: doc}, nil
 	}
-	e.Doc = doc
-	// The superseded version's vector is recycled: no later Diff involves it.
-	e.structHash, e.structOK = root, true
-	old.InvalidateHashes()
+	e.Doc, e.structHash = doc, root
+	e.Meta.Type = XML
 	e.Meta.Signature = structSignature(root)
 	e.Meta.LastUpdate = now
 	e.Meta.Version++
@@ -426,7 +358,8 @@ func (s *Store) commitXML(url, dtd, domain string, doc *xmldom.Document, rawSig 
 }
 
 // CommitHTML records a fetched HTML page: only its signature is kept, so
-// the result status is New, Updated or Unchanged.
+// the result status is New, Updated or Unchanged. A page that was XML is
+// replaced wholesale: its tree and XML signatures go.
 func (s *Store) CommitHTML(url string, content []byte) (*CommitResult, error) {
 	sig := Signature(content)
 	now := s.clock()
@@ -449,9 +382,11 @@ func (s *Store) CommitHTML(url string, content []byte) (*CommitResult, error) {
 		return &CommitResult{Status: StatusNew, Meta: meta}, nil
 	}
 	e.Meta.LastAccessed = now
-	if e.Meta.Signature == sig {
+	if e.Meta.Type == HTML && e.Meta.Signature == sig {
 		return &CommitResult{Status: StatusUnchanged, Meta: e.Meta}, nil
 	}
+	e.Meta.Type, e.Meta.DTD, e.Meta.DTDID = HTML, "", 0
+	e.Doc, e.rawSig, e.structHash = nil, [sha256.Size]byte{}, 0
 	e.Meta.Signature = sig
 	e.Meta.LastUpdate = now
 	e.Meta.Version++

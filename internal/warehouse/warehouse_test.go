@@ -26,10 +26,9 @@ func newTestStore() (*Store, *fakeClock) {
 
 func TestCommitXMLNewUpdatedUnchanged(t *testing.T) {
 	s, clock := newTestStore()
-	doc1 := xmldom.MustParse(`<catalog><product>radio</product></catalog>`)
-	r, err := s.CommitXML("http://shop.example/cat.xml", "http://shop.example/cat.dtd", "shopping", doc1)
+	r, err := s.CommitXMLBytes("http://shop.example/cat.xml", "http://shop.example/cat.dtd", "shopping", []byte(`<catalog><product>radio</product></catalog>`))
 	if err != nil {
-		t.Fatalf("CommitXML: %v", err)
+		t.Fatalf("CommitXMLBytes: %v", err)
 	}
 	if r.Status != StatusNew || r.Meta.DocID == 0 || r.Meta.Version != 1 {
 		t.Errorf("first commit = %+v", r)
@@ -40,10 +39,9 @@ func TestCommitXMLNewUpdatedUnchanged(t *testing.T) {
 	firstUpdate := r.Meta.LastUpdate
 
 	clock.advance(time.Hour)
-	same := xmldom.MustParse(`<catalog><product>radio</product></catalog>`)
-	r, err = s.CommitXML("http://shop.example/cat.xml", "", "", same)
+	r, err = s.CommitXMLBytes("http://shop.example/cat.xml", "", "", []byte(`<catalog><product>radio</product></catalog>`))
 	if err != nil {
-		t.Fatalf("CommitXML: %v", err)
+		t.Fatalf("CommitXMLBytes: %v", err)
 	}
 	if r.Status != StatusUnchanged || r.Meta.Version != 1 {
 		t.Errorf("unchanged commit = %+v", r)
@@ -56,10 +54,9 @@ func TestCommitXMLNewUpdatedUnchanged(t *testing.T) {
 	}
 
 	clock.advance(time.Hour)
-	changed := xmldom.MustParse(`<catalog><product>radio</product><product>tv</product></catalog>`)
-	r, err = s.CommitXML("http://shop.example/cat.xml", "", "", changed)
+	r, err = s.CommitXMLBytes("http://shop.example/cat.xml", "", "", []byte(`<catalog><product>radio</product><product>tv</product></catalog>`))
 	if err != nil {
-		t.Fatalf("CommitXML: %v", err)
+		t.Fatalf("CommitXMLBytes: %v", err)
 	}
 	if r.Status != StatusUpdated || r.Meta.Version != 2 {
 		t.Errorf("updated commit = %+v", r)
@@ -74,8 +71,13 @@ func TestCommitXMLNewUpdatedUnchanged(t *testing.T) {
 
 func TestCommitXMLRejectsEmpty(t *testing.T) {
 	s, _ := newTestStore()
-	if _, err := s.CommitXML("u", "", "", nil); err == nil {
-		t.Error("nil document should be rejected")
+	for _, data := range [][]byte{nil, []byte("<!-- no root -->\n")} {
+		if r, err := s.CommitXMLBytes("u", "", "", data); err == nil {
+			t.Errorf("%q: committed as %v, want an error", data, r.Status)
+		}
+	}
+	if s.Tracked("u") {
+		t.Error("a rejected page is tracked")
 	}
 }
 
@@ -100,7 +102,7 @@ func TestCommitHTML(t *testing.T) {
 
 func TestDelete(t *testing.T) {
 	s, _ := newTestStore()
-	s.CommitXML("u1", "", "d", xmldom.MustParse(`<a/>`))
+	s.CommitXMLBytes("u1", "", "d", []byte(`<a/>`))
 	r, err := s.Delete("u1")
 	if err != nil || r.Status != StatusDeleted {
 		t.Fatalf("Delete = %+v, %v", r, err)
@@ -127,9 +129,9 @@ func domainOf(s *Store, url string) string {
 
 func TestAllRootsAndDomains(t *testing.T) {
 	s, _ := newTestStore()
-	s.CommitXML("u1", "", "culture", xmldom.MustParse(`<culture><museum/></culture>`))
-	s.CommitXML("u2", "", "culture", xmldom.MustParse(`<culture><museum/></culture>`))
-	s.CommitXML("u3", "", "biology", xmldom.MustParse(`<bio/>`))
+	s.CommitXMLBytes("u1", "", "culture", []byte(`<culture><museum/></culture>`))
+	s.CommitXMLBytes("u2", "", "culture", []byte(`<culture><museum/></culture>`))
+	s.CommitXMLBytes("u3", "", "biology", []byte(`<bio/>`))
 	s.CommitHTML("u4", []byte("x"))
 	for url, want := range map[string]string{"u1": "culture", "u2": "culture", "u3": "biology"} {
 		if got := domainOf(s, url); got != want {
@@ -146,12 +148,12 @@ func TestAllRootsAndDomains(t *testing.T) {
 
 func TestDomainReclassification(t *testing.T) {
 	s, _ := newTestStore()
-	s.CommitXML("u1", "", "culture", xmldom.MustParse(`<c><x>1</x></c>`))
-	s.CommitXML("u1", "", "biology", xmldom.MustParse(`<c><x>2</x></c>`))
+	s.CommitXMLBytes("u1", "", "culture", []byte(`<c><x>1</x></c>`))
+	s.CommitXMLBytes("u1", "", "biology", []byte(`<c><x>2</x></c>`))
 	if got := domainOf(s, "u1"); got != "biology" {
 		t.Errorf("domain = %q, want biology after reclassification", got)
 	}
-	s.CommitXML("u1", "", "", xmldom.MustParse(`<c><x>3</x></c>`))
+	s.CommitXMLBytes("u1", "", "", []byte(`<c><x>3</x></c>`))
 	if got := domainOf(s, "u1"); got != "biology" {
 		t.Errorf("domain = %q, want biology kept by an unclassified commit", got)
 	}
@@ -174,10 +176,10 @@ func TestDTDIDStable(t *testing.T) {
 
 func TestWholesaleReplacementResetsChain(t *testing.T) {
 	s, _ := newTestStore()
-	s.CommitXML("u", "", "", xmldom.MustParse(`<a><x>1</x></a>`))
-	r, err := s.CommitXML("u", "", "", xmldom.MustParse(`<b><y>2</y></b>`))
+	s.CommitXMLBytes("u", "", "", []byte(`<a><x>1</x></a>`))
+	r, err := s.CommitXMLBytes("u", "", "", []byte(`<b><y>2</y></b>`))
 	if err != nil {
-		t.Fatalf("CommitXML: %v", err)
+		t.Fatalf("CommitXMLBytes: %v", err)
 	}
 	if r.Status != StatusUpdated || r.Meta.Version != 2 {
 		t.Errorf("replacement = %+v", r)
@@ -187,6 +189,56 @@ func TestWholesaleReplacementResetsChain(t *testing.T) {
 	}
 	if r.Delta != nil {
 		t.Error("wholesale replacement has no delta")
+	}
+}
+
+// TestURLChangesType: a page that switches between XML and HTML is
+// replaced wholesale, like an unrelated root — Updated, no delta, only the
+// new type's state kept (an HTML page has no tree and no DTD) — so
+// refetching the earlier content is a change, and the journal recovers
+// the page at its last type.
+func TestURLChangesType(t *testing.T) {
+	const xml, html = `<c><p>1</p></c>`, `<html>1</html>`
+	for _, order := range [][]DocType{{HTML, XML, HTML}, {XML, HTML, XML}} {
+		dir := t.TempDir()
+		w, _ := openJournaled(t, dir)
+		url := "http://x.example/" + order[0].String()
+		commit := func(typ DocType) *CommitResult {
+			if typ == XML {
+				return w.commit(url, "http://x.example/c.dtd", "d", xml)
+			}
+			r, err := w.CommitHTML(url, []byte(html))
+			return w.note(r, err, nil)
+		}
+		for i, typ := range order {
+			r := commit(typ)
+			want := StatusUpdated
+			if i == 0 {
+				want = StatusNew
+			}
+			if r.Status != want || r.Meta.Type != typ || r.Meta.Version != i+1 {
+				t.Fatalf("%v, commit %d (%v): status %v, type %v, version %d", order, i, typ, r.Status, r.Meta.Type, r.Meta.Version)
+			}
+			if i > 0 && (r.Delta != nil || r.Old != nil) {
+				t.Errorf("%v, commit %d: a type switch carries delta %v, old %v", order, i, r.Delta, r.Old)
+			}
+			if e, _ := w.Get(url); (e.Doc != nil) != (typ == XML) || (e.Meta.DTD != "") != (typ == XML) {
+				t.Errorf("%v, commit %d: stored tree %v, DTD %q for a %v page", order, i, e.Doc, e.Meta.DTD, typ)
+			}
+		}
+		last := order[len(order)-1]
+		w.j.Close()
+		w, _ = openJournaled(t, dir)
+		e, err := w.Get(url)
+		if err != nil || e.Meta.Type != last || e.Meta.Version != len(order) || (e.Doc != nil) != (last == XML) {
+			t.Fatalf("%v: recovered %+v, %v", order, e, err)
+		}
+		if r := commit(last); r.Status != StatusUnchanged {
+			t.Errorf("%v: refetch after recovery = %v, want unchanged", order, r.Status)
+		}
+		if r := commit(order[1]); r.Status != StatusUpdated || r.Meta.Type != order[1] {
+			t.Errorf("%v: switch after recovery = %v %v", order, r.Status, r.Meta.Type)
+		}
 	}
 }
 
@@ -214,9 +266,8 @@ func TestConcurrentCommits(t *testing.T) {
 			defer wg.Done()
 			url := fmt.Sprintf("http://conc.example/p%d.xml", g)
 			for v := 0; v < 40; v++ {
-				doc := xmldom.MustParse(fmt.Sprintf("<d><v>%d</v></d>", v))
-				if _, err := s.CommitXML(url, "", "load", doc); err != nil {
-					t.Errorf("CommitXML: %v", err)
+				if _, err := s.CommitXMLBytes(url, "", "load", fmt.Appendf(nil, "<d><v>%d</v></d>", v)); err != nil {
+					t.Errorf("CommitXMLBytes: %v", err)
 					return
 				}
 				s.AllRoots()
@@ -241,10 +292,9 @@ func TestVersionChainDepth(t *testing.T) {
 	s, _ := newTestStore()
 	const versions = 50
 	for v := 1; v <= versions; v++ {
-		doc := xmldom.MustParse(fmt.Sprintf("<d><v>%d</v></d>", v))
-		res, err := s.CommitXML("u", "", "", doc)
+		res, err := s.CommitXMLBytes("u", "", "", fmt.Appendf(nil, "<d><v>%d</v></d>", v))
 		if err != nil {
-			t.Fatalf("CommitXML: %v", err)
+			t.Fatalf("CommitXMLBytes: %v", err)
 		}
 		if res.Meta.Version != v {
 			t.Fatalf("version %d: Meta.Version = %d", v, res.Meta.Version)
@@ -272,9 +322,9 @@ func TestStoreKeepsOnlyCurrentVersion(t *testing.T) {
 	s, _ := newTestStore()
 	commit := func(v int) *CommitResult {
 		t.Helper()
-		r, err := s.CommitXML("u", "", "", xmldom.MustParse(fmt.Sprintf("<d><v>%d</v><w/></d>", v)))
+		r, err := s.CommitXMLBytes("u", "", "", fmt.Appendf(nil, "<d><v>%d</v><w/></d>", v))
 		if err != nil {
-			t.Fatalf("CommitXML %d: %v", v, err)
+			t.Fatalf("CommitXMLBytes %d: %v", v, err)
 		}
 		return r
 	}

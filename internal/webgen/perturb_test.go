@@ -81,7 +81,7 @@ func TestPerturbDeterministic(t *testing.T) {
 // TestPerturbAttrOrderParses: attr-order perturbation keeps the markup
 // well-formed and the canonical content (names, prices) intact, while
 // generally changing the ordered-attribute structural hash — feeding the
-// masked-diff tier rather than the skip tier.
+// parse+diff tier rather than the skip tier.
 func TestPerturbAttrOrderParses(t *testing.T) {
 	site := NewSite(SiteSpec{
 		BaseURL:      "http://perturb.example/",

@@ -79,8 +79,8 @@ const (
 	// shuffles per-product attribute order on top of the whitespace
 	// reflow. XML semantics say attribute order is insignificant, but
 	// xmldom hashes attributes in document order, so these refetches fall
-	// through to the parse+diff tier — with the streaming frontier
-	// masking the diff to the products whose order actually flipped.
+	// through to the parse+diff tier, whose delta names the products whose
+	// order actually flipped.
 	PerturbAttrOrder
 )
 

@@ -13,8 +13,7 @@ import (
 // the subtree-hash frontier of the shallow levels — enough for the
 // warehouse to recognise a semantically identical refetch (whitespace
 // reflow, re-encoded entities, re-quoted attributes) for the cost of one
-// tokenize, and, when the root hash differs, to hand the diff layer a
-// precomputed agreement mask over the top-level children.
+// tokenize. The warehouse reads only the root hash (maxDepth 0).
 //
 // The equivalence is exact and fuzz-held (FuzzParseBytes): for every
 // input, Sum errors iff ParseBytes errors, and on acceptance the root

@@ -113,8 +113,7 @@ func TestStreamHashNeutralPerturbations(t *testing.T) {
 	}
 }
 
-// The frontier's depth-1 run mirrors the root's children exactly — the
-// contract the warehouse's diff mask is built on.
+// The frontier's depth-1 run mirrors the root's children exactly.
 func TestStreamHashFrontierMirrorsChildren(t *testing.T) {
 	src := `<c>head<p id="a"><x>1</x></p>mid<p id="b"/>tail</c>`
 	var sh StreamHasher

@@ -81,39 +81,12 @@ func Diff(old, new *xmldom.Document) (*Delta, error) {
 	return diffWith(old, new, alignAnchors)
 }
 
-// Mask is a precomputed agreement over the top-level children of the two
-// versions: the first Prefix and last Suffix children of the old and new
-// roots have pairwise-equal subtree hashes. The warehouse computes it by
-// comparing the stored version's cached hash vector against the streaming
-// hash frontier of the incoming bytes (xmldom.StreamHasher), so the
-// agreed runs are known before the new document is even parsed.
-//
-// DiffMasked verifies the claimed runs against the hash vectors before
-// trusting them (the verification is the same O(Prefix+Suffix) hash walk
-// the trim would have cost, so a mask never makes a diff slower) and
-// falls back to the unmasked aligner on any disagreement or out-of-range
-// mask — a wrong mask can cost speed, never correctness.
-type Mask struct {
-	Prefix int
-	Suffix int
-}
-
-// DiffMasked is Diff with a precomputed top-level agreement mask; m may
-// be nil, making it exactly Diff.
-func DiffMasked(old, new *xmldom.Document, m *Mask) (*Delta, error) {
-	return diffMasked(old, new, alignAnchors, m)
-}
-
 // alignFunc computes an order-preserving matching between two children
 // lists, appending strictly i- and j-increasing pairs of compatible nodes
 // (same kind; same tag for elements) to buf.
 type alignFunc func(d *differ, old, new []*xmldom.Node, buf []pair) []pair
 
 func diffWith(old, new *xmldom.Document, align alignFunc) (*Delta, error) {
-	return diffMasked(old, new, align, nil)
-}
-
-func diffMasked(old, new *xmldom.Document, align alignFunc, m *Mask) (*Delta, error) {
 	if old == nil || old.Root == nil || new == nil || new.Root == nil {
 		return nil, errors.New("xydiff: both versions must have a root")
 	}
@@ -128,7 +101,6 @@ func diffMasked(old, new *xmldom.Document, align alignFunc, m *Mask) (*Delta, er
 		nh:    new.Hashes(),
 		sc:    sc,
 		align: align,
-		mask:  m,
 	}
 	d.matchNodes(old.Root, new.Root)
 	new.SetNextXID(old.NextXID())
@@ -144,9 +116,6 @@ type differ struct {
 	nh    *xmldom.HashVector // subtree hashes of the new version
 	sc    *diffScratch
 	align alignFunc
-	// mask is the precomputed top-level agreement, consumed by the first
-	// (root-level) alignment and nil thereafter.
-	mask *Mask
 }
 
 // diffScratch holds every per-Diff working buffer. One scratch serves the
@@ -240,13 +209,7 @@ func (d *differ) matchNodes(old, new *xmldom.Node) {
 		})
 	}
 	bufp := pairsPool.Get().(*[]pair)
-	var pairs []pair
-	if m := d.mask; m != nil {
-		d.mask = nil
-		pairs = alignMasked(d, m, old.Children, new.Children, (*bufp)[:0])
-	} else {
-		pairs = d.align(d, old.Children, new.Children, (*bufp)[:0])
-	}
+	pairs := d.align(d, old.Children, new.Children, (*bufp)[:0])
 	// Deletions first (they reference old XIDs only). pairs is strictly
 	// increasing in both coordinates, so a single cursor replaces the old
 	// per-level matched-bool slices.
@@ -397,45 +360,6 @@ func alignAnchors(d *differ, old, new []*xmldom.Node, buf []pair) []pair {
 	}
 	for k := 0; hiO+k < n; k++ {
 		buf = append(buf, pair{hiO + k, hiM + k})
-	}
-	return buf
-}
-
-// alignMasked consumes a precomputed top-level agreement: the first
-// m.Prefix and last m.Suffix children pair directly, and only the middle
-// runs through the configured aligner. The claimed runs are re-verified
-// against the hash vectors (same cost as the trim itself); any
-// disagreement or out-of-range mask falls back to the plain aligner, so
-// a stale or wrong mask degrades to the unmasked diff, never to a wrong
-// delta.
-func alignMasked(d *differ, m *Mask, old, new []*xmldom.Node, buf []pair) []pair {
-	n, nn := len(old), len(new)
-	pre, suf := m.Prefix, m.Suffix
-	if pre < 0 || suf < 0 || pre+suf > n || pre+suf > nn {
-		return d.align(d, old, new, buf)
-	}
-	oh, nh := d.oh, d.nh
-	for i := 0; i < pre; i++ {
-		if oh.Of(old[i]) != nh.Of(new[i]) {
-			return d.align(d, old, new, buf)
-		}
-	}
-	for k := 1; k <= suf; k++ {
-		if oh.Of(old[n-k]) != nh.Of(new[nn-k]) {
-			return d.align(d, old, new, buf)
-		}
-	}
-	for i := 0; i < pre; i++ {
-		buf = append(buf, pair{i, i})
-	}
-	mid := len(buf)
-	buf = d.align(d, old[pre:n-suf], new[pre:nn-suf], buf)
-	for k := mid; k < len(buf); k++ {
-		buf[k].i += pre
-		buf[k].j += pre
-	}
-	for k := 0; k < suf; k++ {
-		buf = append(buf, pair{n - suf + k, nn - suf + k})
 	}
 	return buf
 }
