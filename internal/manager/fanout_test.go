@@ -282,11 +282,15 @@ report when %s
 }
 
 // TestProcessAlertAllocCeiling holds the allocation win of the bound
-// fan-out path: a 50-notification alert costs the payload (an element and
-// its attributes per notification) plus three objects per report it fires,
-// and no per-notification bookkeeping — 133 objects here. The ceiling sits
-// between that and the 340 the walk over the parse tree, the clone at
-// report time and the regrown buffers cost before.
+// fan-out path. The 50 queries share one select plan, so a 50-notification
+// alert builds one payload — an element and its attribute slice — that
+// every notification references, and costs nothing per notification
+// beyond it. The rest is three objects (the report, its root element and
+// its child slice) per report fired: ten immediate reports per alert, and
+// a count report of each of the forty other subscriptions every 31st
+// alert — 35 objects here. The ceiling sits below the 133 that one
+// payload per notification cost, and far below the 340 of the walk over
+// the parse tree, the clone at report time and the regrown buffers.
 func TestProcessAlertAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -299,7 +303,7 @@ func TestProcessAlertAllocCeiling(t *testing.T) {
 		}
 	}
 	perAlert := testing.AllocsPerRun(200, func() { mgr.ProcessAlert(a) })
-	if ceiling := 3.2 * notifs; perAlert > ceiling {
+	if ceiling := 0.9 * notifs; perAlert > ceiling {
 		t.Errorf("ProcessAlert allocates %.0f objects for %d notifications, ceiling %.0f", perAlert, notifs, ceiling)
 	}
 }

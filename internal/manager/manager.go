@@ -178,11 +178,14 @@ type Manager struct {
 
 // processScratch is the per-alert working state of ProcessAlert, recycled
 // through a sync.Pool so a document that raises notifications performs no
-// map or slice allocation for bookkeeping (the payload elements still
-// allocate — they are handed to the Reporter).
+// map or slice allocation for bookkeeping. The payloads still allocate, but
+// once per distinct select plan, not per notification: every query of a
+// plan hands the Reporter the same read-only nodes.
 type processScratch struct {
 	matched []core.ComplexID
 	elems   []*xmldom.Node
+	hashes  []uint64               // hashes[i] is elems[i].Hash64(xmldom.HashSeed())
+	spans   map[*selectPlan][2]int // a plan's payloads: elems[lo:hi]
 	batch   []reporter.Notification
 	trig    []produced
 	seen    map[uint64]struct{}
@@ -197,14 +200,16 @@ type produced struct {
 }
 
 var processPool = sync.Pool{New: func() any {
-	return &processScratch{seen: make(map[uint64]struct{}, 16)}
+	return &processScratch{seen: make(map[uint64]struct{}, 16), spans: make(map[*selectPlan][2]int, 4)}
 }}
 
 // release scrubs pointer-carrying state and returns the scratch to the
 // pool; maps are cleared, slices keep their capacity.
 func (sc *processScratch) release() {
 	clear(sc.seen)
+	clear(sc.spans)
 	sc.matched = sc.matched[:0] // plain values, no scrub needed
+	sc.hashes = sc.hashes[:0]
 	clear(sc.elems[:cap(sc.elems)])
 	sc.elems = sc.elems[:0]
 	clear(sc.batch)
@@ -484,24 +489,36 @@ func (m *Manager) ProcessAlert(a *alerter.Alert) int {
 		if rq == nil {
 			continue // unsubscribed or suspended since the match
 		}
-		sc.elems = rq.plan.appendPayloads(sc.elems[:0], a.Doc)
+		// A plan's payloads depend on the plan and the document alone, so
+		// the queries sharing a plan share one materialisation and hash.
+		span, ok := sc.spans[rq.plan]
+		if !ok {
+			span[0] = len(sc.elems)
+			sc.elems = rq.plan.appendPayloads(sc.elems, a.Doc)
+			for _, el := range sc.elems[span[0]:] {
+				sc.hashes = append(sc.hashes, el.Hash64(xmldom.HashSeed()))
+			}
+			span[1] = len(sc.elems)
+			sc.spans[rq.plan] = span
+		}
 		n := 0
-		for _, el := range sc.elems {
+		for i := span[0]; i < span[1]; i++ {
 			// Disjunctive where clauses compile to several complex events
 			// sharing one select (see sublang); when a document matches
 			// more than one disjunct, the subscriber still gets each
-			// notification payload once. The key is a structural hash of
-			// (subscription, label, payload) — serialising the payload to
-			// XML per notification was the dominant dedup cost.
-			key := el.Hash64(rq.seed)
+			// notification payload once. The key is the payload's
+			// structural hash folded into the (subscription, label) seed —
+			// serialising the payload to XML per notification was the
+			// dominant dedup cost.
+			key := xmldom.FoldUint64(rq.seed, sc.hashes[i])
 			if _, dup := sc.seen[key]; dup {
 				continue
 			}
 			sc.seen[key] = struct{}{}
-			// el is fresh (built or cloned for this notification): the
-			// Reporter takes ownership of it.
+			// The element is read-only from here on: the Reporter and the
+			// other queries of this plan hold the same node.
 			sc.batch = append(sc.batch, reporter.Notification{
-				Sub: rq.rep, Label: rq.plan.label, Element: el, Time: now,
+				Sub: rq.rep, Label: rq.plan.label, Element: sc.elems[i], Time: now,
 			})
 			n++
 		}

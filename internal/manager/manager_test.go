@@ -475,26 +475,76 @@ report when immediate`, name, name, strings.ToLower(name))
 
 func TestDisjunctionDeduplicatesNotifications(t *testing.T) {
 	r := newRig(t)
-	// Both disjuncts match the same document; the subscriber must get the
-	// notification once (Section 7 disjunction extension).
-	r.subscribe(`subscription D
+	// Both disjuncts match the same document; each subscriber must get the
+	// notification once (Section 7 disjunction extension). D and E share
+	// one select plan and so one payload: the dedup key must still tell
+	// the subscribers apart.
+	for _, name := range []string{"D", "E"} {
+		r.subscribe(`subscription ` + name + `
 monitoring
 select <Hit url=URL/>
 where URL extends "http://a.example/" and modified self
    or filename = "page.xml" and modified self
 report when immediate`)
-	r.commitXML("http://a.example/page.xml", "", "", `<a><v>1</v></a>`)
-	if n := r.commitXML("http://a.example/page.xml", "", "", `<a><v>2</v></a>`); n != 1 {
-		t.Fatalf("notifications = %d, want 1 (deduplicated)", n)
 	}
+	perSub := func(want int) {
+		t.Helper()
+		got := map[string]int{}
+		for _, rep := range r.reports {
+			got[rep.Subscription] += rep.Notifications
+		}
+		if got["D"] != want || got["E"] != want || len(got) != 2 {
+			t.Errorf("notifications per subscription = %v, want %d each for D and E", got, want)
+		}
+	}
+	r.commitXML("http://a.example/page.xml", "", "", `<a><v>1</v></a>`)
+	if n := r.commitXML("http://a.example/page.xml", "", "", `<a><v>2</v></a>`); n != 2 {
+		t.Fatalf("notifications = %d, want 2 (one per subscription, deduplicated)", n)
+	}
+	perSub(1)
 	st := r.mgr.Stats()
-	if st.ComplexEvents != 2 {
-		t.Errorf("ComplexEvents = %d, want 2 (one per disjunct)", st.ComplexEvents)
+	if st.ComplexEvents != 4 {
+		t.Errorf("ComplexEvents = %d, want 4 (one per disjunct per subscription)", st.ComplexEvents)
 	}
 	// A document matching only the second disjunct still notifies.
 	r.commitXML("http://b.example/page.xml", "", "", `<a><v>1</v></a>`)
-	if n := r.commitXML("http://b.example/page.xml", "", "", `<a><v>2</v></a>`); n != 1 {
-		t.Fatalf("second-disjunct notifications = %d, want 1", n)
+	if n := r.commitXML("http://b.example/page.xml", "", "", `<a><v>2</v></a>`); n != 2 {
+		t.Fatalf("second-disjunct notifications = %d, want 2", n)
+	}
+	perSub(2)
+}
+
+// TestMatchedQueriesShareOnePayload: fifty subscriptions with one select
+// clause, matched by one page, get the one payload the plan built for the
+// alert — the very node, not fifty copies — and nobody re-parents it.
+func TestMatchedQueriesShareOnePayload(t *testing.T) {
+	r := newRig(t)
+	const subs = 50
+	for i := 0; i < subs; i++ {
+		r.subscribe(fmt.Sprintf(`subscription S%d
+monitoring
+select <Hit url=URL/>
+where URL extends "http://s.example/" and modified self
+report when immediate`, i))
+	}
+	r.commitXML("http://s.example/p.xml", "", "", `<a><v>1</v></a>`)
+	if n := r.commitXML("http://s.example/p.xml", "", "", `<a><v>2</v></a>`); n != subs {
+		t.Fatalf("notifications = %d, want %d", n, subs)
+	}
+	if len(r.reports) != subs {
+		t.Fatalf("reports = %d, want %d", len(r.reports), subs)
+	}
+	shared := r.reports[0].Doc.Children[0]
+	for _, rep := range r.reports {
+		if len(rep.Doc.Children) != 1 || rep.Doc.Children[0] != shared {
+			t.Fatalf("%s: report does not hold the shared payload: %s", rep.Subscription, rep.Doc.XML())
+		}
+	}
+	if shared.Parent != nil {
+		t.Errorf("the shared payload was re-parented under <%s>", shared.Parent.Tag)
+	}
+	if got := shared.XML(); got != `<Hit url="http://s.example/p.xml"/>` {
+		t.Errorf("payload = %s", got)
 	}
 }
 

@@ -154,7 +154,8 @@ func appendString(b []byte, s string) []byte {
 }
 
 // appendPayloads materialises the plan against the triggering document of
-// a matched query and appends the payloads to dst.
+// a matched query and appends the payloads to dst: fresh trees, built once
+// per alert and shared by every query of the plan.
 func (p *selectPlan) appendPayloads(dst []*xmldom.Node, d *alerter.Doc) []*xmldom.Node {
 	if p.tag == "" {
 		return append(dst, p.v.elements(d)...)
@@ -185,7 +186,9 @@ func (p *selectPlan) appendPayloads(dst []*xmldom.Node, d *alerter.Doc) []*xmldo
 
 // elements resolves `select X` payloads: the elements bound to X in the
 // current document that hold X's word, filtered by X's change pattern (so
-// `new X` returns only the new elements), each cloned for the Reporter.
+// `new X` returns only the new elements), each cloned: a payload is shared
+// read-only by the Reporter's buffers and reports, and Document.Hashes
+// writes ord into the nodes of a live document.
 func (p *varPlan) elements(d *alerter.Doc) []*xmldom.Node {
 	if d.Doc == nil || d.Doc.Root == nil || !p.bound {
 		return nil

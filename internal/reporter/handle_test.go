@@ -1,6 +1,9 @@
 package reporter
 
 import (
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"xymon/internal/sublang"
@@ -66,11 +69,14 @@ func TestDeadHandleIsRefused(t *testing.T) {
 	}
 }
 
-// TestReporterOwnsPayload: the elements handed to Notify are moved into the
-// report document, not copied; a delivered report is not touched by later
-// notifications or reports; followers and the archive share the one
-// document; and the buffer is reused without pinning what it delivered.
-func TestReporterOwnsPayload(t *testing.T) {
+// TestReporterSharesPayload: the elements handed to Notify sit in the
+// report document as they are — not copied, not re-parented; a delivered
+// report is not touched by later notifications or reports; followers and
+// the archive share the one document; one element handed to two
+// subscriptions, or again while a report holds it, is shared by every
+// report it reaches; a node of a live document stays in its document; and
+// the buffer is reused without pinning what it delivered.
+func TestReporterSharesPayload(t *testing.T) {
 	c := newClock()
 	r, reports := collectReports(t, WithClock(c.now))
 	h := r.Register("S", &sublang.ReportSpec{
@@ -80,21 +86,42 @@ func TestReporterOwnsPayload(t *testing.T) {
 	if err := r.Follow("F", "S"); err != nil {
 		t.Fatal(err)
 	}
+	other := r.Register("O", nil) // immediate
 	e1 := xmldom.Element("E").WithAttr("n", "1")
 	e2 := xmldom.Element("E").WithAttr("n", "2")
 	r.Notify(Notification{Sub: h, Label: "E", Element: e1})
-	r.Notify(Notification{Sub: h, Label: "E", Element: e2})
-	if len(*reports) != 2 {
-		t.Fatalf("reports = %d, want 2 (owner + follower)", len(*reports))
+	r.NotifyBatch([]Notification{
+		{Sub: h, Label: "E", Element: e2},
+		{Sub: other, Label: "E", Element: e2},
+	})
+	if len(*reports) != 3 {
+		t.Fatalf("reports = %d, want 3 (owner, follower, other)", len(*reports))
 	}
-	first := (*reports)[0]
+	// The batch's reports come in stripe order: find each by recipient.
+	var first, follower, otherRep *Report
+	for _, rep := range *reports {
+		switch rep.Subscription {
+		case "S":
+			first = rep
+		case "F":
+			follower = rep
+		case "O":
+			otherRep = rep
+		}
+	}
+	if first == nil || follower == nil || otherRep == nil {
+		t.Fatal("a recipient got no report")
+	}
 	if len(first.Doc.Children) != 2 || first.Doc.Children[0] != e1 || first.Doc.Children[1] != e2 {
 		t.Fatalf("the report does not hold the very elements it was handed: %s", first.Doc.XML())
 	}
-	if e1.Parent != first.Doc || e2.Parent != first.Doc {
-		t.Error("moved elements must be re-parented under the report")
+	if len(otherRep.Doc.Children) != 1 || otherRep.Doc.Children[0] != e2 {
+		t.Fatalf("the other subscription's report does not share the element: %s", otherRep.Doc.XML())
 	}
-	if (*reports)[1].Subscription != "F" || (*reports)[1].Doc != first.Doc {
+	if e1.Parent != nil || e2.Parent != nil {
+		t.Error("the Reporter re-parented a payload it was handed")
+	}
+	if follower.Doc != first.Doc {
 		t.Error("the follower's copy must share the owner's document")
 	}
 	if arch := r.Archived("S"); len(arch) != 1 || arch[0].Doc != first.Doc {
@@ -109,39 +136,109 @@ func TestReporterOwnsPayload(t *testing.T) {
 		}
 	}
 
-	before := first.Doc.XML()
+	before, otherBefore := first.Doc.XML(), otherRep.Doc.XML()
 	r.Notify(Notification{Sub: h, Label: "E", Element: xmldom.Element("E").WithAttr("n", "3")})
 	r.Notify(Notification{Sub: h, Label: "E", Element: xmldom.Element("E").WithAttr("n", "4")})
-	if len(*reports) != 4 {
-		t.Fatalf("reports = %d, want 4", len(*reports))
+	if len(*reports) != 5 {
+		t.Fatalf("reports = %d, want 5", len(*reports))
 	}
-	if after := first.Doc.XML(); after != before {
-		t.Errorf("a delivered report changed under later notifications:\n before %s\n after  %s", before, after)
-	}
-	if got := (*reports)[2].Doc.XML(); got != `<Report><E n="3"/><E n="4"/></Report>` {
+	if got := (*reports)[3].Doc.XML(); got != `<Report><E n="3"/><E n="4"/></Report>` {
 		t.Errorf("second report = %s", got)
 	}
 
-	// A caller that breaks the contract — e1 again, while the first report
-	// holds it, and a node of some document — gets copies: the trees the
-	// elements sit in stay whole.
+	// e1 again, while the first report holds it, and a node of some
+	// document: the new report references both, and neither the first
+	// report nor the document changes.
 	page := xmldom.Element("page")
 	kid := xmldom.Element("kid")
 	page.AppendChild(kid)
 	r.Notify(Notification{Subscription: "S", Label: "E", Element: e1})
 	r.Notify(Notification{Sub: h, Label: "E", Element: kid})
-	if len(*reports) != 6 {
-		t.Fatalf("reports = %d, want 6", len(*reports))
+	if len(*reports) != 7 {
+		t.Fatalf("reports = %d, want 7", len(*reports))
 	}
-	third := (*reports)[4].Doc
-	if got := third.XML(); got != `<Report><E n="1"/><kid/></Report>` {
-		t.Errorf("third report = %s", got)
+	last := (*reports)[5].Doc
+	if got := last.XML(); got != `<Report><E n="1"/><kid/></Report>` {
+		t.Errorf("third report of S = %s", got)
 	}
-	if third.Children[0] == e1 || e1.Parent != first.Doc || first.Doc.XML() != before {
-		t.Error("an element still held by a delivered report was stolen from it")
+	if last.Children[0] != e1 || last.Children[1] != kid {
+		t.Error("an element handed over again was copied, not shared")
 	}
-	if third.Children[1] == kid || kid.Parent != page {
-		t.Error("a node of a live document was stolen from it")
+	if e1.Parent != nil || first.Doc.Children[0] != e1 {
+		t.Error("an element still held by a delivered report was moved")
+	}
+	if kid.Parent != page || len(page.Children) != 1 || page.Children[0] != kid {
+		t.Error("a node of a live document left its document")
+	}
+	if first.Doc.XML() != before || otherRep.Doc.XML() != otherBefore {
+		t.Errorf("a delivered report changed under later notifications:\n before %s\n after  %s", before, first.Doc.XML())
+	}
+}
+
+// TestSharedPayloadAcrossStripes: one element handed to immediate
+// subscriptions on two stripes, by two goroutines at once, while a third
+// ticks and the sink serialises every report. The Reporter only reads a
+// payload, so the race detector sees nothing and every report holds the
+// very element; a Reporter that re-parents payloads while it builds a
+// report races here. CI repeats it under -race.
+func TestSharedPayloadAcrossStripes(t *testing.T) {
+	const rounds = 200
+	elems := make([]*xmldom.Node, rounds)
+	handed := make(map[*xmldom.Node]bool, rounds) // read-only once the goroutines start
+	for i := range elems {
+		elems[i] = xmldom.Element("E").WithAttr("n", fmt.Sprint(i))
+		handed[elems[i]] = true
+	}
+	var delivered atomic.Int64
+	r := New(DeliveryFunc(func(rep *Report) error {
+		if len(rep.Doc.Children) != 1 || !handed[rep.Doc.Children[0]] {
+			t.Errorf("%s: report does not hold the one element handed in: %s", rep.Subscription, rep.Doc.XML())
+		} else if got, want := rep.Doc.XML(), "<Report>"+rep.Doc.Children[0].XML()+"</Report>"; got != want {
+			t.Errorf("%s: report = %s, want %s", rep.Subscription, got, want)
+		}
+		delivered.Add(1)
+		return nil
+	}))
+	names := []string{"A"}
+	for i := 0; len(names) < 2; i++ {
+		if name := fmt.Sprintf("B%d", i); stripeIndex(name) != stripeIndex("A") {
+			names = append(names, name)
+		}
+	}
+	var notifiers, ticker sync.WaitGroup
+	done := make(chan struct{})
+	ticker.Add(1)
+	go func() {
+		defer ticker.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				r.Tick()
+			}
+		}
+	}()
+	for _, name := range names {
+		h := r.Register(name, nil) // immediate
+		notifiers.Add(1)
+		go func() {
+			defer notifiers.Done()
+			for _, e := range elems {
+				r.Notify(Notification{Sub: h, Label: "E", Element: e})
+			}
+		}()
+	}
+	notifiers.Wait()
+	close(done)
+	ticker.Wait()
+	if got := delivered.Load(); got != 2*rounds {
+		t.Errorf("delivered %d reports, want %d", got, 2*rounds)
+	}
+	for i, e := range elems {
+		if e.Parent != nil {
+			t.Fatalf("element %d was re-parented under <%s>", i, e.Parent.Tag)
+		}
 	}
 }
 

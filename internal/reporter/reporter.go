@@ -25,11 +25,11 @@ import (
 // Notification is one entry of a subscription's notification stream: the
 // payload element produced by a monitoring query or a continuous query.
 //
-// The Reporter takes ownership of Element: it is moved, not copied, into the
-// report document, so the caller hands over a tree nothing else refers to.
-// An element that is already linked under a parent when its report is built
-// is copied instead; one root handed over twice and built into two reports
-// at the same time is a data race the Reporter cannot see.
+// Element is read-only from the call on, and may be shared: the same node
+// may be handed over for many subscriptions, on any stripe, and sit in
+// many reports at once. The Reporter never writes to it — a report
+// references it without copying, and a payload root keeps the Parent it
+// had — so the caller must not change it either.
 type Notification struct {
 	Sub          *Sub   // handle from Register; saves the hash and lookup of the name
 	Subscription string // consulted only when Sub is nil
@@ -47,7 +47,10 @@ type Notification struct {
 // markOnly reports whether n carries an evaluation mark and nothing else.
 func (n *Notification) markOnly() bool { return n.Mark && n.Element == nil }
 
-// Report is a generated subscription report.
+// Report is a generated subscription report. Doc is read-only: the
+// followers' copies and the archive share it, and its children are the
+// payloads as handed in, which other reports may hold too (their Parent is
+// not Doc).
 type Report struct {
 	Subscription  string
 	Doc           *xmldom.Node
@@ -331,8 +334,8 @@ func (r *Reporter) Follow(follower, target string) error {
 // Notify appends a notification to its subscription's buffer and fires a
 // report when the subscription's when condition holds. Delivery happens
 // after the stripe's lock is released, so a Delivery implementation may
-// call back into the Reporter without deadlocking. n.Element belongs to the
-// Reporter from here on (see Notification).
+// call back into the Reporter without deadlocking. n.Element is read-only
+// from here on (see Notification).
 func (r *Reporter) Notify(n Notification) {
 	now := r.clock()
 	s := &r.stripes[stripeOf(&n)]
@@ -353,8 +356,9 @@ func (r *Reporter) Notify(n Notification) {
 // the manager's per-alert batches rely on — with immediate-report
 // subscriptions, per-notification locking costs one acquire per payload,
 // batch locking one per stripe. Delivery of every fired report happens
-// after all stripe locks are released. Every Element of the batch belongs
-// to the Reporter from here on (see Notification).
+// after all stripe locks are released. Every Element of the batch is
+// read-only from here on (see Notification); one element may appear under
+// many subscriptions.
 func (r *Reporter) NotifyBatch(ns []Notification) {
 	if len(ns) == 0 {
 		return
@@ -514,8 +518,9 @@ func (r *Reporter) rateLimited(st *Sub, now time.Time) bool {
 // buildLocked renders and post-processes the report and resets the buffer
 // ("the generation of a report empties the global buffer of notification
 // answers"), appending to reps one copy per recipient (the subscriber plus
-// its virtual followers). The buffered elements are moved into the report
-// document (the Reporter owns them) and the buffer keeps its capacity. The
+// its virtual followers). The report document references the buffered
+// elements without copying or re-parenting them — they stay read-only and
+// may sit in other reports too — and the buffer keeps its capacity. The
 // caller delivers the reports once its stripe lock is released: holding a
 // stripe lock across the Delivery callback would deadlock any sink that
 // calls back into the Reporter.
@@ -524,15 +529,9 @@ func (r *Reporter) buildLocked(reps []*Report, st *Sub, now time.Time) []*Report
 	doc := xmldom.Element("Report")
 	doc.Children = make([]*xmldom.Node, 0, count)
 	for _, n := range st.buffer {
-		if n.elem == nil {
-			continue
+		if n.elem != nil {
+			doc.Children = append(doc.Children, n.elem)
 		}
-		if n.elem.Parent != nil {
-			// Handed over while linked into another tree (an earlier
-			// report, a document): copied, so that tree stays whole.
-			n.elem = n.elem.Clone()
-		}
-		doc.AppendChild(n.elem)
 	}
 	if st.query != nil {
 		if res, err := st.query.EvalElement("Report", []*xmldom.Node{doc}); err == nil {
@@ -550,12 +549,12 @@ func (r *Reporter) buildLocked(reps []*Report, st *Sub, now time.Time) []*Report
 	}
 	if !r.noteFired(reps[fired:], st.name) {
 		// No fired record, no report: the journal could not account for
-		// it once a checkpoint drops this buffer. The buffer stays (linked
-		// into doc now, so the next build copies it) and Tick retries.
+		// it once a checkpoint drops this buffer. The buffer stays and
+		// Tick retries.
 		st.pending = true
 		return reps[:fired]
 	}
-	clear(st.buffer) // the elements now belong to the report
+	clear(st.buffer) // the report holds the elements now
 	st.buffer = st.buffer[:0]
 	clear(st.labelCount)
 	st.lastReport = now

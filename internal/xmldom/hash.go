@@ -87,7 +87,7 @@ func appendSubtreeHashes(vec []uint64, root *Node) []uint64 {
 				c.ord = int32(len(vec))
 				th := textSubtreeHash(c)
 				vec = append(vec, th)
-				f.h = foldUint64(f.h, th)
+				f.h = FoldUint64(f.h, th)
 				continue
 			}
 			c.ord = int32(len(vec))
@@ -101,7 +101,7 @@ func appendSubtreeHashes(vec []uint64, root *Node) []uint64 {
 		st = st[:len(st)-1]
 		if len(st) > 0 {
 			p := &st[len(st)-1]
-			p.h = foldUint64(p.h, h)
+			p.h = FoldUint64(p.h, h)
 		}
 	}
 	*stp = st[:0]
@@ -117,9 +117,10 @@ func textSubtreeHash(n *Node) uint64 {
 	return HashFold(h, n.Text)
 }
 
-// foldUint64 folds the 8 little-endian bytes of v into the running FNV-1a
-// hash h — how a child's finished subtree hash joins its parent's.
-func foldUint64(h, v uint64) uint64 {
+// FoldUint64 folds the 8 little-endian bytes of v into the running FNV-1a
+// hash h — how a child's finished subtree hash joins its parent's, and how
+// the manager keys a shared payload's hash by its subscriber.
+func FoldUint64(h, v uint64) uint64 {
 	for i := 0; i < 8; i++ {
 		h ^= v & 0xff
 		h *= fnvPrime64

@@ -103,7 +103,7 @@ func (sh *StreamHasher) Sum(data []byte, maxDepth int) (uint64, []FrontierHash, 
 				fr[f.slot].Hash = h
 			}
 			if len(st) > 0 {
-				st[len(st)-1].h = foldUint64(st[len(st)-1].h, h)
+				st[len(st)-1].h = FoldUint64(st[len(st)-1].h, h)
 			} else {
 				root = h
 			}
@@ -126,7 +126,7 @@ func (sh *StreamHasher) Sum(data []byte, maxDepth int) (uint64, []FrontierHash, 
 			th ^= 't'
 			th *= fnvPrime64
 			th = hashFoldBytes(th, raw)
-			st[len(st)-1].h = foldUint64(st[len(st)-1].h, th)
+			st[len(st)-1].h = FoldUint64(st[len(st)-1].h, th)
 			if depth := len(st); depth <= maxDepth {
 				fr = append(fr, FrontierHash{Depth: int32(depth), Hash: th})
 			}

@@ -48,7 +48,7 @@ import (
 
 // Re-exported types of the public surface.
 type (
-	// Report is a generated subscription report.
+	// Report is a generated subscription report; its Doc is read-only.
 	Report = reporter.Report
 	// Notification is one entry of a notification stream.
 	Notification = reporter.Notification
@@ -219,10 +219,11 @@ func New(opts Options) (*System, error) {
 	}
 	s.Reporter = reporter.New(opts.Delivery, repOpts...)
 	s.Trigger = trigger.New(s.Store.AllRoots, func(r trigger.Result) {
-		// r.Element is built for this result alone (a fresh element, the
-		// query's clones, or a rendered delta), so the Reporter can own it;
-		// a nil one (an unchanged delta) makes the notification a mark
-		// alone.
+		// r.Element is read-only once handed over: the Reporter's reports
+		// reference it. It is built for this result alone (a fresh element,
+		// the query's clones, or a rendered delta), so nothing the engine
+		// or the warehouse keeps is shared; a nil one (an unchanged delta)
+		// makes the notification a mark alone.
 		s.Reporter.Notify(reporter.Notification{
 			Subscription: r.Subscription, Label: r.Query, Element: r.Element, Time: r.Time, Mark: true,
 		})

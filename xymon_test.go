@@ -790,12 +790,12 @@ func TestSubscribeRefreshHintsLateDiscovery(t *testing.T) {
 	}
 }
 
-// TestContinuousResultIsOwnedPayload: the Reporter keeps the element a
-// continuous query hands it without copying, so the Trigger Engine must
-// hand over a tree of its own — not warehouse nodes, not the result it
-// keeps for the next delta. Re-evaluations must leave delivered reports and
-// the warehouse as they were.
-func TestContinuousResultIsOwnedPayload(t *testing.T) {
+// TestContinuousResultSharesPayload: the Reporter references the element a
+// continuous query hands it, read-only — not copied, not re-parented — so
+// the Trigger Engine must hand over a tree of its own, not warehouse nodes
+// and not the result it keeps for the next delta. Re-evaluations must leave
+// delivered reports, the payloads they hold and the warehouse as they were.
+func TestContinuousResultSharesPayload(t *testing.T) {
 	sys, c, reports := newSystem(t, Options{})
 	push := func(titles ...string) {
 		t.Helper()
@@ -840,14 +840,22 @@ func TestContinuousResultIsOwnedPayload(t *testing.T) {
 	}
 	intact("after the first evaluation")
 	var before []string
-	for _, rep := range *reports {
-		before = append(before, rep.Doc.XML())
-		for _, ch := range rep.Doc.Children {
-			if ch.Parent != rep.Doc {
-				t.Errorf("%s: payload not moved under its report", rep.Subscription)
+	var payloads [][]*xmldom.Node
+	unparented := func(when string) {
+		t.Helper()
+		for i, kids := range payloads {
+			for _, ch := range kids {
+				if ch.Parent != nil {
+					t.Errorf("%s: a payload of %s was re-parented under <%s>", when, (*reports)[i].Subscription, ch.Parent.Tag)
+				}
 			}
 		}
 	}
+	for _, rep := range *reports {
+		before = append(before, rep.Doc.XML())
+		payloads = append(payloads, slices.Clone(rep.Doc.Children))
+	}
+	unparented("after the first evaluation")
 	push("Night Watch", "Milkmaid")
 	c.advance(25 * time.Hour)
 	sys.Tick()
@@ -855,9 +863,13 @@ func TestContinuousResultIsOwnedPayload(t *testing.T) {
 		t.Fatalf("second evaluation: %d reports, want 4", len(*reports))
 	}
 	intact("after the second evaluation")
+	unparented("after the second evaluation")
 	for i, xml := range before {
 		if got := (*reports)[i].Doc.XML(); got != xml {
 			t.Errorf("report %d changed under a later evaluation:\n before %s\n after  %s", i, xml, got)
+		}
+		if !slices.Equal((*reports)[i].Doc.Children, payloads[i]) {
+			t.Errorf("report %d no longer holds the payloads it was delivered with", i)
 		}
 	}
 	for _, rep := range (*reports)[2:] {
