@@ -71,9 +71,8 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  xycluster serve -addr HOST:PORT
+  xycluster serve -addr HOST:PORT [-coord HOST:PORT] [-advertise HOST:PORT]
   xycluster load -blocks ADDR[,ADDR...] [-c N] [-a N] [-m N] [-seed N]
-  xycluster serve -addr HOST:PORT -coord HOST:PORT [-advertise HOST:PORT]
   xycluster coord -addr HOST:PORT -wal DIR [-replicas N]
   xycluster match -blocks ADDR[,ADDR...] EVENT[,EVENT...]
   xycluster bench -blocks ADDR[,ADDR...] [-p N] [-a N] [-n N] [-seed N]`)
@@ -108,56 +107,48 @@ func runLoad(args []string) error {
 	return nil
 }
 
+// runServe serves an empty block until SIGINT/SIGTERM, then drains it.
+// With -coord the block joins that coordinator's cluster once bound, and
+// leaves it before draining: the coordinator migrates the block's
+// partitions away before the leave acks.
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7070", "listen address")
 	coord := fs.String("coord", "", "coordinator address to join")
-	advertise := fs.String("advertise", "", "address announced to the coordinator (default: the bound listen address)")
+	advertise := fs.String("advertise", "", "address the partition map knows this block by (default: the bound listen address)")
 	fs.Parse(args)
 	if fs.NArg() != 0 {
 		return fmt.Errorf("serve takes no arguments; subscriptions arrive over the wire (see load)")
 	}
-	if *coord != "" {
-		return serveDynamic(*addr, *coord, *advertise)
+	var opts []cluster.ServerOption
+	if *advertise != "" {
+		opts = append(opts, cluster.WithAdvertise(*advertise))
 	}
-	srv, err := cluster.ServeDynamic(*addr, nil)
+	srv, err := cluster.ServeDynamic(*addr, nil, opts...)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("serving an empty block on %s\n", srv.Addr())
-	waitForSignal()
-	fmt.Println("shutting down: draining connections")
-	return srv.Close()
-}
-
-// serveDynamic runs a coordinated block: bind, join the cluster,
-// serve until SIGINT/SIGTERM, then leave gracefully (the coordinator
-// migrates this block's partitions away before the leave acks) and
-// drain.
-func serveDynamic(addr, coord, advertise string) error {
-	m := core.NewMatcher()
-	opts := []cluster.ServerOption{}
-	if advertise != "" {
-		opts = append(opts, cluster.WithAdvertise(advertise))
-	}
-	srv, err := cluster.ServeDynamic(addr, m, opts...)
-	if err != nil {
-		return err
-	}
-	self := advertise
+	self := *advertise
 	if self == "" {
 		self = srv.Addr()
 	}
-	if err := cluster.JoinCluster(coord, self); err != nil {
-		_ = srv.Close()
-		return fmt.Errorf("join %s: %w", coord, err)
+	if *coord != "" {
+		if err := cluster.JoinCluster(*coord, self); err != nil {
+			_ = srv.Close()
+			return fmt.Errorf("join %s: %w", *coord, err)
+		}
+		fmt.Printf("block %s joined cluster at %s\n", self, *coord)
+	} else {
+		fmt.Printf("serving an empty block on %s\n", srv.Addr())
 	}
-	fmt.Printf("block %s joined cluster at %s\n", self, coord)
 	waitForSignal()
-	fmt.Println("shutting down: leaving cluster")
-	if err := cluster.LeaveCluster(coord, self); err != nil {
-		fmt.Fprintf(os.Stderr, "xycluster: leave: %v (shutting down anyway)\n", err)
+	if *coord != "" {
+		fmt.Println("shutting down: leaving cluster")
+		if err := cluster.LeaveCluster(*coord, self); err != nil {
+			fmt.Fprintf(os.Stderr, "xycluster: leave: %v (shutting down anyway)\n", err)
+		}
 	}
+	fmt.Println("shutting down: draining connections")
 	return srv.Close()
 }
 

@@ -37,7 +37,8 @@ type clientConfig struct {
 	faults      *faults.Injector
 }
 
-// ClientOption configures DialRing and NewRingClientWithMap.
+// ClientOption configures a ring client (DialRing, NewRingClientWithMap)
+// and the coordinator's connections (NewCoord, JoinCluster, LeaveCluster).
 type ClientOption func(*clientConfig)
 
 // WithDialer substitutes the connection factory — fault-injection tests
@@ -187,8 +188,9 @@ type blockConn struct {
 	w    *bufio.Writer
 	buf  []byte // match-reply payload, reused across exchanges
 	// dialed is set by the first connection; every later one is a
-	// reconnect.
+	// reconnect. closed is set by close: no call dials again.
 	dialed bool
+	closed bool
 	// downFails counts consecutive give-ups; downUntil is the end of the
 	// current cooldown window.
 	downFails int
@@ -215,10 +217,12 @@ func (bc *blockConn) attachLocked(conn net.Conn, st *netStats) {
 	bc.w = bufio.NewWriter(conn)
 }
 
-// close closes the block's connection, if any, and reports what Close said.
+// close closes the block's connection, if any, and reports what Close
+// said. A call still waiting for bc.mu fails instead of dialing again.
 func (bc *blockConn) close() (err error) {
 	bc.mu.Lock()
 	defer bc.mu.Unlock()
+	bc.closed = true
 	if bc.conn != nil {
 		err, bc.conn = bc.conn.Close(), nil
 	}
@@ -267,6 +271,9 @@ func (bc *blockConn) call(cfg *clientConfig, st *netStats, send func(w *bufio.Wr
 			st.retries.Add(1)
 		}
 		if bc.conn == nil {
+			if bc.closed {
+				return fmt.Errorf("cluster: connection to %s is closed", bc.addr)
+			}
 			// Clock and dialer are config-owned leaves (see Probe); the
 			// dial must hold bc.mu so concurrent matches on the same block
 			// do not race to reconnect.
@@ -300,6 +307,17 @@ func (bc *blockConn) call(cfg *clientConfig, st *netStats, send func(w *bufio.Wr
 	}
 	bc.markDownLocked(cfg, st)
 	return lastErr
+}
+
+// request runs one blob round trip through call.
+func (bc *blockConn) request(cfg *clientConfig, st *netStats, kind byte, payload []byte) (rkind byte, rbody []byte, err error) {
+	err = bc.call(cfg, st,
+		func(w *bufio.Writer) error { return writeBlob(w, kind, payload) },
+		func(r *bufio.Reader) (err error) {
+			rkind, rbody, err = readBlob(r, nil)
+			return err
+		})
+	return rkind, rbody, err
 }
 
 // exchangeLocked performs one deadline-bounded request/response. Every

@@ -312,3 +312,32 @@ func TestServerSurvivesAbruptDisconnect(t *testing.T) {
 		t.Fatalf("Match after abrupt disconnects = %v, %v", ids, err)
 	}
 }
+
+// TestClosedBlockConnNeverDials pins the end of a shared connection's
+// life: once closed, a request that reaches it fails instead of dialing
+// a connection nobody would close.
+func TestClosedBlockConnNeverDials(t *testing.T) {
+	srv, err := ServeDynamic("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatalf("ServeDynamic: %v", err)
+	}
+	defer srv.Close()
+	dials := 0
+	cfg := newClientConfig([]ClientOption{WithDialer(func(addr string) (net.Conn, error) {
+		dials++
+		return net.DialTimeout("tcp", addr, time.Second)
+	})})
+	bc := &blockConn{addr: srv.Addr()}
+	if kind, _, err := bc.request(&cfg, new(netStats), kindDump, encodeU32(0)); err != nil || kind != kindDumped {
+		t.Fatalf("dump = %q, %v", kind, err)
+	}
+	if err := bc.close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if _, _, err := bc.request(&cfg, new(netStats), kindDump, encodeU32(0)); err == nil {
+		t.Fatal("a request on a closed connection succeeded")
+	}
+	if dials != 1 {
+		t.Fatalf("dialed %d times, want 1", dials)
+	}
+}

@@ -91,15 +91,8 @@ func WithAdvertise(addr string) ServerOption {
 
 // Server serves match requests for one partition block.
 type Server struct {
+	*listener
 	matcher *core.Matcher
-	cfg     serverConfig
-	ln      net.Listener
-	wg      sync.WaitGroup
-	closing chan struct{}
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
 
 	// The installed partition map and the partition of every hosted
 	// subscription (avoiding a Definition lookup per matched id on the
@@ -123,32 +116,23 @@ func ServeDynamic(addr string, m *core.Matcher, opts ...ServerOption) (*Server, 
 	for _, o := range opts {
 		o(&cfg)
 	}
-	ln, err := net.Listen("tcp", addr)
+	l, err := listen(addr, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
+		return nil, err
 	}
-	if cfg.advertise == "" {
-		cfg.advertise = ln.Addr().String()
+	if l.cfg.advertise == "" {
+		l.cfg.advertise = l.Addr()
 	}
-	s := &Server{
-		matcher: m, cfg: cfg, ln: ln,
-		closing: make(chan struct{}),
-		conns:   make(map[net.Conn]struct{}),
-		part:    make(map[core.ComplexID]int),
-	}
+	s := &Server{listener: l, matcher: m, part: make(map[core.ComplexID]int)}
 	// A pre-loaded matcher's subscriptions need their partitions on
 	// record for the match filter and dumps.
 	m.Range(func(id core.ComplexID, set core.EventSet) bool {
 		s.part[id] = PartitionOf(set)
 		return true
 	})
-	s.wg.Add(1)
-	go s.acceptLoop()
+	l.serve(s.dispatch)
 	return s, nil
 }
-
-// Addr returns the listener's address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Map returns the installed partition map (Version 0 when none).
 func (s *Server) Map() Map {
@@ -160,22 +144,59 @@ func (s *Server) Map() Map {
 // Len returns the number of subscriptions this block currently hosts.
 func (s *Server) Len() int { return s.matcher.Len() }
 
+// listener is the frame server of a block and of the coordinator: it
+// admits connections and runs each one's request loop.
+type listener struct {
+	cfg     serverConfig
+	ln      net.Listener
+	wg      sync.WaitGroup
+	closing chan struct{}
+	// dispatch reads the body of one request (kind already consumed) and
+	// answers it. It returns keep=false to close the connection after the
+	// response flushes, and a non-nil error to answer with an error frame
+	// and close. sc is the connection's own match scratch.
+	dispatch func(kind byte, r *bufio.Reader, w *bufio.Writer, key string, sc *matchScratch) (keep bool, err error)
+
+	mu     sync.Mutex
+	closed bool
+	conns  map[net.Conn]struct{}
+}
+
+// listen binds addr; serve starts answering on it.
+func listen(addr string, cfg serverConfig) (*listener, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	return &listener{cfg: cfg, ln: ln, closing: make(chan struct{}), conns: make(map[net.Conn]struct{})}, nil
+}
+
+// serve starts the accept loop; every request is answered by dispatch.
+func (l *listener) serve(dispatch func(byte, *bufio.Reader, *bufio.Writer, string, *matchScratch) (bool, error)) {
+	l.dispatch = dispatch
+	l.wg.Add(1)
+	go l.acceptLoop()
+}
+
+// Addr returns the listener's address.
+func (l *listener) Addr() string { return l.ln.Addr().String() }
+
 // Close stops the listener, severs every active connection (a handler
 // blocked on a client that never speaks again must not wedge shutdown),
 // and waits for all handlers to drain.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	alreadyClosed := s.closed
-	s.closed = true
-	for conn := range s.conns {
+func (l *listener) Close() error {
+	l.mu.Lock()
+	alreadyClosed := l.closed
+	l.closed = true
+	for conn := range l.conns {
 		_ = conn.Close()
 	}
-	s.mu.Unlock()
+	l.mu.Unlock()
 	if !alreadyClosed {
-		close(s.closing)
+		close(l.closing)
 	}
-	err := s.ln.Close()
-	s.wg.Wait()
+	err := l.ln.Close()
+	l.wg.Wait()
 	if alreadyClosed {
 		return nil
 	}
@@ -187,21 +208,17 @@ func (s *Server) Close() error {
 // 1s cap, the crawler's retry idiom — instead of hot-spinning the CPU
 // against a condition that needs time to clear; any successful accept
 // resets the backoff.
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
+func (l *listener) acceptLoop() {
+	defer l.wg.Done()
 	backoff := time.Millisecond
 	const backoffMax = time.Second
 	for {
-		conn, err := s.ln.Accept()
+		conn, err := l.ln.Accept()
 		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return
-			}
+			// Close closes l.closing before the listener, so the error
+			// that Close causes returns here at once.
 			select {
-			case <-s.closing:
+			case <-l.closing:
 				return
 			case <-time.After(backoff):
 			}
@@ -211,22 +228,22 @@ func (s *Server) acceptLoop() {
 			continue
 		}
 		backoff = time.Millisecond
-		if err := s.cfg.faults.Check(faults.PointAccept, remoteKey(conn)); err != nil {
+		if err := l.cfg.faults.Check(faults.PointAccept, remoteKey(conn)); err != nil {
 			conn.Close()
 			continue
 		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
+		l.mu.Lock()
+		if l.closed {
+			l.mu.Unlock()
 			conn.Close()
 			return
 		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
+		l.conns[conn] = struct{}{}
+		l.mu.Unlock()
+		l.wg.Add(1)
 		go func() {
-			defer s.wg.Done()
-			s.handle(conn)
+			defer l.wg.Done()
+			l.handle(conn)
 		}()
 	}
 }
@@ -238,12 +255,12 @@ func remoteKey(conn net.Conn) string {
 	return ""
 }
 
-func (s *Server) handle(conn net.Conn) {
+func (l *listener) handle(conn net.Conn) {
 	defer func() {
 		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
+		l.mu.Lock()
+		delete(l.conns, conn)
+		l.mu.Unlock()
 	}()
 	key := remoteKey(conn)
 	r := bufio.NewReader(conn)
@@ -253,25 +270,25 @@ func (s *Server) handle(conn net.Conn) {
 		// The idle deadline covers the wait for the next request and the
 		// request/response exchange itself: a stalled or vanished client
 		// frees this goroutine within the deadline, never "until Close".
-		if s.cfg.readIdle > 0 {
-			if err := conn.SetDeadline(time.Now().Add(s.cfg.readIdle)); err != nil {
+		if l.cfg.readIdle > 0 {
+			if err := conn.SetDeadline(time.Now().Add(l.cfg.readIdle)); err != nil {
 				return
 			}
 		}
-		if err := s.cfg.faults.Check(faults.PointServeRead, key); err != nil {
+		if err := l.cfg.faults.Check(faults.PointServeRead, key); err != nil {
 			return
 		}
 		kind, err := r.ReadByte()
 		if err != nil {
 			return
 		}
-		keep, err := s.dispatch(kind, r, w, key, &sc)
+		keep, err := l.dispatch(kind, r, w, key, &sc)
 		if err != nil {
 			// An injected write fault models a broken pipe: drop the
 			// connection so the client's transport retry kicks in. A
 			// protocol error, by contrast, is answered in words.
 			if !errors.Is(err, io.EOF) && !errors.Is(err, faults.ErrInjected) {
-				_ = s.writeChecked(w, key, func() error { return writeError(w, err) })
+				_ = l.writeChecked(w, key, func() error { return writeError(w, err) })
 				w.Flush()
 			}
 			return
@@ -287,17 +304,14 @@ func (s *Server) handle(conn net.Conn) {
 }
 
 // writeChecked consults the serve.write fault seam, then runs the write.
-func (s *Server) writeChecked(w *bufio.Writer, key string, write func() error) error {
-	if err := s.cfg.faults.Check(faults.PointServeWrite, key); err != nil {
+func (l *listener) writeChecked(w *bufio.Writer, key string, write func() error) error {
+	if err := l.cfg.faults.Check(faults.PointServeWrite, key); err != nil {
 		return err
 	}
 	return write()
 }
 
-// dispatch reads the body of one request (kind already consumed) and
-// answers it. It returns keep=false to close the connection after the
-// response flushes, and a non-nil error to answer with an error frame
-// and close.
+// dispatch answers one block request for the listener.
 func (s *Server) dispatch(kind byte, r *bufio.Reader, w *bufio.Writer, key string, sc *matchScratch) (keep bool, err error) {
 	if kind == kindMatch {
 		return s.handleMatch(r, w, key, sc)

@@ -6,10 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"sort"
 	"sync"
-	"time"
 
 	"xymon/internal/faults"
 	"xymon/internal/wal"
@@ -53,12 +51,12 @@ type Coord struct {
 	stable  Map
 	members map[string]bool
 
-	ln      net.Listener
-	wg      sync.WaitGroup
-	closing chan struct{}
-	cmu     sync.Mutex
-	closed  bool
-	conns   map[net.Conn]struct{}
+	// cmu guards the control listener (nil until ServeCoord) and the
+	// connection to each block (the map is nil once closed).
+	cmu   sync.Mutex
+	srv   *listener
+	conns map[string]*blockConn
+	st    netStats
 }
 
 // coordRecord is one JSON journal entry of the transfer WAL.
@@ -119,19 +117,18 @@ func NewCoord(walDir string, replicas int, opts ...ClientOption) (*Coord, error)
 		replicas: replicas,
 		log:      log,
 		members:  make(map[string]bool),
-		closing:  make(chan struct{}),
-		conns:    make(map[net.Conn]struct{}),
+		conns:    make(map[string]*blockConn),
 	}
 	pending, err := c.recover()
 	if err != nil {
-		_ = log.Close()
+		_ = c.Close()
 		return nil, err
 	}
 	c.curr = c.stable
 	if pending != nil {
 		c.curr = pending.trans
 		if err := c.runTransfer(pending); err != nil {
-			_ = log.Close()
+			_ = c.Close()
 			return nil, fmt.Errorf("cluster: resume journaled transfer: %w", err)
 		}
 	}
@@ -199,27 +196,21 @@ func (c *Coord) recover() (*pendingTransfer, error) {
 	return pending, nil
 }
 
-// Close stops the listener (if serving) and closes the journal.
+// Close stops the listener (if serving), then closes the block
+// connections and the journal.
 func (c *Coord) Close() error {
 	c.cmu.Lock()
-	already := c.closed
-	c.closed = true
-	var ln net.Listener
-	if !already {
-		close(c.closing)
-		ln = c.ln
-		for conn := range c.conns {
-			_ = conn.Close()
-		}
-		c.conns = map[net.Conn]struct{}{}
-	}
+	srv, conns := c.srv, c.conns
+	c.conns = nil
 	c.cmu.Unlock()
-	if ln != nil {
-		_ = ln.Close()
+	if conns == nil {
+		return nil // already closed
 	}
-	c.wg.Wait()
-	if already {
-		return nil
+	if srv != nil {
+		_ = srv.Close()
+	}
+	for _, bc := range conns {
+		_ = bc.close()
 	}
 	return c.log.Close()
 }
@@ -319,7 +310,7 @@ func (c *Coord) runTransfer(p *pendingTransfer) error {
 		if p.done[key] {
 			continue
 		}
-		if err := c.faultCheck(faults.PointXfer, key); err != nil {
+		if err := c.cfg.faults.Check(faults.PointXfer, key); err != nil {
 			return err
 		}
 		subs, journaled := p.dumped[mv.Part]
@@ -468,74 +459,48 @@ func (c *Coord) install(addr string, m Map) error {
 	return nil
 }
 
-// faultCheck consults the coordinator's injector at a transfer point.
-func (c *Coord) faultCheck(point faults.Point, key string) error {
-	if c.cfg.faults == nil {
-		return nil
-	}
-	return c.cfg.faults.Check(point, key)
-}
-
-// rpc runs one request/response round trip against a block over a fresh
-// connection, with deadline-bounded I/O and bounded retries. The
-// coordinator talks to each block rarely (installs, dumps, copies), so
-// per-call dials keep it free of connection-state bookkeeping.
+// rpc runs one request/response round trip against a block over the
+// coordinator's connection to it, which installs, dumps, copies and drops
+// all reuse. The ring client's envelope applies: deadlines, bounded
+// retries, and a down-cooldown that skips a block whose request failed.
 func (c *Coord) rpc(addr string, kind byte, payload []byte) (byte, []byte, error) {
-	var lastErr error
-	for attempt := 0; attempt <= c.cfg.retries; attempt++ {
-		rkind, body, err := c.rpcOnce(addr, kind, payload)
-		if err == nil {
-			return rkind, body, nil
-		}
-		lastErr = err
-		var remote *RemoteError
-		if errors.As(err, &remote) {
-			break // the block answered; resending changes nothing
-		}
+	c.cmu.Lock()
+	if c.conns == nil {
+		c.cmu.Unlock()
+		return 0, nil, errCoordClosed
 	}
-	return 0, nil, lastErr
+	bc, ok := c.conns[addr]
+	if !ok {
+		bc = &blockConn{addr: addr}
+		c.conns[addr] = bc
+	}
+	c.cmu.Unlock()
+	return bc.request(&c.cfg, &c.st, kind, payload)
 }
 
-func (c *Coord) rpcOnce(addr string, kind byte, payload []byte) (byte, []byte, error) {
-	conn, err := c.cfg.dialer(addr)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer conn.Close()
-	if c.cfg.ioTimeout > 0 {
-		if err := conn.SetDeadline(time.Now().Add(c.cfg.ioTimeout)); err != nil {
-			return 0, nil, err
-		}
-	}
-	w := bufio.NewWriter(conn)
-	if err := writeBlob(w, kind, payload); err != nil {
-		return 0, nil, err
-	}
-	if err := w.Flush(); err != nil {
-		return 0, nil, err
-	}
-	return readBlob(bufio.NewReader(conn), nil)
-}
+var errCoordClosed = errors.New("cluster: coordinator is closed")
 
-// ServeCoord starts the coordinator's control listener on addr. Blocks
-// and clients speak blob frames to it: '?' fetches the current map,
-// 'J'/'L'/'V' are join/leave/evict requests carrying the subject block's
-// address. Returns once the listener is bound; Close stops it.
+// ServeCoord starts the coordinator's control listener on addr: the
+// block server's frame loop, with a dispatch that answers '?' with the
+// current map and 'J'/'L' (join/leave, carrying the subject block's
+// address) once the rebalance is done. It returns once the listener is
+// bound and refuses a coordinator that is closed or already serving;
+// Close stops it.
 func (c *Coord) ServeCoord(addr string) error {
-	ln, err := net.Listen("tcp", addr)
+	c.cmu.Lock()
+	defer c.cmu.Unlock()
+	switch {
+	case c.conns == nil:
+		return errCoordClosed
+	case c.srv != nil:
+		return fmt.Errorf("cluster: coordinator already serves on %s", c.srv.Addr())
+	}
+	l, err := listen(addr, serverConfig{readIdle: DefaultReadIdle, faults: c.cfg.faults})
 	if err != nil {
 		return err
 	}
-	c.cmu.Lock()
-	if c.closed {
-		c.cmu.Unlock()
-		_ = ln.Close()
-		return errors.New("cluster: coordinator is closed")
-	}
-	c.ln = ln
-	c.cmu.Unlock()
-	c.wg.Add(1)
-	go c.acceptLoop(ln)
+	c.srv = l
+	l.serve(c.dispatch)
 	return nil
 }
 
@@ -543,111 +508,42 @@ func (c *Coord) ServeCoord(addr string) error {
 func (c *Coord) Addr() string {
 	c.cmu.Lock()
 	defer c.cmu.Unlock()
-	if c.ln == nil {
+	if c.srv == nil {
 		return ""
 	}
-	return c.ln.Addr().String()
+	return c.srv.Addr()
 }
 
-// acceptLoop mirrors Server.acceptLoop: capped exponential backoff on
-// transient accept errors, clean exit once Close fires.
-func (c *Coord) acceptLoop(ln net.Listener) {
-	defer c.wg.Done()
-	backoff := time.Millisecond
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			select {
-			case <-c.closing:
-				return
-			default:
-			}
-			select {
-			case <-c.closing:
-				return
-			case <-time.After(backoff):
-			}
-			if backoff < time.Second {
-				backoff *= 2
-			}
-			continue
-		}
-		backoff = time.Millisecond
-		if err := c.faultCheck(faults.PointAccept, conn.RemoteAddr().String()); err != nil {
-			_ = conn.Close()
-			continue
-		}
-		c.cmu.Lock()
-		if c.closed {
-			c.cmu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		c.conns[conn] = struct{}{}
-		c.cmu.Unlock()
-		c.wg.Add(1)
-		go c.handle(conn)
+// dispatch answers one control request for the listener.
+func (c *Coord) dispatch(kind byte, r *bufio.Reader, w *bufio.Writer, key string, _ *matchScratch) (bool, error) {
+	payload, err := readBlobBody(r, nil)
+	if err != nil {
+		return false, err
 	}
-}
-
-func (c *Coord) handle(conn net.Conn) {
-	defer c.wg.Done()
-	defer func() {
-		c.cmu.Lock()
-		delete(c.conns, conn)
-		c.cmu.Unlock()
-		_ = conn.Close()
-	}()
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	for {
-		if err := conn.SetDeadline(time.Now().Add(DefaultReadIdle)); err != nil {
-			return
-		}
-		if err := c.faultCheck(faults.PointServeRead, conn.RemoteAddr().String()); err != nil {
-			return
-		}
-		kind, body, err := readBlob(r, nil)
-		if err != nil {
-			var remote *RemoteError
-			if !errors.As(err, &remote) {
-				return
-			}
-			continue
-		}
-		if err := c.dispatch(kind, body, w); err != nil {
-			_ = writeError(w, err)
-		}
-		if w.Flush() != nil {
-			return
-		}
-	}
-}
-
-func (c *Coord) dispatch(kind byte, body []byte, w *bufio.Writer) error {
-	if err := c.faultCheck(faults.PointServeWrite, string(kind)); err != nil {
-		return err
-	}
+	var body []byte
 	switch kind {
 	case kindMapReq:
 		m := c.Map()
 		if m.Version == 0 {
-			return fmt.Errorf("%w: no blocks have joined yet", ErrProtocol)
+			return false, fmt.Errorf("%w: no blocks have joined yet", ErrProtocol)
 		}
-		return writeBlob(w, kindMapResp, m.Encode())
+		kind, body = kindMapResp, m.Encode()
 	case kindJoin:
-		if err := c.Join(string(body)); err != nil {
-			return err
-		}
-		return writeBlob(w, kindAck, nil)
+		kind, err = kindAck, c.Join(string(payload))
 	case kindLeave:
-		if err := c.Leave(string(body)); err != nil {
-			return err
-		}
-		return writeBlob(w, kindAck, nil)
+		kind, err = kindAck, c.Leave(string(payload))
 	default:
-		return fmt.Errorf("%w: unknown coordinator frame kind %q", ErrProtocol, kind)
+		return false, fmt.Errorf("%w: unknown coordinator frame kind %q", ErrProtocol, kind)
 	}
+	if err != nil {
+		// The rebalance failed, not this connection: answer in words
+		// even when a block's EOF or an injected fault caused it.
+		return false, errors.New(err.Error())
+	}
+	if err := c.cfg.faults.Check(faults.PointServeWrite, key); err != nil {
+		return false, err
+	}
+	return true, writeBlob(w, kind, body)
 }
 
 func moveKey(part int, to string) string {
@@ -668,8 +564,10 @@ func LeaveCluster(coordAddr, addr string, opts ...ClientOption) error {
 }
 
 func coordRequest(coordAddr string, kind byte, addr string, opts []ClientOption) error {
-	c := &Coord{cfg: newClientConfig(opts)}
-	rkind, _, err := c.rpc(coordAddr, kind, []byte(addr))
+	cfg := newClientConfig(opts)
+	bc := &blockConn{addr: coordAddr}
+	defer bc.close()
+	rkind, _, err := bc.request(&cfg, new(netStats), kind, []byte(addr))
 	if err != nil {
 		return err
 	}

@@ -3,11 +3,14 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,11 +35,11 @@ type testCluster struct {
 	blocks map[string]*Server
 }
 
-// startCluster boots a coordinator (journal in a temp dir) with n
-// dynamic blocks joined, replication R.
-func startRing(t *testing.T, n, replicas int) *testCluster {
+// startRing boots a coordinator (journal in a temp dir, opts after
+// fastOpts) with n dynamic blocks joined, replication R.
+func startRing(t *testing.T, n, replicas int, opts ...ClientOption) *testCluster {
 	t.Helper()
-	c, err := NewCoord(t.TempDir(), replicas, fastOpts()...)
+	c, err := NewCoord(t.TempDir(), replicas, append(fastOpts(), opts...)...)
 	if err != nil {
 		t.Fatalf("NewCoord: %v", err)
 	}
@@ -272,6 +275,93 @@ func TestJoinRebalanceMovesSubscriptions(t *testing.T) {
 		}
 	}
 	checkAgainstReference(t, rc, ref, false)
+}
+
+// TestCoordReusesBlockConnections pins the coordinator's one connection
+// per block: a join that copies hundreds of subscriptions onto a new
+// block dials each block at most once, and every copy lands.
+func TestCoordReusesBlockConnections(t *testing.T) {
+	var dials atomic.Int64
+	dialer := func(addr string) (net.Conn, error) {
+		dials.Add(1)
+		return net.DialTimeout("tcp", addr, time.Second)
+	}
+	tc := startRing(t, 2, 2, WithDialer(dialer))
+	rc := tc.ringClient(t)
+	ref := seedSubs(t, rc, 500)
+
+	before := dials.Load()
+	tc.addBlock(t)
+	n := dials.Load() - before
+	t.Logf("the join dialed %d times", n)
+	if n > int64(len(tc.blocks)) {
+		t.Fatalf("a join onto %d blocks dialed %d times", len(tc.blocks), n)
+	}
+	checkAgainstReference(t, rc, ref, false)
+}
+
+// TestServeCoordTwiceRefused pins one control listener per coordinator:
+// a second ServeCoord fails and leaves the first serving, and Close
+// still returns promptly.
+func TestServeCoordTwiceRefused(t *testing.T) {
+	c, err := NewCoord(t.TempDir(), 2, fastOpts()...)
+	if err != nil {
+		t.Fatalf("NewCoord: %v", err)
+	}
+	if err := c.ServeCoord("127.0.0.1:0"); err != nil {
+		t.Fatalf("ServeCoord: %v", err)
+	}
+	addr := c.Addr()
+	if err := c.ServeCoord("127.0.0.1:0"); err == nil {
+		t.Fatal("a second ServeCoord succeeded")
+	}
+	if got := c.Addr(); got != addr {
+		t.Fatalf("Addr = %s after the refused ServeCoord, want %s", got, addr)
+	}
+	done := make(chan error, 1)
+	go func() { done <- c.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close hung after a second ServeCoord")
+	}
+	if err := c.ServeCoord("127.0.0.1:0"); err == nil {
+		t.Fatal("ServeCoord succeeded on a closed coordinator")
+	}
+}
+
+// TestCoordAnswersFailedJoinInWords sends a join whose rebalance fails
+// on a block's EOF. The coordinator must answer with an error frame, not
+// drop the connection like a broken pipe: the caller would resend the
+// join, and the resent join of a member acks.
+func TestCoordAnswersFailedJoinInWords(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() { // a block that reads each request and hangs up
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			var hdr [5]byte
+			if _, err := io.ReadFull(conn, hdr[:]); err == nil {
+				_, _ = io.CopyN(io.Discard, conn, int64(binary.LittleEndian.Uint32(hdr[1:])))
+			}
+			conn.Close()
+		}
+	}()
+	tc := startRing(t, 0, 2)
+	err = JoinCluster(tc.coord.Addr(), ln.Addr().String(), fastOpts()...)
+	var remote *RemoteError
+	if !errors.As(err, &remote) {
+		t.Fatalf("JoinCluster = %v, want the coordinator's error frame", err)
+	}
 }
 
 // TestLeaveDrainsGracefully retires a block via Leave and checks nothing

@@ -243,16 +243,7 @@ func (c *RingClient) request(addr string, kind byte, payload []byte) (byte, []by
 	if err != nil {
 		return 0, nil, err
 	}
-	var rkind byte
-	var rbody []byte
-	err = bc.call(&c.cfg, &c.st,
-		func(w *bufio.Writer) error { return writeBlob(w, kind, payload) },
-		func(r *bufio.Reader) error {
-			var err error
-			rkind, rbody, err = readBlob(r, nil)
-			return err
-		})
-	return rkind, rbody, err
+	return bc.request(&c.cfg, &c.st, kind, payload)
 }
 
 // neededPartitions returns the mask of partitions a match for s must
@@ -472,7 +463,7 @@ func (c *RingClient) writeAll(p int, frame func(ver uint64) (byte, []byte)) erro
 			if err != nil {
 				// The target may simply no longer be a member: an
 				// unreachable write target under an old map looks exactly
-				// like this after an eviction. If the coordinator has a
+				// like this after it left. If the coordinator has a
 				// newer map, re-plan against it before giving up.
 				var remote *RemoteError
 				if !errors.As(err, &remote) && refresh < maxMapRefreshes && c.coord != "" {
@@ -512,7 +503,7 @@ func (c *RingClient) Probe() int {
 	up := 0
 	for _, bc := range c.blockConns() {
 		bc.mu.Lock()
-		if bc.conn == nil {
+		if bc.conn == nil && !bc.closed {
 			// The dialer is a config-owned leaf (net.DialTimeout or a test
 			// wrapper); it never calls back into the client, and holding
 			// bc.mu serialises the probe with in-flight matches.

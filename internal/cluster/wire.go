@@ -28,7 +28,6 @@ import (
 //	'?' fetch map                              → 'P' map JSON | 'E'
 //	'J' join(addr)     [coordinator]           → 'k' | 'E'
 //	'L' leave(addr)    [coordinator]           → 'k' | 'E'
-//	'V' evict(addr)    [coordinator]           → 'k' | 'E'
 const (
 	kindMatch   = 'm'
 	kindResults = 'r'
