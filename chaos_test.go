@@ -409,10 +409,7 @@ func TestChaosClusterRebalance(t *testing.T) {
 		cluster.WithRetries(2),
 		cluster.WithDownCooldown(10*time.Millisecond, 50*time.Millisecond),
 	}
-	rc, err := cluster.DialRing(coord.Addr(), clientOpts...)
-	if err != nil {
-		t.Fatalf("DialRing: %v", err)
-	}
+	rc := cluster.NewRingClientWithMap(blocks[0].Map(), clientOpts...)
 	defer rc.Close()
 
 	reference := core.NewMatcher()
@@ -558,13 +555,10 @@ func TestChaosClusterRebalance(t *testing.T) {
 		t.Fatalf("ServeCoord: %v", err)
 	}
 	defer coord2.Close()
-	if m := coord2.Map(); len(m.Joining) != 0 {
+	if m := late.Map(); len(m.Joining) != 0 {
 		t.Fatalf("resumed coordinator still mid-transfer: %+v", m)
 	}
-	rc2, err := cluster.DialRing(coord2.Addr(), clientOpts...)
-	if err != nil {
-		t.Fatalf("DialRing after resume: %v", err)
-	}
+	rc2 := cluster.NewRingClientWithMap(late.Map(), clientOpts...)
 	defer rc2.Close()
 	storm()
 	addSubs(rc2, 40)

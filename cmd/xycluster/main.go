@@ -6,11 +6,14 @@
 //
 //	xycluster load -blocks host1:7070,host2:7070 -c 100000 -a 10000 -m 3
 //	    generate a synthetic subscription base and shard it over the
-//	    blocks, one replica per partition
+//	    blocks, one replica per partition; blocks that joined a
+//	    coordinator hand the client its map, and the base follows it
 //
 //	xycluster coord -addr :7060 -wal dir/ -replicas 2
 //	    run the partition-map coordinator: admits block joins/leaves,
-//	    rebalances partitions with WAL-backed handoffs
+//	    rebalances partitions with WAL-backed handoffs and installs each
+//	    map on the blocks; load, match and bench take block addresses,
+//	    never the coordinator's
 //
 //	xycluster serve -addr :7070 -coord host:7060
 //	    serve a block and join the coordinator's cluster; SIGINT/SIGTERM

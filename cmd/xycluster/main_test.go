@@ -1,7 +1,11 @@
 package main
 
 import (
+	"fmt"
+	"io"
+	"os"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -89,4 +93,97 @@ func TestMatchRejectsBadArgs(t *testing.T) {
 	if err := runServe([]string{"-addr", "127.0.0.1:0", "block0.xyc"}); err == nil {
 		t.Error("serve with a snapshot file should fail")
 	}
+}
+
+// TestCoordinatedWorkflow runs the workflow of the command's header in
+// process: a coordinator at R = 2, two blocks joined to it, load and
+// match through -blocks, then a third block joined and the same match
+// again through the same two addresses.
+func TestCoordinatedWorkflow(t *testing.T) {
+	coord, err := cluster.NewCoord(t.TempDir(), 2)
+	if err != nil {
+		t.Fatalf("NewCoord: %v", err)
+	}
+	defer coord.Close()
+	if err := coord.ServeCoord("127.0.0.1:0"); err != nil {
+		t.Fatalf("ServeCoord: %v", err)
+	}
+	join := func() *cluster.Server {
+		srv, err := cluster.ServeDynamic("127.0.0.1:0", nil)
+		if err != nil {
+			t.Fatalf("ServeDynamic: %v", err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		if err := cluster.JoinCluster(coord.Addr(), srv.Addr()); err != nil {
+			t.Fatalf("JoinCluster: %v", err)
+		}
+		return srv
+	}
+	a, b := join(), join()
+	blocks := a.Addr() + "," + b.Addr()
+	if err := runLoad([]string{"-blocks", blocks, "-c", "2000", "-a", "500", "-m", "3", "-seed", "9"}); err != nil {
+		t.Fatalf("runLoad: %v", err)
+	}
+	if a.Len() != 2000 || b.Len() != 2000 {
+		t.Fatalf("blocks hold %d and %d subscriptions, want 2000 each at R = 2", a.Len(), b.Len())
+	}
+
+	// The document is the first five subscriptions' events together.
+	w := webgen.GenEventWorkload(9, 500, 2000, 3, 1, 1)
+	local := core.NewMatcher()
+	if err := w.Load(local.Add); err != nil {
+		t.Fatal(err)
+	}
+	var doc []core.Event
+	var list []string
+	for _, events := range w.Complex[:5] {
+		for _, e := range events {
+			doc = append(doc, e)
+			list = append(list, strconv.Itoa(int(e)))
+		}
+	}
+	want := local.Match(core.Canonical(doc))
+	slices.Sort(want)
+	wantOut := fmt.Sprintf("%d complex events matched: %v\n", len(want), want)
+	match := func() {
+		t.Helper()
+		out, err := stdoutOf(func() error {
+			return runMatch([]string{"-blocks", blocks, strings.Join(list, ",")})
+		})
+		if err != nil {
+			t.Fatalf("runMatch: %v", err)
+		}
+		if out != wantOut {
+			t.Fatalf("runMatch printed %q, want %q", out, wantOut)
+		}
+	}
+	match()
+
+	c := join()
+	if c.Len() == 0 {
+		t.Fatal("the third block received no subscriptions")
+	}
+	if total := a.Len() + b.Len() + c.Len(); total != 4000 {
+		t.Fatalf("blocks hold %d subscriptions between them, want 4000 at R = 2", total)
+	}
+	match()
+}
+
+// stdoutOf runs f with os.Stdout captured and returns what it printed.
+func stdoutOf(f func() error) (string, error) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		return "", err
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	ferr := f()
+	os.Stdout = stdout
+	w.Close()
+	out, err := io.ReadAll(r)
+	r.Close()
+	if ferr != nil {
+		return string(out), ferr
+	}
+	return string(out), err
 }

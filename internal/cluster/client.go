@@ -37,8 +37,8 @@ type clientConfig struct {
 	faults      *faults.Injector
 }
 
-// ClientOption configures a ring client (DialRing, NewRingClientWithMap)
-// and the coordinator's connections (NewCoord, JoinCluster, LeaveCluster).
+// ClientOption configures a ring client (NewRingClientWithMap) and the
+// coordinator's connections (NewCoord, JoinCluster, LeaveCluster).
 type ClientOption func(*clientConfig)
 
 // WithDialer substitutes the connection factory — fault-injection tests

@@ -359,14 +359,17 @@ func (s *Server) handleMatch(r *bufio.Reader, w *bufio.Writer, key string, sc *m
 	if sc.payload, err = readBlobBody(r, sc.payload); err != nil {
 		return false, err
 	}
-	var want uint64
-	if _, want, sc.events, err = decodeMatch(sc.payload, sc.events[:0]); err != nil {
+	var ver, want uint64
+	if ver, want, sc.events, err = decodeMatch(sc.payload, sc.events[:0]); err != nil {
 		return false, err
 	}
 	s.smu.RLock()
 	m := s.pmap
 	stale := false
-	if m.Version != 0 {
+	// A client whose map is newer than this block's learned it from a
+	// block the coordinator reached first: that map assigns a partition
+	// here only once the copy is done, so its plan is served as it is.
+	if m.Version != 0 && ver <= m.Version {
 		for ps := want; ps != 0 && !stale; ps &= ps - 1 {
 			stale = !m.Hosts(bits.TrailingZeros64(ps), s.cfg.advertise)
 		}
@@ -401,7 +404,8 @@ func (s *Server) handleMatch(r *bufio.Reader, w *bufio.Writer, key string, sc *m
 // target list came from the newer (correct) map, and applying the write
 // on a block whose install push is still in flight is exactly what keeps
 // the no-lost-subscription invariant; reads stay gated by the hosting
-// check, so an over-eager copy is never served from the wrong block.
+// check under the newer of the two maps, so an over-eager copy is never
+// served from a block that map does not assign it to.
 func (s *Server) checkWriteVersion(ver uint64) (stale bool, cur uint64) {
 	s.smu.RLock()
 	defer s.smu.RUnlock()

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"xymon/internal/faults"
@@ -21,7 +20,8 @@ import (
 // mid-transfer resumes from the journal instead of losing or duplicating
 // subscriptions.
 //
-// A transition from stable map v runs in two phases:
+// A transition from stable map v runs in two phases (numbered v+1 and
+// v+2 unless a failed transfer issued those numbers first):
 //
 //  1. Install the transition map v+1, identical to v but listing every
 //     copy destination in Joining. From this instant clients double-write
@@ -35,21 +35,21 @@ import (
 //
 // Reads never route to a Joining destination, so a half-copied partition
 // is never served; with R ≥ 2 a single block failure during all of this
-// still leaves a full replica of every partition to read from.
+// still leaves a full replica of every partition to read from. The
+// blocks are the only map server: a client learns each map from a block
+// that turns its requests away as stale.
 type Coord struct {
 	cfg      clientConfig
 	replicas int
 	log      *wal.Log
 
-	// opMu serialises transitions end-to-end; mu guards the snapshots
-	// below with short critical sections so map fetches ('?') answer
-	// instantly even while a transfer is running.
-	opMu sync.Mutex
-	mu   sync.Mutex
-	curr Map // map served to clients (the transition map mid-transfer)
-	// stable is the last committed map; members the admitted block set.
-	stable  Map
-	members map[string]bool
+	// opMu serialises transitions end-to-end and guards stable, the last
+	// committed map (its Blocks are the members), and ver, the newest map
+	// version issued: a transfer that failed may have left its transition
+	// map on blocks, so the next transition numbers its maps above it.
+	opMu   sync.Mutex
+	stable Map
+	ver    uint64
 
 	// cmu guards the control listener (nil until ServeCoord) and the
 	// connection to each block (the map is nil once closed).
@@ -79,8 +79,7 @@ type coordRecord struct {
 // coordSnapshot is the checkpoint image: everything outside an in-flight
 // transition.
 type coordSnapshot struct {
-	Stable Map      `json:"stable"`
-	Blocks []string `json:"blocks"`
+	Stable Map `json:"stable"`
 }
 
 // pendingTransfer is a journaled transition reconstructed at recovery.
@@ -116,7 +115,6 @@ func NewCoord(walDir string, replicas int, opts ...ClientOption) (*Coord, error)
 		cfg:      cfg,
 		replicas: replicas,
 		log:      log,
-		members:  make(map[string]bool),
 		conns:    make(map[string]*blockConn),
 	}
 	pending, err := c.recover()
@@ -124,9 +122,9 @@ func NewCoord(walDir string, replicas int, opts ...ClientOption) (*Coord, error)
 		_ = c.Close()
 		return nil, err
 	}
-	c.curr = c.stable
+	c.ver = c.stable.Version
 	if pending != nil {
-		c.curr = pending.trans
+		c.ver = pending.final.Version
 		if err := c.runTransfer(pending); err != nil {
 			_ = c.Close()
 			return nil, fmt.Errorf("cluster: resume journaled transfer: %w", err)
@@ -146,9 +144,6 @@ func (c *Coord) recover() (*pendingTransfer, error) {
 				return fmt.Errorf("cluster: coordinator checkpoint: %w", err)
 			}
 			c.stable = snap.Stable
-			for _, b := range snap.Blocks {
-				c.members[b] = true
-			}
 			return nil
 		},
 		func(payload []byte) error {
@@ -167,10 +162,6 @@ func (c *Coord) recover() (*pendingTransfer, error) {
 					moves:  rec.Moves,
 					done:   make(map[string]bool),
 					dumped: make(map[int][]Sub),
-				}
-				c.members = make(map[string]bool)
-				for _, b := range rec.Final.Blocks {
-					c.members[b] = true
 				}
 			case "subs":
 				if pending != nil {
@@ -215,14 +206,6 @@ func (c *Coord) Close() error {
 	return c.log.Close()
 }
 
-// Map snapshots the map currently served to clients (the transition map
-// while a transfer is running).
-func (c *Coord) Map() Map {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.curr.Clone()
-}
-
 // Join admits a block and rebalances onto it. The block must already be
 // serving — partitions are copied to it before the new map commits.
 func (c *Coord) Join(addr string) error { return c.reshape(addr, true) }
@@ -235,17 +218,18 @@ func (c *Coord) Join(addr string) error { return c.reshape(addr, true) }
 func (c *Coord) Leave(addr string) error { return c.reshape(addr, false) }
 
 // reshape runs one membership change as a journaled two-phase transition.
+// It plans from the committed map, whose Blocks are the members, so a
+// transfer that failed leaves nothing behind but its maps on the blocks:
+// retrying the change plans it again, and any other change replaces it.
 func (c *Coord) reshape(addr string, add bool) error {
 	c.opMu.Lock()
 	defer c.opMu.Unlock()
-	c.mu.Lock()
-	if c.members[addr] == add {
-		c.mu.Unlock()
-		return nil // no-op: already a member / already gone
-	}
 	old := c.stable
-	members := make([]string, 0, len(c.members)+1)
-	for b := range c.members {
+	if containsAddr(old.Blocks, addr) == add && c.ver == old.Version {
+		return nil // no-op: already a member / already gone, nothing failed since
+	}
+	members := make([]string, 0, len(old.Blocks)+1)
+	for _, b := range old.Blocks {
 		if b != addr {
 			members = append(members, b)
 		}
@@ -253,12 +237,11 @@ func (c *Coord) reshape(addr string, add bool) error {
 	if add {
 		members = append(members, addr)
 	}
-	c.mu.Unlock()
 
-	final := BuildMap(old.Version+2, c.replicas, members)
+	final := BuildMap(c.ver+2, c.replicas, members)
 	moves := movesBetween(old, final)
 	trans := old.Clone()
-	trans.Version = old.Version + 1
+	trans.Version = c.ver + 1
 	trans.Replicas = c.replicas
 	trans.Blocks = append([]string(nil), final.Blocks...)
 	if len(trans.Assign) != NumPartitions {
@@ -281,13 +264,7 @@ func (c *Coord) reshape(addr string, add bool) error {
 	if err := c.append(coordRecord{Kind: "begin", Trans: &trans, Final: &final, Moves: moves}); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	c.members = make(map[string]bool, len(members))
-	for _, b := range members {
-		c.members[b] = true
-	}
-	c.curr = trans
-	c.mu.Unlock()
+	c.ver = final.Version
 	return c.runTransfer(p)
 }
 
@@ -340,19 +317,16 @@ func (c *Coord) runTransfer(p *pendingTransfer) error {
 		p.done[key] = true
 	}
 	// Commit: journal first, then promote. A crash after this record
-	// replays into the committed state.
+	// replays into the committed state, and so does a failed install.
 	if err := c.append(coordRecord{Kind: "commit", Version: p.final.Version}); err != nil {
 		return err
 	}
+	c.stable = p.final
 	for _, b := range p.final.Blocks {
 		if err := c.install(b, p.final); err != nil {
 			return err
 		}
 	}
-	c.mu.Lock()
-	c.stable = p.final
-	c.curr = p.final
-	c.mu.Unlock()
 	c.dropRetired(p)
 	return c.checkpoint()
 }
@@ -361,8 +335,8 @@ func (c *Coord) runTransfer(p *pendingTransfer) error {
 // replica, preferring from, then the other old owners in order.
 func (c *Coord) dumpPart(p *pendingTransfer, part int, from string) ([]Sub, error) {
 	sources := []string{from}
-	if part < len(c.stableAssign()) {
-		for _, a := range c.stableAssign()[part] {
+	if part < len(c.stable.Assign) {
+		for _, a := range c.stable.Assign[part] {
 			if a != from {
 				sources = append(sources, a)
 			}
@@ -384,12 +358,6 @@ func (c *Coord) dumpPart(p *pendingTransfer, part int, from string) ([]Sub, erro
 	return nil, fmt.Errorf("cluster: no surviving replica of partition %d: %w", part, lastErr)
 }
 
-func (c *Coord) stableAssign() [][]string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stable.Assign
-}
-
 // dropRetired tells blocks that lost a partition in the committed map to
 // discard it. Best-effort garbage collection: a missed drop wastes
 // memory, never correctness — reads only route to assigned replicas.
@@ -401,7 +369,7 @@ func (c *Coord) dropRetired(p *pendingTransfer) {
 			oldOwners = p.trans.Assign[part]
 		}
 		for _, a := range oldOwners {
-			if !containsAddr(p.final.Assign[part], a) && c.isMember(a) {
+			if !containsAddr(p.final.Assign[part], a) && containsAddr(p.final.Blocks, a) {
 				retired[a] = append(retired[a], part)
 			}
 		}
@@ -413,22 +381,9 @@ func (c *Coord) dropRetired(p *pendingTransfer) {
 	}
 }
 
-func (c *Coord) isMember(addr string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.members[addr]
-}
-
 // checkpoint compacts the journal to the committed stable state.
 func (c *Coord) checkpoint() error {
-	c.mu.Lock()
-	snap := coordSnapshot{Stable: c.stable.Clone()}
-	for b := range c.members {
-		snap.Blocks = append(snap.Blocks, b)
-	}
-	c.mu.Unlock()
-	sort.Strings(snap.Blocks)
-	raw, err := json.Marshal(snap)
+	raw, err := json.Marshal(coordSnapshot{Stable: c.stable})
 	if err != nil {
 		return err
 	}
@@ -481,11 +436,11 @@ func (c *Coord) rpc(addr string, kind byte, payload []byte) (byte, []byte, error
 var errCoordClosed = errors.New("cluster: coordinator is closed")
 
 // ServeCoord starts the coordinator's control listener on addr: the
-// block server's frame loop, with a dispatch that answers '?' with the
-// current map and 'J'/'L' (join/leave, carrying the subject block's
-// address) once the rebalance is done. It returns once the listener is
-// bound and refuses a coordinator that is closed or already serving;
-// Close stops it.
+// block server's frame loop, with a dispatch that answers 'J'/'L'
+// (join/leave, carrying the subject block's address) once the rebalance
+// is done. Clients fetch maps from the blocks, never from here. It
+// returns once the listener is bound and refuses a coordinator that is
+// closed or already serving; Close stops it.
 func (c *Coord) ServeCoord(addr string) error {
 	c.cmu.Lock()
 	defer c.cmu.Unlock()
@@ -520,18 +475,11 @@ func (c *Coord) dispatch(kind byte, r *bufio.Reader, w *bufio.Writer, key string
 	if err != nil {
 		return false, err
 	}
-	var body []byte
 	switch kind {
-	case kindMapReq:
-		m := c.Map()
-		if m.Version == 0 {
-			return false, fmt.Errorf("%w: no blocks have joined yet", ErrProtocol)
-		}
-		kind, body = kindMapResp, m.Encode()
 	case kindJoin:
-		kind, err = kindAck, c.Join(string(payload))
+		err = c.Join(string(payload))
 	case kindLeave:
-		kind, err = kindAck, c.Leave(string(payload))
+		err = c.Leave(string(payload))
 	default:
 		return false, fmt.Errorf("%w: unknown coordinator frame kind %q", ErrProtocol, kind)
 	}
@@ -543,7 +491,7 @@ func (c *Coord) dispatch(kind byte, r *bufio.Reader, w *bufio.Writer, key string
 	if err := c.cfg.faults.Check(faults.PointServeWrite, key); err != nil {
 		return false, err
 	}
-	return true, writeBlob(w, kind, body)
+	return true, writeBlob(w, kindAck, nil)
 }
 
 func moveKey(part int, to string) string {

@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math/bits"
+	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
@@ -69,15 +71,20 @@ func (tc *testCluster) addBlock(t *testing.T) *Server {
 	return srv
 }
 
-// ringClient dials the cluster through the coordinator.
+// ringClient returns a client routing by a block's installed map.
 func (tc *testCluster) ringClient(t *testing.T, opts ...ClientOption) *RingClient {
 	t.Helper()
-	rc, err := DialRing(tc.coord.Addr(), append(fastOpts(), opts...)...)
-	if err != nil {
-		t.Fatalf("DialRing: %v", err)
-	}
+	rc := NewRingClientWithMap(tc.blockMap(), append(fastOpts(), opts...)...)
 	t.Cleanup(func() { rc.Close() })
 	return rc
+}
+
+// blockMap returns the map installed on one of the cluster's blocks.
+func (tc *testCluster) blockMap() Map {
+	for _, srv := range tc.blocks {
+		return srv.Map()
+	}
+	return Map{}
 }
 
 // seedSubs adds n reference subscriptions through the ring client and
@@ -248,10 +255,10 @@ func TestJoinRebalanceMovesSubscriptions(t *testing.T) {
 	tc := startRing(t, 2, 2)
 	rc := tc.ringClient(t)
 	ref := seedSubs(t, rc, 200)
-	v0 := tc.coord.Map().Version
+	v0 := tc.blockMap().Version
 
 	newBlock := tc.addBlock(t)
-	m := tc.coord.Map()
+	m := newBlock.Map()
 	if m.Version <= v0 {
 		t.Fatalf("join did not advance the map: v%d → v%d", v0, m.Version)
 	}
@@ -382,7 +389,7 @@ func TestLeaveDrainsGracefully(t *testing.T) {
 	tc.blocks[leaving].Close() // safe to shut down now
 	delete(tc.blocks, leaving)
 	for p := 0; p < NumPartitions; p++ {
-		if tc.coord.Map().Hosts(p, leaving) {
+		if tc.blockMap().Hosts(p, leaving) {
 			t.Fatalf("left block still assigned partition %d", p)
 		}
 	}
@@ -414,10 +421,7 @@ func TestTransferResumesFromWAL(t *testing.T) {
 			t.Fatalf("Join: %v", err)
 		}
 	}
-	rc, err := DialRing(c.Addr(), fastOpts()...)
-	if err != nil {
-		t.Fatalf("DialRing: %v", err)
-	}
+	rc := NewRingClientWithMap(blocks[0].Map(), fastOpts()...)
 	t.Cleanup(func() { rc.Close() })
 	ref := seedSubs(t, rc, 150)
 
@@ -454,7 +458,7 @@ func TestTransferResumesFromWAL(t *testing.T) {
 	}
 	t.Cleanup(func() { c3.Close() })
 
-	m := c3.Map()
+	m := srv3.Map()
 	if len(m.Joining) != 0 {
 		t.Fatalf("resumed map still mid-transfer: %+v", m)
 	}
@@ -468,12 +472,107 @@ func TestTransferResumesFromWAL(t *testing.T) {
 		t.Fatal("resumed transfer never promoted the joining block")
 	}
 
-	rc2, err := DialRing(c3.Addr(), fastOpts()...)
-	if err != nil {
-		t.Fatalf("DialRing: %v", err)
-	}
+	rc2 := NewRingClientWithMap(srv3.Map(), fastOpts()...)
 	t.Cleanup(func() { rc2.Close() })
 	checkAgainstReference(t, rc2, ref, false)
+}
+
+// TestReshapeAfterFailedTransfer fails a join mid-copy, which leaves its
+// transition map on the blocks, and then changes the membership again.
+// The failed joiner is no member: a retried Join copies and commits, and
+// a Leave of it clears its Joining entries. Either way the maps that
+// follow number above the failed transfer's two.
+func TestReshapeAfterFailedTransfer(t *testing.T) {
+	for _, retry := range []string{"join", "leave"} {
+		t.Run(retry, func(t *testing.T) {
+			in := faults.New(3)
+			tc := startRing(t, 2, 2, WithInjector(in))
+			rc := tc.ringClient(t)
+			ref := seedSubs(t, rc, 100)
+			var olds []*Server
+			for _, srv := range tc.blocks {
+				olds = append(olds, srv)
+			}
+			joiner, err := ServeDynamic("127.0.0.1:0", nil)
+			if err != nil {
+				t.Fatalf("ServeDynamic: %v", err)
+			}
+			t.Cleanup(func() { joiner.Close() })
+
+			in.Enable(faults.Rule{Point: faults.PointXfer, Mode: faults.ModeError, Count: 1, Skip: 5})
+			if err := tc.coord.Join(joiner.Addr()); !errors.Is(err, faults.ErrInjected) {
+				t.Fatalf("faulted join = %v, want the injected transfer failure", err)
+			}
+			failed := tc.blockMap()
+			if len(failed.Joining) == 0 {
+				t.Fatalf("the failed join left no transition map: %+v", failed)
+			}
+
+			members := olds
+			if retry == "join" {
+				err = tc.coord.Join(joiner.Addr())
+				members = append(members, joiner)
+			} else {
+				err = tc.coord.Leave(joiner.Addr())
+			}
+			if err != nil {
+				t.Fatalf("%s after the failed transfer: %v", retry, err)
+			}
+			for _, srv := range members {
+				m := srv.Map()
+				if m.Version <= failed.Version+1 {
+					t.Fatalf("%s holds map v%d, not above the failed transfer's v%d and v%d", srv.Addr(), m.Version, failed.Version, failed.Version+1)
+				}
+				if len(m.Joining) != 0 {
+					t.Fatalf("%s still lists %d joining partitions at v%d", srv.Addr(), len(m.Joining), m.Version)
+				}
+				if got := containsAddr(m.Blocks, joiner.Addr()); got != (retry == "join") {
+					t.Fatalf("after the %s, map v%d lists the joiner: %v", retry, m.Version, got)
+				}
+			}
+			checkAgainstReference(t, rc, ref, false)
+
+			if retry == "join" {
+				if joiner.Len() == 0 {
+					t.Fatal("the retried join copied nothing onto the joiner")
+				}
+				// The copies are real: with one original block gone the
+				// joiner must serve its share.
+				olds[0].Close()
+				checkAgainstReference(t, rc, ref, false)
+				return
+			}
+			// A client still routing by the failed transition map would
+			// write to the departed joiner too; the blocks turn it away as
+			// stale and hand it the map without the joiner.
+			joiner.Close()
+			stale := NewRingClientWithMap(failed, fastOpts()...)
+			t.Cleanup(func() { stale.Close() })
+			for p, dests := range failed.Joining {
+				if !containsAddr(dests, joiner.Addr()) {
+					continue
+				}
+				for e := core.Event(0); ; e++ {
+					if PartitionOfEvent(e) != p {
+						continue
+					}
+					events := []core.Event{e, e + 1000}
+					if err := stale.Add(9000, events); err != nil {
+						t.Fatalf("Add through the failed transition map: %v", err)
+					}
+					if err := ref.Add(9000, events); err != nil {
+						t.Fatal(err)
+					}
+					break
+				}
+				break
+			}
+			if st := stale.Stats(); st.MapRefreshes == 0 {
+				t.Fatalf("a write to the departed joiner never refreshed the map: %+v", st)
+			}
+			checkAgainstReference(t, stale, ref, false)
+		})
+	}
 }
 
 // TestStaleClientRefreshesMap pins the stale-map path on the side where
@@ -500,10 +599,52 @@ func TestStaleClientRefreshesMap(t *testing.T) {
 	if st := rc.Stats(); st.MapRefreshes == 0 {
 		t.Fatalf("stale write never refreshed the map: %+v", st)
 	}
-	if got, want := rc.Map().Version, tc.coord.Map().Version; got != want {
+	if got, want := rc.Map().Version, tc.blockMap().Version; got != want {
 		t.Fatalf("client map v%d, coordinator v%d", got, want)
 	}
 	checkAgainstReference(t, rc, ref, false)
+}
+
+// TestBlockBehindClientServesMatch: a client can learn a map from a
+// block the coordinator reached before another. A block whose installed
+// map is older than the client's serves the client's plan, since a map
+// assigns a partition to a block only once its copy is done; answered
+// stale, the client would fetch the older map, keep its own and give up.
+func TestBlockBehindClientServesMatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	rc, servers, ref := ringOf(t, 2, 2, 80, rng) // every subscription on both blocks
+	addrs := []string{servers[0].Addr(), servers[1].Addr()}
+	// Block 0 has left: the client holds the map that gives block 1
+	// every partition, while block 1 still holds the one before it,
+	// which gives it half of them.
+	behind, ahead := BuildMap(2, 1, addrs), BuildMap(3, 1, addrs[1:])
+	cfg := newClientConfig(fastOpts())
+	bc := &blockConn{addr: addrs[1]}
+	defer bc.close()
+	if kind, _, err := bc.request(&cfg, new(netStats), kindInstall, behind.Encode()); err != nil || kind != kindAck {
+		t.Fatalf("install: %q, %v", kind, err)
+	}
+	rc.adopt(ahead)
+	askedBehind := false
+	for i := 0; i < 60; i++ {
+		set := randomSet(rng)
+		res, err := rc.MatchResult(set)
+		if err != nil || res.Degraded {
+			t.Fatalf("MatchResult(%v) = %+v, %v", set, res, err)
+		}
+		if want := ref.Match(set); !sameIDs(res.IDs, want) {
+			t.Fatalf("MatchResult(%v) = %v, reference says %v", set, res.IDs, want)
+		}
+		for need := neededPartitions(set); need != 0; need &= need - 1 {
+			askedBehind = askedBehind || !behind.Hosts(bits.TrailingZeros64(need), addrs[1])
+		}
+	}
+	if !askedBehind {
+		t.Fatal("no document needed a partition the behind block's map does not give it")
+	}
+	if st := rc.Stats(); st.MapRefreshes != 0 {
+		t.Fatalf("the client refreshed its map %d times", st.MapRefreshes)
+	}
 }
 
 // TestV1ClientRejectedLoudly pins the compatibility boundary: a request

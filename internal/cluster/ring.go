@@ -41,7 +41,8 @@ func PartitionOf(set core.EventSet) int {
 // Map is one version of the cluster's partition assignment. Maps are
 // immutable values: the coordinator builds a new one (Version+1) for
 // every membership change and installs it on the blocks; clients learn
-// of new versions through stale-map rejections.
+// of new versions through stale-map rejections, from the block that
+// rejected them.
 type Map struct {
 	// Version increases by one per installed transition. Version 0 is
 	// "no map": a block without an installed map serves anything (the

@@ -29,12 +29,12 @@ const maxMapRefreshes = 3
 // replicas taking turns, and fails over to the remaining replicas before
 // ever reporting degradation; Add/Remove are written to every replica
 // plus any joining destination (the client half of the double-write
-// invariant). Stale-map rejections from blocks trigger a refetch from
-// the coordinator, so clients converge on new maps without a push
-// channel.
+// invariant). A block that rejects a request as stale serves its own
+// map, which the client fetches and re-plans by, so a client converges
+// on the coordinator's maps without a push channel or a coordinator
+// address.
 type RingClient struct {
-	cfg   clientConfig
-	coord string // coordinator address ("" = static map, no refresh)
+	cfg clientConfig
 
 	// rt is the adopted map with its routing tables; nil while there is
 	// none (or after Close). Readers load it; writers hold mu.
@@ -95,24 +95,11 @@ func (rt *routes) cover(legs []leg, need uint64, start uint32) ([]leg, uint64) {
 	return legs, need
 }
 
-// DialRing fetches the current partition map from the coordinator and
-// returns a client routing by it.
-func DialRing(coordAddr string, opts ...ClientOption) (*RingClient, error) { //xyvet:ignore testonly coordinator-backed client the rebalance tests dial
-	c := &RingClient{
-		cfg:   newClientConfig(opts),
-		coord: coordAddr,
-		conns: make(map[string]*blockConn),
-	}
-	if err := c.RefreshMap(); err != nil {
-		_ = c.Close()
-		return nil, err
-	}
-	return c, nil
-}
-
-// NewRingClientWithMap returns a client routing by a fixed map with no
-// coordinator: stale-map rejections surface as errors instead of
-// triggering a refetch. Deployment glue and tests use this.
+// NewRingClientWithMap returns a client routing by m until a block turns
+// it away as stale; then it adopts the block's map. Any map that names
+// live blocks will do: a block with no installed map serves every
+// partition it holds, and a coordinated one hands the client the
+// cluster's current map.
 func NewRingClientWithMap(m Map, opts ...ClientOption) *RingClient {
 	c := &RingClient{
 		cfg:   newClientConfig(opts),
@@ -148,32 +135,36 @@ func (c *RingClient) Map() Map {
 // Stats snapshots the robustness counters.
 func (c *RingClient) Stats() ClientStats { return c.st.snapshot() }
 
-// RefreshMap fetches the partition map from the coordinator and installs
-// it if newer than the current one.
-func (c *RingClient) RefreshMap() error {
-	if c.coord == "" {
-		return fmt.Errorf("%w: no coordinator to refresh from", ErrNoMap)
+// refresh fetches the installed map of each block in addrs in turn and
+// adopts it, until the client routes by a map newer than ver. It fails
+// when no block had one, and stops at a block that answers in words: a
+// block with no map is not coordinated, and neither are the others.
+func (c *RingClient) refresh(ver uint64, addrs []string) error {
+	err := fmt.Errorf("%w: blocks reject map version %d as stale", ErrProtocol, ver)
+	for _, addr := range addrs {
+		kind, body, rerr := c.request(addr, kindMapReq, nil)
+		if rerr == nil && kind != kindMapResp {
+			rerr = fmt.Errorf("%w: block %s answered %q to a map fetch", ErrProtocol, addr, kind)
+		}
+		var m Map
+		if rerr == nil {
+			m, rerr = DecodeMap(body)
+		}
+		var remote *RemoteError
+		if errors.As(rerr, &remote) {
+			return rerr
+		}
+		if rerr != nil {
+			err = rerr
+			continue
+		}
+		c.adopt(m)
+		if rt := c.rt.Load(); rt != nil && rt.m.Version > ver {
+			c.st.mapRefreshes.Add(1)
+			return nil
+		}
 	}
-	kind, body, err := c.request(c.coord, kindMapReq, nil)
-	if err != nil {
-		return err
-	}
-	if kind != kindMapResp {
-		return fmt.Errorf("%w: coordinator answered %q to a map fetch", ErrProtocol, kind)
-	}
-	m, err := DecodeMap(body)
-	if err != nil {
-		return err
-	}
-	c.adopt(m)
-	return nil
-}
-
-func (c *RingClient) mapVersion() uint64 {
-	if rt := c.rt.Load(); rt != nil {
-		return rt.m.Version
-	}
-	return 0
+	return err
 }
 
 // adopt installs m, with its routing tables, if it is a routable map at
@@ -270,41 +261,33 @@ func (c *RingClient) Match(s core.EventSet) ([]core.ComplexID, error) {
 // re-routes its partitions to the replicas that remain (counted in
 // Stats().Failovers) — Degraded is set only when a partition runs out of
 // replicas entirely. A stale-map rejection refetches the map from the
-// coordinator and re-plans, bounded by maxMapRefreshes.
+// block that sent it and re-plans, bounded by maxMapRefreshes.
 func (c *RingClient) MatchResult(s core.EventSet) (Result, error) {
 	need := neededPartitions(s)
 	if need == 0 {
 		return Result{}, nil
 	}
-	var lastErr error
 	for refresh := 0; ; refresh++ {
 		rt, err := c.routed()
 		if err != nil {
 			return Result{}, err
 		}
-		res, stale, err := c.matchOnce(rt, need, s)
+		res, staleAt, err := c.matchOnce(rt, need, s)
 		if err != nil {
 			return Result{}, err
 		}
-		if !stale {
+		if staleAt == "" {
 			if res.Degraded {
 				c.st.degraded.Add(1)
 			}
 			return res, nil
 		}
-		if refresh >= maxMapRefreshes || c.coord == "" {
+		if refresh >= maxMapRefreshes {
 			return Result{}, fmt.Errorf("%w: blocks reject map version %d as stale", ErrProtocol, rt.m.Version)
 		}
-		if err := c.RefreshMap(); err != nil {
-			lastErr = err
-			// The coordinator may itself be briefly unreachable during a
-			// transition; one more stale round against the old map at
-			// least surfaces the right error.
-			if refresh+1 >= maxMapRefreshes {
-				return Result{}, lastErr
-			}
+		if err := c.refresh(rt.m.Version, []string{staleAt}); err != nil {
+			return Result{}, err
 		}
-		c.st.mapRefreshes.Add(1)
 	}
 }
 
@@ -313,8 +296,8 @@ func (c *RingClient) MatchResult(s core.EventSet) (Result, error) {
 // ones were asked for with the blocks that remain, and repeat until every
 // partition is answered or out of replicas. Partition sets sent to
 // distinct blocks are disjoint, so the merged ids carry no duplicates.
-// stale=true means some block holds a newer map.
-func (c *RingClient) matchOnce(rt *routes, need uint64, s core.EventSet) (Result, bool, error) {
+// staleAt names a block that turned the match away as stale.
+func (c *RingClient) matchOnce(rt *routes, need uint64, s core.EventSet) (Result, string, error) {
 	start := c.turn.Add(1)
 	var buf [4]leg // a plan is one leg nearly always; keeps it off the heap
 	legs, orphans := rt.cover(buf[:0], need, start)
@@ -330,13 +313,13 @@ func (c *RingClient) matchOnce(rt *routes, need uint64, s core.EventSet) (Result
 			l := &round[i]
 			switch {
 			case l.stale:
-				return Result{}, true, nil
+				return Result{}, rt.conns[l.block].addr, nil
 			case l.err != nil:
 				var remote *RemoteError
 				if errors.As(l.err, &remote) {
 					// The block understood and rejected the request;
 					// another replica will reject it identically.
-					return Result{}, false, l.err
+					return Result{}, "", l.err
 				}
 				if firstErr == nil {
 					firstErr = l.err
@@ -365,11 +348,11 @@ func (c *RingClient) matchOnce(rt *routes, need uint64, s core.EventSet) (Result
 			if firstErr == nil {
 				firstErr = fmt.Errorf("%w: no replica hosts the needed partitions", ErrNoMap)
 			}
-			return Result{}, false, firstErr
+			return Result{}, "", firstErr
 		}
 		res.Degraded = true
 	}
-	return res, false, nil
+	return res, "", nil
 }
 
 // ask puts one round of legs to their blocks and waits for the answers:
@@ -442,9 +425,11 @@ func (c *RingClient) Remove(id core.ComplexID, events []core.Event) error {
 }
 
 // writeAll sends one write to every write target of partition p and
-// requires an ack from each. Stale-map rejections refetch and retry the
-// whole write — re-sending to a block that already applied it is safe
-// because '+' replaces and '-' is a no-op on absence.
+// requires an ack from each. A stale-map rejection refetches the map from
+// the block that sent it, and an unreachable target from the map's other
+// blocks; either retries the whole write under the newer map — re-sending
+// to a block that already applied it is safe because '+' replaces and '-'
+// is a no-op on absence.
 func (c *RingClient) writeAll(p int, frame func(ver uint64) (byte, []byte)) error {
 	for refresh := 0; ; refresh++ {
 		rt, err := c.routed()
@@ -463,26 +448,22 @@ func (c *RingClient) writeAll(p int, frame func(ver uint64) (byte, []byte)) erro
 			if err != nil {
 				// The target may simply no longer be a member: an
 				// unreachable write target under an old map looks exactly
-				// like this after it left. If the coordinator has a
-				// newer map, re-plan against it before giving up.
+				// like this after it left. If another block has a newer
+				// map, re-plan against it before giving up.
 				var remote *RemoteError
-				if !errors.As(err, &remote) && refresh < maxMapRefreshes && c.coord != "" {
-					if rerr := c.RefreshMap(); rerr == nil && c.mapVersion() > m.Version {
-						c.st.mapRefreshes.Add(1)
-						retry = true
-						break
-					}
+				if !errors.As(err, &remote) && refresh < maxMapRefreshes && c.refresh(m.Version, otherBlocks(m, addr)) == nil {
+					retry = true
+					break
 				}
 				return fmt.Errorf("cluster: write to %s: %w", addr, err)
 			}
 			if rkind == kindStale {
-				if refresh >= maxMapRefreshes || c.coord == "" {
+				if refresh >= maxMapRefreshes {
 					return fmt.Errorf("%w: blocks reject map version %d as stale", ErrProtocol, m.Version)
 				}
-				if err := c.RefreshMap(); err != nil {
+				if err := c.refresh(m.Version, []string{addr}); err != nil {
 					return err
 				}
-				c.st.mapRefreshes.Add(1)
 				retry = true
 				break
 			}
@@ -494,6 +475,17 @@ func (c *RingClient) writeAll(p int, frame func(ver uint64) (byte, []byte)) erro
 			return nil
 		}
 	}
+}
+
+// otherBlocks lists m's blocks but addr.
+func otherBlocks(m Map, addr string) []string {
+	out := make([]string, 0, len(m.Blocks))
+	for _, b := range m.Blocks {
+		if b != addr {
+			out = append(out, b)
+		}
+	}
+	return out
 }
 
 // Probe attempts to reconnect every down block immediately, ignoring

@@ -25,9 +25,12 @@ import (
 //	'd' dump(part u32)                         → 'D' subs | 'E'
 //	'x' drop(part u32)                         → 'k' | 'E'
 //	'U' install(map JSON)                      → 'k' | 'E'
-//	'?' fetch map                              → 'P' map JSON | 'E'
+//	'?' fetch the block's installed map        → 'P' map JSON | 'E'
 //	'J' join(addr)     [coordinator]           → 'k' | 'E'
 //	'L' leave(addr)    [coordinator]           → 'k' | 'E'
+//
+// Blocks answer every kind but 'J' and 'L', which only the coordinator
+// answers; a client learns each new map from a block's 'S' and '?'.
 const (
 	kindMatch   = 'm'
 	kindResults = 'r'

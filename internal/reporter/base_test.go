@@ -201,6 +201,24 @@ func TestRecoverRefusesUnparsableRecord(t *testing.T) {
 	}
 }
 
+// TestRecoverRefusesUnknownKind: a well-formed record of a kind this
+// build does not write may carry state it cannot restore, so recovery
+// refuses it instead of stepping over it.
+func TestRecoverRefusesUnknownKind(t *testing.T) {
+	dir := t.TempDir()
+	r, l := openBase(t, dir, stream.Options{})
+	subscribe(t, r, "a")
+	if err := l.Write([]byte(`{"t":"resub","sub":"a"}`)); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+
+	r, _ = openBase(t, dir, stream.Options{})
+	if err := r.Recover(func(string, string) error { return nil }); err == nil || !strings.Contains(err.Error(), `unknown kind "resub"`) {
+		t.Fatalf("Recover over an unknown record kind = %v, want an unknown-kind error", err)
+	}
+}
+
 // TestSubscribeBesideCheckpoint holds the journal invariant under
 // concurrency: workers subscribe and unsubscribe beside a Checkpoint
 // loop, and after each restart the base is exactly the subscriptions

@@ -327,6 +327,8 @@ func (r *Reporter) Recover(register func(name, src string) error) error {
 			case "dead":
 				delete(outstanding, rec.ID)
 				dead = append(dead, rec)
+			case "mark":
+				// The mark above is the whole record.
 			case "redrive":
 				// A dead letter moved back to the retry queue; the fresh
 				// attempt budget a live Redrive grants is restored too.
@@ -341,6 +343,10 @@ func (r *Reporter) Recover(register func(name, src string) error) error {
 						break
 					}
 				}
+			default:
+				// A kind this build does not know may carry state it
+				// cannot restore: refuse the journal, do not skip it.
+				return fmt.Errorf("reporter: journal record of unknown kind %q", rec.T)
 			}
 			return nil
 		},

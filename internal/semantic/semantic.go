@@ -52,25 +52,38 @@ func (c *Classifier) AddDomain(name string, tags ...string) {
 	}
 }
 
-// TagProfile extracts the tag-frequency vector of a document.
-func TagProfile(doc *xmldom.Document) map[string]float64 {
+// TagProfile extracts the tag-frequency vector of a serialized XML
+// document from its start tags, the names xmldom.ParseBytes gives its
+// elements, without building a tree. A tokenizer error is returned as
+// is.
+func TagProfile(data []byte) (map[string]float64, error) {
 	profile := make(map[string]float64)
-	if doc == nil || doc.Root == nil {
-		return profile
-	}
-	doc.Root.PreOrder(func(n *xmldom.Node) bool {
-		if n.Type == xmldom.ElementNode {
-			profile[strings.ToLower(n.Tag)]++
+	var z xmldom.Tokenizer
+	z.Reset(data)
+	for {
+		k, err := z.Next()
+		if err != nil {
+			return nil, err
 		}
-		return true
-	})
-	return profile
+		switch k {
+		case xmldom.TokEOF:
+			return profile, nil
+		case xmldom.TokStart:
+			profile[strings.ToLower(string(z.Tag()))]++
+		}
+	}
 }
 
-// Classify returns the best-matching domain for a document and the cosine
-// similarity score. An empty domain means no domain reached MinScore.
-func (c *Classifier) Classify(doc *xmldom.Document) (string, float64) {
-	return c.classifyProfile(TagProfile(doc))
+// Classify returns the best-matching domain for a serialized XML
+// document and the cosine similarity score. An empty domain means no
+// domain reached MinScore.
+func (c *Classifier) Classify(data []byte) (string, float64, error) {
+	profile, err := TagProfile(data)
+	if err != nil {
+		return "", 0, err
+	}
+	domain, score := c.classifyProfile(profile)
+	return domain, score, nil
 }
 
 func (c *Classifier) classifyProfile(profile map[string]float64) (string, float64) {

@@ -1,10 +1,12 @@
 package semantic
 
 import (
+	"maps"
 	"sort"
 	"strings"
 	"testing"
 
+	"xymon/internal/webgen"
 	"xymon/internal/xmldom"
 )
 
@@ -27,7 +29,10 @@ func TestClassifyDocuments(t *testing.T) {
 		{`<genome><protein><sequence>MKV</sequence></protein></genome>`, "biology"},
 	}
 	for _, cse := range cases {
-		got, score := c.Classify(xmldom.MustParse(cse.xml))
+		got, score, err := c.Classify([]byte(cse.xml))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got != cse.want {
 			t.Errorf("Classify(%s) = %q (%.2f), want %q", cse.xml, got, score, cse.want)
 		}
@@ -39,7 +44,7 @@ func TestClassifyDocuments(t *testing.T) {
 
 func TestClassifyUnknownStaysUnclassified(t *testing.T) {
 	c := trained()
-	got, score := c.Classify(xmldom.MustParse(`<weather><forecast>rain</forecast></weather>`))
+	got, score, _ := c.Classify([]byte(`<weather><forecast>rain</forecast></weather>`))
 	if got != "" {
 		t.Errorf("Classify = %q (%.2f), want unclassified", got, score)
 	}
@@ -59,7 +64,7 @@ func TestClassifyTags(t *testing.T) {
 func TestCaseInsensitive(t *testing.T) {
 	c := NewClassifier()
 	c.AddDomain("shopping", "Catalog", "Product")
-	got, _ := c.Classify(xmldom.MustParse(`<CATALOG><PRODUCT>x</PRODUCT></CATALOG>`))
+	got, _, _ := c.Classify([]byte(`<CATALOG><PRODUCT>x</PRODUCT></CATALOG>`))
 	if got != "shopping" {
 		t.Errorf("Classify = %q", got)
 	}
@@ -70,15 +75,15 @@ func TestTrainSharpensClassification(t *testing.T) {
 	c.AddDomain("shopping", "catalog")
 	c.AddDomain("culture", "collection")
 	// An ambiguous document with tags from neither prototype.
-	doc := xmldom.MustParse(`<catalog><offer><deal>x</deal></offer></catalog>`)
-	before, _ := c.Classify(doc)
+	doc := []byte(`<catalog><offer><deal>x</deal></offer></catalog>`)
+	before, _, _ := c.Classify(doc)
 	if before != "shopping" {
 		t.Fatalf("before = %q", before)
 	}
 	// Training on similar documents raises the score.
-	_, scoreBefore := c.Classify(doc)
-	c.Train("shopping", xmldom.MustParse(`<catalog><offer><deal>y</deal></offer></catalog>`))
-	after, scoreAfter := c.Classify(doc)
+	_, scoreBefore, _ := c.Classify(doc)
+	c.Train("shopping", []byte(`<catalog><offer><deal>y</deal></offer></catalog>`))
+	after, scoreAfter, _ := c.Classify(doc)
 	if after != "shopping" || scoreAfter <= scoreBefore {
 		t.Errorf("after training: %q %.2f (before %.2f)", after, scoreAfter, scoreBefore)
 	}
@@ -93,19 +98,19 @@ func TestDomainsAndRemove(t *testing.T) {
 	if got := c.Domains(); len(got) != 2 {
 		t.Errorf("Domains after remove = %v", got)
 	}
-	got, _ := c.Classify(xmldom.MustParse(`<genome><protein>x</protein></genome>`))
+	got, _, _ := c.Classify([]byte(`<genome><protein>x</protein></genome>`))
 	if got != "" {
 		t.Errorf("removed domain still classifies: %q", got)
 	}
 }
 
 func TestTagProfile(t *testing.T) {
-	p := TagProfile(xmldom.MustParse(`<a><b/><b/><c>t</c></a>`))
-	if p["a"] != 1 || p["b"] != 2 || p["c"] != 1 {
-		t.Errorf("profile = %v", p)
+	p, err := TagProfile([]byte(`<a><b/><b/><c>t</c></a>`))
+	if err != nil || p["a"] != 1 || p["b"] != 2 || p["c"] != 1 {
+		t.Errorf("profile = %v, %v", p, err)
 	}
-	if len(TagProfile(nil)) != 0 {
-		t.Error("nil doc should give empty profile")
+	if p, err := TagProfile(nil); err != nil || len(p) != 0 {
+		t.Errorf("nil doc gives profile %v, %v; want an empty one", p, err)
 	}
 }
 
@@ -144,8 +149,8 @@ func (c *Classifier) ClassifyTags(tags []string) (string, float64) {
 // Train folds an already-classified document into its domain's prototype,
 // so the classification sharpens as the warehouse grows (the paper's
 // classification is automatic and evolves with the DTD population).
-func (c *Classifier) Train(domain string, doc *xmldom.Document) {
-	profile := TagProfile(doc)
+func (c *Classifier) Train(domain string, doc []byte) {
+	profile, _ := TagProfile(doc)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	proto := c.domains[domain]
@@ -155,5 +160,54 @@ func (c *Classifier) Train(domain string, doc *xmldom.Document) {
 	}
 	for tag, n := range profile {
 		proto[tag] += n
+	}
+}
+
+// domProfile is the tag profile read off xmldom.ParseBytes's tree: the
+// yardstick TagProfile's tokenizer pass is held to.
+func domProfile(t *testing.T, data []byte) map[string]float64 {
+	t.Helper()
+	doc, err := xmldom.ParseBytes(data)
+	if err != nil {
+		t.Fatalf("ParseBytes: %v", err)
+	}
+	profile := make(map[string]float64)
+	doc.Root.PreOrder(func(n *xmldom.Node) bool {
+		if n.Type == xmldom.ElementNode {
+			profile[strings.ToLower(n.Tag)]++
+		}
+		return true
+	})
+	return profile
+}
+
+// TestTagProfileMatchesParsedTree holds the tokenizer's profile to the
+// parsed tree's over webgen pages, perturbed refetches and random trees
+// included, and a few hand-written shapes the generator never emits.
+func TestTagProfileMatchesParsedTree(t *testing.T) {
+	var pages [][]byte
+	for i, kind := range []webgen.PerturbKind{webgen.PerturbWhitespace, webgen.PerturbAttrOrder} {
+		site := webgen.NewSite(webgen.SiteSpec{Seed: int64(7 + i), Products: 20, PerturbEvery: 3, PerturbKind: kind})
+		for _, url := range site.XMLURLs() {
+			for v := 1; v <= 4; v++ {
+				pages = append(pages, site.FetchXMLBytes(url, v))
+			}
+		}
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		pages = append(pages, []byte(webgen.RandomTree(seed, 200, 6).XML()))
+	}
+	pages = append(pages,
+		[]byte(`<x:Cat xmlns:x="urn:c"><x:Item/><!-- c --><Item a="1">t<![CDATA[<b>]]></Item></x:Cat>`),
+		[]byte(`<?xml version="1.0"?><!DOCTYPE r><R><r/>&amp;</R>`),
+	)
+	for i, page := range pages {
+		got, err := TagProfile(page)
+		if err != nil {
+			t.Fatalf("page %d: TagProfile: %v", i, err)
+		}
+		if want := domProfile(t, page); !maps.Equal(got, want) {
+			t.Fatalf("page %d: TagProfile = %v, parsed tree %v", i, got, want)
+		}
 	}
 }

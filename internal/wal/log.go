@@ -82,9 +82,6 @@ type Log struct {
 
 	seg    *File // active segment
 	segs   []int // live segment indexes, ascending; last is active
-	bound  int   // first segment the checkpoint does not cover
-	retain int   // first segment preserved on disk (≤ bound)
-	snap   []byte
 	closed bool
 	stats  Stats
 }
@@ -122,60 +119,60 @@ func Open(dir string, o Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	l := &Log{dir: dir, key: filepath.Base(dir), o: o, fr: Binary{MaxFrame: o.MaxFrame}, bound: 1, retain: 1}
+	l := &Log{dir: dir, key: filepath.Base(dir), o: o, fr: Binary{MaxFrame: o.MaxFrame}}
 	// A temp file means the crash hit before the rename: the checkpoint
 	// was never installed and the previous one (if any) still rules.
 	if err := os.Remove(filepath.Join(dir, checkpointTmp)); err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	if err := l.loadCheckpoint(); err != nil {
+	meta, _, err := l.readCheckpoint()
+	if err != nil {
 		return nil, err
 	}
-	if err := l.loadSegments(); err != nil {
+	if err := l.loadSegments(meta); err != nil {
 		return nil, err
 	}
 	return l, nil
 }
 
-// loadCheckpoint reads the installed checkpoint, if any. The install is
-// atomic, so a present-but-unreadable checkpoint is damage, not a crash
-// artifact.
-func (l *Log) loadCheckpoint() error {
+// readCheckpoint reads the installed checkpoint: its meta, with Retain
+// resolved, and its snapshot — Boundary 1 and no snapshot when there is
+// none. Open validates it and Recover reads it again, so the log keeps
+// no copy. The install is atomic, so a present-but-unreadable checkpoint
+// is damage, not a crash artifact.
+func (l *Log) readCheckpoint() (checkpointMeta, []byte, error) {
 	data, err := os.ReadFile(filepath.Join(l.dir, checkpointName))
 	if os.IsNotExist(err) {
-		return nil
+		return checkpointMeta{Boundary: 1, Retain: 1}, nil, nil
 	}
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return checkpointMeta{}, nil, fmt.Errorf("wal: %w", err)
 	}
 	metaRaw, n, err := l.fr.Next(data)
 	if err != nil {
-		return fmt.Errorf("wal: checkpoint header: %w", errors.Join(ErrCorrupt, err))
+		return checkpointMeta{}, nil, fmt.Errorf("wal: checkpoint header: %w", errors.Join(ErrCorrupt, err))
 	}
 	var meta checkpointMeta
 	if err := json.Unmarshal(metaRaw, &meta); err != nil || meta.Boundary < 1 {
-		return fmt.Errorf("%w: checkpoint meta %q", ErrCorrupt, metaRaw)
+		return checkpointMeta{}, nil, fmt.Errorf("%w: checkpoint meta %q", ErrCorrupt, metaRaw)
 	}
 	if meta.Retain < 0 || meta.Retain > meta.Boundary {
-		return fmt.Errorf("%w: checkpoint retain %d outside [0, %d]", ErrCorrupt, meta.Retain, meta.Boundary)
+		return checkpointMeta{}, nil, fmt.Errorf("%w: checkpoint retain %d outside [0, %d]", ErrCorrupt, meta.Retain, meta.Boundary)
 	}
 	snap, size, err := l.fr.Next(data[n:])
 	if err != nil || n+size != len(data) {
-		return fmt.Errorf("wal: checkpoint snapshot: %w", errors.Join(ErrCorrupt, err))
+		return checkpointMeta{}, nil, fmt.Errorf("wal: checkpoint snapshot: %w", errors.Join(ErrCorrupt, err))
 	}
-	l.bound = meta.Boundary
-	l.retain = meta.Retain
-	if l.retain == 0 {
-		l.retain = meta.Boundary
+	if meta.Retain == 0 {
+		meta.Retain = meta.Boundary
 	}
-	l.snap = append([]byte(nil), snap...)
-	return nil
+	return meta, snap, nil
 }
 
 // loadSegments lists the segment files, deletes the ones the checkpoint
 // covers (compaction the crash interrupted), verifies contiguity,
 // truncates the active segment's torn tail, and opens it for append.
-func (l *Log) loadSegments() error {
+func (l *Log) loadSegments(meta checkpointMeta) error {
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
@@ -190,7 +187,7 @@ func (l *Log) loadSegments() error {
 	sort.Ints(idxs)
 	live := idxs[:0]
 	for _, idx := range idxs {
-		if idx < l.retain {
+		if idx < meta.Retain {
 			if err := os.Remove(filepath.Join(l.dir, SegmentFileName(idx))); err != nil {
 				return fmt.Errorf("wal: removing covered segment: %w", err)
 			}
@@ -199,7 +196,7 @@ func (l *Log) loadSegments() error {
 		live = append(live, idx)
 	}
 	if len(live) == 0 {
-		live = append(live, l.bound)
+		live = append(live, meta.Boundary)
 	}
 	for i, idx := range live {
 		if idx != live[0]+i {
@@ -326,25 +323,30 @@ func (l *Log) Sync() error {
 	return l.syncLocked()
 }
 
-// Recover hands the latest checkpoint snapshot (if any) to snap, then
-// replays every record appended after it to replay, in order. Call it
-// after Open and before the first Append. Sealed segments must be fully
-// intact — a torn frame there is damage, not a crash artifact (only the
-// active segment can be torn, and Open already truncated it).
+// Recover hands the latest checkpoint snapshot (if any), read from the
+// checkpoint file, to snap, then replays every record appended after it
+// to replay, in order. Call it after Open and before the first Append.
+// Sealed segments must be fully intact — a torn frame there is damage,
+// not a crash artifact (only the active segment can be torn, and Open
+// already truncated it).
 func (l *Log) Recover(snap func(snapshot []byte) error, replay func(payload []byte) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.snap != nil && snap != nil {
+	meta, s, err := l.readCheckpoint()
+	if err != nil {
+		return err
+	}
+	if len(s) > 0 && snap != nil {
 		// Recover's callbacks run under l.mu by contract: recovery
 		// happens before the first Append, and the callbacks rebuild
 		// caller state without calling back into the log.
 		//xyvet:ignore lockcheck
-		if err := snap(l.snap); err != nil {
+		if err := snap(s); err != nil {
 			return err
 		}
 	}
 	for _, idx := range l.segs {
-		if idx < l.bound {
+		if idx < meta.Boundary {
 			// Retained below the boundary: the snapshot already covers
 			// these records; they stay on disk for layered readers, not
 			// for replay.
@@ -469,9 +471,6 @@ func (l *Log) checkpoint(retain int, write func(w io.Writer) error) error {
 	}
 	kept = append(kept, l.segs[len(l.segs)-1])
 	l.segs = kept
-	l.bound = boundary
-	l.retain = retain
-	l.snap = append(l.snap[:0], snap.Bytes()...)
 	return nil
 }
 

@@ -77,7 +77,10 @@ func Serve(addr string) (*Server, error) {
 // Dial returns a client sharding over the given blocks, one replica per
 // partition. There must be at least one address, and every address must
 // be reachable at dial time — a cluster that starts degraded is a
-// configuration error; degradation is for blocks that die later.
+// configuration error; degradation is for blocks that die later. Blocks
+// that joined a coordinator (xycluster serve -coord) hold its map and
+// turn the client's first request away as stale; the client then routes
+// by their map, so any of the cluster's block addresses will do.
 func Dial(addrs ...string) (*Client, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("pubsub: Dial needs at least one block address")

@@ -43,7 +43,6 @@ import (
 	"xymon/internal/wal"
 	"xymon/internal/warehouse"
 	"xymon/internal/webgen"
-	"xymon/internal/xmldom"
 )
 
 // Re-exported types of the public surface.
@@ -108,8 +107,9 @@ type Options struct {
 	// injects nothing.
 	Faults *faults.Injector
 	// Domains seeds the semantic classifier (Xyleme's semantic module):
-	// domain name -> typical element tags. Documents pushed or crawled
-	// without an explicit domain are classified automatically.
+	// domain name -> typical element tags. A document pushed without a
+	// domain (PushXML with domain "") is classified automatically; a
+	// crawled page is committed under its site's domain as it is.
 	Domains map[string][]string
 	// MaxCost rejects subscriptions whose a priori cost estimate exceeds
 	// the budget, and InhibitRate suspends subscriptions that flood the
@@ -339,15 +339,13 @@ func (s *System) Unsubscribe(name string) error {
 func (s *System) PushXML(url, dtd, domain, content string) (int, error) {
 	data := []byte(content)
 	if domain == "" {
-		// The semantic module classifies unlabelled documents (Figure 1).
-		// Classification needs a tree, so an unlabelled push pays a parse
-		// up front; labelled pushes go straight to the byte-level commit
-		// and its unchanged fast paths.
-		doc, err := xmldom.ParseBytes(data)
-		if err != nil {
+		// The semantic module classifies unlabelled documents (Figure 1)
+		// by their start tags: an unlabelled push pays one tokenizer pass
+		// up front, and no tree.
+		var err error
+		if domain, _, err = s.Classifier.Classify(data); err != nil {
 			return 0, err
 		}
-		domain, _ = s.Classifier.Classify(doc)
 	}
 	res, err := s.Store.CommitXMLBytes(url, dtd, domain, data)
 	if err != nil {
