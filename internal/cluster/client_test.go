@@ -147,6 +147,43 @@ func TestAllBlocksDownErrors(t *testing.T) {
 	}
 }
 
+// TestUncoordinatedDeadBlockKeepsConnections: on blocks no coordinator
+// installed a map on, a write to a dead block's partition asks a live
+// block for its map, and the live block's "no map" answer must leave the
+// connection up: failing writes cost no reconnects.
+func TestUncoordinatedDeadBlockKeepsConnections(t *testing.T) {
+	var srvs []*Server
+	var addrs []string
+	for range 4 {
+		s, err := ServeDynamic("127.0.0.1:0", nil)
+		if err != nil {
+			t.Fatalf("ServeDynamic: %v", err)
+		}
+		t.Cleanup(func() { s.Close() })
+		srvs = append(srvs, s)
+		addrs = append(addrs, s.Addr())
+	}
+	m := BuildMap(1, 1, addrs)
+	client := NewRingClientWithMap(m, WithRetries(0))
+	defer client.Close()
+	for i, addr := range addrs {
+		if err := client.Add(core.ComplexID(i), []core.Event{eventOn(m, addr)}); err != nil {
+			t.Fatalf("add on %s: %v", addr, err)
+		}
+	}
+	srvs[0].Close()
+	dead := eventOn(m, addrs[0])
+	const writes = 20
+	for i := range writes {
+		if err := client.Add(core.ComplexID(100+i), []core.Event{dead}); err == nil {
+			t.Fatal("a write to the dead block's partition succeeded")
+		}
+	}
+	if st := client.Stats(); st.Reconnects != 0 {
+		t.Errorf("%d failed writes cost %d reconnects, want 0", writes, st.Reconnects)
+	}
+}
+
 // TestDownCooldownSkipsAndRecovers checks the cooldown bookkeeping on a
 // virtual clock: a failed block is skipped instantly while cooling down,
 // and the first match after the window re-dials it.

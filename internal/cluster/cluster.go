@@ -518,13 +518,15 @@ func (s *Server) handleInstall(payload []byte, resp func(byte, []byte) error) (b
 	return true, resp(kindAck, nil)
 }
 
-// handleMapReq serves the installed map to a client.
+// handleMapReq serves the installed map to a client. With none installed
+// it answers version 0 in the shape DecodeMap checks, and the connection
+// stays up.
 func (s *Server) handleMapReq(resp func(byte, []byte) error) (bool, error) {
 	s.smu.RLock()
 	m := s.pmap
 	s.smu.RUnlock()
 	if m.Version == 0 {
-		return false, fmt.Errorf("%w: no partition map installed on this block", ErrProtocol)
+		m.Assign = make([][]string, NumPartitions)
 	}
 	return true, resp(kindMapResp, m.Encode())
 }

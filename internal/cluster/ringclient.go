@@ -137,8 +137,9 @@ func (c *RingClient) Stats() ClientStats { return c.st.snapshot() }
 
 // refresh fetches the installed map of each block in addrs in turn and
 // adopts it, until the client routes by a map newer than ver. It fails
-// when no block had one, and stops at a block that answers in words: a
-// block with no map is not coordinated, and neither are the others.
+// when no block had one, and stops at a block that answers in words or
+// with version 0: a block with no map is not coordinated, and neither are
+// the others.
 func (c *RingClient) refresh(ver uint64, addrs []string) error {
 	err := fmt.Errorf("%w: blocks reject map version %d as stale", ErrProtocol, ver)
 	for _, addr := range addrs {
@@ -149,6 +150,9 @@ func (c *RingClient) refresh(ver uint64, addrs []string) error {
 		var m Map
 		if rerr == nil {
 			m, rerr = DecodeMap(body)
+		}
+		if rerr == nil && m.Version == 0 {
+			return fmt.Errorf("%w installed on block %s", ErrNoMap, addr)
 		}
 		var remote *RemoteError
 		if errors.As(rerr, &remote) {

@@ -14,7 +14,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Event is the code of an atomic event. Codes are assigned by the
@@ -40,17 +40,9 @@ func Canonical(events []Event) EventSet {
 	if len(events) == 0 {
 		return nil
 	}
-	s := make(EventSet, len(events))
-	copy(s, events)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	w := 1
-	for i := 1; i < len(s); i++ {
-		if s[i] != s[w-1] {
-			s[w] = s[i]
-			w++
-		}
-	}
-	return s[:w]
+	s := EventSet(slices.Clone(events))
+	slices.Sort(s)
+	return slices.Compact(s)
 }
 
 // IsCanonical reports whether s is strictly increasing.
@@ -65,8 +57,8 @@ func (s EventSet) IsCanonical() bool {
 
 // Contains reports whether the canonical set s contains e.
 func (s EventSet) Contains(e Event) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= e })
-	return i < len(s) && s[i] == e
+	_, ok := slices.BinarySearch(s, e)
+	return ok
 }
 
 // ContainsAll reports whether the canonical set s is a superset of the

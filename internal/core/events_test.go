@@ -48,6 +48,36 @@ func TestCanonicalPropertyAlwaysCanonical(t *testing.T) {
 	}
 }
 
+// TestCanonicalMatchesMapReference: on random inputs drawn from a small
+// range, so duplicates are common, Canonical holds exactly the distinct
+// values in increasing order, and Contains agrees with membership.
+func TestCanonicalMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 1000; trial++ {
+		in := make([]Event, rng.Intn(40))
+		have := make(map[Event]bool)
+		for i := range in {
+			in[i] = Event(rng.Intn(24))
+			have[in[i]] = true
+		}
+		got := Canonical(in)
+		var want EventSet
+		for e := Event(0); e < 24; e++ {
+			if have[e] {
+				want = append(want, e)
+			}
+		}
+		if !got.Equal(want) {
+			t.Fatalf("Canonical(%v) = %v, want %v", in, got, want)
+		}
+		for e := Event(0); e < 26; e++ {
+			if got.Contains(e) != have[e] {
+				t.Fatalf("Canonical(%v).Contains(%d) = %v, want %v", in, e, !have[e], have[e])
+			}
+		}
+	}
+}
+
 func TestIsCanonical(t *testing.T) {
 	if !(EventSet{}).IsCanonical() {
 		t.Error("empty set should be canonical")

@@ -183,12 +183,20 @@ type Manager struct {
 // plan hands the Reporter the same read-only nodes.
 type processScratch struct {
 	matched []core.ComplexID
+	rqs     []matchedQuery
 	elems   []*xmldom.Node
 	hashes  []uint64               // hashes[i] is elems[i].Hash64(xmldom.HashSeed())
 	spans   map[*selectPlan][2]int // a plan's payloads: elems[lo:hi]
 	batch   []reporter.Notification
 	trig    []produced
 	seen    map[uint64]struct{}
+}
+
+// matchedQuery is a query the alert matched, and where its plan's
+// payloads sit in the scratch: elems[lo:hi].
+type matchedQuery struct {
+	rq     *registeredQuery
+	lo, hi int
 }
 
 // produced records that a query raised n notifications in this alert: its
@@ -210,6 +218,8 @@ func (sc *processScratch) release() {
 	clear(sc.spans)
 	sc.matched = sc.matched[:0] // plain values, no scrub needed
 	sc.hashes = sc.hashes[:0]
+	clear(sc.rqs)
+	sc.rqs = sc.rqs[:0]
 	clear(sc.elems[:cap(sc.elems)])
 	sc.elems = sc.elems[:0]
 	clear(sc.batch)
@@ -479,30 +489,39 @@ func (m *Manager) ProcessDoc(d *alerter.Doc) int {
 // takes m.mu unless a posteriori inhibition is on: ids resolve through the
 // lock-free query table, and everything else a notification needs hangs
 // off the resolved query.
+//
+// It runs in three passes — resolve every id, materialise every plan,
+// emit — so the cache misses of one query's table slot, and then of its
+// plan, overlap with the next query's instead of following each other.
 func (m *Manager) ProcessAlert(a *alerter.Alert) int {
 	sc := processPool.Get().(*processScratch)
 	sc.matched = m.matcher.MatchAppend(sc.matched[:0], a.Events)
 	m.alertsSent.Add(1)
 	now := m.clock()
 	for _, id := range sc.matched {
-		rq := m.queries.get(id)
-		if rq == nil {
-			continue // unsubscribed or suspended since the match
+		if rq := m.queries.get(id); rq != nil { // nil: unsubscribed or suspended since the match
+			sc.rqs = append(sc.rqs, matchedQuery{rq: rq})
 		}
+	}
+	for i := range sc.rqs {
+		mq := &sc.rqs[i]
 		// A plan's payloads depend on the plan and the document alone, so
 		// the queries sharing a plan share one materialisation and hash.
-		span, ok := sc.spans[rq.plan]
+		span, ok := sc.spans[mq.rq.plan]
 		if !ok {
 			span[0] = len(sc.elems)
-			sc.elems = rq.plan.appendPayloads(sc.elems, a.Doc)
+			sc.elems = mq.rq.plan.appendPayloads(sc.elems, a.Doc)
 			for _, el := range sc.elems[span[0]:] {
 				sc.hashes = append(sc.hashes, el.Hash64(xmldom.HashSeed()))
 			}
 			span[1] = len(sc.elems)
-			sc.spans[rq.plan] = span
+			sc.spans[mq.rq.plan] = span
 		}
-		n := 0
-		for i := span[0]; i < span[1]; i++ {
+		mq.lo, mq.hi = span[0], span[1]
+	}
+	for _, mq := range sc.rqs {
+		rq, n := mq.rq, 0
+		for i := mq.lo; i < mq.hi; i++ {
 			// Disjunctive where clauses compile to several complex events
 			// sharing one select (see sublang); when a document matches
 			// more than one disjunct, the subscriber still gets each

@@ -384,18 +384,18 @@ func (r *Reporter) Recover(register func(name, src string) error) error {
 		s.mu.Lock()
 		if st, ok := s.subs[sub]; ok {
 			st.buffer = st.buffer[:0]
-			clear(st.labelCount)
+			for i := range st.tagTerms {
+				st.tagTerms[i].n = 0
+			}
 			for _, rec := range recs {
-				st.buffer = append(st.buffer, buffered{
-					label: rec.Label, elem: parseReportDoc(rec.XML), time: rec.Time,
-				})
-				if st.labelCount != nil {
-					st.labelCount[rec.Label]++
-				}
+				q := s.intern(rec.Label)
+				st.buffer = append(st.buffer, buffered{elem: parseReportDoc(rec.XML), at: rec.Time.UnixNano(), q: q})
+				st.countLabel(q)
 			}
 			// The when clause held (or may have held) before the crash;
 			// pending makes the next Tick report rather than re-derive.
 			st.pending = true
+			s.arm(st)
 		}
 		s.mu.Unlock()
 	}
@@ -463,7 +463,8 @@ func (r *Reporter) Checkpoint() error {
 		Marks:   make(map[string]map[string]time.Time),
 	}
 	for i := range r.stripes {
-		for sub, st := range r.stripes[i].subs {
+		s := &r.stripes[i]
+		for sub, st := range s.subs {
 			if st.seq != 0 {
 				snap.Base = append(snap.Base, walRecord{T: "sub", ID: st.seq, Sub: sub, Src: st.src})
 			}
@@ -475,7 +476,7 @@ func (r *Reporter) Checkpoint() error {
 			}
 			recs := make([]walRecord, 0, len(st.buffer))
 			for _, n := range st.buffer {
-				rec := walRecord{T: "notif", Sub: sub, Label: n.label, Time: n.time}
+				rec := walRecord{T: "notif", Sub: sub, Label: s.label[n.q], Time: time.Unix(0, n.at)}
 				if n.elem != nil {
 					rec.XML = n.elem.XML()
 				}

@@ -247,13 +247,13 @@ func TestSharedPayloadAcrossStripes(t *testing.T) {
 func TestLabelCountsOnlyWhenRead(t *testing.T) {
 	r, reports := collectReports(t)
 	plain := r.Register("Plain", countSpec(3))
-	if plain.labelCount != nil {
+	if plain.tagTerms != nil {
 		t.Error("a when clause without a per-label term must not keep label counts")
 	}
 	tagged := r.Register("Tagged", &sublang.ReportSpec{
 		When: []sublang.ReportTerm{{Kind: sublang.TermTagCount, Tag: "Hot", Count: 1}},
 	})
-	if tagged.labelCount == nil {
+	if tagged.tagTerms == nil {
 		t.Fatal("a per-label term needs label counts")
 	}
 	for round := 0; round < 2; round++ {

@@ -10,8 +10,10 @@
 package reporter
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,32 +83,32 @@ func (f DeliveryFunc) Deliver(rep *Report) error { return f(rep) }
 // Sub is the per-subscription reporting state, and the handle Register
 // returns for it. Everything but name and stripe is guarded by the stripe's
 // lock. The report specification is flattened into it at Register, so the
-// per-notification path reads one struct.
+// per-notification path reads one struct: the fields up to buffer, its
+// first cache line (a 192-byte Sub is 64-byte aligned), unless the
+// subscription has per-label terms.
 type Sub struct {
-	name   string
 	stripe uint8
 	// live turns false on Unregister or when the name is registered again:
 	// a dead handle is refused like an unknown name.
 	live bool
 
 	// The when clause, a disjunction, folded by term kind.
-	immediate bool
-	countOver int                  // smallest notifications.count bound; MaxInt = none
-	period    sublang.Frequency    // smallest periodic term; 0 = none
-	tagTerms  []sublang.ReportTerm // the per-label count terms
-
-	atMostCount int
+	immediate   bool
+	tagged      bool              // tagTerms is not empty: an untagged Sub never loads it
+	hasReport   bool              // a report was generated at least once
+	pending     bool              // condition held while rate-limited, or its fired write failed
+	countOver   int               // smallest notifications.count bound; MaxInt = none
+	atMostCount int               // 0 = none
+	period      sublang.Frequency // smallest periodic term; 0 = none
+	lastReport  int64             // Unix ns of the last report, or of Register
+	buffer      []buffered
+	tagTerms    []tagTerm // the per-label count terms
 	atMostFreq  sublang.Frequency
+	due         int // index on the stripe's heap; -1 = not on it
+	name        string
 	archive     sublang.Frequency
 	query       *xyquery.Query
-
-	buffer []buffered
-	// labelCount is nil unless there are tagTerms, its only reader.
-	labelCount map[string]int
-	lastReport time.Time
-	hasReport  bool // a report was generated at least once
-	pending    bool // condition fired while rate-limited
-	followers  []string
+	followers   []string
 	// marks is when each of the subscription's continuous queries last
 	// evaluated, as journaled; nil until the first mark.
 	marks map[string]time.Time
@@ -116,11 +118,18 @@ type Sub struct {
 	src string
 }
 
-// buffered is a notification waiting in its subscription's buffer.
+// buffered is a notification waiting in its subscription's buffer: its
+// element, its time in Unix ns and its label interned on the stripe.
 type buffered struct {
-	label string
-	elem  *xmldom.Node
-	time  time.Time
+	elem *xmldom.Node
+	at   int64
+	q    uint32
+}
+
+// tagTerm is a per-label count term: more than over of label q; n counts.
+type tagTerm struct {
+	q       uint32
+	over, n int
 }
 
 // stripeCount is the number of lock stripes the subscription state is
@@ -135,6 +144,79 @@ const stripeCount = 16
 type stripe struct {
 	mu   sync.Mutex
 	subs map[string]*Sub
+	due  dueHeap // the subscriptions Tick has to visit, earliest first
+	// labels interns the stripe's notification labels: label[q] is label q.
+	labels map[string]uint32
+	label  []string
+}
+
+// intern returns the index of label on s. The caller holds s.mu.
+func (s *stripe) intern(label string) uint32 {
+	q, ok := s.labels[label]
+	if !ok {
+		q = uint32(len(s.label))
+		s.labels[label] = q
+		s.label = append(s.label, label)
+	}
+	return q
+}
+
+// arm keeps st on s's heap at its deadline, if any: a pending report's is
+// when the atmost frequency lets it go (at once if it never held it back),
+// else a periodic term's is a period after the last report. The other terms
+// fire on arrival, and a dead Sub never does. The caller holds s.mu.
+func (s *stripe) arm(st *Sub) {
+	at := int64(math.MinInt64)
+	switch {
+	case !st.live || !st.pending && st.period == 0:
+		if st.due >= 0 {
+			heap.Remove(&s.due, st.due)
+		}
+		return
+	case st.pending && st.atMostFreq != 0 && st.hasReport:
+		at = st.lastReport + int64(st.atMostFreq)
+	case !st.pending:
+		at = st.lastReport + int64(st.period)
+	}
+	if st.due < 0 {
+		heap.Push(&s.due, deadline{at, st})
+		return
+	}
+	s.due[st.due].at = at
+	heap.Fix(&s.due, st.due)
+}
+
+// deadline is an entry of a stripe's heap: sub is due at at (Unix ns).
+type deadline struct {
+	at  int64
+	sub *Sub
+}
+
+// dueHeap is a container/heap min-heap of deadlines. Each Sub on it knows
+// its index, so it moves or leaves in O(log n).
+type dueHeap []deadline
+
+func (h dueHeap) Len() int           { return len(h) }
+func (h dueHeap) Less(i, j int) bool { return h[i].at < h[j].at }
+func (h dueHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].sub.due, h[j].sub.due = i, j
+}
+
+func (h *dueHeap) Push(x any) {
+	d := x.(deadline)
+	d.sub.due = len(*h)
+	*h = append(*h, d)
+}
+
+// Pop returns the Sub, which boxes without allocating.
+func (h *dueHeap) Pop() any {
+	old := *h
+	d := old[len(old)-1]
+	old[len(old)-1] = deadline{}
+	*h = old[:len(old)-1]
+	d.sub.due = -1
+	return d.sub
 }
 
 // Reporter buffers notifications and produces reports. Safe for
@@ -150,8 +232,9 @@ type Reporter struct {
 
 	// The archive is small and cold (report generation only), so it keeps
 	// a single dedicated lock instead of joining the striping.
-	archMu  sync.Mutex
-	archive []archivedReport
+	archMu   sync.Mutex
+	archive  []archivedReport
+	archNext int64 // the earliest expiry while archive is not empty
 
 	// retry holds failed deliveries between redelivery attempts; its
 	// queue drains on Tick.
@@ -170,11 +253,12 @@ type Reporter struct {
 	deadLettered atomic.Uint64
 	evicted      atomic.Uint64
 	redriven     atomic.Uint64
+	tickVisited  atomic.Uint64
 }
 
 type archivedReport struct {
 	rep    *Report
-	expiry time.Time
+	expiry int64 // Unix ns
 }
 
 // Option configures a Reporter.
@@ -200,6 +284,7 @@ func New(sink Delivery, opts ...Option) *Reporter {
 	}
 	for i := range r.stripes {
 		r.stripes[i].subs = make(map[string]*Sub)
+		r.stripes[i].labels = make(map[string]uint32)
 	}
 	for _, o := range opts {
 		o(r)
@@ -238,8 +323,11 @@ func (r *Reporter) Register(sub string, spec *sublang.ReportSpec) *Sub {
 	st := &Sub{
 		name: sub, stripe: uint8(stripeIndex(sub)), live: true, countOver: math.MaxInt,
 		atMostCount: spec.AtMostCount, atMostFreq: spec.AtMostFreq,
-		archive: spec.Archive, query: spec.Query, lastReport: r.clock(),
+		archive: spec.Archive, query: spec.Query, lastReport: r.clock().UnixNano(), due: -1,
 	}
+	s := &r.stripes[st.stripe]
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, term := range spec.When {
 		switch term.Kind {
 		case sublang.TermImmediate:
@@ -247,24 +335,21 @@ func (r *Reporter) Register(sub string, spec *sublang.ReportSpec) *Sub {
 		case sublang.TermCount:
 			st.countOver = min(st.countOver, term.Count)
 		case sublang.TermTagCount:
-			st.tagTerms = append(st.tagTerms, term)
+			st.tagged = true
+			st.tagTerms = append(st.tagTerms, tagTerm{q: s.intern(term.Tag), over: term.Count})
 		case sublang.TermPeriodic:
 			if st.period == 0 || term.Freq < st.period {
 				st.period = term.Freq
 			}
 		}
 	}
-	if st.tagTerms != nil {
-		st.labelCount = make(map[string]int)
-	}
-	s := &r.stripes[st.stripe]
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if old := s.subs[sub]; old != nil {
 		old.live = false
+		s.arm(old)
 		r.links.Add(-int64(len(old.followers)))
 	}
 	s.subs[sub] = st
+	s.arm(st)
 	return st
 }
 
@@ -288,6 +373,7 @@ func (r *Reporter) Unregister(sub string) error {
 	}
 	if st != nil {
 		st.live = false
+		s.arm(st)
 		r.links.Add(-int64(len(st.followers)))
 		delete(s.subs, sub)
 	}
@@ -433,86 +519,95 @@ func (r *Reporter) noteLocked(reps []*Report, s *stripe, n *Notification, now ti
 	if markOnly {
 		return reps
 	}
-	st.buffer = append(st.buffer, buffered{label: n.Label, elem: n.Element, time: n.Time})
-	if st.labelCount != nil {
-		st.labelCount[n.Label]++
-	}
-	if r.conditionHolds(st, now, true) {
-		return r.buildLocked(reps, st, now)
+	q := s.intern(n.Label)
+	st.buffer = append(st.buffer, buffered{elem: n.Element, at: n.Time.UnixNano(), q: q})
+	if r.conditionHolds(s, st, q, now.UnixNano()) {
+		return r.buildLocked(reps, s, st, now)
 	}
 	return reps
 }
 
+// countLabel counts a notification of label q in the per-label terms, and
+// reports whether one of them holds.
+func (st *Sub) countLabel(q uint32) bool {
+	hold := false
+	for i := range st.tagTerms {
+		t := &st.tagTerms[i]
+		if t.q == q {
+			t.n++
+		}
+		hold = hold || t.n > t.over
+	}
+	return hold
+}
+
 // Tick evaluates time-based conditions (periodic terms, rate-limited
 // pending reports, archive expiry). Call it regularly — the paper's
-// Reporter owns a timer.
+// Reporter owns a timer. It visits only the subscriptions whose deadline
+// has come, and the archive only once its earliest expiry has.
 func (r *Reporter) Tick() {
 	now := r.clock()
+	at := now.UnixNano()
 	var reps []*Report
+	var due []*Sub
 	for i := range r.stripes {
 		s := &r.stripes[i]
 		s.mu.Lock()
-		for _, st := range s.subs {
-			if len(st.buffer) == 0 && !st.pending {
+		due = due[:0]
+		for len(s.due) > 0 && s.due[0].at <= at {
+			due = append(due, heap.Pop(&s.due).(*Sub))
+		}
+		// A popped subscription is due: its pending report may go, or its
+		// period is over. It is re-armed only after the pop loop: a report
+		// whose fired write fails is due again at once, on the next Tick.
+		for _, st := range due {
+			switch {
+			case st.pending || len(st.buffer) > 0 && !heldBack(s, st, at):
+				reps = r.buildLocked(reps, s, st, now)
+			case len(st.buffer) == 0:
 				// Periodic reports with empty buffers are not sent; the paper's
 				// report queries run over gathered notifications.
-				if r.periodicDue(st, now) {
-					st.lastReport = now
-				}
-				continue
+				st.lastReport = at
 			}
-			fire := st.pending && !r.rateLimited(st, now)
-			if !fire && r.conditionHolds(st, now, false) {
-				fire = true
-			}
-			if fire {
-				reps = r.buildLocked(reps, st, now)
-			}
+			s.arm(st)
 		}
 		s.mu.Unlock()
+		r.tickVisited.Add(uint64(len(due)))
 	}
-	// Garbage-collect expired archived reports.
 	r.archMu.Lock()
-	keep := r.archive[:0]
-	for _, a := range r.archive {
-		if a.expiry.After(now) {
-			keep = append(keep, a)
+	if len(r.archive) > 0 && r.archNext <= at {
+		r.archive = slices.DeleteFunc(r.archive, func(a archivedReport) bool { return a.expiry <= at })
+		r.archNext = math.MaxInt64
+		for _, a := range r.archive {
+			r.archNext = min(r.archNext, a.expiry)
 		}
 	}
-	r.archive = keep
 	r.archMu.Unlock()
 	r.deliver(reps)
 	r.drainRetries(now)
 }
 
-// conditionHolds evaluates the disjunction of report terms. onArrival is
-// true when called from Notify, enabling the immediate term.
-func (r *Reporter) conditionHolds(st *Sub, now time.Time, onArrival bool) bool {
+// conditionHolds evaluates the disjunction of report terms as a
+// notification of label q arrives at now (Unix ns), counting it, and
+// reports whether it fires. The caller holds s.mu.
+func (r *Reporter) conditionHolds(s *stripe, st *Sub, q uint32, now int64) bool {
 	n := len(st.buffer)
-	hold := n > st.countOver || n > 0 && (onArrival && st.immediate || r.periodicDue(st, now))
-	for i := 0; !hold && i < len(st.tagTerms); i++ {
-		hold = st.labelCount[st.tagTerms[i].Tag] > st.tagTerms[i].Count
+	hold := n > st.countOver || n > 0 && (st.immediate || st.period != 0 && now-st.lastReport >= int64(st.period))
+	if st.tagged && st.countLabel(q) {
+		hold = true
 	}
-	if !hold {
-		return false
-	}
-	if r.rateLimited(st, now) {
+	return hold && !heldBack(s, st, now)
+}
+
+// heldBack applies the atmost-frequency clause to a report that is due: one
+// it holds back is pending until Tick may send it.
+func heldBack(s *stripe, st *Sub, now int64) bool {
+	limited := st.atMostFreq != 0 && st.hasReport && now-st.lastReport < int64(st.atMostFreq)
+	if limited && !st.pending {
 		st.pending = true
-		return false
+		s.arm(st)
 	}
-	return true
-}
-
-func (r *Reporter) periodicDue(st *Sub, now time.Time) bool {
-	return st.period != 0 && now.Sub(st.lastReport) >= st.period.Duration()
-}
-
-// rateLimited applies the atmost-frequency clause.
-func (r *Reporter) rateLimited(st *Sub, now time.Time) bool {
-	if st.atMostFreq == 0 || !st.hasReport {
-		return false
-	}
-	return now.Sub(st.lastReport) < st.atMostFreq.Duration()
+	return limited
 }
 
 // buildLocked renders and post-processes the report and resets the buffer
@@ -524,7 +619,7 @@ func (r *Reporter) rateLimited(st *Sub, now time.Time) bool {
 // caller delivers the reports once its stripe lock is released: holding a
 // stripe lock across the Delivery callback would deadlock any sink that
 // calls back into the Reporter.
-func (r *Reporter) buildLocked(reps []*Report, st *Sub, now time.Time) []*Report {
+func (r *Reporter) buildLocked(reps []*Report, s *stripe, st *Sub, now time.Time) []*Report {
 	count := len(st.buffer)
 	doc := xmldom.Element("Report")
 	doc.Children = make([]*xmldom.Node, 0, count)
@@ -552,17 +647,25 @@ func (r *Reporter) buildLocked(reps []*Report, st *Sub, now time.Time) []*Report
 		// it once a checkpoint drops this buffer. The buffer stays and
 		// Tick retries.
 		st.pending = true
+		s.arm(st)
 		return reps[:fired]
 	}
 	clear(st.buffer) // the report holds the elements now
 	st.buffer = st.buffer[:0]
-	clear(st.labelCount)
-	st.lastReport = now
+	for i := range st.tagTerms {
+		st.tagTerms[i].n = 0
+	}
+	st.lastReport = now.UnixNano()
 	st.hasReport = true
 	st.pending = false
+	s.arm(st)
 	if st.archive > 0 {
+		expiry := now.Add(st.archive.Duration()).UnixNano()
 		r.archMu.Lock()
-		r.archive = append(r.archive, archivedReport{rep: rep, expiry: now.Add(st.archive.Duration())})
+		if len(r.archive) == 0 || expiry < r.archNext {
+			r.archNext = expiry
+		}
+		r.archive = append(r.archive, archivedReport{rep: rep, expiry: expiry})
 		r.archMu.Unlock()
 	}
 	return reps
@@ -655,6 +758,7 @@ type Stats struct {
 	// JournalErrors counts failed journal writes and commit barriers:
 	// state kept in memory only, durability degraded, operation went on.
 	JournalErrors uint64
+	TickVisited   uint64 // subscriptions Tick visited: those whose deadline had come
 }
 
 // Stats snapshots the Reporter's counters.
@@ -672,5 +776,6 @@ func (r *Reporter) Stats() Stats {
 		Evicted:       r.evicted.Load(),
 		Redriven:      r.redriven.Load(),
 		JournalErrors: r.walErrors.Load(),
+		TickVisited:   r.tickVisited.Load(),
 	}
 }
