@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -111,7 +110,7 @@ func TestStreamTailResyncAfterTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Checkpoint(func(io.Writer) error { return nil }); err != nil {
+	if _, err := st.Checkpoint(func(func([]byte) error) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	first := st.Stats().FirstRetained

@@ -327,6 +327,34 @@ func TestNewRefusesLegacyStreamDir(t *testing.T) {
 	}
 }
 
+// TestNewRefusesEarlierCheckpoint: a reporter journal whose checkpoint an
+// earlier build wrote — one snapshot frame, the stream's head ahead of the
+// reporter's JSON — makes New fail, naming the directory, instead of
+// starting on an empty subscription base.
+func TestNewRefusesEarlierCheckpoint(t *testing.T) {
+	durable := t.TempDir()
+	dir := filepath.Join(durable, "reporter")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	snap := binary.LittleEndian.AppendUint64(nil, 0)
+	snap = append(snap, `{"base":[{"t":"sub","id":1,"sub":"Watch","src":"subscription Watch"}]}`...)
+	data, _ := wal.Binary{}.AppendFrame(nil, []byte(`{"boundary":2}`))
+	data, _ = wal.Binary{}.AppendFrame(data, snap)
+	if err := os.WriteFile(filepath.Join(dir, "checkpoint.wal"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := New(Options{DurableDir: durable})
+	if err == nil {
+		n := len(sys.Manager.Subscriptions())
+		sys.Close()
+		t.Fatalf("New started on an earlier build's checkpoint with %d subscriptions", n)
+	}
+	if say := dir + " holds a checkpoint of an earlier build"; !strings.Contains(err.Error(), say) {
+		t.Fatalf("New's error %q does not say %q", err, say)
+	}
+}
+
 // TestCheckpointBesideCorruptCursor: a pull consumer's damaged cursor
 // file makes System.Checkpoint report it, but only after every journal —
 // the reporter's, whose retention reads the cursors, included, and the

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 
 	"xymon/internal/faults"
@@ -18,7 +17,8 @@ import (
 // between blocks through a WAL-backed transfer journal — every handoff
 // step is journaled before it takes effect, so a coordinator crash
 // mid-transfer resumes from the journal instead of losing or duplicating
-// subscriptions.
+// subscriptions. A committed transition checkpoints the journal down to
+// one stable record of the committed map, replayed like the others.
 //
 // A transition from stable map v runs in two phases (numbered v+1 and
 // v+2 unless a failed transfer issued those numbers first):
@@ -61,8 +61,9 @@ type Coord struct {
 
 // coordRecord is one JSON journal entry of the transfer WAL.
 type coordRecord struct {
-	Kind string `json:"kind"` // "begin" | "subs" | "moved" | "commit"
-	// begin: the full planned transition.
+	Kind string `json:"kind"` // "begin" | "subs" | "moved" | "commit" | "stable"
+	// begin: the full planned transition; stable (a checkpoint's one
+	// record): Final is the committed map.
 	Trans *Map   `json:"trans,omitempty"`
 	Final *Map   `json:"final,omitempty"`
 	Moves []Move `json:"moves,omitempty"`
@@ -74,12 +75,6 @@ type coordRecord struct {
 	To string `json:"to,omitempty"`
 	// commit: the final map's version took effect.
 	Version uint64 `json:"version,omitempty"`
-}
-
-// coordSnapshot is the checkpoint image: everything outside an in-flight
-// transition.
-type coordSnapshot struct {
-	Stable Map `json:"stable"`
 }
 
 // pendingTransfer is a journaled transition reconstructed at recovery.
@@ -134,18 +129,10 @@ func NewCoord(walDir string, replicas int, opts ...ClientOption) (*Coord, error)
 }
 
 // recover rebuilds stable state and any in-flight transition from the
-// checkpoint snapshot and journal records.
+// journal's records, the checkpoint's first.
 func (c *Coord) recover() (*pendingTransfer, error) {
 	var pending *pendingTransfer
 	err := c.log.Recover(
-		func(snapshot []byte) error {
-			var snap coordSnapshot
-			if err := json.Unmarshal(snapshot, &snap); err != nil {
-				return fmt.Errorf("cluster: coordinator checkpoint: %w", err)
-			}
-			c.stable = snap.Stable
-			return nil
-		},
 		func(payload []byte) error {
 			var rec coordRecord
 			if err := json.Unmarshal(payload, &rec); err != nil {
@@ -176,6 +163,11 @@ func (c *Coord) recover() (*pendingTransfer, error) {
 					c.stable = pending.final
 					pending = nil
 				}
+			case "stable":
+				if rec.Final == nil {
+					return errors.New("cluster: coordinator journal: stable without a map")
+				}
+				c.stable = *rec.Final
 			default:
 				return fmt.Errorf("cluster: coordinator journal: unknown record %q", rec.Kind)
 			}
@@ -381,16 +373,14 @@ func (c *Coord) dropRetired(p *pendingTransfer) {
 	}
 }
 
-// checkpoint compacts the journal to the committed stable state.
+// checkpoint compacts the journal to one stable record: everything
+// outside an in-flight transition.
 func (c *Coord) checkpoint() error {
-	raw, err := json.Marshal(coordSnapshot{Stable: c.stable})
+	raw, err := json.Marshal(coordRecord{Kind: "stable", Final: &c.stable})
 	if err != nil {
 		return err
 	}
-	return c.log.Checkpoint(func(w io.Writer) error {
-		_, err := w.Write(raw)
-		return err
-	})
+	return c.log.Checkpoint(func(emit func([]byte) error) error { return emit(raw) })
 }
 
 // append journals one record: one JSON object in a CRC-checked frame.

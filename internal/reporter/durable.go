@@ -1,10 +1,10 @@
 package reporter
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"fmt"
-	"io"
 	"maps"
 	"slices"
 	"time"
@@ -31,16 +31,25 @@ import (
 //	         batch per build, a record per recipient: the fired records
 //	         are the change-stream, and a report's id is its offset
 //	done   — the sink accepted the report
-//	dead   — the report exhausted its retry budget (dead-lettered)
+//	dead   — the report exhausted its retry budget (dead-lettered); its
+//	         time is the report's build, died when it was lettered
 //	lost   — written by earlier builds when retrying was disabled; still
 //	         read back, as done, since their journals may hold it
 //	redrive — an operator moved a dead letter back onto the retry queue
+//	evicted — the number of dead letters the cap evicted so far; only a
+//	         checkpoint holds one
 //
 // The hot records (notif, mark, fired, done) are group-committed: each is
 // written to the log where it happens — under the lock that orders it —
 // and made durable by a commit barrier per document, not an fsync per
 // record (see deliver). The cold ones (sub, unsub, dead, redrive) commit
 // on their own. Every record but fired is a JSON owner frame.
+//
+// A checkpoint is these records compacted: the base's sub records in
+// registration order, evicted, the outstanding reports as fired records
+// (JSON, like the rest), the dead letters, then each subscription's marks
+// and buffer — so recovery replays checkpoint and tail through one
+// function.
 //
 // Recovery replays checkpoint + tail in log order and hands the base it
 // ends with to the caller, in registration order, before it restores
@@ -64,20 +73,9 @@ type walRecord struct {
 	Reason   string    `json:"reason,omitempty"`
 	Mark     bool      `json:"mark,omitempty"`
 	Src      string    `json:"src,omitempty"`
-}
-
-// walSnapshot is the checkpoint payload: the durable state at the
-// checkpoint's boundary, replacing every journal record before it.
-type walSnapshot struct {
-	// Base is the journaled subscriptions' sub records, in registration
-	// order.
-	Base        []walRecord            `json:"base,omitempty"`
-	Buffers     map[string][]walRecord `json:"buffers,omitempty"`
-	Outstanding []walRecord            `json:"outstanding,omitempty"`
-	Dead        []walRecord            `json:"dead,omitempty"`
-	Evicted     uint64                 `json:"evicted,omitempty"`
-	// Marks is subscription -> continuous query -> last evaluation.
-	Marks map[string]map[string]time.Time `json:"marks,omitempty"`
+	// Died is a dead letter's death, Unix ns (a time.Time would never be
+	// omitted from the other records).
+	Died int64 `json:"died,omitempty"`
 }
 
 // WithWAL journals the Reporter's durable state into l, whose stream
@@ -233,12 +231,16 @@ func (r *Reporter) resolveLocked(rep *Report, reason string, attempts int, now t
 	if r.log == nil {
 		return
 	}
-	rec := walRecord{
-		T: "dead", ID: rep.id, Sub: rep.Subscription, Count: rep.Notifications,
-		Reason: reason, Attempts: attempts, Time: now, XML: rep.xml,
-	}
-	r.journal(rec)
+	r.journal(deadRecord(rep, reason, attempts, now))
 	delete(r.retry.outstanding, rep.id)
+}
+
+// deadRecord is how a dead letter is journaled.
+func deadRecord(rep *Report, reason string, attempts int, died time.Time) walRecord {
+	return walRecord{
+		T: "dead", ID: rep.id, Sub: rep.Subscription, Count: rep.Notifications,
+		Reason: reason, Attempts: attempts, Time: rep.Time, Died: died.UnixNano(), XML: rep.xml,
+	}
 }
 
 // byID orders records by ID: reports by offset, the base by registration.
@@ -264,7 +266,7 @@ func parseReportDoc(s string) *xmldom.Node {
 // before Recover gets its own back too). A nil register registers
 // nothing. Call it before the first Notify or Tick. Recovered buffers are
 // marked pending, so the next Tick reports them; recovered outstanding
-// reports re-enter the retry queue due immediately.
+// reports re-enter the retry queue due immediately, in id order.
 func (r *Reporter) Recover(register func(name, src string) error) error {
 	if r.log == nil {
 		return nil
@@ -275,87 +277,74 @@ func (r *Reporter) Recover(register func(name, src string) error) error {
 	buffers := make(map[string][]walRecord)
 	marks := make(map[string]map[string]time.Time)
 	outstanding := make(map[uint64]walRecord)
-	var order []uint64
 	var dead []walRecord
 	var evicted uint64
+	replay := func(rec walRecord) error {
+		if rec.Mark {
+			// Later records win: the journal is in evaluation order.
+			if marks[rec.Sub] == nil {
+				marks[rec.Sub] = make(map[string]time.Time)
+			}
+			marks[rec.Sub][rec.Label] = rec.Time
+		}
+		switch rec.T {
+		case "sub":
+			rec.ID, joined = joined, joined+1
+			base[rec.Sub] = rec
+		case "unsub":
+			// What was staged for the name belonged to the subscription
+			// that left; one subscribed again under it starts empty.
+			delete(base, rec.Sub)
+			delete(buffers, rec.Sub)
+			delete(marks, rec.Sub)
+		case "notif":
+			buffers[rec.Sub] = append(buffers[rec.Sub], rec)
+		case "fired":
+			outstanding[rec.ID] = rec
+		case "done", "lost":
+			delete(outstanding, rec.ID)
+		case "dead":
+			delete(outstanding, rec.ID)
+			dead = append(dead, rec)
+			// The cap evicts as it did live, before a redrive could
+			// pick a letter it evicted.
+			if rt := &r.retry; rt.maxDead > 0 && len(dead) > rt.maxDead {
+				dead, evicted = dead[1:], evicted+1
+			}
+		case "evicted":
+			evicted = uint64(rec.Count)
+		case "mark":
+			// The mark above is the whole record.
+		case "redrive":
+			// A dead letter moved back to the retry queue; the fresh
+			// attempt budget a live Redrive grants is restored too.
+			for i, d := range dead {
+				if d.ID == rec.ID {
+					d.T, d.Attempts, d.Reason, d.Died = "fired", 0, "", 0
+					outstanding[rec.ID] = d
+					dead = slices.Delete(dead, i, i+1)
+					break
+				}
+			}
+		default:
+			// A kind this build does not know may carry state it
+			// cannot restore: refuse the journal, do not skip it.
+			return fmt.Errorf("reporter: journal record of unknown kind %q", rec.T)
+		}
+		return nil
+	}
 	err := r.log.Recover(
-		func(snap []byte) error {
-			var s walSnapshot
-			if err := json.Unmarshal(snap, &s); err != nil {
-				return fmt.Errorf("reporter: corrupt checkpoint: %w", err)
-			}
-			for _, rec := range s.Base {
-				rec.ID, joined = joined, joined+1
-				base[rec.Sub] = rec
-			}
-			maps.Copy(buffers, s.Buffers)
-			for _, rec := range s.Outstanding {
-				outstanding[rec.ID] = rec
-				order = append(order, rec.ID)
-			}
-			dead = append(dead, s.Dead...)
-			evicted = s.Evicted
-			maps.Copy(marks, s.Marks)
-			return nil
-		},
 		func(payload []byte) error {
 			var rec walRecord
 			if err := json.Unmarshal(payload, &rec); err != nil {
 				return fmt.Errorf("reporter: corrupt journal record: %w", err)
 			}
-			if rec.Mark {
-				// Later records win: the journal is in evaluation order.
-				if marks[rec.Sub] == nil {
-					marks[rec.Sub] = make(map[string]time.Time)
-				}
-				marks[rec.Sub][rec.Label] = rec.Time
-			}
-			switch rec.T {
-			case "sub":
-				rec.ID, joined = joined, joined+1
-				base[rec.Sub] = rec
-			case "unsub":
-				// What was staged for the name belonged to the subscription
-				// that left; one subscribed again under it starts empty.
-				delete(base, rec.Sub)
-				delete(buffers, rec.Sub)
-				delete(marks, rec.Sub)
-			case "notif":
-				buffers[rec.Sub] = append(buffers[rec.Sub], rec)
-			case "done", "lost":
-				delete(outstanding, rec.ID)
-			case "dead":
-				delete(outstanding, rec.ID)
-				dead = append(dead, rec)
-			case "mark":
-				// The mark above is the whole record.
-			case "redrive":
-				// A dead letter moved back to the retry queue; the fresh
-				// attempt budget a live Redrive grants is restored too.
-				for i, d := range dead {
-					if d.ID == rec.ID {
-						d.T = "fired"
-						d.Attempts = 0
-						d.Reason = ""
-						outstanding[rec.ID] = d
-						order = append(order, rec.ID)
-						dead = append(dead[:i], dead[i+1:]...)
-						break
-					}
-				}
-			default:
-				// A kind this build does not know may carry state it
-				// cannot restore: refuse the journal, do not skip it.
-				return fmt.Errorf("reporter: journal record of unknown kind %q", rec.T)
-			}
-			return nil
+			return replay(rec)
 		},
 		func(rec stream.Record) error {
-			outstanding[rec.Offset] = walRecord{T: "fired", ID: rec.Offset, Sub: rec.Subscription, XML: rec.XML, Time: rec.Time, Count: rec.Notifications}
-			order = append(order, rec.Offset)
 			// Building the report consumed the origin's buffer.
 			delete(buffers, cmp.Or(rec.Origin, rec.Subscription))
-			return nil
+			return replay(walRecord{T: "fired", ID: rec.Offset, Sub: rec.Subscription, XML: rec.XML, Time: rec.Time, Count: rec.Notifications})
 		},
 	)
 	if err != nil {
@@ -418,33 +407,30 @@ func (r *Reporter) Recover(register func(name, src string) error) error {
 	r.deadLettered.Store(uint64(len(dead)))
 	r.evicted.Store(evicted)
 	for _, rec := range dead {
+		died := rec.Time // an earlier build journaled the death as time
+		if rec.Died != 0 {
+			died = time.Unix(0, rec.Died)
+		}
 		rt.dead = append(rt.dead, DeadLetter{
-			Report: rec.report(), Attempts: rec.Attempts, Reason: rec.Reason, Time: rec.Time,
+			Report: rec.report(), Attempts: rec.Attempts, Reason: rec.Reason, Time: died,
 		})
 	}
-	r.evictDeadLocked()
-	queued := make(map[uint64]bool, len(order))
-	for _, id := range order {
-		rec, ok := outstanding[id]
-		if !ok || queued[id] {
-			// Resolved, or already queued once (a report can enter order
-			// twice when a dead letter was redriven in the same tail).
-			continue
-		}
-		queued[id] = true
+	for _, id := range slices.Sorted(maps.Keys(outstanding)) {
+		rec := outstanding[id]
 		rt.outstanding[id] = rec
 		rt.queue = append(rt.queue, &retryEntry{rep: rec.report(), attempts: rec.Attempts, nextTry: now})
 	}
 	return nil
 }
 
-// Checkpoint snapshots the durable state — the journaled base in
-// registration order among it — and compacts the journal it covers,
-// keeping the segments the change-stream's retention policy still owes a
-// consumer. It locks every stripe plus the retry state, so the snapshot is
-// a consistent cut: no subscription, notification, report, or outcome can
-// land between the snapshot and the checkpoint boundary. A consumer's
-// unreadable cursor makes it keep more and return an error afterwards.
+// Checkpoint writes the durable state as the records that restore it —
+// the journaled base in registration order among them — and compacts
+// the journal it covers, keeping the segments the change-stream's
+// retention policy still owes a consumer. It locks every stripe plus the
+// retry state, so the records are a consistent cut: no subscription,
+// notification, report, or outcome can land between them and the
+// checkpoint boundary. A consumer's unreadable cursor makes it keep more
+// and return an error afterwards.
 func (r *Reporter) Checkpoint() error {
 	if r.log == nil {
 		return nil
@@ -457,49 +443,52 @@ func (r *Reporter) Checkpoint() error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 
-	snap := walSnapshot{
-		Buffers: make(map[string][]walRecord),
-		Evicted: r.evicted.Load(),
-		Marks:   make(map[string]map[string]time.Time),
-	}
-	for i := range r.stripes {
-		s := &r.stripes[i]
-		for sub, st := range s.subs {
-			if st.seq != 0 {
-				snap.Base = append(snap.Base, walRecord{T: "sub", ID: st.seq, Sub: sub, Src: st.src})
-			}
-			if len(st.marks) > 0 {
-				snap.Marks[sub] = st.marks
-			}
-			if len(st.buffer) == 0 {
-				continue
-			}
-			recs := make([]walRecord, 0, len(st.buffer))
-			for _, n := range st.buffer {
-				rec := walRecord{T: "notif", Sub: sub, Label: s.label[n.q], Time: time.Unix(0, n.at)}
-				if n.elem != nil {
-					rec.XML = n.elem.XML()
-				}
-				recs = append(recs, rec)
-			}
-			snap.Buffers[sub] = recs
-		}
-	}
-	slices.SortFunc(snap.Base, byID)
-	snap.Outstanding = slices.SortedFunc(maps.Values(rt.outstanding), byID)
-	for _, d := range rt.dead {
-		rec := walRecord{
-			T: "dead", ID: d.Report.id, Sub: d.Report.Subscription,
-			Time: d.Report.Time, Count: d.Report.Notifications,
-			Attempts: d.Attempts, Reason: d.Reason, XML: d.Report.xml,
-		}
-		snap.Dead = append(snap.Dead, rec)
-	}
 	// All stripe locks and rt.mu are held across the checkpoint: nothing
-	// can append between the snapshot above and the boundary rotation.
+	// can append between the records below and the boundary rotation.
 	//xyvet:ignore lockcheck
-	_, err := r.log.Checkpoint(func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(&snap)
+	_, err := r.log.Checkpoint(func(emit func([]byte) error) error {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		var err error
+		put := func(recs ...walRecord) {
+			for i := 0; i < len(recs) && err == nil; i++ {
+				buf.Reset()
+				if err = enc.Encode(&recs[i]); err == nil {
+					err = emit(buf.Bytes())
+				}
+			}
+		}
+		var base []walRecord
+		for i := range r.stripes {
+			for sub, st := range r.stripes[i].subs {
+				if st.seq != 0 {
+					base = append(base, walRecord{T: "sub", ID: st.seq, Sub: sub, Src: st.src})
+				}
+			}
+		}
+		slices.SortFunc(base, byID)
+		put(base...)
+		put(walRecord{T: "evicted", Count: int(r.evicted.Load())})
+		put(slices.SortedFunc(maps.Values(rt.outstanding), byID)...)
+		for _, d := range rt.dead {
+			put(deadRecord(d.Report, d.Reason, d.Attempts, d.Time))
+		}
+		for i := range r.stripes {
+			s := &r.stripes[i]
+			for sub, st := range s.subs {
+				for label, t := range st.marks {
+					put(walRecord{T: "mark", Sub: sub, Label: label, Time: t, Mark: true})
+				}
+				for _, n := range st.buffer {
+					rec := walRecord{T: "notif", Sub: sub, Label: s.label[n.q], Time: time.Unix(0, n.at)}
+					if n.elem != nil {
+						rec.XML = n.elem.XML()
+					}
+					put(rec)
+				}
+			}
+		}
+		return err
 	})
 	return err
 }

@@ -1,11 +1,9 @@
 package stream
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -144,11 +142,8 @@ func rotate(t *testing.T, l *Log) {
 	t.Helper()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var hdr [snapHeader]byte
-	binary.LittleEndian.PutUint64(hdr[:], l.next)
-	if err := l.w.CheckpointRetain(l.w.Segments()[0], func(w io.Writer) error {
-		_, err := w.Write(hdr[:])
-		return err
+	if err := l.w.CheckpointRetain(l.w.Segments()[0], func(emit func([]byte) error) error {
+		return emit(appendBatch(nil, l.next, nil))
 	}); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}

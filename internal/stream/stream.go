@@ -13,7 +13,10 @@
 // A Log shares its wal with an owner: the Reporter writes its
 // notif/done/dead/redrive JSON records between the batches of its
 // fired reports, so a report is written and synced once, in one log.
-// Offsets count batch records only; readers step over owner frames.
+// Offsets count batch records only; readers step over owner frames. A
+// checkpoint is the log compacted: an empty batch carrying the head
+// offset, then the owner's frames, which Recover replays through the
+// same callback as the frames of the tail.
 //
 // The write side (Log) is in-process with the owner; the read side
 // (Reader, Cursor) works on the directory alone, so consumers in other
@@ -24,10 +27,8 @@
 package stream
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -138,11 +139,6 @@ type Log struct {
 	stats Stats
 }
 
-// snapHeader is the stream's part of a checkpoint payload: the head
-// offset, little-endian, ahead of the owner's snapshot — what restores
-// next when retention has reclaimed every batch-bearing segment.
-const snapHeader = 8
-
 // Open opens (creating if needed) the stream rooted at dir, repairing
 // wal crash residue (torn tail truncated) and recovering the head offset
 // by scanning the retained segments' batch headers.
@@ -179,14 +175,20 @@ func isBatch(payload []byte) bool { return len(payload) > 0 && payload[0] == bat
 // across the whole retained range — a phantom or missing batch fails
 // recovery loudly.
 func (l *Log) recoverIndex() error {
-	var snapNext uint64
-	err := l.w.Recover(func(snapshot []byte) error {
-		if len(snapshot) < snapHeader {
-			return fmt.Errorf("stream: %d-byte checkpoint snapshot", len(snapshot))
+	// The newest batch recovery replays bounds the head: a checkpoint
+	// opens with an empty batch at the head it was taken at, which is
+	// what restores next when retention has reclaimed every batch.
+	var head uint64
+	err := l.w.Recover(func(payload []byte) error {
+		if isBatch(payload) {
+			base, count, err := decodeBatchHeader(payload)
+			if err != nil {
+				return err
+			}
+			head = max(head, base+uint64(count))
 		}
-		snapNext = binary.LittleEndian.Uint64(snapshot)
 		return nil
-	}, nil)
+	})
 	if err != nil {
 		return err
 	}
@@ -227,24 +229,19 @@ func (l *Log) recoverIndex() error {
 			running = base + uint64(count)
 		}
 	}
-	l.next = running
-	if !seen || snapNext > l.next {
-		l.next = snapNext
-	}
+	l.next = max(running, head)
 	if !seen {
 		l.first = l.next
 	}
 	return nil
 }
 
-// Recover replays the log for its owner, in log order: snap receives
-// the owner's part of the latest checkpoint, frame every owner frame
-// after it and rec every stream record after it, with its offset. Call
-// it once, after Open and before the first write.
-func (l *Log) Recover(snap, frame func(payload []byte) error, rec func(Record) error) error {
-	return l.w.Recover(func(snapshot []byte) error {
-		return snap(snapshot[snapHeader:])
-	}, func(payload []byte) error {
+// Recover replays the log for its owner, in log order — a checkpoint's
+// records, then the tail after it: frame receives every owner frame and
+// rec every stream record, with its offset. Call it once, after Open and
+// before the first write.
+func (l *Log) Recover(frame func(payload []byte) error, rec func(Record) error) error {
+	return l.w.Recover(func(payload []byte) error {
 		if !isBatch(payload) {
 			return frame(payload)
 		}
@@ -319,17 +316,19 @@ func (l *Log) Publish(recs []Record) (uint64, error) {
 	return base, l.w.Sync()
 }
 
-// Checkpoint installs a checkpoint with the owner's snapshot (write,
-// called under the owner's locks: the frames before it are never
-// replayed again), applies retention and returns the first retained
-// offset.
+// Checkpoint installs a checkpoint of the owner frames write emits
+// (called under the owner's locks: the frames before them are never
+// replayed again) behind an empty batch at the head offset, applies
+// retention and returns the first retained offset. The owner emits what
+// its Recover frame callback replays; a frame must not start with the
+// batch magic.
 //
 // The keep bound is the slowest live cursor, raised to the MaxBehind
 // floor: a consumer further behind no longer pins segments and will
 // observe ErrTruncated. The segment holding the bound survives whole.
 // Unreadable cursors do not stop the owner's compaction: retention keeps
 // what a cursor at offset 0 would need, and their error follows.
-func (l *Log) Checkpoint(write func(w io.Writer) error) (uint64, error) {
+func (l *Log) Checkpoint(write func(emit func(rec []byte) error) error) (uint64, error) {
 	cursors, cerr := l.cursors()
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -373,13 +372,11 @@ func (l *Log) Checkpoint(write func(w io.Writer) error) (uint64, error) {
 			retainSeg, first = s.idx, s.base
 		}
 	}
-	var hdr [snapHeader]byte
-	binary.LittleEndian.PutUint64(hdr[:], l.next)
-	if err := l.w.CheckpointRetain(retainSeg, func(w io.Writer) error {
-		if _, err := w.Write(hdr[:]); err != nil {
+	if err := l.w.CheckpointRetain(retainSeg, func(emit func([]byte) error) error {
+		if err := emit(appendBatch(nil, l.next, nil)); err != nil {
 			return err
 		}
-		return write(w)
+		return write(emit)
 	}); err != nil {
 		return 0, err
 	}

@@ -3,7 +3,6 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -37,7 +36,7 @@ func publishN(t *testing.T, l *Log, n int) {
 
 // checkpoint checkpoints a log whose owner keeps no state of its own.
 func checkpoint(l *Log) (uint64, error) {
-	return l.Checkpoint(func(io.Writer) error { return nil })
+	return l.Checkpoint(func(func([]byte) error) error { return nil })
 }
 
 // openReader opens a Reader closed when the test ends.
@@ -532,10 +531,7 @@ func TestOwnerFramesBesideBatches(t *testing.T) {
 	}
 	var got []string
 	var records uint64
-	if err := l2.Recover(func([]byte) error {
-		t.Fatal("no checkpoint was taken")
-		return nil
-	}, func(payload []byte) error {
+	if err := l2.Recover(func(payload []byte) error {
 		got = append(got, string(payload))
 		return nil
 	}, func(rec Record) error {
@@ -569,9 +565,8 @@ func TestCheckpointCarriesOwnerSnapshot(t *testing.T) {
 	if err := r.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	first, err := l.Checkpoint(func(w io.Writer) error {
-		_, err := w.Write([]byte(`{"state":1}`))
-		return err
+	first, err := l.Checkpoint(func(emit func([]byte) error) error {
+		return emit([]byte(`{"state":1}`))
 	})
 	if err != nil || first != 5 {
 		t.Fatalf("Checkpoint = %d, %v; want every record reclaimed, first retained 5", first, err)
@@ -588,10 +583,7 @@ func TestCheckpointCarriesOwnerSnapshot(t *testing.T) {
 		t.Fatalf("reopened Next = %d, want 5", got)
 	}
 	var got []string
-	if err := l2.Recover(func(snap []byte) error {
-		got = append(got, "snapshot "+string(snap))
-		return nil
-	}, func(payload []byte) error {
+	if err := l2.Recover(func(payload []byte) error {
 		got = append(got, string(payload))
 		return nil
 	}, func(rec Record) error {
@@ -600,7 +592,7 @@ func TestCheckpointCarriesOwnerSnapshot(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if want := `[snapshot {"state":1} {"t":"after"}]`; fmt.Sprint(got) != want {
+	if want := `[{"state":1} {"t":"after"}]`; fmt.Sprint(got) != want {
 		t.Fatalf("Recover replayed %v, want %s", got, want)
 	}
 	publishN(t, l2, 1)
@@ -701,9 +693,8 @@ func TestCheckpointBesideCorruptCursor(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "cursors", "broken.cur"), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	first, err := l.Checkpoint(func(w io.Writer) error {
-		_, err := w.Write([]byte(`{"state":1}`))
-		return err
+	first, err := l.Checkpoint(func(emit func([]byte) error) error {
+		return emit([]byte(`{"state":1}`))
 	})
 	if err == nil {
 		t.Fatal("a corrupt cursor went unreported")
@@ -717,10 +708,7 @@ func TestCheckpointBesideCorruptCursor(t *testing.T) {
 
 	l2 := openStream(t, dir, Options{SegmentBytes: 256, MaxBehind: 10})
 	var got []string
-	if err := l2.Recover(func(snap []byte) error {
-		got = append(got, "snapshot "+string(snap))
-		return nil
-	}, func(payload []byte) error {
+	if err := l2.Recover(func(payload []byte) error {
 		got = append(got, string(payload))
 		return nil
 	}, func(rec Record) error {
@@ -729,7 +717,7 @@ func TestCheckpointBesideCorruptCursor(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if want := `[snapshot {"state":1}]`; fmt.Sprint(got) != want {
+	if want := `[{"state":1}]`; fmt.Sprint(got) != want {
 		t.Fatalf("Recover after the checkpoint replayed %v, want %s", got, want)
 	}
 }

@@ -15,7 +15,8 @@
 //     lifetime, with a write / commit-barrier split.
 //   - Log: a directory of rotated segment files plus a checkpoint
 //     installed via temp file → fsync → rename → parent-dir fsync, with
-//     compaction of the segments a checkpoint covers.
+//     compaction of the segments a checkpoint covers. A checkpoint holds
+//     records in the segments' frames, so one callback replays both.
 //
 // Torn-tail discipline, shared by every layer: a final frame cut short
 // by a crash is discarded (and truncated away, so the next append starts

@@ -3,6 +3,8 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -47,6 +49,69 @@ func FuzzWALRecords(f *testing.F) {
 		}
 		if !bytes.Equal(rebuilt, data[:valid]) {
 			t.Fatalf("re-encode mismatch: %d accepted bytes, rebuilt %d", valid, len(rebuilt))
+		}
+	})
+}
+
+// FuzzCheckpointFile installs arbitrary bytes as a log's checkpoint file.
+// Open and Recover must never panic: either Open fails — ErrCorrupt, or
+// the error of an earlier build's checkpoint — or Recover replays exactly
+// the frames after the meta frame.
+func FuzzCheckpointFile(f *testing.F) {
+	seed := func(payloads ...string) []byte {
+		var buf []byte
+		for _, p := range payloads {
+			buf, _ = Binary{}.AppendFrame(buf, []byte(p))
+		}
+		return buf
+	}
+	f.Add([]byte{})
+	f.Add(seed(`{"boundary":1,"records":true}`))
+	f.Add(seed(`{"boundary":3,"retain":2,"records":true}`, "one", "", "three"))
+	f.Add(seed(`{"boundary":2}`, "snapshot"))
+	f.Add(seed(`{"boundary":2,"records":true}`, "torn")[:40])
+	f.Add(seed(`{"boundary":0,"records":true}`))
+	f.Add(seed(`{"boundary":2,"retain":5,"records":true}`))
+
+	fr := Binary{}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, checkpointName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := Open(dir, Options{})
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, errEarlierBuild) {
+				t.Fatalf("Open failed with neither ErrCorrupt nor the earlier-build error: %v", err)
+			}
+			return
+		}
+		defer l.Close()
+		var got [][]byte
+		if err := l.Recover(func(p []byte) error {
+			got = append(got, append([]byte(nil), p...))
+			return nil
+		}); err != nil {
+			t.Fatalf("Recover after a clean Open: %v", err)
+		}
+		// The frames after the meta, decoded independently.
+		var want [][]byte
+		_, n, _ := fr.Next(data)
+		for rest := data[n:]; len(rest) > 0; {
+			p, size, err := fr.Next(rest)
+			if err != nil {
+				t.Fatalf("Open accepted a checkpoint whose records do not decode: %v", err)
+			}
+			want = append(want, p)
+			rest = rest[size:]
+		}
+		if len(got) != len(want) {
+			t.Fatalf("replayed %d records, the checkpoint holds %d", len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("record %d replayed as %q, the checkpoint holds %q", i, got[i], want[i])
+			}
 		}
 	})
 }

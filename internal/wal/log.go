@@ -1,11 +1,9 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -62,10 +60,12 @@ type Stats struct {
 }
 
 // Log is a segmented, checkpointed write-ahead log: binary frames in
-// rotated append-only segment files, plus a snapshot installed
+// rotated append-only segment files, plus a checkpoint installed
 // atomically (temp file → fsync → rename → parent-dir fsync) whose
-// installation compacts away every segment it covers. Safe for
-// concurrent use. Recovery contract: Open, then Recover, then Append.
+// installation compacts away every segment it covers. A checkpoint is
+// the log compacted: records in the segments' frames, replayed by the
+// same callback as the tail. Safe for concurrent use. Recovery contract:
+// Open, then Recover, then Append.
 //
 // "The frame reached the log" and "the log is durable" are separate
 // steps: Write frames a record in log order, Sync is the commit barrier
@@ -96,17 +96,25 @@ const (
 // offset-addressable change-stream — locate retained segments by it.
 func SegmentFileName(idx int) string { return fmt.Sprintf("seg-%08d.wal", idx) }
 
-// checkpointMeta is the first frame of a checkpoint file.
+// checkpointMeta is the first frame of a checkpoint file; the records
+// the checkpoint holds follow it, a frame each.
 type checkpointMeta struct {
-	// Boundary is the first segment index NOT covered by the snapshot:
-	// recovery restores the snapshot, then replays segments ≥ Boundary.
+	// Boundary is the first segment index NOT covered by the checkpoint:
+	// recovery replays its records, then segments ≥ Boundary.
 	Boundary int `json:"boundary"`
 	// Retain is the first segment index preserved on disk. Checkpoints
 	// written by CheckpointRetain keep covered segments in [Retain,
 	// Boundary) readable for layered consumers; plain Checkpoint leaves
 	// it 0, which means "same as Boundary" (nothing extra retained).
 	Retain int `json:"retain,omitempty"`
+	// Records marks the format: the checkpoint holds records, not the
+	// one snapshot frame of earlier builds, which this build cannot read.
+	Records bool `json:"records"`
 }
+
+// errEarlierBuild reports a checkpoint whose meta lacks the records
+// marker: a snapshot in an owner's encoding of an earlier build.
+var errEarlierBuild = errors.New("holds a checkpoint of an earlier build; open it with that build, or remove the directory to start empty")
 
 // Open opens (creating if needed) the log rooted at dir and repairs any
 // crash residue: a leftover checkpoint temp file is removed, segments
@@ -136,10 +144,10 @@ func Open(dir string, o Options) (*Log, error) {
 }
 
 // readCheckpoint reads the installed checkpoint: its meta, with Retain
-// resolved, and its snapshot — Boundary 1 and no snapshot when there is
-// none. Open validates it and Recover reads it again, so the log keeps
-// no copy. The install is atomic, so a present-but-unreadable checkpoint
-// is damage, not a crash artifact.
+// resolved, and its record frames — Boundary 1 and no records when there
+// is none. Open validates it and Recover reads it again, so the log
+// keeps no copy. The install is atomic, so a present-but-unreadable
+// checkpoint is damage, not a crash artifact.
 func (l *Log) readCheckpoint() (checkpointMeta, []byte, error) {
 	data, err := os.ReadFile(filepath.Join(l.dir, checkpointName))
 	if os.IsNotExist(err) {
@@ -156,17 +164,20 @@ func (l *Log) readCheckpoint() (checkpointMeta, []byte, error) {
 	if err := json.Unmarshal(metaRaw, &meta); err != nil || meta.Boundary < 1 {
 		return checkpointMeta{}, nil, fmt.Errorf("%w: checkpoint meta %q", ErrCorrupt, metaRaw)
 	}
+	if !meta.Records {
+		return checkpointMeta{}, nil, fmt.Errorf("wal: %s %w", l.dir, errEarlierBuild)
+	}
 	if meta.Retain < 0 || meta.Retain > meta.Boundary {
 		return checkpointMeta{}, nil, fmt.Errorf("%w: checkpoint retain %d outside [0, %d]", ErrCorrupt, meta.Retain, meta.Boundary)
 	}
-	snap, size, err := l.fr.Next(data[n:])
-	if err != nil || n+size != len(data) {
-		return checkpointMeta{}, nil, fmt.Errorf("wal: checkpoint snapshot: %w", errors.Join(ErrCorrupt, err))
+	recs := data[n:]
+	if valid, err := scan(recs, l.fr, nil); err != nil || valid != len(recs) {
+		return checkpointMeta{}, nil, fmt.Errorf("wal: checkpoint records: %w", errors.Join(ErrCorrupt, err))
 	}
 	if meta.Retain == 0 {
 		meta.Retain = meta.Boundary
 	}
-	return meta, snap, nil
+	return meta, recs, nil
 }
 
 // loadSegments lists the segment files, deletes the ones the checkpoint
@@ -323,31 +334,29 @@ func (l *Log) Sync() error {
 	return l.syncLocked()
 }
 
-// Recover hands the latest checkpoint snapshot (if any), read from the
-// checkpoint file, to snap, then replays every record appended after it
-// to replay, in order. Call it after Open and before the first Append.
+// Recover replays to replay, in order, the records of the latest
+// checkpoint (if any), read from the checkpoint file, then every record
+// appended after it: the checkpoint is the log compacted, so one replay
+// function serves both. Call it after Open and before the first Append.
 // Sealed segments must be fully intact — a torn frame there is damage,
 // not a crash artifact (only the active segment can be torn, and Open
 // already truncated it).
-func (l *Log) Recover(snap func(snapshot []byte) error, replay func(payload []byte) error) error {
+func (l *Log) Recover(replay func(payload []byte) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	meta, s, err := l.readCheckpoint()
+	meta, recs, err := l.readCheckpoint()
 	if err != nil {
 		return err
 	}
-	if len(s) > 0 && snap != nil {
-		// Recover's callbacks run under l.mu by contract: recovery
-		// happens before the first Append, and the callbacks rebuild
-		// caller state without calling back into the log.
-		//xyvet:ignore lockcheck
-		if err := snap(s); err != nil {
-			return err
-		}
+	// Recover's callback runs under l.mu by contract: recovery happens
+	// before the first Append, and the callback rebuilds caller state
+	// without calling back into the log.
+	if _, err := scan(recs, l.fr, replay); err != nil {
+		return err
 	}
 	for _, idx := range l.segs {
 		if idx < meta.Boundary {
-			// Retained below the boundary: the snapshot already covers
+			// Retained below the boundary: the checkpoint already covers
 			// these records; they stay on disk for layered readers, not
 			// for replay.
 			continue
@@ -367,30 +376,30 @@ func (l *Log) Recover(snap func(snapshot []byte) error, replay func(payload []by
 	return nil
 }
 
-// Checkpoint installs a snapshot produced by write and compacts away
-// every log record it covers. The snapshot must describe the state
-// after every record appended so far — the caller serialises its own
-// mutations against Checkpoint (every adopter holds its state locks
-// across this call). The install is atomic: temp file → fsync → rename
-// → parent-dir fsync; a crash at any point leaves either the old
-// checkpoint with its segments or the new one, never a mix recovery
-// cannot read.
-func (l *Log) Checkpoint(write func(w io.Writer) error) error {
+// Checkpoint installs the records write emits, each framed like a
+// segment's, and compacts away every log record they cover. Replayed by
+// the Recover callback the tail uses, they must restore the state after
+// every record appended so far — the caller serialises its own mutations
+// against Checkpoint (every adopter holds its state locks across this
+// call). The install is atomic: temp file → fsync → rename → parent-dir
+// fsync; a crash at any point leaves either the old checkpoint with its
+// segments or the new one, never a mix recovery cannot read.
+func (l *Log) Checkpoint(write func(emit func(rec []byte) error) error) error {
 	return l.checkpoint(-1, write)
 }
 
 // CheckpointRetain is Checkpoint with a segment-retention bound: the
-// snapshot still covers every record appended so far, but segments with
-// index ≥ retain survive compaction and reopen. Recovery replays only
-// records after the snapshot's boundary; the retained segments are data
-// a layered reader (internal/stream) addresses directly. retain is
-// clamped to [oldest live segment, boundary]; retain == boundary is
+// checkpoint still covers every record appended so far, but segments
+// with index ≥ retain survive compaction and reopen. Recovery replays
+// only records after the checkpoint's boundary; the retained segments
+// are data a layered reader (internal/stream) addresses directly. retain
+// is clamped to [oldest live segment, boundary]; retain == boundary is
 // plain Checkpoint.
-func (l *Log) CheckpointRetain(retain int, write func(w io.Writer) error) error {
+func (l *Log) CheckpointRetain(retain int, write func(emit func(rec []byte) error) error) error {
 	return l.checkpoint(retain, write)
 }
 
-func (l *Log) checkpoint(retain int, write func(w io.Writer) error) error {
+func (l *Log) checkpoint(retain int, write func(emit func(rec []byte) error) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -410,15 +419,7 @@ func (l *Log) checkpoint(retain int, write func(w io.Writer) error) error {
 		retain = l.segs[0]
 	}
 
-	var snap bytes.Buffer
-	// The snapshot writer runs under l.mu so no append can land between
-	// the boundary rotation and the snapshot; adopters hold their own
-	// state locks across Checkpoint and must not call back into the log.
-	//xyvet:ignore lockcheck
-	if err := write(&snap); err != nil {
-		return fmt.Errorf("wal: checkpoint snapshot: %w", err)
-	}
-	meta := checkpointMeta{Boundary: boundary}
+	meta := checkpointMeta{Boundary: boundary, Records: true}
 	if retain < boundary {
 		meta.Retain = retain
 	}
@@ -430,8 +431,15 @@ func (l *Log) checkpoint(retain int, write func(w io.Writer) error) error {
 	if err != nil {
 		return err
 	}
-	if buf, err = l.fr.AppendFrame(buf, snap.Bytes()); err != nil {
+	// The writer runs under l.mu so no append can land between the
+	// boundary rotation and the records; adopters hold their own state
+	// locks across Checkpoint and must not call back into the log.
+	//xyvet:ignore lockcheck
+	if err := write(func(rec []byte) (err error) {
+		buf, err = l.fr.AppendFrame(buf, rec)
 		return err
+	}); err != nil {
+		return fmt.Errorf("wal: checkpoint records: %w", err)
 	}
 	tmp := filepath.Join(l.dir, checkpointTmp)
 	if err := WriteFileSync(tmp, buf, 0o644); err != nil {

@@ -4,19 +4,33 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// collect replays a log into a slice of payload copies.
+// collect replays a log into copies of its checkpoint's records, joined
+// (nil without a checkpoint), and of the records appended after it.
 func collect(t *testing.T, l *Log) (snapshot []byte, records [][]byte) {
 	t.Helper()
-	err := l.Recover(
-		func(s []byte) error { snapshot = append([]byte(nil), s...); return nil },
-		func(p []byte) error { records = append(records, append([]byte(nil), p...)); return nil },
-	)
+	_, cp, err := l.readCheckpoint()
+	if err != nil {
+		t.Fatalf("readCheckpoint: %v", err)
+	}
+	n := 0
+	if _, err := scan(cp, l.fr, func([]byte) error { n++; return nil }); err != nil {
+		t.Fatalf("scan: %v", err)
+	}
+	err = l.Recover(func(p []byte) error {
+		if n > 0 {
+			n--
+			snapshot = append(snapshot, p...)
+			return nil
+		}
+		records = append(records, append([]byte(nil), p...))
+		return nil
+	})
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
@@ -97,10 +111,7 @@ func TestLogCheckpointCompactsAndRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Checkpoint(func(w io.Writer) error {
-		_, err := w.Write([]byte("STATE-AT-20"))
-		return err
-	}); err != nil {
+	if err := l.Checkpoint(func(emit func([]byte) error) error { return emit([]byte("STATE-AT-20")) }); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	for i := 0; i < 3; i++ {
@@ -230,7 +241,7 @@ func TestLogCrashResidue(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := l.Checkpoint(func(w io.Writer) error { _, err := w.Write([]byte("SNAP")); return err }); err != nil {
+		if err := l.Checkpoint(func(emit func([]byte) error) error { return emit([]byte("SNAP")) }); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Append([]byte("tail")); err != nil {
@@ -410,10 +421,7 @@ func TestCheckpointRetainPreservesSegments(t *testing.T) {
 	}
 	// Retain everything from the second live segment onward.
 	keepFrom := segsBefore[1]
-	if err := l.CheckpointRetain(keepFrom, func(w io.Writer) error {
-		_, err := w.Write([]byte("SNAP"))
-		return err
-	}); err != nil {
+	if err := l.CheckpointRetain(keepFrom, func(emit func([]byte) error) error { return emit([]byte("SNAP")) }); err != nil {
 		t.Fatalf("CheckpointRetain: %v", err)
 	}
 	for _, idx := range l.Segments() {
@@ -444,14 +452,32 @@ func TestCheckpointRetainPreservesSegments(t *testing.T) {
 	}
 
 	// A plain Checkpoint afterwards compacts the retained history away.
-	if err := l2.Checkpoint(func(w io.Writer) error {
-		_, err := w.Write([]byte("SNAP2"))
-		return err
-	}); err != nil {
+	if err := l2.Checkpoint(func(emit func([]byte) error) error { return emit([]byte("SNAP2")) }); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	if got := l2.Segments(); len(got) != 1 {
 		t.Errorf("segments after plain checkpoint = %v, want 1", got)
 	}
 	l2.Close()
+}
+
+// TestOpenRefusesEarlierCheckpoint: a checkpoint in the layout of earlier
+// builds — a meta frame without the records marker, then one snapshot
+// frame in its owner's encoding — fails Open, naming the directory,
+// rather than replaying the snapshot as a record.
+func TestOpenRefusesEarlierCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	data, _ := Binary{}.AppendFrame(nil, []byte(`{"boundary":2}`))
+	data, _ = Binary{}.AppendFrame(data, []byte(`{"stable":{"version":2}}`))
+	if err := os.WriteFile(filepath.Join(dir, checkpointName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(dir, Options{})
+	if err == nil {
+		l.Close()
+		t.Fatal("Open read a checkpoint of an earlier build")
+	}
+	if !errors.Is(err, errEarlierBuild) || !strings.Contains(err.Error(), dir) {
+		t.Fatalf("Open = %v, want the earlier-build error naming %s", err, dir)
+	}
 }

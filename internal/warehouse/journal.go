@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"maps"
 	"sync"
 
@@ -17,8 +16,10 @@ import (
 // version is one record of the page's metadata and whole current version
 // (an HTML page's signature is in its metadata), so a URL's newest record
 // is all recovery needs, and a checkpoint is the image of those records
-// as logged — keyed compaction, no document serialised again. Delta
-// chains are not logged: history restarts at the recovered version.
+// as logged — keyed compaction, no document serialised again — behind one
+// record of the identifier counters, replayed by the same function as the
+// tail. Delta chains are not logged: history restarts at the recovered
+// version.
 //
 // The log lags the notification chain, never leads it: a version is noted
 // after its document went through the Manager (past the Reporter's commit
@@ -44,29 +45,30 @@ type logged struct {
 
 // A record is one logged version of a page: its header in JSON, a
 // newline, then the version's XML (nothing for an HTML page or a
-// deletion).
+// deletion). A checkpoint opens with a record whose header carries the
+// Counters and no Meta.
 type header struct {
-	Meta    Metadata
-	Deleted bool `json:",omitempty"`
+	Meta     Metadata  `json:",omitzero"`
+	Deleted  bool      `json:",omitempty"`
+	Counters *counters `json:",omitempty"`
 }
 
-// counters opens a checkpoint: the identifiers handed out so far, which
-// the records of deleted pages no longer carry.
+// counters are the identifiers handed out so far, which the records of
+// deleted pages no longer carry.
 type counters struct {
 	NextDoc uint64
 	DTDs    map[string]uint64
 }
 
-// frames delimits the log's records, and a checkpoint's counters and
-// records inside its one frame, which holds every page's current version.
-var frames = wal.Binary{MaxFrame: 1 << 30}
+// maxRecord caps a record: one page's whole current version.
+const maxRecord = 1 << 30
 
 // OpenJournal opens (creating if needed) the warehouse log in dir; hook
 // may be nil.
 func OpenJournal(dir string, hook wal.Hook) (*Journal, error) {
 	// Sealing a segment fsyncs it: segments this large rotate at
 	// checkpoints, not inside a document's Note.
-	l, err := wal.Open(dir, wal.Options{Hook: hook, MaxFrame: frames.MaxFrame, SegmentBytes: 64 << 20})
+	l, err := wal.Open(dir, wal.Options{Hook: hook, MaxFrame: maxRecord, SegmentBytes: 64 << 20})
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +138,7 @@ func (j *Journal) count(meta *Metadata) {
 func decode(rec []byte) (header, []byte, error) {
 	var h header
 	line, xml, _ := bytes.Cut(rec, []byte{'\n'})
-	if err := json.Unmarshal(line, &h); err != nil || h.Meta.URL == "" {
+	if err := json.Unmarshal(line, &h); err != nil || (h.Meta.URL == "") == (h.Counters == nil) {
 		return h, nil, fmt.Errorf("%w: warehouse record %.64q", wal.ErrCorrupt, line)
 	}
 	return h, xml, nil
@@ -149,40 +151,23 @@ func decode(rec []byte) (header, []byte, error) {
 func (j *Journal) Recover(s *Store) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	replay := func(rec []byte) error {
+	err := j.log.Recover(func(rec []byte) error {
 		h, _, err := decode(rec)
-		if err != nil {
+		switch {
+		case err != nil:
 			return err
-		}
-		if h.Deleted {
+		case h.Counters != nil:
+			j.nextDoc = max(j.nextDoc, h.Counters.NextDoc)
+			maps.Copy(j.dtds, h.Counters.DTDs)
+			return nil
+		case h.Deleted:
 			delete(j.pages, h.Meta.URL)
-		} else {
+		default:
 			j.pages[h.Meta.URL] = logged{version: h.Meta.Version, rec: bytes.Clone(rec)}
 		}
 		j.count(&h.Meta)
 		return nil
-	}
-	err := j.log.Recover(func(snap []byte) error {
-		for i := 0; len(snap) > 0; i++ {
-			rec, size, err := frames.Next(snap)
-			if err != nil {
-				return fmt.Errorf("%w: warehouse checkpoint: %v", wal.ErrCorrupt, err)
-			}
-			snap = snap[size:]
-			var c counters
-			if i > 0 {
-				err = replay(rec)
-			} else if err = json.Unmarshal(rec, &c); err != nil {
-				err = fmt.Errorf("%w: warehouse checkpoint counters %.64q", wal.ErrCorrupt, rec)
-			}
-			if err != nil {
-				return err
-			}
-			j.nextDoc = max(j.nextDoc, c.NextDoc)
-			maps.Copy(j.dtds, c.DTDs)
-		}
-		return nil
-	}, replay)
+	})
 	if err != nil {
 		return err
 	}
@@ -215,25 +200,27 @@ func (j *Journal) Recover(s *Store) error {
 	return nil
 }
 
-// Checkpoint installs the counters and every page's newest record, a frame
-// each, compacting away (and syncing) the log they cover.
+// Checkpoint installs the counters and every page's newest record, a
+// record each, compacting away (and syncing) the log they cover.
 func (j *Journal) Checkpoint() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.log.Checkpoint(func(w io.Writer) error {
-		head, err := json.Marshal(counters{NextDoc: j.nextDoc, DTDs: j.dtds})
+	return j.log.Checkpoint(func(emit func([]byte) error) error {
+		head, err := json.Marshal(&header{Counters: &counters{NextDoc: j.nextDoc, DTDs: j.dtds}})
 		if err != nil {
 			return err
 		}
-		// Every record already fit a frame of the log: none fails to here.
-		buf, _ := frames.AppendFrame(nil, head)
+		if err := emit(head); err != nil {
+			return err
+		}
 		for _, p := range j.pages {
 			if p.rec != nil { // nil: the page's only record failed to reach the log
-				buf, _ = frames.AppendFrame(buf, p.rec)
+				if err := emit(p.rec); err != nil {
+					return err
+				}
 			}
 		}
-		_, err = w.Write(buf)
-		return err
+		return nil
 	})
 }
 

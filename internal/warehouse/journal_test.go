@@ -3,6 +3,8 @@ package warehouse
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -299,5 +301,110 @@ func TestJournalConcurrentNotes(t *testing.T) {
 		if e, err := s2.Get(url); err != nil || e.Meta.Version != versions || e.Doc.XML() != fmt.Sprintf("<a>%d</a>", versions) {
 			t.Errorf("%s recovered as %+v, %v; want version %d", url, e, err, versions)
 		}
+	}
+}
+
+// TestJournalCheckpointMatchesTail drives two journaled stores through the
+// same random history — XML versions new, updated and unchanged, HTML
+// pages, deletions and pages coming back, several DTDs — and checkpoints
+// one of them at a random step. Recovering from checkpoint plus tail must
+// restore exactly what recovering from the whole tail does: every page at
+// the same version with the same metadata, signatures and document, and
+// the same DocID and DTD counters.
+func TestJournalCheckpointMatchesTail(t *testing.T) {
+	for seed := range 32 {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) { journalDifferential(t, int64(seed)) })
+	}
+}
+
+func journalDifferential(t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	var dirs [2]string // plain, checkpointed
+	var sides [2]*journaled
+	var clocks [2]*fakeClock
+	for i := range sides {
+		dirs[i] = t.TempDir()
+		sides[i], clocks[i] = openJournaled(t, dirs[i])
+	}
+	// A short tail after the checkpoint leaves deleted pages' identifiers
+	// to the counters alone often enough.
+	at := rng.Intn(100)
+	for step := range at + 1 + rng.Intn(20) {
+		if step == at {
+			if err := sides[1].j.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		page := rng.Intn(6)
+		ext := []string{"xml", "html"}[rng.Intn(2)]
+		switch p := rng.Intn(100); {
+		case p < 55:
+			url := fmt.Sprintf("http://a.example/%d.xml", page)
+			dtd := []string{"", "http://a.example/x.dtd", "http://a.example/y.dtd", "http://a.example/z.dtd"}[rng.Intn(4)]
+			xml := fmt.Sprintf("<p><v>%d</v></p>", rng.Intn(3))
+			for _, w := range sides {
+				w.commit(url, dtd, "shopping", xml)
+			}
+		case p < 70:
+			url := fmt.Sprintf("http://a.example/%d.html", page)
+			html := []byte(fmt.Sprintf("<html>%d</html>", rng.Intn(3)))
+			for _, w := range sides {
+				r, err := w.CommitHTML(url, html)
+				w.note(r, err, html)
+			}
+		case p < 85:
+			url := fmt.Sprintf("http://a.example/%d.%s", page, ext)
+			if rng.Intn(2) == 0 {
+				// The newest page: only the counters remember its DocID.
+				var newest uint64
+				for u, e := range sides[0].pages {
+					if e.Meta.DocID >= newest {
+						url, newest = u, e.Meta.DocID
+					}
+				}
+			}
+			if !sides[0].Tracked(url) {
+				continue
+			}
+			for _, w := range sides {
+				r, err := w.Delete(url)
+				w.note(r, err, nil)
+			}
+		default:
+			d := time.Duration(1+rng.Intn(60)) * time.Minute
+			for _, c := range clocks {
+				c.advance(d)
+			}
+		}
+	}
+	var recovered [2]*Store
+	for i, w := range sides {
+		if err := w.j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s, err := recoverStore(t, dirs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		recovered[i] = s
+	}
+	plain, checkpointed := recovered[0], recovered[1]
+	if len(plain.pages) != len(checkpointed.pages) || len(plain.pages) == 0 {
+		t.Fatalf("checkpoint at step %d: %d pages from the tail, %d from checkpoint and tail", at, len(plain.pages), len(checkpointed.pages))
+	}
+	for url, a := range plain.pages {
+		b := checkpointed.pages[url]
+		switch {
+		case b == nil:
+			t.Fatalf("checkpoint at step %d: %s lost", at, url)
+		case a.Meta != b.Meta || a.rawSig != b.rawSig || a.structHash != b.structHash:
+			t.Fatalf("checkpoint at step %d: %s recovered as\n%+v\nfrom checkpoint and tail, from the tail as\n%+v", at, url, b.Meta, a.Meta)
+		case (a.Doc == nil) != (b.Doc == nil) || a.Doc != nil && a.Doc.XML() != b.Doc.XML():
+			t.Fatalf("checkpoint at step %d: %s documents differ", at, url)
+		}
+	}
+	if plain.nextDoc != checkpointed.nextDoc || plain.nextDTD != checkpointed.nextDTD || !maps.Equal(plain.dtdIDs, checkpointed.dtdIDs) {
+		t.Fatalf("checkpoint at step %d: counters from the tail doc %d, DTD %d %v; from checkpoint and tail doc %d, DTD %d %v", at,
+			plain.nextDoc, plain.nextDTD, plain.dtdIDs, checkpointed.nextDoc, checkpointed.nextDTD, checkpointed.dtdIDs)
 	}
 }
