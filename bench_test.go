@@ -20,6 +20,7 @@ import (
 	"xymon/internal/baseline"
 	"xymon/internal/cluster"
 	"xymon/internal/core"
+	"xymon/internal/manager"
 	"xymon/internal/reporter"
 	"xymon/internal/sublang"
 	"xymon/internal/warehouse"
@@ -38,14 +39,12 @@ func loadMatcher(b *testing.B, w *webgen.EventWorkload) *core.Matcher {
 	return m
 }
 
-func matchLoop(b *testing.B, m interface {
-	Match(core.EventSet) []core.ComplexID
-}, docs []core.EventSet) {
+func matchLoop(b *testing.B, m manager.Matcher, docs []core.EventSet) {
 	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Match(docs[i%len(docs)])
+		m.MatchAppend(nil, docs[i%len(docs)])
 	}
 }
 
@@ -154,7 +153,7 @@ func BenchmarkBaselines(b *testing.B) {
 	w := webgen.GenEventWorkload(9, cardA, cardC, m, p, nDocs)
 	impls := []struct {
 		name string
-		m    baseline.Matcher
+		m    manager.Matcher
 	}{
 		{"aes", core.NewMatcher()},
 		{"counting", baseline.NewCounting()},
@@ -557,7 +556,7 @@ func BenchmarkChurn(b *testing.B) {
 			if err := matcher.Add(id, events); err != nil {
 				b.Fatalf("Add: %v", err)
 			}
-			if err := matcher.Remove(id); err != nil {
+			if err := matcher.Remove(id, events); err != nil {
 				b.Fatalf("Remove: %v", err)
 			}
 		}
@@ -583,11 +582,12 @@ func BenchmarkChurnWhileMatching(b *testing.B) {
 				return
 			default:
 			}
-			if err := matcher.Add(id, w.Complex[int(id)%len(w.Complex)]); err != nil {
+			events := w.Complex[int(id)%len(w.Complex)]
+			if err := matcher.Add(id, events); err != nil {
 				done <- fmt.Errorf("churn Add(%d): %w", id, err)
 				return
 			}
-			if err := matcher.Remove(id); err != nil {
+			if err := matcher.Remove(id, events); err != nil {
 				done <- fmt.Errorf("churn Remove(%d): %w", id, err)
 				return
 			}

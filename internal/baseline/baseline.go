@@ -12,9 +12,9 @@
 //     index from atomic event to subscribing complex events. Cost
 //     O(p·k) per document plus per-document counter reset bookkeeping.
 //
-// Both expose the same Add/Remove/Match surface as core.Matcher so the
-// property tests can check the three implementations agree on random
-// workloads.
+// Both satisfy manager.Matcher, the surface core.Matcher gives the
+// Manager, so the property tests can check the three implementations
+// agree on random workloads and a Manager can run over any of them.
 package baseline
 
 import (
@@ -22,15 +22,6 @@ import (
 
 	"xymon/internal/core"
 )
-
-// Matcher is the common surface of all Monitoring Query Processor
-// implementations (core.Matcher, Naive, Counting).
-type Matcher interface { //xyvet:ignore testonly reference matcher of the differential tests and benchmarks
-	Add(id core.ComplexID, events []core.Event) error
-	Remove(id core.ComplexID) error
-	Match(s core.EventSet) []core.ComplexID
-	Len() int
-}
 
 // Naive matches by scanning all registered complex events.
 type Naive struct {
@@ -58,8 +49,9 @@ func (n *Naive) Add(id core.ComplexID, events []core.Event) error {
 	return nil
 }
 
-// Remove unregisters a complex event.
-func (n *Naive) Remove(id core.ComplexID) error {
+// Remove unregisters a complex event by the definition kept at Add;
+// events, which the cluster's ring client routes by, is ignored.
+func (n *Naive) Remove(id core.ComplexID, events []core.Event) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if _, ok := n.defs[id]; !ok {
@@ -69,17 +61,17 @@ func (n *Naive) Remove(id core.ComplexID) error {
 	return nil
 }
 
-// Match returns every complex event contained in s by exhaustive scan.
-func (n *Naive) Match(s core.EventSet) []core.ComplexID {
+// MatchAppend appends every complex event contained in s, found by
+// exhaustive scan, to dst.
+func (n *Naive) MatchAppend(dst []core.ComplexID, s core.EventSet) []core.ComplexID {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	var out []core.ComplexID
 	for id, set := range n.defs {
 		if s.ContainsAll(set) {
-			out = append(out, id)
+			dst = append(dst, id)
 		}
 	}
-	return out
+	return dst
 }
 
 // Len returns the number of registered complex events.
@@ -128,8 +120,10 @@ func (c *Counting) Add(id core.ComplexID, events []core.Event) error {
 	return nil
 }
 
-// Remove unregisters a complex event from the inverted index.
-func (c *Counting) Remove(id core.ComplexID) error {
+// Remove unregisters a complex event from the inverted index by the
+// definition kept at Add; events, which the cluster's ring client routes
+// by, is ignored.
+func (c *Counting) Remove(id core.ComplexID, events []core.Event) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	set, ok := c.defs[id]
@@ -156,23 +150,23 @@ func (c *Counting) Remove(id core.ComplexID) error {
 	return nil
 }
 
-// Match counts per-complex hits over the inverted index. Because incoming
-// sets are canonical (no duplicate events) a complex event of arity m
-// reaches count m exactly when all its events are present.
-func (c *Counting) Match(s core.EventSet) []core.ComplexID {
+// MatchAppend counts per-complex hits over the inverted index and appends
+// the complete ones to dst. Because incoming sets are canonical (no
+// duplicate events) a complex event of arity m reaches count m exactly
+// when all its events are present.
+func (c *Counting) MatchAppend(dst []core.ComplexID, s core.EventSet) []core.ComplexID {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	counts := make(map[core.ComplexID]int)
-	var out []core.ComplexID
 	for _, e := range s {
 		for _, id := range c.index[e] {
 			counts[id]++
 			if counts[id] == c.arity[id] {
-				out = append(out, id)
+				dst = append(dst, id)
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // Len returns the number of registered complex events.

@@ -6,11 +6,12 @@ import (
 	"testing"
 
 	"xymon/internal/core"
+	"xymon/internal/manager"
 )
 
 // matchers returns one of each implementation behind the common interface.
-func matchers() map[string]Matcher {
-	return map[string]Matcher{
+func matchers() map[string]manager.Matcher {
+	return map[string]manager.Matcher{
 		"naive":    NewNaive(),
 		"counting": NewCounting(),
 		"aes":      core.NewMatcher(),
@@ -34,7 +35,7 @@ func TestBaselinesBasic(t *testing.T) {
 			if err := m.Add(3, []core.Event{1, 4}); err != nil {
 				t.Fatalf("Add: %v", err)
 			}
-			got := sorted(m.Match(core.EventSet{1, 3}))
+			got := sorted(m.MatchAppend(nil, core.EventSet{1, 3}))
 			if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 				t.Errorf("Match = %v, want [1 2]", got)
 			}
@@ -57,10 +58,10 @@ func TestBaselinesErrors(t *testing.T) {
 			if err := m.Add(1, []core.Event{3}); err != core.ErrDuplicateComplexID {
 				t.Errorf("duplicate Add = %v, want ErrDuplicateComplexID", err)
 			}
-			if err := m.Remove(99); err != core.ErrUnknownComplexID {
+			if err := m.Remove(99, nil); err != core.ErrUnknownComplexID {
 				t.Errorf("Remove(unknown) = %v, want ErrUnknownComplexID", err)
 			}
-			if err := m.Remove(1); err != nil {
+			if err := m.Remove(1, []core.Event{2}); err != nil {
 				t.Errorf("Remove: %v", err)
 			}
 			if m.Len() != 0 {
@@ -77,7 +78,7 @@ func TestImplementationsAgree(t *testing.T) {
 	impls := matchers()
 	const universe = 120
 	nextID := core.ComplexID(0)
-	live := map[core.ComplexID]bool{}
+	live := map[core.ComplexID][]core.Event{}
 	for step := 0; step < 2000; step++ {
 		switch {
 		case len(live) == 0 || rng.Float64() < 0.4:
@@ -91,12 +92,12 @@ func TestImplementationsAgree(t *testing.T) {
 					t.Fatalf("%s.Add: %v", name, err)
 				}
 			}
-			live[nextID] = true
+			live[nextID] = events
 			nextID++
 		case rng.Float64() < 0.3:
-			for id := range live {
+			for id, events := range live {
 				for name, m := range impls {
-					if err := m.Remove(id); err != nil {
+					if err := m.Remove(id, events); err != nil {
 						t.Fatalf("%s.Remove: %v", name, err)
 					}
 				}
@@ -110,9 +111,9 @@ func TestImplementationsAgree(t *testing.T) {
 				events[i] = core.Event(rng.Intn(universe))
 			}
 			s := core.Canonical(events)
-			want := sorted(impls["naive"].Match(s))
+			want := sorted(impls["naive"].MatchAppend(nil, s))
 			for _, name := range []string{"counting", "aes"} {
-				got := sorted(impls[name].Match(s))
+				got := sorted(impls[name].MatchAppend(nil, s))
 				if len(got) != len(want) {
 					t.Fatalf("step %d: %s.Match(%v) = %v, naive = %v", step, name, s, got, want)
 				}

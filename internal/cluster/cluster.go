@@ -433,7 +433,7 @@ func (s *Server) handleAdd(payload []byte, resp func(byte, []byte) error) (bool,
 	if _, exists := s.part[cid]; exists {
 		// Replace: transfer re-sends and client retries land here; the
 		// newest definition wins.
-		_ = s.matcher.Remove(cid)
+		_ = s.matcher.Remove(cid, nil)
 	}
 	err = s.matcher.Add(cid, set)
 	if err == nil {
@@ -459,7 +459,7 @@ func (s *Server) handleRemove(payload []byte, resp func(byte, []byte) error) (bo
 	cid := core.ComplexID(id)
 	s.smu.Lock()
 	if _, exists := s.part[cid]; exists {
-		_ = s.matcher.Remove(cid)
+		_ = s.matcher.Remove(cid, nil)
 		delete(s.part, cid)
 	}
 	s.smu.Unlock()
@@ -495,7 +495,7 @@ func (s *Server) handleDrop(payload []byte, resp func(byte, []byte) error) (bool
 	}
 	for _, sub := range s.partSubs(int(p)) {
 		s.smu.Lock()
-		_ = s.matcher.Remove(sub.ID)
+		_ = s.matcher.Remove(sub.ID, sub.Events)
 		delete(s.part, sub.ID)
 		s.smu.Unlock()
 	}

@@ -171,7 +171,7 @@ func TestClusterAddMatchRemove(t *testing.T) {
 		if err := rc.Remove(core.ComplexID(i), events); err != nil {
 			t.Fatalf("Remove(%d): %v", i, err)
 		}
-		if err := ref.Remove(core.ComplexID(i)); err != nil {
+		if err := ref.Remove(core.ComplexID(i), events); err != nil {
 			t.Fatal(err)
 		}
 	}

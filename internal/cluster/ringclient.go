@@ -415,8 +415,11 @@ func (c *RingClient) Add(id core.ComplexID, events []core.Event) error {
 	})
 }
 
-// Remove drops subscription id from every block that could host it.
-// Removing an unknown id is a no-op, as with core.Matcher.Remove.
+// Remove drops subscription id from every block that could host it. The
+// events are the ones id was added with: they route the write to the
+// partition's blocks. A block acks an id it does not hold, so removing an
+// unknown id returns nil, where core.Matcher.Remove returns
+// ErrUnknownComplexID.
 func (c *RingClient) Remove(id core.ComplexID, events []core.Event) error {
 	set := core.Canonical(events)
 	if len(set) == 0 {

@@ -159,10 +159,11 @@ func (m *Matcher) Add(id ComplexID, events []Event) error {
 	return nil
 }
 
-// Remove unregisters a complex event. Empty tables and unmarked chain cells
-// are pruned so that long-running systems with subscription churn do not
-// leak structure.
-func (m *Matcher) Remove(id ComplexID) error {
+// Remove unregisters a complex event by the definition kept at Add;
+// events, which the cluster's ring client routes by, is ignored. Empty
+// tables and unmarked chain cells are pruned so that long-running systems
+// with subscription churn do not leak structure.
+func (m *Matcher) Remove(id ComplexID, events []Event) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	set, ok := m.defs[id]
@@ -240,14 +241,6 @@ func (m *Matcher) Range(fn func(id ComplexID, set EventSet) bool) {
 			return
 		}
 	}
-}
-
-// Degree returns the number of registered complex events that contain e —
-// the per-event value of the paper's parameter k.
-func (m *Matcher) Degree(e Event) int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.degree[e]
 }
 
 // Match returns the ids of every registered complex event whose atomic
@@ -348,45 +341,6 @@ func suffixIndex(s EventSet, e Event) int {
 		return lo
 	}
 	return -1
-}
-
-// Matches reports whether the canonical set s triggers at least one complex
-// event, without materialising the result list.
-func (m *Matcher) Matches(s EventSet) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.any(m.root, s)
-}
-
-func (m *Matcher) any(t table, s EventSet) bool {
-	if len(t) < len(s) {
-		for e, c := range t {
-			i := suffixIndex(s, e)
-			if i < 0 {
-				continue
-			}
-			if len(c.marks) > 0 {
-				return true
-			}
-			if c.child != nil && i+1 < len(s) && m.any(c.child, s[i+1:]) {
-				return true
-			}
-		}
-		return false
-	}
-	for i, e := range s {
-		c := t[e]
-		if c == nil {
-			continue
-		}
-		if len(c.marks) > 0 {
-			return true
-		}
-		if c.child != nil && i+1 < len(s) && m.any(c.child, s[i+1:]) {
-			return true
-		}
-	}
-	return false
 }
 
 // Len returns the number of registered complex events.

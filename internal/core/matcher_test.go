@@ -97,19 +97,6 @@ func TestFigure4Cases(t *testing.T) {
 	}
 }
 
-func TestMatchesFastPath(t *testing.T) {
-	m := figure4Matcher(t)
-	if !m.Matches(EventSet{1, 3, 5}) {
-		t.Error("Matches({1,3,5}) = false, want true")
-	}
-	if m.Matches(EventSet{1, 4}) {
-		t.Error("Matches({1,4}) = true, want false")
-	}
-	if m.Matches(nil) {
-		t.Error("Matches(nil) = true, want false")
-	}
-}
-
 func TestAddErrors(t *testing.T) {
 	m := NewMatcher()
 	if err := m.Add(1, nil); err != ErrEmptyComplexEvent {
@@ -140,7 +127,7 @@ func TestRemove(t *testing.T) {
 	m := figure4Matcher(t)
 	before := m.Stats()
 	// Removing c3 (a1 a3 a5) must keep c10 (a1 a3) and c201 (a1 a3 a4) intact.
-	if err := m.Remove(3); err != nil {
+	if err := m.Remove(3, []Event{1, 3, 5}); err != nil {
 		t.Fatalf("Remove: %v", err)
 	}
 	got := sortedMatch(m, EventSet{1, 3, 4, 5})
@@ -148,7 +135,7 @@ func TestRemove(t *testing.T) {
 	if !equalIDs(got, want) {
 		t.Errorf("after Remove(3): Match = %v, want %v", got, want)
 	}
-	if err := m.Remove(3); err != ErrUnknownComplexID {
+	if err := m.Remove(3, []Event{1, 3, 5}); err != ErrUnknownComplexID {
 		t.Errorf("second Remove = %v, want ErrUnknownComplexID", err)
 	}
 	after := m.Stats()
@@ -164,7 +151,7 @@ func TestRemoveAllRestoresEmptyStructure(t *testing.T) {
 	m := figure4Matcher(t)
 	ids := []ComplexID{0, 10, 201, 3, 43, 25, 9, 527, 15, 4, 7, 11, 50, 60, 13, 31}
 	for _, id := range ids {
-		if err := m.Remove(id); err != nil {
+		if err := m.Remove(id, m.Definition(id)); err != nil {
 			t.Fatalf("Remove(%d): %v", id, err)
 		}
 	}
@@ -184,7 +171,7 @@ func TestRemoveKeepsSharedPrefixes(t *testing.T) {
 	m := NewMatcher()
 	mustAdd(t, m, 1, []Event{1, 2})
 	mustAdd(t, m, 2, []Event{1, 2, 3})
-	if err := m.Remove(1); err != nil {
+	if err := m.Remove(1, []Event{1, 2}); err != nil {
 		t.Fatalf("Remove: %v", err)
 	}
 	if got := m.Match(EventSet{1, 2, 3}); len(got) != 1 || got[0] != 2 {
@@ -192,7 +179,7 @@ func TestRemoveKeepsSharedPrefixes(t *testing.T) {
 	}
 	// And the other direction: removing the longer one keeps the shorter.
 	mustAdd(t, m, 1, []Event{1, 2})
-	if err := m.Remove(2); err != nil {
+	if err := m.Remove(2, []Event{1, 2, 3}); err != nil {
 		t.Fatalf("Remove: %v", err)
 	}
 	if got := m.Match(EventSet{1, 2, 3}); len(got) != 1 || got[0] != 1 {
@@ -203,7 +190,7 @@ func TestRemoveKeepsSharedPrefixes(t *testing.T) {
 func TestReAddAfterRemove(t *testing.T) {
 	m := NewMatcher()
 	mustAdd(t, m, 7, []Event{4, 5})
-	if err := m.Remove(7); err != nil {
+	if err := m.Remove(7, []Event{4, 5}); err != nil {
 		t.Fatalf("Remove: %v", err)
 	}
 	mustAdd(t, m, 7, []Event{4, 5})
@@ -221,33 +208,12 @@ func TestDuplicateMarksOnSamePrefix(t *testing.T) {
 	if !equalIDs(got, []ComplexID{1, 2}) {
 		t.Errorf("Match = %v, want [1 2]", got)
 	}
-	if err := m.Remove(1); err != nil {
+	if err := m.Remove(1, []Event{2, 4}); err != nil {
 		t.Fatalf("Remove: %v", err)
 	}
 	got = sortedMatch(m, EventSet{2, 4})
 	if !equalIDs(got, []ComplexID{2}) {
 		t.Errorf("Match = %v, want [2]", got)
-	}
-}
-
-func TestDegree(t *testing.T) {
-	m := figure4Matcher(t)
-	// a1 appears in c10, c201, c3, c43, c25, c9 → degree 6.
-	if got := m.Degree(1); got != 6 {
-		t.Errorf("Degree(a1) = %d, want 6", got)
-	}
-	// a5 appears in c3, c43, c25, c4, c7, c11, c50 → degree 7.
-	if got := m.Degree(5); got != 7 {
-		t.Errorf("Degree(a5) = %d, want 7", got)
-	}
-	if got := m.Degree(1000); got != 0 {
-		t.Errorf("Degree(unknown) = %d, want 0", got)
-	}
-	if err := m.Remove(9); err != nil {
-		t.Fatalf("Remove: %v", err)
-	}
-	if got := m.Degree(7); got != 1 { // only c11 keeps a7
-		t.Errorf("Degree(a7) after Remove(c9) = %d, want 1", got)
 	}
 }
 
@@ -347,7 +313,7 @@ func TestMatcherChurnAgainstBruteForce(t *testing.T) {
 		case rng.Float64() < 0.5:
 			// remove a random registered id
 			for id := range defs {
-				if err := m.Remove(id); err != nil {
+				if err := m.Remove(id, defs[id]); err != nil {
 					t.Fatalf("Remove: %v", err)
 				}
 				delete(defs, id)
@@ -401,7 +367,7 @@ func TestConcurrentMatchDuringChurn(t *testing.T) {
 	for id := ComplexID(500); id < 1500; id++ {
 		mustAdd(t, m, id, []Event{Event(id % 97), Event(id % 79)})
 		if id%2 == 0 {
-			if err := m.Remove(id - 400); err != nil {
+			if err := m.Remove(id-400, nil); err != nil {
 				t.Errorf("Remove(%d): %v", id-400, err)
 			}
 		}

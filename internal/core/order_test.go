@@ -56,7 +56,7 @@ func TestMatchInvariantUnderRelabelling(t *testing.T) {
 			}
 		}
 		for i, probe := range probes {
-			want := naive.Match(core.Canonical(probe))
+			want := naive.MatchAppend(nil, core.Canonical(probe))
 			got := m.Match(core.Canonical(relabel(probe, perm)))
 			slices.Sort(want)
 			slices.Sort(got)

@@ -115,23 +115,3 @@ func TestQuickMatchInputNormalisation(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// Property: Matches (the boolean fast path) agrees with Match.
-func TestQuickMatchesAgrees(t *testing.T) {
-	f := func(defs [][]uint32, probe []uint32) bool {
-		m := NewMatcher()
-		for i, d := range defs {
-			if len(d) == 0 {
-				continue
-			}
-			if err := m.Add(ComplexID(i), quickEvents(d, 32)); err != nil {
-				return false
-			}
-		}
-		s := Canonical(quickEvents(probe, 32))
-		return m.Matches(s) == (len(m.Match(s)) > 0)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}

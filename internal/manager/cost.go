@@ -126,6 +126,8 @@ func (m *Manager) Resume(name string) error { //xyvet:ignore testonly library ac
 		return ErrNotSuspended
 	}
 	for _, rq := range rs.queries {
+		// A Matcher takes only its own lock and never calls back into m.
+		//xyvet:ignore lockcheck
 		if err := m.matcher.Add(rq.id, rq.events); err != nil {
 			return err
 		}
@@ -163,7 +165,9 @@ func (m *Manager) noteNotificationsLocked(rs *registeredSub, produced int) {
 		return
 	}
 	for _, rq := range rs.queries {
-		_ = m.matcher.Remove(rq.id)
+		// A Matcher takes only its own lock and never calls back into m.
+		//xyvet:ignore lockcheck
+		_ = m.matcher.Remove(rq.id, rq.events)
 		m.queries.set(rq.id, nil)
 	}
 	rs.suspended = true

@@ -14,12 +14,12 @@ import (
 	"xymon/internal/warehouse"
 )
 
-// bareManager assembles a manager on real clocks around rep, with no
-// continuous-query sink.
-func bareManager(rep *reporter.Reporter) (*Manager, *warehouse.Store) {
+// bareManager assembles a manager over matcher on real clocks around rep,
+// with no continuous-query sink.
+func bareManager(rep *reporter.Reporter, matcher Matcher) (*Manager, *warehouse.Store) {
 	store := warehouse.NewStore()
 	return New(Config{
-		Matcher:  core.NewMatcher(),
+		Matcher:  matcher,
 		Pipeline: alerter.NewPipeline(),
 		Reporter: rep,
 		Trigger:  trigger.New(store.AllRoots, nil),
@@ -52,8 +52,15 @@ report when %s
 //   - a document pushed after Subscribe returned does reach it;
 //   - for the subscriptions that stay, produced = delivered + buffered.
 //
-// CI runs it under -race -count=10.
+// It runs over core.Matcher and over the naive scan, which shares no
+// structure with it. CI runs it under -race -count=10.
 func TestChurnBesideProcessAlert(t *testing.T) {
+	for _, mk := range seamMatchers {
+		t.Run(mk.name, func(t *testing.T) { churnBesideProcessAlert(t, mk.new()) })
+	}
+}
+
+func churnBesideProcessAlert(t *testing.T, matcher Matcher) {
 	const (
 		stable  = 8
 		names   = 6
@@ -86,7 +93,7 @@ func TestChurnBesideProcessAlert(t *testing.T) {
 		}
 		return nil
 	}))
-	mgr, store := bareManager(rep)
+	mgr, store := bareManager(rep, matcher)
 	for i := 0; i < stable; i++ {
 		when := "notifications.count > 2"
 		if i%2 == 0 {
@@ -251,7 +258,7 @@ func TestQueryTableDropsDeadPages(t *testing.T) {
 // past thirty notifications, the shape of the push-fanout workload — and
 // returns the alert the page's update raises.
 func fanoutAlert(t testing.TB, n int) (*Manager, *alerter.Alert) {
-	mgr, store := bareManager(reporter.New(nil))
+	mgr, store := bareManager(reporter.New(nil), core.NewMatcher())
 	for i := 0; i < n; i++ {
 		when := "notifications.count > 30"
 		if i%5 == 0 {

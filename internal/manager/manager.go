@@ -34,6 +34,22 @@ var ErrUnknownSubscription = errors.New("manager: unknown subscription")
 // subscribe or unsubscribe it recorded did not take effect.
 var ErrJournal = errors.New("manager: subscription journal failed")
 
+// Matcher is the Monitoring Query Processor the Manager drives (Section
+// 4): core.Matcher, or a baseline of §4.1. Remove takes the events id was
+// added with, which the cluster's ring client routes by; a matcher keeping
+// its own copy of each definition ignores them. Removing an id the matcher
+// does not hold may return an error, which the Manager ignores: an
+// unsubscribed suspension's queries are already out of the matcher. The
+// Manager calls Add and Remove under m.mu, so the base, the query table
+// and the matcher change together; a Matcher takes only its own lock and
+// never calls back into the Manager.
+type Matcher interface {
+	Add(id core.ComplexID, events []core.Event) error
+	Remove(id core.ComplexID, events []core.Event) error
+	MatchAppend(dst []core.ComplexID, s core.EventSet) []core.ComplexID
+	Len() int
+}
+
 // registeredQuery is one compiled monitoring query: its complex event id,
 // its atomic event codes, and what every notification of it needs, bound
 // at registration: the dedup hash folded over (subscription, label), the
@@ -142,7 +158,7 @@ type Stats struct {
 // Manager owns the subscription base and drives the notification chain.
 type Manager struct {
 	mu       sync.Mutex
-	matcher  *core.Matcher
+	matcher  Matcher
 	pipeline *alerter.Pipeline
 	reporter *reporter.Reporter
 	trigger  *trigger.Engine
@@ -233,7 +249,7 @@ func (sc *processScratch) release() {
 // Reporter and Trigger must be non-nil; Clock defaults to time.Now. The
 // Reporter's journal, when it has one, persists the base.
 type Config struct {
-	Matcher  *core.Matcher
+	Matcher  Matcher
 	Pipeline *alerter.Pipeline
 	Reporter *reporter.Reporter
 	Trigger  *trigger.Engine
@@ -317,6 +333,9 @@ func (m *Manager) register(src string, sub *sublang.Subscription, journal bool) 
 		id := m.nextComplex
 		m.nextComplex++
 		set := core.Canonical(events)
+		// Under m.mu, or an Unsubscribe landing first would orphan id; a
+		// Matcher takes only its own lock and never calls back into m.
+		//xyvet:ignore lockcheck
 		if err := m.matcher.Add(id, set); err != nil {
 			m.rollbackLocked(rs)
 			return fmt.Errorf("manager: registering complex event: %w", err)
@@ -371,7 +390,9 @@ func (m *Manager) unregisterLocked(name string, rs *registeredSub) error {
 // rollbackLocked undoes partial registration of rs.
 func (m *Manager) rollbackLocked(rs *registeredSub) {
 	for _, rq := range rs.queries {
-		_ = m.matcher.Remove(rq.id)
+		// A Matcher takes only its own lock and never calls back into m.
+		//xyvet:ignore lockcheck
+		_ = m.matcher.Remove(rq.id, rq.events)
 		m.queries.set(rq.id, nil)
 		for _, e := range rq.events {
 			m.releaseEventLocked(e)
@@ -601,6 +622,7 @@ func (m *Manager) RefreshHints() map[string]sublang.Frequency {
 
 // Stats snapshots the manager's counters.
 func (m *Manager) Stats() Stats {
+	complexEvents := m.matcher.Len()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var suspended []string
@@ -613,7 +635,7 @@ func (m *Manager) Stats() Stats {
 	return Stats{
 		Subscriptions: len(m.subs),
 		AtomicEvents:  len(m.condRef),
-		ComplexEvents: m.matcher.Len(),
+		ComplexEvents: complexEvents,
 		DocsProcessed: m.docsProcessed.Load(),
 		AlertsSent:    m.alertsSent.Load(),
 		WeakSuppress:  m.weakSuppress.Load(),

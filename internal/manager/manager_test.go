@@ -31,6 +31,11 @@ type rig struct {
 }
 
 func newRig(t *testing.T, opts ...reporter.Option) *rig {
+	return newRigOver(t, core.NewMatcher(), opts...)
+}
+
+// newRigOver is newRig with the Manager matching through m.
+func newRigOver(t *testing.T, m Matcher, opts ...reporter.Option) *rig {
 	r := &rig{t: t, clock: time.Date(2001, 5, 21, 0, 0, 0, 0, time.UTC)}
 	now := func() time.Time { return r.clock }
 	r.store = warehouse.NewStore(warehouse.WithClock(now))
@@ -44,7 +49,7 @@ func newRig(t *testing.T, opts ...reporter.Option) *rig {
 		})
 	}, trigger.WithClock(now))
 	r.mgr = New(Config{
-		Matcher:  core.NewMatcher(),
+		Matcher:  m,
 		Pipeline: alerter.NewPipeline(),
 		Reporter: r.rep,
 		Trigger:  r.eng,

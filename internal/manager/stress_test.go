@@ -138,11 +138,18 @@ report when immediate
 // counters, batched reporter delivery — while churners add and remove the
 // same subscriptions over and over. Unlike TestManagerStress it pins exact
 // counter arithmetic: every ProcessDoc call must be counted exactly once
-// and every alert be either sent or weak-suppressed.
+// and every alert be either sent or weak-suppressed. It runs over
+// core.Matcher and over the naive scan.
 func TestConcurrentProcessDocChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
+	for _, mk := range seamMatchers {
+		t.Run(mk.name, func(t *testing.T) { concurrentProcessDocChurn(t, mk.new()) })
+	}
+}
+
+func concurrentProcessDocChurn(t *testing.T, matcher Matcher) {
 	const (
 		churners  = 2
 		pushers   = 4
@@ -154,7 +161,7 @@ func TestConcurrentProcessDocChurn(t *testing.T) {
 	store := warehouse.NewStore()
 	eng := trigger.New(store.AllRoots, func(trigger.Result) {})
 	mgr := New(Config{
-		Matcher:  core.NewMatcher(),
+		Matcher:  matcher,
 		Pipeline: alerter.NewPipeline(),
 		Reporter: rep,
 		Trigger:  eng,

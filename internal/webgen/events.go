@@ -76,8 +76,8 @@ func drawDistinct(rng *rand.Rand, n, universe int) []core.Event {
 	return out
 }
 
-// Load registers every complex event of the workload into a matcher-like
-// target (core.Matcher or a baseline).
+// Load registers every complex event of the workload through add, the Add
+// of a manager.Matcher (core.Matcher's or a baseline's).
 func (w *EventWorkload) Load(add func(core.ComplexID, []core.Event) error) error {
 	for i, events := range w.Complex {
 		if err := add(core.ComplexID(i), events); err != nil {

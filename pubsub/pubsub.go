@@ -21,7 +21,10 @@
 // For scale-out (the subscription split of Section 4.2), Serve empty
 // blocks over TCP and Dial them: the client shards subscriptions over the
 // blocks as they are added and sends each match to the blocks holding the
-// document's partitions.
+// document's partitions. Matcher and Client share Add, Remove(id, events)
+// and Match: the Client routes a Remove by its events, and its Match also
+// returns an error when a block holding one of the document's partitions
+// cannot answer.
 package pubsub
 
 import (

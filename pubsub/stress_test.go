@@ -52,7 +52,7 @@ func TestMatcherStress(t *testing.T) {
 					return
 				}
 				if i%2 == 0 {
-					if err := mt.Remove(id); err != nil {
+					if err := mt.Remove(id, events); err != nil {
 						t.Errorf("Remove: %v", err)
 						return
 					}
