@@ -7,9 +7,10 @@ import (
 
 // runHashcache flags direct hash/fnv constructor calls outside
 // internal/xmldom. The project's structural hashing lives in xmldom
-// (HashFold/HashString for strings, Node.Hash64 and Document.Hashes for
-// trees): those fold inline with no hasher object, and the document-level
-// vector is computed once per version and cached. A fresh fnv.New64a on a
+// (HashFold/HashString for strings and bytes, Document.Hashes and
+// Node.SubtreeHash for trees, one subtree fold for both): those fold
+// inline with no hasher object, and the document-level vector is computed
+// once per version and cached. A fresh fnv.New64a on a
 // hot path both allocates per call and silently diverges from the cached
 // hashes the diff layer compares — the exact per-call cost the hash-cache
 // work removed from xydiff.
@@ -34,7 +35,7 @@ func runHashcache(pkg *Package) []Finding {
 			out = append(out, Finding{
 				Pos:  call.Pos(),
 				Rule: "hashcache",
-				Msg:  "direct fnv." + name + " outside internal/xmldom; use xmldom.HashString/HashFold (Node.Hash64, Document.Hashes for trees, StreamHasher for raw bytes) so hashes stay cached and comparable",
+				Msg:  "direct fnv." + name + " outside internal/xmldom; use xmldom.HashString/HashFold (Document.Hashes or Node.SubtreeHash for trees, StreamHasher for raw bytes) so hashes stay cached and comparable",
 			})
 			return true
 		})

@@ -2,7 +2,7 @@
 // hash/fnv constructors outside internal/xmldom allocate a hasher per
 // call and bypass the cached structural hashing the diff layer compares
 // with; callers should use xmldom.HashString/HashFold or the tree-level
-// Node.Hash64 / Document.Hashes.
+// Document.Hashes / Node.SubtreeHash.
 package hashcache
 
 import (

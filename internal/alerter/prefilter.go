@@ -37,21 +37,21 @@ func NewPrefilter(x *XMLAlerter) *Prefilter {
 }
 
 // prefilterScratch is the pooled per-call state: the tokenizer, the
-// open-tag stack (sub-slices of the input, nothing copied), the entity
-// decode buffer and the word scanner.
+// open-tag stack (sub-slices of the input, nothing copied) and the word
+// scanner.
 type prefilterScratch struct {
 	tok  xmldom.Tokenizer
 	tags [][]byte
-	text []byte
 	scan xmldom.WordScanner
 }
 
 var prefilterPool = sync.Pool{New: func() any { return new(prefilterScratch) }}
 
 // Match reports whether the serialized document could raise an element
-// presence or self-contains event. A tokenizer error returns true: a
-// malformed document is the parser's error to surface, not the
-// pre-filter's to swallow.
+// presence or self-contains event. It reads the tokenizer's node stream,
+// so a document ParseBytes rejects is an error here too, and an error
+// returns true: a malformed document is the parser's error to surface,
+// not the pre-filter's to swallow.
 func (p *Prefilter) Match(data []byte) bool {
 	x := p.x
 	x.mu.RLock()
@@ -69,7 +69,6 @@ func (p *Prefilter) Match(data []byte) bool {
 		prefilterPool.Put(sc)
 	}()
 	sc.tok.Reset(data)
-	sawElement := false
 	for {
 		k, err := sc.tok.Next()
 		if err != nil {
@@ -77,24 +76,13 @@ func (p *Prefilter) Match(data []byte) bool {
 		}
 		switch k {
 		case xmldom.TokEOF:
-			// A rootless token stream is an ErrNoRoot for the parser to
-			// surface, like any other malformed input.
-			return !sawElement
+			return false
 		case xmldom.TokStart:
-			sawElement = true
 			sc.tags = append(sc.tags, sc.tok.Tag())
 		case xmldom.TokEnd:
 			sc.tags = sc.tags[:len(sc.tags)-1]
 		case xmldom.TokText:
-			// Top-level character data never reaches the tree.
-			if len(sc.tags) == 0 {
-				continue
-			}
 			b := sc.tok.Text()
-			if sc.tok.TextDirty() {
-				sc.text = sc.tok.AppendText(sc.text[:0])
-				b = sc.text
-			}
 			// The scan restarts at every span: adjacent CDATA/text tokens
 			// become separate text nodes in the tree, whose words never
 			// merge.

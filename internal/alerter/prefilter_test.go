@@ -93,7 +93,7 @@ func TestPrefilterEmptyAlerterNeverMatches(t *testing.T) {
 // error, the pre-filter must not swallow it into a silent skip.
 func TestPrefilterMalformedPasses(t *testing.T) {
 	pf := NewPrefilter(prefilterAlerter())
-	for _, src := range []string{`<a><b></a>`, `<a>`, `<a>&bogus;</a>`, `not xml`} {
+	for _, src := range []string{`<a><b></a>`, `<a>`, `<a>&bogus;</a>`, `not xml`, `<a/><b/>`, `<a>x</a><b>y</b>`} {
 		if !pf.Match([]byte(src)) {
 			t.Errorf("Match(%q) = false, want true for malformed input", src)
 		}
@@ -207,8 +207,8 @@ func TestXMLAlerterHasChangeConds(t *testing.T) {
 
 // TestDetectPresenceDeepChain pins the iterative rewrite: a 100k-deep
 // element chain must neither overflow the goroutine stack nor lose the
-// word collected at the leaf (PR 5 hardened Hash64/TextContent the same
-// way; this walk had been missed).
+// word collected at the leaf (the structural hash and TextContent are
+// iterative the same way; this walk had been missed).
 func TestDetectPresenceDeepChain(t *testing.T) {
 	const depth = 100_000
 	root := xmldom.Element("d")
@@ -242,8 +242,9 @@ func TestDetectPresenceDeepChain(t *testing.T) {
 
 // FuzzPrefilter holds the pre-filter to its contract: it must never
 // reject a document on which the XML alerter would emit a presence or
-// self-contains event (no false negatives, ever), and — since Match is
-// documented as exact — a parseable match must raise at least one event.
+// self-contains event (no false negatives, ever), it must pass every
+// document ParseBytes rejects, and — since Match is documented as exact —
+// a parseable match must raise at least one event.
 func FuzzPrefilter(f *testing.F) {
 	seeds := []string{
 		`<catalog><product><name>digital camera</name></product></catalog>`,
@@ -256,6 +257,8 @@ func FuzzPrefilter(f *testing.F) {
 		`sound<a/>`,
 		`<a><b></a>`,
 		``,
+		`<a/><b/>`,
+		`<a>x</a><b>y</b>`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -277,9 +280,11 @@ func FuzzPrefilter(f *testing.F) {
 		match := pf.Match([]byte(src))
 		doc, err := xmldom.ParseBytes([]byte(src))
 		if err != nil {
-			// Unparseable documents raise no element events; the filter
-			// may say anything (it reports true on tokenizer errors so the
-			// parse path surfaces them).
+			// A malformed document is the parser's error to surface: the
+			// filter must pass it on.
+			if !match {
+				t.Fatalf("prefilter rejected %q, which ParseBytes rejects: %v", src, err)
+			}
 			return
 		}
 		events := presenceEvents(x, doc)

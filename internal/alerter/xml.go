@@ -227,8 +227,8 @@ type presenceFrame struct {
 // an element's words are words[base:], and since the offsets nest, a
 // closing element simply leaves its words in place for the parent — no
 // per-frame copying, no recursion (deep chains must not overflow the
-// goroutine stack; PR 5 made Hash64 and TextContent iterative for the
-// same reason). A data node's words also feed `strict contains` on its
+// goroutine stack; the structural hash and TextContent are iterative for
+// the same reason). A data node's words also feed `strict contains` on its
 // parent, and `self contains`, which fires once per word and document.
 func (a *XMLAlerter) detectWords(root *xmldom.Node, emit func(core.Event), sc *detectScratch) {
 	if len(a.words) == 0 || root.Type != xmldom.ElementNode {

@@ -113,8 +113,9 @@ func Estimate(sub *sublang.Subscription) Cost {
 // suspended.
 var ErrNotSuspended = fmt.Errorf("manager: subscription is not suspended")
 
-// Resume lifts a posteriori inhibition from a subscription, re-registering
-// its complex events.
+// Resume lifts a posteriori inhibition from a subscription, publishing its
+// queries again. Its complex events never left the matcher, so Resume
+// cannot fail part-way.
 func (m *Manager) Resume(name string) error { //xyvet:ignore testonly library action with no xymond route: xymond sets no InhibitRate, so only the cost tests suspend
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -126,11 +127,6 @@ func (m *Manager) Resume(name string) error { //xyvet:ignore testonly library ac
 		return ErrNotSuspended
 	}
 	for _, rq := range rs.queries {
-		// A Matcher takes only its own lock and never calls back into m.
-		//xyvet:ignore lockcheck
-		if err := m.matcher.Add(rq.id, rq.events); err != nil {
-			return err
-		}
 		m.queries.set(rq.id, rq)
 	}
 	rs.suspended = false
@@ -141,9 +137,10 @@ func (m *Manager) Resume(name string) error { //xyvet:ignore testonly library ac
 
 // noteNotificationsLocked updates a subscription's rate window — its
 // notifications against the global processed-document counter — and
-// suspends it when the rate exceeds the inhibition budget: the complex
-// events are pulled from the matcher so the flood stops at the cheapest
-// point.
+// suspends it when the rate exceeds the inhibition budget: its queries
+// leave the query table, so a match of their complex events resolves to
+// nothing and the flood stops before any payload is built. The matcher
+// keeps the events, so Resume has nothing to re-register.
 func (m *Manager) noteNotificationsLocked(rs *registeredSub, produced int) {
 	if m.inhibitRate <= 0 || rs.suspended {
 		return
@@ -165,9 +162,6 @@ func (m *Manager) noteNotificationsLocked(rs *registeredSub, produced int) {
 		return
 	}
 	for _, rq := range rs.queries {
-		// A Matcher takes only its own lock and never calls back into m.
-		//xyvet:ignore lockcheck
-		_ = m.matcher.Remove(rq.id, rq.events)
 		m.queries.set(rq.id, nil)
 	}
 	rs.suspended = true

@@ -159,3 +159,73 @@ report when notifications.count > 100000`); err != nil {
 		t.Errorf("stats after unsubscribe = %+v, %d interned plans", st, len(r.mgr.plans))
 	}
 }
+
+// failingMatcher is a core.Matcher whose Adds fail once ok of them have
+// succeeded.
+type failingMatcher struct {
+	*core.Matcher
+	ok int
+}
+
+func (f *failingMatcher) Add(id core.ComplexID, events []core.Event) error {
+	if f.ok == 0 {
+		return errors.New("matcher full")
+	}
+	f.ok--
+	return f.Matcher.Add(id, events)
+}
+
+// TestFailingMatcherAdd holds the Manager whole over a Matcher whose Add
+// fails: suspension and Resume never call Add, and a Subscribe that fails
+// part-way leaves nothing behind.
+func TestFailingMatcherAdd(t *testing.T) {
+	rig := func(t *testing.T, ok int) *rig {
+		r := newRig(t)
+		r.mgr = New(Config{
+			Matcher:     &failingMatcher{Matcher: core.NewMatcher(), ok: ok},
+			Pipeline:    alerter.NewPipeline(),
+			Reporter:    r.rep,
+			Trigger:     r.eng,
+			Clock:       func() time.Time { return r.clock },
+			InhibitRate: 0.5,
+		})
+		return r
+	}
+	t.Run("resume", func(t *testing.T) {
+		r := rig(t, 1)
+		if _, err := r.mgr.Subscribe(`subscription Chatty
+monitoring select <Hit url=URL/>
+where URL extends "http://noisy.example/" and modified self
+report when notifications.count > 100000`); err != nil {
+			t.Fatalf("Subscribe: %v", err)
+		}
+		url := "http://noisy.example/p.xml"
+		for v := 0; v <= 200; v++ {
+			r.commitXML(url, "", "", fmt.Sprintf(`<a><v>%d</v></a>`, v))
+		}
+		if s := r.mgr.Stats().Suspended; len(s) != 1 {
+			t.Fatalf("Suspended = %v, want [Chatty]", s)
+		}
+		if err := r.mgr.Resume("Chatty"); err != nil {
+			t.Fatalf("Resume: %v", err)
+		}
+		if n := r.commitXML(url, "", "", `<a><v>resumed</v></a>`); n != 1 {
+			t.Errorf("resumed subscription notifications = %d, want 1", n)
+		}
+	})
+	t.Run("register", func(t *testing.T) {
+		r := rig(t, 1)
+		_, err := r.mgr.Subscribe(`subscription Two
+monitoring select <Hit url=URL/>
+where URL extends "http://a.example/" and modified self
+   or URL extends "http://b.example/" and modified self
+report when immediate`)
+		if err == nil {
+			t.Fatal("Subscribe succeeded over a failing Add")
+		}
+		st := r.mgr.Stats()
+		if st.Subscriptions != 0 || st.AtomicEvents != 0 || st.ComplexEvents != 0 || len(r.mgr.plans) != 0 {
+			t.Errorf("failed Subscribe left %+v, %d interned plans", st, len(r.mgr.plans))
+		}
+	})
+}

@@ -37,12 +37,10 @@ var ErrJournal = errors.New("manager: subscription journal failed")
 // Matcher is the Monitoring Query Processor the Manager drives (Section
 // 4): core.Matcher, or a baseline of §4.1. Remove takes the events id was
 // added with, which the cluster's ring client routes by; a matcher keeping
-// its own copy of each definition ignores them. Removing an id the matcher
-// does not hold may return an error, which the Manager ignores: an
-// unsubscribed suspension's queries are already out of the matcher. The
-// Manager calls Add and Remove under m.mu, so the base, the query table
-// and the matcher change together; a Matcher takes only its own lock and
-// never calls back into the Manager.
+// its own copy of each definition ignores them. The Manager calls Add and
+// Remove under m.mu, so the base, the query table and the matcher change
+// together; a Matcher takes only its own lock and never calls back into
+// the Manager.
 type Matcher interface {
 	Add(id core.ComplexID, events []core.Event) error
 	Remove(id core.ComplexID, events []core.Event) error
@@ -201,7 +199,7 @@ type processScratch struct {
 	matched []core.ComplexID
 	rqs     []matchedQuery
 	elems   []*xmldom.Node
-	hashes  []uint64               // hashes[i] is elems[i].Hash64(xmldom.HashSeed())
+	hashes  []uint64               // hashes[i] is elems[i].SubtreeHash()
 	spans   map[*selectPlan][2]int // a plan's payloads: elems[lo:hi]
 	batch   []reporter.Notification
 	trig    []produced
@@ -319,14 +317,19 @@ func (m *Manager) register(src string, sub *sublang.Subscription, journal bool) 
 	// event over deduplicated atomic event codes.
 	for _, mq := range sub.Monitoring {
 		events := make([]core.Event, 0, len(mq.Where))
+		// undo releases the codes this query interned, then the queries
+		// registered before it.
+		undo := func(err error) error {
+			for _, e := range events {
+				m.releaseEventLocked(e)
+			}
+			m.rollbackLocked(rs)
+			return err
+		}
 		for _, cond := range mq.Where {
 			code, err := m.internEventLocked(cond)
 			if err != nil {
-				for _, e := range events {
-					m.releaseEventLocked(e)
-				}
-				m.rollbackLocked(rs)
-				return err
+				return undo(err)
 			}
 			events = append(events, code)
 		}
@@ -337,8 +340,7 @@ func (m *Manager) register(src string, sub *sublang.Subscription, journal bool) 
 		// Matcher takes only its own lock and never calls back into m.
 		//xyvet:ignore lockcheck
 		if err := m.matcher.Add(id, set); err != nil {
-			m.rollbackLocked(rs)
-			return fmt.Errorf("manager: registering complex event: %w", err)
+			return undo(fmt.Errorf("manager: registering complex event: %w", err))
 		}
 		plan := m.internPlanLocked(mq)
 		rs.queries = append(rs.queries, &registeredQuery{
@@ -533,7 +535,7 @@ func (m *Manager) ProcessAlert(a *alerter.Alert) int {
 			span[0] = len(sc.elems)
 			sc.elems = mq.rq.plan.appendPayloads(sc.elems, a.Doc)
 			for _, el := range sc.elems[span[0]:] {
-				sc.hashes = append(sc.hashes, el.Hash64(xmldom.HashSeed()))
+				sc.hashes = append(sc.hashes, el.SubtreeHash())
 			}
 			span[1] = len(sc.elems)
 			sc.spans[mq.rq.plan] = span

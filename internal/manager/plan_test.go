@@ -303,8 +303,8 @@ func TestPlanMatchesASTWalk(t *testing.T) {
 						if g, w := got[i].XML(), want[i].XML(); g != w {
 							t.Fatalf("%s on %s v%d payload %d:\n plan   %s\n oracle %s", rq.sub, u, v, i, g, w)
 						}
-						if got[i].Hash64(rq.seed) != want[i].Hash64(
-							xmldom.HashFold(xmldom.HashFold(xmldom.HashSeed(), rq.sub), mq.Label())) {
+						if xmldom.FoldUint64(rq.seed, got[i].SubtreeHash()) != xmldom.FoldUint64(
+							xmldom.HashFold(xmldom.HashFold(xmldom.HashSeed(), rq.sub), mq.Label()), want[i].SubtreeHash()) {
 							t.Fatalf("%s: dedup key differs from the per-notification fold", rq.sub)
 						}
 						compared++
@@ -455,5 +455,60 @@ func TestIdenticalSelectsShareOnePlan(t *testing.T) {
 	}
 	if len(r.mgr.plans) != 0 {
 		t.Fatalf("%d plans interned after unsubscribing K distinct literals", len(r.mgr.plans))
+	}
+}
+
+// TestDedupHashIsStructuralEquality holds the hash ProcessAlert keys its
+// notification dedup on to exact structural equality: over webgen pages
+// of both perturbation kinds and random trees, two nodes of a page share
+// a SubtreeHash if and only if they serialise to the same XML, and each
+// node's SubtreeHash is the value its document's hash vector records.
+func TestDedupHashIsStructuralEquality(t *testing.T) {
+	var docs []*xmldom.Document
+	for i, kind := range []webgen.PerturbKind{webgen.PerturbWhitespace, webgen.PerturbAttrOrder} {
+		site := webgen.NewSite(webgen.SiteSpec{Seed: int64(3 + i), Pages: 2, Products: 12, PerturbEvery: 3, PerturbKind: kind})
+		for _, url := range site.XMLURLs() {
+			for v := 1; v <= 3; v++ {
+				d, err := xmldom.ParseBytes(site.FetchXMLBytes(url, v))
+				if err != nil {
+					t.Fatalf("%s v%d: %v", url, v, err)
+				}
+				docs = append(docs, d)
+			}
+		}
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		docs = append(docs, webgen.RandomTree(seed, 150, 6))
+	}
+	equal := 0 // pairs of distinct nodes with equal XML: the "if" half is exercised
+	for i, d := range docs {
+		var nodes []*xmldom.Node
+		d.Root.PreOrder(func(n *xmldom.Node) bool {
+			nodes = append(nodes, n)
+			return true
+		})
+		hv := d.Hashes()
+		hash := make([]uint64, len(nodes))
+		xml := make([]string, len(nodes))
+		for j, n := range nodes {
+			hash[j], xml[j] = n.SubtreeHash(), n.XML()
+			if hash[j] != hv.Of(n) {
+				t.Fatalf("doc %d node %d: SubtreeHash %#x, Hashes().Of %#x", i, j, hash[j], hv.Of(n))
+			}
+		}
+		for a := range nodes {
+			for b := a + 1; b < len(nodes); b++ {
+				if (hash[a] == hash[b]) != (xml[a] == xml[b]) {
+					t.Fatalf("doc %d: nodes %d and %d: equal hash %v, equal XML %v\n %s\n %s",
+						i, a, b, hash[a] == hash[b], xml[a] == xml[b], xml[a], xml[b])
+				}
+				if xml[a] == xml[b] {
+					equal++
+				}
+			}
+		}
+	}
+	if equal == 0 {
+		t.Fatal("no two nodes serialise alike: the equal half went untested")
 	}
 }

@@ -53,9 +53,9 @@ func (c *Classifier) AddDomain(name string, tags ...string) {
 }
 
 // TagProfile extracts the tag-frequency vector of a serialized XML
-// document from its start tags, the names xmldom.ParseBytes gives its
-// elements, without building a tree. A tokenizer error is returned as
-// is.
+// document from the start tags of its node stream, the names
+// xmldom.ParseBytes gives its elements, without building a tree. It fails
+// exactly when ParseBytes does, with the same error.
 func TagProfile(data []byte) (map[string]float64, error) {
 	profile := make(map[string]float64)
 	var z xmldom.Tokenizer

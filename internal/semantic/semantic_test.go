@@ -1,7 +1,10 @@
 package semantic
 
 import (
+	"errors"
+	"fmt"
 	"maps"
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -109,8 +112,10 @@ func TestTagProfile(t *testing.T) {
 	if err != nil || p["a"] != 1 || p["b"] != 2 || p["c"] != 1 {
 		t.Errorf("profile = %v, %v", p, err)
 	}
-	if p, err := TagProfile(nil); err != nil || len(p) != 0 {
-		t.Errorf("nil doc gives profile %v, %v; want an empty one", p, err)
+	// A document without a root element is rejected, as ParseBytes
+	// rejects it.
+	if p, err := TagProfile(nil); !errors.Is(err, xmldom.ErrNoRoot) || len(p) != 0 {
+		t.Errorf("nil doc gives profile %v, %v; want ErrNoRoot", p, err)
 	}
 }
 
@@ -210,4 +215,44 @@ func TestTagProfileMatchesParsedTree(t *testing.T) {
 			t.Fatalf("page %d: TagProfile = %v, parsed tree %v", i, got, want)
 		}
 	}
+}
+
+// FuzzTagProfile holds TagProfile to ParseBytes: it fails if and only if
+// ParseBytes does, and on acceptance it equals the parsed tree's
+// lower-cased tag counts.
+func FuzzTagProfile(f *testing.F) {
+	for _, s := range []string{
+		`<a><b/><b/><c>t</c></a>`,
+		`<a/><b/>`,
+		`<a>x</a><b>y</b>`,
+		`text only`,
+		`<x:Cat xmlns:x="urn:c"><x:Item/><Item a="1">t</Item></x:Cat>`,
+		``,
+	} {
+		f.Add(s)
+	}
+	// The tokenizer's boundary inputs: the profile reads the same stream.
+	boundary, err := os.ReadFile("../xmldom/testdata/boundary.txt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, line := range strings.Split(string(boundary), "\n") {
+		var s string
+		if _, err := fmt.Sscanf(line, "%q", &s); err == nil {
+			f.Add(s)
+		}
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		data := []byte(src)
+		got, err := TagProfile(data)
+		if _, perr := xmldom.ParseBytes(data); (err == nil) != (perr == nil) {
+			t.Fatalf("accept/reject divergence on %q: TagProfile err=%v, ParseBytes err=%v", src, err, perr)
+		}
+		if err != nil {
+			return
+		}
+		if want := domProfile(t, data); !maps.Equal(got, want) {
+			t.Fatalf("TagProfile(%q) = %v, parsed tree %v", src, got, want)
+		}
+	})
 }

@@ -252,43 +252,21 @@ func (p *parser) parseLiteralContent(lit *LiteralElem) error {
 }
 
 func (p *parser) parseFromBinding() (FromBinding, error) {
-	path, err := p.parsePath()
+	at := p.lx.Peek()
+	path, err := xyquery.ParsePath(p.lx)
 	if err != nil {
 		return FromBinding{}, err
+	}
+	for _, s := range path.Steps {
+		if s.Attr {
+			return FromBinding{}, lex.Errorf(at, "attribute step @%s in from path %s: a from path binds elements", s.Name, path)
+		}
 	}
 	v, err := p.expectIdent("variable name")
 	if err != nil {
 		return FromBinding{}, err
 	}
 	return FromBinding{Path: path, Var: v.Text}, nil
-}
-
-func (p *parser) parsePath() (xyquery.Path, error) {
-	t, err := p.expectIdent("path")
-	if err != nil {
-		return xyquery.Path{}, err
-	}
-	path := xyquery.Path{Root: t.Text}
-	for p.lx.Peek().IsSymbol("/") {
-		p.lx.Next()
-		axis := xyquery.Child
-		if p.lx.Peek().IsSymbol("/") {
-			p.lx.Next()
-			axis = xyquery.Descendant
-		}
-		step := p.lx.Next()
-		var name string
-		switch {
-		case step.Kind == lex.Ident:
-			name = step.Text
-		case step.IsSymbol("*"):
-			name = "*"
-		default:
-			return xyquery.Path{}, lex.Errorf(step, "expected step name, got %s", step)
-		}
-		path.Steps = append(path.Steps, xyquery.Step{Axis: axis, Name: name})
-	}
-	return path, nil
 }
 
 // changeOpOf maps a keyword token to a change pattern; "modified" is the

@@ -324,6 +324,17 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestFromPathRefusesAttributeStep: a monitoring query's from paths share
+// the query language's path grammar, which has attribute steps, but a
+// from binding names elements, so an attribute step is refused by name.
+func TestFromPathRefusesAttributeStep(t *testing.T) {
+	_, err := Parse(`subscription S
+		monitoring select X from self//product/@id X where URL extends "http://x/" and new X`)
+	if err == nil || !strings.Contains(err.Error(), "attribute step @id") {
+		t.Errorf("Parse = %v, want an attribute step error", err)
+	}
+}
+
 func TestConditionStrings(t *testing.T) {
 	sub, err := Parse(`subscription S
 monitoring

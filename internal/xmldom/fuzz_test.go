@@ -5,7 +5,7 @@ import "testing"
 // checkTokenizerConsumers holds every consumer of the byte tokenizer to
 // the encoding/xml oracle (stdlibParse) on one input:
 //   - ParseBytes accepts exactly what the oracle accepts,
-//   - and builds the same tree: same Hash64, same serialisation;
+//   - and builds the same tree: same SubtreeHash, same serialisation;
 //   - the serialisation is a fixed point — it reparses and reprints to
 //     itself — whenever every name in the tree is a name on its own
 //     (see ownNames);
@@ -22,7 +22,7 @@ func checkTokenizerConsumers(t *testing.T, src string) {
 		return
 	}
 	out := got.XML()
-	if got.Root.Hash64(HashSeed()) != want.Root.Hash64(HashSeed()) {
+	if got.Root.SubtreeHash() != want.Root.SubtreeHash() {
 		t.Fatalf("tree divergence on %q:\n oracle %q\n bytes  %q", src, want.XML(), out)
 	}
 	if w := want.XML(); out != w {

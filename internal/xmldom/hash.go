@@ -41,7 +41,7 @@ var hashVecPool = sync.Pool{New: func() any { return &HashVector{} }}
 func (d *Document) Hashes() *HashVector {
 	if d.hashes == nil {
 		hv := hashVecPool.Get().(*HashVector)
-		hv.v = appendSubtreeHashes(hv.v[:0], d.Root)
+		hv.v, _ = foldSubtree(hv.v[:0], d.Root, true)
 		d.hashes = hv
 	}
 	return d.hashes
@@ -58,46 +58,100 @@ func (d *Document) InvalidateHashes() {
 	}
 }
 
-// appendSubtreeHashes assigns preorder indexes (Node.ord) and appends one
-// structural subtree hash per node to vec, children before parents. The
-// encoding mirrors Hash64's field separation — kind marker, tag, attribute
-// pairs — but combines children by folding their finished subtree hashes
-// (8 bytes each) into the parent, which is what makes a single post-order
-// pass sufficient: a parent's hash is a pure function of its own fields
-// and its children's hashes.
-func appendSubtreeHashes(vec []uint64, root *Node) []uint64 {
+// SubtreeHash returns the structural hash of the subtree rooted at n: the
+// value Document.Hashes records for n, computed without writing to the
+// tree, so it is safe on nodes other goroutines read. Two subtrees that
+// serialise to the same XML hash the same; the manager keys its
+// notification dedup on it.
+func (n *Node) SubtreeHash() uint64 {
+	_, h := foldSubtree(nil, n, false)
+	return h
+}
+
+// The structural hash is FNV-1a over a node's fields with one-byte kind
+// markers: a text node is 't' and its text; an element is 'e', its tag,
+// its attribute name/value pairs and '>', then each child's finished
+// subtree hash (8 bytes), then '<'. Children fold in as finished hashes,
+// so one post-order pass computes every node's hash, and StreamHasher
+// computes the same values straight off the tokenizer.
+
+// mark folds one kind or separator byte into h.
+func mark(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
+
+// textHash is the subtree hash of a data node with text s.
+func textHash[T string | []byte](s T) uint64 { return HashFold(mark(fnvOffset64, 't'), s) }
+
+// elemOpen is an element's running hash before its first child.
+func elemOpen(n *Node) uint64 {
+	h := HashFold(mark(fnvOffset64, 'e'), n.Tag)
+	for _, a := range n.Attrs {
+		h = HashFold(HashFold(h, a.Name), a.Value)
+	}
+	return mark(h, '>')
+}
+
+// hashFrame is one open element of the fold: the node, the next child to
+// visit, and its running hash.
+type hashFrame struct {
+	n     *Node
+	child int
+	h     uint64
+}
+
+// hashFramePool recycles the fold's explicit stacks.
+var hashFramePool = sync.Pool{New: func() any {
+	s := make([]hashFrame, 0, 64)
+	return &s
+}}
+
+// foldSubtree folds the structural hash of the subtree rooted at root and
+// returns it. With record, it also assigns preorder indexes (Node.ord) and
+// appends one subtree hash per node to vec, at the node's index; without,
+// it leaves the tree and vec alone.
+func foldSubtree(vec []uint64, root *Node, record bool) ([]uint64, uint64) {
 	if root == nil {
-		return vec
+		return vec, 0
 	}
 	if root.Type == TextNode {
-		root.ord = int32(len(vec))
-		return append(vec, textSubtreeHash(root))
+		h := textHash(root.Text)
+		if record {
+			root.ord = int32(len(vec))
+			vec = append(vec, h)
+		}
+		return vec, h
 	}
-	stp := hashFramePool.Get().(*[]hash64Frame)
-	st := (*stp)[:0]
-	root.ord = int32(len(vec))
-	vec = append(vec, 0) // placeholder until the subtree closes
-	st = append(st, hash64Frame{n: root, h: hash64Open(fnvOffset64, root)})
+	stp := hashFramePool.Get().(*[]hashFrame)
+	st := append((*stp)[:0], hashFrame{n: root, h: elemOpen(root)})
+	if record {
+		root.ord = int32(len(vec))
+		vec = append(vec, 0) // placeholder until the subtree closes
+	}
+	var h uint64
 	for len(st) > 0 {
 		f := &st[len(st)-1]
 		if f.child < len(f.n.Children) {
 			c := f.n.Children[f.child]
 			f.child++
 			if c.Type == TextNode {
-				c.ord = int32(len(vec))
-				th := textSubtreeHash(c)
-				vec = append(vec, th)
+				th := textHash(c.Text)
+				if record {
+					c.ord = int32(len(vec))
+					vec = append(vec, th)
+				}
 				f.h = FoldUint64(f.h, th)
 				continue
 			}
-			c.ord = int32(len(vec))
-			vec = append(vec, 0)
-			st = append(st, hash64Frame{n: c, h: hash64Open(fnvOffset64, c)})
+			if record {
+				c.ord = int32(len(vec))
+				vec = append(vec, 0)
+			}
+			st = append(st, hashFrame{n: c, h: elemOpen(c)})
 			continue
 		}
-		h := f.h ^ '<'
-		h *= fnvPrime64
-		vec[f.n.ord] = h
+		h = mark(f.h, '<')
+		if record {
+			vec[f.n.ord] = h
+		}
 		st = st[:len(st)-1]
 		if len(st) > 0 {
 			p := &st[len(st)-1]
@@ -106,15 +160,7 @@ func appendSubtreeHashes(vec []uint64, root *Node) []uint64 {
 	}
 	*stp = st[:0]
 	hashFramePool.Put(stp)
-	return vec
-}
-
-// textSubtreeHash is the subtree hash of a data node.
-func textSubtreeHash(n *Node) uint64 {
-	h := uint64(fnvOffset64)
-	h ^= 't'
-	h *= fnvPrime64
-	return HashFold(h, n.Text)
+	return vec, h
 }
 
 // FoldUint64 folds the 8 little-endian bytes of v into the running FNV-1a

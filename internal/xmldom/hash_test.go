@@ -5,9 +5,11 @@ import (
 	"testing"
 )
 
-// recursiveHash64 is the historical recursive Hash64, kept as the test
-// oracle: the iterative version must produce bit-identical values.
-func recursiveHash64(n *Node, h uint64) uint64 {
+// recursiveSubtreeHash is the structural hash written as plain
+// recursion, kept as the test oracle: the iterative fold must produce
+// bit-identical values.
+func recursiveSubtreeHash(n *Node) uint64 {
+	h := uint64(fnvOffset64)
 	if n.Type == TextNode {
 		h ^= 't'
 		h *= fnvPrime64
@@ -23,7 +25,7 @@ func recursiveHash64(n *Node, h uint64) uint64 {
 	h ^= '>'
 	h *= fnvPrime64
 	for _, c := range n.Children {
-		h = recursiveHash64(c, h)
+		h = FoldUint64(h, recursiveSubtreeHash(c))
 	}
 	h ^= '<'
 	h *= fnvPrime64
@@ -40,9 +42,14 @@ func sampleHashTree() *Document {
 
 func TestHash64MatchesRecursiveOracle(t *testing.T) {
 	doc := sampleHashTree()
+	hv := doc.Hashes()
 	doc.Root.PreOrder(func(n *Node) bool {
-		if got, want := n.Hash64(HashSeed()), recursiveHash64(n, HashSeed()); got != want {
-			t.Fatalf("Hash64(%v) = %#x, recursive oracle %#x", n, got, want)
+		want := recursiveSubtreeHash(n)
+		if got := n.SubtreeHash(); got != want {
+			t.Fatalf("SubtreeHash(%v) = %#x, recursive oracle %#x", n, got, want)
+		}
+		if got := hv.Of(n); got != want {
+			t.Fatalf("Hashes().Of(%v) = %#x, recursive oracle %#x", n, got, want)
 		}
 		return true
 	})
@@ -147,13 +154,13 @@ func TestDeepTreeNoStackOverflow(t *testing.T) {
 	if got := doc.Root.TextContent(); got != "leaf" {
 		t.Fatalf("TextContent = %q", got)
 	}
-	h1 := doc.Root.Hash64(HashSeed())
-	h2 := deepChain(depth, "leaf").Root.Hash64(HashSeed())
+	h1 := doc.Root.SubtreeHash()
+	h2 := deepChain(depth, "leaf").Root.SubtreeHash()
 	if h1 != h2 {
 		t.Error("equal deep chains hash differently")
 	}
-	if h3 := deepChain(depth, "other").Root.Hash64(HashSeed()); h3 == h1 {
-		t.Error("different deep chains share a Hash64")
+	if h3 := deepChain(depth, "other").Root.SubtreeHash(); h3 == h1 {
+		t.Error("different deep chains share a SubtreeHash")
 	}
 	hv := doc.Hashes()
 	if hv.Len() != depth+1 {

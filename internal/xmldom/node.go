@@ -310,8 +310,10 @@ const (
 
 // HashFold folds s into an FNV-1a running hash. Exported so callers
 // composing a node hash with other key parts (a subscription name, a
-// label) can stay on one allocation-free hash chain.
-func HashFold(h uint64, s string) uint64 {
+// label) can stay on one allocation-free hash chain. Folding a []byte is
+// bit-identical to folding the string of the same bytes, which is how
+// StreamHasher hashes spans of the input like ParseBytes's nodes.
+func HashFold[T string | []byte](h uint64, s T) uint64 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= fnvPrime64
@@ -322,7 +324,7 @@ func HashFold(h uint64, s string) uint64 {
 	return h
 }
 
-// HashSeed returns the canonical seed for a HashFold / Hash64 chain.
+// HashSeed returns the canonical seed for a HashFold chain.
 func HashSeed() uint64 { return fnvOffset64 }
 
 // HashString returns the plain FNV-1a hash of s — bit-identical to
@@ -339,87 +341,11 @@ func HashString(s string) uint64 {
 	return h
 }
 
-// hash64Frame is one element of the explicit Hash64 / Hashes traversal
-// stack: the node, the next child to visit, and the running hash at the
-// point the node was opened (Hashes) or carried through it (Hash64).
-type hash64Frame struct {
-	n     *Node
-	child int
-	h     uint64
-}
-
-// hashFramePool recycles the explicit stacks shared by Hash64 and the
-// Document.Hashes post-order fold.
-var hashFramePool = sync.Pool{New: func() any {
-	s := make([]hash64Frame, 0, 64)
-	return &s
-}}
-
 // nodeStackPool recycles the plain node stacks of TextContent and Size.
 var nodeStackPool = sync.Pool{New: func() any {
 	s := make([]*Node, 0, 64)
 	return &s
 }}
-
-// Hash64 folds a structural fingerprint of the subtree rooted at n into
-// the running FNV-1a hash h (seed with HashSeed): node kinds, tags, text,
-// attribute name/value pairs and child structure all contribute. Two
-// subtrees that serialise to the same XML fold identically, without
-// materialising the serialisation — this is the notification dedup key of
-// the hot path. XIDs and parent links are ignored, like in XML().
-//
-// The traversal is an explicit pooled stack (shared with Document.Hashes),
-// so a pathologically deep document cannot overflow the goroutine stack.
-// The fold order is identical to the historical recursive version, so
-// values are stable across the change.
-func (n *Node) Hash64(h uint64) uint64 {
-	if n.Type == TextNode {
-		h ^= 't'
-		h *= fnvPrime64
-		return HashFold(h, n.Text)
-	}
-	stp := hashFramePool.Get().(*[]hash64Frame)
-	st := (*stp)[:0]
-	h = hash64Open(h, n)
-	st = append(st, hash64Frame{n: n})
-	for len(st) > 0 {
-		f := &st[len(st)-1]
-		if f.child < len(f.n.Children) {
-			c := f.n.Children[f.child]
-			f.child++
-			if c.Type == TextNode {
-				h ^= 't'
-				h *= fnvPrime64
-				h = HashFold(h, c.Text)
-				continue
-			}
-			h = hash64Open(h, c)
-			st = append(st, hash64Frame{n: c})
-			continue
-		}
-		h ^= '<'
-		h *= fnvPrime64
-		st = st[:len(st)-1]
-	}
-	*stp = st[:0]
-	hashFramePool.Put(stp)
-	return h
-}
-
-// hash64Open folds the opening part of an element — kind marker, tag,
-// attributes, the '>' separator — into h.
-func hash64Open(h uint64, n *Node) uint64 {
-	h ^= 'e'
-	h *= fnvPrime64
-	h = HashFold(h, n.Tag)
-	for _, a := range n.Attrs {
-		h = HashFold(h, a.Name)
-		h = HashFold(h, a.Value)
-	}
-	h ^= '>'
-	h *= fnvPrime64
-	return h
-}
 
 func (n *Node) String() string {
 	if n.Type == TextNode {

@@ -206,7 +206,7 @@ func TestHash64Structural(t *testing.T) {
 	}
 	a, b := mk(), mk()
 	b.XID = 999 // XIDs must not affect the fingerprint, mirroring XML()
-	if a.Hash64(HashSeed()) != b.Hash64(HashSeed()) {
+	if a.SubtreeHash() != b.SubtreeHash() {
 		t.Error("equal subtrees hash differently")
 	}
 	for name, mut := range map[string]func(*Node){
@@ -219,7 +219,7 @@ func TestHash64Structural(t *testing.T) {
 	} {
 		c := mk()
 		mut(c)
-		if c.Hash64(HashSeed()) == a.Hash64(HashSeed()) {
+		if c.SubtreeHash() == a.SubtreeHash() {
 			t.Errorf("%s mutation did not change the hash", name)
 		}
 	}
@@ -227,7 +227,7 @@ func TestHash64Structural(t *testing.T) {
 	// <a><b/><c/></a> reparented.
 	flat := Element("r", Element("a", Element("b")), Element("c"))
 	nested := Element("r", Element("a", Element("b"), Element("c")))
-	if flat.Hash64(HashSeed()) == nested.Hash64(HashSeed()) {
+	if flat.SubtreeHash() == nested.SubtreeHash() {
 		t.Error("reparenting did not change the hash")
 	}
 }

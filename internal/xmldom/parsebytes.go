@@ -1,11 +1,6 @@
 package xmldom
 
-import (
-	"bytes"
-	"errors"
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // arena allocates Nodes, child-pointer slices and attribute slices in
 // chunks, so a parsed document costs a handful of allocations instead of
@@ -88,14 +83,13 @@ type parseFrame struct {
 }
 
 // parseScratch is the pooled working state of ParseBytes: tokenizer,
-// frame and child stacks, the tag/attr-name interning table and the text
-// decode buffer are all reused across parses.
+// frame and child stacks and the tag/attr-name interning table are all
+// reused across parses.
 type parseScratch struct {
 	tok    Tokenizer
 	frames []parseFrame
 	kids   []*Node
 	intern map[string]string
-	text   []byte
 }
 
 var parseScratchPool = sync.Pool{New: func() any {
@@ -114,37 +108,12 @@ func (sc *parseScratch) internBytes(b []byte) string {
 	return s
 }
 
-// trimmedText returns the decoded, whitespace-trimmed text of the
-// current TokText, or "" when it should be dropped.
-func (sc *parseScratch) trimmedText() string {
-	raw := sc.tok.Text()
-	if sc.tok.TextDirty() {
-		sc.text = sc.tok.AppendText(sc.text[:0])
-		raw = sc.text
-	}
-	raw = bytes.TrimSpace(raw)
-	if len(raw) == 0 {
-		return ""
-	}
-	return string(raw)
-}
-
-// attrValue returns the decoded value of one attribute span.
-func (sc *parseScratch) attrValue(a attrSpan) string {
-	raw := sc.tok.bytes(a.value)
-	if a.flags&(textEntity|textCR) != 0 {
-		sc.text = appendDecoded(sc.text[:0], raw, a.flags)
-		raw = sc.text
-	}
-	return string(raw)
-}
-
 // ParseBytes parses a serialized document with the byte tokenizer,
 // producing the same tree — and the same accept/reject decisions — as the
 // strict encoding/xml decoder (FuzzParseBytes holds the two together).
-// Whitespace-only text is dropped (the alerters and the diff work on
-// meaningful data nodes only); comments, processing instructions and
-// directives are ignored.
+// The tree is the tokenizer's node stream (Tokenizer.Next): whitespace-only
+// text is dropped (the alerters and the diff work on meaningful data nodes
+// only); comments, processing instructions and directives are ignored.
 // Nodes, child-pointer slices and attributes come from a chunked arena
 // sized from the input length, tag and attribute names are interned, and
 // text is decoded straight off the input spans, so the documents that
@@ -171,13 +140,10 @@ func ParseBytes(data []byte) (*Document, error) {
 	for {
 		k, err := sc.tok.Next()
 		if err != nil {
-			return nil, fmt.Errorf("xmldom: %w", err)
+			return nil, err
 		}
 		switch k {
 		case TokEOF:
-			if root == nil {
-				return nil, ErrNoRoot
-			}
 			return NewDocument(root), nil
 		case TokStart:
 			n := ar.node()
@@ -185,18 +151,13 @@ func ParseBytes(data []byte) (*Document, error) {
 			n.Tag = sc.internBytes(sc.tok.Tag())
 			if na := len(sc.tok.attrs); na > 0 {
 				attrs := ar.attrSlice(na)
-				for i, a := range sc.tok.attrs {
-					attrs[i] = Attr{
-						Name:  sc.internBytes(sc.tok.bytes(a.local)),
-						Value: sc.attrValue(a),
-					}
+				for i := range attrs {
+					name, value := sc.tok.attr(i)
+					attrs[i] = Attr{Name: sc.internBytes(name), Value: string(value)}
 				}
 				n.Attrs = attrs
 			}
 			if len(frames) == 0 {
-				if root != nil {
-					return nil, errors.New("xmldom: multiple root elements")
-				}
 				root = n
 			}
 			frames = append(frames, parseFrame{n: n, base: len(kids)})
@@ -212,18 +173,10 @@ func ParseBytes(data []byte) (*Document, error) {
 				kids = append(kids, f.n)
 			}
 		case TokText:
-			// Top-level character data is dropped; so is
-			// whitespace-only text (the alerters and the diff work on
-			// meaningful data nodes only).
-			if len(frames) == 0 {
-				continue
-			}
-			if text := sc.trimmedText(); text != "" {
-				t := ar.node()
-				t.Type = TextNode
-				t.Text = text
-				kids = append(kids, t)
-			}
+			t := ar.node()
+			t.Type = TextNode
+			t.Text = string(sc.tok.Text())
+			kids = append(kids, t)
 		}
 	}
 }

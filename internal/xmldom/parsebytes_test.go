@@ -83,8 +83,8 @@ func TestParseBytesParity(t *testing.T) {
 		if x1, x2 := d1.XML(), d2.XML(); x1 != x2 {
 			t.Errorf("%q: trees differ:\n oracle %q\n bytes  %q", src, x1, x2)
 		}
-		if h1, h2 := d1.Root.Hash64(HashSeed()), d2.Root.Hash64(HashSeed()); h1 != h2 {
-			t.Errorf("%q: Hash64 differs", src)
+		if h1, h2 := d1.Root.SubtreeHash(), d2.Root.SubtreeHash(); h1 != h2 {
+			t.Errorf("%q: SubtreeHash differs", src)
 		}
 	}
 }

@@ -2,20 +2,25 @@ package xmldom
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"unicode"
 	"unicode/utf8"
 )
 
-// This file is the hand-rolled byte-level XML tokenizer behind ParseBytes
-// and the alerter's streaming pre-filter. It scans a whole document held
-// in a []byte and yields start/end/chardata tokens as spans into that
-// buffer — Next performs no allocation, and entity decoding is deferred
-// until a span is actually consumed (AppendText), so a pre-filter pass
-// that rejects a document never materialises a single string. The tokens
-// documents are mostly made of are recognised by index walks over one
-// byte-class table (see Next); the general scanner below them decides
-// everything else, and every rejection.
+// This file is the hand-rolled byte-level XML tokenizer behind every
+// reader of a serialized document: ParseBytes, StreamHasher, the
+// alerter's streaming pre-filter and the semantic tag profile. It scans a
+// whole document held in a []byte and yields the document's node stream
+// — start, end and text tokens as spans into that buffer — applying the
+// document rules in one place (see Next), so a malformed page fails the
+// same way on every path. Next allocates nothing, and entity decoding
+// happens only for a text or attribute value that holds an entity or a
+// "\r", so a pre-filter pass that rejects a document never materialises
+// a single string. The tokens documents are mostly made of are
+// recognised by index walks over one byte-class table (see Next); the
+// general scanner below them decides everything else, and every
+// rejection.
 //
 // The tokenizer accepts exactly the documents the strict encoding/xml
 // decoder accepts (FuzzParseBytes holds the two to identical trees or
@@ -56,7 +61,8 @@ const (
 	TokStart
 	// TokEnd is an end element (synthesised for self-closing elements).
 	TokEnd
-	// TokText is one run of character data or one CDATA section.
+	// TokText is one text node: a run of character data or one CDATA
+	// section inside the root element, decoded and trimmed, not empty.
 	TokText
 	// tokSkip is internal: a comment, processing instruction or
 	// directive that was validated and consumed.
@@ -135,9 +141,10 @@ type attrSpan struct {
 	flags textFlags
 }
 
-// Tokenizer scans a []byte XML document. The zero value is not ready for
-// use; call NewTokenizer or Reset. Scratch slices are retained across
-// Reset so a pooled Tokenizer tokenizes without allocating.
+// Tokenizer scans a []byte XML document into its node stream. The zero
+// value is ready for use once Reset onto a document. Scratch slices are
+// retained across Reset so a pooled Tokenizer tokenizes without
+// allocating.
 type Tokenizer struct {
 	buf []byte
 	pos int
@@ -149,8 +156,12 @@ type Tokenizer struct {
 	attrs  []attrSpan
 
 	needClose bool // the current TokStart was <name/>: its TokEnd is next
+	rooted    bool // the root element has opened
 
 	stack []nameSpan // names of the open elements
+
+	node []byte // the current TokText, decoded and trimmed
+	dec  []byte // decode buffer behind node and attr
 }
 
 // Reset rewinds the tokenizer onto a new buffer, keeping its internal
@@ -162,13 +173,16 @@ func (z *Tokenizer) Reset(data []byte) {
 	z.attrs = z.attrs[:0]
 	z.stack = z.stack[:0]
 	z.needClose = false
+	z.rooted = false
+	z.node = nil
 }
 
-// syntax records the first error with the current byte offset. Callers
-// that need to return it read z.err, which syntax never overwrites.
+// syntax records the first error with the current byte offset, wrapped
+// the way Next returns it. Callers that need to return it read z.err,
+// which syntax never overwrites.
 func (z *Tokenizer) syntax(msg string) {
 	if z.err == nil {
-		z.err = &TokenizeError{Off: z.pos, Msg: msg}
+		z.err = fmt.Errorf("xmldom: %w", &TokenizeError{Off: z.pos, Msg: msg})
 	}
 }
 
@@ -211,24 +225,44 @@ func (z *Tokenizer) space() {
 // The slice aliases the input buffer.
 func (z *Tokenizer) Tag() []byte { return z.buf[z.name.local:z.name.hi] }
 
-// Text returns the raw character data of the current TokText. When
-// TextDirty reports true the bytes still contain entity references or
-// \r sequences and must be expanded with AppendText before use.
-func (z *Tokenizer) Text() []byte { return z.bytes(z.text) }
+// Text returns the text of the current TokText: entity references
+// expanded, \r and \r\n normalised to \n, surrounding white space trimmed.
+// The slice aliases the input buffer or the tokenizer's scratch and is
+// only valid until the next call to Next.
+func (z *Tokenizer) Text() []byte { return z.node }
 
-// TextDirty reports whether the current TokText span needs decoding.
-func (z *Tokenizer) TextDirty() bool { return z.tflags&(textEntity|textCR) != 0 }
-
-// AppendText appends the decoded character data of the current TokText
-// to dst: entity references expanded, \r and \r\n normalised to \n.
-func (z *Tokenizer) AppendText(dst []byte) []byte {
-	return appendDecoded(dst, z.bytes(z.text), z.tflags)
+// attr returns the local name and the decoded value of the current
+// TokStart's i-th attribute. The value may alias the tokenizer's scratch:
+// it is only valid until the next call to attr or Next.
+func (z *Tokenizer) attr(i int) (name, value []byte) {
+	a := z.attrs[i]
+	value = z.bytes(a.value)
+	if a.flags&(textEntity|textCR) != 0 {
+		z.dec = appendDecoded(z.dec[:0], value, a.flags)
+		value = z.dec
+	}
+	return z.bytes(a.local), value
 }
 
-// Next advances to the next structural token: TokStart, TokEnd or
-// TokText, or TokEOF at the end of a well-formed document. Comments,
-// processing instructions and directives are validated and skipped.
-// Self-closing elements yield a TokStart followed by a synthetic TokEnd.
+// errMultipleRoots rejects a document with a second top-level element.
+var errMultipleRoots = errors.New("xmldom: multiple root elements")
+
+// Next advances the node stream: TokStart, TokEnd or TokText, or TokEOF
+// at the end of a well-formed document. It applies the document rules
+// every reader of a page shares, so each reads the same tree:
+//
+//   - the document has exactly one root element: a second one is an
+//     error, and none at all is ErrNoRoot at EOF;
+//   - character data outside the root element is dropped;
+//   - text is decoded and trimmed (see Text), and text left empty is
+//     dropped: adjacent character data and CDATA sections stay separate
+//     text tokens;
+//   - comments, processing instructions and directives are validated and
+//     skipped;
+//   - a self-closing element yields a TokStart followed by a TokEnd.
+//
+// A syntax error wraps a *TokenizeError. After an error, Next keeps
+// returning it.
 //
 // The tokens a serialized document is mostly made of are recognised here
 // by index walks over byteClass, without entering the general scanner: a
@@ -261,6 +295,8 @@ func (z *Tokenizer) Next() (TokKind, error) {
 		if p >= len(buf) {
 			if len(z.stack) > 0 {
 				z.syntax("unexpected EOF")
+			} else if !z.rooted {
+				z.err = ErrNoRoot
 			}
 			return TokEOF, z.err
 		}
@@ -270,11 +306,24 @@ func (z *Tokenizer) Next() (TokKind, error) {
 				q++
 			}
 			if q < len(buf) && buf[q] == '<' {
-				z.text, z.tflags, z.pos = span{p, q}, 0, q
+				z.pos = q
+				if len(z.stack) == 0 {
+					continue
+				}
+				// Plain bytes are ASCII: a run with no space at either end
+				// is its own decoded, trimmed text.
+				if buf[p] > ' ' && buf[q-1] > ' ' {
+					z.node = buf[p:q]
+					return TokText, nil
+				}
+				z.text, z.tflags = span{p, q}, 0
+			} else if z.textToken(false) == TokEOF {
+				return TokEOF, z.err
+			}
+			if z.keepText() {
 				return TokText, nil
 			}
-			k := z.textToken(false)
-			return k, z.err
+			continue
 		}
 		if p+1 < len(buf) {
 			if c := buf[p+1]; c == '/' {
@@ -298,11 +347,13 @@ func (z *Tokenizer) Next() (TokKind, error) {
 					if buf[q] == '>' {
 						z.name, z.pos, z.attrs = name, q+1, z.attrs[:0]
 						z.stack = append(z.stack, name)
-						return TokStart, nil
+						return z.opened()
 					}
 					z.pos = q
-					k := z.startTag(name)
-					return k, z.err
+					if z.startTag(name) == TokEOF {
+						return TokEOF, z.err
+					}
+					return z.opened()
 				}
 			}
 		}
@@ -324,11 +375,44 @@ func (z *Tokenizer) Next() (TokKind, error) {
 				return TokEOF, z.err
 			}
 			return TokEnd, nil
-		case k != tokSkip:
-			return k, nil
+		case k == TokStart:
+			return z.opened()
+		case k == TokText:
+			if z.keepText() {
+				return TokText, nil
+			}
 		}
-		// tokSkip: comment, PI or directive — keep scanning.
+		// A comment, PI or directive, or dropped text — keep scanning.
 	}
+}
+
+// opened applies the one-root rule to the element the current TokStart
+// has just opened.
+func (z *Tokenizer) opened() (TokKind, error) {
+	if len(z.stack) == 1 {
+		if z.rooted {
+			z.err = errMultipleRoots
+			return TokEOF, z.err
+		}
+		z.rooted = true
+	}
+	return TokStart, nil
+}
+
+// keepText applies the text rules to the text token just scanned: outside
+// the root it is dropped; inside, it is decoded and trimmed into z.node,
+// and kept unless nothing is left.
+func (z *Tokenizer) keepText() bool {
+	if len(z.stack) == 0 {
+		return false
+	}
+	b := z.bytes(z.text)
+	if z.tflags&(textEntity|textCR) != 0 {
+		z.dec = appendDecoded(z.dec[:0], b, z.tflags)
+		b = z.dec
+	}
+	z.node = bytes.TrimSpace(b)
+	return len(z.node) > 0
 }
 
 // textToken scans one character-data or CDATA token with scanText; a

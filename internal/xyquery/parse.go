@@ -92,6 +92,15 @@ func (p *parser) parseFromItem() (FromItem, error) {
 	return FromItem{Path: path, Var: t.Text}, nil
 }
 
+// ParsePath parses one path expression — a root name, then steps
+// written /name, //name, /* or /@attr, an attribute step last — from a
+// lexer positioned at its root, leaving the next token unconsumed. The
+// subscription parser reads its from clauses with it.
+func ParsePath(lx *lex.Lexer) (Path, error) {
+	p := &parser{lx: lx}
+	return p.parsePath()
+}
+
 func (p *parser) parsePath() (Path, error) {
 	t := p.lx.Next()
 	if t.Kind != lex.Ident {
