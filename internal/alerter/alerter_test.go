@@ -36,6 +36,14 @@ func xmlDoc(url string, status warehouse.Status, doc *xmldom.Document) *Doc {
 	}
 }
 
+func htmlDoc(url string, status warehouse.Status, body string) *Doc {
+	return &Doc{
+		Meta:    warehouse.Metadata{URL: url, Filename: warehouse.Filename(url), Type: warehouse.HTML},
+		Status:  status,
+		Content: []byte(body),
+	}
+}
+
 func TestURLAlerterPatterns(t *testing.T) {
 	// The pipeline always matches URL prefixes on the hash index.
 	t.Run("hash", func(t *testing.T) {
@@ -123,6 +131,25 @@ func TestSelfChangeIsWeak(t *testing.T) {
 	}
 	if !a.Events.Equal(core.EventSet{1, 2}) {
 		t.Errorf("events = %v, want {1,2}", a.Events)
+	}
+
+	// An HTML page whose only event is the weak one is weak; a
+	// self-contains hit on its body makes it strong.
+	p.Register(3, sublang.Condition{Kind: sublang.CondSelfContains, Str: "xyleme"})
+	h := htmlDoc("http://elsewhere.org/a.html", warehouse.StatusUpdated, "<p>nothing to see</p>")
+	if a := p.Detect(h); a == nil || a.Strong || !a.Events.Equal(core.EventSet{1}) {
+		t.Errorf("HTML alert = %+v, want weak-only {1}", a)
+	}
+	h.Content = []byte("<p>the Xyleme project</p>")
+	if a := p.Detect(h); a == nil || !a.Strong || !a.Events.Equal(core.EventSet{1, 3}) {
+		t.Errorf("HTML alert = %+v, want strong {1,3}", a)
+	}
+
+	// A deleted XML page raises only its weak event.
+	p.Register(4, sublang.Condition{Kind: sublang.CondSelfChange, Change: sublang.OpDeleted})
+	d = xmlDoc("http://elsewhere.org/gone.xml", warehouse.StatusDeleted, xmldom.MustParse("<a/>"))
+	if a := p.Detect(d); a == nil || a.Strong || !a.Events.Equal(core.EventSet{4}) {
+		t.Errorf("deleted alert = %+v, want weak-only {4}", a)
 	}
 }
 
@@ -218,11 +245,8 @@ func TestHTMLAlerter(t *testing.T) {
 	p := NewPipeline()
 	p.Register(1, sublang.Condition{Kind: sublang.CondSelfContains, Str: "xyleme"})
 	p.Register(2, urlCond(sublang.CondURLExtends, "http://www.example/"))
-	d := &Doc{
-		Meta:    warehouse.Metadata{URL: "http://www.example/page.html", Type: warehouse.HTML},
-		Status:  warehouse.StatusNew,
-		Content: []byte("<html><body>The Xyleme project monitors XML.</body></html>"),
-	}
+	d := htmlDoc("http://www.example/page.html", warehouse.StatusNew,
+		"<html><body>The Xyleme project monitors XML.</body></html>")
 	got := detect(p, d)
 	if !got.Equal(core.EventSet{1, 2}) {
 		t.Errorf("events = %v, want {1,2}", got)
@@ -303,6 +327,9 @@ func TestConcurrentDetectDuringRegistration(t *testing.T) {
 		<category>Electronic</category>
 	</catalog>`)
 	d := xmlDoc("http://conc.example/c.xml", warehouse.StatusNew, doc)
+	// The HTML page's body scan reads the same word index.
+	h := htmlDoc("http://conc.example/c.html", warehouse.StatusNew,
+		"<html><body><p>Electronic camera</p></body></html>")
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -316,6 +343,7 @@ func TestConcurrentDetectDuringRegistration(t *testing.T) {
 				default:
 				}
 				p.Detect(d)
+				p.Detect(h)
 			}
 		}()
 	}
@@ -336,8 +364,10 @@ func TestConcurrentDetectDuringRegistration(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if a := p.Detect(d); a != nil {
-		t.Errorf("all conditions unregistered, got %v", a.Events)
+	for _, doc := range []*Doc{d, h} {
+		if a := p.Detect(doc); a != nil {
+			t.Errorf("all conditions unregistered, got %v on %s", a.Events, doc.Meta.URL)
+		}
 	}
 }
 

@@ -1,10 +1,17 @@
 // Package alerter implements the first stage of the notification chain
-// (Section 6): the URL Alerter, the XML Alerter and the HTML Alerter. For
-// every fetched document the alerters detect the atomic events of interest
-// and assemble a single alert — the ordered set of atomic event codes —
-// which is sent to the Monitoring Query Processor. All the atomic events
-// of a document are collected before the alert is sent, so the processor
-// sees each document exactly once (Section 6.1).
+// (Section 6): the URL Alerter and the XML Alerter. For every fetched
+// document the alerters detect the atomic events of interest and assemble
+// a single alert — the ordered set of atomic event codes — which is sent
+// to the Monitoring Query Processor. All the atomic events of a document
+// are collected before the alert is sent, so the processor sees each
+// document exactly once (Section 6.1).
+//
+// The paper designs an HTML alerter but implements only the first two
+// (Section 3). Here the XML Alerter's word index serves HTML pages too: an
+// HTML page is not warehoused or parsed, so of the content conditions only
+// `self contains word` applies to it, matched against every word of the
+// raw body, markup included. Metadata and self-change events are the URL
+// Alerter's and apply to both page types.
 package alerter
 
 import (
@@ -26,8 +33,8 @@ type Doc struct {
 	Doc *xmldom.Document
 	// Delta is the change from the previous version (nil unless updated).
 	Delta *xydiff.Delta
-	// Content is the raw page body as fetched: the HTML alerter scans an
-	// HTML page's, the warehouse log stores an XML page's.
+	// Content is the raw page body as fetched: the XML alerter scans an
+	// HTML page's for words, the warehouse log stores an XML page's.
 	Content []byte
 
 	clOnce sync.Once

@@ -5,66 +5,36 @@ import (
 
 	"xymon/internal/core"
 	"xymon/internal/sublang"
-	"xymon/internal/warehouse"
 	"xymon/internal/xmldom"
 )
 
 // Pipeline chains the alerters of Figure 7: a document is handled first by
-// the URL Alerter, then by the XML or HTML Alerter depending on its type,
-// and all detected atomic events are assembled into a single alert. The
-// pipeline also applies the weak/strong rule of Section 5.1: an alert is
-// produced only when at least one strong atomic event was detected.
+// the URL Alerter, then by the XML Alerter, which reads an XML page's
+// parsed tree and an HTML page's raw body, and all detected atomic events
+// are assembled into a single alert. The pipeline also applies the
+// weak/strong rule of Section 5.1: an alert is produced only when at least
+// one strong atomic event was detected.
 type Pipeline struct {
-	URL  *URLAlerter
-	XML  *XMLAlerter
-	HTML *HTMLAlerter
-
-	mu   sync.RWMutex
-	weak map[core.Event]bool // codes of weak (document change) events
+	URL *URLAlerter
+	XML *XMLAlerter
 }
 
 // NewPipeline assembles the alerter chain.
 func NewPipeline() *Pipeline {
-	return &Pipeline{
-		URL:  NewURLAlerter(),
-		XML:  NewXMLAlerter(),
-		HTML: NewHTMLAlerter(),
-		weak: make(map[core.Event]bool),
-	}
+	return &Pipeline{URL: NewURLAlerter(), XML: NewXMLAlerter()}
 }
 
-// Register wires an atomic event code to its condition across the chain.
+// Register wires an atomic event code to its condition across the chain;
+// each alerter ignores the condition kinds it does not index.
 func (p *Pipeline) Register(code core.Event, cond sublang.Condition) {
-	if p.URL.Handles(cond.Kind) {
-		p.URL.Register(code, cond)
-	}
-	if p.XML.Handles(cond.Kind) {
-		p.XML.Register(code, cond)
-	}
-	if p.HTML.Handles(cond.Kind) {
-		p.HTML.Register(code, cond)
-	}
-	if cond.Weak() {
-		p.mu.Lock()
-		p.weak[code] = true
-		p.mu.Unlock()
-	}
+	p.URL.Register(code, cond)
+	p.XML.Register(code, cond)
 }
 
 // Unregister removes the code's condition from the chain.
 func (p *Pipeline) Unregister(code core.Event, cond sublang.Condition) {
-	if p.URL.Handles(cond.Kind) {
-		p.URL.Unregister(code, cond)
-	}
-	if p.XML.Handles(cond.Kind) {
-		p.XML.Unregister(code, cond)
-	}
-	if p.HTML.Handles(cond.Kind) {
-		p.HTML.Unregister(code, cond)
-	}
-	p.mu.Lock()
-	delete(p.weak, code)
-	p.mu.Unlock()
+	p.URL.Unregister(code, cond)
+	p.XML.Unregister(code, cond)
 }
 
 // detectScratch is the per-document working state of Detect, recycled
@@ -95,30 +65,20 @@ var detectPool = sync.Pool{New: func() any {
 
 // Detect runs the chain on one document and returns the alert: the
 // canonical atomic event set plus the strong flag. A nil alert means no
-// event of interest was detected at all.
+// event of interest was detected at all. The weak events are the URL
+// Alerter's self-change codes, and distinct conditions have distinct
+// codes, so the alert is strong exactly when its set holds more codes than
+// the weak ones the URL Alerter raised.
 func (p *Pipeline) Detect(d *Doc) *Alert {
 	sc := detectPool.Get().(*detectScratch)
 	sc.events = sc.events[:0]
-	p.URL.Detect(d, sc.emit)
-	if d.Meta.Type == warehouse.XML {
-		p.XML.detectWith(d, sc.emit, sc)
-	} else {
-		p.HTML.Detect(d, sc.emit)
-	}
+	weak := p.URL.Detect(d, sc.emit)
+	p.XML.detectWith(d, sc.emit, sc)
 	if len(sc.events) == 0 {
 		detectPool.Put(sc)
 		return nil
 	}
 	set := core.Canonical(sc.events) // copies, so the scratch can be reused
 	detectPool.Put(sc)
-	p.mu.RLock()
-	strong := false
-	for _, e := range set {
-		if !p.weak[e] {
-			strong = true
-			break
-		}
-	}
-	p.mu.RUnlock()
-	return &Alert{Doc: d, Events: set, Strong: strong}
+	return &Alert{Doc: d, Events: set, Strong: len(set) > weak}
 }

@@ -47,18 +47,8 @@ func NewURLAlerter() *URLAlerter {
 	}
 }
 
-// Handles reports whether the condition kind belongs to this alerter.
-func (a *URLAlerter) Handles(kind sublang.CondKind) bool {
-	switch kind {
-	case sublang.CondURLExtends, sublang.CondURLEquals, sublang.CondFilename,
-		sublang.CondDTD, sublang.CondDTDID, sublang.CondDOCID, sublang.CondDomain,
-		sublang.CondLastAccessed, sublang.CondLastUpdate, sublang.CondSelfChange:
-		return true
-	}
-	return false
-}
-
-// Register wires an atomic event code to a condition.
+// Register wires an atomic event code to a condition; a condition on the
+// page's content is not this alerter's and is ignored.
 func (a *URLAlerter) Register(code core.Event, cond sublang.Condition) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -92,17 +82,17 @@ func (a *URLAlerter) Unregister(code core.Event, cond sublang.Condition) {
 	case sublang.CondURLExtends:
 		a.prefixes.Remove(cond.Str, code)
 	case sublang.CondURLEquals:
-		a.urlEq[cond.Str] = dropCode(a.urlEq, cond.Str, code)
+		dropCode(a.urlEq, cond.Str, code)
 	case sublang.CondFilename:
-		a.filenames[cond.Str] = dropCode(a.filenames, cond.Str, code)
+		dropCode(a.filenames, cond.Str, code)
 	case sublang.CondDTD:
-		a.dtds[cond.Str] = dropCode(a.dtds, cond.Str, code)
+		dropCode(a.dtds, cond.Str, code)
 	case sublang.CondDomain:
-		a.domains[cond.Str] = dropCode(a.domains, cond.Str, code)
+		dropCode(a.domains, cond.Str, code)
 	case sublang.CondDTDID:
-		a.dtdIDs[cond.Num] = dropCodeU(a.dtdIDs, cond.Num, code)
+		dropCode(a.dtdIDs, cond.Num, code)
 	case sublang.CondDOCID:
-		a.docIDs[cond.Num] = dropCodeU(a.docIDs, cond.Num, code)
+		dropCode(a.docIDs, cond.Num, code)
 	case sublang.CondLastAccessed, sublang.CondLastUpdate:
 		for i, d := range a.dates {
 			if d.code == code {
@@ -111,51 +101,16 @@ func (a *URLAlerter) Unregister(code core.Event, cond sublang.Condition) {
 			}
 		}
 	case sublang.CondSelfChange:
-		codes := a.changes[cond.Change]
-		for i, c := range codes {
-			if c == code {
-				a.changes[cond.Change] = append(codes[:i], codes[i+1:]...)
-				break
-			}
-		}
+		dropCode(a.changes, cond.Change, code)
 	}
 }
 
-func dropCode(m map[string][]core.Event, key string, code core.Event) []core.Event {
-	codes := m[key]
-	for i, c := range codes {
-		if c == code {
-			codes = append(codes[:i], codes[i+1:]...)
-			break
-		}
-	}
-	if len(codes) == 0 {
-		delete(m, key)
-		return nil
-	}
-	return codes
-}
-
-func dropCodeU(m map[uint64][]core.Event, key uint64, code core.Event) []core.Event {
-	codes := m[key]
-	for i, c := range codes {
-		if c == code {
-			codes = append(codes[:i], codes[i+1:]...)
-			break
-		}
-	}
-	if len(codes) == 0 {
-		delete(m, key)
-		return nil
-	}
-	return codes
-}
-
-// Detect appends the metadata-level atomic events raised by the document.
-// Matching codes are collected under the read lock and emitted after it is
-// released, so the emit callback may re-enter the alerter (e.g. to
-// register a follow-up condition) without deadlocking.
-func (a *URLAlerter) Detect(d *Doc, emit func(core.Event)) {
+// Detect appends the metadata-level atomic events raised by the document
+// and returns how many of them are weak: the self-change codes of its
+// status. Matching codes are collected under the read lock and emitted
+// after it is released, so the emit callback may re-enter the alerter
+// (e.g. to register a follow-up condition) without deadlocking.
+func (a *URLAlerter) Detect(d *Doc, emit func(core.Event)) int {
 	var codes []core.Event
 	collect := func(c core.Event) { codes = append(codes, c) }
 
@@ -191,12 +146,14 @@ func (a *URLAlerter) Detect(d *Doc, emit func(core.Event)) {
 	case warehouse.StatusDeleted:
 		op = sublang.OpDeleted
 	}
-	codes = append(codes, a.changes[op]...)
+	weak := a.changes[op]
+	codes = append(codes, weak...)
 	a.mu.RUnlock()
 
 	for _, c := range codes {
 		emit(c)
 	}
+	return len(weak)
 }
 
 // CouldAlert reports whether a page with the given pre-fetch metadata

@@ -23,11 +23,13 @@ func removeCode(codes []core.Event, code core.Event) []core.Event {
 	return codes
 }
 
-func (t tagTable) remove(tag string, code core.Event) {
-	if codes := removeCode(t[tag], code); len(codes) > 0 {
-		t[tag] = codes
+// dropCode deletes one occurrence of code from m[key], and the key with
+// its last code: every code table of the alerters is kept this way.
+func dropCode[K comparable](m map[K][]core.Event, key K, code core.Event) {
+	if codes := removeCode(m[key], code); len(codes) > 0 {
+		m[key] = codes
 	} else {
-		delete(t, tag)
+		delete(m, key)
 	}
 }
 
@@ -85,7 +87,8 @@ func (ct changeTable) remove(op sublang.ChangeOp, tag string, code core.Event) {
 // (Section 6.3): presence conditions `tag (strict) contains word` via a
 // postorder traversal with the WordTable→TagTable structure of Figure 8,
 // change conditions `new/updated/deleted tag …` via the delta
-// classification, and `self contains word` over the whole document.
+// classification, and `self contains word` over the whole document — or,
+// on an HTML page, over the words of its raw body.
 type XMLAlerter struct {
 	mu sync.RWMutex
 	// words is the word index: one entry per word that a presence or
@@ -108,14 +111,16 @@ func NewXMLAlerter() *XMLAlerter {
 	}
 }
 
-// Handles reports whether the condition kind belongs to this alerter.
-func (a *XMLAlerter) Handles(kind sublang.CondKind) bool {
+// indexes reports whether the alerter indexes conditions of kind: the
+// element conditions and `self contains`, the conditions on content.
+func indexes(kind sublang.CondKind) bool {
 	return kind == sublang.CondElement || kind == sublang.CondSelfContains
 }
 
-// Register wires an atomic event code to a condition.
+// Register wires an atomic event code to a condition; a condition on the
+// page's metadata is not this alerter's and is ignored.
 func (a *XMLAlerter) Register(code core.Event, cond sublang.Condition) {
-	if !a.Handles(cond.Kind) {
+	if !indexes(cond.Kind) {
 		return
 	}
 	a.mu.Lock()
@@ -149,7 +154,7 @@ func (a *XMLAlerter) Register(code core.Event, cond sublang.Condition) {
 
 // Unregister removes a previously registered (code, condition) pair.
 func (a *XMLAlerter) Unregister(code core.Event, cond sublang.Condition) {
-	if !a.Handles(cond.Kind) {
+	if !indexes(cond.Kind) {
 		return
 	}
 	a.mu.Lock()
@@ -166,9 +171,9 @@ func (a *XMLAlerter) Unregister(code core.Event, cond sublang.Condition) {
 	if cond.Kind == sublang.CondSelfContains {
 		e.self = removeCode(e.self, code)
 	} else if cond.Strict {
-		e.strict.remove(cond.Tag, code)
+		dropCode(e.strict, cond.Tag, code)
 	} else {
-		e.contains.remove(cond.Tag, code)
+		dropCode(e.contains, cond.Tag, code)
 	}
 	if len(e.self) == 0 && len(e.contains) == 0 && len(e.strict) == 0 {
 		delete(a.words, word)
@@ -188,7 +193,7 @@ func (a *XMLAlerter) HasChangeConds() bool {
 	return len(a.changes) > 0
 }
 
-// Detect appends the element-level atomic events raised by the document.
+// Detect appends the content-level atomic events raised by the document.
 func (a *XMLAlerter) Detect(d *Doc, emit func(core.Event)) { //xyvet:ignore testonly per-alerter entry the Section 6.3 benchmark drives
 	sc := detectPool.Get().(*detectScratch)
 	a.detectWith(d, emit, sc)
@@ -196,15 +201,50 @@ func (a *XMLAlerter) Detect(d *Doc, emit func(core.Event)) { //xyvet:ignore test
 }
 
 // detectWith is Detect with caller-supplied scratch; the pipeline passes
-// its own so one pooled scratch serves the whole chain.
+// its own so one pooled scratch serves the whole chain. An XML page is
+// read through its parsed tree; an HTML page, which is not parsed, through
+// the words of its raw body against the same index.
 func (a *XMLAlerter) detectWith(d *Doc, emit func(core.Event), sc *detectScratch) {
-	if d.Doc == nil || d.Doc.Root == nil {
+	html := d.Meta.Type != warehouse.XML
+	if !html && (d.Doc == nil || d.Doc.Root == nil) {
 		return
 	}
 	a.mu.RLock()
 	defer a.mu.RUnlock()
+	if html {
+		a.detectBody(d.Content, emit, sc)
+		return
+	}
 	a.detectWords(d.Doc.Root, emit, sc)
 	a.detectChanges(d, emit)
+}
+
+// fireSelf emits e's self-contains codes the first time a document meets
+// e's word.
+func (sc *detectScratch) fireSelf(e *wordEntry, emit func(core.Event)) {
+	if len(e.self) > 0 && !sc.seen[e] {
+		sc.seen[e] = true
+		for _, code := range e.self {
+			emit(code)
+		}
+	}
+}
+
+// detectBody raises the self-contains events of an unparsed page: every
+// word of body, markup included, is looked up in the word index. The
+// element conditions need a tree and do not apply.
+func (a *XMLAlerter) detectBody(body []byte, emit func(core.Event), sc *detectScratch) {
+	if len(a.words) == 0 {
+		return
+	}
+	sc.scan.Screen = &a.screen
+	for w, i := sc.scan.Next(body, 0); w != nil; w, i = sc.scan.Next(body, i) {
+		if e := a.words[string(w)]; e != nil {
+			sc.fireSelf(e, emit)
+		}
+	}
+	clear(sc.seen)
+	sc.scan.Screen = nil
 }
 
 // presenceFrame is one open element of detectWords' explicit walk: the
@@ -251,12 +291,7 @@ func (a *XMLAlerter) detectWords(root *xmldom.Node, emit func(core.Event), sc *d
 				if e == nil {
 					continue
 				}
-				if len(e.self) > 0 && !sc.seen[e] {
-					sc.seen[e] = true
-					for _, code := range e.self {
-						emit(code)
-					}
-				}
+				sc.fireSelf(e, emit)
 				for _, code := range e.strict[f.n.Tag] {
 					emit(code)
 				}

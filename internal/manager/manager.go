@@ -331,6 +331,12 @@ func (m *Manager) register(src string, sub *sublang.Subscription, journal bool) 
 			if err != nil {
 				return undo(err)
 			}
+			if slices.Contains(events, code) {
+				// A repeated condition: the query holds one reference per
+				// code, and rollbackLocked releases one.
+				m.releaseEventLocked(code)
+				continue
+			}
 			events = append(events, code)
 		}
 		id := m.nextComplex

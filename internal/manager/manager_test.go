@@ -229,6 +229,31 @@ report when immediate`)
 	}
 }
 
+// TestRepeatedConditionReleasedOnUnsubscribe pins that a where clause
+// naming one condition twice holds one reference to its atomic event, so
+// Unsubscribe takes the event out of the alerters.
+func TestRepeatedConditionReleasedOnUnsubscribe(t *testing.T) {
+	r := newRig(t)
+	r.subscribe(`subscription Twice
+monitoring select <P/>
+where URL extends "http://a.example/" and URL extends "http://a.example/" and modified self
+report when immediate`)
+	if st := r.mgr.Stats(); st.AtomicEvents != 2 {
+		t.Fatalf("AtomicEvents = %d, want 2", st.AtomicEvents)
+	}
+	if err := r.mgr.Unsubscribe("Twice"); err != nil {
+		t.Fatalf("Unsubscribe: %v", err)
+	}
+	st := r.mgr.Stats()
+	if st.AtomicEvents != 0 {
+		t.Errorf("after Unsubscribe: AtomicEvents = %d, want 0", st.AtomicEvents)
+	}
+	r.commitXML("http://a.example/p.xml", "", "", `<a>1</a>`)
+	if got := r.mgr.Stats().AlertsSent; got != st.AlertsSent {
+		t.Errorf("AlertsSent = %d after a page under the unsubscribed prefix, want %d", got, st.AlertsSent)
+	}
+}
+
 func TestUnsubscribeErrors(t *testing.T) {
 	r := newRig(t)
 	if err := r.mgr.Unsubscribe("nope"); err != ErrUnknownSubscription {
