@@ -78,8 +78,8 @@ report when immediate`,
 			continue
 		}
 		for _, child := range r.Doc.Children {
-			if child.Tag != "PriceMove" {
-				t.Errorf("Prices report contains %s", child.Tag)
+			if child.Data != "PriceMove" {
+				t.Errorf("Prices report contains %s", child.Data)
 			}
 		}
 	}

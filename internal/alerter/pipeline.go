@@ -71,8 +71,8 @@ var detectPool = sync.Pool{New: func() any {
 // the weak ones the URL Alerter raised.
 func (p *Pipeline) Detect(d *Doc) *Alert {
 	sc := detectPool.Get().(*detectScratch)
-	sc.events = sc.events[:0]
-	weak := p.URL.Detect(d, sc.emit)
+	var weak int
+	sc.events, weak = p.URL.Detect(d, sc.events[:0])
 	p.XML.detectWith(d, sc.emit, sc)
 	if len(sc.events) == 0 {
 		detectPool.Put(sc)

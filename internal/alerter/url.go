@@ -105,34 +105,30 @@ func (a *URLAlerter) Unregister(code core.Event, cond sublang.Condition) {
 	}
 }
 
-// Detect appends the metadata-level atomic events raised by the document
-// and returns how many of them are weak: the self-change codes of its
-// status. Matching codes are collected under the read lock and emitted
-// after it is released, so the emit callback may re-enter the alerter
-// (e.g. to register a follow-up condition) without deadlocking.
-func (a *URLAlerter) Detect(d *Doc, emit func(core.Event)) int {
-	var codes []core.Event
-	collect := func(c core.Event) { codes = append(codes, c) }
-
+// Detect appends the URL-level events the page raises to dst and returns
+// it with the number of weak self-change codes among them, so a caller can
+// collect into pooled storage and nothing is emitted under the lock.
+func (a *URLAlerter) Detect(d *Doc, dst []core.Event) ([]core.Event, int) {
 	a.mu.RLock()
-	a.prefixes.Lookup(d.Meta.URL, collect)
-	codes = append(codes, a.urlEq[d.Meta.URL]...)
-	codes = append(codes, a.filenames[d.Meta.Filename]...)
+	defer a.mu.RUnlock()
+	a.prefixes.Lookup(d.Meta.URL, func(c core.Event) { dst = append(dst, c) })
+	dst = append(dst, a.urlEq[d.Meta.URL]...)
+	dst = append(dst, a.filenames[d.Meta.Filename]...)
 	if d.Meta.DTD != "" {
-		codes = append(codes, a.dtds[d.Meta.DTD]...)
+		dst = append(dst, a.dtds[d.Meta.DTD]...)
 	}
 	if d.Meta.Domain != "" {
-		codes = append(codes, a.domains[d.Meta.Domain]...)
+		dst = append(dst, a.domains[d.Meta.Domain]...)
 	}
-	codes = append(codes, a.dtdIDs[d.Meta.DTDID]...)
-	codes = append(codes, a.docIDs[d.Meta.DocID]...)
+	dst = append(dst, a.dtdIDs[d.Meta.DTDID]...)
+	dst = append(dst, a.docIDs[d.Meta.DocID]...)
 	for _, dc := range a.dates {
 		v := d.Meta.LastAccessed
 		if dc.kind == sublang.CondLastUpdate {
 			v = d.Meta.LastUpdate
 		}
 		if cmpTime(v, dc.cmp, dc.date) {
-			collect(dc.code)
+			dst = append(dst, dc.code)
 		}
 	}
 	var op sublang.ChangeOp
@@ -147,13 +143,7 @@ func (a *URLAlerter) Detect(d *Doc, emit func(core.Event)) int {
 		op = sublang.OpDeleted
 	}
 	weak := a.changes[op]
-	codes = append(codes, weak...)
-	a.mu.RUnlock()
-
-	for _, c := range codes {
-		emit(c)
-	}
-	return len(weak)
+	return append(dst, weak...), len(weak)
 }
 
 // CouldAlert reports whether a page with the given pre-fetch metadata

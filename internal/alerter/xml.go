@@ -286,13 +286,13 @@ func (a *XMLAlerter) detectWords(root *xmldom.Node, emit func(core.Event), sc *d
 				frames = append(frames, presenceFrame{n: c, base: len(words)})
 				continue
 			}
-			for w, i := sc.scan.NextString(c.Text, 0); w != nil; w, i = sc.scan.NextString(c.Text, i) {
+			for w, i := sc.scan.NextString(c.Data, 0); w != nil; w, i = sc.scan.NextString(c.Data, i) {
 				e := a.words[string(w)]
 				if e == nil {
 					continue
 				}
 				sc.fireSelf(e, emit)
-				for _, code := range e.strict[f.n.Tag] {
+				for _, code := range e.strict[f.n.Data] {
 					emit(code)
 				}
 				if len(e.contains) > 0 {
@@ -303,7 +303,7 @@ func (a *XMLAlerter) detectWords(root *xmldom.Node, emit func(core.Event), sc *d
 		}
 		// The closing element's subtree words against their contains tables.
 		for _, e := range words[f.base:] {
-			for _, code := range e.contains[f.n.Tag] {
+			for _, code := range e.contains[f.n.Data] {
 				emit(code)
 			}
 		}
@@ -327,10 +327,11 @@ func (a *XMLAlerter) detectChanges(d *Doc, emit func(core.Event)) {
 	updTbl := a.changes[sublang.OpUpdated]
 	delTbl := a.changes[sublang.OpDeleted]
 	check := func(tbl map[string][]changeCond, n *xmldom.Node) {
-		if tbl == nil {
+		// A text node's Data may spell a watched tag.
+		if tbl == nil || n.Type != xmldom.ElementNode {
 			return
 		}
-		conds, ok := tbl[n.Tag]
+		conds, ok := tbl[n.Data]
 		if !ok {
 			return
 		}
@@ -344,7 +345,7 @@ func (a *XMLAlerter) detectChanges(d *Doc, emit func(core.Event)) {
 			}
 			if cc.strict {
 				for _, c := range n.Children {
-					if c.Type == xmldom.TextNode && xmldom.ContainsWord(c.Text, cc.word) {
+					if c.Type == xmldom.TextNode && xmldom.ContainsWord(c.Data, cc.word) {
 						emit(cc.code)
 						break
 					}
@@ -365,9 +366,7 @@ func (a *XMLAlerter) detectChanges(d *Doc, emit func(core.Event)) {
 			return
 		}
 		d.Doc.Root.PreOrder(func(n *xmldom.Node) bool {
-			if n.Type == xmldom.ElementNode {
-				check(newTbl, n)
-			}
+			check(newTbl, n)
 			return true
 		})
 	case warehouse.StatusUpdated:
@@ -383,9 +382,7 @@ func (a *XMLAlerter) detectChanges(d *Doc, emit func(core.Event)) {
 		}
 		for _, sub := range cl.DeletedSubtrees {
 			sub.PreOrder(func(n *xmldom.Node) bool {
-				if n.Type == xmldom.ElementNode {
-					check(delTbl, n)
-				}
+				check(delTbl, n)
 				return true
 			})
 		}
@@ -394,9 +391,7 @@ func (a *XMLAlerter) detectChanges(d *Doc, emit func(core.Event)) {
 			return
 		}
 		d.Doc.Root.PreOrder(func(n *xmldom.Node) bool {
-			if n.Type == xmldom.ElementNode {
-				check(delTbl, n)
-			}
+			check(delTbl, n)
 			return true
 		})
 	}

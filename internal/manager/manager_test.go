@@ -571,7 +571,7 @@ report when immediate`, i))
 		}
 	}
 	if shared.Parent != nil {
-		t.Errorf("the shared payload was re-parented under <%s>", shared.Parent.Tag)
+		t.Errorf("the shared payload was re-parented under <%s>", shared.Parent.Data)
 	}
 	if got := shared.XML(); got != `<Hit url="http://s.example/p.xml"/>` {
 		t.Errorf("payload = %s", got)

@@ -162,13 +162,14 @@ func (p *selectPlan) appendPayloads(dst []*xmldom.Node, d *alerter.Doc) []*xmldo
 	}
 	e := xmldom.Element(p.tag)
 	if len(p.attrs) > 0 {
-		e.Attrs = make([]xmldom.Attr, len(p.attrs))
+		attrs := make([]xmldom.Attr, len(p.attrs))
 		for i, a := range p.attrs {
 			if a.isVar {
 				a.value = builtinValue(a.value, d)
 			}
-			e.Attrs[i] = xmldom.Attr{Name: a.name, Value: a.value}
+			attrs[i] = xmldom.Attr{Name: a.name, Value: a.value}
 		}
+		e.SetAttrs(attrs)
 	}
 	for _, k := range p.kids {
 		if k.v == nil {
@@ -211,7 +212,7 @@ func (p *varPlan) elements(d *alerter.Doc) []*xmldom.Node {
 		// deleted subtrees.
 		for _, sub := range cl.DeletedSubtrees {
 			sub.PreOrder(func(n *xmldom.Node) bool {
-				if n.Type == xmldom.ElementNode && (p.lastTag == "" || n.Tag == p.lastTag) {
+				if n.Type == xmldom.ElementNode && (p.lastTag == "" || n.Data == p.lastTag) {
 					out = append(out, n.Clone())
 				}
 				return true
@@ -235,7 +236,7 @@ func (p *varPlan) holdsWord(n *xmldom.Node) bool {
 		return xmldom.ContainsWord(n.TextContent(), p.word)
 	}
 	for _, c := range n.Children {
-		if c.Type == xmldom.TextNode && xmldom.ContainsWord(c.Text, p.word) {
+		if c.Type == xmldom.TextNode && xmldom.ContainsWord(c.Data, p.word) {
 			return true
 		}
 	}

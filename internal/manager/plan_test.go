@@ -98,7 +98,7 @@ func oracleVarElements(mq *sublang.MonitoringQuery, v string, d *alerter.Doc) []
 		for _, n := range nodes {
 			if wordCond.Strict {
 				for _, c := range n.Children {
-					if c.Type == xmldom.TextNode && xmldom.ContainsWord(c.Text, word) {
+					if c.Type == xmldom.TextNode && xmldom.ContainsWord(c.Data, word) {
 						kept = append(kept, n)
 						break
 					}
@@ -125,7 +125,7 @@ func oracleVarElements(mq *sublang.MonitoringQuery, v string, d *alerter.Doc) []
 			tag := oracleLastTag(binding.Path)
 			for _, sub := range cl.DeletedSubtrees {
 				sub.PreOrder(func(n *xmldom.Node) bool {
-					if n.Type == xmldom.ElementNode && (tag == "" || n.Tag == tag) {
+					if n.Type == xmldom.ElementNode && (tag == "" || n.Data == tag) {
 						out = append(out, n.Clone())
 					}
 					return true

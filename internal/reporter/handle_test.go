@@ -237,7 +237,7 @@ func TestSharedPayloadAcrossStripes(t *testing.T) {
 	}
 	for i, e := range elems {
 		if e.Parent != nil {
-			t.Fatalf("element %d was re-parented under <%s>", i, e.Parent.Tag)
+			t.Fatalf("element %d was re-parented under <%s>", i, e.Parent.Data)
 		}
 	}
 }

@@ -51,7 +51,7 @@ func TestCountCondition(t *testing.T) {
 	if rep.Notifications != 3 || rep.Subscription != "S" {
 		t.Errorf("report = %+v", rep)
 	}
-	if len(rep.Doc.Children) != 3 || rep.Doc.Tag != "Report" {
+	if len(rep.Doc.Children) != 3 || rep.Doc.Data != "Report" {
 		t.Errorf("report doc = %s", rep.Doc.XML())
 	}
 	if r.Buffered("S") != 0 {

@@ -179,7 +179,7 @@ func domProfile(t *testing.T, data []byte) map[string]float64 {
 	profile := make(map[string]float64)
 	doc.Root.PreOrder(func(n *xmldom.Node) bool {
 		if n.Type == xmldom.ElementNode {
-			profile[strings.ToLower(n.Tag)]++
+			profile[strings.ToLower(n.Data)]++
 		}
 		return true
 	})

@@ -133,7 +133,7 @@ func TestNotificationTrigger(t *testing.T) {
 		t.Fatalf("results = %+v", results)
 	}
 	// A query with no body still produces its (empty) element.
-	if results[0].Element.Tag != "MyCompetitors" {
+	if results[0].Element.Data != "MyCompetitors" {
 		t.Errorf("element = %s", results[0].Element.XML())
 	}
 }

@@ -184,7 +184,7 @@ func TestWholesaleReplacementResetsChain(t *testing.T) {
 	if r.Status != StatusUpdated || r.Meta.Version != 2 {
 		t.Errorf("replacement = %+v", r)
 	}
-	if r.Old == nil || r.Old.Root.Tag != "a" || r.Doc.Root.Tag != "b" {
+	if r.Old == nil || r.Old.Root.Data != "a" || r.Doc.Root.Data != "b" {
 		t.Errorf("replacement Old = %v, Doc = %v", r.Old, r.Doc)
 	}
 	if r.Delta != nil {

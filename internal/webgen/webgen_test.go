@@ -198,7 +198,7 @@ func TestHiddenURLsAndLinks(t *testing.T) {
 		t.Errorf("hidden links at v4 = %d, want 2", found)
 	}
 	// Hidden pages render like any catalog page.
-	if s.FetchXML(hidden[0], 1).Root.Tag != "catalog" {
+	if s.FetchXML(hidden[0], 1).Root.Data != "catalog" {
 		t.Error("hidden page does not render")
 	}
 }

@@ -49,10 +49,10 @@ func ownNames(n *Node) bool {
 		if x.Type == TextNode {
 			return true
 		}
-		if !isName([]byte(x.Tag)) {
+		if !isName([]byte(x.Data)) {
 			return false
 		}
-		for _, a := range x.Attrs {
+		for _, a := range x.Attrs() {
 			if !isName([]byte(a.Name)) {
 				return false
 			}

@@ -83,8 +83,8 @@ func textHash[T string | []byte](s T) uint64 { return HashFold(mark(fnvOffset64,
 
 // elemOpen is an element's running hash before its first child.
 func elemOpen(n *Node) uint64 {
-	h := HashFold(mark(fnvOffset64, 'e'), n.Tag)
-	for _, a := range n.Attrs {
+	h := HashFold(mark(fnvOffset64, 'e'), n.Data)
+	for _, a := range n.Attrs() {
 		h = HashFold(HashFold(h, a.Name), a.Value)
 	}
 	return mark(h, '>')
@@ -113,7 +113,7 @@ func foldSubtree(vec []uint64, root *Node, record bool) ([]uint64, uint64) {
 		return vec, 0
 	}
 	if root.Type == TextNode {
-		h := textHash(root.Text)
+		h := textHash(root.Data)
 		if record {
 			root.ord = int32(len(vec))
 			vec = append(vec, h)
@@ -133,7 +133,7 @@ func foldSubtree(vec []uint64, root *Node, record bool) ([]uint64, uint64) {
 			c := f.n.Children[f.child]
 			f.child++
 			if c.Type == TextNode {
-				th := textHash(c.Text)
+				th := textHash(c.Data)
 				if record {
 					c.ord = int32(len(vec))
 					vec = append(vec, th)

@@ -13,12 +13,12 @@ func recursiveSubtreeHash(n *Node) uint64 {
 	if n.Type == TextNode {
 		h ^= 't'
 		h *= fnvPrime64
-		return HashFold(h, n.Text)
+		return HashFold(h, n.Data)
 	}
 	h ^= 'e'
 	h *= fnvPrime64
-	h = HashFold(h, n.Tag)
-	for _, a := range n.Attrs {
+	h = HashFold(h, n.Data)
+	for _, a := range n.Attrs() {
 		h = HashFold(h, a.Name)
 		h = HashFold(h, a.Value)
 	}

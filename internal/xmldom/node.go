@@ -3,7 +3,8 @@
 // labels elements with persistent XIDs (Section 5.2), and the query
 // processor evaluates path expressions over trees. It is built on its own
 // byte tokenizer (token.go); the strict encoding/xml decoder is only the
-// tests' differential oracle.
+// tests' differential oracle. A Node's Data is an element's tag or a text
+// node's text, and its attributes are read through Attrs and Attr.
 package xmldom
 
 import (
@@ -14,7 +15,7 @@ import (
 
 // NodeType distinguishes element nodes from data (text) nodes, the two DOM
 // node kinds the paper relies on.
-type NodeType int
+type NodeType uint8
 
 const (
 	// ElementNode is a tagged node with attributes and children.
@@ -36,19 +37,23 @@ type Attr struct {
 }
 
 // Node is a DOM node. Fields are exported because the alerters, the diff
-// and the query processor all traverse the tree directly.
+// and the query processor all traverse the tree directly. Data holds an
+// element's tag or a text node's text (as in x/net/html), so a reader of
+// Data tests Type first: text may equal a tag name. Attributes sit behind
+// one pointer, nil on the many nodes without any; read them with Attrs or
+// Attr, write them with WithAttr or SetAttrs. The pointer-bearing fields
+// come first so the collector stops scanning a node at XID.
 type Node struct {
-	Type     NodeType
-	Tag      string // element nodes only
-	Text     string // text nodes only
-	Attrs    []Attr
-	Children []*Node
 	Parent   *Node
+	Children []*Node
+	Data     string
+	attrs    *[]Attr
 	XID      XID
 	// ord is the node's preorder index in the tree it was last hashed in;
 	// it addresses the node's slot in the owning Document's HashVector.
 	// Maintained by Document.Hashes, meaningless outside a valid vector.
-	ord int32
+	ord  int32
+	Type NodeType
 }
 
 // Ord returns the node's preorder index in its tree, assigned by the last
@@ -110,7 +115,7 @@ func (d *Document) Relabel() {
 
 // Element returns a new element node.
 func Element(tag string, children ...*Node) *Node {
-	n := &Node{Type: ElementNode, Tag: tag, Children: children}
+	n := &Node{Type: ElementNode, Data: tag, Children: children}
 	for _, c := range children {
 		c.Parent = n
 	}
@@ -119,19 +124,38 @@ func Element(tag string, children ...*Node) *Node {
 
 // Text returns a new data node.
 func Text(s string) *Node {
-	return &Node{Type: TextNode, Text: s}
+	return &Node{Type: TextNode, Data: s}
 }
 
 // WithAttr adds an attribute to an element node and returns it, enabling
 // fluent construction in tests and generators.
 func (n *Node) WithAttr(name, value string) *Node {
-	n.Attrs = append(n.Attrs, Attr{Name: name, Value: value})
+	n.SetAttrs(append(n.Attrs(), Attr{Name: name, Value: value}))
 	return n
+}
+
+// Attrs returns the node's attributes, nil when it has none. The slice is
+// the node's own: copy it before changing it.
+func (n *Node) Attrs() []Attr {
+	if n.attrs == nil {
+		return nil
+	}
+	return *n.attrs
+}
+
+// SetAttrs replaces the node's attributes with as (no attributes when
+// as is empty).
+func (n *Node) SetAttrs(as []Attr) {
+	if len(as) == 0 {
+		n.attrs = nil
+		return
+	}
+	n.attrs = &as
 }
 
 // Attr returns the value of the named attribute and whether it is present.
 func (n *Node) Attr(name string) (string, bool) {
-	for _, a := range n.Attrs {
+	for _, a := range n.Attrs() {
 		if a.Name == name {
 			return a.Value, true
 		}
@@ -181,9 +205,9 @@ func (n *Node) ChildIndex(c *Node) int {
 // Clone returns a deep copy of the subtree rooted at n. XIDs are copied,
 // so the clone refers to the same persistent identities.
 func (n *Node) Clone() *Node {
-	c := &Node{Type: n.Type, Tag: n.Tag, Text: n.Text, XID: n.XID}
-	if len(n.Attrs) > 0 {
-		c.Attrs = append([]Attr(nil), n.Attrs...)
+	c := &Node{Type: n.Type, Data: n.Data, XID: n.XID}
+	if n.attrs != nil {
+		c.SetAttrs(append([]Attr(nil), *n.attrs...))
 	}
 	for _, ch := range n.Children {
 		cc := ch.Clone()
@@ -220,7 +244,7 @@ func (n *Node) TextContent() string {
 			if b.Len() > 0 {
 				b.WriteByte(' ')
 			}
-			b.WriteString(x.Text)
+			b.WriteString(x.Data)
 			continue
 		}
 		// Push children in reverse so they pop in document order.
@@ -294,7 +318,7 @@ func (n *Node) Depth() int {
 func (n *Node) Elements(tag string) []*Node { //xyvet:ignore testonly tree helper of the tests across packages
 	var out []*Node
 	n.PreOrder(func(c *Node) bool {
-		if c.Type == ElementNode && c.Tag == tag {
+		if c.Type == ElementNode && c.Data == tag {
 			out = append(out, c)
 		}
 		return true
@@ -349,7 +373,7 @@ var nodeStackPool = sync.Pool{New: func() any {
 
 func (n *Node) String() string {
 	if n.Type == TextNode {
-		return fmt.Sprintf("#text(%q)", n.Text)
+		return fmt.Sprintf("#text(%q)", n.Data)
 	}
-	return fmt.Sprintf("<%s xid=%d children=%d>", n.Tag, n.XID, len(n.Children))
+	return fmt.Sprintf("<%s xid=%d children=%d>", n.Data, n.XID, len(n.Children))
 }

@@ -1,8 +1,10 @@
 package xmldom
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func sampleTree() *Document {
@@ -71,9 +73,9 @@ func TestPostOrder(t *testing.T) {
 	var order []string
 	d.Root.PostOrder(func(n *Node) bool {
 		if n.Type == ElementNode {
-			order = append(order, n.Tag)
+			order = append(order, n.Data)
 		} else {
-			order = append(order, "#"+n.Text)
+			order = append(order, "#"+n.Data)
 		}
 		return true
 	})
@@ -131,22 +133,22 @@ func TestInsertRemoveChild(t *testing.T) {
 	n.InsertChild(1, Element("b"))
 	var tags []string
 	for _, c := range n.Children {
-		tags = append(tags, c.Tag)
+		tags = append(tags, c.Data)
 	}
 	if strings.Join(tags, "") != "abc" {
 		t.Errorf("children = %v, want a,b,c", tags)
 	}
 	removed := n.RemoveChild(0)
-	if removed.Tag != "a" || len(n.Children) != 2 || removed.Parent != nil {
+	if removed.Data != "a" || len(n.Children) != 2 || removed.Parent != nil {
 		t.Errorf("RemoveChild broken: removed=%v children=%d", removed, len(n.Children))
 	}
 	// clamping
 	n.InsertChild(-5, Element("x"))
-	if n.Children[0].Tag != "x" {
+	if n.Children[0].Data != "x" {
 		t.Error("InsertChild(-5) should clamp to front")
 	}
 	n.InsertChild(99, Element("y"))
-	if n.Children[len(n.Children)-1].Tag != "y" {
+	if n.Children[len(n.Children)-1].Data != "y" {
 		t.Error("InsertChild(99) should clamp to back")
 	}
 }
@@ -165,8 +167,8 @@ func TestChildIndex(t *testing.T) {
 func TestCloneIsDeep(t *testing.T) {
 	d := sampleTree()
 	c := d.Clone()
-	c.Root.Children[0].Children[0].Children[0].Text = "changed"
-	if d.Root.Children[0].Children[0].Children[0].Text != "radio" {
+	c.Root.Children[0].Children[0].Children[0].Data = "changed"
+	if d.Root.Children[0].Children[0].Children[0].Data != "radio" {
 		t.Error("Clone shares text nodes with original")
 	}
 	if c.Root.XID != d.Root.XID {
@@ -198,6 +200,32 @@ func TestAttrs(t *testing.T) {
 	}
 }
 
+// TestNodeLayout pins what a stored page pays per node: a Node is at most
+// 72 bytes (it was 112 with separate Tag, Text and Attrs fields), and its
+// pointer-bearing fields all come before XID, so the collector's scan of a
+// node stops at the scalar tail.
+func TestNodeLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got > 72 {
+		t.Errorf("Node is %d bytes, want at most 72", got)
+	}
+	tail := unsafe.Offsetof(Node{}.XID)
+	rt := reflect.TypeOf(Node{})
+	for i := range rt.NumField() {
+		f := rt.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.String, reflect.Map, reflect.Interface, reflect.Func, reflect.Chan, reflect.UnsafePointer:
+			if end := f.Offset + f.Type.Size(); end > tail {
+				t.Errorf("pointer-bearing field %s ends at byte %d, past XID at %d", f.Name, end, tail)
+			}
+		}
+	}
+	n := Element("p").WithAttr("id", "1")
+	n.SetAttrs(nil)
+	if n.Attrs() != nil || n.attrs != nil {
+		t.Error("SetAttrs(nil) left an attribute header behind")
+	}
+}
+
 func TestHash64Structural(t *testing.T) {
 	mk := func() *Node {
 		n := Element("product", Element("price", Text("10")))
@@ -210,10 +238,10 @@ func TestHash64Structural(t *testing.T) {
 		t.Error("equal subtrees hash differently")
 	}
 	for name, mut := range map[string]func(*Node){
-		"tag":        func(n *Node) { n.Tag = "item" },
-		"attr name":  func(n *Node) { n.Attrs[0].Name = "ref" },
-		"attr value": func(n *Node) { n.Attrs[0].Value = "p2" },
-		"text":       func(n *Node) { n.Children[0].Children[0].Text = "11" },
+		"tag":        func(n *Node) { n.Data = "item" },
+		"attr name":  func(n *Node) { n.Attrs()[0].Name = "ref" },
+		"attr value": func(n *Node) { n.Attrs()[0].Value = "p2" },
+		"text":       func(n *Node) { n.Children[0].Children[0].Data = "11" },
 		"add child":  func(n *Node) { n.AppendChild(Element("stock")) },
 		"drop child": func(n *Node) { n.RemoveChild(0) },
 	} {

@@ -28,9 +28,9 @@ func stdlibParse(data []byte) (*Document, error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			n := &Node{Type: ElementNode, Tag: t.Name.Local}
+			n := &Node{Type: ElementNode, Data: t.Name.Local}
 			for _, a := range t.Attr {
-				n.Attrs = append(n.Attrs, Attr{Name: a.Name.Local, Value: a.Value})
+				n.WithAttr(a.Name.Local, a.Value)
 			}
 			if len(stack) == 0 {
 				if root != nil {

@@ -34,10 +34,10 @@ func (d *Document) XML() string {
 // appendXML appends the subtree's serialisation to dst.
 func (n *Node) appendXML(dst []byte) []byte {
 	if n.Type == TextNode {
-		return AppendEscaped(dst, n.Text)
+		return AppendEscaped(dst, n.Data)
 	}
-	dst = append(append(dst, '<'), n.Tag...)
-	for _, a := range n.Attrs {
+	dst = append(append(dst, '<'), n.Data...)
+	for _, a := range n.Attrs() {
 		dst = append(append(append(dst, ' '), a.Name...), `="`...)
 		dst = append(AppendEscaped(dst, a.Value), '"')
 	}
@@ -48,5 +48,5 @@ func (n *Node) appendXML(dst []byte) []byte {
 	for _, c := range n.Children {
 		dst = c.appendXML(dst)
 	}
-	return append(append(append(dst, "</"...), n.Tag...), '>')
+	return append(append(append(dst, "</"...), n.Data...), '>')
 }

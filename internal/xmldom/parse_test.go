@@ -14,8 +14,8 @@ func TestParseBasic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseString: %v", err)
 	}
-	if d.Root.Tag != "catalog" {
-		t.Errorf("root tag = %q", d.Root.Tag)
+	if d.Root.Data != "catalog" {
+		t.Errorf("root tag = %q", d.Root.Data)
 	}
 	if v, _ := d.Root.Attr("type"); v != "hi-fi" {
 		t.Errorf("attr type = %q", v)
@@ -77,11 +77,11 @@ func TestSerializeRoundTrip(t *testing.T) {
 }
 
 func treesEqual(a, b *Node) bool {
-	if a.Type != b.Type || a.Tag != b.Tag || a.Text != b.Text || len(a.Attrs) != len(b.Attrs) || len(a.Children) != len(b.Children) {
+	if a.Type != b.Type || a.Data != b.Data || len(a.Attrs()) != len(b.Attrs()) || len(a.Children) != len(b.Children) {
 		return false
 	}
-	for i := range a.Attrs {
-		if a.Attrs[i] != b.Attrs[i] {
+	for i := range a.Attrs() {
+		if a.Attrs()[i] != b.Attrs()[i] {
 			return false
 		}
 	}

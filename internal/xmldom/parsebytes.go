@@ -1,48 +1,56 @@
 package xmldom
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
-// arena allocates Nodes, child-pointer slices and attribute slices in
-// chunks, so a parsed document costs a handful of allocations instead of
-// one (or more) per node. Chunks are appended to only while len < cap —
-// they are never reallocated, so pointers into them stay valid. The
-// arena's memory is owned by the resulting Document's nodes and is
-// therefore not pooled — which is why chunks are sized from the input
-// (see newArena) and not fixed: a stored version keeps its chunks' whole
-// capacity alive.
+// arena allocates Nodes, child-pointer slices, attribute slices and their
+// slice headers (Node.attrs) in chunks, so a parsed document costs a
+// handful of allocations instead of one (or more) per node. Chunks are
+// appended to only while len < cap — they are never reallocated, so
+// pointers into them stay valid. The arena's memory is owned by the
+// resulting Document's nodes and is therefore not pooled — which is why
+// each chunk is sized from the input the tokenizer has yet to read, and
+// rounded up to its allocation size class: a stored version keeps its
+// chunks' whole capacity alive.
 type arena struct {
-	nodes     []Node
-	ptrs      []*Node
-	attrs     []Attr
-	nodeChunk int // nodes per chunk, and child pointers per chunk
-	attrChunk int
+	tok   *Tokenizer
+	nodes []Node
+	ptrs  []*Node
+	attrs []Attr
+	heads [][]Attr
 }
 
 // Chunk sizing. A node costs at least two and a half bytes of input
-// (`x<b/>` is two) and in catalog-like pages about fourteen; one chunk of
-// len/12 nodes holds such a page, and no input needs more than five of
-// them. Every node but the root is one child pointer, so pointer chunks are
-// the same size. Attributes are rarer (about ninety bytes each in catalog
-// pages, six at the very least). The caps are the fixed chunk sizes large
-// documents always used.
+// (`x<b/>` is two) and in catalog-like pages about fourteen. A chunk is
+// sized a little short of that, at sixteen bytes a node of the unread
+// input, because what it misses goes into a further chunk sized from the
+// little input then left, while a chunk too long keeps its slack for the
+// life of the version (BenchmarkStoreMemory measures the trade). Every
+// node but the root is one child pointer, so pointer chunks are sized
+// alike. Attributes are rarer (about ninety bytes each in catalog pages,
+// six at the very least), and each element that has any takes one header.
+// The caps are the fixed chunk sizes large documents always used.
 const (
-	arenaBytesPerNode = 12
-	arenaBytesPerAttr = 48
+	arenaBytesPerNode = 16
+	arenaBytesPerAttr = 90
 	arenaMaxNodeChunk = 1024
 	arenaMaxAttrChunk = 256
 )
 
-func newArena(inputLen int) arena {
-	return arena{
-		nodeChunk: min(max(inputLen/arenaBytesPerNode, 8), arenaMaxNodeChunk),
-		attrChunk: min(max(inputLen/arenaBytesPerAttr, 4), arenaMaxAttrChunk),
-	}
+// chunk returns a new chunk with room for at least need items and for the
+// items of bytesPer input bytes each that the unread input holds, within
+// most.
+func chunk[E any](a *arena, bytesPer, most, need int) []E {
+	rest := len(a.tok.buf) - a.tok.pos
+	return slices.Grow([]E(nil), max(min(max(rest/bytesPer, 8), most), need))
 }
 
 // node returns a fresh zero Node from the current chunk.
 func (a *arena) node() *Node {
 	if len(a.nodes) == cap(a.nodes) {
-		a.nodes = make([]Node, 0, a.nodeChunk)
+		a.nodes = chunk[Node](a, arenaBytesPerNode, arenaMaxNodeChunk, 1)
 	}
 	a.nodes = append(a.nodes, Node{})
 	return &a.nodes[len(a.nodes)-1]
@@ -57,7 +65,7 @@ func (a *arena) children(src []*Node) []*Node {
 		return nil
 	}
 	if cap(a.ptrs)-len(a.ptrs) < n {
-		a.ptrs = make([]*Node, 0, max(a.nodeChunk, n))
+		a.ptrs = chunk[*Node](a, arenaBytesPerNode, arenaMaxNodeChunk, n)
 	}
 	lo := len(a.ptrs)
 	a.ptrs = append(a.ptrs, src...)
@@ -65,14 +73,18 @@ func (a *arena) children(src []*Node) []*Node {
 }
 
 // attrSlice returns a capacity-clipped []Attr of length n from the
-// attribute chunk.
-func (a *arena) attrSlice(n int) []Attr {
+// attribute chunk, behind a header from the header chunk.
+func (a *arena) attrSlice(n int) *[]Attr {
 	if cap(a.attrs)-len(a.attrs) < n {
-		a.attrs = make([]Attr, 0, max(a.attrChunk, n))
+		a.attrs = chunk[Attr](a, arenaBytesPerAttr, arenaMaxAttrChunk, n)
+	}
+	if len(a.heads) == cap(a.heads) {
+		a.heads = chunk[[]Attr](a, arenaBytesPerAttr, arenaMaxAttrChunk, 1)
 	}
 	lo := len(a.attrs)
 	a.attrs = a.attrs[:lo+n]
-	return a.attrs[lo : lo+n : lo+n]
+	a.heads = append(a.heads, a.attrs[lo:lo+n:lo+n])
+	return &a.heads[len(a.heads)-1]
 }
 
 // parseFrame is one open element during ParseBytes: the node plus the
@@ -115,7 +127,7 @@ func (sc *parseScratch) internBytes(b []byte) string {
 // text is dropped (the alerters and the diff work on meaningful data nodes
 // only); comments, processing instructions and directives are ignored.
 // Nodes, child-pointer slices and attributes come from a chunked arena
-// sized from the input length, tag and attribute names are interned, and
+// sized from the unread input, tag and attribute names are interned, and
 // text is decoded straight off the input spans, so the documents that
 // survive the streaming pre-filter allocate in large slabs instead of
 // per-node.
@@ -135,7 +147,7 @@ func ParseBytes(data []byte) (*Document, error) {
 		parseScratchPool.Put(sc)
 	}()
 	sc.tok.Reset(data)
-	ar := newArena(len(data))
+	ar := arena{tok: &sc.tok}
 	var root *Node
 	for {
 		k, err := sc.tok.Next()
@@ -148,14 +160,13 @@ func ParseBytes(data []byte) (*Document, error) {
 		case TokStart:
 			n := ar.node()
 			n.Type = ElementNode
-			n.Tag = sc.internBytes(sc.tok.Tag())
+			n.Data = sc.internBytes(sc.tok.Tag())
 			if na := len(sc.tok.attrs); na > 0 {
-				attrs := ar.attrSlice(na)
-				for i := range attrs {
+				n.attrs = ar.attrSlice(na)
+				for i := range *n.attrs {
 					name, value := sc.tok.attr(i)
-					attrs[i] = Attr{Name: sc.internBytes(name), Value: string(value)}
+					(*n.attrs)[i] = Attr{Name: sc.internBytes(name), Value: string(value)}
 				}
-				n.Attrs = attrs
 			}
 			if len(frames) == 0 {
 				root = n
@@ -175,7 +186,7 @@ func ParseBytes(data []byte) (*Document, error) {
 		case TokText:
 			t := ar.node()
 			t.Type = TextNode
-			t.Text = string(sc.tok.Text())
+			t.Data = string(sc.tok.Text())
 			kids = append(kids, t)
 		}
 	}

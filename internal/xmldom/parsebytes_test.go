@@ -96,7 +96,7 @@ func TestParseBytesParentsAndXIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Root.Tag != "r" || d.Root.XID != 1 {
+	if d.Root.Data != "r" || d.Root.XID != 1 {
 		t.Fatalf("root = %v", d.Root)
 	}
 	if v, ok := d.Root.Attr("a"); !ok || v != "1" {
@@ -116,7 +116,7 @@ func TestParseBytesParentsAndXIDs(t *testing.T) {
 		t.Fatalf("node count = %d, want 5", seen)
 	}
 	// XIDs are preorder-dense starting at 1, like NewDocument assigns.
-	if c := d.Root.Children[1]; c.Tag != "c" || c.XID != 4 {
+	if c := d.Root.Children[1]; c.Data != "c" || c.XID != 4 {
 		t.Fatalf("second child = %v", c)
 	}
 }
@@ -131,10 +131,10 @@ func TestParseBytesSiblingIsolation(t *testing.T) {
 	}
 	a, b := d.Root.Children[0], d.Root.Children[1]
 	a.AppendChild(Element("z"))
-	if b.Children[0].Tag != "y" {
+	if b.Children[0].Data != "y" {
 		t.Fatalf("sibling clobbered: %v", b.Children[0])
 	}
-	if len(a.Children) != 2 || a.Children[1].Tag != "z" {
+	if len(a.Children) != 2 || a.Children[1].Data != "z" {
 		t.Fatalf("append lost: %v", a.Children)
 	}
 }

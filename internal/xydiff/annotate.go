@@ -71,12 +71,12 @@ func writeLine(b *strings.Builder, marker string, depth int, n *xmldom.Node) {
 	b.WriteString(marker)
 	b.WriteString(strings.Repeat("  ", depth))
 	if n.Type == xmldom.TextNode {
-		fmt.Fprintf(b, "%q\n", n.Text)
+		fmt.Fprintf(b, "%q\n", n.Data)
 		return
 	}
 	b.WriteString("<")
-	b.WriteString(n.Tag)
-	for _, a := range n.Attrs {
+	b.WriteString(n.Data)
+	for _, a := range n.Attrs() {
 		fmt.Fprintf(b, " %s=%q", a.Name, a.Value)
 	}
 	b.WriteString(">\n")

@@ -43,11 +43,11 @@ func Apply(old *xmldom.Document, delta *Delta) (*xmldom.Document, error) {
 			if n == nil {
 				return nil, fmt.Errorf("xydiff: update of unknown node %d", op.XID)
 			}
-			if op.TextChanged {
-				n.Text = op.NewText
+			if op.TextChanged && n.Type == xmldom.TextNode { // an element's Data is its tag
+				n.Data = op.NewText
 			}
 			if op.AttrsChanged {
-				n.Attrs = append([]xmldom.Attr(nil), op.NewAttrs...)
+				n.SetAttrs(append([]xmldom.Attr(nil), op.NewAttrs...))
 			}
 		case OpInsert:
 			parent := index[op.Parent]

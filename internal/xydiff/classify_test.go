@@ -81,7 +81,7 @@ func TestClassifyMatchesMapOracle(t *testing.T) {
 		}
 		new.Root.PreOrder(func(n *xmldom.Node) bool {
 			if cl.IsNew(n) != slices.Contains(wantNew, n) || cl.IsUpdated(n) != slices.Contains(wantUpd, n) {
-				t.Fatalf("%s: node %s: IsNew %v, IsUpdated %v", name, n.Tag, cl.IsNew(n), cl.IsUpdated(n))
+				t.Fatalf("%s: node %s: IsNew %v, IsUpdated %v", name, n.Data, cl.IsNew(n), cl.IsUpdated(n))
 			}
 			return true
 		})

@@ -90,7 +90,7 @@ func diffWith(old, new *xmldom.Document, align alignFunc) (*Delta, error) {
 	if old == nil || old.Root == nil || new == nil || new.Root == nil {
 		return nil, errors.New("xydiff: both versions must have a root")
 	}
-	if old.Root.Type != new.Root.Type || old.Root.Tag != new.Root.Tag {
+	if old.Root.Type != new.Root.Type || old.Root.Data != new.Root.Data {
 		return nil, errors.New("xydiff: root elements differ; versions are unrelated documents")
 	}
 	sc := diffScratchPool.Get().(*diffScratch)
@@ -195,17 +195,17 @@ func (d *differ) matchNodes(old, new *xmldom.Node) {
 		return
 	}
 	if old.Type == xmldom.TextNode {
-		if old.Text != new.Text {
+		if old.Data != new.Data {
 			d.delta.Ops = append(d.delta.Ops, Op{
-				Kind: OpUpdate, XID: old.XID, NewText: new.Text, TextChanged: true,
+				Kind: OpUpdate, XID: old.XID, NewText: new.Data, TextChanged: true,
 			})
 		}
 		return
 	}
-	if !attrsEqual(old.Attrs, new.Attrs) {
+	if !attrsEqual(old.Attrs(), new.Attrs()) {
 		d.delta.Ops = append(d.delta.Ops, Op{
 			Kind: OpUpdate, XID: old.XID,
-			NewAttrs: append([]xmldom.Attr(nil), new.Attrs...), AttrsChanged: true,
+			NewAttrs: append([]xmldom.Attr(nil), new.Attrs()...), AttrsChanged: true,
 		})
 	}
 	bufp := pairsPool.Get().(*[]pair)
@@ -410,7 +410,7 @@ func alignDP(d *differ, old, new []*xmldom.Node, i0, i1, j0, j1 int, buf []pair)
 		if x.Type != y.Type {
 			return 0
 		}
-		if x.Type == xmldom.ElementNode && x.Tag != y.Tag {
+		if x.Type == xmldom.ElementNode && x.Data != y.Data {
 			return 0
 		}
 		if oh.Of(x) == nh.Of(y) {
@@ -498,5 +498,5 @@ func alignKey(n *xmldom.Node) string {
 	if n.Type == xmldom.TextNode {
 		return "\x00text"
 	}
-	return n.Tag
+	return n.Data
 }

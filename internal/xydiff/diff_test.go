@@ -214,7 +214,7 @@ func TestClassifyEmptyDelta(t *testing.T) {
 func tagSet(nodes []*xmldom.Node) map[string]bool {
 	s := make(map[string]bool)
 	for _, n := range nodes {
-		s[n.Tag] = true
+		s[n.Data] = true
 	}
 	return s
 }
@@ -315,10 +315,10 @@ func mutateTree(rng *rand.Rand, doc *xmldom.Document) {
 				return true
 			})
 			if len(texts) > 0 {
-				texts[rng.Intn(len(texts))].Text = trialWords[rng.Intn(len(trialWords))]
+				texts[rng.Intn(len(texts))].Data = trialWords[rng.Intn(len(trialWords))]
 			}
 		case 3: // change attributes
-			target.Attrs = nil
+			target.SetAttrs(nil)
 			target.WithAttr("k", trialWords[rng.Intn(len(trialWords))])
 		}
 	}

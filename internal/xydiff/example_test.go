@@ -30,7 +30,7 @@ func ExampleClassify() {
 	delta, _ := xydiff.Diff(old, new)
 	cl := xydiff.Classify(new, delta)
 	for _, n := range cl.NewElems {
-		fmt.Println("new:", n.Tag, n.TextContent())
+		fmt.Println("new:", n.Data, n.TextContent())
 	}
 	// Output: new: product tv
 }

@@ -134,7 +134,7 @@ func diffBothAligners(t *testing.T, old, new *xmldom.Document) (lcs, anc *xmldom
 func xidOfProduct(d *xmldom.Document, name string) xmldom.XID {
 	var x xmldom.XID
 	d.Root.PreOrder(func(n *xmldom.Node) bool {
-		if n.Type == xmldom.ElementNode && n.Tag == "product" && n.TextContent() == name {
+		if n.Type == xmldom.ElementNode && n.Data == "product" && n.TextContent() == name {
 			x = n.XID
 			return false
 		}
@@ -196,7 +196,7 @@ func TestAdversarialLargeFanOut(t *testing.T) {
 	diffBothAligners(t, old, rewrite)
 	// Small edit in a wide list: trims + anchors keep the DP tiny.
 	edit := mk("")
-	edit.Root.Children[width/2].Children[0].Text = "edited"
+	edit.Root.Children[width/2].Children[0].Data = "edited"
 	edit.Root.RemoveChild(3)
 	diffBothAligners(t, old, edit)
 }

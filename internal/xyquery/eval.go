@@ -126,7 +126,7 @@ func resolvePath(p Path, roots []*xmldom.Node, bindings map[string]*xmldom.Node)
 		current = roots
 	default:
 		for _, r := range roots {
-			if r.Type == xmldom.ElementNode && (r.Tag == p.Root || p.Root == "*") {
+			if r.Type == xmldom.ElementNode && (r.Data == p.Root || p.Root == "*") {
 				current = append(current, r)
 			}
 		}
@@ -146,13 +146,13 @@ func resolvePath(p Path, roots []*xmldom.Node, bindings map[string]*xmldom.Node)
 		for _, n := range current {
 			if step.Axis == Child {
 				for _, c := range n.Children {
-					if c.Type == xmldom.ElementNode && (step.Name == "*" || c.Tag == step.Name) {
+					if c.Type == xmldom.ElementNode && (step.Name == "*" || c.Data == step.Name) {
 						next = append(next, c)
 					}
 				}
 			} else {
 				n.PreOrder(func(c *xmldom.Node) bool {
-					if c != n && c.Type == xmldom.ElementNode && (step.Name == "*" || c.Tag == step.Name) {
+					if c != n && c.Type == xmldom.ElementNode && (step.Name == "*" || c.Data == step.Name) {
 						next = append(next, c)
 					}
 					return true
@@ -185,7 +185,7 @@ func nodeSatisfies(n *xmldom.Node, op PredOp, value string) bool {
 		return xmldom.ContainsWord(n.TextContent(), xmldom.NormalizeWord(value))
 	case OpStrictContains:
 		for _, c := range n.Children {
-			if c.Type == xmldom.TextNode && xmldom.ContainsWord(c.Text, xmldom.NormalizeWord(value)) {
+			if c.Type == xmldom.TextNode && xmldom.ContainsWord(c.Data, xmldom.NormalizeWord(value)) {
 				return true
 			}
 		}

@@ -57,8 +57,8 @@ func TestPaperContinuousQuery(t *testing.T) {
 		t.Errorf("titles = %v, want %v", titles(got), want)
 	}
 	for _, n := range got {
-		if n.Tag != "title" {
-			t.Errorf("selected %q, want title elements", n.Tag)
+		if n.Data != "title" {
+			t.Errorf("selected %q, want title elements", n.Data)
 		}
 	}
 }
@@ -69,7 +69,7 @@ func TestEvalElementWrapping(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EvalElement: %v", err)
 	}
-	if e.Tag != "ParisPaintings" || len(e.Children) != 1 {
+	if e.Data != "ParisPaintings" || len(e.Children) != 1 {
 		t.Errorf("EvalElement = %s", e.XML())
 	}
 }
@@ -156,7 +156,7 @@ func TestEvalClonesResults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Eval: %v", err)
 	}
-	got[0].Children[0].Text = "MUTATED"
+	got[0].Children[0].Data = "MUTATED"
 	if strings.Contains(forest[0].TextContent(), "MUTATED") {
 		t.Error("Eval must return clones, not aliases into the source tree")
 	}

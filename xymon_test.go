@@ -822,12 +822,12 @@ func TestContinuousResultSharesPayload(t *testing.T) {
 		t.Helper()
 		for _, root := range sys.Store.AllRoots() {
 			if root.Parent != nil {
-				t.Fatalf("%s: a warehouse document was re-parented under <%s>", when, root.Parent.Tag)
+				t.Fatalf("%s: a warehouse document was re-parented under <%s>", when, root.Parent.Data)
 			}
 			root.PreOrder(func(n *xmldom.Node) bool {
 				for _, ch := range n.Children {
 					if ch.Parent != n {
-						t.Fatalf("%s: warehouse node <%s> moved out of its document", when, ch.Tag)
+						t.Fatalf("%s: warehouse node <%s> moved out of its document", when, ch.Data)
 					}
 				}
 				return true
@@ -846,7 +846,7 @@ func TestContinuousResultSharesPayload(t *testing.T) {
 		for i, kids := range payloads {
 			for _, ch := range kids {
 				if ch.Parent != nil {
-					t.Errorf("%s: a payload of %s was re-parented under <%s>", when, (*reports)[i].Subscription, ch.Parent.Tag)
+					t.Errorf("%s: a payload of %s was re-parented under <%s>", when, (*reports)[i].Subscription, ch.Parent.Data)
 				}
 			}
 		}
