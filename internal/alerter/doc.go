@@ -34,7 +34,9 @@ type Doc struct {
 	// Delta is the change from the previous version (nil unless updated).
 	Delta *xydiff.Delta
 	// Content is the raw page body as fetched: the XML alerter scans an
-	// HTML page's for words, the warehouse log stores an XML page's.
+	// HTML page's for words, the warehouse log stores an XML page's. It is
+	// valid only while the Doc is processed (System.PushXML reuses its
+	// buffer afterwards): a stage that keeps any of it copies it.
 	Content []byte
 
 	clOnce sync.Once

@@ -290,12 +290,13 @@ report when %s
 
 // TestProcessAlertAllocCeiling holds the allocation win of the bound
 // fan-out path. The 50 queries share one select plan, so a 50-notification
-// alert builds one payload — an element and its attribute slice — that
-// every notification references, and costs nothing per notification
-// beyond it. The rest is three objects (the report, its root element and
-// its child slice) per report fired: ten immediate reports per alert, and
-// a count report of each of the forty other subscriptions every 31st
-// alert — 35 objects here. The ceiling sits below the 133 that one
+// alert builds one payload — an element, its attribute slice and the
+// slice header the element points to — that every notification
+// references, and costs nothing per notification beyond it. The rest is
+// three objects (the report, its root element and its child slice) per
+// report fired: ten immediate reports per alert, and a count report of
+// each of the forty other subscriptions every 31st alert — 36 objects
+// measured here. The ceiling sits below the 133 that one
 // payload per notification cost, and far below the 340 of the walk over
 // the parse tree, the clone at report time and the regrown buffers.
 func TestProcessAlertAllocCeiling(t *testing.T) {

@@ -186,7 +186,7 @@ func (j *Journal) Recover(s *Store) error {
 				return fmt.Errorf("%w: document %s: %v", wal.ErrCorrupt, url, err)
 			}
 			e.Doc = doc
-			e.rawSig = Signature(xml)
+			e.rawSig = rawHash(xml)
 			e.structHash = doc.Hashes().Of(doc.Root)
 			e.Meta.Signature = structSignature(e.structHash)
 		}

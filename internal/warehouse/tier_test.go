@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"sync"
@@ -322,4 +323,83 @@ func TestUnchangedAfterLoadResolvesAtTier2(t *testing.T) {
 	if got := s2.Stats(); got != (Stats{SkippedRawSig: 1, SkippedStructHash: 1}) {
 		t.Fatalf("after recovery: stats %+v, want a tier-1 and a tier-2 hit and no parse", got)
 	}
+}
+
+// TestTierOneIsByteExact: tier 1 answers only for the exact bytes the
+// stored version was last fetched as. Over webgen pages of both perturbation
+// kinds, a one-byte flip, a truncation and an appended space are never
+// tier-1 hits, and each commits with the status a store without tiers
+// gives it; the unedited bytes hit tier 1, and after a commit of edited
+// bytes they no longer do.
+func TestTierOneIsByteExact(t *testing.T) {
+	url := "http://exact.example/c/p.xml"
+	commit := func(s *Store, data []byte) (Status, error) {
+		t.Helper()
+		r, err := s.CommitXMLBytes(url, "", "shopping", data)
+		if err != nil {
+			return 0, err
+		}
+		return r.Status, nil
+	}
+	outcomes := make(map[string]int)
+	for _, kind := range []webgen.PerturbKind{webgen.PerturbWhitespace, webgen.PerturbAttrOrder} {
+		site := webgen.NewSite(webgen.SiteSpec{
+			BaseURL: "http://exact.example/c/", Pages: 2, Products: 6, Seed: 31,
+			PerturbEvery: 2, PerturbKind: kind,
+		})
+		for _, u := range site.XMLURLs() {
+			for v := 1; v <= 2; v++ {
+				page := site.FetchXMLBytes(u, v)
+				var edited [][]byte
+				for off := 0; off < len(page); off += 1 + len(page)/97 {
+					b := bytes.Clone(page)
+					b[off] ^= 1
+					edited = append(edited, b)
+				}
+				edited = append(edited, page[:len(page)-1], page[:len(page)/2], append(bytes.Clone(page), ' '))
+
+				s, _ := newTestStore()
+				if _, err := commit(s, page); err != nil {
+					t.Fatal(err)
+				}
+				if st, err := commit(s, page); err != nil || st != StatusUnchanged || s.Stats().SkippedRawSig != 1 {
+					t.Fatalf("%s v%d: the unedited bytes gave %v, %v, %+v; want a tier-1 hit", u, v, st, err, s.Stats())
+				}
+				for i, b := range edited {
+					tiered, _ := newTestStore()
+					base := NewStore(WithAlwaysDiff())
+					for _, st := range []*Store{tiered, base} {
+						if _, err := commit(st, page); err != nil {
+							t.Fatal(err)
+						}
+					}
+					got, gotErr := commit(tiered, b)
+					want, wantErr := commit(base, b)
+					if tiered.Stats().SkippedRawSig != 0 {
+						t.Fatalf("%s v%d edit %d: a tier-1 hit on bytes that differ from the stored version's", u, v, i)
+					}
+					if got != want || (gotErr == nil) != (wantErr == nil) {
+						t.Fatalf("%s v%d edit %d: status %v (err %v), a store without tiers says %v (err %v)", u, v, i, got, gotErr, want, wantErr)
+					}
+					// The stored version was last fetched as the edited
+					// bytes, unless they failed to parse.
+					if _, err := commit(tiered, page); err != nil {
+						t.Fatal(err)
+					}
+					if hit := tiered.Stats().SkippedRawSig == 1; hit != (gotErr != nil) {
+						t.Fatalf("%s v%d edit %d: refetching the unedited bytes after it: tier-1 hit %v, edit error %v", u, v, i, hit, gotErr)
+					}
+					if gotErr != nil {
+						outcomes["refused"]++
+					} else {
+						outcomes[got.String()]++
+					}
+				}
+			}
+		}
+	}
+	if outcomes["refused"] == 0 || outcomes["updated"] == 0 || outcomes["unchanged"] == 0 {
+		t.Fatalf("edit outcomes %v: every kind of outcome is needed", outcomes)
+	}
+	t.Logf("edit outcomes: %v", outcomes)
 }

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -91,11 +92,11 @@ type Metadata struct {
 type Entry struct {
 	Meta Metadata
 	Doc  *xmldom.Document // current version; nil for HTML
-	// rawSig is the signature of the serialized bytes the current XML
-	// version was committed from (or last refetched as); CommitXMLBytes
-	// short-circuits an identical refetch before parsing. Recovery
-	// restores it from the logged bytes.
-	rawSig [sha256.Size]byte
+	// rawSig is the tier-1 hash (rawHash) of the serialized bytes the
+	// current XML version was committed from (or last refetched as);
+	// CommitXMLBytes short-circuits an identical refetch before parsing.
+	// Recovery restores it from the logged bytes.
+	rawSig [2]uint64
 	// structHash is the structural subtree hash of the current XML
 	// version's root — what xmldom.StreamHasher computes for any
 	// serialization of the tree. Recorded inside the same critical section
@@ -142,7 +143,7 @@ type Store struct {
 // commits were resolved at each tier of the change-detection cascade.
 type Stats struct {
 	// SkippedRawSig counts tier-1 hits: byte-identical refetches resolved
-	// by one SHA-256, no tokenize.
+	// by one keyed 128-bit hash (rawHash), no tokenize.
 	SkippedRawSig uint64
 	// SkippedStructHash counts tier-2 hits: byte-different but
 	// structurally identical refetches resolved by one streaming
@@ -211,6 +212,21 @@ func Signature(content []byte) [sha256.Size]byte {
 	return sha256.Sum256(content)
 }
 
+// rawSeeds key the tier-1 hash. They are drawn once per process, not per
+// Store, so stores in one process agree on it; nothing persists it.
+var rawSeeds = [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()}
+
+// rawHash is tier 1's identity of an XML page's bytes: two keyed 64-bit
+// hashes. It need not be cryptographic: every byte-different page that
+// misses tier 1 is decided by tier 2's unkeyed 64-bit structural hash, so
+// a keyed 128-bit tier 1 weakens nothing, and a page author cannot learn
+// its key to aim a collision at it. HTML keeps SHA-256 (Signature): its
+// signature is logged and compared across restarts, so it must not depend
+// on the process.
+func rawHash(data []byte) [2]uint64 {
+	return [2]uint64{maphash.Bytes(rawSeeds[0], data), maphash.Bytes(rawSeeds[1], data)}
+}
+
 // structSignature is the Metadata.Signature of an XML version: its
 // structural root hash, zero-extended.
 func structSignature(root uint64) (sig [sha256.Size]byte) {
@@ -229,8 +245,8 @@ var streamHasherPool = sync.Pool{New: func() any { return new(xmldom.StreamHashe
 // they may be empty. A refetch first runs through a two-tier unchanged
 // cascade:
 //
-//	tier 1 — raw signature: byte-identical to the stored version's bytes;
-//	         resolved by one SHA-256, no tokenize.
+//	tier 1 — raw hash: byte-identical to the stored version's bytes;
+//	         resolved by one keyed 128-bit hash (rawHash), no tokenize.
 //	tier 2 — structural hash: byte-different but structurally identical
 //	         (whitespace reflow, re-quoted attributes, re-encoded
 //	         entities); resolved by one streaming tokenize+hash pass
@@ -240,7 +256,7 @@ var streamHasherPool = sync.Pool{New: func() any { return new(xmldom.StreamHashe
 // xydiff.Diff, whose aligner trims the unchanged prefix and suffix of
 // every children list itself.
 func (s *Store) CommitXMLBytes(url, dtd, domain string, data []byte) (*CommitResult, error) {
-	rawSig := Signature(data)
+	rawSig := rawHash(data)
 	now := s.clock()
 	s.mu.Lock()
 	e, tracked := s.pages[url]
@@ -267,7 +283,7 @@ func (s *Store) CommitXMLBytes(url, dtd, domain string, data []byte) (*CommitRes
 			if e, ok := s.pages[url]; ok && !s.alwaysDiff && e.Meta.Type == XML && e.structHash == root {
 				e.Meta.LastAccessed = now
 				// Refresh tier 1 for this serialization: the next refetch
-				// of these exact bytes is one SHA-256 again.
+				// of these exact bytes is one tier-1 hash again.
 				e.rawSig = rawSig
 				res := &CommitResult{Status: StatusUnchanged, Meta: e.Meta, Old: e.Doc, Doc: e.Doc}
 				s.mu.Unlock()
@@ -291,10 +307,10 @@ func (s *Store) CommitXMLBytes(url, dtd, domain string, data []byte) (*CommitRes
 }
 
 // commitXML is the commit body of CommitXMLBytes: doc was parsed from
-// bytes whose signature is rawSig, recorded on the entry inside the same
+// bytes whose tier-1 hash is rawSig, recorded on the entry inside the same
 // critical section as the commit, so the fast path can never pair a stale
 // byte signature with a newer document.
-func (s *Store) commitXML(url, dtd, domain string, doc *xmldom.Document, rawSig [sha256.Size]byte) (*CommitResult, error) {
+func (s *Store) commitXML(url, dtd, domain string, doc *xmldom.Document, rawSig [2]uint64) (*CommitResult, error) {
 	// The structural root hash identifies the version (tier 2 already
 	// decides on it, Diff needs the vector anyway): the tree is never
 	// serialised to compare it. doc is still the caller's alone — no lock.
@@ -338,7 +354,7 @@ func (s *Store) commitXML(url, dtd, domain string, doc *xmldom.Document, rawSig 
 	if old != nil {
 		s.statDiffed.Add(1)
 		delta, _ = xydiff.Diff(old, doc)
-		// The superseded version's vector is recycled: no later Diff
+		// The superseded version's vector is dropped: no later Diff
 		// involves it.
 		old.InvalidateHashes()
 	}
@@ -386,7 +402,7 @@ func (s *Store) CommitHTML(url string, content []byte) (*CommitResult, error) {
 		return &CommitResult{Status: StatusUnchanged, Meta: e.Meta}, nil
 	}
 	e.Meta.Type, e.Meta.DTD, e.Meta.DTDID = HTML, "", 0
-	e.Doc, e.rawSig, e.structHash = nil, [sha256.Size]byte{}, 0
+	e.Doc, e.rawSig, e.structHash = nil, [2]uint64{}, 0
 	e.Meta.Signature = sig
 	e.Meta.LastUpdate = now
 	e.Meta.Version++

@@ -12,8 +12,8 @@ import "sync"
 // shape it was computed from: callers that mutate a hashed tree in place
 // (AppendChild, RemoveChild, text or attribute edits) must call
 // Document.InvalidateHashes before hashing again. The warehouse computes
-// the vector once per committed version and recycles it when the version
-// is superseded, so a version-chain diff hashes only the new tree.
+// the vector once per committed version and drops it when the version is
+// superseded, so a version-chain diff hashes only the new tree.
 type HashVector struct {
 	v []uint64
 }
@@ -22,11 +22,10 @@ type HashVector struct {
 // was computed from.
 func (hv *HashVector) Of(n *Node) uint64 { return hv.v[n.ord] }
 
-// hashVecPool recycles hash vectors across document versions: the
-// warehouse releases a superseded version's vector (InvalidateHashes) and
-// the next committed version draws it back, so steady-state version-chain
-// diffing allocates no hash storage.
-var hashVecPool = sync.Pool{New: func() any { return &HashVector{} }}
+// hashScratchPool recycles the vectors Hashes folds into before it copies
+// the result into one sized to the tree: a cached vector keeps no slack
+// from append's growth or from an earlier, larger tree.
+var hashScratchPool = sync.Pool{New: func() any { return new([]uint64) }}
 
 // Hashes returns the document's structural hash vector, computing and
 // caching it on first use. The computation is a single iterative
@@ -39,24 +38,21 @@ var hashVecPool = sync.Pool{New: func() any { return &HashVector{} }}
 // must serialise the first Hashes call the same way they serialise any
 // other access (the warehouse computes it under its commit lock).
 func (d *Document) Hashes() *HashVector {
-	if d.hashes == nil {
-		hv := hashVecPool.Get().(*HashVector)
-		hv.v, _ = foldSubtree(hv.v[:0], d.Root, true)
-		d.hashes = hv
+	if d.hashes.v == nil {
+		sc := hashScratchPool.Get().(*[]uint64)
+		v, _ := foldSubtree((*sc)[:0], d.Root, true)
+		d.hashes.v = append(make([]uint64, 0, len(v)), v...)
+		*sc = v[:0]
+		hashScratchPool.Put(sc)
 	}
-	return d.hashes
+	return &d.hashes
 }
 
-// InvalidateHashes drops the cached hash vector and returns its storage to
-// the pool. Call it after mutating the tree in place, or when a version is
-// superseded and its vector will never be read again. Any HashVector
-// obtained from Hashes before this call must no longer be used.
-func (d *Document) InvalidateHashes() {
-	if d.hashes != nil {
-		hashVecPool.Put(d.hashes)
-		d.hashes = nil
-	}
-}
+// InvalidateHashes drops the cached hash vector. Call it after mutating
+// the tree in place, or when a version is superseded and its vector will
+// never be read again. A HashVector obtained from Hashes before this call
+// must no longer be used.
+func (d *Document) InvalidateHashes() { d.hashes.v = nil }
 
 // SubtreeHash returns the structural hash of the subtree rooted at n: the
 // value Document.Hashes records for n, computed without writing to the

@@ -66,7 +66,7 @@ type Document struct {
 	Root    *Node
 	nextXID XID
 	// hashes caches the structural subtree-hash vector; see Hashes.
-	hashes *HashVector
+	hashes HashVector
 }
 
 // NewDocument wraps root into a document and labels every unlabelled node.

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"xymon/internal/alerter"
@@ -333,11 +334,30 @@ func (s *System) Unsubscribe(name string) error {
 	return s.Manager.Unsubscribe(name)
 }
 
+// pushBufPool recycles PushXML's byte copies of its pages; a copy above
+// maxPooledPush goes to the collector instead of staying pinned.
+var pushBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledPush = 1 << 20
+
 // PushXML feeds one fetched XML page through the full notification chain
 // (warehouse commit, change detection, alerters, matching, reporting) and
 // returns the number of notifications produced.
+//
+// The chain reads content through a pooled byte copy that is reused once
+// PushXML returns. Nothing keeps that copy past the call: ParseBytes copies
+// every tag, attribute and text into strings, the warehouse log copies the
+// bytes into its record, and the classifier and the warehouse's tier-1 and
+// tier-2 hashes read them synchronously.
 func (s *System) PushXML(url, dtd, domain, content string) (int, error) {
-	data := []byte(content)
+	buf := pushBufPool.Get().(*[]byte)
+	data := append((*buf)[:0], content...)
+	defer func() {
+		if cap(data) <= maxPooledPush {
+			*buf = data[:0]
+			pushBufPool.Put(buf)
+		}
+	}()
 	if domain == "" {
 		// The semantic module classifies unlabelled documents (Figure 1)
 		// by their start tags: an unlabelled push pays one tokenizer pass

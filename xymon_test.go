@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"xymon/internal/faults"
 	"xymon/internal/manager"
 	"xymon/internal/wal"
+	"xymon/internal/webgen"
 	"xymon/internal/xmldom"
 )
 
@@ -910,4 +912,149 @@ report when immediate`); err != nil {
 	if allocs := testing.AllocsPerRun(200, refuse); allocs != 0 {
 		t.Errorf("Gate allocates %.1f objects refusing a %d-byte page, want 0", allocs, len(page))
 	}
+}
+
+// TestPushXMLRetainsNoInput: PushXML reads each page through a pooled
+// buffer that the next push overwrites, so nothing the chain keeps may
+// point into it. After later, larger pages are pushed through the same
+// buffer, page A's stored tree, the payloads delivered for it and the
+// version the warehouse log recovers are all still A.
+func TestPushXMLRetainsNoInput(t *testing.T) {
+	dir := t.TempDir()
+	sys, _, reports := newSystem(t, Options{DurableDir: dir})
+	if _, err := sys.Subscribe(`subscription Products
+monitoring
+select X
+from self//product X
+where URL = "http://keep.example/a.xml" and new X
+report when immediate`); err != nil {
+		t.Fatalf("Subscribe: %v", err)
+	}
+	page := func(n int, name string) string {
+		var b strings.Builder
+		b.WriteString("<catalog>")
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, `<product id="%s%d"><name>%s %d</name></product>`, name, i, name, i)
+		}
+		return b.String() + "</catalog>"
+	}
+	push := func(url, content string) {
+		t.Helper()
+		if _, err := sys.PushXML(url, "", "shopping", content); err != nil {
+			t.Fatalf("PushXML %s: %v", url, err)
+		}
+	}
+	// The first push grows the pooled buffer past every later page, so the
+	// pages after A are copied over A's bytes rather than into a new array.
+	push("http://keep.example/big.xml", page(400, "filler"))
+	a := page(3, "radio")
+	push("http://keep.example/a.xml", a)
+	if len(*reports) != 3 {
+		t.Fatalf("page A raised %d reports, want one per product", len(*reports))
+	}
+	var delivered []string
+	for _, r := range *reports {
+		delivered = append(delivered, r.Doc.XML())
+	}
+	if !strings.Contains(strings.Join(delivered, ""), "radio 2") {
+		t.Fatalf("A's reports = %s", delivered)
+	}
+	for i := 1; i <= 5; i++ {
+		push(fmt.Sprintf("http://keep.example/b%d.xml", i), page(3+20*i, "zzzzz"))
+	}
+
+	parsed, err := xmldom.ParseBytes([]byte(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := parsed.XML()
+	e, err := sys.Store.Get("http://keep.example/a.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Doc.XML(); got != want {
+		t.Errorf("A's stored tree changed under later pushes:\n got  %s\n want %s", got, want)
+	}
+	for i, r := range (*reports)[:3] {
+		if got := r.Doc.XML(); got != delivered[i] {
+			t.Errorf("A's delivered payloads changed under later pushes:\n got  %s\n was  %s", got, delivered[i])
+		}
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	again, _, _ := newSystem(t, Options{DurableDir: dir})
+	defer again.Close()
+	e, err = again.Store.Get("http://keep.example/a.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Doc.XML(); got != want {
+		t.Errorf("A recovered from the warehouse log as\n %s\nwant %s", got, want)
+	}
+	// The log holds A's exact bytes: a refetch of them is a tier-1 hit.
+	if _, err := again.PushXML("http://keep.example/a.xml", "", "shopping", a); err != nil {
+		t.Fatal(err)
+	}
+	if st := again.Store.Stats(); st.SkippedRawSig != 1 {
+		t.Errorf("refetching A after recovery: %+v, want one tier-1 hit", st)
+	}
+}
+
+// TestUnchangedPushAllocCeiling holds a byte-identical refetch, the
+// commonest document of a steady crawl, to a few small objects: with
+// steady-refetch's four kinds of subscription on the page's site, PushXML
+// allocates at most 4 objects and under a quarter of the page's bytes.
+func TestUnchangedPushAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	sys, _, _ := newSystem(t, Options{})
+	prefix := "http://shop0.example/"
+	vocab := webgen.Vocabulary()
+	for j := 0; j < 10; j++ {
+		var where, report string
+		switch k := j % 10; {
+		case k == 0:
+			where, report = "modified self", "immediate"
+		case k <= 3:
+			where, report = "modified self", "notifications.count > 20"
+		case k <= 6:
+			where, report = fmt.Sprintf("new product contains %q", vocab[j%len(vocab)]), "daily"
+		default:
+			where, report = "updated product", "notifications.count > 20"
+		}
+		if _, err := sys.Subscribe(fmt.Sprintf("subscription S%d\nmonitoring\nselect <Hit url=URL/>\nwhere URL extends %q and %s\nreport when %s", j, prefix, where, report)); err != nil {
+			t.Fatalf("Subscribe: %v", err)
+		}
+	}
+	site := NewSite(SiteSpec{BaseURL: prefix, Pages: 1, Products: 30, Seed: 7919, PerturbEvery: 3, PerturbKind: webgen.PerturbWhitespace})
+	url := site.XMLURLs()[0]
+	page := string(site.FetchXMLBytes(url, 1))
+	refetch := func() {
+		if _, err := sys.PushXML(url, site.Spec().DTD, "shopping", page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refetch() // the page is New
+	refetch() // fill the pools
+	before := sys.Store.Stats().SkippedRawSig
+	const runs = 200
+	allocs := testing.AllocsPerRun(runs, refetch)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		refetch()
+	}
+	runtime.ReadMemStats(&m1)
+	bytesPer := float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+	if hits := sys.Store.Stats().SkippedRawSig - before; hits != 2*runs+1 {
+		t.Fatalf("%d tier-1 hits over %d refetches; every refetch must be one", hits, 2*runs+1)
+	}
+	if allocs > 4 || bytesPer >= float64(len(page))/4 {
+		t.Errorf("an unchanged refetch allocates %.1f objects, %.0f B; want at most 4 objects and under %d B (a quarter of the %d-byte page)",
+			allocs, bytesPer, len(page)/4, len(page))
+	}
+	t.Logf("%.1f objects, %.0f B per refetch of a %d-byte page", allocs, bytesPer, len(page))
 }
