@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -19,8 +20,9 @@ type Finding struct {
 }
 
 // Analyzer is one rule suite. Per-package rules set Run and are invoked
-// once per analyzed package; interprocedural rules set RunEngine and are
-// invoked once over the module-wide call-graph engine.
+// once per analyzed package; engine rules set RunEngine and are invoked
+// once over the module-wide call-graph engine. staleignore sets neither:
+// analyzeAll reports it.
 type Analyzer struct {
 	Name      string
 	Doc       string
@@ -31,9 +33,9 @@ type Analyzer struct {
 // analyzers is the project suite, in reporting order.
 var analyzers = []*Analyzer{
 	{
-		Name: "lockcheck",
-		Doc:  "locks without a paired unlock, and channel sends or callback invocations under a held lock",
-		Run:  runLockcheck,
+		Name:      "lockcheck",
+		Doc:       "locks without a paired unlock, and channel sends or callback invocations under a held lock",
+		RunEngine: runLockcheck,
 	},
 	{
 		Name:      "deeplock",
@@ -100,6 +102,10 @@ var analyzers = []*Analyzer{
 		Doc:       "exported identifiers of internal/ packages that no non-test file of the module references",
 		RunEngine: runTestonly,
 	},
+	{
+		Name: "staleignore",
+		Doc:  "//xyvet:ignore entries that suppress no finding; only the baseline silences this rule",
+	},
 }
 
 // ruleTiming accumulates per-rule wall time (cumulative across workers)
@@ -146,8 +152,9 @@ func (t *ruleTiming) snapshot() []struct {
 
 // analyzeAll builds the interprocedural engine over every loaded package,
 // fans the per-package analyzers out across GOMAXPROCS workers, runs the
-// engine analyzers, applies //xyvet:ignore suppressions, drops findings
-// landing outside the analyzed package set and returns the rest sorted
+// engine analyzers, drops findings landing outside the analyzed package
+// set, applies //xyvet:ignore suppressions, reports each suppression
+// that suppressed nothing (staleignore) and returns the findings sorted
 // by position.
 func analyzeAll(pkgs []*Package, timing *ruleTiming) []Finding {
 	if len(pkgs) == 0 {
@@ -231,7 +238,7 @@ func analyzeAll(pkgs []*Package, timing *ruleTiming) []Finding {
 	wg.Wait()
 
 	ignores := make(ignoreIndex)
-	for _, p := range pkgs {
+	for _, p := range analyzed {
 		collectIgnores(p, ignores)
 	}
 	var out []Finding
@@ -241,12 +248,13 @@ func analyzeAll(pkgs []*Package, timing *ruleTiming) []Finding {
 			if !analyzedDir[dirOf(pos.Filename)] {
 				continue
 			}
-			if ignores.suppressed(pos, f.Rule) {
+			if ignores.suppress(pos, f.Rule) {
 				continue
 			}
 			out = append(out, f)
 		}
 	}
+	out = append(out, ignores.stale()...)
 	sort.Slice(out, func(i, j int) bool {
 		pi, pj := fset.Position(out[i].Pos), fset.Position(out[j].Pos)
 		if pi.Filename != pj.Filename {
@@ -274,8 +282,15 @@ func dirOf(name string) string {
 	return name
 }
 
-// ignoreIndex records //xyvet:ignore comments by file and line.
-type ignoreIndex map[string]map[int][]string
+// ignoreEntry is one rule named by a //xyvet:ignore comment.
+type ignoreEntry struct {
+	pos  token.Pos
+	rule string
+	used bool // it suppressed a finding
+}
+
+// ignoreIndex records //xyvet:ignore entries by file and line.
+type ignoreIndex map[string]map[int][]*ignoreEntry
 
 // collectIgnores scans every comment of the package for the suppression
 // syntax `//xyvet:ignore rule[,rule...] [justification]` into idx.
@@ -293,32 +308,51 @@ func collectIgnores(pkg *Package, idx ignoreIndex) {
 				if len(fields) == 0 {
 					continue
 				}
-				rules := strings.Split(fields[0], ",")
 				pos := pkg.Fset.Position(c.Pos())
 				if idx[pos.Filename] == nil {
-					idx[pos.Filename] = make(map[int][]string)
+					idx[pos.Filename] = make(map[int][]*ignoreEntry)
 				}
-				idx[pos.Filename][pos.Line] = append(idx[pos.Filename][pos.Line], rules...)
+				for _, rule := range strings.Split(fields[0], ",") {
+					idx[pos.Filename][pos.Line] = append(idx[pos.Filename][pos.Line], &ignoreEntry{pos: c.Pos(), rule: rule})
+				}
 			}
 		}
 	}
 }
 
-// suppressed reports whether rule is ignored at pos: an ignore comment on
-// the same line or on the line directly above covers it.
-func (idx ignoreIndex) suppressed(pos token.Position, rule string) bool {
-	lines := idx[pos.Filename]
-	if lines == nil {
-		return false
-	}
+// suppress reports whether rule is ignored at pos, and marks the entries
+// that ignore it: an ignore comment on the same line or on the line
+// directly above covers it.
+func (idx ignoreIndex) suppress(pos token.Position, rule string) bool {
+	hit := false
 	for _, l := range [2]int{pos.Line, pos.Line - 1} {
-		for _, r := range lines[l] {
-			if r == rule || r == "all" {
-				return true
+		for _, e := range idx[pos.Filename][l] {
+			if e.rule == rule || e.rule == "all" {
+				e.used, hit = true, true
 			}
 		}
 	}
-	return false
+	return hit
+}
+
+// stale reports each entry that suppressed no finding. No ignore comment
+// covers these findings, so only the baseline silences one.
+func (idx ignoreIndex) stale() []Finding {
+	var out []Finding
+	for _, lines := range idx {
+		for _, entries := range lines {
+			for _, e := range entries {
+				if !e.used {
+					out = append(out, Finding{
+						Pos:  e.pos,
+						Rule: "staleignore",
+						Msg:  fmt.Sprintf("//xyvet:ignore %s suppresses no finding; delete it", e.rule),
+					})
+				}
+			}
+		}
+	}
+	return out
 }
 
 // --- shared type helpers ---

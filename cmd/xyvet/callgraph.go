@@ -15,8 +15,9 @@ import (
 // resolved through go/types, interface calls bounded to the in-module
 // implementations of the method) with one summary per declared function,
 // propagated to a fixpoint (see summary.go). Per-function rules keep
-// running per package; the engine is what lets lockorder, deeplock,
-// faultcover and connguard see through call boundaries.
+// running per package; the engine rules read its summaries, and the
+// call graph lets lockorder, deeplock, faultcover and connguard see
+// through call boundaries.
 type engine struct {
 	modpath string
 	fset    *token.FileSet
@@ -24,14 +25,16 @@ type engine struct {
 
 	nodes []*funcNode // every declared function with a body, deterministic order
 	byObj map[*types.Func]*funcNode
+	// varInits holds, per package, the summary of its variables'
+	// initializers (a node with no fn or decl; see summarizeVars).
+	varInits []*funcNode
 
 	// named lists the concrete (non-interface) named types of the loaded
 	// packages — the candidate set for interface-call resolution.
 	named []*types.Named
 
-	// localFuncs, per package, holds variables bound to function literals
-	// (calling one is not an external callback) — shared with lockcheck's
-	// heuristic.
+	// localFuncs, per package, holds variables bound to function literals:
+	// calling one is not an external callback to lockcheck.
 	localFuncs map[*Package]map[types.Object]bool
 
 	netConn *types.Interface // resolved net.Conn, nil when never imported
@@ -159,6 +162,11 @@ func buildEngine(pkgs []*Package) *engine {
 	close(next)
 	wg.Wait()
 
+	for _, pkg := range e.pkgs {
+		if pkg.Types != nil {
+			e.varInits = append(e.varInits, summarizeVars(e, pkg))
+		}
+	}
 	e.fixpoint()
 	return e
 }

@@ -7,13 +7,13 @@ import (
 
 // runDeeplock is lockcheck's interprocedural extension: a call made while
 // a lock is held, into a function whose summary says it may block
-// (channel send/receive, select with no default, WaitGroup/Cond wait, or
-// an injected callback — possibly several static calls deep), stalls
-// every other goroutine contending for that lock. The base lockcheck
-// rule already flags direct blocking operations and unresolvable plug
-// points (interface methods, callbacks) inside a critical section; this
-// rule covers the remaining gap, static concrete calls, and names the
-// exact chain to the blocking operation.
+// (channel send/receive, select with no default, WaitGroup/Cond wait —
+// possibly several static calls deep), stalls every other goroutine
+// contending for that lock. lockcheck reads the same summaries for the
+// channel sends and unresolvable plug points (interface methods,
+// callbacks) inside a critical section; this rule covers the remaining
+// gap, static concrete calls, and names the exact chain to the blocking
+// operation.
 func runDeeplock(e *engine) []Finding {
 	var out []Finding
 	for _, n := range e.nodes {

@@ -3,8 +3,8 @@ package main
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
-	"strings"
 )
 
 // runLockcheck enforces the project's lock discipline:
@@ -18,203 +18,53 @@ import (
 //     held — both can block or re-enter and deadlock a long-running
 //     monitor;
 //   - functions named *Locked run with a caller-held lock by project
-//     convention, so their whole body is scanned the same way.
-func runLockcheck(pkg *Package) []Finding {
-	c := &lockChecker{pkg: pkg, localFuncs: localClosureVars(pkg)}
-	for _, file := range pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.BlockStmt:
-				c.checkList(x.List)
-			case *ast.CaseClause:
-				c.checkList(x.Body)
-			case *ast.CommClause:
-				c.checkList(x.Body)
-			case *ast.FuncDecl:
-				if x.Body != nil && strings.HasSuffix(x.Name.Name, "Locked") {
-					held := fmt.Sprintf("a caller-held lock (callers of %s hold it per the *Locked convention)", x.Name.Name)
-					for _, s := range x.Body.List {
-						c.scanHeld(s, held)
-					}
-				}
-			}
-			return true
-		})
-	}
-	return c.findings
-}
-
-type lockChecker struct {
-	pkg *Package
-	// localFuncs holds variables bound to function literals in the same
-	// package; calling one is not an external callback.
-	localFuncs map[types.Object]bool
-	findings   []Finding
-}
-
-// checkList examines one statement list for lock/unlock pairing and
-// critical-section contents.
-func (c *lockChecker) checkList(list []ast.Stmt) {
-	for i, stmt := range list {
-		recv, kind, ok := c.lockStmt(stmt)
-		if !ok {
+//     convention, so their whole body is checked the same way.
+//
+// It reads the critical sections the engine's summaries record, package
+// variables' function literals included, and reports a site once per
+// lock held there. A go or defer statement is left whole: its arguments
+// are not checked.
+func runLockcheck(e *engine) []Finding {
+	var out []Finding
+	for _, n := range append(e.nodes[:len(e.nodes):len(e.nodes)], e.varInits...) {
+		if !n.pkg.Analyzed {
 			continue
 		}
-		unlock := map[string]string{"Lock": "Unlock", "RLock": "RUnlock"}[kind]
-		// Find the statement releasing this lock in the same list: an
-		// immediate deferred unlock (critical section lasts to the end of
-		// the list) or an explicit unlock (critical section ends there).
-		region := -1 // index one past the critical section; -1 = unpaired
-		deferred := false
-		for j := i + 1; j < len(list) && region < 0; j++ {
-			switch s := list[j].(type) {
-			case *ast.DeferStmt:
-				if j == i+1 && c.isMethodCall(s.Call, recv, unlock) {
-					region, deferred = len(list), true
+		report := func(pos token.Pos, held []heldLock, what, why string) {
+			for _, h := range held {
+				under := fmt.Sprintf("%s (taken by %s.%s())", h.recv, h.recv, h.kind)
+				if h.caller {
+					under = fmt.Sprintf("a caller-held lock (callers of %s hold it per the *Locked convention)", n.decl.Name.Name)
 				}
-			case *ast.ExprStmt:
-				if call, ok := s.X.(*ast.CallExpr); ok && c.isMethodCall(call, recv, unlock) {
-					region = j
-				}
+				out = append(out, Finding{Pos: pos, Rule: "lockcheck", Msg: what + " under " + under + "; " + why})
 			}
 		}
-		if region < 0 {
-			c.findings = append(c.findings, Finding{
-				Pos:  stmt.Pos(),
-				Rule: "lockcheck",
-				Msg: fmt.Sprintf("%s.%s() is not followed by `defer %s.%s()` or an unlock in the same statement list",
-					recv, kind, recv, unlock),
-			})
-			continue
-		}
-		start := i + 1
-		if deferred {
-			start = i + 2
-		}
-		held := fmt.Sprintf("%s (taken by %s.%s())", recv, recv, kind)
-		for _, s := range list[start:region] {
-			c.scanHeld(s, held)
-		}
-	}
-}
-
-// lockStmt recognises `recv.Lock()` / `recv.RLock()` statements on sync
-// mutexes (directly, through a named field, or via sync.Locker).
-func (c *lockChecker) lockStmt(stmt ast.Stmt) (recv, kind string, ok bool) {
-	es, ok := stmt.(*ast.ExprStmt)
-	if !ok {
-		return "", "", false
-	}
-	call, ok := es.X.(*ast.CallExpr)
-	if !ok {
-		return "", "", false
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", "", false
-	}
-	kind = sel.Sel.Name
-	if kind != "Lock" && kind != "RLock" {
-		return "", "", false
-	}
-	if !c.isSyncMethod(sel) {
-		return "", "", false
-	}
-	return types.ExprString(sel.X), kind, true
-}
-
-// isMethodCall reports whether call is `recv.name()` for the textual
-// receiver recv and a sync package method.
-func (c *lockChecker) isMethodCall(call *ast.CallExpr, recv, name string) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != name {
-		return false
-	}
-	return c.isSyncMethod(sel) && types.ExprString(sel.X) == recv
-}
-
-// isSyncMethod reports whether the selected method is declared by the
-// sync package (sync.Mutex, sync.RWMutex, sync.Locker — including
-// promoted embeds). Without type information it falls back to a receiver
-// naming heuristic so partially checked packages still get coverage.
-func (c *lockChecker) isSyncMethod(sel *ast.SelectorExpr) bool {
-	if s, ok := c.pkg.Info.Selections[sel]; ok {
-		obj := s.Obj()
-		return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync"
-	}
-	if t := c.pkg.Info.Types[sel.X].Type; t != nil {
-		return typeIs(t, "sync.Mutex", "sync.RWMutex", "sync.Locker")
-	}
-	name := types.ExprString(sel.X)
-	for _, suffix := range []string{"mu", "Mu", "mutex", "Mutex"} {
-		if strings.HasSuffix(name, suffix) {
-			return true
-		}
-	}
-	return false
-}
-
-// scanHeld walks one statement of a critical section looking for
-// operations that must not run under a lock. Function literals, go
-// statements and defers are skipped: their bodies execute outside the
-// lexical critical section.
-func (c *lockChecker) scanHeld(stmt ast.Stmt, held string) {
-	ast.Inspect(stmt, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit, *ast.GoStmt, *ast.DeferStmt:
-			return false
-		case *ast.SendStmt:
-			c.findings = append(c.findings, Finding{
-				Pos:  x.Pos(),
-				Rule: "lockcheck",
-				Msg:  fmt.Sprintf("channel send under %s; a full channel blocks the critical section", held),
-			})
-		case *ast.CallExpr:
-			if why, ok := c.callbackCall(x); ok {
-				c.findings = append(c.findings, Finding{
-					Pos:  x.Pos(),
+		for _, ev := range n.sum.events {
+			if ev.unpaired {
+				out = append(out, Finding{
+					Pos:  ev.pos,
 					Rule: "lockcheck",
-					Msg:  fmt.Sprintf("%s under %s; callbacks can block or re-enter and deadlock", why, held),
+					Msg: fmt.Sprintf("%s.%s() is not followed by `defer %s.%s()` or an unlock in the same statement list",
+						ev.recv, ev.kind, ev.recv, unlockOf[ev.kind]),
 				})
 			}
 		}
-		return true
-	})
-}
-
-// callbackCall reports whether call invokes code outside the package's
-// control: a func-typed parameter, variable or field, or a method of an
-// interface defined in this module (the system's plug points — Delivery,
-// Journal, Sink...). Concrete methods, locally defined closures and
-// stdlib interfaces are allowed.
-func (c *lockChecker) callbackCall(call *ast.CallExpr) (string, bool) {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		obj := c.pkg.Info.Uses[fun]
-		if v, ok := obj.(*types.Var); ok && isFuncValue(v.Type()) && !c.localFuncs[obj] {
-			return fmt.Sprintf("call of function value %s", fun.Name), true
+		for _, s := range n.sum.sends {
+			report(s.pos, s.held, "channel send", "a full channel blocks the critical section")
 		}
-	case *ast.SelectorExpr:
-		if sel, ok := c.pkg.Info.Selections[fun]; ok {
-			switch sel.Kind() {
-			case types.FieldVal:
-				if isFuncValue(sel.Type()) {
-					return fmt.Sprintf("call of function value %s", types.ExprString(fun)), true
-				}
-			case types.MethodVal:
-				recv := deref(sel.Recv())
-				if types.IsInterface(recv) && inModule(c.pkg, sel.Obj()) {
-					return fmt.Sprintf("call of in-module interface method %s", types.ExprString(fun)), true
-				}
+		for _, c := range n.sum.calls {
+			if c.goDeferArg {
+				continue
 			}
-			return "", false
-		}
-		// Package-qualified func-typed variable.
-		if v, ok := c.pkg.Info.Uses[fun.Sel].(*types.Var); ok && isFuncValue(v.Type()) {
-			return fmt.Sprintf("call of function value %s", types.ExprString(fun)), true
+			switch {
+			case c.kind == callDynamic && !e.localFuncs[n.pkg][c.callee]:
+				report(c.pos, c.held, "call of function value "+c.name, "callbacks can block or re-enter and deadlock")
+			case c.kind == callIface && inModule(n.pkg, c.callee):
+				report(c.pos, c.held, "call of in-module interface method "+c.name, "callbacks can block or re-enter and deadlock")
+			}
 		}
 	}
-	return "", false
+	return out
 }
 
 // localClosureVars collects variables that are, somewhere in the

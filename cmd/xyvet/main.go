@@ -4,10 +4,10 @@
 // of a long-running subscription system — lock discipline and lock
 // ordering, goroutine lifecycle, silently dropped errors, fault-point
 // coverage, nondeterminism and stray output. Packages load in parallel
-// (dependency-ordered type-checking across GOMAXPROCS workers) and the
-// per-function rules fan out per package; four rules are interprocedural,
-// built on a module-wide call graph with per-function summaries
-// propagated to a fixpoint (see callgraph.go and summary.go).
+// (dependency-ordered type-checking across GOMAXPROCS workers) and seven
+// rules fan out per package. Seven more run on one engine: a module-wide
+// call graph with per-function summaries propagated to a fixpoint (see
+// callgraph.go and summary.go).
 //
 //	go run ./cmd/xyvet ./...
 //	go run ./cmd/xyvet -json ./internal/manager ./pubsub
@@ -25,7 +25,9 @@
 //
 // or allowlisted in a committed baseline file (-baseline), regenerated
 // with -write-baseline, so a new strict rule can land without blocking
-// unrelated work while the baseline is burned down to zero.
+// unrelated work while the baseline is burned down to zero. A rule named
+// by an ignore comment that suppresses nothing is itself a finding
+// (staleignore), which only the baseline can allowlist.
 //
 // The rules are documented in docs/STATIC_ANALYSIS.md and exercised by
 // the fixture packages under cmd/xyvet/testdata/src.

@@ -18,12 +18,18 @@ type wantKey struct {
 }
 
 // collectWants gathers the `// want rule[ rule...]` annotations of a
-// loaded fixture package, keyed by (file, line, rule) with counts.
+// loaded fixture package, keyed by (file, line, rule) with counts. A line
+// whose own comment is an //xyvet:ignore takes its want in a block
+// comment before it: `/* want staleignore */`.
 func collectWants(pkg *Package, wants map[wantKey]int) {
 	for _, file := range pkg.Files {
 		for _, cg := range file.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+				text := strings.TrimPrefix(c.Text, "//")
+				if body, ok := strings.CutPrefix(c.Text, "/*"); ok {
+					text = strings.TrimSuffix(body, "*/")
+				}
+				text = strings.TrimSpace(text)
 				rest, ok := strings.CutPrefix(text, "want ")
 				if !ok {
 					continue
@@ -134,19 +140,32 @@ func TestFixtures(t *testing.T) {
 // summaries reach their fixpoint. The golden file catches any drift in
 // call-graph construction, witness selection or message rendering.
 func TestEngineGolden(t *testing.T) {
+	checkGolden(t, "engine")
+}
+
+// TestLockcheckGolden pins lockcheck's messages over its fixture, which
+// TestFixtures compares by file, line and rule only.
+func TestLockcheckGolden(t *testing.T) {
+	checkGolden(t, "lockcheck")
+}
+
+// checkGolden requires the CLI output over testdata/src/<fixture> to be
+// byte-identical to testdata/<fixture>.golden.
+func checkGolden(t *testing.T, fixture string) {
+	t.Helper()
 	root, _, _ := fixtureRoot(t)
 	var buf bytes.Buffer
-	n, err := run(&buf, root, []string{"./cmd/xyvet/testdata/src/engine/..."}, options{})
+	n, err := run(&buf, root, []string{"./cmd/xyvet/testdata/src/" + fixture + "/..."}, options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "engine.golden")
+	golden := filepath.Join("testdata", fixture+".golden")
 	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := buf.String(); got != string(want) {
-		t.Errorf("engine fixture output drifted from %s\n--- got ---\n%s--- want ---\n%s", golden, got, want)
+		t.Errorf("%s fixture output drifted from %s\n--- got ---\n%s--- want ---\n%s", fixture, golden, got, want)
 	}
 	if wantN := strings.Count(string(want), "\n"); n != wantN {
 		t.Errorf("run reported %d findings, golden has %d lines", n, wantN)
@@ -171,20 +190,29 @@ func TestFixturesExitNonZero(t *testing.T) {
 	}
 }
 
-// TestCleanTree asserts the repository itself vets clean: the CI gate
-// `go run ./cmd/xyvet ./...` must exit 0.
+// TestCleanTree asserts the repository itself vets clean against its
+// baseline, as the CI gate `go run ./cmd/xyvet -baseline xyvet.baseline
+// ./...` requires, and that the committed baseline is exactly what
+// -write-baseline produces: no finding outside it, no stale line in it.
 func TestCleanTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module with the source importer")
 	}
 	root, _, _ := fixtureRoot(t)
-	var buf bytes.Buffer
-	n, err := run(&buf, root, []string{"./..."}, options{})
+	fresh := filepath.Join(t.TempDir(), "xyvet.baseline")
+	if _, err := run(io.Discard, root, []string{"./..."}, options{writeBaseline: fresh}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 0 {
-		t.Errorf("module is not xyvet-clean, %d findings:\n%s", n, buf.String())
+	want, err := os.ReadFile(filepath.Join(root, "xyvet.baseline"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("module findings differ from xyvet.baseline\n--- findings ---\n%s--- baseline ---\n%s", got, want)
 	}
 }
 

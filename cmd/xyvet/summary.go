@@ -7,15 +7,16 @@ import (
 	"strings"
 )
 
-// summary is the per-function fact sheet the interprocedural rules
-// consume. The local fields come from one lexical walk of the body
-// (summarize); the fixpoint fields are propagated over the call graph
-// by engine.fixpoint.
+// summary is the per-function fact sheet the engine rules consume. The
+// local fields come from one lexical walk of the body (summarize); the
+// fixpoint fields are propagated over the call graph by engine.fixpoint.
 type summary struct {
 	// events are the lock acquisitions of the body, each with the set of
-	// locks already held at that point (lexical critical-section regions,
-	// same pairing discipline lockcheck enforces).
+	// locks already held at that point (the critical sections walkList
+	// finds), unpaired acquisitions included.
 	events []lockEvent
+	// sends are the body's channel sends with the locks held at each.
+	sends []sendSite
 	// calls are the body's call sites with their held-lock context.
 	calls []callInfo
 	// rawIO are direct net.Conn / *os.File / os.Rename operations.
@@ -32,7 +33,7 @@ type summary struct {
 	// running synchronously: a channel send/receive, a select with no
 	// default, or a WaitGroup/Cond wait; extended through static calls by
 	// the fixpoint. Plug points (callbacks, interface methods) are not
-	// witnesses — lockcheck covers those lexically.
+	// witnesses — lockcheck flags those where a lock is held.
 	mayBlock *blockFact
 	// deadline: the body sets a conn deadline; extended transitively.
 	deadline bool
@@ -50,21 +51,26 @@ type summary struct {
 
 // lockEvent is one lock acquisition with its held-at-acquisition context.
 type lockEvent struct {
-	obj     types.Object // mutex identity (field or var object); nil when unresolvable
-	display string       // e.g. "reporter.Reporter.mu"
-	recv    string       // receiver expression text, e.g. "r.mu"
-	pos     token.Pos
-	held    []heldLock
-	async   bool // inside a func literal / go / defer body
+	heldLock            // the lock taken; pos is its Lock statement
+	held     []heldLock // the locks already held there
+	async    bool       // inside a func literal / go / defer body
+	unpaired bool       // no unlock pairs it in its statement list
 }
 
 // heldLock is one lock known held at a program point.
 type heldLock struct {
-	obj     types.Object // nil for the *Locked-convention caller-held lock
-	display string
-	recv    string
+	obj     types.Object // mutex identity (field or var object); nil when unresolvable or caller-held
+	display string       // e.g. "reporter.Reporter.mu"
+	recv    string       // receiver expression text, e.g. "r.mu"
+	kind    string       // Lock or RLock
 	pos     token.Pos
 	caller  bool // held by the caller per the *Locked naming convention
+}
+
+// sendSite is one channel send with the locks held at it.
+type sendSite struct {
+	pos  token.Pos
+	held []heldLock
 }
 
 type callKind int
@@ -79,10 +85,15 @@ const (
 type callInfo struct {
 	pos     token.Pos
 	kind    callKind
-	name    string // callee rendering for messages
+	name    string       // callee rendering for messages
+	callee  types.Object // the function, func-typed var or field, or interface method called
 	targets []*funcNode
 	held    []heldLock
 	async   bool
+	// goDeferArg: the call is in the arguments of a go or defer
+	// statement. It runs here, with held, but lockcheck leaves go and
+	// defer statements whole.
+	goDeferArg bool
 }
 
 // ioSite is one raw I/O operation (faultcover's subject matter).
@@ -167,102 +178,96 @@ func summarize(e *engine, n *funcNode) {
 	}
 }
 
-// sumWalker walks one function body tracking the held-lock context, the
-// same lexical critical-section discipline lockcheck enforces: a lock
-// statement paired with an immediate deferred unlock holds to the end of
-// the statement list, one paired with an explicit unlock holds to the
-// unlock.
+// summarizeVars walks the initializers of a package's variables, whose
+// function literals have bodies too. Only lockcheck reads the result.
+func summarizeVars(e *engine, pkg *Package) *funcNode {
+	n := &funcNode{pkg: pkg}
+	w := &sumWalker{e: e, n: n, pkg: pkg}
+	for _, file := range pkg.Files {
+		for _, d := range file.Decls {
+			if gd, ok := d.(*ast.GenDecl); ok {
+				w.walkStmt(&ast.DeclStmt{Decl: gd}, nil, false)
+			}
+		}
+	}
+	return n
+}
+
+// sumWalker walks one function body tracking the held-lock context.
 type sumWalker struct {
 	e   *engine
 	n   *funcNode
 	pkg *Package
+	// goDeferArgs: the walk is in the arguments of a go or defer
+	// statement (outside any function literal there).
+	goDeferArgs bool
 }
 
+// walkList walks one statement list. A lock statement paired, in the same
+// list, with an immediate deferred unlock holds its lock to the end of the
+// list; one paired with an explicit unlock holds it to the unlock. Each
+// critical section is found in the whole list, so one may end after a
+// later one began (hand-over-hand locking).
 func (w *sumWalker) walkList(list []ast.Stmt, held []heldLock, async bool) {
-	i := 0
-	for i < len(list) {
-		stmt := list[i]
+	type section struct {
+		lk  heldLock
+		end int // the lock is held up to list[end]
+	}
+	var secs []section
+	for i, stmt := range list {
+		now := held[:len(held):len(held)]
+		for _, sec := range secs {
+			if i < sec.end {
+				now = append(now, sec.lk)
+			}
+		}
 		lk, ok := w.lockAcquire(stmt)
 		if !ok {
-			w.walkStmt(stmt, held, async)
-			i++
+			w.walkStmt(stmt, now, async)
 			continue
 		}
+		end := w.findRegion(list, i, lk)
 		w.n.sum.events = append(w.n.sum.events, lockEvent{
-			obj: lk.obj, display: lk.display, recv: lk.recv, pos: stmt.Pos(),
-			held: snapshotHeld(held), async: async,
+			heldLock: lk, held: snapshotHeld(now), async: async, unpaired: end < 0,
 		})
-		region, deferred := w.findRegion(list, i, lk)
-		if region < 0 {
-			// Unpaired (lockcheck reports it); scan on without the lock.
-			w.walkStmt(stmt, held, async)
-			i++
-			continue
+		if end >= 0 {
+			secs = append(secs, section{lk, end})
 		}
-		start := i + 1
-		if deferred {
-			start = i + 2
-		}
-		// The critical section is a statement list of its own (nested
-		// lock pairs there need their regions found), walked with the new
-		// lock held; the unlock statement and the tail of the list run
-		// without it.
-		inner := append(snapshotHeld(held), lk.held)
-		w.walkList(list[start:region], inner, async)
-		rest := region
-		if !deferred && region < len(list) {
-			rest = region + 1
-		}
-		if rest < len(list) {
-			w.walkList(list[rest:], held, async)
-		}
-		return
 	}
-}
-
-// acquired describes one recognized recv.Lock()/recv.RLock() statement.
-type acquired struct {
-	obj     types.Object
-	display string
-	recv    string
-	kind    string // Lock or RLock
-	held    heldLock
 }
 
 // lockAcquire recognises `recv.Lock()` / `recv.RLock()` statements on
 // sync mutexes and resolves the mutex identity to a types.Object — the
 // struct field or variable, so two acquisition sites of the same field
 // are the same lock class no matter the instance.
-func (w *sumWalker) lockAcquire(stmt ast.Stmt) (acquired, bool) {
+func (w *sumWalker) lockAcquire(stmt ast.Stmt) (heldLock, bool) {
 	es, ok := stmt.(*ast.ExprStmt)
 	if !ok {
-		return acquired{}, false
+		return heldLock{}, false
 	}
 	call, ok := es.X.(*ast.CallExpr)
 	if !ok {
-		return acquired{}, false
+		return heldLock{}, false
 	}
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return acquired{}, false
+		return heldLock{}, false
 	}
 	kind := sel.Sel.Name
 	if kind != "Lock" && kind != "RLock" {
-		return acquired{}, false
+		return heldLock{}, false
 	}
 	if !w.isSyncMethod(sel) {
-		return acquired{}, false
+		return heldLock{}, false
 	}
 	obj, display := w.resolveMutex(sel)
-	recv := types.ExprString(sel.X)
-	a := acquired{obj: obj, display: display, recv: recv, kind: kind}
-	a.held = heldLock{obj: obj, display: display, recv: recv, pos: stmt.Pos()}
-	return a, true
+	return heldLock{obj: obj, display: display, recv: types.ExprString(sel.X), kind: kind, pos: stmt.Pos()}, true
 }
 
 // isSyncMethod reports whether the selected method is declared by the
-// sync package (including promoted embeds), with lockcheck's receiver
-// naming fallback for partially checked packages.
+// sync package (sync.Mutex, sync.RWMutex, sync.Locker — including
+// promoted embeds). Without type information it falls back to a receiver
+// naming heuristic so partially checked packages still get coverage.
 func (w *sumWalker) isSyncMethod(sel *ast.SelectorExpr) bool {
 	if s, ok := w.pkg.Info.Selections[sel]; ok {
 		obj := s.Obj()
@@ -350,25 +355,27 @@ func (w *sumWalker) displayFor(v *types.Var, selExpr *ast.SelectorExpr) string {
 	return v.Name()
 }
 
+// unlockOf names the method that releases each kind of lock.
+var unlockOf = map[string]string{"Lock": "Unlock", "RLock": "RUnlock"}
+
 // findRegion locates the end of the critical section opened at list[i]:
-// an immediate `defer recv.Unlock()` (region runs to the end of the
-// list) or an explicit unlock later in the list. Returns -1 when
-// unpaired.
-func (w *sumWalker) findRegion(list []ast.Stmt, i int, lk acquired) (region int, deferred bool) {
-	unlock := map[string]string{"Lock": "Unlock", "RLock": "RUnlock"}[lk.kind]
+// the end of the list for an immediate `defer recv.Unlock()`, or an
+// explicit unlock later in the list. Returns -1 when unpaired.
+func (w *sumWalker) findRegion(list []ast.Stmt, i int, lk heldLock) int {
+	unlock := unlockOf[lk.kind]
 	for j := i + 1; j < len(list); j++ {
 		switch s := list[j].(type) {
 		case *ast.DeferStmt:
 			if j == i+1 && w.isMutexCall(s.Call, lk.recv, unlock) {
-				return len(list), true
+				return len(list)
 			}
 		case *ast.ExprStmt:
 			if call, ok := s.X.(*ast.CallExpr); ok && w.isMutexCall(call, lk.recv, unlock) {
-				return j, false
+				return j
 			}
 		}
 	}
-	return -1, false
+	return -1
 }
 
 func (w *sumWalker) isMutexCall(call *ast.CallExpr, recv, name string) bool {
@@ -446,6 +453,7 @@ func (w *sumWalker) walkStmt(stmt ast.Stmt, held []heldLock, async bool) {
 		if !async {
 			w.block(x.Pos(), "channel send")
 		}
+		w.n.sum.sends = append(w.n.sum.sends, sendSite{x.Pos(), snapshotHeld(held)})
 		w.walkExpr(x.Chan, held, async)
 		w.walkExpr(x.Value, held, async)
 	case *ast.GoStmt:
@@ -487,13 +495,25 @@ func (w *sumWalker) walkStmt(stmt ast.Stmt, held []heldLock, async bool) {
 // arguments evaluate here and now.
 func (w *sumWalker) asyncCall(call *ast.CallExpr, held []heldLock, async bool) {
 	if fl, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		w.walkList(fl.Body.List, nil, true)
+		w.walkFuncLit(fl)
 	} else {
 		w.walkCall(call, nil, true)
 	}
+	outer := w.goDeferArgs
+	w.goDeferArgs = true
 	for _, a := range call.Args {
 		w.walkExpr(a, held, async)
 	}
+	w.goDeferArgs = outer
+}
+
+// walkFuncLit walks a function literal's body, which runs outside any
+// critical section around it: async, with no lock held.
+func (w *sumWalker) walkFuncLit(fl *ast.FuncLit) {
+	outer := w.goDeferArgs
+	w.goDeferArgs = false
+	w.walkList(fl.Body.List, nil, true)
+	w.goDeferArgs = outer
 }
 
 // walkExpr records the facts of one expression tree: calls (with held
@@ -505,7 +525,7 @@ func (w *sumWalker) walkExpr(expr ast.Expr, held []heldLock, async bool) {
 	ast.Inspect(expr, func(node ast.Node) bool {
 		switch x := node.(type) {
 		case *ast.FuncLit:
-			w.walkList(x.Body.List, nil, true)
+			w.walkFuncLit(x)
 			return false
 		case *ast.UnaryExpr:
 			if x.Op == token.ARROW && !async {
@@ -545,16 +565,16 @@ func (w *sumWalker) walkCall(call *ast.CallExpr, held []heldLock, async bool) {
 		obj := info.Uses[fun]
 		switch o := obj.(type) {
 		case *types.Func:
-			w.record(call, callStatic, fun.Name, w.e.byObj[o], held, async)
+			w.record(call, callStatic, fun.Name, o, held, async)
 			return
 		case *types.Var:
 			// Function-value call: an unresolvable plug point, but NOT a
 			// may-block witness — lockcheck already flags callbacks invoked
-			// lexically inside a critical section, and treating every
-			// callback as blocking would flood deeplock with clock and
-			// codec hooks that never touch the scheduler.
+			// inside a critical section, and treating every callback as
+			// blocking would flood deeplock with clock and codec hooks that
+			// never touch the scheduler.
 			if isFuncValue(o.Type()) {
-				w.record(call, callDynamic, fun.Name, nil, held, async)
+				w.record(call, callDynamic, fun.Name, o, held, async)
 			}
 			return
 		}
@@ -575,10 +595,10 @@ func (w *sumWalker) walkCall(call *ast.CallExpr, held []heldLock, async bool) {
 		// Package-qualified: pkg.Func or pkg.Var.
 		switch o := info.Uses[fun.Sel].(type) {
 		case *types.Func:
-			w.record(call, callStatic, types.ExprString(fun), w.e.byObj[o], held, async)
+			w.record(call, callStatic, types.ExprString(fun), o, held, async)
 		case *types.Var:
 			if isFuncValue(o.Type()) {
-				w.record(call, callDynamic, types.ExprString(fun), nil, held, async)
+				w.record(call, callDynamic, types.ExprString(fun), o, held, async)
 			}
 		}
 	}
@@ -592,7 +612,7 @@ func (w *sumWalker) fieldFuncCall(call *ast.CallExpr, fun *ast.SelectorExpr, sel
 	if named, ok := selInfo.Type().(*types.Named); ok && w.isFaultHookType(named) {
 		s.consults = true
 	}
-	w.record(call, callDynamic, types.ExprString(fun), nil, held, async)
+	w.record(call, callDynamic, types.ExprString(fun), selInfo.Obj(), held, async)
 }
 
 // methodCall handles x.m(): interface dispatch resolves to in-module
@@ -645,23 +665,24 @@ func (w *sumWalker) methodCall(call *ast.CallExpr, fun *ast.SelectorExpr, selInf
 		if iface, ok := recv.Underlying().(*types.Interface); ok {
 			targets = w.e.implementers(iface, mname)
 		}
-		w.record(call, callIface, types.ExprString(fun), nil, held, async)
-		if len(targets) > 0 {
-			s.calls[len(s.calls)-1].targets = targets
-		}
+		w.record(call, callIface, types.ExprString(fun), selInfo.Obj(), held, async)
+		s.calls[len(s.calls)-1].targets = targets
 		return
 	}
 	if fnObj != nil {
-		w.record(call, callStatic, types.ExprString(fun), w.e.byObj[fnObj], held, async)
+		w.record(call, callStatic, types.ExprString(fun), fnObj, held, async)
 	}
 }
 
-// record appends one callInfo (target may be nil for out-of-module
-// callees).
-func (w *sumWalker) record(call *ast.CallExpr, kind callKind, name string, target *funcNode, held []heldLock, async bool) {
-	ci := callInfo{pos: call.Pos(), kind: kind, name: name, held: snapshotHeld(held), async: async}
-	if target != nil {
-		ci.targets = []*funcNode{target}
+// record appends one callInfo. A static callee outside the loaded
+// packages has no target.
+func (w *sumWalker) record(call *ast.CallExpr, kind callKind, name string, callee types.Object, held []heldLock, async bool) {
+	ci := callInfo{pos: call.Pos(), kind: kind, name: name, callee: callee,
+		held: snapshotHeld(held), async: async, goDeferArg: w.goDeferArgs}
+	if fn, ok := callee.(*types.Func); ok && kind == callStatic {
+		if target := w.e.byObj[fn]; target != nil {
+			ci.targets = []*funcNode{target}
+		}
 	}
 	w.n.sum.calls = append(w.n.sum.calls, ci)
 }

@@ -18,6 +18,7 @@ type Box struct {
 	ch   chan int
 	done chan struct{}
 	cb   func(int)
+	get  func() int
 	sink Sink
 }
 
@@ -93,4 +94,83 @@ func (b *Box) SpawnUnderLock(v int) {
 		case <-b.done:
 		}
 	}()
+}
+
+// The rows below pin the edges of a critical section: select clauses,
+// go and defer arguments, nested and overlapping sections, the *Locked
+// convention, case clauses and function literals. Each // want gives
+// every finding of its line.
+
+// TrySendUnderLock sends in a select with a default: it never blocks,
+// but it still runs inside the critical section.
+func (b *Box) TrySendUnderLock(v int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	select {
+	case b.ch <- v: // want lockcheck
+	default:
+	}
+}
+
+// DeferredArgUnderLock evaluates a callback as a deferred call's
+// argument under the lock. A defer statement is left whole: no finding.
+func (b *Box) DeferredArgUnderLock() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	defer b.Good(b.get())
+}
+
+// NestedSend sends inside two critical sections: a finding per lock.
+func (b *Box) NestedSend(v int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.rw.RLock()
+	b.ch <- v // want lockcheck lockcheck
+	b.rw.RUnlock()
+}
+
+// drainLocked takes a second lock under the caller's and sends: one
+// finding for each.
+func (b *Box) drainLocked() {
+	b.rw.Lock()
+	defer b.rw.Unlock()
+	b.ch <- 0 // want lockcheck lockcheck
+}
+
+// Peek leaves a read lock taken in a case clause.
+func (b *Box) Peek(k int) int {
+	switch k {
+	case 0:
+		b.rw.RLock() // want lockcheck
+		return len(b.vals)
+	}
+	return 0
+}
+
+// Later returns a function literal that locks and sends in its own
+// body.
+func (b *Box) Later(v int) func() {
+	return func() {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		b.ch <- v // want lockcheck
+	}
+}
+
+// flushAll is a package variable's function literal that locks and
+// sends: no function declaration holds it.
+var flushAll = func(b *Box) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.ch <- 0 // want lockcheck
+}
+
+// HandOver releases mu after taking rw (hand-over-hand): the send runs
+// under rw alone.
+func (b *Box) HandOver(v int) {
+	b.mu.Lock()
+	b.rw.Lock()
+	b.mu.Unlock()
+	b.ch <- v // want lockcheck
+	b.rw.Unlock()
 }

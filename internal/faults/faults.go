@@ -172,7 +172,6 @@ type Injector struct {
 
 	// Sleep performs ModeLatency delays. It defaults to time.Sleep;
 	// virtual-clock tests may substitute a recording stub.
-	//xyvet:ignore nondeterm -- fault injection deliberately delays I/O; the func is injectable
 	Sleep func(time.Duration)
 
 	// Exit performs ModeCrash kills. It defaults to os.Exit; tests that
@@ -187,7 +186,6 @@ func New(seed int64) *Injector { //xyvet:ignore testonly fault-injector API the 
 	return &Injector{
 		rng:   rand.New(rand.NewSource(seed)),
 		stats: make(map[Point]*PointStats),
-		//xyvet:ignore nondeterm -- deliberate real delay, injectable for tests
 		Sleep: time.Sleep,
 		Exit:  os.Exit,
 	}

@@ -445,7 +445,6 @@ func (r *Reporter) Checkpoint() error {
 
 	// All stripe locks and rt.mu are held across the checkpoint: nothing
 	// can append between the records below and the boundary rotation.
-	//xyvet:ignore lockcheck
 	_, err := r.log.Checkpoint(func(emit func([]byte) error) error {
 		var buf bytes.Buffer
 		enc := json.NewEncoder(&buf)

@@ -507,7 +507,6 @@ func (r *Reporter) noteLocked(reps []*Report, s *stripe, n *Notification, now ti
 		// Written under the stripe lock so the log records notifications
 		// in the order the buffer gained them; deliver commits them. A
 		// mark rides its result's record, so it is never durable first.
-		//xyvet:ignore lockcheck
 		r.journalWrite(rec)
 	}
 	if n.Mark {

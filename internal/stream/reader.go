@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 
 	"xymon/internal/wal"
 )
@@ -175,18 +173,10 @@ type segInfo struct {
 // listSegments lists the stream's segment files with their base
 // offsets, ascending. Only frame and batch headers are read.
 func listSegments(dir string) ([]segInfo, error) {
-	entries, err := os.ReadDir(dir)
+	idxs, err := wal.Segments(dir)
 	if err != nil {
 		return nil, fmt.Errorf("stream: %w", err)
 	}
-	var idxs []int
-	for _, e := range entries {
-		var idx int
-		if _, err := fmt.Sscanf(e.Name(), "seg-%08d.wal", &idx); err == nil {
-			idxs = append(idxs, idx)
-		}
-	}
-	sort.Ints(idxs)
 	segs := make([]segInfo, 0, len(idxs))
 	for _, idx := range idxs {
 		s := segInfo{idx: idx}
@@ -213,22 +203,22 @@ func readSegBase(path string) (base uint64, ok bool, err error) {
 		return 0, false, fmt.Errorf("stream: %w", err)
 	}
 	defer f.Close()
-	// Frame header (8) + batch header is all decodeBatchHeader needs;
-	// the full-frame CRC is checked when the records are polled.
-	var hdr [8 + batchHeader]byte
+	// Frame header + batch header is all decodeBatchHeader needs; the
+	// full-frame CRC is checked when the records are polled.
+	var hdr [wal.FrameHeader + batchHeader]byte
 	for off := int64(0); ; {
 		n, _ := f.ReadAt(hdr[:], off)
-		if n <= 8 {
+		if n <= wal.FrameHeader {
 			return 0, false, nil // the data ends, or a torn frame header
 		}
-		if size := binary.LittleEndian.Uint32(hdr[:4]); size == 0 || hdr[8] != batchMagic {
-			off += 8 + int64(size)
+		if size := wal.PayloadLen(hdr[:]); size == 0 || hdr[wal.FrameHeader] != batchMagic {
+			off += int64(wal.FrameHeader + size)
 			continue
 		}
 		if n < len(hdr) {
 			return 0, false, nil // torn-short first batch
 		}
-		if base, _, err = decodeBatchHeader(hdr[8:]); err != nil {
+		if base, _, err = decodeBatchHeader(hdr[wal.FrameHeader:]); err != nil {
 			return 0, false, fmt.Errorf("stream: %s: %w", filepath.Base(path), err)
 		}
 		return base, true, nil

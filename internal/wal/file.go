@@ -88,7 +88,6 @@ func (w *File) sync() (bool, error) {
 	}
 	// fsync is (*os.File).Sync or a test's counting wrapper around it;
 	// neither re-enters the Log whose lock the caller holds.
-	//xyvet:ignore lockcheck
 	if err := fsync(w.f); err != nil {
 		return false, fmt.Errorf("wal: %w", err)
 	}

@@ -41,9 +41,14 @@ var ErrCorrupt = errors.New("wal: corrupt record")
 // or ErrCorrupt (sealed file).
 var errTorn = errors.New("wal: torn frame")
 
-// binaryHeader is the frame header size: 4-byte little-endian payload
+// FrameHeader is the frame header size: 4-byte little-endian payload
 // length followed by the 4-byte CRC32C (Castagnoli) of the payload.
-const binaryHeader = 8
+const FrameHeader = 8
+
+// PayloadLen decodes the payload length from a frame header, the first
+// FrameHeader bytes of hdr, unchecked. internal/stream's segment index
+// steps over frames by it.
+func PayloadLen(hdr []byte) int { return int(binary.LittleEndian.Uint32(hdr[:4])) }
 
 // DefaultMaxFrame bounds a binary frame's payload. A length prefix above
 // it cannot come from this writer, so the scan reports corruption
@@ -71,7 +76,7 @@ func (b Binary) AppendFrame(dst, payload []byte) ([]byte, error) {
 	if len(payload) > b.maxFrame() {
 		return dst, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte frame cap", len(payload), b.maxFrame())
 	}
-	var hdr [binaryHeader]byte
+	var hdr [FrameHeader]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
 	dst = append(dst, hdr[:]...)
@@ -82,21 +87,21 @@ func (b Binary) AppendFrame(dst, payload []byte) ([]byte, error) {
 // total frame size. An incomplete final frame returns errTorn; a
 // complete frame that fails validation, an error wrapping ErrCorrupt.
 func (b Binary) Next(data []byte) ([]byte, int, error) {
-	if len(data) < binaryHeader {
+	if len(data) < FrameHeader {
 		return nil, 0, errTorn
 	}
-	n := int(binary.LittleEndian.Uint32(data[0:4]))
+	n := PayloadLen(data)
 	if n > b.maxFrame() {
 		return nil, 0, fmt.Errorf("%w: implausible frame length %d", ErrCorrupt, n)
 	}
-	if len(data) < binaryHeader+n {
+	if len(data) < FrameHeader+n {
 		return nil, 0, errTorn
 	}
-	payload := data[binaryHeader : binaryHeader+n]
+	payload := data[FrameHeader : FrameHeader+n]
 	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(data[4:8]); got != want {
 		return nil, 0, fmt.Errorf("%w: CRC mismatch (%08x != %08x)", ErrCorrupt, got, want)
 	}
-	return payload, binaryHeader + n, nil
+	return payload, FrameHeader + n, nil
 }
 
 // scan walks data frame by frame, calling fn for each intact payload,

@@ -96,6 +96,24 @@ const (
 // offset-addressable change-stream — locate retained segments by it.
 func SegmentFileName(idx int) string { return fmt.Sprintf("seg-%08d.wal", idx) }
 
+// Segments lists the indexes of the segment files in a log directory,
+// ascending. The error is os.ReadDir's.
+func Segments(dir string) ([]int, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var idxs []int
+	for _, e := range entries {
+		var idx int
+		if _, err := fmt.Sscanf(e.Name(), "seg-%08d.wal", &idx); err == nil {
+			idxs = append(idxs, idx)
+		}
+	}
+	sort.Ints(idxs)
+	return idxs, nil
+}
+
 // checkpointMeta is the first frame of a checkpoint file; the records
 // the checkpoint holds follow it, a frame each.
 type checkpointMeta struct {
@@ -184,18 +202,10 @@ func (l *Log) readCheckpoint() (checkpointMeta, []byte, error) {
 // covers (compaction the crash interrupted), verifies contiguity,
 // truncates the active segment's torn tail, and opens it for append.
 func (l *Log) loadSegments(meta checkpointMeta) error {
-	entries, err := os.ReadDir(l.dir)
+	idxs, err := Segments(l.dir)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	var idxs []int
-	for _, e := range entries {
-		var idx int
-		if _, err := fmt.Sscanf(e.Name(), "seg-%08d.wal", &idx); err == nil {
-			idxs = append(idxs, idx)
-		}
-	}
-	sort.Ints(idxs)
 	live := idxs[:0]
 	for _, idx := range idxs {
 		if idx < meta.Retain {

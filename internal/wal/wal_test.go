@@ -151,9 +151,9 @@ func TestLogTornTail(t *testing.T) {
 		cut  func(frame []byte) []byte
 	}{
 		{"one-header-byte", func(f []byte) []byte { return f[:1] }},
-		{"half-header", func(f []byte) []byte { return f[:binaryHeader/2] }},
-		{"header-only", func(f []byte) []byte { return f[:binaryHeader] }},
-		{"half-payload", func(f []byte) []byte { return f[:binaryHeader+(len(f)-binaryHeader)/2] }},
+		{"half-header", func(f []byte) []byte { return f[:FrameHeader/2] }},
+		{"header-only", func(f []byte) []byte { return f[:FrameHeader] }},
+		{"half-payload", func(f []byte) []byte { return f[:FrameHeader+(len(f)-FrameHeader)/2] }},
 	} {
 		t.Run(tear.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -221,7 +221,7 @@ func TestLogMidFileCorruptionFailsLoudly(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip one payload byte of the middle record: CRC mismatch.
-	data[binaryHeader+5+binaryHeader] ^= 0xFF
+	data[FrameHeader+5+FrameHeader] ^= 0xFF
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
