@@ -22,8 +22,8 @@ import (
 //
 // It reads the critical sections the engine's summaries record, package
 // variables' function literals included, and reports a site once per
-// lock held there. A go or defer statement is left whole: its arguments
-// are not checked.
+// lock held there. The call of a go or defer statement runs later, but
+// its arguments evaluate under the locks held at the statement.
 func runLockcheck(e *engine) []Finding {
 	var out []Finding
 	for _, n := range append(e.nodes[:len(e.nodes):len(e.nodes)], e.varInits...) {
@@ -53,9 +53,6 @@ func runLockcheck(e *engine) []Finding {
 			report(s.pos, s.held, "channel send", "a full channel blocks the critical section")
 		}
 		for _, c := range n.sum.calls {
-			if c.goDeferArg {
-				continue
-			}
 			switch {
 			case c.kind == callDynamic && !e.localFuncs[n.pkg][c.callee]:
 				report(c.pos, c.held, "call of function value "+c.name, "callbacks can block or re-enter and deadlock")

@@ -3,11 +3,12 @@
 // module and runs project-specific analyzers tuned to the failure modes
 // of a long-running subscription system — lock discipline and lock
 // ordering, goroutine lifecycle, silently dropped errors, fault-point
-// coverage, nondeterminism and stray output. Packages load in parallel
-// (dependency-ordered type-checking across GOMAXPROCS workers) and seven
-// rules fan out per package. Seven more run on one engine: a module-wide
-// call graph with per-function summaries propagated to a fixpoint (see
-// callgraph.go and summary.go).
+// coverage, nondeterminism and stray output. One `go list` call names the
+// packages, their build-constrained files and the standard library's
+// export data; module packages are type-checked from source in parallel,
+// each once its imports are, and seven rules fan out per package. Seven
+// more run on one engine: a module-wide call graph with per-function
+// summaries propagated to a fixpoint (see callgraph.go and summary.go).
 //
 //	go run ./cmd/xyvet ./...
 //	go run ./cmd/xyvet -json ./internal/manager ./pubsub
@@ -58,8 +59,8 @@ func main() {
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: xyvet [flags] [packages]\n\n")
 		fmt.Fprintf(os.Stderr, "Runs the project analyzers over the given package patterns\n")
-		fmt.Fprintf(os.Stderr, "(defaulting to ./...). Patterns are directories relative to\n")
-		fmt.Fprintf(os.Stderr, "the current module; dir/... walks a subtree.\n\nFlags:\n")
+		fmt.Fprintf(os.Stderr, "(defaulting to ./...). Patterns are go list patterns naming\n")
+		fmt.Fprintf(os.Stderr, "packages of the current module; dir/... walks a subtree.\n\nFlags:\n")
 		flag.PrintDefaults()
 		fmt.Fprintf(os.Stderr, "\nAnalyzers:\n")
 		for _, a := range analyzers {
@@ -86,23 +87,14 @@ func main() {
 	}
 }
 
-// run loads every package matched by patterns (resolved against dir's
-// module) plus the in-module dependency closure, applies all analyzers
-// and prints the surviving findings. It returns the number of findings
-// not covered by the baseline (when one is configured).
+// run loads every package matched by patterns (resolved in dir, as go
+// list resolves them) plus the in-module dependency closure, applies all
+// analyzers and prints the surviving findings. It returns the number of
+// findings not covered by the baseline (when one is configured).
 func run(out io.Writer, dir string, patterns []string, opts options) (int, error) {
-	root, modpath, err := findModule(dir)
-	if err != nil {
-		return 0, err
-	}
-	dirs, err := expandPatterns(root, dir, patterns)
-	if err != nil {
-		return 0, err
-	}
 	timing := &ruleTiming{}
-	ld := newLoader(root, modpath)
 	t0 := time.Now()
-	pkgs, err := ld.loadAll(dirs)
+	pkgs, root, err := load(dir, patterns)
 	if err != nil {
 		return 0, err
 	}
@@ -120,8 +112,10 @@ func run(out io.Writer, dir string, patterns []string, opts options) (int, error
 		}
 	}
 
-	findings := analyzeAll(pkgs, timing)
-	lines := renderFindings(ld.fset, root, findings)
+	var lines []string
+	if findings := analyzeAll(pkgs, timing); len(findings) > 0 {
+		lines = renderFindings(pkgs[0].Fset, root, findings)
+	}
 
 	if opts.verbose {
 		for _, e := range timing.snapshot() {

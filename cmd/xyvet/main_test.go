@@ -43,26 +43,24 @@ func collectWants(pkg *Package, wants map[wantKey]int) {
 	}
 }
 
-func fixtureRoot(t *testing.T) (root, modpath, fixtures string) {
+// fixtureRoot returns the module root, two levels above the package
+// directory the test runs in, and the fixture tree.
+func fixtureRoot(t *testing.T) (root, fixtures string) {
 	t.Helper()
 	cwd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
-	root, modpath, err = findModule(cwd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return root, modpath, filepath.Join(cwd, "testdata", "src")
+	return filepath.Dir(filepath.Dir(cwd)), filepath.Join(cwd, "testdata", "src")
 }
 
 // TestFixtures runs the full analyzer suite over every fixture subtree
 // and requires the finding set to match the `// want` annotations
 // exactly — each analyzer has positive and negative cases there. Each
-// fixture gets a fresh loader so the engine's call graph covers exactly
+// fixture loads on its own so the engine's call graph covers exactly
 // that fixture plus its dependency closure.
 func TestFixtures(t *testing.T) {
-	root, modpath, fixtures := fixtureRoot(t)
+	root, fixtures := fixtureRoot(t)
 	entries, err := os.ReadDir(fixtures)
 	if err != nil {
 		t.Fatal(err)
@@ -73,12 +71,7 @@ func TestFixtures(t *testing.T) {
 			continue
 		}
 		t.Run(e.Name(), func(t *testing.T) {
-			dirs, err := expandPatterns(root, root, []string{"./cmd/xyvet/testdata/src/" + e.Name() + "/..."})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ld := newLoader(root, modpath)
-			pkgs, err := ld.loadAll(dirs)
+			pkgs, _, err := load(root, []string{"./cmd/xyvet/testdata/src/" + e.Name() + "/..."})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,7 +93,7 @@ func TestFixtures(t *testing.T) {
 			total += len(wants)
 			got := make(map[wantKey]int)
 			for _, f := range analyzeAll(pkgs, nil) {
-				pos := ld.fset.Position(f.Pos)
+				pos := pkgs[0].Fset.Position(f.Pos)
 				got[wantKey{filepath.Base(pos.Filename), pos.Line, f.Rule}]++
 			}
 			var keys []wantKey
@@ -153,7 +146,7 @@ func TestLockcheckGolden(t *testing.T) {
 // byte-identical to testdata/<fixture>.golden.
 func checkGolden(t *testing.T, fixture string) {
 	t.Helper()
-	root, _, _ := fixtureRoot(t)
+	root, _ := fixtureRoot(t)
 	var buf bytes.Buffer
 	n, err := run(&buf, root, []string{"./cmd/xyvet/testdata/src/" + fixture + "/..."}, options{})
 	if err != nil {
@@ -175,7 +168,7 @@ func checkGolden(t *testing.T, fixture string) {
 // TestFixturesExitNonZero mirrors the CLI contract: vetting the seeded
 // fixture tree reports findings (non-zero exit), one line each.
 func TestFixturesExitNonZero(t *testing.T) {
-	root, _, _ := fixtureRoot(t)
+	root, _ := fixtureRoot(t)
 	var buf bytes.Buffer
 	n, err := run(&buf, root, []string{"./cmd/xyvet/testdata/src/..."}, options{})
 	if err != nil {
@@ -196,9 +189,9 @@ func TestFixturesExitNonZero(t *testing.T) {
 // -write-baseline produces: no finding outside it, no stale line in it.
 func TestCleanTree(t *testing.T) {
 	if testing.Short() {
-		t.Skip("loads the whole module with the source importer")
+		t.Skip("loads and analyzes the whole module")
 	}
-	root, _, _ := fixtureRoot(t)
+	root, _ := fixtureRoot(t)
 	fresh := filepath.Join(t.TempDir(), "xyvet.baseline")
 	if _, err := run(io.Discard, root, []string{"./..."}, options{writeBaseline: fresh}); err != nil {
 		t.Fatal(err)
@@ -222,7 +215,7 @@ func TestCleanTree(t *testing.T) {
 // unloaded package may use any of their exports, so testonly must report
 // none of them.
 func TestTestonlyPartialRun(t *testing.T) {
-	root, _, _ := fixtureRoot(t)
+	root, _ := fixtureRoot(t)
 	for _, pattern := range []string{"./cmd/xyvet/testdata/src/testonly/internal/lib", "./internal/cluster"} {
 		var buf bytes.Buffer
 		if _, err := run(&buf, root, []string{pattern}, options{}); err != nil {
@@ -234,23 +227,33 @@ func TestTestonlyPartialRun(t *testing.T) {
 	}
 }
 
-// TestExpandPatterns covers the walker's testdata and module-boundary
-// behavior.
-func TestExpandPatterns(t *testing.T) {
-	root, _, _ := fixtureRoot(t)
-	dirs, err := expandPatterns(root, root, []string{"./cmd/..."})
-	if err != nil {
+// TestPatterns covers how run resolves package patterns: a subtree walk
+// skips testdata, a pattern outside the module or naming no directory is
+// refused (the CLI exits 2), and a run started in a subdirectory resolves
+// patterns there but prints the same module-root-relative lines.
+func TestPatterns(t *testing.T) {
+	root, _ := fixtureRoot(t)
+	var buf bytes.Buffer
+	if _, err := run(&buf, root, []string{"./cmd/..."}, options{}); err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range dirs {
-		if strings.Contains(d, "testdata") {
-			t.Errorf("walk entered testdata: %s", d)
+	if strings.Contains(buf.String(), "testdata") {
+		t.Errorf("walk of ./cmd/... vetted testdata packages:\n%s", buf.String())
+	}
+	for _, pattern := range []string{"../...", "./no/such/dir"} {
+		if _, err := run(io.Discard, root, []string{pattern}, options{}); err == nil {
+			t.Errorf("pattern %s was accepted", pattern)
 		}
 	}
-	if _, err := expandPatterns(root, root, []string{"../..."}); err == nil {
-		t.Error("pattern outside the module was accepted")
+
+	var fromRoot, fromSub bytes.Buffer
+	if _, err := run(&fromRoot, root, []string{"./cmd/xyvet/testdata/src/lockcheck"}, options{}); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := run(io.Discard, root, []string{"./no/such/dir"}, options{}); err == nil {
-		t.Error("missing directory was accepted")
+	if _, err := run(&fromSub, filepath.Join(root, "cmd", "xyvet", "testdata"), []string{"./src/lockcheck"}, options{}); err != nil {
+		t.Fatal(err)
+	}
+	if fromRoot.Len() == 0 || fromSub.String() != fromRoot.String() {
+		t.Errorf("run from a subdirectory printed\n%s\nwant the lines of the run from the module root\n%s", fromSub.String(), fromRoot.String())
 	}
 }

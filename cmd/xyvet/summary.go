@@ -90,10 +90,6 @@ type callInfo struct {
 	targets []*funcNode
 	held    []heldLock
 	async   bool
-	// goDeferArg: the call is in the arguments of a go or defer
-	// statement. It runs here, with held, but lockcheck leaves go and
-	// defer statements whole.
-	goDeferArg bool
 }
 
 // ioSite is one raw I/O operation (faultcover's subject matter).
@@ -198,9 +194,6 @@ type sumWalker struct {
 	e   *engine
 	n   *funcNode
 	pkg *Package
-	// goDeferArgs: the walk is in the arguments of a go or defer
-	// statement (outside any function literal there).
-	goDeferArgs bool
 }
 
 // walkList walks one statement list. A lock statement paired, in the same
@@ -491,29 +484,19 @@ func (w *sumWalker) walkStmt(stmt ast.Stmt, held []heldLock, async bool) {
 }
 
 // asyncCall handles the call of a go or defer statement: the callee runs
-// outside the lexical critical section (async, no held locks), while its
+// outside the lexical critical section (async, no held locks), while the
+// expression it is called on (s.get() in defer s.get().Close()) and its
 // arguments evaluate here and now.
 func (w *sumWalker) asyncCall(call *ast.CallExpr, held []heldLock, async bool) {
 	if fl, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		w.walkFuncLit(fl)
+		w.walkList(fl.Body.List, nil, true)
 	} else {
 		w.walkCall(call, nil, true)
+		w.walkExpr(call.Fun, held, async)
 	}
-	outer := w.goDeferArgs
-	w.goDeferArgs = true
 	for _, a := range call.Args {
 		w.walkExpr(a, held, async)
 	}
-	w.goDeferArgs = outer
-}
-
-// walkFuncLit walks a function literal's body, which runs outside any
-// critical section around it: async, with no lock held.
-func (w *sumWalker) walkFuncLit(fl *ast.FuncLit) {
-	outer := w.goDeferArgs
-	w.goDeferArgs = false
-	w.walkList(fl.Body.List, nil, true)
-	w.goDeferArgs = outer
 }
 
 // walkExpr records the facts of one expression tree: calls (with held
@@ -525,7 +508,9 @@ func (w *sumWalker) walkExpr(expr ast.Expr, held []heldLock, async bool) {
 	ast.Inspect(expr, func(node ast.Node) bool {
 		switch x := node.(type) {
 		case *ast.FuncLit:
-			w.walkFuncLit(x)
+			// Its body runs outside any critical section around it:
+			// async, with no lock held.
+			w.walkList(x.Body.List, nil, true)
 			return false
 		case *ast.UnaryExpr:
 			if x.Op == token.ARROW && !async {
@@ -678,7 +663,7 @@ func (w *sumWalker) methodCall(call *ast.CallExpr, fun *ast.SelectorExpr, selInf
 // packages has no target.
 func (w *sumWalker) record(call *ast.CallExpr, kind callKind, name string, callee types.Object, held []heldLock, async bool) {
 	ci := callInfo{pos: call.Pos(), kind: kind, name: name, callee: callee,
-		held: snapshotHeld(held), async: async, goDeferArg: w.goDeferArgs}
+		held: snapshotHeld(held), async: async}
 	if fn, ok := callee.(*types.Func); ok && kind == callStatic {
 		if target := w.e.byObj[fn]; target != nil {
 			ci.targets = []*funcNode{target}

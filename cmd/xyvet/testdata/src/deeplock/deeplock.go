@@ -43,6 +43,29 @@ func (q *Q) BadWait() {
 	q.settle() // want deeplock
 }
 
+// through sends and hands q back; done does nothing.
+func (q *Q) through(v int) *Q {
+	q.send(v)
+	return q
+}
+
+func (q *Q) done() {}
+
+// BadOperand and BadDeferredOperand both call through under the lock:
+// the receiver of the call a defer statement postpones is evaluated at
+// the statement, like any plain call.
+func (q *Q) BadOperand(v int) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.through(v).done() // want deeplock
+}
+
+func (q *Q) BadDeferredOperand(v int) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	defer q.through(v).done() // want deeplock
+}
+
 // Good releases the lock before the blocking call.
 func (q *Q) Good(v int) {
 	q.mu.Lock()

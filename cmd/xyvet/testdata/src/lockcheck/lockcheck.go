@@ -113,11 +113,11 @@ func (b *Box) TrySendUnderLock(v int) {
 }
 
 // DeferredArgUnderLock evaluates a callback as a deferred call's
-// argument under the lock. A defer statement is left whole: no finding.
+// argument: the argument runs at the defer statement, under the lock.
 func (b *Box) DeferredArgUnderLock() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	defer b.Good(b.get())
+	defer b.Good(b.get()) // want lockcheck
 }
 
 // NestedSend sends inside two critical sections: a finding per lock.

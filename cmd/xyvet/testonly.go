@@ -3,12 +3,8 @@ package main
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
-	"go/token"
 	"go/types"
-	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 )
 
@@ -174,36 +170,41 @@ func satisfiesInterface(named *types.Named, method string, ifaces map[string][]*
 
 // openPackages returns the loaded packages that some module package left
 // out of this run imports, directly or not: their exports may be used by
-// code the run never saw. The module is walked for its package
-// directories, and an unloaded package's imports are read from its
-// non-test files' import clauses alone.
+// code the run never saw. The import graph comes from a listing of the
+// whole module, plus the fixture tree when a loaded package lies under
+// testdata (which ./... never enters). If the listing fails, every loaded
+// package counts as open.
 func openPackages(pkgs []*Package) map[string]bool {
-	modpath := pkgs[0].ModPath
-	root := strings.TrimSuffix(pkgs[0].Dir, filepath.FromSlash(strings.TrimPrefix(pkgs[0].Path, modpath)))
-	imports := make(map[string][]string)
-	for _, pkg := range pkgs {
-		imports[pkg.Path] = pkg.Imports
-	}
-	// Walking ./... skips testdata; a run over fixture packages walks the
-	// fixture tree too, where their importers live.
-	patterns := []string{"./..."}
+	open := make(map[string]bool)
+	patterns := []string{pkgs[0].ModPath + "/..."}
 	testdata := string(filepath.Separator) + "testdata" + string(filepath.Separator)
 	for _, pkg := range pkgs {
+		// The go command skips a testdata directory a pattern ends in,
+		// so list the tree one level below it: testdata/src/...
 		if i := strings.Index(pkg.Dir, testdata); i >= 0 {
-			patterns = append(patterns, pkg.Dir[:i+len(testdata)]+"...")
+			top, _, _ := strings.Cut(pkg.Dir[i+len(testdata):], string(filepath.Separator))
+			patterns = append(patterns, filepath.Join(pkg.Dir[:i+len(testdata)], top, "..."))
 		}
 	}
-	dirs, _ := expandPatterns(root, root, patterns)
+	list, err := goList(pkgs[0].Dir, patterns...)
+	if err != nil {
+		for _, pkg := range pkgs {
+			open[pkg.Path] = true
+		}
+		return open
+	}
+	loaded := make(map[string]bool, len(pkgs))
+	for _, pkg := range pkgs {
+		loaded[pkg.Path] = true
+	}
+	imports := make(map[string][]string, len(list))
 	var frontier []string
-	for _, dir := range dirs {
-		rel, _ := filepath.Rel(root, dir)
-		path := strings.TrimSuffix(modpath+"/"+filepath.ToSlash(rel), "/.")
-		if _, loaded := imports[path]; !loaded {
-			imports[path] = importsOf(dir, modpath)
-			frontier = append(frontier, imports[path]...)
+	for _, p := range list {
+		imports[p.ImportPath] = p.Imports
+		if !loaded[p.ImportPath] {
+			frontier = append(frontier, p.Imports...)
 		}
 	}
-	open := make(map[string]bool)
 	for len(frontier) > 0 {
 		path := frontier[len(frontier)-1]
 		frontier = frontier[:len(frontier)-1]
@@ -213,26 +214,4 @@ func openPackages(pkgs []*Package) map[string]bool {
 		}
 	}
 	return open
-}
-
-// importsOf lists the in-module imports of the non-test files in dir.
-func importsOf(dir, modpath string) []string {
-	entries, _ := os.ReadDir(dir)
-	fset := token.NewFileSet()
-	var out []string
-	for _, e := range entries {
-		if e.IsDir() || !isSourceFile(e.Name()) {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ImportsOnly)
-		if err != nil {
-			continue
-		}
-		for _, imp := range f.Imports {
-			if p, err := strconv.Unquote(imp.Path.Value); err == nil && (p == modpath || strings.HasPrefix(p, modpath+"/")) {
-				out = append(out, p)
-			}
-		}
-	}
-	return out
 }
