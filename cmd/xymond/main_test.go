@@ -409,3 +409,24 @@ func TestDurableStatsSections(t *testing.T) {
 		t.Errorf("Evaluations = %d, want the continuous query's one", st.Evaluations)
 	}
 }
+
+// TestStatsCountGateStubs: /stats carries the warehouse's gate stubs — a
+// page the crawler's gate refused is remembered, and its byte-identical
+// refetch counts as a stub hit, not as a commit.
+func TestStatsCountGateStubs(t *testing.T) {
+	srv := testServer(t)
+	watch := "subscription Rare\nmonitoring\nselect <Hit url=URL/>\nwhere product contains \"zyzzyva\"\nreport when immediate"
+	if rec := serve(srv, "POST", "/subscribe", watch); rec.Code != http.StatusCreated {
+		t.Fatalf("subscribe: %d %s", rec.Code, rec.Body.String())
+	}
+	page := []byte("<catalog><product>lamp</product></catalog>")
+	for range 3 {
+		if srv.sys.Crawler.Gate("http://s.example/a.xml", "", "shopping", page) {
+			t.Fatal("the gate passed a page nobody wants")
+		}
+	}
+	st := getStats(t, srv)
+	if st.Warehouse.Stubs != 1 || st.Warehouse.StubHits != 2 || st.Warehouse.SkippedRawSig != 0 {
+		t.Errorf("Warehouse = %+v, want one stub, two stub hits and no tier-1 commit", st.Warehouse)
+	}
+}

@@ -12,7 +12,8 @@ import (
 // word scanner over the raw character data — no tree, no per-word string
 // allocations. The crawler consults it before parsing, so the common
 // document — interesting to nobody and not version-tracked — is rejected
-// before any DOM work. Rejecting is all such a document ever costs, so
+// before any DOM work. Rejecting is all such a document costs when its
+// bytes or the word index are new (the gate's stubs answer the rest), so
 // the pass is built to be cheap: the tokenizer recognises the common
 // tokens by index walks (xmldom.Tokenizer.Next), and the scanner runs
 // under the alerter's word screen, which refuses a word whose length or

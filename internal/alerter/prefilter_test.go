@@ -328,3 +328,46 @@ func BenchmarkPrefilterReject(b *testing.B) {
 		})
 	}
 }
+
+// TestWordGenFollowsIndex: every Register and Unregister that changes the
+// word index moves its generation, a tag-only change to a word's entry
+// included; a change condition, which the ingest gate decides before the
+// screen, and a condition on metadata do not.
+func TestWordGenFollowsIndex(t *testing.T) {
+	x := NewXMLAlerter()
+	gen, empty := x.WordGen()
+	if !empty {
+		t.Fatal("a new alerter's word index is not empty")
+	}
+	product := sublang.Condition{Kind: sublang.CondElement, Tag: "product", Str: "camera"}
+	offer := sublang.Condition{Kind: sublang.CondElement, Tag: "offer", Str: "camera"}
+	strict := sublang.Condition{Kind: sublang.CondElement, Tag: "name", Str: "camera", Strict: true}
+	self := sublang.Condition{Kind: sublang.CondSelfContains, Str: "camera"}
+	change := sublang.Condition{Kind: sublang.CondElement, Tag: "product", Str: "camera", Change: sublang.OpNew}
+	url := sublang.Condition{Kind: sublang.CondURLExtends, Str: "http://a.example/"}
+	for _, step := range []struct {
+		name  string
+		apply func()
+		moves bool
+		empty bool
+	}{
+		{"product contains camera", func() { x.Register(1, product) }, true, false},
+		{"offer contains camera, a tag-only change", func() { x.Register(2, offer) }, true, false},
+		{"strict contains on the same word", func() { x.Register(3, strict) }, true, false},
+		{"self contains on the same word", func() { x.Register(4, self) }, true, false},
+		{"a change condition", func() { x.Register(5, change) }, false, false},
+		{"a URL condition", func() { x.Register(6, url) }, false, false},
+		{"offer gone, the word stays", func() { x.Unregister(2, offer) }, true, false},
+		{"the change condition gone", func() { x.Unregister(5, change) }, false, false},
+		{"an unregistered word", func() { x.Unregister(7, sublang.Condition{Kind: sublang.CondSelfContains, Str: "tripod"}) }, false, false},
+		{"strict and self gone", func() { x.Unregister(3, strict); x.Unregister(4, self) }, true, false},
+		{"the word's last condition gone", func() { x.Unregister(1, product) }, true, true},
+	} {
+		step.apply()
+		next, e := x.WordGen()
+		if (next != gen) != step.moves || e != step.empty {
+			t.Errorf("%s: generation %d → %d, empty %v; want moved %v, empty %v", step.name, gen, next, e, step.moves, step.empty)
+		}
+		gen = next
+	}
+}

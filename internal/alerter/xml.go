@@ -99,6 +99,7 @@ type XMLAlerter struct {
 	// is updated with the index, under mu, when a word enters or leaves
 	// it, so a scan may trust it to admit every indexed word.
 	screen xmldom.WordScreen
+	gen    uint64 // bumped by every change to words, tag-only ones too
 	// changes indexes element change conditions.
 	changes changeTable
 }
@@ -130,6 +131,7 @@ func (a *XMLAlerter) Register(code core.Event, cond sublang.Condition) {
 		a.changes.add(cond.Change, cond.Tag, changeCond{word: word, strict: cond.Strict, code: code})
 		return
 	}
+	a.gen++
 	e := a.words[word]
 	if e == nil {
 		e = new(wordEntry)
@@ -168,6 +170,7 @@ func (a *XMLAlerter) Unregister(code core.Event, cond sublang.Condition) {
 	if e == nil {
 		return
 	}
+	a.gen++
 	if cond.Kind == sublang.CondSelfContains {
 		e.self = removeCode(e.self, code)
 	} else if cond.Strict {
@@ -181,6 +184,14 @@ func (a *XMLAlerter) Unregister(code core.Event, cond sublang.Condition) {
 			a.screen.Remove(word)
 		}
 	}
+}
+
+// WordGen returns the word index's generation and whether it is empty: a
+// Prefilter.Match refusal that starts after the read holds while gen does.
+func (a *XMLAlerter) WordGen() (gen uint64, empty bool) {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	return a.gen, len(a.words) == 0
 }
 
 // HasChangeConds reports whether any element change condition

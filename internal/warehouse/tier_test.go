@@ -403,3 +403,59 @@ func TestTierOneIsByteExact(t *testing.T) {
 	}
 	t.Logf("edit outcomes: %v", outcomes)
 }
+
+// TestScreenStubLifecycle walks one URL through the gate's stub table: a
+// refusal writes a stub, a byte-identical refetch under the same
+// generation is answered by it without calling match, other bytes or
+// another generation call match and overwrite it, a pass drops it, and so
+// do Delete (still ErrUnknownURL) and a commit that makes the page
+// tracked, whose stub Screen then never writes again.
+func TestScreenStubLifecycle(t *testing.T) {
+	s := NewStore()
+	const url = "http://a.example/p.xml"
+	page, other := []byte(`<p><q>x</q></p>`), []byte(`<p><q>y</q></p>`)
+	calls := 0
+	verdict := func(v bool) func([]byte) bool { return func([]byte) bool { calls++; return v } }
+	for i, step := range []struct {
+		data        []byte
+		gen         uint64
+		match, want bool
+		calls       int
+		hits        uint64
+		stubs       int
+	}{
+		{page, 1, false, false, 1, 0, 1}, // first sight: screened, stubbed
+		{page, 1, false, false, 1, 1, 1}, // the same bytes: a stub hit
+		{other, 1, false, false, 2, 1, 1},
+		{page, 1, false, false, 3, 1, 1}, // the stub holds other's hash now
+		{page, 2, false, false, 4, 1, 1}, // the index moved
+		{page, 2, true, false, 4, 2, 1},  // a hit does not ask match
+		{other, 2, true, true, 5, 2, 0},  // a pass drops the stub
+		{other, 2, true, true, 6, 2, 0},
+		{page, 2, false, false, 7, 2, 1},
+	} {
+		if got := s.Screen(url, step.data, step.gen, verdict(step.match)); got != step.want {
+			t.Fatalf("step %d: Screen = %v, want %v", i, got, step.want)
+		}
+		if st := s.Stats(); calls != step.calls || st.StubHits != step.hits || st.Stubs != step.stubs {
+			t.Fatalf("step %d: %d match calls, %d stub hits, %d stubs; want %d, %d, %d", i, calls, st.StubHits, st.Stubs, step.calls, step.hits, step.stubs)
+		}
+	}
+	if _, err := s.Delete(url); err != ErrUnknownURL {
+		t.Fatalf("Delete of an untracked page: %v, want ErrUnknownURL", err)
+	}
+	if st := s.Stats(); st.Stubs != 0 {
+		t.Fatalf("Delete left %d stubs", st.Stubs)
+	}
+	s.Screen(url, page, 2, verdict(false))
+	if _, err := s.CommitXMLBytes(url, "", "", page); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Stubs != 0 {
+		t.Fatalf("a commit that tracks the page left %d stubs", st.Stubs)
+	}
+	s.Screen(url, page, 2, verdict(false))
+	if st := s.Stats(); st.Stubs != 0 || st.Parsed != 1 || st.SkippedRawSig != 0 {
+		t.Fatalf("Screen on a tracked page: %+v, want no stub and the one commit", st)
+	}
+}

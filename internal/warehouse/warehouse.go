@@ -125,6 +125,7 @@ var ErrUnknownURL = errors.New("warehouse: unknown URL")
 type Store struct {
 	mu         sync.RWMutex
 	pages      map[string]*Entry
+	stubs      map[string]stub // refused untracked pages (Screen), none in pages
 	dtdIDs     map[string]uint64
 	nextDoc    uint64
 	nextDTD    uint64
@@ -137,6 +138,13 @@ type Store struct {
 	statStructHash atomic.Uint64
 	statParsed     atomic.Uint64
 	statDiffed     atomic.Uint64
+	statStubHits   atomic.Uint64
+}
+
+// stub is a gate refusal: the refused bytes' rawHash, the word-index gen.
+type stub struct {
+	raw [2]uint64
+	gen uint64
 }
 
 // Stats is a snapshot of the tiered ingest counters: how many XML byte
@@ -153,16 +161,22 @@ type Stats struct {
 	Parsed uint64
 	// Diffed counts xydiff runs — commits whose canonical form actually
 	// differed from the stored version.
-	Diffed uint64
+	Diffed   uint64
+	StubHits uint64 // gate refusals a stub answered (Screen); not commits
+	Stubs    int    // refused pages the gate remembers
 }
 
 // Stats returns a snapshot of the tiered ingest counters.
 func (s *Store) Stats() Stats {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return Stats{
 		SkippedRawSig:     s.statRawSig.Load(),
 		SkippedStructHash: s.statStructHash.Load(),
 		Parsed:            s.statParsed.Load(),
 		Diffed:            s.statDiffed.Load(),
+		StubHits:          s.statStubHits.Load(),
+		Stubs:             len(s.stubs),
 	}
 }
 
@@ -187,6 +201,7 @@ func WithAlwaysDiff() Option {
 func NewStore(opts ...Option) *Store {
 	s := &Store{
 		pages:   make(map[string]*Entry),
+		stubs:   make(map[string]stub),
 		dtdIDs:  make(map[string]uint64),
 		nextDoc: 1,
 		nextDTD: 1,
@@ -217,12 +232,11 @@ func Signature(content []byte) [sha256.Size]byte {
 var rawSeeds = [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()}
 
 // rawHash is tier 1's identity of an XML page's bytes: two keyed 64-bit
-// hashes. It need not be cryptographic: every byte-different page that
-// misses tier 1 is decided by tier 2's unkeyed 64-bit structural hash, so
-// a keyed 128-bit tier 1 weakens nothing, and a page author cannot learn
-// its key to aim a collision at it. HTML keeps SHA-256 (Signature): its
-// signature is logged and compared across restarts, so it must not depend
-// on the process.
+// hashes. It need not be cryptographic: a page author cannot learn its key
+// to aim a collision at it, and a tracked page that misses tier 1 meets
+// tier 2, though a gate stub's hit (Screen) rests on these bits alone.
+// HTML keeps SHA-256 (Signature): its signature is logged and compared
+// across restarts, so it must not depend on the process.
 func rawHash(data []byte) [2]uint64 {
 	return [2]uint64{maphash.Bytes(rawSeeds[0], data), maphash.Bytes(rawSeeds[1], data)}
 }
@@ -340,6 +354,7 @@ func (s *Store) commitXML(url, dtd, domain string, doc *xmldom.Document, rawSig 
 		// reference for the next refetch.
 		e = &Entry{Meta: meta, Doc: doc, rawSig: rawSig, structHash: root}
 		s.pages[url] = e
+		delete(s.stubs, url)
 		return &CommitResult{Status: StatusNew, Meta: meta, Doc: doc}, nil
 	}
 	e.Meta.LastAccessed = now
@@ -395,6 +410,7 @@ func (s *Store) CommitHTML(url string, content []byte) (*CommitResult, error) {
 		}
 		s.nextDoc++
 		s.pages[url] = &Entry{Meta: meta}
+		delete(s.stubs, url)
 		return &CommitResult{Status: StatusNew, Meta: meta}, nil
 	}
 	e.Meta.LastAccessed = now
@@ -413,6 +429,7 @@ func (s *Store) CommitHTML(url string, content []byte) (*CommitResult, error) {
 func (s *Store) Delete(url string) (*CommitResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	delete(s.stubs, url)
 	e, ok := s.pages[url]
 	if !ok {
 		return nil, ErrUnknownURL
@@ -430,6 +447,34 @@ func (s *Store) Tracked(url string) bool {
 	defer s.mu.RUnlock()
 	_, ok := s.pages[url]
 	return ok
+}
+
+// Screen is the gate's screen of an untracked page: match(data), skipped
+// for bytes already refused under the word-index gen read before the call.
+// A refusal writes the stub, a pass drops it; no lock spans match or hash.
+func (s *Store) Screen(url string, data []byte, gen uint64, match func([]byte) bool) bool {
+	s.mu.RLock()
+	st, seen := s.stubs[url]
+	s.mu.RUnlock()
+	var raw [2]uint64
+	if seen {
+		if raw = rawHash(data); raw == st.raw && gen == st.gen {
+			s.statStubHits.Add(1)
+			return false
+		}
+	}
+	pass := match(data)
+	if !pass && !seen {
+		raw = rawHash(data)
+	}
+	s.mu.Lock()
+	if _, tracked := s.pages[url]; pass || tracked {
+		delete(s.stubs, url)
+	} else {
+		s.stubs[url] = stub{raw: raw, gen: gen}
+	}
+	s.mu.Unlock()
+	return pass
 }
 
 // Get returns the entry for a URL.

@@ -259,8 +259,8 @@ func New(opts Options) (*System, error) {
 		// XML page is parsed only if it is version-tracked, some condition
 		// class needs every document (continuous queries, element change
 		// conditions, URL-level conditions that could match), or the
-		// pre-filter finds an interesting word in the byte stream.
-		prefilter := alerter.NewPrefilter(s.Pipeline.XML)
+		// pre-filter, through the warehouse's stubs, finds a watched word.
+		match := alerter.NewPrefilter(s.Pipeline.XML).Match
 		s.Crawler.Gate = func(url, dtd, domain string, data []byte) bool {
 			if s.Store.Tracked(url) || s.Trigger.Len() > 0 {
 				return true
@@ -271,7 +271,9 @@ func New(opts Options) (*System, error) {
 			if s.Pipeline.URL.CouldAlert(url, warehouse.Filename(url), dtd, domain) {
 				return true
 			}
-			return prefilter.Match(data)
+			// Read before the screen: a later word makes its stub miss.
+			gen, empty := s.Pipeline.XML.WordGen()
+			return !empty && s.Store.Screen(url, data, gen, match)
 		}
 	}
 	return s, nil

@@ -1,6 +1,7 @@
 package xymon
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -885,7 +886,9 @@ func TestContinuousResultSharesPayload(t *testing.T) {
 // TestGateAllocCeiling holds the front door of a crawl round to zero
 // allocations: refusing an untracked page that carries no watched word is
 // the only code such a page ever runs, once per fetch, and it works on
-// pooled scratch over the fetched bytes. (The base here holds presence
+// pooled scratch over the fetched bytes. A byte-identical refetch is
+// refused by the page's stub; a byte-different one runs the pre-filter
+// and overwrites the stub in place. (The base here holds presence
 // conditions only; a registered `URL extends` pattern adds the two
 // objects of URLAlerter.CouldAlert's probe closure.)
 func TestGateAllocCeiling(t *testing.T) {
@@ -903,14 +906,33 @@ report when immediate`); err != nil {
 	site := NewSite(SiteSpec{BaseURL: "http://mall.example/", Pages: 1, Products: 100, Seed: 1})
 	url := site.XMLURLs()[0]
 	page := site.FetchXMLBytes(url, 1)
-	refuse := func() {
-		if sys.Crawler.Gate(url, site.Spec().DTD, "shopping", page) {
+	refuse := func(data []byte) {
+		if sys.Crawler.Gate(url, site.Spec().DTD, "shopping", data) {
 			t.Fatal("the gate passed a page nobody wants")
 		}
 	}
-	refuse() // fill the pools
-	if allocs := testing.AllocsPerRun(200, refuse); allocs != 0 {
+	refuse(page) // fill the pools and write the stub
+	hits := sys.Store.Stats().StubHits
+	if allocs := testing.AllocsPerRun(200, func() { refuse(page) }); allocs != 0 {
 		t.Errorf("Gate allocates %.1f objects refusing a %d-byte page, want 0", allocs, len(page))
+	}
+	if n := sys.Store.Stats().StubHits - hits; n != 201 {
+		t.Errorf("%d of 201 identical refetches were stub hits", n)
+	}
+
+	// Two byte-different versions in turn: every call misses the stub.
+	versions := [2][]byte{page, bytes.Replace(page, []byte("</catalog>"), []byte(" </catalog>"), 1)}
+	next := 0
+	alternate := func() {
+		next ^= 1
+		refuse(versions[next])
+	}
+	hits = sys.Store.Stats().StubHits
+	if allocs := testing.AllocsPerRun(200, alternate); allocs != 0 {
+		t.Errorf("Gate allocates %.1f objects screening a %d-byte page and overwriting its stub, want 0", allocs, len(page))
+	}
+	if n := sys.Store.Stats().StubHits - hits; n != 0 {
+		t.Errorf("%d alternating refetches were stub hits, want every one screened", n)
 	}
 }
 
