@@ -14,6 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -32,6 +33,7 @@ type Package struct {
 	// are loaded (the interprocedural engine spans them) but findings are
 	// only reported for analyzed ones.
 	Analyzed bool
+	Whole    bool // the patterns included ModPath/..., or ./... at the module root
 	// TypeErrors collects type-checker diagnostics. Analysis still runs
 	// with whatever information was recovered.
 	TypeErrors []error
@@ -139,6 +141,7 @@ func load(dir string, patterns []string) ([]*Package, string, error) {
 					ModPath:  p.Module.Path,
 					Fset:     fset,
 					Analyzed: !p.DepOnly,
+					Whole:    slices.Contains(patterns, p.Module.Path+"/...") || dir == p.Module.Dir && slices.Contains(patterns, "./..."),
 				},
 				files: p.GoFiles,
 				deps:  make(map[string]*loading),

@@ -227,6 +227,35 @@ func TestTestonlyPartialRun(t *testing.T) {
 	}
 }
 
+// TestTestonlyWholeLoad: a load of ./... from the module root spans the
+// module, so testonly skips its own listing, and the listing would have
+// found no package open either; a load of a subtree does not span it.
+func TestTestonlyWholeLoad(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads the whole module")
+	}
+	root, _ := fixtureRoot(t)
+	pkgs, _, err := load(root, []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pkgs[0].Whole {
+		t.Fatal("a load of ./... at the module root is not marked Whole")
+	}
+	skipped := openPackages(pkgs)
+	pkgs[0].Whole = false
+	if listed := openPackages(pkgs); len(skipped) != 0 || len(listed) != 0 {
+		t.Errorf("open packages after a whole load: %v without the listing, %v with it; want none", skipped, listed)
+	}
+	sub, _, err := load(root, []string{"./cmd/..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub[0].Whole {
+		t.Error("a load of ./cmd/... is marked Whole")
+	}
+}
+
 // TestPatterns covers how run resolves package patterns: a subtree walk
 // skips testdata, a pattern outside the module or naming no directory is
 // refused (the CLI exits 2), and a run started in a subdirectory resolves

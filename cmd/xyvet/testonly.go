@@ -172,8 +172,8 @@ func satisfiesInterface(named *types.Named, method string, ifaces map[string][]*
 // out of this run imports, directly or not: their exports may be used by
 // code the run never saw. The import graph comes from a listing of the
 // whole module, plus the fixture tree when a loaded package lies under
-// testdata (which ./... never enters). If the listing fails, every loaded
-// package counts as open.
+// testdata (which ./... never enters); a load that spanned the module and
+// no fixture needs none. If the listing fails, every package is open.
 func openPackages(pkgs []*Package) map[string]bool {
 	open := make(map[string]bool)
 	patterns := []string{pkgs[0].ModPath + "/..."}
@@ -185,6 +185,9 @@ func openPackages(pkgs []*Package) map[string]bool {
 			top, _, _ := strings.Cut(pkg.Dir[i+len(testdata):], string(filepath.Separator))
 			patterns = append(patterns, filepath.Join(pkg.Dir[:i+len(testdata)], top, "..."))
 		}
+	}
+	if pkgs[0].Whole && len(patterns) == 1 {
+		return open
 	}
 	list, err := goList(pkgs[0].Dir, patterns...)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"testing"
 
@@ -402,6 +403,81 @@ func TestTierOneIsByteExact(t *testing.T) {
 		t.Fatalf("edit outcomes %v: every kind of outcome is needed", outcomes)
 	}
 	t.Logf("edit outcomes: %v", outcomes)
+}
+
+// rawHashPages are the tier-1 kernel's inputs: every length 0–64, filled
+// with zeros and with seeded bytes, and a steady-refetch-sized (2 855) and
+// a discovery-sized (9 470) page.
+func rawHashPages() [][]byte {
+	rng := rand.New(rand.NewPCG(56, 1))
+	filled := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(rng.Uint32())
+		}
+		return b
+	}
+	var pages [][]byte
+	for n := 0; n <= 64; n++ {
+		pages = append(pages, make([]byte, n))
+		if n > 0 {
+			pages = append(pages, filled(n))
+		}
+	}
+	return append(pages, filled(2855), filled(9470))
+}
+
+// TestRawHashIsExact holds tier 1's kernel to the page's bytes. GHASH
+// zero-pads the last 16-byte block, so a page and the page with one NUL
+// appended differ only in the length block: they must get different tags,
+// as must the page with any one byte flipped. A copy of the page at
+// another address gets the same tag, and a call allocates nothing.
+func TestRawHashIsExact(t *testing.T) {
+	pages := rawHashPages()
+	seen := make(map[[2]uint64]int)
+	for _, b := range pages {
+		h := rawHash(b)
+		if rawHash(bytes.Clone(b)) != h {
+			t.Fatalf("%d bytes: a copy at another address got another tag", len(b))
+		}
+		if rawHash(append(bytes.Clone(b), 0)) == h {
+			t.Fatalf("%d bytes: appending one NUL kept the tag", len(b))
+		}
+		for i := range b {
+			b[i] ^= 0xff
+			flipped := rawHash(b)
+			b[i] ^= 0xff
+			if flipped == h {
+				t.Fatalf("%d bytes: flipping byte %d kept the tag", len(b), i)
+			}
+		}
+		seen[h]++
+	}
+	if len(seen) != len(pages) {
+		t.Fatalf("%d pages got %d distinct tags", len(pages), len(seen))
+	}
+	if raceEnabled {
+		return // the race detector drops sync.Pool items at random
+	}
+	page := pages[len(pages)-1]
+	if allocs := testing.AllocsPerRun(200, func() { rawHash(page) }); allocs != 0 {
+		t.Fatalf("rawHash allocates %.1f objects per call, want 0", allocs)
+	}
+}
+
+// BenchmarkRawHash times tier 1's kernel on a steady-refetch-sized and a
+// discovery-sized page.
+func BenchmarkRawHash(b *testing.B) {
+	pages := rawHashPages()
+	for _, page := range pages[len(pages)-2:] {
+		b.Run(fmt.Sprintf("bytes=%d", len(page)), func(b *testing.B) {
+			b.SetBytes(int64(len(page)))
+			b.ReportAllocs()
+			for b.Loop() {
+				rawHash(page)
+			}
+		})
+	}
 }
 
 // TestScreenStubLifecycle walks one URL through the gate's stub table: a

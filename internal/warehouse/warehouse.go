@@ -10,11 +10,16 @@
 package warehouse
 
 import (
+	"cmp"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/maphash"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -151,7 +156,8 @@ type stub struct {
 // commits were resolved at each tier of the change-detection cascade.
 type Stats struct {
 	// SkippedRawSig counts tier-1 hits: byte-identical refetches resolved
-	// by one keyed 128-bit hash (rawHash), no tokenize.
+	// by one keyed GHASH tag, no tokenize (rawHash: pages of ℓ blocks
+	// collide with probability ≤ (ℓ+1)/2¹²⁸; not under fips140=only).
 	SkippedRawSig uint64
 	// SkippedStructHash counts tier-2 hits: byte-different but
 	// structurally identical refetches resolved by one streaming
@@ -227,18 +233,35 @@ func Signature(content []byte) [sha256.Size]byte {
 	return sha256.Sum256(content)
 }
 
-// rawSeeds key the tier-1 hash. They are drawn once per process, not per
-// Store, so stores in one process agree on it; nothing persists it.
-var rawSeeds = [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()}
+// rawAEAD keys rawHash, once per process so that stores in it agree.
+var (
+	rawAEAD = func() cipher.AEAD {
+		var key [16]byte
+		rand.Read(key[:])                 // it crashes the program rather than fail
+		block, _ := aes.NewCipher(key[:]) // it fails on the key's length alone
+		aead, err := cipher.NewGCM(block)
+		if err != nil {
+			panic("warehouse: rawHash needs AES-GCM with a fixed nonce: " + err.Error())
+		}
+		return aead
+	}()
+	rawTags  = sync.Pool{New: func() any { return new([16]byte) }} // a stack tag would escape through Seal
+	rawNonce [12]byte
+)
 
-// rawHash is tier 1's identity of an XML page's bytes: two keyed 64-bit
-// hashes. It need not be cryptographic: a page author cannot learn its key
-// to aim a collision at it, and a tracked page that misses tier 1 meets
-// tier 2, though a gate stub's hit (Screen) rests on these bits alone.
-// HTML keeps SHA-256 (Signature): its signature is logged and compared
-// across restarts, so it must not depend on the process.
+// rawHash is tier 1's identity of an XML page's bytes, in one pass: the
+// AES-128-GCM tag of the page as additional data (zero nonce, no
+// plaintext). GHASH is ε-almost-XOR-universal: two distinct pages of at
+// most ℓ 16-byte blocks collide with probability at most (ℓ+1)/2¹²⁸. The
+// tag never leaves the process, so the fixed nonce gives a page author
+// nothing; GODEBUG=fips140=only refuses it, and the package panics at init.
+// A gate stub's hit (Screen) rests on these bits alone. HTML keeps SHA-256
+// (Signature): its signature is logged and compared across restarts.
 func rawHash(data []byte) [2]uint64 {
-	return [2]uint64{maphash.Bytes(rawSeeds[0], data), maphash.Bytes(rawSeeds[1], data)}
+	tag := rawTags.Get().(*[16]byte)
+	defer rawTags.Put(tag)
+	rawAEAD.Seal(tag[:0], rawNonce[:], nil, data)
+	return [2]uint64{binary.LittleEndian.Uint64(tag[:8]), binary.LittleEndian.Uint64(tag[8:])}
 }
 
 // structSignature is the Metadata.Signature of an XML version: its
@@ -260,7 +283,8 @@ var streamHasherPool = sync.Pool{New: func() any { return new(xmldom.StreamHashe
 // cascade:
 //
 //	tier 1 — raw hash: byte-identical to the stored version's bytes;
-//	         resolved by one keyed 128-bit hash (rawHash), no tokenize.
+//	         one keyed GHASH tag (rawHash: ℓ-block pages collide with
+//	         probability ≤ (ℓ+1)/2¹²⁸; not under fips140=only), no tokenize.
 //	tier 2 — structural hash: byte-different but structurally identical
 //	         (whitespace reflow, re-quoted attributes, re-encoded
 //	         entities); resolved by one streaming tokenize+hash pass
@@ -495,12 +519,12 @@ func (s *Store) Len() int {
 	return len(s.pages)
 }
 
-// AllRoots returns the root elements of every warehoused XML document.
+// AllRoots returns every warehoused XML document's root, in DocID order.
 func (s *Store) AllRoots() []*xmldom.Node {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var roots []*xmldom.Node
-	for _, e := range s.pages {
+	for _, e := range slices.SortedFunc(maps.Values(s.pages), func(a, b *Entry) int { return cmp.Compare(a.Meta.DocID, b.Meta.DocID) }) {
 		if e.Doc != nil {
 			roots = append(roots, e.Doc.Root)
 		}

@@ -381,6 +381,37 @@ report when immediate`)
 	}
 }
 
+// TestContinuousQuerySeesOneForest: a delta continuous query over several
+// stored pages that never change reports once, on its first evaluation.
+// Each evaluation must see the warehouse's roots in one fixed order
+// (Store.AllRoots, DocID order); a fresh order diffs as deletes and
+// inserts of the same titles, a change that did not happen.
+func TestContinuousQuerySeesOneForest(t *testing.T) {
+	sys, c, reports := newSystem(t, Options{})
+	for i := range 8 {
+		if _, err := sys.PushXML(fmt.Sprintf("http://museums.example/%d.xml", i), "", "culture",
+			fmt.Sprintf("<culture><museum><address>Amsterdam</address><painting><title>P%d</title></painting></museum></culture>", i)); err != nil {
+			t.Fatalf("PushXML: %v", err)
+		}
+	}
+	if _, err := sys.Subscribe("subscription Art\ncontinuous delta Q\nselect p/title from culture/museum m, m/painting p\nwhen daily\nreport when immediate"); err != nil {
+		t.Fatalf("Subscribe: %v", err)
+	}
+	for range 20 {
+		sys.Tick()
+		c.advance(25 * time.Hour)
+	}
+	if len(*reports) == 0 {
+		t.Fatal("the first evaluation delivered no report")
+	}
+	if n := len(*reports) - 1; n > 0 {
+		t.Fatalf("%d spurious reports over 20 daily evaluations of an unchanged forest; the first:\n%s", n, (*reports)[1].Doc.XML())
+	}
+	if out := (*reports)[0].Doc.XML(); strings.Index(out, "P0") > strings.Index(out, "P7") {
+		t.Errorf("first report lists the pages out of commit order: %s", out)
+	}
+}
+
 func TestJournalPersistenceAcrossSystems(t *testing.T) {
 	dir := t.TempDir()
 	sys1, _, _ := newSystem(t, Options{DurableDir: dir})
